@@ -11,7 +11,8 @@
 //! ```
 //!
 //! `--timings-json` additionally writes the per-stage pipeline
-//! wall-clock (local, extract+embed, cluster, classify, global) of
+//! wall-clock (local, extract+embed, cluster, classify, global) and
+//! the number of surface clusterings run (`clustered_surfaces`) of
 //! every eval dataset to the given path (conventionally
 //! `BENCH_pipeline.json`), forcing the pipeline runs even when no
 //! requested section needs them.
@@ -87,13 +88,15 @@ fn write_timings_json(
         let t = &run.timings;
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"local_s\": {:.6}, \"extract_s\": {:.6}, \
-             \"cluster_s\": {:.6}, \"classify_s\": {:.6}, \"global_s\": {:.6}}}{}\n",
+             \"cluster_s\": {:.6}, \"classify_s\": {:.6}, \"global_s\": {:.6}, \
+             \"clustered_surfaces\": {}}}{}\n",
             d.name,
             t.local.as_secs_f64(),
             t.extract.as_secs_f64(),
             t.cluster.as_secs_f64(),
             t.classify.as_secs_f64(),
             t.global.as_secs_f64(),
+            t.surfaces_clustered,
             if i + 1 == runs.full.len() { "" } else { "," },
         ));
     }

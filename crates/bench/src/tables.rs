@@ -713,7 +713,7 @@ pub struct ParallelBenchResult {
     pub giant_points: usize,
     /// Agglomerative clustering of the giant surface, sequential.
     pub giant_1t_s: f64,
-    /// Same clustering on a 4-thread executor (chunked pair scan).
+    /// Same clustering on a 4-thread executor (chunked distance fill).
     pub giant_4t_s: f64,
     /// `giant_1t_s / giant_4t_s`.
     pub giant_speedup: f64,
@@ -792,10 +792,12 @@ pub fn parallel_bench() -> ParallelBenchResult {
     std::hint::black_box(sink);
 
     // -- giant-surface clustering tail -----------------------------------
-    // One skewed surface with hundreds of mentions: the O(n²) pair
-    // scan inside agglomerative linkage is the finalize tail. Same
-    // inputs sequentially and on 4 threads; outputs must agree
-    // (the chunked scan is bitwise-identical by construction).
+    // One skewed surface with hundreds of mentions: inside
+    // agglomerative linkage the O(n²·d) pair-distance fill and the
+    // O(n²)-comparison closest-pair scan before each merge make it the
+    // slowest surface of a finalize. Same inputs sequentially and on 4
+    // threads; outputs must agree (only the fill is chunked, and it is
+    // bitwise-identical by construction).
     const GIANT: usize = 320;
     const DIM: usize = 16;
     let mut rng = SplitMix64::new(0x61A7);

@@ -93,29 +93,42 @@ impl ClusterAgg {
 /// each vector. Every point is L2-normalized exactly once, up front,
 /// before the quadratic merge loop.
 ///
-/// Complexity is O(n² · merges); mention sets per surface form are small
-/// (tens to low hundreds), so the quadratic scan is not a bottleneck.
+/// Pair distances are computed once into an n × n matrix; a merge
+/// recomputes only the merged cluster's row (n dot products) and every
+/// closest-pair search scans stored distances. The cost is O(n² · d)
+/// for the fill, O(n · d) per merge and O(n²) comparisons per merge,
+/// with the n² `f32` matrix alive for the call (640 KB at the
+/// pipeline's 400-mention batch cap).
 pub fn agglomerative<P: AsRef<[f32]>>(points: &[P], threshold: f32) -> Clustering {
     agglomerative_exec(points, threshold, &Executor::sequential())
 }
 
-/// Rows below this count run the closest-pair scan sequentially even on
-/// a parallel executor — the chunked scan only pays off once the O(n²)
-/// pair sweep dominates the per-call scheduling cost.
-const PAR_SCAN_MIN_ROWS: usize = 96;
+/// Rows below this count run sequentially even on a parallel executor
+/// (the distance-matrix fill, the online centroid scan): chunking only
+/// pays off once the dot-product sweep dominates the per-call
+/// scheduling cost.
+const PAR_DOT_MIN_ROWS: usize = 96;
 
-/// [`agglomerative`] with the closest-pair search parallelized over
+/// [`agglomerative`] with the one-time distance fill parallelized over
 /// chunked rows on `exec` — for the giant surface forms whose quadratic
-/// scan would otherwise occupy one pipeline worker for the whole batch.
+/// fill would otherwise occupy one pipeline worker for the whole batch.
+/// The closest-pair scans over stored distances stay sequential: an
+/// entry costs one comparison, and at the pipeline's sizes (at most 400
+/// mentions) a chunked scan measured slower than the sequential one.
 ///
-/// The merge *order* stays sequential and the output is **bitwise
-/// identical** to the sequential scan at any thread count: each chunk
-/// scans its row range in the same `(i, j)` order with the same strict
-/// `d < best` test starting from `+∞`, and the chunk-order reduction
-/// also uses strict `<`, so the winning pair is exactly the first pair
-/// in global scan order attaining the minimum — the sequential scan's
-/// answer. (NaN distances lose every strict comparison in both
-/// versions, so degenerate inputs agree too.)
+/// The output is **bitwise identical** to recomputing every pair
+/// distance before every merge, at any thread count:
+///
+/// * each stored distance is the same `distance_with(lower index,
+///   higher index)` call the rescan would make on the same cluster
+///   sums, and the dot kernels are bitwise symmetric (elementwise
+///   products, one fixed accumulation order), so entries moved by a
+///   `swap_remove` still hold the rescan's value; chunking the fill
+///   changes only which thread computes an entry, not its value;
+/// * the scan visits pairs in the same `(i, j)` order with the same
+///   strict `d < best` test from `+∞`, so the winning pair is the first
+///   pair in scan order attaining the minimum. (NaN distances lose
+///   every strict comparison, so degenerate inputs agree too.)
 pub fn agglomerative_exec<P: AsRef<[f32]>>(
     points: &[P],
     threshold: f32,
@@ -130,17 +143,18 @@ pub fn agglomerative_exec<P: AsRef<[f32]>>(
         .enumerate()
         .map(|(i, p)| ClusterAgg { sum: l2_normalized(p.as_ref()), count: 1, members: vec![i] })
         .collect();
+    let dotf = kernels::dot_fn();
+    let mut dist = PairDistances::fill(&clusters, dotf, exec);
 
-    loop {
-        if clusters.len() < 2 {
+    while clusters.len() >= 2 {
+        let (i, j, d) = dist.closest_pair(clusters.len());
+        if d >= threshold {
             break;
         }
-        let best = closest_pair(&clusters, exec);
-        if best.2 >= threshold {
-            break;
-        }
-        let taken = clusters.swap_remove(best.1);
-        clusters[best.0].merge(taken);
+        let taken = clusters.swap_remove(j);
+        dist.swap_remove(j, clusters.len());
+        clusters[i].merge(taken);
+        dist.refresh(i, &clusters, dotf);
     }
 
     let mut assignments = vec![0usize; n];
@@ -152,41 +166,87 @@ pub fn agglomerative_exec<P: AsRef<[f32]>>(
     Clustering { assignments, n_clusters: clusters.len() }
 }
 
-/// First pair (in `(i, j)` scan order) attaining the minimum pairwise
-/// distance, found sequentially or over row chunks — see
-/// [`agglomerative_exec`] for the equivalence argument.
-fn closest_pair(clusters: &[ClusterAgg], exec: &Executor) -> (usize, usize, f32) {
-    let n = clusters.len();
-    let dotf = kernels::dot_fn();
-    let scan_rows = move |rows: std::ops::Range<usize>| {
+/// Rows per chunk when spreading `rows` rows of dot products over
+/// `exec`; `rows` itself (one chunk) when the work stays on the caller
+/// because there are fewer than [`PAR_DOT_MIN_ROWS`].
+fn row_chunk(rows: usize, exec: &Executor) -> usize {
+    if exec.threads() <= 1 || rows < PAR_DOT_MIN_ROWS {
+        return rows;
+    }
+    // Over-split relative to the thread count: early rows hold far more
+    // pairs than late ones, and the executor's dynamic scheduling evens
+    // that skew out across smaller chunks.
+    rows.div_ceil(exec.threads() * 4).max(8)
+}
+
+/// Distances between the current clusters of one
+/// [`agglomerative_exec`] call. Entry `(i, j)` with `i < j` sits at
+/// `i * stride + j` and holds `clusters[i].distance_with(clusters[j])`;
+/// only that upper triangle is read or kept current.
+struct PairDistances {
+    stride: usize,
+    d: Vec<f32>,
+}
+
+impl PairDistances {
+    /// Every pair distance of the initial clusters, row chunks on `exec`.
+    fn fill(clusters: &[ClusterAgg], dotf: VecKernel, exec: &Executor) -> Self {
+        let n = clusters.len();
+        let mut d = vec![0.0f32; n * n];
+        let chunk = row_chunk(n, exec);
+        let blocks: Vec<&mut [f32]> = d.chunks_mut(chunk * n).collect();
+        exec.par_map(blocks, |b, block| {
+            for (r, row) in block.chunks_mut(n).enumerate() {
+                let i = b * chunk + r;
+                for j in i + 1..n {
+                    row[j] = clusters[i].distance_with(dotf, &clusters[j]);
+                }
+            }
+        });
+        Self { stride: n, d }
+    }
+
+    fn set(&mut self, i: usize, j: usize, v: f32) {
+        self.d[i * self.stride + j] = v;
+    }
+
+    /// First pair (in `(i, j)` scan order) of the first `m` clusters
+    /// attaining the minimum distance — see [`agglomerative_exec`] for
+    /// the equivalence argument.
+    fn closest_pair(&self, m: usize) -> (usize, usize, f32) {
         let mut best = (0usize, 1usize, f32::INFINITY);
-        for i in rows {
-            for j in i + 1..n {
-                let d = clusters[i].distance_with(dotf, &clusters[j]);
+        for i in 0..m {
+            let row = &self.d[i * self.stride..i * self.stride + m];
+            for (j, &d) in row.iter().enumerate().skip(i + 1) {
                 if d < best.2 {
                     best = (i, j, d);
                 }
             }
         }
         best
-    };
-    if exec.threads() <= 1 || n < PAR_SCAN_MIN_ROWS {
-        return scan_rows(0..n);
     }
-    // Over-split relative to the thread count: early rows hold far more
-    // pairs than late ones, and the executor's dynamic scheduling evens
-    // that skew out across smaller chunks.
-    let chunk = n.div_ceil(exec.threads() * 4).max(8);
-    let ranges: Vec<std::ops::Range<usize>> =
-        (0..n).step_by(chunk).map(|s| s..(s + chunk).min(n)).collect();
-    let bests = exec.par_map(ranges, |_, r| scan_rows(r));
-    let mut best = (0usize, 1usize, f32::INFINITY);
-    for b in bests {
-        if b.2 < best.2 {
-            best = b;
+
+    /// Mirrors `clusters.swap_remove(j)` on a matrix of `last + 1`
+    /// clusters: cluster `last` moves to index `j`, keeping its
+    /// distances to every other cluster.
+    fn swap_remove(&mut self, j: usize, last: usize) {
+        for k in (0..last).filter(|&k| k != j) {
+            let v = self.d[k * self.stride + last];
+            self.set(k.min(j), k.max(j), v);
         }
     }
-    best
+
+    /// Recomputes every distance of cluster `i` after it absorbed a
+    /// merge, with each call oriented `(lower index, higher index)`
+    /// exactly as a rescan would make it.
+    fn refresh(&mut self, i: usize, clusters: &[ClusterAgg], dotf: VecKernel) {
+        for k in 0..i {
+            self.set(k, i, clusters[k].distance_with(dotf, &clusters[i]));
+        }
+        for k in i + 1..clusters.len() {
+            self.set(i, k, clusters[i].distance_with(dotf, &clusters[k]));
+        }
+    }
 }
 
 /// Incrementally maintained clustering for the streaming setting (§V-C:
@@ -260,10 +320,10 @@ impl OnlineClusters {
     fn best_cluster(&self, p: &[f32], exec: &Executor) -> Option<(usize, f32)> {
         let n = self.sums.len();
         let dotf = kernels::dot_fn();
-        if exec.threads() <= 1 || n < PAR_SCAN_MIN_ROWS {
+        let chunk = row_chunk(n, exec);
+        if chunk >= n {
             return self.scan_range(p, 0..n, dotf);
         }
-        let chunk = n.div_ceil(exec.threads() * 4).max(8);
         let ranges: Vec<std::ops::Range<usize>> =
             (0..n).step_by(chunk).map(|s| s..(s + chunk).min(n)).collect();
         let bests = exec.par_map(ranges, |_, r| self.scan_range(p, r, dotf));
@@ -407,10 +467,9 @@ mod tests {
 
     #[test]
     fn parallel_closest_pair_scan_is_bitwise_identical() {
-        // Enough rows to cross PAR_SCAN_MIN_ROWS so the chunked scan
+        // Enough rows to cross PAR_DOT_MIN_ROWS so the chunked fill
         // actually runs, with deliberately near-tied distances (points
-        // on a slowly wound spiral) to stress the first-minimum tie
-        // rule across chunk boundaries.
+        // on a slowly wound spiral) to stress the first-minimum tie rule.
         let pts: Vec<Vec<f32>> = (0..150)
             .map(|i| {
                 let a = i as f32 * 0.041;
@@ -451,7 +510,7 @@ mod tests {
     #[test]
     fn parallel_online_insert_is_bitwise_identical() {
         // A tight threshold on spiral points opens enough clusters to
-        // push the centroid scan past PAR_SCAN_MIN_ROWS, with near-tied
+        // push the centroid scan past PAR_DOT_MIN_ROWS, with near-tied
         // distances stressing the first-minimum rule across chunks.
         let pts: Vec<Vec<f32>> = (0..220)
             .map(|i| {
@@ -466,7 +525,7 @@ mod tests {
             let seq_ids: Vec<usize> = pts.iter().map(|p| seq.insert(p)).collect();
             let par_ids: Vec<usize> = pts.iter().map(|p| par_oc.insert_exec(p, &par)).collect();
             assert_eq!(seq_ids, par_ids, "threshold {t}");
-            assert!(seq.len() >= PAR_SCAN_MIN_ROWS || t > 0.002, "threshold {t} too lax to test");
+            assert!(seq.len() >= PAR_DOT_MIN_ROWS || t > 0.002, "threshold {t} too lax to test");
             assert_eq!(seq.counts, par_oc.counts, "threshold {t}");
             for (a, b) in seq.sums.iter().zip(&par_oc.sums) {
                 let ab: Vec<u32> = a.iter().map(|x| x.to_bits()).collect();
@@ -531,6 +590,91 @@ mod proptests {
             }
             assert!(used.into_iter().all(|u| u));
         });
+    }
+
+    /// Reference linkage that recomputes every pair distance before
+    /// every merge; the cached-matrix linkage must reproduce it bit for
+    /// bit.
+    fn agglomerative_rescan<P: AsRef<[f32]>>(points: &[P], threshold: f32) -> Clustering {
+        let n = points.len();
+        if n == 0 {
+            return Clustering { assignments: Vec::new(), n_clusters: 0 };
+        }
+        let mut clusters: Vec<ClusterAgg> = points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| ClusterAgg { sum: l2_normalized(p.as_ref()), count: 1, members: vec![i] })
+            .collect();
+        while clusters.len() >= 2 {
+            let dotf = kernels::dot_fn();
+            let mut best = (0usize, 1usize, f32::INFINITY);
+            for i in 0..clusters.len() {
+                for j in i + 1..clusters.len() {
+                    let d = clusters[i].distance_with(dotf, &clusters[j]);
+                    if d < best.2 {
+                        best = (i, j, d);
+                    }
+                }
+            }
+            if best.2 >= threshold {
+                break;
+            }
+            let taken = clusters.swap_remove(best.1);
+            clusters[best.0].merge(taken);
+        }
+        let mut assignments = vec![0usize; n];
+        for (c, cl) in clusters.iter().enumerate() {
+            for &m in &cl.members {
+                assignments[m] = c;
+            }
+        }
+        Clustering { assignments, n_clusters: clusters.len() }
+    }
+
+    /// `n` points of dimension `dim` drawn from a pool of at most
+    /// `distinct` vectors, so exact duplicates (tied distances) are
+    /// common; some pool vectors are zero, others have small-integer
+    /// coordinates (more exact ties) or continuous ones.
+    fn tie_heavy_points(rng: &mut SplitMix64, n: usize, dim: usize) -> Vec<Vec<f32>> {
+        let distinct = rng.gen_range(1..=n.max(1));
+        let pool: Vec<Vec<f32>> = (0..distinct)
+            .map(|_| match rng.next_below(4) {
+                0 => vec![0.0; dim],
+                1 => (0..dim).map(|_| rng.next_below(5) as f32 - 2.0).collect(),
+                _ => (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
+            })
+            .collect();
+        (0..n).map(|_| pool[rng.gen_range(0..distinct)].clone()).collect()
+    }
+
+    fn assert_matches_rescan(pts: &[Vec<f32>], threshold: f32, par: &Executor) {
+        let reference = agglomerative_rescan(pts, threshold);
+        assert_eq!(reference, agglomerative(pts, threshold), "sequential, threshold {threshold}");
+        assert_eq!(
+            reference,
+            agglomerative_exec(pts, threshold, par),
+            "4 threads, threshold {threshold}"
+        );
+    }
+
+    #[test]
+    fn cached_distances_match_the_rescan_reference() {
+        let par = Executor::new(4);
+        for_each_case(0xC1_0003, 400, |rng| {
+            let dim = [2, 3, 8, 32, 33][rng.gen_range(0..5usize)];
+            let n = rng.gen_range(0..=40usize);
+            let pts = tie_heavy_points(rng, n, dim);
+            assert_matches_rescan(&pts, rng.gen_range(0.1f32..1.5), &par);
+        });
+        // Sizes at and past the fill cut-off, so the chunked fill runs
+        // on the parallel executor.
+        let sizes = [PAR_DOT_MIN_ROWS, 150, 250, 320, 400];
+        for (k, n) in sizes.into_iter().enumerate() {
+            let rng = &mut SplitMix64::new(0xC1_0004 + k as u64);
+            let dim = [2, 3, 8, 32, 33][k];
+            let pts = tie_heavy_points(rng, n, dim);
+            assert_matches_rescan(&pts, rng.gen_range(0.1f32..1.5), &par);
+        }
     }
 
     #[test]

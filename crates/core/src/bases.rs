@@ -77,8 +77,8 @@ pub struct SurfaceEntry {
 }
 
 /// Mention count at which a surface counts as *giant* at finalize.
-/// Giant surfaces dominate the per-surface fan-out tail (their O(n²)
-/// linkage scan occupies one worker for the whole batch), so the
+/// Giant surfaces dominate the per-surface fan-out tail (their
+/// quadratic linkage occupies one worker for the whole batch), so the
 /// pipeline runs them with the executor parallelizing *inside* the
 /// clustering and classification instead of across surfaces.
 pub const GIANT_SURFACE_MENTIONS: usize = 128;
@@ -133,6 +133,12 @@ impl SurfaceEntry {
         mention_bytes + cluster_bytes + std::mem::size_of::<Self>()
     }
 }
+
+/// Clusters detached from clean entries before a candidate-store
+/// rebuild ([`CandidateBase::take_clean_clusters`]): per surface, the
+/// ordered mention coordinates and the clusters computed over them.
+pub(crate) type CarriedClusters =
+    BTreeMap<String, (Vec<(usize, usize, usize)>, Vec<CandidateCluster>)>;
 
 /// Candidate store keyed by folded surface form.
 #[derive(Debug, Clone, Default)]
@@ -239,13 +245,52 @@ impl CandidateBase {
         self.surfaces.remove(surface)
     }
 
+    /// Detaches the clusters and labels of every clean entry, keyed by
+    /// surface together with the ordered `(tweet, start, end)` list
+    /// they were computed over — the first half of a candidate-store
+    /// rebuild that keeps unchanged surfaces' work (see
+    /// [`Self::restore_clusters`]).
+    pub(crate) fn take_clean_clusters(&mut self) -> CarriedClusters {
+        self.surfaces
+            .iter_mut()
+            .filter(|(_, e)| e.is_clean())
+            .map(|(surface, e)| {
+                let coords = e.mentions.iter().map(|m| (m.tweet, m.start, m.end)).collect();
+                (surface.clone(), (coords, std::mem::take(&mut e.clusters)))
+            })
+            .collect()
+    }
+
+    /// Reinstalls carried clusters on every rebuilt entry whose mention
+    /// list has exactly the carried coordinates, one for one and in
+    /// order, and marks it clean; every other entry keeps its rebuild
+    /// state and is reclustered by the next finalize. Exact because
+    /// clusters and labels are a pure function of the ordered mention
+    /// list: embeddings come from the coordinate-keyed cache and local
+    /// types from the immutable tweet records.
+    pub(crate) fn restore_clusters(&mut self, carried: CarriedClusters) {
+        for (surface, (coords, clusters)) in carried {
+            let Some(e) = self.surfaces.get_mut(&surface) else {
+                continue;
+            };
+            let same = e.mentions.len() == coords.len()
+                && e.mentions.iter().zip(&coords).all(|(m, &c)| (m.tweet, m.start, m.end) == c);
+            if same {
+                e.clusters = clusters;
+                e.clustered = e.mentions.len();
+                e.classified = e.mentions.len();
+            }
+        }
+    }
+
     /// Keeps only the mentions belonging to tweets `< from`, dropping
     /// everything newer (and any surface left without mentions). Used
     /// by the rebuild path after eviction: mentions of evicted tweets
     /// are *frozen* (their source records are gone, so they can never
     /// be re-extracted) while the retained suffix of the stream is
     /// rescanned and re-appended. Clusters are cleared and entries
-    /// marked dirty because the mention sets are about to change.
+    /// marked dirty because the mention sets are about to change;
+    /// [`Self::restore_clusters`] reinstates those that did not.
     pub(crate) fn truncate_mentions_from_tweet(&mut self, from: usize) {
         self.surfaces.retain(|_, e| {
             e.mentions.retain(|m| m.tweet < from);
@@ -533,6 +578,47 @@ mod tests {
         // "us" only had a newer mention — gone entirely.
         assert!(cb.get("us").is_none());
         assert_eq!(cb.len(), 1);
+    }
+
+    #[test]
+    fn carried_clusters_return_only_to_identical_mention_lists() {
+        let mut cb = CandidateBase::new();
+        for (surface, tweets) in [("same", [0, 2]), ("moved", [1, 3]), ("dirty", [4, 5])] {
+            for t in tweets {
+                cb.add_mention(surface, record(t));
+            }
+            let e = cb.get_mut(surface).expect("entry");
+            e.clusters.push(CandidateCluster {
+                members: vec![0, 1],
+                global_emb: vec![],
+                label: None,
+            });
+            e.clustered = 2;
+            e.classified = 2;
+        }
+        cb.get_mut("dirty").expect("entry").mark_dirty();
+        let carried = cb.take_clean_clusters();
+        assert_eq!(carried.len(), 2, "only clean entries are carried");
+
+        // The rescan: "same" comes back identical; "moved" keeps its
+        // length but one mention shifted; "dirty" is unchanged but was
+        // never clean.
+        let mut rebuilt = CandidateBase::new();
+        for (surface, spans) in
+            [("same", [(0, 0), (2, 0)]), ("moved", [(1, 0), (3, 1)]), ("dirty", [(4, 0), (5, 0)])]
+        {
+            for (t, start) in spans {
+                rebuilt.add_mention(surface, MentionRecord { start, end: start + 1, ..record(t) });
+            }
+        }
+        rebuilt.restore_clusters(carried);
+        let same = rebuilt.get("same").expect("entry");
+        assert!(same.is_clean());
+        assert_eq!(same.clusters.len(), 1);
+        for surface in ["moved", "dirty"] {
+            let e = rebuilt.get(surface).expect("entry");
+            assert!(e.needs_recluster() && e.needs_reclassify() && e.clusters.is_empty());
+        }
     }
 
     #[test]

@@ -37,11 +37,14 @@
 //!   store is rebuilt because new surfaces can change the greedy scan's
 //!   occurrence boundaries anywhere in the stream, but every previously
 //!   embedded `(tweet, start, end)` span is served from the cache
-//!   instead of re-running the phrase embedder.
+//!   instead of re-running the phrase embedder, and every surface whose
+//!   rebuilt mention list equals its previous one (same coordinates, same
+//!   order) keeps its clusters and labels instead of being reclustered.
 //!
 //! Both paths produce byte-identical state to a from-scratch rebuild
-//! (the embedder is frozen and deterministic), so repeated incremental
-//! calls match one end-of-stream call exactly.
+//! (the embedder is frozen and deterministic, and clusters and labels
+//! are a pure function of the ordered mention list), so repeated
+//! incremental calls match one end-of-stream call exactly.
 //!
 //! ## Fault tolerance & bounded state
 //!
@@ -187,7 +190,7 @@ impl Default for GlobalizerConfig {
     }
 }
 
-/// Accumulated wall-clock per stage.
+/// Accumulated wall-clock per stage, plus the clustering work done.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
     /// Time spent in Local NER (encoding + tagging + seeding).
@@ -201,6 +204,9 @@ pub struct StageTimings {
     pub cluster: Duration,
     /// Pooling + classification within `global`.
     pub classify: Duration,
+    /// Surfaces whose clusters were recomputed; the rest of each
+    /// finalize's surfaces reused clusters from an earlier one.
+    pub surfaces_clustered: u64,
 }
 
 /// Output of one processed batch.
@@ -999,7 +1005,9 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// `scanned_tweets` are scanned; a version bump rebuilds the
     /// candidate store (late-discovered surfaces recover early mentions
     /// and can shift greedy scan boundaries) while reusing every cached
-    /// span embedding. Tweets are scanned and embedded in parallel;
+    /// span embedding, and the clusters and labels of every surface
+    /// whose rebuilt mention list equals the one they were computed
+    /// over. Tweets are scanned and embedded in parallel;
     /// candidate insertion stays sequential in tweet order so the store
     /// is identical to a sequential full rebuild.
     ///
@@ -1021,9 +1029,14 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// mention from the still-resident tweet records.
     fn extract_and_embed(&mut self, mut pool: Option<&mut crate::durable::SpillPool>) {
         let version = self.ctrie.version();
+        let mut carried = None;
         let start = if version == self.scanned_version {
             self.scanned_tweets
         } else {
+            // Both rebuild paths below carry the clean entries' clusters
+            // across the rescan; entries rebuilt with an identical
+            // mention list get them back instead of a recluster.
+            carried = Some(self.candidates.take_clean_clusters());
             let keep_from = self.tweets.first_retained();
             if keep_from == 0 {
                 self.candidates = CandidateBase::new();
@@ -1167,6 +1180,9 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 }
             }
         }
+        if let Some(carried) = carried {
+            self.candidates.restore_clusters(carried);
+        }
         self.scanned_tweets = n;
         self.scanned_version = version;
     }
@@ -1185,7 +1201,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         // Giant surfaces would occupy one worker for the whole batch if
         // they rode the per-surface fan-out, so they run here on the
         // caller with the executor parallelizing *inside* the linkage
-        // scan instead. Each entry's result is a pure function of its
+        // instead. Each entry's result is a pure function of its
         // own mention set, so the grouping cannot change outputs.
         let (giant, small): (Vec<&mut SurfaceEntry>, Vec<&mut SurfaceEntry>) = self
             .candidates
@@ -1193,6 +1209,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
             .map(|(_, e)| e)
             .filter(|e| e.needs_recluster())
             .partition(|e| e.is_giant());
+        self.timings.surfaces_clustered += (giant.len() + small.len()) as u64;
         for entry in giant {
             cluster_surface_exec(entry, mode, threshold, exec);
             entry.clustered = entry.mentions.len();
@@ -1633,7 +1650,7 @@ fn cluster_surface(entry: &mut SurfaceEntry, mode: AblationMode, threshold: f32)
     cluster_surface_exec(entry, mode, threshold, &Executor::sequential())
 }
 
-/// [`cluster_surface`] with the agglomerative closest-pair scan spread
+/// [`cluster_surface`] with agglomerative linkage's row chunks spread
 /// over `exec` — used for giant surfaces, where the executor's workers
 /// parallelize *inside* the linkage instead of across surfaces. Output
 /// is bitwise identical at any thread count
@@ -1649,10 +1666,11 @@ fn cluster_surface_exec(
         return;
     }
     if mode == AblationMode::FullGlobal {
-        // Agglomerative clustering is O(n²·merges); very frequent
-        // surfaces (often Local-NER junk like stopwords) can collect
-        // thousands of mentions, so those fall back to the one-pass
-        // online approximation.
+        // Agglomerative clustering costs O(n²) comparisons per merge
+        // and holds an n² distance matrix; very frequent surfaces
+        // (often Local-NER junk like stopwords) can collect thousands
+        // of mentions, so those fall back to the one-pass online
+        // approximation.
         const BATCH_CLUSTER_CAP: usize = 400;
         if entry.mentions.len() <= BATCH_CLUSTER_CAP {
             let points: Vec<&[f32]> =
@@ -2346,6 +2364,33 @@ mod tests {
         assert!(!italy.needs_recluster());
         let beshear = p.candidate_base().get("beshear").expect("entry");
         assert_eq!(beshear.clustered, beshear.mentions.len());
+    }
+
+    #[test]
+    fn version_bump_reclusters_only_changed_surfaces() {
+        let mut p = pipeline(AblationMode::FullGlobal);
+        p.process_batch(&[toks("Beshear spoke today"), toks("Italy won"), toks("Covid masks")]);
+        p.finalize();
+        assert_eq!(p.timings().surfaces_clustered, 3);
+        // "Louisville" occurs in no earlier tweet: seeding it bumps the
+        // CTrie version, so the candidate store is rebuilt, yet only the
+        // new surface and the re-mentioned "italy" changed.
+        let version = p.trie_version();
+        p.process_batch(&[toks("Louisville beat italy")]);
+        assert!(p.trie_version() > version);
+        p.finalize();
+        assert_eq!(p.candidate_base().len(), 4);
+        assert_eq!(p.timings().surfaces_clustered, 3 + 2);
+        for (_, e) in p.candidate_base().iter() {
+            assert!(e.is_clean() && !e.clusters.is_empty());
+        }
+        // The carried clusters are exactly what one end-of-stream
+        // finalize computes.
+        let mut once = pipeline(AblationMode::FullGlobal);
+        once.process_batch(&[toks("Beshear spoke today"), toks("Italy won"), toks("Covid masks")]);
+        once.process_batch(&[toks("Louisville beat italy")]);
+        once.finalize();
+        assert_eq!(once.export_state_bytes(), p.export_state_bytes());
     }
 
     #[test]

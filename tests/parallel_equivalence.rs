@@ -8,12 +8,13 @@
 
 use ner_globalizer::core::{
     AblationMode, ClassifierConfig, EntityClassifier, GlobalizerConfig, NerGlobalizer,
-    PhraseEmbedder, PhraseEmbedderConfig,
+    PhraseEmbedder, PhraseEmbedderConfig, RetentionPolicy,
 };
 use ner_globalizer::encoder::{ContextualTagger, SentenceEncoding, SequenceTagger};
 use ner_globalizer::nn::Matrix;
 use ner_globalizer::runtime::rng::{for_each_case, SplitMix64};
 use ner_globalizer::runtime::Executor;
+use ner_globalizer::store::fnv1a64;
 use ner_globalizer::text::{BioTag, EntityType};
 
 const DIM: usize = 8;
@@ -278,5 +279,150 @@ fn repeated_incremental_finalize_equals_single_finalize() {
             state_fingerprint(&full),
             "state diverges in {mode:?}"
         );
+    }
+}
+
+/// A stream where most batches seed a new surface: batch `b` usually
+/// introduces the capitalized name `Zeb{b}`, and every tweet may
+/// mention lowercase names of earlier *and* later batches. Each seed
+/// bumps the CTrie version, so nearly every finalize rebuilds the
+/// candidate store — recovering early mentions of the new name while
+/// most other surfaces come back with the same mention list.
+fn seeding_stream(rng: &mut SplitMix64, batches: usize) -> Vec<Vec<Vec<String>>> {
+    (0..batches)
+        .map(|b| {
+            (0..rng.gen_range(1..5usize))
+                .map(|i| {
+                    let mut tweet: Vec<String> = (0..rng.gen_range(1..6usize))
+                        .map(|_| match rng.next_below(3) {
+                            0 => format!("zeb{}", rng.gen_range(0..batches)),
+                            _ => VOCAB[rng.gen_range(0..VOCAB.len())].to_string(),
+                        })
+                        .collect();
+                    if i == 0 && rng.gen_bool(0.8) {
+                        tweet.push(format!("Zeb{b}"));
+                    }
+                    tweet
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Clusters carried across candidate-store rebuilds are exact: after
+/// every per-batch finalize the exported state equals that of a clone
+/// whose incremental state was dropped and rebuilt from scratch.
+#[test]
+fn carried_clusters_match_a_from_scratch_finalize() {
+    for_each_case(0x5E9_0003, 8, |rng| {
+        let batches = seeding_stream(rng, 12);
+        for mode in ALL_MODES {
+            let mut p = pipeline(mode, Executor::new(2));
+            let mut surfaces_finalized = 0u64;
+            for batch in &batches {
+                p.process_batch(batch);
+                p.finalize();
+                surfaces_finalized += p.candidate_base().len() as u64;
+                let mut fresh = p.clone();
+                fresh.reset_incremental_state();
+                fresh.finalize();
+                assert_eq!(
+                    p.export_state_bytes(),
+                    fresh.export_state_bytes(),
+                    "carried state diverges in {mode:?}"
+                );
+            }
+            if mode != AblationMode::LocalOnly {
+                assert!(
+                    p.timings().surfaces_clustered < surfaces_finalized,
+                    "no surface was carried in {mode:?}"
+                );
+            }
+        }
+    });
+}
+
+/// Under `RetentionPolicy::MaxTweets` a from-scratch reset cannot
+/// rebuild evicted tweets, so the exported state after every finalize
+/// is pinned instead: `fnv1a64` of the export bytes, per ablation mode
+/// (in `ALL_MODES` order), as produced by a pipeline that reclusters
+/// every surface on every rebuild.
+#[test]
+fn carried_clusters_under_max_tweets_retention_match_pinned_exports() {
+    const PINNED: [[u64; 10]; 4] = [
+        [
+            7768078378153461698,
+            13119910558053073134,
+            1421441730608841509,
+            11162090893232152093,
+            6912242129433499972,
+            16951185564867667451,
+            11561781148968486577,
+            10741458346744632882,
+            17446275789861802656,
+            11244960076817356635,
+        ],
+        [
+            11371059962749979019,
+            4954768340640668376,
+            4408497972729482531,
+            15517737950758141140,
+            15993097390896652268,
+            6138532918150916448,
+            11633582640256783717,
+            9673738200284694923,
+            7167463132082434646,
+            17794575784591002702,
+        ],
+        [
+            2041699782258449842,
+            1260035391245607843,
+            18269691681131408416,
+            12094926439374279149,
+            2549994056578289991,
+            5924848174336348755,
+            1825788440365610360,
+            2268651903117590050,
+            5683789813772398277,
+            18091446524378433369,
+        ],
+        [
+            9055308949515927385,
+            696274023264156225,
+            10845605293272763960,
+            10136089939499044250,
+            10129582892910514871,
+            10795550866291266106,
+            9790776907433720233,
+            10097496212584265344,
+            3171959786490987245,
+            8280995950655823554,
+        ],
+    ];
+    let batches = seeding_stream(&mut SplitMix64::new(0x5E9_0004), 10);
+    for (mode, pinned) in ALL_MODES.into_iter().zip(PINNED) {
+        let mut p = NerGlobalizer::new(
+            FakeTagger,
+            PhraseEmbedder::new(PhraseEmbedderConfig { dim: DIM, ..Default::default() }),
+            EntityClassifier::new(ClassifierConfig { dim: DIM, ..Default::default() }),
+            GlobalizerConfig {
+                ablation: mode,
+                retention: RetentionPolicy::MaxTweets(6),
+                ..Default::default()
+            },
+        )
+        .with_executor(Executor::new(2));
+        let exports: Vec<u64> = batches
+            .iter()
+            .map(|batch| {
+                p.process_batch(batch);
+                p.finalize();
+                fnv1a64(&p.export_state_bytes())
+            })
+            .collect();
+        if mode != AblationMode::LocalOnly {
+            assert!(p.tweet_base().first_retained() > 0, "nothing was evicted in {mode:?}");
+        }
+        assert_eq!(exports, pinned, "export bytes moved in {mode:?}");
     }
 }
