@@ -56,11 +56,7 @@ fn fnv(s: &str) -> u64 {
 impl AguilarTagger {
     /// Untrained tagger (predicts all-O until trained).
     pub fn new(cfg: AguilarConfig) -> Self {
-        Self {
-            cfg,
-            emit: vec![0.0; cfg.feature_buckets * T],
-            trans: vec![0.0; T * T],
-        }
+        Self { cfg, emit: vec![0.0; cfg.feature_buckets * T], trans: vec![0.0; T * T] }
     }
 
     /// Trains on an annotated dataset and returns the trained tagger.
@@ -184,10 +180,7 @@ impl AguilarTagger {
 
 impl SequenceTagger for AguilarTagger {
     fn tag(&self, tokens: &[String]) -> Vec<BioTag> {
-        self.viterbi(tokens)
-            .into_iter()
-            .map(BioTag::from_index)
-            .collect()
+        self.viterbi(tokens).into_iter().map(BioTag::from_index).collect()
     }
 }
 
@@ -203,7 +196,8 @@ mod tests {
 
     #[test]
     fn untrained_tagger_predicts_something_valid() {
-        let t = AguilarTagger::new(AguilarConfig { feature_buckets: 1 << 10, ..Default::default() });
+        let t =
+            AguilarTagger::new(AguilarConfig { feature_buckets: 1 << 10, ..Default::default() });
         let tags = t.tag(&toks("stay home"));
         assert_eq!(tags.len(), 2);
     }
@@ -217,19 +211,14 @@ mod tests {
     #[test]
     fn crf_learns_a_small_stream() {
         let kb = KnowledgeBase::build(51, 40);
-        let train = Dataset::generate(
-            &DatasetSpec::streaming("t", 400, vec![Topic::Health], 61),
-            &kb,
+        let train =
+            Dataset::generate(&DatasetSpec::streaming("t", 400, vec![Topic::Health], 61), &kb);
+        let test =
+            Dataset::generate(&DatasetSpec::streaming("e", 100, vec![Topic::Health], 62), &kb);
+        let tagger = AguilarTagger::train(
+            &train,
+            AguilarConfig { feature_buckets: 1 << 15, epochs: 4, seed: 1 },
         );
-        let test = Dataset::generate(
-            &DatasetSpec::streaming("e", 100, vec![Topic::Health], 62),
-            &kb,
-        );
-        let tagger = AguilarTagger::train(&train, AguilarConfig {
-            feature_buckets: 1 << 15,
-            epochs: 4,
-            seed: 1,
-        });
         let mut tp = 0usize;
         let mut gold_n = 0usize;
         for tweet in &test.tweets {
@@ -249,10 +238,8 @@ mod tests {
     #[test]
     fn training_is_deterministic() {
         let kb = KnowledgeBase::build(52, 30);
-        let train = Dataset::generate(
-            &DatasetSpec::streaming("t", 120, vec![Topic::Sports], 63),
-            &kb,
-        );
+        let train =
+            Dataset::generate(&DatasetSpec::streaming("t", 120, vec![Topic::Sports], 63), &kb);
         let cfg = AguilarConfig { feature_buckets: 1 << 14, epochs: 2, seed: 5 };
         let a = AguilarTagger::train(&train, cfg);
         let b = AguilarTagger::train(&train, cfg);

@@ -56,9 +56,7 @@ fn pooled_of(memory: &Memory, token: &str, dim: usize) -> Vec<f32> {
 }
 
 fn remember(memory: &mut Memory, token: &str, emb: &[f32]) {
-    let e = memory
-        .entry(fold(token))
-        .or_insert_with(|| (vec![0.0; emb.len()], 0));
+    let e = memory.entry(fold(token)).or_insert_with(|| (vec![0.0; emb.len()], 0));
     for (s, &v) in e.0.iter_mut().zip(emb) {
         *s += v;
     }
@@ -137,11 +135,7 @@ impl AkbikTagger {
             rows.extend(pooled_of(memory, tok, d));
         }
         let x = Matrix::from_vec(tokens.len(), 2 * d, rows);
-        self.head
-            .predict(&x)
-            .into_iter()
-            .map(BioTag::from_index)
-            .collect()
+        self.head.predict(&x).into_iter().map(BioTag::from_index).collect()
     }
 }
 
@@ -169,10 +163,7 @@ impl DocumentTagger for AkbikTagger {
             }
         }
         // Pass 2: tag with the document-aware memory.
-        sentences
-            .iter()
-            .map(|s| self.tag_with_memory(s, &memory))
-            .collect()
+        sentences.iter().map(|s| self.tag_with_memory(s, &memory)).collect()
     }
 }
 
@@ -185,14 +176,10 @@ mod tests {
 
     fn setup() -> (AkbikTagger, Dataset) {
         let kb = KnowledgeBase::build(91, 50);
-        let train = Dataset::generate(
-            &DatasetSpec::streaming("t", 400, vec![Topic::Health], 91),
-            &kb,
-        );
-        let test = Dataset::generate(
-            &DatasetSpec::streaming("e", 80, vec![Topic::Health], 92),
-            &kb,
-        );
+        let train =
+            Dataset::generate(&DatasetSpec::streaming("t", 400, vec![Topic::Health], 91), &kb);
+        let test =
+            Dataset::generate(&DatasetSpec::streaming("e", 80, vec![Topic::Health], 92), &kb);
         let mut enc = TokenEncoder::new(EncoderConfig {
             embed_dim: 12,
             hidden_dim: 20,
@@ -201,19 +188,15 @@ mod tests {
             ..EncoderConfig::default()
         });
         train_encoder(&mut enc, &train, &TrainConfig { epochs: 3, ..Default::default() });
-        let tagger = AkbikTagger::train(enc, &train, AkbikConfig {
-            hidden: 24,
-            epochs: 4,
-            seed: 7,
-        });
+        let tagger =
+            AkbikTagger::train(enc, &train, AkbikConfig { hidden: 24, epochs: 4, seed: 7 });
         (tagger, test)
     }
 
     #[test]
     fn trained_akbik_finds_entities() {
         let (tagger, test) = setup();
-        let sentences: Vec<Vec<String>> =
-            test.tweets.iter().map(|t| t.tokens.clone()).collect();
+        let sentences: Vec<Vec<String>> = test.tweets.iter().map(|t| t.tokens.clone()).collect();
         let tags = tagger.tag_document(&sentences);
         let mut tp = 0usize;
         for (tweet, tag) in test.tweets.iter().zip(&tags) {

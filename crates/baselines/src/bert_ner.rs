@@ -9,8 +9,8 @@
 
 use ngl_corpus::Dataset;
 use ngl_encoder::{
-    train_encoder, ContextualTagger, EncoderConfig, SentenceEncoding, SequenceTagger,
-    TokenEncoder, TrainConfig,
+    train_encoder, ContextualTagger, EncoderConfig, SentenceEncoding, SequenceTagger, TokenEncoder,
+    TrainConfig,
 };
 use ngl_text::BioTag;
 
@@ -23,7 +23,11 @@ pub struct BertNer {
 impl BertNer {
     /// Trains the baseline on a clean generic corpus (not the noisy
     /// tweet training set).
-    pub fn train(generic_corpus: &Dataset, enc_cfg: EncoderConfig, train_cfg: &TrainConfig) -> Self {
+    pub fn train(
+        generic_corpus: &Dataset,
+        enc_cfg: EncoderConfig,
+        train_cfg: &TrainConfig,
+    ) -> Self {
         let mut inner = TokenEncoder::new(enc_cfg);
         train_encoder(&mut inner, generic_corpus, train_cfg);
         Self { inner }
@@ -87,10 +91,8 @@ mod tests {
         let noisy_spec = DatasetSpec::streaming("noisy", 500, vec![Topic::Health], 82);
         let clean = Dataset::generate(&clean_spec, &kb);
         let noisy = Dataset::generate(&noisy_spec, &kb);
-        let test = Dataset::generate(
-            &DatasetSpec::streaming("test", 150, vec![Topic::Health], 83),
-            &kb,
-        );
+        let test =
+            Dataset::generate(&DatasetSpec::streaming("test", 150, vec![Topic::Health], 83), &kb);
         let enc_cfg = EncoderConfig {
             embed_dim: 16,
             hidden_dim: 24,

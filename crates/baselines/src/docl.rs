@@ -44,10 +44,8 @@ fn surface_of(tokens: &[String], span: &Span) -> String {
 impl<T: SequenceTagger> DocumentTagger for DoclNer<T> {
     fn tag_document(&self, sentences: &[Vec<String>]) -> Vec<Vec<BioTag>> {
         // Pass 1: base predictions per sentence.
-        let preds: Vec<Vec<Span>> = sentences
-            .iter()
-            .map(|s| decode_bio(&self.base.tag(s)))
-            .collect();
+        let preds: Vec<Vec<Span>> =
+            sentences.iter().map(|s| decode_bio(&self.base.tag(s))).collect();
 
         // Pass 2: vote per surface string.
         let mut votes: HashMap<String, [usize; EntityType::COUNT]> = HashMap::new();
@@ -133,9 +131,9 @@ mod tests {
     fn majority_vote_relabels_minority_predictions() {
         let docl = DoclNer::new(Scripted);
         let doc = vec![
-            toks("we visited washington today"),   // LOC (minority)
-            toks("washington signed the bill"),    // PER
-            toks("washington spoke to congress"),  // PER
+            toks("we visited washington today"),  // LOC (minority)
+            toks("washington signed the bill"),   // PER
+            toks("washington spoke to congress"), // PER
         ];
         let tags = docl.tag_document(&doc);
         for sent_tags in &tags {

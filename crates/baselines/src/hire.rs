@@ -53,9 +53,7 @@ fn build_doc_memory(encoder: &TokenEncoder, sentences: &[Vec<String>]) -> (DocMe
     for s in sentences {
         let enc = encoder.encode_sentence(s);
         for (i, tok) in s.iter().enumerate() {
-            let e = mem
-                .entry(fold(tok))
-                .or_insert_with(|| (vec![0.0; enc.embeddings.cols()], 0));
+            let e = mem.entry(fold(tok)).or_insert_with(|| (vec![0.0; enc.embeddings.cols()], 0));
             for (a, &v) in e.0.iter_mut().zip(enc.embeddings.row(i)) {
                 *a += v;
             }
@@ -84,8 +82,7 @@ impl HireNer {
     /// one document, mirroring how the system is applied to a stream.
     pub fn train(encoder: TokenEncoder, train: &Dataset, cfg: HireConfig) -> Self {
         let d = encoder.out_dim();
-        let sentences: Vec<Vec<String>> =
-            train.tweets.iter().map(|t| t.tokens.clone()).collect();
+        let sentences: Vec<Vec<String>> = train.tweets.iter().map(|t| t.tokens.clone()).collect();
         let (mem, encs) = build_doc_memory(&encoder, &sentences);
         let mut rows: Vec<f32> = Vec::new();
         let mut targets: Vec<usize> = Vec::new();
@@ -117,9 +114,7 @@ impl HireNer {
 impl SequenceTagger for HireNer {
     fn tag(&self, tokens: &[String]) -> Vec<BioTag> {
         // A single sentence is its own (tiny) document.
-        self.tag_document(std::slice::from_ref(&tokens.to_vec()))
-            .pop()
-            .unwrap_or_default()
+        self.tag_document(std::slice::from_ref(&tokens.to_vec())).pop().unwrap_or_default()
     }
 }
 
@@ -138,11 +133,7 @@ impl DocumentTagger for HireNer {
                     rows.extend(fused_features(emb.row(i), &mem, tok));
                 }
                 let x = Matrix::from_vec(s.len(), 3 * self.encoder.out_dim(), rows);
-                self.head
-                    .predict(&x)
-                    .into_iter()
-                    .map(BioTag::from_index)
-                    .collect()
+                self.head.predict(&x).into_iter().map(BioTag::from_index).collect()
             })
             .collect()
     }
@@ -158,14 +149,10 @@ mod tests {
     #[test]
     fn hire_learns_and_uses_document_context() {
         let kb = KnowledgeBase::build(101, 50);
-        let train = Dataset::generate(
-            &DatasetSpec::streaming("t", 400, vec![Topic::Politics], 71),
-            &kb,
-        );
-        let test = Dataset::generate(
-            &DatasetSpec::streaming("e", 80, vec![Topic::Politics], 72),
-            &kb,
-        );
+        let train =
+            Dataset::generate(&DatasetSpec::streaming("t", 400, vec![Topic::Politics], 71), &kb);
+        let test =
+            Dataset::generate(&DatasetSpec::streaming("e", 80, vec![Topic::Politics], 72), &kb);
         let mut enc = TokenEncoder::new(EncoderConfig {
             embed_dim: 12,
             hidden_dim: 20,
@@ -175,8 +162,7 @@ mod tests {
         });
         train_encoder(&mut enc, &train, &TrainConfig { epochs: 3, ..Default::default() });
         let hire = HireNer::train(enc, &train, HireConfig { hidden: 24, epochs: 4, seed: 9 });
-        let sentences: Vec<Vec<String>> =
-            test.tweets.iter().map(|t| t.tokens.clone()).collect();
+        let sentences: Vec<Vec<String>> = test.tweets.iter().map(|t| t.tokens.clone()).collect();
         let tags = hire.tag_document(&sentences);
         assert_eq!(tags.len(), sentences.len());
         let mut tp = 0usize;
@@ -194,10 +180,8 @@ mod tests {
     #[test]
     fn sentence_interface_matches_singleton_document() {
         let kb = KnowledgeBase::build(102, 30);
-        let train = Dataset::generate(
-            &DatasetSpec::streaming("t", 150, vec![Topic::Science], 73),
-            &kb,
-        );
+        let train =
+            Dataset::generate(&DatasetSpec::streaming("t", 150, vec![Topic::Science], 73), &kb);
         let enc = TokenEncoder::new(EncoderConfig {
             embed_dim: 8,
             hidden_dim: 12,

@@ -31,7 +31,6 @@
 //! much like a document").
 
 #![allow(clippy::needless_range_loop)] // index loops are idiomatic in the numeric kernels
-
 #![forbid(unsafe_code)]
 
 pub mod aguilar;

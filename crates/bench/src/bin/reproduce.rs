@@ -261,8 +261,23 @@ fn main() {
         sections.push("all".to_string());
     }
     const KNOWN: &[&str] = &[
-        "all", "table1", "table2", "table3", "table4", "table5", "fig3", "fig4", "casestudy",
-        "errors", "emd", "ablations", "store", "parallel", "kernels", "serve", "shard",
+        "all",
+        "table1",
+        "table2",
+        "table3",
+        "table4",
+        "table5",
+        "fig3",
+        "fig4",
+        "casestudy",
+        "errors",
+        "emd",
+        "ablations",
+        "store",
+        "parallel",
+        "kernels",
+        "serve",
+        "shard",
     ];
     if let Some(bad) = sections.iter().find(|s| !KNOWN.contains(&s.as_str())) {
         eprintln!("unknown section {bad:?}; known sections: {}", KNOWN.join(" "));
@@ -406,10 +421,7 @@ fn main() {
         eprintln!("[reproduce] training local baselines (Aguilar, BERT-NER)...");
         let aguilar = exp.train_aguilar();
         let bert = exp.train_bert_ner();
-        println!(
-            "{}",
-            tables::table3(&exp, runs.as_ref().expect("runs"), &aguilar, &bert)
-        );
+        println!("{}", tables::table3(&exp, runs.as_ref().expect("runs"), &aguilar, &bert));
     }
     if want("table4") {
         println!("{}", tables::table4(&exp, runs.as_ref().expect("runs")));
@@ -419,10 +431,7 @@ fn main() {
         let akbik = exp.train_akbik();
         let hire = exp.train_hire();
         let docl = exp.make_docl();
-        println!(
-            "{}",
-            tables::table5(&exp, runs.as_ref().expect("runs"), &akbik, &hire, &docl)
-        );
+        println!("{}", tables::table5(&exp, runs.as_ref().expect("runs"), &akbik, &hire, &docl));
     }
     if want("fig3") {
         eprintln!("[reproduce] running ablation variants for Figure 3...");
@@ -447,9 +456,8 @@ fn main() {
     // `store` is off by default (like ablations); `--store-dir` or
     // `--timings-json` also force it so the report always carries the
     // delta-vs-snapshot row.
-    let run_store = sections.iter().any(|s| s == "store")
-        || store_dir.is_some()
-        || timings_json.is_some();
+    let run_store =
+        sections.iter().any(|s| s == "store") || store_dir.is_some() || timings_json.is_some();
     let store = if run_store {
         eprintln!("[reproduce] streaming through the durable store...");
         let dir = store_dir.clone().map(std::path::PathBuf::from).unwrap_or_else(|| {

@@ -6,9 +6,8 @@ use ngl_baselines::{
     AguilarConfig, AguilarTagger, AkbikConfig, AkbikTagger, BertNer, DoclNer, HireConfig, HireNer,
 };
 use ngl_core::{
-    train_globalizer, AblationMode, EntityClassifier, GlobalizerConfig,
-    GlobalizerTrainingConfig, GlobalizerTrainingReport, NerGlobalizer, PhraseEmbedder,
-    PhraseLoss, StageTimings,
+    train_globalizer, AblationMode, EntityClassifier, GlobalizerConfig, GlobalizerTrainingConfig,
+    GlobalizerTrainingReport, NerGlobalizer, PhraseEmbedder, PhraseLoss, StageTimings,
 };
 use ngl_corpus::{Dataset, StandardDatasets};
 use ngl_encoder::{train_encoder, EncoderConfig, TokenEncoder, TrainConfig};
@@ -166,11 +165,8 @@ impl Experiment {
     pub fn train_soft_nn_stack(
         &self,
     ) -> (GlobalizerTrainingReport, (PhraseEmbedder, EntityClassifier)) {
-        let cfg = Self::globalizer_config(
-            self.seed,
-            self.scale,
-            PhraseLoss::SoftNn { temperature: 0.3 },
-        );
+        let cfg =
+            Self::globalizer_config(self.seed, self.scale, PhraseLoss::SoftNn { temperature: 0.3 });
         let trained = train_globalizer(&self.local, &self.data.d5, &cfg);
         (trained.report, (trained.phrase, trained.classifier))
     }
@@ -189,11 +185,7 @@ impl Experiment {
             pipeline.process_batch_owned(tokens);
         }
         let global = pipeline.finalize();
-        PipelineRun {
-            local: pipeline.local_outputs(),
-            global,
-            timings: pipeline.timings(),
-        }
+        PipelineRun { local: pipeline.local_outputs(), global, timings: pipeline.timings() }
     }
 
     /// Trains the Aguilar CRF baseline on the tweet training corpus.
@@ -263,10 +255,7 @@ mod tests {
         let run = exp.run_pipeline(d2, AblationMode::FullGlobal);
         let local_f1 = evaluate(&gold, &run.local).macro_f1();
         let global_f1 = evaluate(&gold, &run.global).macro_f1();
-        assert!(
-            global_f1 > local_f1,
-            "global ({global_f1:.3}) must beat local ({local_f1:.3})"
-        );
+        assert!(global_f1 > local_f1, "global ({global_f1:.3}) must beat local ({local_f1:.3})");
         assert!(run.timings.local.as_nanos() > 0);
         assert!(run.timings.global.as_nanos() > 0);
     }

@@ -57,10 +57,7 @@ mod tests {
         let t = render_table(
             "T",
             &["a", "long-header"],
-            &[
-                vec!["x".into(), "1".into()],
-                vec!["yyyy".into(), "22".into()],
-            ],
+            &[vec!["x".into(), "1".into()], vec!["yyyy".into(), "22".into()]],
         );
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines[0], "T");

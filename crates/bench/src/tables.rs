@@ -1,6 +1,6 @@
 //! Regenerators for every table and figure of the paper.
 
-use ngl_baselines::{AkbikTagger, DocumentTagger, DoclNer, HireNer};
+use ngl_baselines::{AkbikTagger, DoclNer, DocumentTagger, HireNer};
 use ngl_core::AblationMode;
 use ngl_corpus::{Dataset, GoldMention};
 use ngl_encoder::{SequenceTagger, TokenEncoder};
@@ -27,10 +27,7 @@ pub fn run_all(exp: &Experiment) -> EvalRuns {
 }
 
 fn per_type_f1(scores: &ngl_eval::NerScores) -> Vec<String> {
-    EntityType::ALL
-        .iter()
-        .map(|&t| f2(scores.of(t).f1()))
-        .collect()
+    EntityType::ALL.iter().map(|&t| f2(scores.of(t).f1())).collect()
 }
 
 /// Table I: dataset statistics.
@@ -68,25 +65,24 @@ pub fn table1(exp: &Experiment) -> String {
 /// ultimately rests on).
 pub fn table2(exp: &Experiment) -> String {
     let (soft, soft_stack) = exp.train_soft_nn_stack();
-    let pipeline_f1 = |phrase: &ngl_core::PhraseEmbedder,
-                       classifier: &ngl_core::EntityClassifier|
-     -> f64 {
-        let mut f1s = Vec::new();
-        for d in exp.data.streaming_eval() {
-            let mut p = ngl_core::NerGlobalizer::new(
-                exp.local.clone(),
-                phrase.clone(),
-                classifier.clone(),
-                ngl_core::GlobalizerConfig::default(),
-            );
-            let toks: Vec<Vec<String>> = d.tweets.iter().map(|t| t.tokens.clone()).collect();
-            p.process_batch_owned(toks);
-            let out = p.finalize();
-            let gold = Experiment::gold_of(d);
-            f1s.push(evaluate(&gold, &out).macro_f1());
-        }
-        f1s.iter().sum::<f64>() / f1s.len() as f64
-    };
+    let pipeline_f1 =
+        |phrase: &ngl_core::PhraseEmbedder, classifier: &ngl_core::EntityClassifier| -> f64 {
+            let mut f1s = Vec::new();
+            for d in exp.data.streaming_eval() {
+                let mut p = ngl_core::NerGlobalizer::new(
+                    exp.local.clone(),
+                    phrase.clone(),
+                    classifier.clone(),
+                    ngl_core::GlobalizerConfig::default(),
+                );
+                let toks: Vec<Vec<String>> = d.tweets.iter().map(|t| t.tokens.clone()).collect();
+                p.process_batch_owned(toks);
+                let out = p.finalize();
+                let gold = Experiment::gold_of(d);
+                f1s.push(evaluate(&gold, &out).macro_f1());
+            }
+            f1s.iter().sum::<f64>() / f1s.len() as f64
+        };
     let triplet_pipeline = pipeline_f1(&exp.phrase, &exp.classifier);
     let soft_pipeline = pipeline_f1(&soft_stack.0, &soft_stack.1);
     let rows = vec![
@@ -139,17 +135,11 @@ pub fn table3(
             rows.push(row);
         };
         push("NER Globalizer", &run.global);
-        let ag: Vec<Vec<Span>> = d
-            .tweets
-            .iter()
-            .map(|t| decode_bio(&aguilar.tag(&t.tokens)))
-            .collect();
+        let ag: Vec<Vec<Span>> =
+            d.tweets.iter().map(|t| decode_bio(&aguilar.tag(&t.tokens))).collect();
         push("Aguilar et al.", &ag);
-        let bn: Vec<Vec<Span>> = d
-            .tweets
-            .iter()
-            .map(|t| decode_bio(&bert.tag(&t.tokens)))
-            .collect();
+        let bn: Vec<Vec<Span>> =
+            d.tweets.iter().map(|t| decode_bio(&bert.tag(&t.tokens))).collect();
         push("BERT-NER", &bn);
     }
     render_table(
@@ -197,11 +187,7 @@ pub fn table4(exp: &Experiment, runs: &EvalRuns) -> String {
                 secs(run.timings.global),
             ]);
         }
-        let mg = if ls.macro_f1() > 0.0 {
-            gs.macro_f1() / ls.macro_f1() - 1.0
-        } else {
-            f64::NAN
-        };
+        let mg = if ls.macro_f1() > 0.0 { gs.macro_f1() / ls.macro_f1() - 1.0 } else { f64::NAN };
         if mg.is_finite() {
             macro_gains.push(mg);
             if di < 4 {
@@ -218,10 +204,7 @@ pub fn table4(exp: &Experiment, runs: &EvalRuns) -> String {
         &rows,
     );
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    out.push_str(&format!(
-        "\nAverage Macro-F1 gain (all datasets): {}\n",
-        pct(mean(&macro_gains))
-    ));
+    out.push_str(&format!("\nAverage Macro-F1 gain (all datasets): {}\n", pct(mean(&macro_gains))));
     out.push_str(&format!(
         "Average Macro-F1 gain (streaming D1-D4): {}\n",
         pct(mean(&streaming_gains))
@@ -336,19 +319,12 @@ pub fn fig4(exp: &Experiment, runs: &EvalRuns) -> String {
 
 /// §I case study: the local model alone on the Covid stream (D2).
 pub fn case_study(exp: &Experiment, runs: &EvalRuns) -> String {
-    let d2_idx = exp
-        .data
-        .eval
-        .iter()
-        .position(|d| d.name == "D2")
-        .expect("D2 present");
+    let d2_idx = exp.data.eval.iter().position(|d| d.name == "D2").expect("D2 present");
     let d2 = &exp.data.eval[d2_idx];
     let gold = Experiment::gold_of(d2);
     let s = evaluate(&gold, &runs.full[d2_idx].local);
-    let mut rows: Vec<Vec<String>> = EntityType::ALL
-        .iter()
-        .map(|&t| vec![t.code().to_string(), f2(s.of(t).f1())])
-        .collect();
+    let mut rows: Vec<Vec<String>> =
+        EntityType::ALL.iter().map(|&t| vec![t.code().to_string(), f2(s.of(t).f1())]).collect();
     rows.push(vec!["Macro-F1".to_string(), f2(s.macro_f1())]);
     let mut out = render_table(
         "Case study (Sec. I): standalone Local NER on the Covid stream D2",
@@ -413,9 +389,11 @@ pub fn error_analysis(exp: &Experiment, runs: &EvalRuns) -> String {
         &["Error source", "Count"],
         &rows,
     );
-    out.push_str("
+    out.push_str(
+        "
 Mention-level confusion (gold rows, predicted columns):
-");
+",
+    );
     out.push_str(&confusion.render());
     out
 }
@@ -454,10 +432,7 @@ pub fn emd_gains(exp: &Experiment, runs: &EvalRuns) -> String {
 /// Diagnostic: largest clusters per predicted label on one dataset.
 /// Not part of the paper's artifacts; used to debug classifier behaviour.
 pub fn debug_surfaces(exp: &Experiment, dataset_name: &str) -> String {
-    let d = exp
-        .data
-        .eval_by_name(dataset_name)
-        .expect("dataset exists");
+    let d = exp.data.eval_by_name(dataset_name).expect("dataset exists");
     let mut pipeline = ngl_core::NerGlobalizer::new(
         exp.local.clone(),
         exp.phrase.clone(),
@@ -476,10 +451,7 @@ pub fn debug_surfaces(exp: &Experiment, dataset_name: &str) -> String {
                 Some(None) => "NONE".to_string(),
                 None => "?".to_string(),
             };
-            by_label
-                .entry(label)
-                .or_default()
-                .push((cluster.members.len(), surface.clone()));
+            by_label.entry(label).or_default().push((cluster.members.len(), surface.clone()));
         }
     }
     let mut out = format!("Cluster labels on {dataset_name} (top 15 by size):\n");
@@ -525,7 +497,11 @@ pub fn ablations(exp: &Experiment) -> String {
             "cluster_threshold".to_string(),
             format!("{t}"),
             f2(f1),
-            if (t - base.cluster_threshold).abs() < 1e-6 { "default".into() } else { String::new() },
+            if (t - base.cluster_threshold).abs() < 1e-6 {
+                "default".into()
+            } else {
+                String::new()
+            },
         ]);
     }
     for c in [0.0f32, 0.35, 0.5, 0.65] {
@@ -571,12 +547,7 @@ pub fn ablations(exp: &Experiment) -> String {
             f1s.push(evaluate(&gold, &out).macro_f1());
         }
         let f1 = f1s.iter().sum::<f64>() / f1s.len() as f64;
-        rows.push(vec![
-            "phrase batch-norm".to_string(),
-            "on".to_string(),
-            f2(f1),
-            String::new(),
-        ]);
+        rows.push(vec!["phrase batch-norm".to_string(), "on".to_string(), f2(f1), String::new()]);
         let base_f1 = run_with(base);
         rows.push(vec![
             "phrase batch-norm".to_string(),
@@ -771,8 +742,7 @@ pub fn parallel_bench() -> ParallelBenchResult {
     };
 
     let pooled = Executor::new(2);
-    let wrapping_sum =
-        |v: Vec<u64>| v.into_iter().fold(0u64, u64::wrapping_add);
+    let wrapping_sum = |v: Vec<u64>| v.into_iter().fold(0u64, u64::wrapping_add);
     let mut sink = 0u64;
     // Warm-up: workers parked, caches hot, so the loop times the
     // steady state the pool is designed for.
@@ -851,10 +821,7 @@ pub fn parallel_table(r: &ParallelBenchResult) -> String {
         ],
     ];
     render_table(
-        &format!(
-            "Persistent executor: tail benchmarks (host parallelism {})",
-            r.parallelism
-        ),
+        &format!("Persistent executor: tail benchmarks (host parallelism {})", r.parallelism),
         &["Bench", "Workload", "Baseline", "Pooled", "Speedup"],
         &rows,
     )
@@ -884,8 +851,17 @@ pub fn store_table(r: &StoreBenchResult) -> String {
     render_table(
         "Durable store: delta WAL bytes per batch vs full snapshot",
         &[
-            "Tweets", "Batches", "AvgDeltaB", "LastDeltaB", "SnapshotB", "Ratio", "Sublinear",
-            "SnapQ/F32", "SpillB", "PgHit/Miss", "IoRetry",
+            "Tweets",
+            "Batches",
+            "AvgDeltaB",
+            "LastDeltaB",
+            "SnapshotB",
+            "Ratio",
+            "Sublinear",
+            "SnapQ/F32",
+            "SpillB",
+            "PgHit/Miss",
+            "IoRetry",
         ],
         &rows,
     )
@@ -975,12 +951,9 @@ pub fn kernel_bench() -> KernelBenchResult {
     let naive_scan_s = t.elapsed().as_secs_f64();
     let t = Instant::now();
     for _ in 0..REPS {
-        sink += kernels::cosine_best_of(
-            std::hint::black_box(&query),
-            std::hint::black_box(&rows),
-        )
-        .expect("non-empty scan")
-        .1;
+        sink += kernels::cosine_best_of(std::hint::black_box(&query), std::hint::black_box(&rows))
+            .expect("non-empty scan")
+            .1;
     }
     let block_scan_s = t.elapsed().as_secs_f64();
     std::hint::black_box(sink);
@@ -1022,7 +995,10 @@ pub fn kernel_table(r: &KernelBenchResult) -> String {
         ],
     ];
     render_table(
-        &format!("Fused kernels: block scan & quantized storage (host parallelism {})", r.parallelism),
+        &format!(
+            "Fused kernels: block scan & quantized storage (host parallelism {})",
+            r.parallelism
+        ),
         &["Bench", "Workload", "Baseline", "Fused", "Gain"],
         &rows,
     )
@@ -1102,10 +1078,8 @@ fn serve_side(max_batch: usize, seed: u64) -> ServeSide {
     use ngl_core::{DurableGlobalizer, GlobalizerConfig, PoolPolicy};
     use ngl_serve::{client::Client, devstack, ServeConfig, Server};
 
-    let dir = std::env::temp_dir().join(format!(
-        "ngl-serve-bench-{}-{max_batch}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("ngl-serve-bench-{}-{max_batch}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = GlobalizerConfig { pool: PoolPolicy::Shared, ..Default::default() };
     let (durable, recovery) =
@@ -1264,10 +1238,7 @@ fn shard_side(shards: u32, seed: u64) -> ServeSide {
     use ngl_core::{GlobalizerConfig, PoolPolicy, ShardedGlobalizer};
     use ngl_serve::{client::Client, devstack, ServeConfig, Server};
 
-    let dir = std::env::temp_dir().join(format!(
-        "ngl-shard-bench-{}-{shards}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("ngl-shard-bench-{}-{shards}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = GlobalizerConfig { pool: PoolPolicy::Shared, ..Default::default() };
     let (sharded, recovery) =

@@ -37,7 +37,7 @@ use std::process::ExitCode;
 use ngl_core::{
     model_fingerprint, train_globalizer, DegradationMode, DurableGlobalizer, GlobalizerBundle,
     GlobalizerConfig, GlobalizerTrainingConfig, NerGlobalizer, PoolPolicy, RecoveryReport,
-    SharedPageCache, ShardedGlobalizer,
+    ShardedGlobalizer, SharedPageCache,
 };
 use ngl_corpus::{profiles, Dataset, KnowledgeBase};
 use ngl_encoder::{train_encoder, EncoderConfig, TokenEncoder, TrainConfig};
@@ -85,10 +85,7 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     let mut i = 0;
     while i < args.len() {
         if let Some(key) = args[i].strip_prefix("--") {
-            let value = args
-                .get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .cloned();
+            let value = args.get(i + 1).filter(|v| !v.starts_with("--")).cloned();
             match value {
                 Some(v) => {
                     out.insert(key.to_string(), v);
@@ -107,10 +104,7 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
 }
 
 fn required<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str, String> {
-    flags
-        .get(key)
-        .map(String::as_str)
-        .ok_or_else(|| format!("missing --{key}\n{USAGE}"))
+    flags.get(key).map(String::as_str).ok_or_else(|| format!("missing --{key}\n{USAGE}"))
 }
 
 fn parse_num<T: std::str::FromStr>(
@@ -235,9 +229,7 @@ fn cmd_tag(flags: &HashMap<String, String>) -> Result<(), String> {
         Some(path) => std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?,
         None => {
             let mut buf = String::new();
-            std::io::stdin()
-                .read_to_string(&mut buf)
-                .map_err(|e| e.to_string())?;
+            std::io::stdin().read_to_string(&mut buf).map_err(|e| e.to_string())?;
             buf
         }
     };
@@ -272,10 +264,8 @@ fn cmd_tag(flags: &HashMap<String, String>) -> Result<(), String> {
             let (mut sharded, report) =
                 ShardedGlobalizer::open_with_fingerprint(pipeline, dir, every, shards, Some(fp))
                     .map_err(|e| e.to_string())?;
-            let resumed = report
-                .shards
-                .iter()
-                .any(|r| r.replayed_batches > 0 || r.snapshot_seq.is_some());
+            let resumed =
+                report.shards.iter().any(|r| r.replayed_batches > 0 || r.snapshot_seq.is_some());
             if resumed {
                 eprintln!(
                     "resumed {shards}-shard store {dir}: digest {:016x}",
@@ -346,10 +336,8 @@ fn cmd_tag(flags: &HashMap<String, String>) -> Result<(), String> {
         print!("{}", ngl_corpus::conll::predictions_to_conll(&tweets, &spans));
     } else {
         for (tokens, s) in tweets.iter().zip(&spans) {
-            let rendered: Vec<String> = s
-                .iter()
-                .map(|sp| format!("{} [{}]", sp.surface(tokens), sp.ty))
-                .collect();
+            let rendered: Vec<String> =
+                s.iter().map(|sp| format!("{} [{}]", sp.surface(tokens), sp.ty)).collect();
             println!(
                 "{}\t=> {}",
                 tokens.join(" "),
@@ -357,11 +345,7 @@ fn cmd_tag(flags: &HashMap<String, String>) -> Result<(), String> {
             );
         }
     }
-    eprintln!(
-        "tagged {} tweets ({} candidate surfaces tracked)",
-        tweets.len(),
-        n_surfaces
-    );
+    eprintln!("tagged {} tweets ({} candidate surfaces tracked)", tweets.len(), n_surfaces);
     if wedged {
         // Scripts need a hard signal that the store stopped accepting
         // writes; the tagged output above is still valid read state.
@@ -384,10 +368,7 @@ fn print_recovery_section(report: &RecoveryReport) {
     println!("torn tail:          {}", report.torn_tail);
     println!("watermark:          {}", report.watermark);
     println!("tweets:             {}", report.tweets);
-    println!(
-        "surfaces:           {} ({} resident)",
-        report.surfaces, report.resident_surfaces
-    );
+    println!("surfaces:           {} ({} resident)", report.surfaces, report.resident_surfaces);
     println!("state digest:       {:016x}", report.digest);
     if report.unverified_finalizes > 0 {
         println!(
@@ -491,10 +472,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let fp = model_file_fingerprint(model)?;
     let shards = parse_shards(flags)?;
     let cfg = ngl_serve::ServeConfig {
-        addr: flags
-            .get("addr")
-            .cloned()
-            .unwrap_or_else(|| "127.0.0.1:7878".to_string()),
+        addr: flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:7878".to_string()),
         max_batch: parse_num(flags, "max-batch", 64)?,
         max_delay_ms: parse_num(flags, "max-delay-ms", 5)?,
         queue_cap: parse_num(flags, "queue-cap", 1024)?,
@@ -506,15 +484,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         let (sharded, report) =
             ShardedGlobalizer::open_with_fingerprint(pipeline, dir, every, shards, Some(fp))
                 .map_err(|e| e.to_string())?;
-        let resumed = report
-            .shards
-            .iter()
-            .any(|r| r.replayed_batches > 0 || r.snapshot_seq.is_some());
+        let resumed =
+            report.shards.iter().any(|r| r.replayed_batches > 0 || r.snapshot_seq.is_some());
         if resumed {
-            eprintln!(
-                "resumed {shards}-shard store {dir}: digest {:016x}",
-                report.combined_digest
-            );
+            eprintln!("resumed {shards}-shard store {dir}: digest {:016x}", report.combined_digest);
         }
         ngl_serve::Server::start_sharded(sharded, report, cfg).map_err(|e| e.to_string())?
     } else {
@@ -561,11 +534,7 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
     let gold = read(gold_path)?;
     let pred = read(pred_path)?;
     if gold.len() != pred.len() {
-        return Err(format!(
-            "sentence count mismatch: gold {} vs pred {}",
-            gold.len(),
-            pred.len()
-        ));
+        return Err(format!("sentence count mismatch: gold {} vs pred {}", gold.len(), pred.len()));
     }
     for (i, (g, p)) in gold.iter().zip(&pred).enumerate() {
         if g.0 != p.0 {
@@ -578,13 +547,7 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
     println!("type  precision  recall  f1");
     for ty in EntityType::ALL {
         let s = scores.of(ty);
-        println!(
-            "{:<5} {:<10.3} {:<7.3} {:.3}",
-            ty.code(),
-            s.precision(),
-            s.recall(),
-            s.f1()
-        );
+        println!("{:<5} {:<10.3} {:<7.3} {:.3}", ty.code(), s.precision(), s.recall(), s.f1());
     }
     println!("macro-F1: {:.3}", scores.macro_f1());
     Ok(())

@@ -24,14 +24,8 @@ fn full_cli_workflow() {
     let dir = tmpdir("workflow");
     let train_kb = KnowledgeBase::build_in(11, 120, Universe::Train);
     let d5_kb = KnowledgeBase::build(12, 80);
-    let train = Dataset::generate(
-        &DatasetSpec::non_streaming("train", 700, 21),
-        &train_kb,
-    );
-    let d5 = Dataset::generate(
-        &DatasetSpec::streaming("d5", 500, Topic::ALL.to_vec(), 22),
-        &d5_kb,
-    );
+    let train = Dataset::generate(&DatasetSpec::non_streaming("train", 700, 21), &train_kb);
+    let d5 = Dataset::generate(&DatasetSpec::streaming("d5", 500, Topic::ALL.to_vec(), 22), &d5_kb);
     let train_path = dir.join("train.conll");
     let d5_path = dir.join("d5.conll");
     let model_path = dir.join("model.nglb");
@@ -42,19 +36,20 @@ fn full_cli_workflow() {
     let out = ngl()
         .args([
             "train",
-            "--train", train_path.to_str().expect("utf8"),
-            "--d5", d5_path.to_str().expect("utf8"),
-            "--out", model_path.to_str().expect("utf8"),
-            "--dim", "16",
-            "--epochs", "3",
+            "--train",
+            train_path.to_str().expect("utf8"),
+            "--d5",
+            d5_path.to_str().expect("utf8"),
+            "--out",
+            model_path.to_str().expect("utf8"),
+            "--dim",
+            "16",
+            "--epochs",
+            "3",
         ])
         .output()
         .expect("run train");
-    assert!(
-        out.status.success(),
-        "train failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert!(out.status.success(), "train failed: {}", String::from_utf8_lossy(&out.stderr));
     assert!(model_path.exists());
 
     // tag (stdin)
@@ -64,17 +59,15 @@ fn full_cli_workflow() {
     let out = ngl()
         .args([
             "tag",
-            "--model", model_path.to_str().expect("utf8"),
-            "--input", tweets_path.to_str().expect("utf8"),
+            "--model",
+            model_path.to_str().expect("utf8"),
+            "--input",
+            tweets_path.to_str().expect("utf8"),
             "--conll",
         ])
         .output()
         .expect("run tag");
-    assert!(
-        out.status.success(),
-        "tag failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert!(out.status.success(), "tag failed: {}", String::from_utf8_lossy(&out.stderr));
     let conll = String::from_utf8_lossy(&out.stdout);
     assert!(conll.contains("gov\t"), "conll output malformed: {conll}");
     // Two sentences → two blank-line-terminated blocks.
@@ -84,8 +77,10 @@ fn full_cli_workflow() {
     let out = ngl()
         .args([
             "eval",
-            "--gold", d5_path.to_str().expect("utf8"),
-            "--pred", d5_path.to_str().expect("utf8"),
+            "--gold",
+            d5_path.to_str().expect("utf8"),
+            "--pred",
+            d5_path.to_str().expect("utf8"),
         ])
         .output()
         .expect("run eval");
@@ -102,15 +97,10 @@ fn generate_writes_conll() {
     let path = dir.join("gen.conll");
     // d1 is the smallest full profile (1000 tweets).
     let out = ngl()
-        .args(["generate", "--profile", "d1", "--seed", "5", "--out",
-               path.to_str().expect("utf8")])
+        .args(["generate", "--profile", "d1", "--seed", "5", "--out", path.to_str().expect("utf8")])
         .output()
         .expect("run generate");
-    assert!(
-        out.status.success(),
-        "generate failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert!(out.status.success(), "generate failed: {}", String::from_utf8_lossy(&out.stderr));
     let text = std::fs::read_to_string(&path).expect("read back");
     let parsed = ngl_corpus::from_conll(&text).expect("valid conll");
     assert_eq!(parsed.len(), 1000);
@@ -124,10 +114,7 @@ fn bad_invocations_fail_cleanly() {
     let out = ngl().args(["train"]).output().expect("run");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing --train"));
-    let out = ngl()
-        .args(["tag", "--model", "/nonexistent/model.nglb"])
-        .output()
-        .expect("run");
+    let out = ngl().args(["tag", "--model", "/nonexistent/model.nglb"]).output().expect("run");
     assert!(!out.status.success());
 }
 

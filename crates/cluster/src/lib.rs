@@ -17,7 +17,6 @@
 
 #![forbid(unsafe_code)]
 
-
 use ngl_nn::cosine::l2_normalized;
 use ngl_nn::kernels::{self, VecKernel};
 use ngl_runtime::Executor;
@@ -398,9 +397,8 @@ mod tests {
 
     #[test]
     fn one_tight_blob_stays_together() {
-        let pts: Vec<Vec<f32>> = (0..8)
-            .map(|i| blob(&[1.0, 0.2], &[0.0, 0.01 * i as f32]))
-            .collect();
+        let pts: Vec<Vec<f32>> =
+            (0..8).map(|i| blob(&[1.0, 0.2], &[0.0, 0.01 * i as f32])).collect();
         let c = agglomerative(&pts, 0.5);
         assert_eq!(c.n_clusters, 1);
     }

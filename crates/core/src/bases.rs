@@ -5,7 +5,6 @@
 
 use std::collections::BTreeMap;
 
-
 use ngl_nn::Matrix;
 use ngl_text::{EntityType, Span};
 
@@ -319,11 +318,8 @@ impl TweetRecord {
     /// overhead): the retention policy needs a stable, monotone
     /// measure, not an allocator-exact one.
     pub fn approx_bytes(&self) -> usize {
-        let token_bytes: usize = self
-            .tokens
-            .iter()
-            .map(|t| t.len() + std::mem::size_of::<String>())
-            .sum();
+        let token_bytes: usize =
+            self.tokens.iter().map(|t| t.len() + std::mem::size_of::<String>()).sum();
         token_bytes
             + std::mem::size_of_val(self.embeddings.as_slice())
             + self.local_spans.len() * std::mem::size_of::<Span>()

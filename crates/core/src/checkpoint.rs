@@ -124,29 +124,33 @@ fn get_count(buf: &mut &[u8], min_elem_bytes: usize) -> Result<usize, CodecError
 }
 
 fn put_opt_type(buf: &mut Vec<u8>, t: Option<EntityType>) {
-    put_u64(buf, match t {
-        None => 0,
-        Some(ty) => 1 + ty.index() as u64,
-    });
+    put_u64(
+        buf,
+        match t {
+            None => 0,
+            Some(ty) => 1 + ty.index() as u64,
+        },
+    );
 }
 
 fn get_opt_type(buf: &mut &[u8]) -> Result<Option<EntityType>, CodecError> {
     match get_u64(buf)? {
         0 => Ok(None),
-        v if (v as usize) <= EntityType::COUNT => {
-            Ok(Some(EntityType::from_index(v as usize - 1)))
-        }
+        v if (v as usize) <= EntityType::COUNT => Ok(Some(EntityType::from_index(v as usize - 1))),
         _ => Err(CodecError::Invalid("entity type tag out of range")),
     }
 }
 
 /// `None` = 0, `Some(None)` = 1, `Some(Some(ty))` = 2 + index.
 fn put_label(buf: &mut Vec<u8>, label: Option<Option<EntityType>>) {
-    put_u64(buf, match label {
-        None => 0,
-        Some(None) => 1,
-        Some(Some(ty)) => 2 + ty.index() as u64,
-    });
+    put_u64(
+        buf,
+        match label {
+            None => 0,
+            Some(None) => 1,
+            Some(Some(ty)) => 2 + ty.index() as u64,
+        },
+    );
 }
 
 fn get_label(buf: &mut &[u8]) -> Result<Option<Option<EntityType>>, CodecError> {
@@ -349,12 +353,15 @@ fn put_config(buf: &mut Vec<u8>, cfg: &GlobalizerConfig) {
     put_u64(buf, cfg.max_mention_len as u64);
     put_f32(buf, cfg.cluster_threshold);
     put_f32(buf, cfg.min_confidence);
-    put_u64(buf, match cfg.ablation {
-        AblationMode::LocalOnly => 0,
-        AblationMode::MentionExtraction => 1,
-        AblationMode::LocalClassifier => 2,
-        AblationMode::FullGlobal => 3,
-    });
+    put_u64(
+        buf,
+        match cfg.ablation {
+            AblationMode::LocalOnly => 0,
+            AblationMode::MentionExtraction => 1,
+            AblationMode::LocalClassifier => 2,
+            AblationMode::FullGlobal => 3,
+        },
+    );
     let (tag, arg) = match cfg.retention {
         RetentionPolicy::Unbounded => (0u64, 0u64),
         RetentionPolicy::MaxTweets(n) => (1, n as u64),
@@ -490,14 +497,17 @@ mod tests {
         });
         tweets.evict_front();
         let mut candidates = CandidateBase::new();
-        candidates.add_mention("beshear", MentionRecord {
-            tweet: 0,
-            start: 1,
-            end: 2,
-            local_emb: vec![1.0, -2.5, 3.25],
-            local_type: Some(EntityType::Person),
-            trie_version: 2,
-        });
+        candidates.add_mention(
+            "beshear",
+            MentionRecord {
+                tweet: 0,
+                start: 1,
+                end: 2,
+                local_emb: vec![1.0, -2.5, 3.25],
+                local_type: Some(EntityType::Person),
+                trie_version: 2,
+            },
+        );
         let entry = candidates.get_mut("beshear").expect("entry");
         entry.clusters.push(CandidateCluster {
             members: vec![0],

@@ -226,12 +226,12 @@ impl EntityClassifier {
 
         let mut adam = Adam::new(self.cfg.lr).with_weight_decay(1e-5);
         let mut states = [
-            AdamState::new(self.cfg.dim),                         // pooling w_a
-            AdamState::new(1),                                    // pooling b_a
-            AdamState::new(self.cfg.dim * self.cfg.hidden),       // l1.w
-            AdamState::new(self.cfg.hidden),                      // l1.b
+            AdamState::new(self.cfg.dim),                              // pooling w_a
+            AdamState::new(1),                                         // pooling b_a
+            AdamState::new(self.cfg.dim * self.cfg.hidden),            // l1.w
+            AdamState::new(self.cfg.hidden),                           // l1.b
             AdamState::new(self.cfg.hidden * (EntityType::COUNT + 1)), // l2.w
-            AdamState::new(EntityType::COUNT + 1),                // l2.b
+            AdamState::new(EntityType::COUNT + 1),                     // l2.b
         ];
         let mut es = EarlyStopping::new(self.cfg.patience);
         let mut best = (self.pooling.clone(), self.l1.clone(), self.l2.clone());
@@ -242,7 +242,12 @@ impl EntityClassifier {
             epochs_run += 1;
             rng.shuffle(&mut train_order);
             for chunk in train_order.chunks(self.cfg.batch_size.max(1)) {
-                self.train_batch(chunk.iter().map(|&i| &examples[i]), chunk.len(), &mut adam, &mut states);
+                self.train_batch(
+                    chunk.iter().map(|&i| &examples[i]),
+                    chunk.len(),
+                    &mut adam,
+                    &mut states,
+                );
             }
             let val_loss = self.loss(&val);
             if es.record(val_loss) {
@@ -313,7 +318,7 @@ impl EntityClassifier {
 
     /// Serializes the trained classifier (pooling + dense stack + config).
     pub fn to_bytes(&self) -> Vec<u8> {
-        use ngl_nn::codec::{put_f32, put_dense, put_u64};
+        use ngl_nn::codec::{put_dense, put_f32, put_u64};
         let mut buf = Vec::new();
         put_u64(&mut buf, self.cfg.dim as u64);
         put_u64(&mut buf, self.cfg.hidden as u64);
@@ -330,7 +335,7 @@ impl EntityClassifier {
 
     /// Deserializes a classifier written by [`Self::to_bytes`].
     pub fn from_bytes(bytes: &mut &[u8]) -> Result<Self, ngl_nn::CodecError> {
-        use ngl_nn::codec::{get_f32, get_dense, get_u64, CodecError};
+        use ngl_nn::codec::{get_dense, get_f32, get_u64, CodecError};
         let cfg = ClassifierConfig {
             dim: get_u64(bytes)? as usize,
             hidden: get_u64(bytes)? as usize,
@@ -371,10 +376,7 @@ mod tests {
                         data.push(base + rng.gen_range(-0.25..0.25f32));
                     }
                 }
-                out.push(CandidateExample {
-                    locals: Matrix::from_vec(n, dim, data),
-                    class,
-                });
+                out.push(CandidateExample { locals: Matrix::from_vec(n, dim, data), class });
             }
         }
         out
@@ -400,11 +402,7 @@ mod tests {
                 ..ClassifierConfig::default()
             });
             let report = clf.fit(&examples);
-            assert!(
-                report.val_macro_f1 > 0.9,
-                "seed {seed}: val macro-F1 {}",
-                report.val_macro_f1
-            );
+            assert!(report.val_macro_f1 > 0.9, "seed {seed}: val macro-F1 {}", report.val_macro_f1);
             assert_eq!(clf.predict(&locals), Some(EntityType::Person), "seed {seed}");
         }
     }

@@ -49,7 +49,6 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-
 use ngl_encoder::ContextualTagger;
 use ngl_nn::codec::{get_quantized_f32_vec, get_u64, put_quantized_f32_slice, put_u64, CodecError};
 use ngl_store::{
@@ -178,7 +177,10 @@ impl SpillPool {
         Ok(bytes)
     }
 
-    fn decode(surface: &str, payload: &[u8]) -> Result<(SurfaceEntry, Vec<CacheEntry>), StoreError> {
+    fn decode(
+        surface: &str,
+        payload: &[u8],
+    ) -> Result<(SurfaceEntry, Vec<CacheEntry>), StoreError> {
         let corrupt = |_: CodecError| StoreError::Corrupt("undecodable spill payload");
         let mut buf = payload;
         let stored = get_str(&mut buf).map_err(corrupt)?;
@@ -205,7 +207,10 @@ impl SpillPool {
     /// embeddings (rehydration). The index slot is dropped even when
     /// the read fails — a rotted extent can never rehydrate, so the
     /// surface restarts empty rather than erroring forever.
-    pub fn take(&mut self, surface: &str) -> Result<Option<(SurfaceEntry, Vec<CacheEntry>)>, StoreError> {
+    pub fn take(
+        &mut self,
+        surface: &str,
+    ) -> Result<Option<(SurfaceEntry, Vec<CacheEntry>)>, StoreError> {
         let Some(slot) = self.index.remove(surface) else {
             return Ok(None);
         };
@@ -322,7 +327,9 @@ impl WalRecord {
                 digest,
                 flags,
             } => {
-                for v in [op_seq, watermark, first_retained, ctrie_version, surfaces, mentions, digest] {
+                for v in
+                    [op_seq, watermark, first_retained, ctrie_version, surfaces, mentions, digest]
+                {
                     put_u64(&mut buf, *v);
                 }
                 if *flags == 0 {
@@ -406,19 +413,17 @@ impl WalRecord {
                     flags,
                 }
             }
-            TAG_EVICT => WalRecord::Evict {
-                op_seq: get_u64(&mut buf)?,
-                first_retained: get_u64(&mut buf)?,
-            },
+            TAG_EVICT => {
+                WalRecord::Evict { op_seq: get_u64(&mut buf)?, first_retained: get_u64(&mut buf)? }
+            }
             TAG_SPILL => WalRecord::Spill {
                 op_seq: get_u64(&mut buf)?,
                 count: get_u64(&mut buf)?,
                 bytes: get_u64(&mut buf)?,
             },
-            TAG_SNAPSHOT => WalRecord::Snapshot {
-                op_seq: get_u64(&mut buf)?,
-                bytes: get_u64(&mut buf)?,
-            },
+            TAG_SNAPSHOT => {
+                WalRecord::Snapshot { op_seq: get_u64(&mut buf)?, bytes: get_u64(&mut buf)? }
+            }
             _ => return Err(CodecError::Invalid("unknown WAL record tag")),
         };
         if !buf.is_empty() {
@@ -987,10 +992,8 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         // must stay flagged (older flagged digests make them
         // unverifiable on the next replay) and the healing snapshot is
         // pulled forward to the very next finalize.
-        let degradation = DegradationReport {
-            digest_unverified: divergent_replay,
-            ..Default::default()
-        };
+        let degradation =
+            DegradationReport { digest_unverified: divergent_replay, ..Default::default() };
         let spill_faults_marked = inner.spill_pins() + inner.spill_losses();
         Ok((
             Self {
@@ -1084,11 +1087,7 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
     ) -> Result<(BatchOutput, BatchReport), DurableError> {
         self.stats.delta_bytes_last = 0;
         self.commit_pending()?;
-        let record = WalRecord::Batch {
-            op_seq: self.op_seq + 1,
-            ids: None,
-            tweets: batch.clone(),
-        };
+        let record = WalRecord::Batch { op_seq: self.op_seq + 1, ids: None, tweets: batch.clone() };
         self.commit_encoded(&[record.encode()])?;
         self.op_seq += 1;
         self.stats.batches += 1;

@@ -27,7 +27,6 @@
 //! per-stage timing and the Figure 3 ablation modes.
 
 #![allow(clippy::needless_range_loop)] // index loops are idiomatic in the numeric kernels
-
 #![forbid(unsafe_code)]
 
 pub mod bases;
@@ -47,8 +46,8 @@ pub use checkpoint::PipelineCheckpoint;
 pub use classifier::{CandidateExample, ClassifierConfig, EntityClassifier};
 pub use durable::{
     model_fingerprint, DegradationCause, DegradationEvent, DegradationMode, DegradationReport,
-    DurableError, DurableGlobalizer, RecoveryReport, SpillPool, StoreStats,
-    MAX_DEGRADATION_EVENTS, SPILL_CACHE_ENV,
+    DurableError, DurableGlobalizer, RecoveryReport, SpillPool, StoreStats, MAX_DEGRADATION_EVENTS,
+    SPILL_CACHE_ENV,
 };
 pub use ngl_store::{IoStatsSnapshot, SharedPageCache};
 pub use persist::{GlobalizerBundle, PersistError};

@@ -12,7 +12,6 @@
 use ngl_runtime::rng::SplitMix64;
 use std::collections::HashMap;
 
-
 use ngl_corpus::{Dataset, EntityId};
 use ngl_ctrie::CTrie;
 use ngl_encoder::ContextualTagger;
@@ -87,8 +86,7 @@ pub fn mine_candidates<T: ContextualTagger>(local: &T, dataset: &Dataset) -> Min
         let enc = local.encode(&tweet.tokens);
         let spans = decode_bio(&enc.tags);
         for s in &spans {
-            let surf: Vec<&str> =
-                tweet.tokens[s.start..s.end].iter().map(String::as_str).collect();
+            let surf: Vec<&str> = tweet.tokens[s.start..s.end].iter().map(String::as_str).collect();
             // Same stopword filter the pipeline applies at seeding time,
             // so training-time non-entity candidates match what the
             // classifier will see in deployment.
@@ -97,10 +95,8 @@ pub fn mine_candidates<T: ContextualTagger>(local: &T, dataset: &Dataset) -> Min
             }
         }
         for g in &tweet.gold {
-            let surf: Vec<&str> = tweet.tokens[g.span.start..g.span.end]
-                .iter()
-                .map(String::as_str)
-                .collect();
+            let surf: Vec<&str> =
+                tweet.tokens[g.span.start..g.span.end].iter().map(String::as_str).collect();
             ctrie.insert(&surf);
         }
         encodings.push(enc.embeddings);
@@ -118,10 +114,8 @@ pub fn mine_candidates<T: ContextualTagger>(local: &T, dataset: &Dataset) -> Min
             let pooled = PhraseEmbedder::pool(&encodings[ti], &probe);
             // Exact gold match → that entity; any overlap → ambiguous,
             // skipped; no overlap → non-entity usage of the surface.
-            let exact = tweet
-                .gold
-                .iter()
-                .find(|g| g.span.start == occ.start && g.span.end == occ.end);
+            let exact =
+                tweet.gold.iter().find(|g| g.span.start == occ.start && g.span.end == occ.end);
             let overlap = tweet.gold.iter().any(|g| g.span.overlaps(&probe));
             let (key, ty) = match exact {
                 Some(g) => (CandidateKey::Entity(g.entity), Some(g.span.ty)),
@@ -160,11 +154,7 @@ pub fn mine_candidates<T: ContextualTagger>(local: &T, dataset: &Dataset) -> Min
 /// set; a negative from a candidate *sharing the surface form* but of a
 /// different type when one exists, otherwise augmented from a random
 /// different-type candidate. Capped at `max_triplets`.
-pub fn mine_triplets(
-    mining: &MiningResult,
-    max_triplets: usize,
-    seed: u64,
-) -> Vec<TripletExample> {
+pub fn mine_triplets(mining: &MiningResult, max_triplets: usize, seed: u64) -> Vec<TripletExample> {
     let mut rng = SplitMix64::new(seed);
     let cands = &mining.candidates;
 
@@ -279,11 +269,7 @@ pub fn mine_triplets(
 /// Mention-cluster mining for the soft-NN objective (§VI "Mention
 /// Cluster Mining"): every mention becomes a record labelled with its
 /// type manifold (the L+1 classes), capped at `max_records`.
-pub fn mine_soft_nn(
-    mining: &MiningResult,
-    max_records: usize,
-    seed: u64,
-) -> Vec<SoftNnExample> {
+pub fn mine_soft_nn(mining: &MiningResult, max_records: usize, seed: u64) -> Vec<SoftNnExample> {
     let mut rng = SplitMix64::new(seed);
     let mut records = Vec::new();
     for c in &mining.candidates {
@@ -376,8 +362,7 @@ mod tests {
             assert!(r.class <= EntityType::COUNT);
         }
         // More than one class must be represented.
-        let classes: std::collections::HashSet<usize> =
-            recs.iter().map(|r| r.class).collect();
+        let classes: std::collections::HashSet<usize> = recs.iter().map(|r| r.class).collect();
         assert!(classes.len() >= 2, "classes {classes:?}");
     }
 
@@ -387,9 +372,6 @@ mod tests {
         let a = mine_candidates(&enc, &d5);
         let b = mine_candidates(&enc, &d5);
         assert_eq!(a.candidates.len(), b.candidates.len());
-        assert_eq!(
-            mine_triplets(&a, 200, 9).len(),
-            mine_triplets(&b, 200, 9).len()
-        );
+        assert_eq!(mine_triplets(&a, 200, 9).len(), mine_triplets(&b, 200, 9).len());
     }
 }

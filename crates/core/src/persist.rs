@@ -35,7 +35,6 @@
 use std::io::{Read, Write};
 use std::path::Path;
 
-
 use ngl_encoder::TokenEncoder;
 use ngl_nn::codec::{get_u32, get_u64, put_u32, put_u64, take};
 use ngl_nn::CodecError;
@@ -224,9 +223,11 @@ impl GlobalizerBundle {
             match get_u64(&mut bytes)? {
                 0 => None,
                 1 => Some(get_checkpoint(&mut bytes, v)?),
-                _ => return Err(PersistError::Codec(CodecError::Invalid(
-                    "checkpoint flag out of range",
-                ))),
+                _ => {
+                    return Err(PersistError::Codec(CodecError::Invalid(
+                        "checkpoint flag out of range",
+                    )))
+                }
             }
         } else {
             None
@@ -314,15 +315,9 @@ mod tests {
         assert_eq!(a.embeddings, c.embeddings);
 
         let span = ngl_text::Span::new(1, 2, ngl_text::EntityType::Person);
-        assert_eq!(
-            b.phrase.embed(&a.embeddings, &span),
-            back.phrase.embed(&c.embeddings, &span)
-        );
+        assert_eq!(b.phrase.embed(&a.embeddings, &span), back.phrase.embed(&c.embeddings, &span));
         let locals = Matrix::from_vec(2, 16, vec![0.1; 32]);
-        assert_eq!(
-            b.classifier.predict_proba(&locals),
-            back.classifier.predict_proba(&locals)
-        );
+        assert_eq!(b.classifier.predict_proba(&locals), back.classifier.predict_proba(&locals));
     }
 
     #[test]
@@ -345,14 +340,17 @@ mod tests {
         let mut ctrie = CTrie::new();
         ctrie.insert(&["beshear"]);
         let mut candidates = CandidateBase::new();
-        candidates.add_mention("beshear", MentionRecord {
-            tweet: 0,
-            start: 1,
-            end: 2,
-            local_emb: vec![0.5; 16],
-            local_type: Some(ngl_text::EntityType::Person),
-            trie_version: 1,
-        });
+        candidates.add_mention(
+            "beshear",
+            MentionRecord {
+                tweet: 0,
+                start: 1,
+                end: 2,
+                local_emb: vec![0.5; 16],
+                local_type: Some(ngl_text::EntityType::Person),
+                trie_version: 1,
+            },
+        );
         let mut b = bundle();
         b.checkpoint = Some(PipelineCheckpoint {
             cfg: GlobalizerConfig::default(),
@@ -392,14 +390,17 @@ mod tests {
         let mut ctrie = CTrie::new();
         ctrie.insert(&["beshear"]);
         let mut candidates = CandidateBase::new();
-        candidates.add_mention("beshear", MentionRecord {
-            tweet: 0,
-            start: 1,
-            end: 2,
-            local_emb: emb.clone(),
-            local_type: Some(ngl_text::EntityType::Person),
-            trie_version: 3,
-        });
+        candidates.add_mention(
+            "beshear",
+            MentionRecord {
+                tweet: 0,
+                start: 1,
+                end: 2,
+                local_emb: emb.clone(),
+                local_type: Some(ngl_text::EntityType::Person),
+                trie_version: 3,
+            },
+        );
         let mut b = bundle();
         b.checkpoint = Some(PipelineCheckpoint {
             cfg: GlobalizerConfig::default(),
@@ -450,8 +451,7 @@ mod tests {
 
     #[test]
     fn wrong_magic_is_rejected() {
-        let err = GlobalizerBundle::from_bytes(b"XXXX\x01\x00\x00\x00rest")
-            .expect_err("must fail");
+        let err = GlobalizerBundle::from_bytes(b"XXXX\x01\x00\x00\x00rest").expect_err("must fail");
         assert!(matches!(err, PersistError::BadMagic));
     }
 
@@ -471,8 +471,7 @@ mod tests {
         for pos in [24, bytes.len() / 2, bytes.len() - 1] {
             let mut corrupted = bytes.clone();
             corrupted[pos] ^= 0x40;
-            let err = GlobalizerBundle::from_bytes(&corrupted)
-                .expect_err("corruption must fail");
+            let err = GlobalizerBundle::from_bytes(&corrupted).expect_err("corruption must fail");
             assert!(
                 matches!(err, PersistError::ChecksumMismatch),
                 "bit flip at {pos} gave {err:?}"

@@ -196,8 +196,7 @@ impl PhraseEmbedder {
         if spans.is_empty() {
             return Vec::new();
         }
-        let pooled: Vec<Vec<f32>> =
-            spans.iter().map(|s| Self::pool(token_embeddings, s)).collect();
+        let pooled: Vec<Vec<f32>> = spans.iter().map(|s| Self::pool(token_embeddings, s)).collect();
         let rows: Vec<&[f32]> = pooled.iter().map(|p| p.as_slice()).collect();
         let y = self.forward_eval(&Matrix::from_rows(&rows));
         (0..spans.len()).map(|i| ngl_nn::l2_normalized(y.row(i))).collect()
@@ -254,11 +253,7 @@ impl PhraseEmbedder {
         };
         let mut total = 0.0;
         for ex in examples {
-            let rows = [
-                ex.anchor.as_slice(),
-                ex.positive.as_slice(),
-                ex.negative.as_slice(),
-            ];
+            let rows = [ex.anchor.as_slice(), ex.positive.as_slice(), ex.negative.as_slice()];
             let out = self.forward_eval(&Matrix::from_rows(&rows));
             total += triplet(out.row(0), out.row(1), out.row(2), margin).loss;
         }
@@ -305,8 +300,7 @@ impl PhraseEmbedder {
             let mut epoch_loss = 0.0;
             let mut batches = 0usize;
             for chunk in train_order.chunks(self.cfg.batch_size.max(1)) {
-                let batch: Vec<&TripletExample> =
-                    chunk.iter().map(|&i| &examples[i]).collect();
+                let batch: Vec<&TripletExample> = chunk.iter().map(|&i| &examples[i]).collect();
                 epoch_loss += self.train_triplet_batch(&batch, margin, &mut adam, &mut states);
                 batches += 1;
             }
@@ -345,13 +339,7 @@ impl PhraseEmbedder {
         }
         let rows: Vec<&[f32]> = batch
             .iter()
-            .flat_map(|ex| {
-                [
-                    ex.anchor.as_slice(),
-                    ex.positive.as_slice(),
-                    ex.negative.as_slice(),
-                ]
-            })
+            .flat_map(|ex| [ex.anchor.as_slice(), ex.positive.as_slice(), ex.negative.as_slice()])
             .collect();
         let pooled = Matrix::from_rows(&rows);
         let (pre, cache, out) = self.forward_train(&pooled);
@@ -604,10 +592,7 @@ mod tests {
         let eb = emb.embed_pooled(&b[0]);
         let d_same = ngl_nn::cosine_distance(&ea, &ea2);
         let d_diff = ngl_nn::cosine_distance(&ea, &eb);
-        assert!(
-            d_diff > d_same + 0.2,
-            "classes not separated: same {d_same}, diff {d_diff}"
-        );
+        assert!(d_diff > d_same + 0.2, "classes not separated: same {d_same}, diff {d_diff}");
     }
 
     #[test]

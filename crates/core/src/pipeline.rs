@@ -67,7 +67,6 @@
 use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
-
 use ngl_ctrie::CTrie;
 use ngl_encoder::ContextualTagger;
 use ngl_nn::Matrix;
@@ -505,10 +504,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// [`GlobalizerConfig::reject_empty`] is set. Rejected tweets leave
     /// no trace in pipeline state: the store after a faulty batch is
     /// exactly the store of a clean run over the surviving inputs.
-    pub fn try_process_batch_owned(
-        &mut self,
-        batch: Vec<Vec<String>>,
-    ) -> (BatchOutput, BatchReport)
+    pub fn try_process_batch_owned(&mut self, batch: Vec<Vec<String>>) -> (BatchOutput, BatchReport)
     where
         T: Sync,
     {
@@ -608,10 +604,8 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
             Rejected(TaskError),
             Ready(Vec<String>, ngl_encoder::SentenceEncoding, Vec<Span>),
         }
-        let mut slots: Vec<Option<Slot>> = pre_rejected
-            .into_iter()
-            .map(|e| e.map(Slot::Rejected))
-            .collect();
+        let mut slots: Vec<Option<Slot>> =
+            pre_rejected.into_iter().map(|e| e.map(Slot::Rejected)).collect();
         for (k, result) in encoded.into_iter().enumerate() {
             let i = survivor_input[k];
             slots[i] = Some(match result {
@@ -742,12 +736,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         let mut spill_errors = Vec::new();
         let out = match self.cfg.ablation {
             AblationMode::LocalOnly => (0..self.tweets.len())
-                .map(|i| {
-                    self.tweets
-                        .try_get(i)
-                        .map(|t| t.local_spans.clone())
-                        .unwrap_or_default()
-                })
+                .map(|i| self.tweets.try_get(i).map(|t| t.local_spans.clone()).unwrap_or_default())
                 .collect(),
             mode => {
                 // ngl-lint: allow(R3, wall-clock stage timing for BatchReport/Timings only; never feeds token processing, ordering, or persisted state)
@@ -810,12 +799,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     pub(crate) fn emit_finalized(&mut self) -> Vec<Vec<Span>> {
         match self.cfg.ablation {
             AblationMode::LocalOnly => (0..self.tweets.len())
-                .map(|i| {
-                    self.tweets
-                        .try_get(i)
-                        .map(|t| t.local_spans.clone())
-                        .unwrap_or_default()
-                })
+                .map(|i| self.tweets.try_get(i).map(|t| t.local_spans.clone()).unwrap_or_default())
                 .collect(),
             mode => {
                 let mut errors = Vec::new();
@@ -1081,8 +1065,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                             miss_at.push(k);
                         }
                     }
-                    let mut fresh =
-                        phrase.embed_spans(&record.embeddings, &miss_spans).into_iter();
+                    let mut fresh = phrase.embed_spans(&record.embeddings, &miss_spans).into_iter();
                     let mut miss_at = miss_at.into_iter().peekable();
                     occs.into_iter()
                         .enumerate()
@@ -1095,15 +1078,11 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                                 // quantization round-trip, so the
                                 // quantized storage codec is lossless
                                 // ("i8 at rest, f32 in compute").
-                                let mut emb =
-                                    fresh.next().expect("one embedding per cache miss");
+                                let mut emb = fresh.next().expect("one embedding per cache miss");
                                 ngl_nn::kernels::canonicalize(&mut emb);
                                 emb
                             } else {
-                                cache
-                                    .get(&(ti, occ.start, occ.end))
-                                    .expect("span cached")
-                                    .clone()
+                                cache.get(&(ti, occ.start, occ.end)).expect("span cached").clone()
                             };
                             let local_type = record
                                 .local_spans
@@ -1147,8 +1126,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                                             // replay-from-snapshot (where
                                             // nothing is spilled) evolves
                                             // the clock identically.
-                                            self.candidates
-                                                .insert_entry(surface.clone(), entry);
+                                            self.candidates.insert_entry(surface.clone(), entry);
                                             self.mention_cache.extend(cache);
                                         }
                                         Ok(None) => {}
@@ -1375,8 +1353,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
             }
         }
         for s in local_spans {
-            let overlaps =
-                out.iter().any(|t| t.span.start < s.end && s.start < t.span.end);
+            let overlaps = out.iter().any(|t| t.span.start < s.end && s.start < t.span.end);
             if !overlaps {
                 out.push(QueryTag { span: s, surface: None, score: None, global: false });
             }
@@ -1434,12 +1411,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// Table IV "Local NER" columns). Evicted tweets yield empty rows.
     pub fn local_outputs(&self) -> Vec<Vec<Span>> {
         (0..self.tweets.len())
-            .map(|i| {
-                self.tweets
-                    .try_get(i)
-                    .map(|t| t.local_spans.clone())
-                    .unwrap_or_default()
-            })
+            .map(|i| self.tweets.try_get(i).map(|t| t.local_spans.clone()).unwrap_or_default())
             .collect()
     }
 
@@ -1770,16 +1742,12 @@ fn score_cluster(
 ) {
     match mode {
         AblationMode::MentionExtraction => {
-            cluster.label = Some(majority_local_type(
-                cluster.members.iter().map(|&m| mentions[m].local_type),
-            ));
+            cluster.label =
+                Some(majority_local_type(cluster.members.iter().map(|&m| mentions[m].local_type)));
         }
         AblationMode::FullGlobal => {
-            let rows: Vec<&[f32]> = cluster
-                .members
-                .iter()
-                .map(|&m| mentions[m].local_emb.as_slice())
-                .collect();
+            let rows: Vec<&[f32]> =
+                cluster.members.iter().map(|&m| mentions[m].local_emb.as_slice()).collect();
             let locals = Matrix::from_rows(&rows);
             // One fused attention pass for both outputs — bitwise equal
             // to the separate global_embedding + predict_confident
@@ -1802,18 +1770,12 @@ fn score_cluster(
 
 /// Majority vote over the local types of a cluster's mentions; `None`
 /// when no mention carries a local type.
-fn majority_local_type(
-    types: impl Iterator<Item = Option<EntityType>>,
-) -> Option<EntityType> {
+fn majority_local_type(types: impl Iterator<Item = Option<EntityType>>) -> Option<EntityType> {
     let mut counts = [0usize; EntityType::COUNT];
     for t in types.flatten() {
         counts[t.index()] += 1;
     }
-    let (best, n) = counts
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, &c)| c)
-        .expect("non-empty counts");
+    let (best, n) = counts.iter().enumerate().max_by_key(|(_, &c)| c).expect("non-empty counts");
     if *n == 0 {
         None
     } else {
@@ -1953,13 +1915,8 @@ mod tests {
     #[test]
     fn majority_type_vote_breaks_toward_most_frequent() {
         let t = majority_local_type(
-            [
-                Some(EntityType::Person),
-                Some(EntityType::Location),
-                Some(EntityType::Person),
-                None,
-            ]
-            .into_iter(),
+            [Some(EntityType::Person), Some(EntityType::Location), Some(EntityType::Person), None]
+                .into_iter(),
         );
         assert_eq!(t, Some(EntityType::Person));
         assert_eq!(majority_local_type([None, None].into_iter()), None);
@@ -2141,8 +2098,7 @@ mod tests {
     fn rejected_tweets_leave_no_trace() {
         for threads in [1, 4] {
             let exec = ngl_runtime::Executor::new(threads);
-            let mut faulty =
-                faulty_pipeline(AblationMode::FullGlobal).with_executor(exec.clone());
+            let mut faulty = faulty_pipeline(AblationMode::FullGlobal).with_executor(exec.clone());
             let batch = vec![
                 toks("Beshear spoke today"),
                 vec!["oh".into(), ngl_runtime::faults::PANIC_TOKEN.into()],
@@ -2164,8 +2120,7 @@ mod tests {
             assert!(faulty.take_finalize_errors().is_empty());
 
             // The state is exactly a clean run over the survivors.
-            let mut clean =
-                faulty_pipeline(AblationMode::FullGlobal).with_executor(exec.clone());
+            let mut clean = faulty_pipeline(AblationMode::FullGlobal).with_executor(exec.clone());
             clean.process_batch(&[
                 toks("Beshear spoke today"),
                 toks("thanks beshear again"),
@@ -2239,10 +2194,7 @@ mod tests {
             FakeTagger { dim },
             PhraseEmbedder::new(PhraseEmbedderConfig { dim, ..Default::default() }),
             EntityClassifier::new(ClassifierConfig { dim, ..Default::default() }),
-            GlobalizerConfig {
-                retention: RetentionPolicy::MaxTweets(2),
-                ..Default::default()
-            },
+            GlobalizerConfig { retention: RetentionPolicy::MaxTweets(2), ..Default::default() },
         );
         // Unfinalized tweets are beyond the watermark: nothing may be
         // evicted no matter how far over budget the store is.

@@ -61,9 +61,8 @@ impl AttentivePooling {
         let n = locals.rows();
         assert!(n > 0, "cannot pool an empty cluster");
         assert_eq!(locals.cols(), self.w_a.len(), "dimension mismatch");
-        let mut scores: Vec<f32> = (0..n)
-            .map(|j| ngl_nn::linalg::dot(locals.row(j), &self.w_a) + self.b_a)
-            .collect();
+        let mut scores: Vec<f32> =
+            (0..n).map(|j| ngl_nn::linalg::dot(locals.row(j), &self.w_a) + self.b_a).collect();
         softmax_in_place(&mut scores);
         let mut global = vec![0.0f32; locals.cols()];
         for j in 0..n {
@@ -84,9 +83,7 @@ impl AttentivePooling {
         let n = locals.rows();
         // g_j = ⟨d_global, local_j⟩ ; softmax backward gives
         // da_j = w_j (g_j − Σ_k w_k g_k).
-        let g: Vec<f32> = (0..n)
-            .map(|j| ngl_nn::linalg::dot(d_global, locals.row(j)))
-            .collect();
+        let g: Vec<f32> = (0..n).map(|j| ngl_nn::linalg::dot(d_global, locals.row(j))).collect();
         let mean: f32 = ngl_nn::linalg::dot(&cache.weights, &g);
         for j in 0..n {
             let da = cache.weights[j] * (g[j] - mean);
@@ -160,11 +157,7 @@ mod tests {
     #[test]
     fn backward_matches_finite_difference() {
         let dim = 3;
-        let locals = Matrix::from_vec(
-            2,
-            dim,
-            vec![0.5, -0.2, 0.8, -0.3, 0.9, 0.1],
-        );
+        let locals = Matrix::from_vec(2, dim, vec![0.5, -0.2, 0.8, -0.3, 0.9, 0.1]);
         // Loss = ⟨global, t⟩ for a fixed direction t.
         let t = [1.0f32, 2.0, -1.5];
         let mut pool = AttentivePooling::new(5, dim);

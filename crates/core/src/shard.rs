@@ -267,9 +267,7 @@ impl<T: ContextualTagger + Clone + Send + Sync> ShardedGlobalizer<T> {
     /// and donor *snapshots* are never applied (they hold the donor's
     /// ownership, not the lagging shard's). Errors if the donor has
     /// compacted past a lagging shard's position.
-    fn catch_up_lagging(
-        shards: &mut [DurableGlobalizer<T>],
-    ) -> Result<Vec<usize>, DurableError> {
+    fn catch_up_lagging(shards: &mut [DurableGlobalizer<T>]) -> Result<Vec<usize>, DurableError> {
         let mut caught_up = vec![0usize; shards.len()];
         let target = match shards.iter().map(|s| s.op_seq()).max() {
             Some(t) => t,
@@ -278,12 +276,8 @@ impl<T: ContextualTagger + Clone + Send + Sync> ShardedGlobalizer<T> {
         if shards.iter().all(|s| s.op_seq() == target) {
             return Ok(caught_up);
         }
-        let donor_ix = shards
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, s)| s.op_seq())
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+        let donor_ix =
+            shards.iter().enumerate().max_by_key(|(_, s)| s.op_seq()).map(|(i, _)| i).unwrap_or(0);
         let records = shards[donor_ix].logged_records()?;
         for (i, ops) in caught_up.iter_mut().enumerate() {
             if i == donor_ix || shards[i].op_seq() == target {
@@ -335,9 +329,7 @@ impl<T: ContextualTagger + Clone + Send + Sync> ShardedGlobalizer<T> {
             }
         }
         if lagging.op_seq() != target {
-            return Err(DurableError::Corrupt(
-                "shard lag exceeds the donor's compaction horizon",
-            ));
+            return Err(DurableError::Corrupt("shard lag exceeds the donor's compaction horizon"));
         }
         Ok(applied)
     }
@@ -351,12 +343,8 @@ impl<T: ContextualTagger + Clone + Send + Sync> ShardedGlobalizer<T> {
     /// is skipped — same restart-empty semantics as rehydration, and
     /// the owner shard's ladder already recorded the fault.
     fn rebuild_merged(shards: &mut [DurableGlobalizer<T>]) -> NerGlobalizer<T> {
-        let base_ix = shards
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, s)| s.op_seq())
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+        let base_ix =
+            shards.iter().enumerate().max_by_key(|(_, s)| s.op_seq()).map(|(i, _)| i).unwrap_or(0);
         let mut merged = shards[base_ix].inner().clone();
         merged.clear_shard_ownership();
         for (i, shard) in shards.iter().enumerate() {
@@ -385,12 +373,8 @@ impl<T: ContextualTagger + Clone + Send + Sync> ShardedGlobalizer<T> {
         F: Fn(&mut DurableGlobalizer<T>) -> Result<R, DurableError> + Sync,
     {
         let wedged = &self.wedged;
-        let items: Vec<(usize, &mut DurableGlobalizer<T>)> = self
-            .shards
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| !wedged[*i])
-            .collect();
+        let items: Vec<(usize, &mut DurableGlobalizer<T>)> =
+            self.shards.iter_mut().enumerate().filter(|(i, _)| !wedged[*i]).collect();
         self.exec.par_map(items, |_, (ix, shard)| (ix, op(shard)))
     }
 

@@ -7,7 +7,6 @@
 //! end-to-end. The returned [`GlobalizerTrainingReport`] carries the
 //! Table II quantities.
 
-
 use ngl_corpus::Dataset;
 use ngl_encoder::ContextualTagger;
 use ngl_nn::Matrix;
@@ -116,11 +115,8 @@ pub fn train_globalizer<T: ContextualTagger>(
     let examples: Vec<CandidateExample> = if cfg.cluster_consistent_training {
         let mut out = Vec::new();
         for sm in &mining.by_surface {
-            let embedded: Vec<Vec<f32>> = sm
-                .mentions
-                .iter()
-                .map(|(p, _)| phrase.embed_pooled(p))
-                .collect();
+            let embedded: Vec<Vec<f32>> =
+                sm.mentions.iter().map(|(p, _)| phrase.embed_pooled(p)).collect();
             // Same large-set fallback as the pipeline.
             let groups = if embedded.len() <= 400 {
                 ngl_cluster::agglomerative(&embedded, cfg.cluster_threshold).groups()
@@ -148,9 +144,7 @@ pub fn train_globalizer<T: ContextualTagger>(
                 // members are recovered mentions, not counter-evidence.
                 let non_entity = votes[EntityType::COUNT];
                 let entity_total: usize = votes[..EntityType::COUNT].iter().sum();
-                let class = if entity_total == 0
-                    || non_entity as f64 > 0.7 * group.len() as f64
-                {
+                let class = if entity_total == 0 || non_entity as f64 > 0.7 * group.len() as f64 {
                     EntityType::COUNT
                 } else {
                     votes[..EntityType::COUNT]
@@ -171,11 +165,8 @@ pub fn train_globalizer<T: ContextualTagger>(
             .iter()
             .filter(|c| !c.pooled_mentions.is_empty())
             .map(|c| {
-                let rows: Vec<Vec<f32>> = c
-                    .pooled_mentions
-                    .iter()
-                    .map(|p| phrase.embed_pooled(p))
-                    .collect();
+                let rows: Vec<Vec<f32>> =
+                    c.pooled_mentions.iter().map(|p| phrase.embed_pooled(p)).collect();
                 let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
                 CandidateExample {
                     locals: Matrix::from_rows(&refs),
@@ -237,10 +228,8 @@ mod tests {
             &DatasetSpec::streaming("t", 600, vec![Topic::Health], 41),
             &kb_train,
         );
-        let d5 = Dataset::generate(
-            &DatasetSpec::streaming("d5", 400, vec![Topic::Health], 42),
-            &kb_d5,
-        );
+        let d5 =
+            Dataset::generate(&DatasetSpec::streaming("d5", 400, vec![Topic::Health], 42), &kb_d5);
         let mut enc = TokenEncoder::new(EncoderConfig {
             embed_dim: 16,
             hidden_dim: 24,
@@ -271,10 +260,7 @@ mod tests {
     #[should_panic(expected = "dim mismatch")]
     fn dim_mismatch_is_rejected() {
         let kb = KnowledgeBase::build(33, 20);
-        let d5 = Dataset::generate(
-            &DatasetSpec::streaming("d5", 20, vec![Topic::Health], 1),
-            &kb,
-        );
+        let d5 = Dataset::generate(&DatasetSpec::streaming("d5", 20, vec![Topic::Health], 1), &kb);
         let enc = TokenEncoder::new(EncoderConfig {
             embed_dim: 8,
             hidden_dim: 8,

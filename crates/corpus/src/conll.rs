@@ -79,9 +79,9 @@ pub fn from_conll(text: &str) -> Result<Vec<AnnotatedTweet>, ConllError> {
     let mut surface_ids: HashMap<String, u32> = HashMap::new();
 
     let flush = |tokens: &mut Vec<String>,
-                     tags: &mut Vec<BioTag>,
-                     tweets: &mut Vec<AnnotatedTweet>,
-                     surface_ids: &mut HashMap<String, u32>| {
+                 tags: &mut Vec<BioTag>,
+                 tweets: &mut Vec<AnnotatedTweet>,
+                 surface_ids: &mut HashMap<String, u32>| {
         if tokens.is_empty() {
             return;
         }
@@ -135,9 +135,7 @@ pub fn from_conll(text: &str) -> Result<Vec<AnnotatedTweet>, ConllError> {
             match head.to_ascii_uppercase().as_str() {
                 "B" => BioTag::B(ty),
                 "I" => BioTag::I(ty),
-                _ => {
-                    return Err(ConllError::BadTag { line: ln + 1, tag: tag_text.to_string() })
-                }
+                _ => return Err(ConllError::BadTag { line: ln + 1, tag: tag_text.to_string() }),
             }
         };
         tokens.push(token.to_string());
@@ -188,11 +186,7 @@ impl Dataset {
 
     /// Builds a dataset from CoNLL text (no topics/hashtags).
     pub fn from_conll(name: &str, text: &str) -> Result<Self, ConllError> {
-        Ok(Dataset {
-            name: name.to_string(),
-            tweets: from_conll(text)?,
-            hashtags: Vec::new(),
-        })
+        Ok(Dataset { name: name.to_string(), tweets: from_conll(text)?, hashtags: Vec::new() })
     }
 }
 
@@ -205,10 +199,7 @@ mod tests {
     #[test]
     fn round_trip_preserves_tokens_and_spans() {
         let kb = KnowledgeBase::build(3, 40);
-        let d = Dataset::generate(
-            &DatasetSpec::streaming("rt", 120, vec![Topic::Health], 7),
-            &kb,
-        );
+        let d = Dataset::generate(&DatasetSpec::streaming("rt", 120, vec![Topic::Health], 7), &kb);
         let text = d.to_conll();
         let back = Dataset::from_conll("rt", &text).expect("parse");
         assert_eq!(back.tweets.len(), d.tweets.len());

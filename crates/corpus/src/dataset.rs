@@ -5,7 +5,6 @@
 use ngl_runtime::rng::SplitMix64;
 use std::collections::HashSet;
 
-
 use crate::kb::{EntityId, KnowledgeBase, Topic};
 use crate::noise::NoiseProfile;
 use crate::templates::{
@@ -265,19 +264,14 @@ mod tests {
     #[test]
     fn non_streaming_dataset_rarely_repeats() {
         let kb = KnowledgeBase::build(7, 400);
-        let stream = Dataset::generate(
-            &DatasetSpec::streaming("S", 1000, vec![Topic::Health], 2),
-            &kb,
-        );
+        let stream =
+            Dataset::generate(&DatasetSpec::streaming("S", 1000, vec![Topic::Health], 2), &kb);
         let random = Dataset::generate(&DatasetSpec::non_streaming("R", 1000, 2), &kb);
         let sr = stream.stats();
         let rr = random.stats();
         let stream_rate = sr.total_mentions as f64 / sr.unique_entities as f64;
         let random_rate = rr.total_mentions as f64 / rr.unique_entities as f64;
-        assert!(
-            stream_rate > 2.0 * random_rate,
-            "stream {stream_rate} vs random {random_rate}"
-        );
+        assert!(stream_rate > 2.0 * random_rate, "stream {stream_rate} vs random {random_rate}");
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use ngl_runtime::rng::SplitMix64;
 use std::collections::HashMap;
 
-
 use ngl_text::EntityType;
 
 use crate::namegen::{NameGen, Universe};
@@ -38,13 +37,8 @@ pub enum Topic {
 
 impl Topic {
     /// All topics in a stable order.
-    pub const ALL: [Topic; 5] = [
-        Topic::Politics,
-        Topic::Sports,
-        Topic::Entertainment,
-        Topic::Science,
-        Topic::Health,
-    ];
+    pub const ALL: [Topic; 5] =
+        [Topic::Politics, Topic::Sports, Topic::Entertainment, Topic::Science, Topic::Health];
 
     /// A short lowercase label ("politics").
     pub fn label(self) -> &'static str {
@@ -227,56 +221,81 @@ fn anchor_entities() -> Vec<EntityRecord> {
         id: EntityId(id),
         ty,
         canonical: canonical.iter().map(|s| s.to_string()).collect(),
-        aliases: aliases
-            .iter()
-            .map(|a| a.iter().map(|s| s.to_string()).collect())
-            .collect(),
+        aliases: aliases.iter().map(|a| a.iter().map(|s| s.to_string()).collect()).collect(),
         topic,
     };
     use EntityType::*;
     use Topic::*;
     vec![
-        mk(0, Person, Health, &["andy", "beshear"],
-            &[&["andy", "beshear"], &["beshear"], &["#andybeshear"]]),
-        mk(1, Person, Politics, &["donald", "trump"],
-            &[&["donald", "trump"], &["trump"], &["#trump"]]),
+        mk(
+            0,
+            Person,
+            Health,
+            &["andy", "beshear"],
+            &[&["andy", "beshear"], &["beshear"], &["#andybeshear"]],
+        ),
+        mk(
+            1,
+            Person,
+            Politics,
+            &["donald", "trump"],
+            &[&["donald", "trump"], &["trump"], &["#trump"]],
+        ),
         mk(2, Location, Health, &["italy"], &[&["italy"], &["#italy"]]),
         mk(3, Location, Health, &["canada"], &[&["canada"], &["#canada"]]),
         mk(4, Location, Health, &["us"], &[&["us"]]),
         mk(5, Organization, Health, &["nhs"], &[&["nhs"], &["#nhs"]]),
-        mk(6, Miscellaneous, Health, &["coronavirus"],
-            &[&["coronavirus"], &["covid"], &["covid", "19"], &["#coronavirus"], &["#covid19"]]),
-        mk(7, Organization, Politics, &["justice", "department"],
-            &[&["justice", "department"], &["doj"]]),
-        mk(8, Organization, Politics, &["russian", "government"],
-            &[&["russian", "government"]]),
+        mk(
+            6,
+            Miscellaneous,
+            Health,
+            &["coronavirus"],
+            &[&["coronavirus"], &["covid"], &["covid", "19"], &["#coronavirus"], &["#covid19"]],
+        ),
+        mk(
+            7,
+            Organization,
+            Politics,
+            &["justice", "department"],
+            &[&["justice", "department"], &["doj"]],
+        ),
+        mk(8, Organization, Politics, &["russian", "government"], &[&["russian", "government"]]),
         // Ambiguous pair: the president vs the state.
-        mk(9, Person, Politics, &["george", "washington"],
-            &[&["george", "washington"], &["washington"]]),
-        mk(10, Location, Politics, &["washington"],
-            &[&["washington"], &["#washington"]]),
+        mk(
+            9,
+            Person,
+            Politics,
+            &["george", "washington"],
+            &[&["george", "washington"], &["washington"]],
+        ),
+        mk(10, Location, Politics, &["washington"], &[&["washington"], &["#washington"]]),
         // Ambiguous pair: the athlete vs the country.
-        mk(11, Person, Sports, &["michael", "jordan"],
-            &[&["michael", "jordan"], &["jordan"]]),
+        mk(11, Person, Sports, &["michael", "jordan"], &[&["michael", "jordan"], &["jordan"]]),
         mk(12, Location, Sports, &["jordan"], &[&["jordan"]]),
         // Ambiguous pair: the city vs the celebrity.
         mk(13, Location, Entertainment, &["paris"], &[&["paris"], &["#paris"]]),
-        mk(14, Person, Entertainment, &["paris", "hilton"],
-            &[&["paris", "hilton"], &["paris"]]),
+        mk(14, Person, Entertainment, &["paris", "hilton"], &[&["paris", "hilton"], &["paris"]]),
         // Surface collides with the river / the fruit / the insects.
         mk(15, Organization, Science, &["amazon"], &[&["amazon"], &["#amazon"]]),
-        mk(16, Location, Science, &["amazon", "river"],
-            &[&["amazon", "river"], &["amazon"]]),
+        mk(16, Location, Science, &["amazon", "river"], &[&["amazon", "river"], &["amazon"]]),
         mk(17, Organization, Science, &["apple"], &[&["apple"], &["#apple"]]),
-        mk(18, Miscellaneous, Entertainment, &["fireflies"],
-            &[&["fireflies"], &["#fireflies"]]),
-        mk(19, Person, Entertainment, &["emma", "stone"],
-            &[&["emma", "stone"], &["stone"]]),
-        mk(20, Organization, Politics, &["summit", "council"],
-            &[&["summit", "council"], &["summit"]]),
+        mk(18, Miscellaneous, Entertainment, &["fireflies"], &[&["fireflies"], &["#fireflies"]]),
+        mk(19, Person, Entertainment, &["emma", "stone"], &[&["emma", "stone"], &["stone"]]),
+        mk(
+            20,
+            Organization,
+            Politics,
+            &["summit", "council"],
+            &[&["summit", "council"], &["summit"]],
+        ),
         mk(21, Miscellaneous, Health, &["rotavirus"], &[&["rotavirus"]]),
-        mk(22, Person, Health, &["anthony", "fauci"],
-            &[&["anthony", "fauci"], &["fauci"], &["#fauci"]]),
+        mk(
+            22,
+            Person,
+            Health,
+            &["anthony", "fauci"],
+            &[&["anthony", "fauci"], &["fauci"], &["#fauci"]],
+        ),
         mk(23, Location, Health, &["wuhan"], &[&["wuhan"], &["#wuhan"]]),
         mk(24, Organization, Health, &["who"], &[&["who"]]),
     ]

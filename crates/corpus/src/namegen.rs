@@ -23,7 +23,6 @@
 use ngl_runtime::rng::SplitMix64;
 use std::collections::HashSet;
 
-
 use ngl_text::EntityType;
 
 /// Which half of the name-part lexicon a generator draws from.
@@ -43,8 +42,8 @@ const FIRST_NAMES: &[&str] = &[
 ];
 
 /// Shared: directional/urban location prefixes ("new X" exists anywhere).
-const LOC_PREFIX: &[&str] = &["north", "south", "east", "west", "new", "port", "lake", "san",
-    "fort", "cape"];
+const LOC_PREFIX: &[&str] =
+    &["north", "south", "east", "west", "new", "port", "lake", "san", "fort", "cape"];
 
 // ---- Split pools: first half = Train, second half = Eval. ----
 
@@ -55,43 +54,98 @@ const LAST_SYLLA: &[&str] = &[
     "vald", "okon", "berg", "ratt", "cole", "dran", "velt", "shaw", "quist", "mbe",
 ];
 const LAST_SYLLB: &[&str] = &[
-    "ear", "alov", "inez", "iago", "ham", "moto", "qvist", "ari", "les", "feld",
-    "errez", "kwo", "man", "ner", "son", "ovic", "hoff", "lin", "rom", "ki",
+    "ear", "alov", "inez", "iago", "ham", "moto", "qvist", "ari", "les", "feld", "errez", "kwo",
+    "man", "ner", "son", "ovic", "hoff", "lin", "rom", "ki",
 ];
 
 const LOC_CORE: &[&str] = &[
-    "avoria", "belmont", "cordova", "darnell", "elmsworth", "farindale", "grenholm", "harwick",
-    "ivoria", "jutland", "kessler", "lorring",
-    "maraval", "norwick", "ostrava", "pellmore", "quinton", "ravenna", "solvang", "tremont",
-    "ulverton", "vandria", "westholm", "yarrow", "zephyria",
+    "avoria",
+    "belmont",
+    "cordova",
+    "darnell",
+    "elmsworth",
+    "farindale",
+    "grenholm",
+    "harwick",
+    "ivoria",
+    "jutland",
+    "kessler",
+    "lorring",
+    "maraval",
+    "norwick",
+    "ostrava",
+    "pellmore",
+    "quinton",
+    "ravenna",
+    "solvang",
+    "tremont",
+    "ulverton",
+    "vandria",
+    "westholm",
+    "yarrow",
+    "zephyria",
 ];
 
 const ORG_CORE: &[&str] = &[
-    "apex", "meridian", "vanguard", "pinnacle", "horizon", "atlas", "summit", "keystone",
-    "beacon", "cascade",
-    "northstar", "quantum", "sterling", "vertex", "zenith", "orion", "pioneer", "cobalt",
-    "granite", "harbor",
+    "apex",
+    "meridian",
+    "vanguard",
+    "pinnacle",
+    "horizon",
+    "atlas",
+    "summit",
+    "keystone",
+    "beacon",
+    "cascade",
+    "northstar",
+    "quantum",
+    "sterling",
+    "vertex",
+    "zenith",
+    "orion",
+    "pioneer",
+    "cobalt",
+    "granite",
+    "harbor",
 ];
 const ORG_SUFFIX: &[&str] = &[
-    "corp", "labs", "group", "institute", "foundation", "media", "systems", "partners",
-    "authority", "agency", "council", "ministry", "department", "university", "league", "network",
+    "corp",
+    "labs",
+    "group",
+    "institute",
+    "foundation",
+    "media",
+    "systems",
+    "partners",
+    "authority",
+    "agency",
+    "council",
+    "ministry",
+    "department",
+    "university",
+    "league",
+    "network",
 ];
 
-const MISC_DISEASE_A: &[&str] = &[
-    "rota", "nephro", "cardio", "derma", "neuro",
-    "hema", "osteo", "pulmo", "gastro", "viro",
-];
-const MISC_DISEASE_B: &[&str] = &[
-    "virus", "fever", "pox", "flu",
-    "itis", "plague", "syndrome", "mia",
-];
+const MISC_DISEASE_A: &[&str] =
+    &["rota", "nephro", "cardio", "derma", "neuro", "hema", "osteo", "pulmo", "gastro", "viro"];
+const MISC_DISEASE_B: &[&str] =
+    &["virus", "fever", "pox", "flu", "itis", "plague", "syndrome", "mia"];
 const MISC_WORK_A: &[&str] = &[
-    "midnight", "crimson", "silent", "golden", "electric",
-    "broken", "hollow", "neon", "velvet", "shattered",
+    "midnight",
+    "crimson",
+    "silent",
+    "golden",
+    "electric",
+    "broken",
+    "hollow",
+    "neon",
+    "velvet",
+    "shattered",
 ];
 const MISC_WORK_B: &[&str] = &[
-    "horizon", "echoes", "reverie", "skies", "empire",
-    "letters", "mirrors", "gardens", "voyage", "anthem",
+    "horizon", "echoes", "reverie", "skies", "empire", "letters", "mirrors", "gardens", "voyage",
+    "anthem",
 ];
 
 /// Returns the universe's half of a split pool.
@@ -168,11 +222,8 @@ impl NameGen {
                 let first = FIRST_NAMES[rng.gen_range(0..FIRST_NAMES.len())];
                 let sa = half(LAST_SYLLA, u);
                 let sb = half(LAST_SYLLB, u);
-                let last = format!(
-                    "{}{}",
-                    sa[rng.gen_range(0..sa.len())],
-                    sb[rng.gen_range(0..sb.len())]
-                );
+                let last =
+                    format!("{}{}", sa[rng.gen_range(0..sa.len())], sb[rng.gen_range(0..sb.len())]);
                 vec![first.to_string(), last]
             }
             EntityType::Location => {

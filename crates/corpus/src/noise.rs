@@ -6,7 +6,6 @@
 //! alias into a realistic noisy surface while keeping token boundaries —
 //! the gold annotation stays exact.
 
-
 /// How aggressively the generator degrades surfaces.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseProfile {
@@ -30,13 +29,7 @@ use ngl_runtime::rng::SplitMix64;
 
 impl Default for NoiseProfile {
     fn default() -> Self {
-        Self {
-            p_lowercase: 0.30,
-            p_allcaps: 0.08,
-            p_typo: 0.04,
-            p_elongate: 0.02,
-            p_shout: 0.05,
-        }
+        Self { p_lowercase: 0.30, p_allcaps: 0.08, p_typo: 0.04, p_elongate: 0.02, p_shout: 0.05 }
     }
 }
 
@@ -44,13 +37,7 @@ impl NoiseProfile {
     /// A cleaner profile for well-edited text (the generic-domain corpus
     /// used to train the BERT-NER baseline).
     pub fn clean() -> Self {
-        Self {
-            p_lowercase: 0.02,
-            p_allcaps: 0.02,
-            p_typo: 0.0,
-            p_elongate: 0.0,
-            p_shout: 0.0,
-        }
+        Self { p_lowercase: 0.02, p_allcaps: 0.02, p_typo: 0.0, p_elongate: 0.0, p_shout: 0.0 }
     }
 }
 
@@ -58,7 +45,11 @@ impl NoiseProfile {
 /// tokens under the noise profile. Hashtag aliases (leading `#`) keep
 /// their marker and never receive typos (they must stay CTrie-matchable
 /// in their canonical folded form).
-pub fn render_mention(rng: &mut SplitMix64, profile: &NoiseProfile, alias: &[String]) -> Vec<String> {
+pub fn render_mention(
+    rng: &mut SplitMix64,
+    profile: &NoiseProfile,
+    alias: &[String],
+) -> Vec<String> {
     let roll: f64 = rng.gen_f64();
     let casing = if roll < profile.p_lowercase {
         Casing::Lower
@@ -182,35 +173,65 @@ mod tests {
 
     #[test]
     fn title_case_is_default_behaviour() {
-        let profile = NoiseProfile { p_lowercase: 0.0, p_allcaps: 0.0, p_typo: 0.0, p_elongate: 0.0, p_shout: 0.0 };
+        let profile = NoiseProfile {
+            p_lowercase: 0.0,
+            p_allcaps: 0.0,
+            p_typo: 0.0,
+            p_elongate: 0.0,
+            p_shout: 0.0,
+        };
         let out = render_mention(&mut rng(), &profile, &["andy".into(), "beshear".into()]);
         assert_eq!(out, vec!["Andy", "Beshear"]);
     }
 
     #[test]
     fn lowercase_profile_keeps_lowercase() {
-        let profile = NoiseProfile { p_lowercase: 1.0, p_allcaps: 0.0, p_typo: 0.0, p_elongate: 0.0, p_shout: 0.0 };
+        let profile = NoiseProfile {
+            p_lowercase: 1.0,
+            p_allcaps: 0.0,
+            p_typo: 0.0,
+            p_elongate: 0.0,
+            p_shout: 0.0,
+        };
         let out = render_mention(&mut rng(), &profile, &["italy".into()]);
         assert_eq!(out, vec!["italy"]);
     }
 
     #[test]
     fn allcaps_profile_upcases() {
-        let profile = NoiseProfile { p_lowercase: 0.0, p_allcaps: 1.0, p_typo: 0.0, p_elongate: 0.0, p_shout: 0.0 };
+        let profile = NoiseProfile {
+            p_lowercase: 0.0,
+            p_allcaps: 1.0,
+            p_typo: 0.0,
+            p_elongate: 0.0,
+            p_shout: 0.0,
+        };
         let out = render_mention(&mut rng(), &profile, &["us".into()]);
         assert_eq!(out, vec!["US"]);
     }
 
     #[test]
     fn hashtags_keep_marker_and_get_no_typos() {
-        let profile = NoiseProfile { p_lowercase: 0.0, p_allcaps: 0.0, p_typo: 1.0, p_elongate: 0.0, p_shout: 0.0 };
+        let profile = NoiseProfile {
+            p_lowercase: 0.0,
+            p_allcaps: 0.0,
+            p_typo: 1.0,
+            p_elongate: 0.0,
+            p_shout: 0.0,
+        };
         let out = render_mention(&mut rng(), &profile, &["#coronavirus".into()]);
         assert_eq!(out, vec!["#Coronavirus"]);
     }
 
     #[test]
     fn typos_preserve_first_char_and_length_stays_close() {
-        let profile = NoiseProfile { p_lowercase: 1.0, p_allcaps: 0.0, p_typo: 1.0, p_elongate: 0.0, p_shout: 0.0 };
+        let profile = NoiseProfile {
+            p_lowercase: 1.0,
+            p_allcaps: 0.0,
+            p_typo: 1.0,
+            p_elongate: 0.0,
+            p_shout: 0.0,
+        };
         let mut r = rng();
         for _ in 0..50 {
             let out = render_mention(&mut r, &profile, &["coronavirus".into()]);
@@ -223,7 +244,13 @@ mod tests {
 
     #[test]
     fn short_tokens_never_get_typos() {
-        let profile = NoiseProfile { p_lowercase: 1.0, p_allcaps: 0.0, p_typo: 1.0, p_elongate: 0.0, p_shout: 0.0 };
+        let profile = NoiseProfile {
+            p_lowercase: 1.0,
+            p_allcaps: 0.0,
+            p_typo: 1.0,
+            p_elongate: 0.0,
+            p_shout: 0.0,
+        };
         let out = render_mention(&mut rng(), &profile, &["nhs".into()]);
         assert_eq!(out, vec!["nhs"]);
     }

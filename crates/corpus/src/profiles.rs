@@ -118,14 +118,7 @@ pub fn generic_train(seed: u64) -> DatasetSpec {
 
 /// All Table I evaluation profiles in paper order.
 pub fn all_eval_profiles(seed: u64) -> Vec<DatasetSpec> {
-    vec![
-        d1(seed),
-        d2(seed),
-        d3(seed),
-        d4(seed),
-        wnut17_like(seed),
-        btc_like(seed),
-    ]
+    vec![d1(seed), d2(seed), d3(seed), d4(seed), wnut17_like(seed), btc_like(seed)]
 }
 
 /// The complete generated data universe for one master seed.
@@ -155,10 +148,8 @@ impl StandardDatasets {
         let local_train = Dataset::generate(&local_train(seed), &train_kb);
         let generic_train = Dataset::generate(&generic_train(seed), &train_kb);
         let d5 = Dataset::generate(&d5(seed), &d5_kb);
-        let eval = all_eval_profiles(seed)
-            .iter()
-            .map(|spec| Dataset::generate(spec, &eval_kb))
-            .collect();
+        let eval =
+            all_eval_profiles(seed).iter().map(|spec| Dataset::generate(spec, &eval_kb)).collect();
         Self { train_kb, eval_kb, d5_kb, local_train, generic_train, d5, eval }
     }
 

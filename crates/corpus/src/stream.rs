@@ -9,7 +9,6 @@
 //! "conversation streams evolving over time" of §I), and
 //! [`DatasetSource`] replays a pre-generated dataset.
 
-
 use ngl_runtime::rng::SplitMix64;
 use ngl_text::EntityType;
 
@@ -91,11 +90,7 @@ impl<'a> SyntheticStream<'a> {
     ///
     /// # Panics
     /// Panics when `phases` is empty.
-    pub fn with_phases(
-        kb: &'a KnowledgeBase,
-        spec: DatasetSpec,
-        phases: Vec<StreamPhase>,
-    ) -> Self {
+    pub fn with_phases(kb: &'a KnowledgeBase, spec: DatasetSpec, phases: Vec<StreamPhase>) -> Self {
         assert!(!phases.is_empty(), "stream needs at least one phase");
         let states = phases
             .iter()
@@ -267,10 +262,7 @@ mod tests {
     #[test]
     fn dataset_source_replays_and_ends() {
         let kb = kb();
-        let d = Dataset::generate(
-            &DatasetSpec::streaming("d", 45, vec![Topic::Science], 3),
-            &kb,
-        );
+        let d = Dataset::generate(&DatasetSpec::streaming("d", 45, vec![Topic::Science], 3), &kb);
         let expected: Vec<Vec<String>> = d.tweets.iter().map(|t| t.tokens.clone()).collect();
         let mut src = DatasetSource::new(d);
         let mut got = Vec::new();
@@ -298,10 +290,7 @@ mod tests {
     #[test]
     fn capture_respects_finite_sources() {
         let kb = kb();
-        let d = Dataset::generate(
-            &DatasetSpec::streaming("d", 30, vec![Topic::Health], 5),
-            &kb,
-        );
+        let d = Dataset::generate(&DatasetSpec::streaming("d", 30, vec![Topic::Health], 5), &kb);
         let mut src = DatasetSource::new(d);
         let captured = capture(&mut src, 100, "w");
         assert_eq!(captured.tweets.len(), 30, "finite source ends early");

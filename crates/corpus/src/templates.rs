@@ -77,10 +77,7 @@ impl Template {
 
     /// Number of typed-entity slots (`{P}/{L}/{O}/{M}/{E}`).
     pub fn entity_slots(&self) -> usize {
-        self.parts
-            .iter()
-            .filter(|p| matches!(p, Part::Entity(_) | Part::AnyEntity))
-            .count()
+        self.parts.iter().filter(|p| matches!(p, Part::Entity(_) | Part::AnyEntity)).count()
     }
 }
 
@@ -229,31 +226,78 @@ pub fn ambiguous_usage_templates() -> Vec<(&'static str, Template)> {
 pub fn filler_vocab(topic: Topic) -> &'static [&'static str] {
     match topic {
         Topic::Health => &[
-            "masks", "testing", "quarantine", "symptoms", "vaccine", "wash", "hands", "stay",
-            "home", "safe", "numbers", "curve", "ventilators", "distancing",
+            "masks",
+            "testing",
+            "quarantine",
+            "symptoms",
+            "vaccine",
+            "wash",
+            "hands",
+            "stay",
+            "home",
+            "safe",
+            "numbers",
+            "curve",
+            "ventilators",
+            "distancing",
         ],
         Topic::Politics => &[
-            "votes", "debate", "campaign", "policy", "senate", "ballots", "hearing", "press",
-            "statement", "reform", "caucus", "poll",
+            "votes",
+            "debate",
+            "campaign",
+            "policy",
+            "senate",
+            "ballots",
+            "hearing",
+            "press",
+            "statement",
+            "reform",
+            "caucus",
+            "poll",
         ],
         Topic::Sports => &[
             "goal", "season", "transfer", "league", "finals", "training", "derby", "squad",
             "keeper", "stadium", "fixture", "halftime",
         ],
         Topic::Entertainment => &[
-            "album", "tour", "single", "premiere", "trailer", "charts", "vinyl", "setlist",
-            "encore", "soundtrack", "fandom", "remix",
+            "album",
+            "tour",
+            "single",
+            "premiere",
+            "trailer",
+            "charts",
+            "vinyl",
+            "setlist",
+            "encore",
+            "soundtrack",
+            "fandom",
+            "remix",
         ],
         Topic::Science => &[
-            "data", "study", "rocket", "orbit", "sample", "sensor", "paper", "lab", "trial",
-            "prototype", "telescope", "dataset",
+            "data",
+            "study",
+            "rocket",
+            "orbit",
+            "sample",
+            "sensor",
+            "paper",
+            "lab",
+            "trial",
+            "prototype",
+            "telescope",
+            "dataset",
         ],
     }
 }
 
 /// User handles for `{U}` slots.
 pub const USER_HANDLES: &[&str] = &[
-    "@newswire", "@dailyupdate", "@streamwatch", "@localreporter", "@factsfirst", "@briefingroom",
+    "@newswire",
+    "@dailyupdate",
+    "@streamwatch",
+    "@localreporter",
+    "@factsfirst",
+    "@briefingroom",
 ];
 
 #[cfg(test)]

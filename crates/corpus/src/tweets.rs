@@ -150,8 +150,8 @@ pub fn generate_tweet(
                 push_mention_of(rng, kb, id, noise, &mut tokens, &mut gold);
             }
             Part::Ambiguous => {
-                let w = AMBIGUOUS_NON_ENTITY_WORDS
-                    [rng.gen_range(0..AMBIGUOUS_NON_ENTITY_WORDS.len())];
+                let w =
+                    AMBIGUOUS_NON_ENTITY_WORDS[rng.gen_range(0..AMBIGUOUS_NON_ENTITY_WORDS.len())];
                 tokens.push(w.to_string());
             }
             Part::Hashtag => {
@@ -208,9 +208,7 @@ fn push_mention_of(
 
 fn random_url(rng: &mut SplitMix64) -> String {
     const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789";
-    let tail: String = (0..8)
-        .map(|_| CHARS[rng.gen_range(0..CHARS.len())] as char)
-        .collect();
+    let tail: String = (0..8).map(|_| CHARS[rng.gen_range(0..CHARS.len())] as char).collect();
     format!("https://t.co/{tail}")
 }
 
@@ -234,7 +232,14 @@ mod tests {
         let hashtags = vec!["#covid".to_string()];
         for (i, t) in strong_templates(Topic::Health).iter().enumerate() {
             let tw = generate_tweet(
-                &mut rng, &kb, &sampler, &noise, Topic::Health, &hashtags, t, i as u64,
+                &mut rng,
+                &kb,
+                &sampler,
+                &noise,
+                Topic::Health,
+                &hashtags,
+                t,
+                i as u64,
             );
             assert_eq!(tw.gold.len(), t.entity_slots());
             for g in &tw.gold {
@@ -314,12 +319,17 @@ mod tests {
         let hashtags = vec!["#covid".to_string()];
         for (i, t) in strong_templates(Topic::Health).iter().enumerate() {
             let tw = generate_tweet(
-                &mut rng, &kb, &sampler, &noise, Topic::Health, &hashtags, t, i as u64,
+                &mut rng,
+                &kb,
+                &sampler,
+                &noise,
+                Topic::Health,
+                &hashtags,
+                t,
+                i as u64,
             );
-            let retok: Vec<String> = ngl_text::tokenize(&tw.text())
-                .into_iter()
-                .map(|t| t.text)
-                .collect();
+            let retok: Vec<String> =
+                ngl_text::tokenize(&tw.text()).into_iter().map(|t| t.text).collect();
             assert_eq!(retok, tw.tokens, "tokenizer disagrees on {:?}", tw.text());
         }
     }

@@ -16,7 +16,6 @@
 
 use std::collections::BTreeMap;
 
-
 /// A discovered occurrence of a registered surface form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MentionOccurrence {
@@ -78,11 +77,8 @@ impl CTrie {
     /// Registers a surface form given as tokens. Returns `true` when the
     /// surface was not present before. Empty surfaces are rejected.
     pub fn insert<S: AsRef<str>>(&mut self, surface: &[S]) -> bool {
-        let folded: Vec<String> = surface
-            .iter()
-            .map(|t| fold_token(t.as_ref()))
-            .filter(|t| !t.is_empty())
-            .collect();
+        let folded: Vec<String> =
+            surface.iter().map(|t| fold_token(t.as_ref())).filter(|t| !t.is_empty()).collect();
         if folded.is_empty() {
             return false;
         }

@@ -6,7 +6,6 @@
 //! microblog text — "coronavirus" and "coronaivrus" share most of their
 //! trigrams even though their word buckets differ.
 
-
 /// Sizing of the hashed feature spaces.
 #[derive(Debug, Clone, Copy)]
 pub struct FeatureConfig {
@@ -42,10 +41,8 @@ pub fn hash_token(token: &str, buckets: usize) -> usize {
 /// Tokens shorter than 3 characters hash as a single padded gram.
 pub fn subword_ngrams(token: &str, buckets: usize) -> Vec<usize> {
     let norm = normalize(token);
-    let chars: Vec<char> = std::iter::once('^')
-        .chain(norm.chars())
-        .chain(std::iter::once('$'))
-        .collect();
+    let chars: Vec<char> =
+        std::iter::once('^').chain(norm.chars()).chain(std::iter::once('$')).collect();
     let mut out = Vec::new();
     if chars.len() < 3 {
         let s: String = chars.iter().collect();
@@ -105,11 +102,7 @@ mod tests {
         let t: std::collections::HashSet<_> =
             subword_ngrams("coronaivrus", b).into_iter().collect();
         let inter = a.intersection(&t).count();
-        assert!(
-            inter * 2 >= a.len(),
-            "typo kept only {inter}/{} trigrams",
-            a.len()
-        );
+        assert!(inter * 2 >= a.len(), "typo kept only {inter}/{} trigrams", a.len());
     }
 
     #[test]

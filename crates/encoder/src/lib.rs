@@ -23,7 +23,6 @@
 //! dense trunk, sparse SGD on the embedding tables).
 
 #![allow(clippy::needless_range_loop)] // index loops are idiomatic in the numeric kernels
-
 #![forbid(unsafe_code)]
 
 pub mod features;

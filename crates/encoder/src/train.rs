@@ -33,14 +33,7 @@ pub struct TrainConfig {
 
 impl Default for TrainConfig {
     fn default() -> Self {
-        Self {
-            epochs: 10,
-            patience: 3,
-            lr_dense: 2e-3,
-            lr_table: 0.05,
-            dev_frac: 0.1,
-            seed: 17,
-        }
+        Self { epochs: 10, patience: 3, lr_dense: 2e-3, lr_table: 0.05, dev_frac: 0.1, seed: 17 }
     }
 }
 
@@ -70,10 +63,7 @@ fn prepare(dataset: &Dataset) -> Vec<Example> {
         .filter(|t| !t.tokens.is_empty())
         .map(|t| {
             let tags = encode_bio(t.tokens.len(), &t.gold_spans());
-            Example {
-                tokens: t.tokens.clone(),
-                targets: tags.iter().map(|t| t.index()).collect(),
-            }
+            Example { tokens: t.tokens.clone(), targets: tags.iter().map(|t| t.index()).collect() }
         })
         .collect()
 }
@@ -275,30 +265,22 @@ pub fn tag_dataset(
     tagger: &dyn crate::SequenceTagger,
     dataset: &Dataset,
 ) -> Vec<Vec<ngl_text::Span>> {
-    dataset
-        .tweets
-        .iter()
-        .map(|t| ngl_text::decode_bio(&tagger.tag(&t.tokens)))
-        .collect()
+    dataset.tweets.iter().map(|t| ngl_text::decode_bio(&tagger.tag(&t.tokens))).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::EncoderConfig;
     use crate::features::FeatureConfig;
+    use crate::model::EncoderConfig;
     use ngl_corpus::{Dataset, DatasetSpec, KnowledgeBase, Topic};
 
     fn tiny_setup() -> (TokenEncoder, Dataset, Dataset) {
         let kb = KnowledgeBase::build(11, 60);
-        let train = Dataset::generate(
-            &DatasetSpec::streaming("train", 500, vec![Topic::Health], 21),
-            &kb,
-        );
-        let test = Dataset::generate(
-            &DatasetSpec::streaming("test", 120, vec![Topic::Health], 22),
-            &kb,
-        );
+        let train =
+            Dataset::generate(&DatasetSpec::streaming("train", 500, vec![Topic::Health], 21), &kb);
+        let test =
+            Dataset::generate(&DatasetSpec::streaming("test", 120, vec![Topic::Health], 22), &kb);
         let enc = TokenEncoder::new(EncoderConfig {
             features: FeatureConfig { word_buckets: 2048, sub_buckets: 2048 },
             embed_dim: 16,
@@ -317,17 +299,10 @@ mod tests {
             let exs = prepare(&test);
             eval_loss(&enc, &exs)
         };
-        let stats = train_encoder(
-            &mut enc,
-            &train,
-            &TrainConfig { epochs: 6, ..TrainConfig::default() },
-        );
+        let stats =
+            train_encoder(&mut enc, &train, &TrainConfig { epochs: 6, ..TrainConfig::default() });
         assert!(stats.best_dev_loss < before, "no improvement: {stats:?}");
-        assert!(
-            stats.dev_token_accuracy > 0.85,
-            "dev accuracy {}",
-            stats.dev_token_accuracy
-        );
+        assert!(stats.dev_token_accuracy > 0.85, "dev accuracy {}", stats.dev_token_accuracy);
         // The model should now find at least some entities on held-out
         // tweets from the same stream.
         let exs = prepare(&test);

@@ -7,7 +7,6 @@
 //! predisposition to map entity mentions of these types to more
 //! frequent entity types like Person/Location").
 
-
 use ngl_text::{EntityType, Span};
 
 /// Number of classes in the matrix: L types + "none".
@@ -123,10 +122,7 @@ mod tests {
         let pred = vec![vec![s(0, Person)]];
         let m = ConfusionMatrix::build(&gold, &pred);
         assert_eq!(m.get(Organization.index(), Person.index()), 1);
-        assert_eq!(
-            m.dominant_confusion(Organization),
-            Some((Some(Person), 1))
-        );
+        assert_eq!(m.dominant_confusion(Organization), Some((Some(Person), 1)));
     }
 
     #[test]

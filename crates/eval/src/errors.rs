@@ -10,7 +10,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-
 use ngl_corpus::{EntityId, GoldMention};
 use ngl_text::Span;
 
@@ -41,10 +40,7 @@ impl MissStats {
 /// Computes [`MissStats`]: an entity counts as *seen* when any local
 /// prediction overlaps any of its gold mentions (even a partial overlap
 /// seeds a surface form into the CTrie).
-pub fn fully_missed_entities(
-    gold: &[Vec<GoldMention>],
-    local_pred: &[Vec<Span>],
-) -> MissStats {
+pub fn fully_missed_entities(gold: &[Vec<GoldMention>], local_pred: &[Vec<Span>]) -> MissStats {
     assert_eq!(gold.len(), local_pred.len(), "sentence count mismatch");
     let mut mentions_of: HashMap<EntityId, usize> = HashMap::new();
     let mut seen: HashSet<EntityId> = HashSet::new();
@@ -93,7 +89,11 @@ impl ErrorBreakdown {
     /// Fraction of gold mentions lost to mistyping.
     pub fn mistype_rate(&self) -> f64 {
         let t = self.total_gold();
-        if t == 0 { 0.0 } else { self.mistyped as f64 / t as f64 }
+        if t == 0 {
+            0.0
+        } else {
+            self.mistyped as f64 / t as f64
+        }
     }
 }
 
@@ -133,10 +133,8 @@ mod tests {
 
     #[test]
     fn fully_missed_entity_counts_all_its_mentions() {
-        let gold = vec![
-            vec![gm(0, 1, Person, 1), gm(2, 3, Location, 2)],
-            vec![gm(0, 1, Person, 1)],
-        ];
+        let gold =
+            vec![vec![gm(0, 1, Person, 1), gm(2, 3, Location, 2)], vec![gm(0, 1, Person, 1)]];
         // Local finds the person once (partial overlap counts) but never
         // the location.
         let pred = vec![vec![Span::new(0, 1, Person)], vec![]];

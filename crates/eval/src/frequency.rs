@@ -7,7 +7,6 @@
 
 use std::collections::HashMap;
 
-
 use ngl_corpus::{EntityId, GoldMention};
 use ngl_text::Span;
 
@@ -106,10 +105,8 @@ mod tests {
         for _ in 0..7 {
             gold.push(vec![gm(0, Location, 2)]);
         }
-        let pred: Vec<Vec<Span>> = gold
-            .iter()
-            .map(|g| g.iter().map(|m| m.span).collect())
-            .collect();
+        let pred: Vec<Vec<Span>> =
+            gold.iter().map(|g| g.iter().map(|m| m.span).collect()).collect();
         let bins = recall_by_frequency(&gold, &pred, 5);
         assert_eq!(bins.len(), 2);
         assert_eq!((bins[0].lo, bins[0].hi), (1, 5));
@@ -145,12 +142,9 @@ mod tests {
     #[test]
     fn empty_bins_are_dropped() {
         // One entity with 11 mentions: bins 1-5 and 6-10 are empty.
-        let gold: Vec<Vec<GoldMention>> =
-            (0..11).map(|_| vec![gm(0, Person, 9)]).collect();
-        let pred: Vec<Vec<Span>> = gold
-            .iter()
-            .map(|g| g.iter().map(|m| m.span).collect())
-            .collect();
+        let gold: Vec<Vec<GoldMention>> = (0..11).map(|_| vec![gm(0, Person, 9)]).collect();
+        let pred: Vec<Vec<Span>> =
+            gold.iter().map(|g| g.iter().map(|m| m.span).collect()).collect();
         let bins = recall_by_frequency(&gold, &pred, 5);
         assert_eq!(bins.len(), 1);
         assert_eq!((bins[0].lo, bins[0].hi), (11, 15));

@@ -6,7 +6,6 @@
 //! EMD-only variant relaxes the type requirement and is used for the
 //! §VI-D EMD-gain analysis.
 
-
 use ngl_text::{EntityType, Span};
 
 /// Precision/recall/F1 with raw counts.
@@ -25,7 +24,11 @@ impl TypeScores {
     /// was expected, 0 when predictions exist but none are right).
     pub fn precision(&self) -> f64 {
         if self.tp + self.fp == 0 {
-            if self.fn_ == 0 { 1.0 } else { 0.0 }
+            if self.fn_ == 0 {
+                1.0
+            } else {
+                0.0
+            }
         } else {
             self.tp as f64 / (self.tp + self.fp) as f64
         }
@@ -34,7 +37,11 @@ impl TypeScores {
     /// Recall `tp/(tp+fn)`.
     pub fn recall(&self) -> f64 {
         if self.tp + self.fn_ == 0 {
-            if self.fp == 0 { 1.0 } else { 0.0 }
+            if self.fp == 0 {
+                1.0
+            } else {
+                0.0
+            }
         } else {
             self.tp as f64 / (self.tp + self.fn_) as f64
         }
@@ -44,7 +51,11 @@ impl TypeScores {
     pub fn f1(&self) -> f64 {
         let p = self.precision();
         let r = self.recall();
-        if p + r == 0.0 { 0.0 } else { 2.0 * p * r / (p + r) }
+        if p + r == 0.0 {
+            0.0
+        } else {
+            2.0 * p * r / (p + r)
+        }
     }
 
     /// Accumulates another score's counts.
@@ -106,10 +117,7 @@ pub fn evaluate(gold: &[Vec<Span>], pred: &[Vec<Span>]) -> NerScores {
     for (g_sent, p_sent) in gold.iter().zip(pred) {
         let mut gold_used = vec![false; g_sent.len()];
         for p in p_sent {
-            let hit = g_sent
-                .iter()
-                .enumerate()
-                .find(|(gi, g)| !gold_used[*gi] && g.matches(p));
+            let hit = g_sent.iter().enumerate().find(|(gi, g)| !gold_used[*gi] && g.matches(p));
             match hit {
                 Some((gi, _)) => {
                     gold_used[gi] = true;
@@ -135,10 +143,8 @@ pub fn evaluate_emd(gold: &[Vec<Span>], pred: &[Vec<Span>]) -> TypeScores {
     for (g_sent, p_sent) in gold.iter().zip(pred) {
         let mut gold_used = vec![false; g_sent.len()];
         for p in p_sent {
-            let hit = g_sent
-                .iter()
-                .enumerate()
-                .find(|(gi, g)| !gold_used[*gi] && g.same_boundaries(p));
+            let hit =
+                g_sent.iter().enumerate().find(|(gi, g)| !gold_used[*gi] && g.same_boundaries(p));
             match hit {
                 Some((gi, _)) => {
                     gold_used[gi] = true;

@@ -108,8 +108,8 @@ pub fn mask(src: &str) -> Masked {
                     // prefix in {r, b, br}, optional `#` fence, `"`.
                     // Only applies when this byte starts a token (the
                     // `r` in `from_str` is mid-identifier).
-                    let starts_token = i == 0
-                        || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_');
+                    let starts_token =
+                        i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_');
                     let mut j = i + 1;
                     let mut is_raw = b == b'r';
                     if b == b'b' && bytes.get(j) == Some(&b'r') {
@@ -121,10 +121,7 @@ pub fn mask(src: &str) -> Masked {
                         hashes += 1;
                         j += 1;
                     }
-                    if starts_token
-                        && bytes.get(j) == Some(&b'"')
-                        && (is_raw || j == i + 1)
-                    {
+                    if starts_token && bytes.get(j) == Some(&b'"') && (is_raw || j == i + 1) {
                         for &pb in &bytes[i..j] {
                             out.push(pb); // keep the r/b/# prefix as code
                         }

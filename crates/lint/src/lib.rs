@@ -449,7 +449,9 @@ fn parse_waivers(masked: &Masked, diags: &mut Vec<Diagnostic>, rel: &str) -> Vec
                 name: rule_name("W1").into(),
                 file: rel.into(),
                 line: line + 1,
-                message: format!("waiver for {rule} has no reason — `allow({rule}, <why>)` required"),
+                message: format!(
+                    "waiver for {rule} has no reason — `allow({rule}, <why>)` required"
+                ),
             });
             continue;
         }
@@ -598,9 +600,7 @@ fn rule_r3(ctx: &Ctx, diags: &mut Vec<Diagnostic>) {
                     "`SystemTime` outside ngl-runtime/bench/cli — wall-clock reads break replay determinism".into(),
                 );
             }
-            Some("spawn")
-                if i >= 2 && path_sep(i - 2) && ident(i - 3) == Some("thread") =>
-            {
+            Some("spawn") if i >= 2 && path_sep(i - 2) && ident(i - 3) == Some("thread") => {
                 ctx.push(
                     diags,
                     "R3",
@@ -641,9 +641,8 @@ fn rule_r4(ctx: &Ctx, diags: &mut Vec<Diagnostic>) {
     let mut flagged_lines: Vec<usize> = Vec::new();
     let flush = |seg: &mut String, seg_line: usize, flagged: &mut Vec<usize>| {
         let s = seg.as_str();
-        let zip_reduce = s.contains(".zip(")
-            && (s.contains(".sum") || s.contains(".fold("))
-            && s.contains('*');
+        let zip_reduce =
+            s.contains(".zip(") && (s.contains(".sum") || s.contains(".fold(")) && s.contains('*');
         let fold_acc = s.contains(".fold(0.0") && s.contains('*');
         let norm_chain = s.contains(".map(") && s.contains("powi(2)") && s.contains(".sum");
         if zip_reduce || fold_acc || norm_chain {

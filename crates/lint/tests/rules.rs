@@ -171,7 +171,8 @@ fn r6_fires_on_registry_packages_only() {
 #[test]
 fn r6_accepts_a_path_only_lockfile() {
     let lock = include_str!("fixture_data/r6.lock");
-    let path_only: String = lock.lines().filter(|l| !l.starts_with("source")).collect::<Vec<_>>().join("\n");
+    let path_only: String =
+        lock.lines().filter(|l| !l.starts_with("source")).collect::<Vec<_>>().join("\n");
     assert!(lint_lockfile("Cargo.lock", &path_only).is_empty());
 }
 
@@ -222,11 +223,7 @@ fn workspace_root() -> std::path::PathBuf {
 fn workspace_is_lint_clean_with_reasoned_waivers_only() {
     let report = lint_workspace(&workspace_root()).expect("workspace scan");
     assert!(report.files_scanned > 50, "scan saw {} files", report.files_scanned);
-    assert!(
-        report.clean(),
-        "workspace must lint clean at HEAD:\n{:#?}",
-        report.diagnostics
-    );
+    assert!(report.clean(), "workspace must lint clean at HEAD:\n{:#?}", report.diagnostics);
     for w in &report.waivers {
         assert!(!w.reason.is_empty(), "unreasoned waiver survived: {w:?}");
     }

@@ -141,10 +141,7 @@ pub fn get_quantized_f32_vec(buf: &mut &[u8]) -> Result<Vec<f32>, CodecError> {
     if !scale.is_finite() || scale < 0.0 {
         return Err(CodecError::Invalid("quantized scale"));
     }
-    Ok(take(buf, n as usize)?
-        .iter()
-        .map(|&b| f32::from(i8::from_le_bytes([b])) * scale)
-        .collect())
+    Ok(take(buf, n as usize)?.iter().map(|&b| f32::from(i8::from_le_bytes([b])) * scale).collect())
 }
 
 /// Writes a matrix (rows, cols, data).
@@ -212,8 +209,8 @@ pub fn get_batchnorm(buf: &mut &[u8]) -> Result<crate::layers::BatchNorm1d, Code
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ngl_runtime::rng::SplitMix64;
     use crate::layers::Init;
+    use ngl_runtime::rng::SplitMix64;
 
     fn round_trip<T, W, R>(value: &T, write: W, read: R) -> T
     where
@@ -256,10 +253,7 @@ mod tests {
         put_matrix(&mut buf, &m);
         for cut in 0..buf.len() {
             let mut sliced = &buf[..cut];
-            assert!(
-                get_matrix(&mut sliced).is_err(),
-                "truncation at {cut} must fail"
-            );
+            assert!(get_matrix(&mut sliced).is_err(), "truncation at {cut} must fail");
         }
     }
 
@@ -314,10 +308,7 @@ mod tests {
         put_quantized_f32_slice(&mut buf, &v);
         for cut in 0..buf.len() {
             let mut sliced = &buf[..cut];
-            assert!(
-                get_quantized_f32_vec(&mut sliced).is_err(),
-                "truncation at {cut} must fail"
-            );
+            assert!(get_quantized_f32_vec(&mut sliced).is_err(), "truncation at {cut} must fail");
         }
     }
 }

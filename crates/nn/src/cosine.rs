@@ -152,11 +152,7 @@ mod tests {
             let mut am = a;
             am[i] -= h;
             let fd = (cosine_similarity(&ap, &b) - cosine_similarity(&am, &b)) / (2.0 * h);
-            assert!(
-                (fd - grad[i]).abs() < 1e-3,
-                "grad[{i}]: analytic {} vs fd {fd}",
-                grad[i]
-            );
+            assert!((fd - grad[i]).abs() < 1e-3, "grad[{i}]: analytic {} vs fd {fd}", grad[i]);
         }
     }
 }

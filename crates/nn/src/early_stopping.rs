@@ -20,13 +20,7 @@ pub struct EarlyStopping {
 impl EarlyStopping {
     /// Stop after `patience` consecutive epochs without improvement.
     pub fn new(patience: usize) -> Self {
-        Self {
-            patience,
-            best: f32::INFINITY,
-            best_epoch: 0,
-            epochs_seen: 0,
-            stale: 0,
-        }
+        Self { patience, best: f32::INFINITY, best_epoch: 0, epochs_seen: 0, stale: 0 }
     }
 
     /// Records an epoch's validation value. Returns `true` when the value

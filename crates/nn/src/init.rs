@@ -4,17 +4,14 @@
 //! ReLU stacks. Both take the RNG explicitly so every model in the
 //! workspace is reproducible from a single `u64` seed.
 
-
-use ngl_runtime::rng::SplitMix64;
 use crate::linalg::Matrix;
+use ngl_runtime::rng::SplitMix64;
 
 /// Glorot/Xavier uniform initialization: `U(-l, l)` with
 /// `l = sqrt(6 / (fan_in + fan_out))`.
 pub fn xavier_uniform(rng: &mut SplitMix64, fan_in: usize, fan_out: usize) -> Matrix {
     let limit = (6.0f32 / (fan_in + fan_out) as f32).sqrt();
-    let data = (0..fan_in * fan_out)
-        .map(|_| rng.gen_range(-limit..limit))
-        .collect();
+    let data = (0..fan_in * fan_out).map(|_| rng.gen_range(-limit..limit)).collect();
     Matrix::from_vec(fan_in, fan_out, data)
 }
 
@@ -22,9 +19,7 @@ pub fn xavier_uniform(rng: &mut SplitMix64, fan_in: usize, fan_out: usize) -> Ma
 /// `l = sqrt(6 / fan_in)`.
 pub fn he_uniform(rng: &mut SplitMix64, fan_in: usize, fan_out: usize) -> Matrix {
     let limit = (6.0f32 / fan_in as f32).sqrt();
-    let data = (0..fan_in * fan_out)
-        .map(|_| rng.gen_range(-limit..limit))
-        .collect();
+    let data = (0..fan_in * fan_out).map(|_| rng.gen_range(-limit..limit)).collect();
     Matrix::from_vec(fan_in, fan_out, data)
 }
 

@@ -290,8 +290,8 @@ impl BatchNorm1d {
             for r in 0..b {
                 let g = dy.get(r, c);
                 let xh = cache.x_hat.get(r, c);
-                let v = self.gamma[c] * cache.inv_std[c] / bf
-                    * (bf * g - sum_dy - xh * sum_dy_xhat);
+                let v =
+                    self.gamma[c] * cache.inv_std[c] / bf * (bf * g - sum_dy - xh * sum_dy_xhat);
                 dx.set(r, c, v);
             }
         }
@@ -340,10 +340,7 @@ impl BatchNorm1d {
     /// Parameter/gradient pairs for the optimizer (γ then β).
     pub fn params_and_grads(&mut self) -> [(&mut [f32], &[f32]); 2] {
         let BatchNorm1d { gamma, beta, g_gamma, g_beta, .. } = self;
-        [
-            (gamma.as_mut_slice(), g_gamma.as_slice()),
-            (beta.as_mut_slice(), g_beta.as_slice()),
-        ]
+        [(gamma.as_mut_slice(), g_gamma.as_slice()), (beta.as_mut_slice(), g_beta.as_slice())]
     }
 }
 
@@ -363,10 +360,7 @@ mod tests {
             xm.as_mut_slice()[i] -= h;
             let fd = (f(&xp) - f(&xm)) / (2.0 * h);
             let an = dx.as_slice()[i];
-            assert!(
-                (fd - an).abs() < tol,
-                "element {i}: analytic {an} vs finite-diff {fd}"
-            );
+            assert!((fd - an).abs() < tol, "element {i}: analytic {an} vs finite-diff {fd}");
         }
     }
 
@@ -391,12 +385,7 @@ mod tests {
         let dy = Matrix::from_vec(2, 3, vec![1.0; 6]);
         let mut l = layer.clone();
         let dx = l.backward(&x, &dy);
-        finite_diff_check(
-            |xx| layer.forward(xx).as_slice().iter().sum::<f32>(),
-            &x,
-            &dx,
-            1e-2,
-        );
+        finite_diff_check(|xx| layer.forward(xx).as_slice().iter().sum::<f32>(), &x, &dx, 1e-2);
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub use codec::CodecError;
 pub use cosine::{
     cosine_distance, cosine_similarity, cosine_similarity_prenorm, l2_normalize, l2_normalized,
 };
-pub use kernels::{set_kernel_mode, KernelMode, QuantizedVec};
 pub use early_stopping::EarlyStopping;
+pub use kernels::{set_kernel_mode, KernelMode, QuantizedVec};
 pub use layers::{BatchNorm1d, Dense, L2Norm, Relu};
 pub use linalg::Matrix;
 pub use loss::{soft_nn, triplet, SoftmaxCrossEntropy};

@@ -3,7 +3,6 @@
 //! batch sizes in the low thousands), so plain `ikj`-ordered loops are
 //! fast enough and keep the crate dependency-free.
 
-
 /// A dense row-major matrix of `f32`.
 ///
 /// Rows index samples, columns index features throughout this workspace.

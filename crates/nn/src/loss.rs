@@ -317,19 +317,12 @@ mod tests {
 
     #[test]
     fn soft_nn_lower_when_classes_separated() {
-        let tight = Matrix::from_vec(
-            4,
-            2,
-            vec![1.0, 0.05, 1.0, -0.05, -0.05, 1.0, 0.05, 1.0],
-        );
+        let tight = Matrix::from_vec(4, 2, vec![1.0, 0.05, 1.0, -0.05, -0.05, 1.0, 0.05, 1.0]);
         let mixed = Matrix::from_vec(4, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0]);
         let labels = [0usize, 0, 1, 1];
         let l_tight = soft_nn(&tight, &labels, 0.5).loss;
         let l_mixed = soft_nn(&mixed, &labels, 0.5).loss;
-        assert!(
-            l_tight < l_mixed,
-            "separated batch should score lower: {l_tight} vs {l_mixed}"
-        );
+        assert!(l_tight < l_mixed, "separated batch should score lower: {l_tight} vs {l_mixed}");
     }
 
     #[test]

@@ -70,10 +70,7 @@ impl Mlp {
     /// # Panics
     /// Panics when fewer than two sizes are given.
     pub fn new(config: MlpConfig) -> Self {
-        assert!(
-            config.layer_sizes.len() >= 2,
-            "need at least input and output sizes"
-        );
+        assert!(config.layer_sizes.len() >= 2, "need at least input and output sizes");
         let mut rng = SplitMix64::new(config.seed);
         let mut layers = Vec::new();
         for w in config.layer_sizes.windows(2) {
@@ -89,12 +86,7 @@ impl Mlp {
     fn fresh_states(layers: &[Dense]) -> Vec<AdamState> {
         layers
             .iter()
-            .flat_map(|l| {
-                [
-                    AdamState::new(l.in_dim() * l.out_dim()),
-                    AdamState::new(l.out_dim()),
-                ]
-            })
+            .flat_map(|l| [AdamState::new(l.in_dim() * l.out_dim()), AdamState::new(l.out_dim())])
             .collect()
     }
 
@@ -286,12 +278,7 @@ mod tests {
         let report = mlp.fit(&x, &labels);
         assert!(report.best_val_loss < 0.2, "val loss {}", report.best_val_loss);
         let preds = mlp.predict(&x);
-        let acc = preds
-            .iter()
-            .zip(&labels)
-            .filter(|(p, l)| p == l)
-            .count() as f32
-            / n as f32;
+        let acc = preds.iter().zip(&labels).filter(|(p, l)| p == l).count() as f32 / n as f32;
         assert!(acc > 0.95, "accuracy {acc}");
     }
 
@@ -324,11 +311,8 @@ mod tests {
 
     #[test]
     fn probabilities_sum_to_one() {
-        let mlp = Mlp::new(MlpConfig {
-            layer_sizes: vec![3, 4, 5],
-            seed: 11,
-            ..MlpConfig::default()
-        });
+        let mlp =
+            Mlp::new(MlpConfig { layer_sizes: vec![3, 4, 5], seed: 11, ..MlpConfig::default() });
         let x = Matrix::from_vec(2, 3, vec![0.1, 0.2, 0.3, -0.1, 0.0, 0.4]);
         let p = mlp.predict_proba(&x);
         for r in 0..2 {
@@ -347,11 +331,8 @@ mod tests {
 
     #[test]
     fn clone_preserves_predictions_and_reset_optimizer_is_safe() {
-        let mlp = Mlp::new(MlpConfig {
-            layer_sizes: vec![3, 5, 2],
-            seed: 9,
-            ..MlpConfig::default()
-        });
+        let mlp =
+            Mlp::new(MlpConfig { layer_sizes: vec![3, 5, 2], seed: 9, ..MlpConfig::default() });
         let mut back = mlp.clone();
         back.reset_optimizer();
         let x = Matrix::from_vec(1, 3, vec![0.2, 0.4, -0.6]);

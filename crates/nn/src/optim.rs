@@ -4,7 +4,6 @@
 //! learning rate (§VI), with weight decay for regularization; a plain SGD
 //! is provided for the structured-perceptron-style baselines and tests.
 
-
 /// Per-tensor Adam moment buffers.
 #[derive(Debug, Clone)]
 pub struct AdamState {
@@ -68,8 +67,8 @@ impl Adam {
             state.v[i] = self.beta2 * state.v[i] + (1.0 - self.beta2) * g * g;
             let m_hat = state.m[i] / bc1;
             let v_hat = state.v[i] / bc2;
-            params[i] -= self.lr * (m_hat / (v_hat.sqrt() + self.eps)
-                + self.weight_decay * params[i]);
+            params[i] -=
+                self.lr * (m_hat / (v_hat.sqrt() + self.eps) + self.weight_decay * params[i]);
         }
     }
 }

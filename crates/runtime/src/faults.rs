@@ -232,17 +232,15 @@ impl IoFaultPlan {
         while plan.faults.len() < n_faults && attempts < n_faults * 16 + 64 {
             attempts += 1;
             let op = IoOp::ALL[rng.next_below(IoOp::ALL.len() as u64) as usize];
-            let class =
-                IoPathClass::FAULTABLE[rng.next_below(IoPathClass::FAULTABLE.len() as u64) as usize];
+            let class = IoPathClass::FAULTABLE
+                [rng.next_below(IoPathClass::FAULTABLE.len() as u64) as usize];
             let index = rng.next_below(index_bound);
             let kind = match (op, rng.next_below(4)) {
                 (IoOp::Sync, 0 | 1) => IoFaultKind::SyncFail,
-                (IoOp::Write, 0) => IoFaultKind::TornWrite {
-                    keep_pct: (rng.next_below(100)) as u8,
-                },
-                (_, 1) => IoFaultKind::NoSpace {
-                    span: 1 + rng.next_below(3) as u32,
-                },
+                (IoOp::Write, 0) => {
+                    IoFaultKind::TornWrite { keep_pct: (rng.next_below(100)) as u8 }
+                }
+                (_, 1) => IoFaultKind::NoSpace { span: 1 + rng.next_below(3) as u32 },
                 _ => IoFaultKind::Transient,
             };
             plan.faults.entry((op, class, index)).or_insert(kind);
@@ -258,13 +256,12 @@ impl IoFaultPlan {
             return Some(kind);
         }
         // Walk earlier NoSpace faults whose span covers `index`.
-        self.faults
-            .range((op, class, 0)..(op, class, index))
-            .rev()
-            .find_map(|(&(_, _, start), &kind)| match kind {
+        self.faults.range((op, class, 0)..(op, class, index)).rev().find_map(
+            |(&(_, _, start), &kind)| match kind {
                 IoFaultKind::NoSpace { span } if index < start + span as u64 => Some(kind),
                 _ => None,
-            })
+            },
+        )
     }
 
     /// All planned faults in key order.

@@ -220,11 +220,8 @@ impl Executor {
             if i >= n {
                 break;
             }
-            let item = slots[i]
-                .lock()
-                .expect("item slot poisoned")
-                .take()
-                .expect("item taken once");
+            let item =
+                slots[i].lock().expect("item slot poisoned").take().expect("item taken once");
             match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
                 Ok(r) => *results[i].lock().expect("result slot poisoned") = Some(r),
                 Err(p) => {
@@ -243,11 +240,7 @@ impl Executor {
         }
         results
             .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("result written")
-            })
+            .map(|m| m.into_inner().expect("result slot poisoned").expect("result written"))
             .collect()
     }
 
@@ -323,22 +316,15 @@ impl Executor {
             if i >= n {
                 break;
             }
-            let item = slots[i]
-                .lock()
-                .expect("item slot poisoned")
-                .take()
-                .expect("item taken once");
+            let item =
+                slots[i].lock().expect("item slot poisoned").take().expect("item taken once");
             let r = run(i, item);
             *results[i].lock().expect("result slot poisoned") = Some(r);
         };
         pool.run(workers - 1, &pull);
         results
             .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("result written")
-            })
+            .map(|m| m.into_inner().expect("result slot poisoned").expect("result written"))
             .collect()
     }
 
@@ -366,11 +352,8 @@ impl Executor {
         F: Fn(usize, &[T]) -> R + Sync,
     {
         assert!(chunk_size > 0, "chunk_size must be positive");
-        let chunks: Vec<(usize, &[T])> = items
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(ci, c)| (ci * chunk_size, c))
-            .collect();
+        let chunks: Vec<(usize, &[T])> =
+            items.chunks(chunk_size).enumerate().map(|(ci, c)| (ci * chunk_size, c)).collect();
         self.par_map(chunks, |_, (offset, chunk)| f(offset, chunk))
     }
 }

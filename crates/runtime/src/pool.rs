@@ -236,8 +236,7 @@ impl Pool {
         {
             let mut st = lock_ignore_poison(&self.shared.state);
             for _ in 0..invite {
-                st.injector
-                    .push_back(Ticket { body: Arc::clone(&body), sync: Arc::clone(&sync) });
+                st.injector.push_back(Ticket { body: Arc::clone(&body), sync: Arc::clone(&sync) });
             }
             self.shared.cv.notify_all();
         }
@@ -472,8 +471,7 @@ mod tests {
         // The caller participates, so its copy of the panicking job
         // unwinds back out of `run` — but only after the cancel + wait
         // protocol has completed, and without killing any worker.
-        let unwound =
-            catch_unwind(AssertUnwindSafe(|| pool.run(2, &|| panic!("invariant broke"))));
+        let unwound = catch_unwind(AssertUnwindSafe(|| pool.run(2, &|| panic!("invariant broke"))));
         assert!(unwound.is_err());
         // Workers are still alive and serviceable.
         let hits = AtomicUsize::new(0);

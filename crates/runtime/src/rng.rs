@@ -163,14 +163,7 @@ mod tests {
     fn stream_is_pinned() {
         let mut r = SplitMix64::new(2024);
         let u: Vec<u64> = (0..3).map(|_| r.next_u64()).collect();
-        assert_eq!(
-            u,
-            [
-                11487996472437173461,
-                1793612131670815442,
-                5507758030568793471
-            ]
-        );
+        assert_eq!(u, [11487996472437173461, 1793612131670815442, 5507758030568793471]);
         let a: Vec<usize> = (0..4).map(|_| r.gen_range(0..10usize)).collect();
         assert_eq!(a, [1, 8, 5, 1]);
         let b: Vec<usize> = (0..4).map(|_| r.gen_range(2..=4usize)).collect();
@@ -179,9 +172,7 @@ mod tests {
         assert_eq!(c, [16740, 16880]);
         let d: Vec<u8> = (0..3).map(|_| r.gen_range(0..3u8)).collect();
         assert_eq!(d, [1, 0, 2]);
-        let e: Vec<u32> = (0..3)
-            .map(|_| r.gen_range(-0.5f32..0.5).to_bits())
-            .collect();
+        let e: Vec<u32> = (0..3).map(|_| r.gen_range(-0.5f32..0.5).to_bits()).collect();
         assert_eq!(e, [1056687766, 3190084856, 1050537224]);
         let f: Vec<u64> = (0..2).map(|_| r.gen_range(0.0f64..3.0).to_bits()).collect();
         assert_eq!(f, [4608708458879764310, 4609455839127456246]);
@@ -214,13 +205,6 @@ mod tests {
             })
         }));
         assert!(out.is_err());
-        assert_eq!(
-            seen,
-            [
-                SplitMix64::new(40),
-                SplitMix64::new(41),
-                SplitMix64::new(42)
-            ]
-        );
+        assert_eq!(seen, [SplitMix64::new(40), SplitMix64::new(41), SplitMix64::new(42)]);
     }
 }

@@ -19,11 +19,11 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
+use ngl_core::IoStatsSnapshot;
 use ngl_core::{
     BatchOutput, BatchReport, DegradationMode, DurableError, DurableGlobalizer, NerGlobalizer,
     RetentionPolicy, ShardedGlobalizer, SpillPool,
 };
-use ngl_core::IoStatsSnapshot;
 use ngl_encoder::ContextualTagger;
 
 use crate::stats::{add, raise, ServeStats};
@@ -391,11 +391,7 @@ fn commit_batch<T: ContextualTagger + Clone + Send + Sync>(
             add(&stats.failed, n);
             let msg = e.to_string();
             for item in batch {
-                let ack = Ack {
-                    id: item.id,
-                    status: AckStatus::Failed,
-                    detail: Some(msg.clone()),
-                };
+                let ack = Ack { id: item.id, status: AckStatus::Failed, detail: Some(msg.clone()) };
                 let _ = item.ack.try_send(ack);
             }
         }

@@ -171,7 +171,11 @@ impl<T: ContextualTagger + Clone + Send + Sync + 'static> Server<T> {
         recovery: RecoveryReport,
         cfg: ServeConfig,
     ) -> std::io::Result<Self> {
-        Self::start_store(EngineStore::Single(Box::new(durable)), ServeRecovery::Single(recovery), cfg)
+        Self::start_store(
+            EngineStore::Single(Box::new(durable)),
+            ServeRecovery::Single(recovery),
+            cfg,
+        )
     }
 
     /// [`Self::start`] over a hash-partitioned [`ShardedGlobalizer`]:
@@ -184,7 +188,11 @@ impl<T: ContextualTagger + Clone + Send + Sync + 'static> Server<T> {
         recovery: ShardedRecoveryReport,
         cfg: ServeConfig,
     ) -> std::io::Result<Self> {
-        Self::start_store(EngineStore::Sharded(Box::new(sharded)), ServeRecovery::Sharded(recovery), cfg)
+        Self::start_store(
+            EngineStore::Sharded(Box::new(sharded)),
+            ServeRecovery::Sharded(recovery),
+            cfg,
+        )
     }
 
     fn start_store(
@@ -237,9 +245,8 @@ impl<T: ContextualTagger + Clone + Send + Sync + 'static> Server<T> {
             pressure_shed_milli: cfg.pressure_shed_milli.max(1),
         };
         let accept_shared = shared.clone();
-        let accept_handle = thread::Builder::new()
-            .name("ngl-serve-accept".to_string())
-            .spawn(move || {
+        let accept_handle =
+            thread::Builder::new().name("ngl-serve-accept".to_string()).spawn(move || {
                 for conn in listener.incoming() {
                     if accept_shared.shutdown.load(Ordering::Relaxed) {
                         break;
@@ -368,10 +375,7 @@ fn ingest<T: ContextualTagger>(req: &http::Request, ctx: &HandlerCtx<T>) -> (u16
     let mode = ctx.shared.mode.load(Ordering::Relaxed);
     if mode >= engine::mode_to_u8(ngl_core::DegradationMode::WalOnly) {
         add(&stats.shed_degraded, lines.len() as u64);
-        return (
-            503,
-            format!("{{\"error\":\"degraded\",\"mode\":\"{}\"}}", mode_name(mode)),
-        );
+        return (503, format!("{{\"error\":\"degraded\",\"mode\":\"{}\"}}", mode_name(mode)));
     }
     let pressure = ctx.shared.pressure_milli.load(Ordering::Relaxed);
     if pressure >= ctx.pressure_shed_milli {
@@ -436,8 +440,9 @@ fn ingest<T: ContextualTagger>(req: &http::Request, ctx: &HandlerCtx<T>) -> (u16
                                 "{{\"id\":{id},\"status\":\"{status}\",\"detail\":\"{}\"}}",
                                 json_escape(&detail)
                             )),
-                            None => out
-                                .push_str(&format!("{{\"id\":{id},\"status\":\"{status}\"}}")),
+                            None => {
+                                out.push_str(&format!("{{\"id\":{id},\"status\":\"{status}\"}}"))
+                            }
                         }
                     }
                     Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {

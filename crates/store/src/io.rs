@@ -143,8 +143,7 @@ impl RealIo {
         match self.files.entry(path.to_path_buf()) {
             Entry::Occupied(slot) => Ok(slot.into_mut()),
             Entry::Vacant(slot) => {
-                let file =
-                    OpenOptions::new().read(true).write(true).create(create).open(path)?;
+                let file = OpenOptions::new().read(true).write(true).create(create).open(path)?;
                 Ok(slot.insert(file))
             }
         }
@@ -510,10 +509,7 @@ impl IoHandle {
     /// Runs `op` under the retry policy: transient errors are retried
     /// up to `max_attempts` with backoff, everything else surfaces
     /// immediately.
-    fn run<T>(
-        &self,
-        op: impl Fn(&mut dyn StoreIo) -> std::io::Result<T>,
-    ) -> Result<T, StoreError> {
+    fn run<T>(&self, op: impl Fn(&mut dyn StoreIo) -> std::io::Result<T>) -> Result<T, StoreError> {
         let mut attempt = 0u32;
         loop {
             let result = {
@@ -567,12 +563,7 @@ impl IoHandle {
         self.run(|io| io.write_file(path, data))
     }
 
-    pub(crate) fn write_at(
-        &self,
-        path: &Path,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<(), StoreError> {
+    pub(crate) fn write_at(&self, path: &Path, offset: u64, data: &[u8]) -> Result<(), StoreError> {
         self.run(|io| io.write_at(path, offset, data))
     }
 

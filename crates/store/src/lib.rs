@@ -400,10 +400,7 @@ impl Wal {
         }
         let pre_len = self.active_len;
         let path = segment_path(&self.dir, self.active_seq);
-        let result = self
-            .io
-            .write_at(&path, pre_len, &buf)
-            .and_then(|()| self.io.sync(&path));
+        let result = self.io.write_at(&path, pre_len, &buf).and_then(|()| self.io.sync(&path));
         match result {
             Ok(()) => {
                 self.active_len = pre_len.saturating_add(buf.len() as u64);
@@ -877,11 +874,8 @@ impl PageCacheInner {
             // An empty scan is impossible while `len() > 1`, but a
             // bookkeeping bug here must degrade to an over-budget cache
             // rather than abort ingestion.
-            let Some(oldest) = self
-                .pages
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(&k, _)| k)
+            let Some(oldest) =
+                self.pages.iter().min_by_key(|(_, (_, stamp))| *stamp).map(|(&k, _)| k)
             else {
                 break;
             };
@@ -1079,7 +1073,10 @@ mod tests {
         assert!(!replay.torn_tail);
         assert_eq!(
             replay.records,
-            payloads().into_iter().map(|(tag, payload)| Record { tag, payload }).collect::<Vec<_>>()
+            payloads()
+                .into_iter()
+                .map(|(tag, payload)| Record { tag, payload })
+                .collect::<Vec<_>>()
         );
         std::fs::remove_dir_all(&dir).ok();
     }

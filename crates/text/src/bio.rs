@@ -3,7 +3,6 @@
 //! of a mention) or `I-<type>` (inside a mention). With L = 4 types this
 //! gives 2L+1 = 9 tag classes.
 
-
 use crate::span::Span;
 use crate::types::EntityType;
 
@@ -168,11 +167,8 @@ mod tests {
 
     #[test]
     fn encode_then_decode_is_identity() {
-        let spans = vec![
-            Span::new(0, 2, Person),
-            Span::new(3, 4, Location),
-            Span::new(5, 8, Organization),
-        ];
+        let spans =
+            vec![Span::new(0, 2, Person), Span::new(3, 4, Location), Span::new(5, 8, Organization)];
         let tags = encode_bio(9, &spans);
         assert_eq!(decode_bio(&tags), spans);
     }
@@ -194,10 +190,7 @@ mod tests {
     #[test]
     fn type_switch_inside_mention_splits() {
         let tags = vec![BioTag::B(Person), BioTag::I(Location)];
-        assert_eq!(
-            decode_bio(&tags),
-            vec![Span::new(0, 1, Person), Span::new(1, 2, Location)]
-        );
+        assert_eq!(decode_bio(&tags), vec![Span::new(0, 1, Person), Span::new(1, 2, Location)]);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Typed entity spans over token sequences.
 
-
 use crate::types::EntityType;
 
 /// A typed mention span in token coordinates: tokens
@@ -52,11 +51,7 @@ impl Span {
 
     /// The surface text of this span over a token-text slice.
     pub fn surface<S: AsRef<str>>(&self, tokens: &[S]) -> String {
-        tokens[self.start..self.end]
-            .iter()
-            .map(|s| s.as_ref())
-            .collect::<Vec<_>>()
-            .join(" ")
+        tokens[self.start..self.end].iter().map(|s| s.as_ref()).collect::<Vec<_>>().join(" ")
     }
 }
 

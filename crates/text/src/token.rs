@@ -6,7 +6,6 @@
 //! stream, so tokenization must keep those artifacts intact (a split
 //! "#covid" would never match a CTrie path).
 
-
 /// Classification of a token's surface category.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TokenKind {
@@ -183,11 +182,7 @@ fn truncate_chars(text: &str, max: usize) -> &str {
 }
 
 fn make(text: &str, byte_of: &[usize], start: usize, end: usize, kind: TokenKind) -> Token {
-    Token {
-        text: text[byte_of[start]..byte_of[end]].to_string(),
-        start: byte_of[start],
-        kind,
-    }
+    Token { text: text[byte_of[start]..byte_of[end]].to_string(), start: byte_of[start], kind }
 }
 
 fn starts_with_at(chars: &[char], i: usize, pat: &str) -> bool {
@@ -195,10 +190,7 @@ fn starts_with_at(chars: &[char], i: usize, pat: &str) -> bool {
     if i + p.len() > chars.len() {
         return false;
     }
-    chars[i..i + p.len()]
-        .iter()
-        .zip(&p)
-        .all(|(a, b)| a.eq_ignore_ascii_case(b))
+    chars[i..i + p.len()].iter().zip(&p).all(|(a, b)| a.eq_ignore_ascii_case(b))
 }
 
 fn match_emoticon(chars: &[char], i: usize) -> Option<usize> {
@@ -283,10 +275,7 @@ mod tests {
     #[test]
     fn keeps_hashtags_and_mentions_whole() {
         let t = tokenize("thanks @GovAndyBeshear #coronavirus update");
-        assert_eq!(
-            texts(&t),
-            vec!["thanks", "@GovAndyBeshear", "#coronavirus", "update"]
-        );
+        assert_eq!(texts(&t), vec!["thanks", "@GovAndyBeshear", "#coronavirus", "update"]);
         assert_eq!(t[1].kind, TokenKind::Mention);
         assert_eq!(t[2].kind, TokenKind::Hashtag);
     }
@@ -336,10 +325,7 @@ mod tests {
 
     #[test]
     fn normalize_strips_hashtag_and_case() {
-        assert_eq!(
-            normalize_surface(&["#Coronavirus", "UPDATE"]),
-            "coronavirus update"
-        );
+        assert_eq!(normalize_surface(&["#Coronavirus", "UPDATE"]), "coronavirus update");
     }
 
     #[test]

@@ -121,10 +121,7 @@ mod tests {
         assert_eq!(EntityType::class_index(Some(EntityType::Person)), 0);
         assert_eq!(EntityType::class_index(None), non_entity_class());
         assert_eq!(EntityType::from_class_index(non_entity_class()), None);
-        assert_eq!(
-            EntityType::from_class_index(2),
-            Some(EntityType::Organization)
-        );
+        assert_eq!(EntityType::from_class_index(2), Some(EntityType::Organization));
     }
 
     #[test]

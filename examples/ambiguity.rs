@@ -20,27 +20,19 @@ fn main() {
 
     // Train the stack exactly like quickstart (smaller budgets).
     println!("== training (this takes a few seconds) ==");
-    let train_kb = KnowledgeBase::build_in(
-        seed ^ 1,
-        200,
-        ner_globalizer::corpus::namegen::Universe::Train,
-    );
+    let train_kb =
+        KnowledgeBase::build_in(seed ^ 1, 200, ner_globalizer::corpus::namegen::Universe::Train);
     let d5_kb = KnowledgeBase::build(seed ^ 2, 120);
-    let train_set = Dataset::generate(
-        &DatasetSpec::non_streaming("train", 2_000, seed ^ 0xA),
-        &train_kb,
-    );
+    let train_set =
+        Dataset::generate(&DatasetSpec::non_streaming("train", 2_000, seed ^ 0xA), &train_kb);
     let d5 = Dataset::generate(
         &DatasetSpec::streaming("d5", 1_500, Topic::ALL.to_vec(), seed ^ 0xB),
         &d5_kb,
     );
     let mut local = TokenEncoder::new(EncoderConfig { seed, ..Default::default() });
     train_encoder(&mut local, &train_set, &TrainConfig { epochs: 6, ..Default::default() });
-    let trained = train_globalizer(
-        &local,
-        &d5,
-        &GlobalizerTrainingConfig::for_dim(local.out_dim()),
-    );
+    let trained =
+        train_globalizer(&local, &d5, &GlobalizerTrainingConfig::for_dim(local.out_dim()));
 
     // A hand-written ambiguous stream, echoing the paper's examples.
     let tweets = [
@@ -58,30 +50,22 @@ fn main() {
         "give us a break already",
     ];
     println!("== processing {} hand-written tweets ==\n", tweets.len());
-    let mut pipeline = NerGlobalizer::new(
-        local,
-        trained.phrase,
-        trained.classifier,
-        GlobalizerConfig::default(),
-    );
-    let batch: Vec<Vec<String>> = tweets
-        .iter()
-        .map(|t| tokenize(t).into_iter().map(|tok| tok.text).collect())
-        .collect();
+    let mut pipeline =
+        NerGlobalizer::new(local, trained.phrase, trained.classifier, GlobalizerConfig::default());
+    let batch: Vec<Vec<String>> =
+        tweets.iter().map(|t| tokenize(t).into_iter().map(|tok| tok.text).collect()).collect();
     pipeline.process_batch_owned(batch);
     let out = pipeline.finalize();
 
     for (text, spans) in tweets.iter().zip(&out) {
         let toks: Vec<String> = tokenize(text).into_iter().map(|t| t.text).collect();
-        let rendered: Vec<String> = spans
-            .iter()
-            .map(|s| format!("{} [{}]", s.surface(&toks), s.ty))
-            .collect();
-        println!("  {:<55} -> {}", text, if rendered.is_empty() {
-            "(no entities)".to_string()
-        } else {
-            rendered.join(", ")
-        });
+        let rendered: Vec<String> =
+            spans.iter().map(|s| format!("{} [{}]", s.surface(&toks), s.ty)).collect();
+        println!(
+            "  {:<55} -> {}",
+            text,
+            if rendered.is_empty() { "(no entities)".to_string() } else { rendered.join(", ") }
+        );
     }
 
     // Show the cluster structure behind each ambiguous surface.
@@ -106,10 +90,7 @@ fn main() {
                     Some(None) => "non-entity".to_string(),
                     None => "unclassified".to_string(),
                 };
-                println!(
-                    "    cluster {ci}: {} mention(s) -> {label}",
-                    cluster.members.len()
-                );
+                println!("    cluster {ci}: {} mention(s) -> {label}", cluster.members.len());
             }
         }
     }

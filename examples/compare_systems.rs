@@ -22,17 +22,12 @@ use ner_globalizer::text::{decode_bio, Span};
 fn main() {
     let seed = 55;
     println!("== building data and training all systems ==");
-    let train_kb = KnowledgeBase::build_in(
-        seed ^ 1,
-        200,
-        ner_globalizer::corpus::namegen::Universe::Train,
-    );
+    let train_kb =
+        KnowledgeBase::build_in(seed ^ 1, 200, ner_globalizer::corpus::namegen::Universe::Train);
     let d5_kb = KnowledgeBase::build(seed ^ 2, 120);
     let eval_kb = KnowledgeBase::build(seed ^ 3, 120);
-    let train_set = Dataset::generate(
-        &DatasetSpec::non_streaming("train", 3_000, seed ^ 0xA),
-        &train_kb,
-    );
+    let train_set =
+        Dataset::generate(&DatasetSpec::non_streaming("train", 3_000, seed ^ 0xA), &train_kb);
     let generic = Dataset::generate(
         &DatasetSpec {
             noise: NoiseProfile::clean(),
@@ -52,11 +47,8 @@ fn main() {
     let enc_cfg = EncoderConfig { seed, ..Default::default() };
     let mut local = TokenEncoder::new(enc_cfg);
     train_encoder(&mut local, &train_set, &TrainConfig { epochs: 6, ..Default::default() });
-    let trained = train_globalizer(
-        &local,
-        &d5,
-        &GlobalizerTrainingConfig::for_dim(local.out_dim()),
-    );
+    let trained =
+        train_globalizer(&local, &d5, &GlobalizerTrainingConfig::for_dim(local.out_dim()));
 
     let gold: Vec<Vec<Span>> = stream.tweets.iter().map(|t| t.gold_spans()).collect();
     let sentences: Vec<Vec<String>> = stream.tweets.iter().map(|t| t.tokens.clone()).collect();
@@ -86,7 +78,8 @@ fn main() {
     }
     // Domain-shifted BERT-NER.
     {
-        let bert = BertNer::train(&generic, enc_cfg, &TrainConfig { epochs: 6, ..Default::default() });
+        let bert =
+            BertNer::train(&generic, enc_cfg, &TrainConfig { epochs: 6, ..Default::default() });
         let out: Vec<Vec<Span>> = sentences.iter().map(|s| decode_bio(&bert.tag(s))).collect();
         results.push(("BERT-NER (domain-shifted)", evaluate(&gold, &out).macro_f1()));
     }

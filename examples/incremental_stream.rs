@@ -17,17 +17,12 @@ use ner_globalizer::eval::evaluate;
 fn main() {
     let seed = 33;
     println!("== training (this takes a few seconds) ==");
-    let train_kb = KnowledgeBase::build_in(
-        seed ^ 1,
-        200,
-        ner_globalizer::corpus::namegen::Universe::Train,
-    );
+    let train_kb =
+        KnowledgeBase::build_in(seed ^ 1, 200, ner_globalizer::corpus::namegen::Universe::Train);
     let d5_kb = KnowledgeBase::build(seed ^ 2, 120);
     let eval_kb = KnowledgeBase::build(seed ^ 3, 120);
-    let train_set = Dataset::generate(
-        &DatasetSpec::non_streaming("train", 2_000, seed ^ 0xA),
-        &train_kb,
-    );
+    let train_set =
+        Dataset::generate(&DatasetSpec::non_streaming("train", 2_000, seed ^ 0xA), &train_kb);
     let d5 = Dataset::generate(
         &DatasetSpec::streaming("d5", 1_500, Topic::ALL.to_vec(), seed ^ 0xB),
         &d5_kb,
@@ -38,18 +33,11 @@ fn main() {
     );
     let mut local = TokenEncoder::new(EncoderConfig { seed, ..Default::default() });
     train_encoder(&mut local, &train_set, &TrainConfig { epochs: 6, ..Default::default() });
-    let trained = train_globalizer(
-        &local,
-        &d5,
-        &GlobalizerTrainingConfig::for_dim(local.out_dim()),
-    );
+    let trained =
+        train_globalizer(&local, &d5, &GlobalizerTrainingConfig::for_dim(local.out_dim()));
 
-    let mut pipeline = NerGlobalizer::new(
-        local,
-        trained.phrase,
-        trained.classifier,
-        GlobalizerConfig::default(),
-    );
+    let mut pipeline =
+        NerGlobalizer::new(local, trained.phrase, trained.classifier, GlobalizerConfig::default());
 
     println!("== streaming in batches of 200 tweets ==\n");
     println!("after batch | surfaces | mentions | macro-F1 (all tweets so far)");

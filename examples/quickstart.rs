@@ -23,17 +23,12 @@ fn main() {
 
     // ---- Data: three worlds with disjoint procedural entities. ----
     println!("== generating synthetic corpora ==");
-    let train_kb = KnowledgeBase::build_in(
-        seed ^ 1,
-        200,
-        ner_globalizer::corpus::namegen::Universe::Train,
-    );
+    let train_kb =
+        KnowledgeBase::build_in(seed ^ 1, 200, ner_globalizer::corpus::namegen::Universe::Train);
     let d5_kb = KnowledgeBase::build(seed ^ 2, 120);
     let eval_kb = KnowledgeBase::build(seed ^ 3, 120);
-    let train_set = Dataset::generate(
-        &DatasetSpec::non_streaming("train", 2_000, seed ^ 0xA),
-        &train_kb,
-    );
+    let train_set =
+        Dataset::generate(&DatasetSpec::non_streaming("train", 2_000, seed ^ 0xA), &train_kb);
     let d5 = Dataset::generate(
         &DatasetSpec::streaming("d5", 1_500, Topic::ALL.to_vec(), seed ^ 0xB),
         &d5_kb,
@@ -52,11 +47,8 @@ fn main() {
     // ---- Local NER: the BERTweet stand-in. ----
     println!("== fine-tuning the Local NER encoder ==");
     let mut local = TokenEncoder::new(EncoderConfig { seed, ..Default::default() });
-    let stats = train_encoder(
-        &mut local,
-        &train_set,
-        &TrainConfig { epochs: 6, ..Default::default() },
-    );
+    let stats =
+        train_encoder(&mut local, &train_set, &TrainConfig { epochs: 6, ..Default::default() });
     println!(
         "   {} epochs, dev token accuracy {:.1}%",
         stats.epochs_run,
@@ -76,12 +68,8 @@ fn main() {
 
     // ---- Stream processing. ----
     println!("== streaming {} tweets through the pipeline ==", stream.tweets.len());
-    let mut pipeline = NerGlobalizer::new(
-        local,
-        trained.phrase,
-        trained.classifier,
-        GlobalizerConfig::default(),
-    );
+    let mut pipeline =
+        NerGlobalizer::new(local, trained.phrase, trained.classifier, GlobalizerConfig::default());
     for batch in stream.batches(200) {
         let tokens: Vec<Vec<String>> = batch.iter().map(|t| t.tokens.clone()).collect();
         pipeline.process_batch_owned(tokens);

@@ -179,10 +179,7 @@ fn v2_checkpoint_resume_is_bitwise_identical() {
 #[test]
 fn checkpoint_preserves_eviction_state() {
     let stream = gen_stream(77, 16);
-    let cfg = GlobalizerConfig {
-        retention: RetentionPolicy::MaxTweets(3),
-        ..Default::default()
-    };
+    let cfg = GlobalizerConfig { retention: RetentionPolicy::MaxTweets(3), ..Default::default() };
     let mut reference = pipeline(cfg);
     let ref_out = drive(&mut reference, &stream);
 

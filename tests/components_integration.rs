@@ -39,22 +39,15 @@ fn ambiguous_surface_resolves_into_typed_clusters() {
         for j in 0..25 {
             let rows = [sense_embedding(axis, 0.02 * j as f32, dim)];
             let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-            examples.push(CandidateExample {
-                locals: Matrix::from_rows(&refs),
-                class,
-            });
+            examples.push(CandidateExample { locals: Matrix::from_rows(&refs), class });
         }
     }
     // Every one of ten initialization seeds must type both clusters,
     // so a single lucky seed cannot hide a miss.
     let groups = clustering.groups();
     for seed in 0..10 {
-        let mut clf = EntityClassifier::new(ClassifierConfig {
-            dim,
-            hidden: 16,
-            seed,
-            ..Default::default()
-        });
+        let mut clf =
+            EntityClassifier::new(ClassifierConfig { dim, hidden: 16, seed, ..Default::default() });
         clf.fit(&examples);
 
         // Classify each discovered cluster through the global embedding.

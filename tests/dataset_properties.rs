@@ -45,10 +45,8 @@ fn streaming_datasets_repeat_entities_far_more_than_random_ones() {
         let s = d.stats();
         s.total_mentions as f64 / s.unique_entities.max(1) as f64
     };
-    let streaming_mean: f64 =
-        data.streaming_eval().iter().map(rate).sum::<f64>() / 4.0;
-    let random_mean: f64 =
-        data.non_streaming_eval().iter().map(rate).sum::<f64>() / 2.0;
+    let streaming_mean: f64 = data.streaming_eval().iter().map(rate).sum::<f64>() / 4.0;
+    let random_mean: f64 = data.non_streaming_eval().iter().map(rate).sum::<f64>() / 2.0;
     assert!(
         streaming_mean > 3.0 * random_mean,
         "stream recurrence {streaming_mean:.1} vs random {random_mean:.1}"
@@ -75,10 +73,7 @@ fn train_and_eval_entity_lexicons_are_disjoint() {
     // Only the universal pools (first names, "north"/"new"-style prefixes,
     // "of") may be shared; they are a small minority of eval tokens.
     let frac = shared.len() as f64 / eval_tokens.len().max(1) as f64;
-    assert!(
-        frac < 0.25,
-        "too much lexical overlap between train and eval entities: {frac:.2}"
-    );
+    assert!(frac < 0.25, "too much lexical overlap between train and eval entities: {frac:.2}");
 }
 
 #[test]

@@ -59,7 +59,11 @@ impl ContextualTagger for HashTagger {
             emb.row_mut(i)[h % DIM] = 1.0;
         }
         let tags = self.tag(tokens);
-        SentenceEncoding { embeddings: emb, tags, probs: Matrix::zeros(tokens.len(), BioTag::COUNT) }
+        SentenceEncoding {
+            embeddings: emb,
+            tags,
+            probs: Matrix::zeros(tokens.len(), BioTag::COUNT),
+        }
     }
 }
 
@@ -81,9 +85,26 @@ fn full_cfg(retention: RetentionPolicy) -> GlobalizerConfig {
 /// spill has many distinct candidates to choose victims from).
 fn gen_stream(seed: u64, n: usize) -> Vec<Vec<String>> {
     const VOCAB: [&str; 20] = [
-        "Beshear", "Italy", "Madrid", "Wolves", "Andy", "Breonna", "Louisville", "Taylor",
-        "spoke", "won", "today", "about", "stream", "covid", "rally", "again", "masks", "court",
-        "protest", "governor",
+        "Beshear",
+        "Italy",
+        "Madrid",
+        "Wolves",
+        "Andy",
+        "Breonna",
+        "Louisville",
+        "Taylor",
+        "spoke",
+        "won",
+        "today",
+        "about",
+        "stream",
+        "covid",
+        "rally",
+        "again",
+        "masks",
+        "court",
+        "protest",
+        "governor",
     ];
     let mut rng = SplitMix64::new(seed);
     (0..n)
@@ -109,10 +130,7 @@ fn delta_bytes_per_batch_stay_sublinear_in_stream_length() {
     let dir = scratch("delta");
     // MentionExtraction skips the (quadratic) clustering stages — the
     // byte accounting under test is identical in every ablation mode.
-    let cfg = GlobalizerConfig {
-        ablation: AblationMode::MentionExtraction,
-        ..Default::default()
-    };
+    let cfg = GlobalizerConfig { ablation: AblationMode::MentionExtraction, ..Default::default() };
     let (mut durable, _) = DurableGlobalizer::open(pipeline(1, cfg), &dir, 10).expect("open");
     let mut deltas = Vec::new();
     for chunk in stream.chunks(BATCH) {
@@ -163,9 +181,12 @@ fn spill_cold_caps_resident_memory_without_changing_output() {
         );
 
         let dir = scratch(&format!("spill-{threads}t"));
-        let (mut durable, _) =
-            DurableGlobalizer::open(pipeline(threads, full_cfg(RetentionPolicy::SpillCold(BUDGET))), &dir, 6)
-                .expect("open");
+        let (mut durable, _) = DurableGlobalizer::open(
+            pipeline(threads, full_cfg(RetentionPolicy::SpillCold(BUDGET))),
+            &dir,
+            6,
+        )
+        .expect("open");
         let mut got: Vec<Vec<Span>> = Vec::new();
         for chunk in stream.chunks(BATCH) {
             durable.process_batch(chunk.to_vec()).expect("batch");
@@ -263,9 +284,8 @@ fn frozen_mentions_of_evicted_tweets_go_stale_on_trie_growth() {
     let v1 = p.trie_version();
 
     // Push the early tweets out of retention with filler...
-    let filler: Vec<Vec<String>> = (0..6)
-        .map(|_| vec!["about".into(), "stream".into(), "covid".into()])
-        .collect();
+    let filler: Vec<Vec<String>> =
+        (0..6).map(|_| vec!["about".into(), "stream".into(), "covid".into()]).collect();
     p.process_batch_owned(filler);
     p.finalize();
     assert!(p.tweet_base().first_retained() >= 2, "early tweets must be evicted");

@@ -134,9 +134,7 @@ fn stopword_only_detections_never_become_candidates() {
     // The untrained tagger tags arbitrarily; whatever it does, the
     // stopword filter must keep bare function words out of the CTrie.
     let mut p = untrained_pipeline(AblationMode::FullGlobal);
-    let batch: Vec<Vec<String>> = (0..30)
-        .map(|_| toks("the of in and to for this that"))
-        .collect();
+    let batch: Vec<Vec<String>> = (0..30).map(|_| toks("the of in and to for this that")).collect();
     p.process_batch(&batch);
     p.finalize();
     for (surface, _) in p.candidate_base().iter() {

@@ -71,7 +71,11 @@ impl ContextualTagger for FaultyTagger {
             emb.row_mut(0)[0] = f32::NAN;
         }
         let tags = self.tag(tokens);
-        SentenceEncoding { embeddings: emb, tags, probs: Matrix::zeros(tokens.len(), BioTag::COUNT) }
+        SentenceEncoding {
+            embeddings: emb,
+            tags,
+            probs: Matrix::zeros(tokens.len(), BioTag::COUNT),
+        }
     }
 }
 
@@ -204,11 +208,7 @@ fn run_stream(
     for (b, chunk) in stream.chunks(BATCH).enumerate() {
         let offset = b * BATCH;
         let (_, report) = p.try_process_batch_with_ids(chunk.to_vec());
-        assert_eq!(
-            report.rejected.len(),
-            report.errors.len(),
-            "one typed error per rejection"
-        );
+        assert_eq!(report.rejected.len(), report.errors.len(), "one typed error per rejection");
         for (slot, err) in report.rejected.iter().zip(&report.errors) {
             assert_eq!(err.index, *slot, "error indices mirror rejected slots");
             rejected.insert(offset + slot);

@@ -121,7 +121,11 @@ fn fingerprint(p: &NerGlobalizer<CapTagger>) -> Fingerprint {
         .collect()
 }
 
-fn run(mode: KernelMode, threads: usize, stream: &[(u64, Vec<String>)]) -> (Vec<Vec<Span>>, Fingerprint) {
+fn run(
+    mode: KernelMode,
+    threads: usize,
+    stream: &[(u64, Vec<String>)],
+) -> (Vec<Vec<Span>>, Fingerprint) {
     set_kernel_mode(mode);
     let exec = if threads <= 1 { Executor::sequential() } else { Executor::new(threads) };
     let mut p = pipeline(exec);

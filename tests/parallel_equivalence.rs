@@ -115,8 +115,20 @@ const ALL_MODES: [AblationMode; 4] = [
 /// lowercase twins only surface through the CTrie scan, and the filler
 /// words keep tweets realistic (and exercise the stopword filter).
 const VOCAB: [&str; 14] = [
-    "Beshear", "beshear", "Italy", "italy", "Covid", "covid", "Louisville", "louisville",
-    "the", "a", "today", "spoke", "won", "masks",
+    "Beshear",
+    "beshear",
+    "Italy",
+    "italy",
+    "Covid",
+    "covid",
+    "Louisville",
+    "louisville",
+    "the",
+    "a",
+    "today",
+    "spoke",
+    "won",
+    "masks",
 ];
 
 /// 1–4 batches of 0–5 tweets of 1–7 vocab tokens each.
@@ -156,7 +168,11 @@ fn parallel_runs_are_bitwise_identical_to_sequential() {
                 // continuous-execution setup of §III.
                 assert_eq!(seq.finalize(), par.finalize(), "outputs diverge in {mode:?}");
             }
-            assert_eq!(state_fingerprint(&seq), state_fingerprint(&par), "state diverges in {mode:?}");
+            assert_eq!(
+                state_fingerprint(&seq),
+                state_fingerprint(&par),
+                "state diverges in {mode:?}"
+            );
         }
     });
 }
@@ -225,11 +241,7 @@ fn shared_pool_with_giant_surfaces_is_bitwise_identical_to_sequential() {
             assert_eq!(a.local_spans, b.local_spans, "local spans diverge in {mode:?}");
             assert_eq!(seq.finalize(), par.finalize(), "outputs diverge in {mode:?}");
         }
-        assert_eq!(
-            state_fingerprint(&seq),
-            state_fingerprint(&par),
-            "state diverges in {mode:?}"
-        );
+        assert_eq!(state_fingerprint(&seq), state_fingerprint(&par), "state diverges in {mode:?}");
     }
     // The skew actually crossed the giant threshold (both pipelines
     // agree, so checking one suffices).
@@ -238,12 +250,8 @@ fn shared_pool_with_giant_surfaces_is_bitwise_identical_to_sequential() {
         probe.process_batch(batch);
     }
     probe.finalize();
-    let giant_mentions = probe
-        .candidate_base()
-        .iter()
-        .map(|(_, e)| e.mentions.len())
-        .max()
-        .unwrap_or(0);
+    let giant_mentions =
+        probe.candidate_base().iter().map(|(_, e)| e.mentions.len()).max().unwrap_or(0);
     assert!(
         giant_mentions >= 128,
         "stream must produce a giant surface (max mentions: {giant_mentions})"
@@ -274,11 +282,7 @@ fn repeated_incremental_finalize_equals_single_finalize() {
         }
         let full_out = full.finalize();
         assert_eq!(inc_out, full_out, "outputs diverge in {mode:?}");
-        assert_eq!(
-            state_fingerprint(&inc),
-            state_fingerprint(&full),
-            "state diverges in {mode:?}"
-        );
+        assert_eq!(state_fingerprint(&inc), state_fingerprint(&full), "state diverges in {mode:?}");
     }
 }
 

@@ -20,10 +20,8 @@ fn build_stack(seed: u64) -> Stack {
     let train_kb = KnowledgeBase::build_in(seed ^ 1, 150, Universe::Train);
     let d5_kb = KnowledgeBase::build(seed ^ 2, 100);
     let eval_kb = KnowledgeBase::build(seed ^ 3, 100);
-    let train_set = Dataset::generate(
-        &DatasetSpec::non_streaming("train", 1_200, seed ^ 0xA),
-        &train_kb,
-    );
+    let train_set =
+        Dataset::generate(&DatasetSpec::non_streaming("train", 1_200, seed ^ 0xA), &train_kb);
     let d5 = Dataset::generate(
         &DatasetSpec::streaming("d5", 900, Topic::ALL.to_vec(), seed ^ 0xB),
         &d5_kb,
@@ -70,17 +68,11 @@ fn global_ner_beats_local_ner_on_a_stream() {
     let (local, global) = run(&stack, AblationMode::FullGlobal);
     let lf = evaluate(&gold, &local).macro_f1();
     let gf = evaluate(&gold, &global).macro_f1();
-    assert!(
-        gf > lf,
-        "Global NER ({gf:.3}) must beat Local NER ({lf:.3}) on a stream"
-    );
+    assert!(gf > lf, "Global NER ({gf:.3}) must beat Local NER ({lf:.3}) on a stream");
     // EMD (boundary-only) should improve too (§VI-D).
     let le = evaluate_emd(&gold, &local).f1();
     let ge = evaluate_emd(&gold, &global).f1();
-    assert!(
-        ge > le - 0.02,
-        "EMD quality regressed badly: local {le:.3} vs global {ge:.3}"
-    );
+    assert!(ge > le - 0.02, "EMD quality regressed badly: local {le:.3} vs global {ge:.3}");
 }
 
 #[test]
@@ -113,8 +105,7 @@ fn local_only_mode_matches_local_outputs() {
 #[test]
 fn batched_and_single_shot_processing_agree() {
     let stack = build_stack(101);
-    let toks: Vec<Vec<String>> =
-        stack.stream.tweets.iter().map(|t| t.tokens.clone()).collect();
+    let toks: Vec<Vec<String>> = stack.stream.tweets.iter().map(|t| t.tokens.clone()).collect();
     let mut p1 = NerGlobalizer::new(
         stack.local.clone(),
         stack.trained.phrase.clone(),

@@ -49,11 +49,7 @@ fn shared_cfg() -> GlobalizerConfig {
 fn tweet_text(id: u64) -> String {
     let people = ["Alice Fern", "Bob Quill", "Cara Moss", "Dan Reed"];
     let places = ["Paris", "Oslo", "Lima", "Cairo"];
-    format!(
-        "{} visits {} again t{id}",
-        people[(id % 4) as usize],
-        places[((id / 4) % 4) as usize]
-    )
+    format!("{} visits {} again t{id}", people[(id % 4) as usize], places[((id / 4) % 4) as usize])
 }
 
 fn tweet_tokens(id: u64) -> Vec<String> {
@@ -82,9 +78,7 @@ fn json_u64(body: &str, key: &str) -> u64 {
     let pat = format!("\"{key}\":");
     let rest = &body[body.find(&pat).unwrap_or_else(|| panic!("{key} in {body}")) + pat.len()..];
     let rest = rest.trim_start_matches('"');
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
+    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
     rest[..end].parse().unwrap_or_else(|_| panic!("numeric {key} in {body}"))
 }
 
@@ -142,7 +136,9 @@ fn get_bytes(addr: &str, path: &str) -> Vec<u8> {
     let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
     let content_length: usize = head
         .split("\r\n")
-        .find_map(|l| l.split_once(':').filter(|(n, _)| n.trim().eq_ignore_ascii_case("content-length")))
+        .find_map(|l| {
+            l.split_once(':').filter(|(n, _)| n.trim().eq_ignore_ascii_case("content-length"))
+        })
         .and_then(|(_, v)| v.trim().parse().ok())
         .expect("content-length");
     let mut body = buf[head_end + 4..].to_vec();
@@ -238,20 +234,15 @@ fn concurrent_clients_coalesce_into_batches_and_queries_see_finalized_state() {
         assert!(Instant::now() < deadline, "snapshot never caught up: {digest}");
         std::thread::sleep(Duration::from_millis(20));
     }
-    let (status, tagged) = client
-        .get(&format!("/tag?q={}", percent_encode("Alice Fern visits Paris")))
-        .expect("tag");
+    let (status, tagged) =
+        client.get(&format!("/tag?q={}", percent_encode("Alice Fern visits Paris"))).expect("tag");
     assert_eq!(status, 200);
     assert!(tagged.contains("\"tokens\":[\"Alice\""), "echoes tokens: {tagged}");
     assert!(tagged.contains("\"spans\":["), "has a spans array: {tagged}");
-    let (status, surface) = client
-        .get(&format!("/surface?s={}", percent_encode("Alice Fern")))
-        .expect("surface");
+    let (status, surface) =
+        client.get(&format!("/surface?s={}", percent_encode("Alice Fern"))).expect("surface");
     assert_eq!(status, 200);
-    assert!(
-        surface.contains("\"known\":true"),
-        "an ingested surface is in the trie: {surface}"
-    );
+    assert!(surface.contains("\"known\":true"), "an ingested surface is in the trie: {surface}");
     assert!(json_u64(&surface, "mentions") > 0, "mentions counted: {surface}");
     let (status, health) = client.get("/health").expect("health");
     assert_eq!(status, 200);
@@ -465,9 +456,8 @@ fn enospc_degrades_to_typed_sheds_while_queries_stay_up() {
     assert_eq!(json_u64(&stats, "failed"), 1);
 
     // The query path never touches the WAL: still up, still typed.
-    let (status, tagged) = client
-        .get(&format!("/tag?q={}", percent_encode("Alice Fern visits Paris")))
-        .expect("tag");
+    let (status, tagged) =
+        client.get(&format!("/tag?q={}", percent_encode("Alice Fern visits Paris"))).expect("tag");
     assert_eq!(status, 200);
     assert!(tagged.contains("\"spans\":["));
 
@@ -502,10 +492,7 @@ fn queue_overflow_sheds_typed_per_tweet() {
     let results = parse_results(&body);
     assert_eq!(results.len() as u64, LINES, "every line gets a typed status");
     let shed = results.iter().filter(|(_, s)| s == "shed_queue_full").count();
-    let acked = results
-        .iter()
-        .filter(|(_, s)| s == "acked" || s == "acked_truncated")
-        .count();
+    let acked = results.iter().filter(|(_, s)| s == "acked" || s == "acked_truncated").count();
     assert!(shed >= 1, "a full queue must shed: {body}");
     assert!(acked >= 1, "the enqueued head must still commit");
     assert_eq!(shed + acked, LINES as usize, "typed statuses only: {body}");

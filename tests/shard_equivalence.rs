@@ -63,7 +63,11 @@ impl ContextualTagger for HashTagger {
             emb.row_mut(i)[h % DIM] = 1.0;
         }
         let tags = self.tag(tokens);
-        SentenceEncoding { embeddings: emb, tags, probs: Matrix::zeros(tokens.len(), BioTag::COUNT) }
+        SentenceEncoding {
+            embeddings: emb,
+            tags,
+            probs: Matrix::zeros(tokens.len(), BioTag::COUNT),
+        }
     }
 }
 
@@ -89,9 +93,26 @@ fn full_cfg() -> GlobalizerConfig {
 /// FNV ownership rule scatters surfaces across every shard.
 fn gen_stream(seed: u64, n: usize) -> Vec<Vec<String>> {
     const VOCAB: [&str; 20] = [
-        "Beshear", "Italy", "Madrid", "Wolves", "Andy", "Breonna", "Louisville", "Taylor",
-        "spoke", "won", "today", "about", "stream", "covid", "rally", "again", "masks", "court",
-        "protest", "governor",
+        "Beshear",
+        "Italy",
+        "Madrid",
+        "Wolves",
+        "Andy",
+        "Breonna",
+        "Louisville",
+        "Taylor",
+        "spoke",
+        "won",
+        "today",
+        "about",
+        "stream",
+        "covid",
+        "rally",
+        "again",
+        "masks",
+        "court",
+        "protest",
+        "governor",
     ];
     let mut rng = SplitMix64::new(seed);
     (0..n)

@@ -71,7 +71,11 @@ impl ContextualTagger for HashTagger {
             emb.row_mut(i)[h % DIM] = 1.0;
         }
         let tags = self.tag(tokens);
-        SentenceEncoding { embeddings: emb, tags, probs: Matrix::zeros(tokens.len(), BioTag::COUNT) }
+        SentenceEncoding {
+            embeddings: emb,
+            tags,
+            probs: Matrix::zeros(tokens.len(), BioTag::COUNT),
+        }
     }
 }
 
@@ -91,9 +95,26 @@ fn full_cfg(retention: RetentionPolicy) -> GlobalizerConfig {
 
 fn gen_stream(seed: u64, n: usize) -> Vec<Vec<String>> {
     const VOCAB: [&str; 20] = [
-        "Beshear", "Italy", "Madrid", "Wolves", "Andy", "Breonna", "Louisville", "Taylor",
-        "spoke", "won", "today", "about", "stream", "covid", "rally", "again", "masks", "court",
-        "protest", "governor",
+        "Beshear",
+        "Italy",
+        "Madrid",
+        "Wolves",
+        "Andy",
+        "Breonna",
+        "Louisville",
+        "Taylor",
+        "spoke",
+        "won",
+        "today",
+        "about",
+        "stream",
+        "covid",
+        "rally",
+        "again",
+        "masks",
+        "court",
+        "protest",
+        "governor",
     ];
     let mut rng = SplitMix64::new(seed);
     (0..n)
@@ -119,11 +140,7 @@ const SPILL_BUDGET: usize = 4 * 1024;
 /// Opens a durable globalizer, retrying through open-time faults (the
 /// fault schedule advances with every attempted IO call, so a bounded
 /// number of reopens always gets through).
-fn open_retrying(
-    threads: usize,
-    dir: &Path,
-    io: &IoHandle,
-) -> DurableGlobalizer<HashTagger> {
+fn open_retrying(threads: usize, dir: &Path, io: &IoHandle) -> DurableGlobalizer<HashTagger> {
     for _ in 0..100 {
         match DurableGlobalizer::open_with_io(
             pipeline(threads, full_cfg(RetentionPolicy::SpillCold(SPILL_BUDGET))),
@@ -175,11 +192,7 @@ fn run_chaos(threads: usize, dir: &Path, plan: IoFaultPlan) -> ChaosOutcome {
         };
     }
     assert!(!durable.has_pending_finalize(), "retried finalizes must all have committed");
-    ChaosOutcome {
-        spans,
-        digest: durable.inner().state_digest(),
-        report: durable.degradation(),
-    }
+    ChaosOutcome { spans, digest: durable.inner().state_digest(), report: durable.degradation() }
 }
 
 /// Reopens `dir` with real IO and a fresh pipeline, returning the
@@ -356,12 +369,9 @@ fn enospc_degrades_to_read_only_and_clears_when_space_returns() {
 
     durable.finalize().expect("finalize");
     drop(durable);
-    let (recovered, report) = DurableGlobalizer::open(
-        pipeline(1, full_cfg(RetentionPolicy::Unbounded)),
-        &dir,
-        100,
-    )
-    .expect("reopen");
+    let (recovered, report) =
+        DurableGlobalizer::open(pipeline(1, full_cfg(RetentionPolicy::Unbounded)), &dir, 100)
+            .expect("reopen");
     assert_eq!(report.replayed_batches, 1, "exactly one batch record must be durable");
     assert_eq!(recovered.inner().tweet_base().len(), batch.len());
     let _ = std::fs::remove_dir_all(&dir);
@@ -404,12 +414,9 @@ fn fsync_failure_rolls_back_the_finalize_mark() {
         assert!(matches!(err, DurableError::Store(StoreError::Io(_))), "typed error: {err}");
         assert!(durable.has_pending_finalize(), "failed finalize must be stashed, not acked");
     } // dropped mid-degradation: simulated crash
-    let (_, report) = DurableGlobalizer::open(
-        pipeline(1, full_cfg(RetentionPolicy::Unbounded)),
-        &dir,
-        100,
-    )
-    .expect("reopen after crash");
+    let (_, report) =
+        DurableGlobalizer::open(pipeline(1, full_cfg(RetentionPolicy::Unbounded)), &dir, 100)
+            .expect("reopen after crash");
     assert_eq!(report.replayed_batches, 1, "the batch committed before the finalize");
     assert_eq!(
         report.replayed_finalizes, 0,
@@ -422,12 +429,9 @@ fn fsync_failure_rolls_back_the_finalize_mark() {
     // verifies (the double-apply the old code produced would fail it).
     let want = {
         let dir = scratch("fsync-ref");
-        let (mut clean, _) = DurableGlobalizer::open(
-            pipeline(1, full_cfg(RetentionPolicy::Unbounded)),
-            &dir,
-            100,
-        )
-        .expect("open clean");
+        let (mut clean, _) =
+            DurableGlobalizer::open(pipeline(1, full_cfg(RetentionPolicy::Unbounded)), &dir, 100)
+                .expect("open clean");
         clean.process_batch(batch.clone()).expect("batch");
         let out = clean.finalize().expect("finalize");
         let _ = std::fs::remove_dir_all(&dir);
@@ -451,12 +455,9 @@ fn fsync_failure_rolls_back_the_finalize_mark() {
         assert!(!durable.has_pending_finalize());
         assert!(durable.degradation().wal_commit_failures >= 1, "the failure left a trace");
     }
-    let (_, report) = DurableGlobalizer::open(
-        pipeline(1, full_cfg(RetentionPolicy::Unbounded)),
-        &dir,
-        100,
-    )
-    .expect("reopen after retry — a duplicated mark would digest-mismatch here");
+    let (_, report) =
+        DurableGlobalizer::open(pipeline(1, full_cfg(RetentionPolicy::Unbounded)), &dir, 100)
+            .expect("reopen after retry — a duplicated mark would digest-mismatch here");
     assert_eq!(report.replayed_finalizes, 1, "the retried mark must be durable exactly once");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -467,8 +468,7 @@ fn fsync_failure_rolls_back_the_finalize_mark() {
 #[test]
 fn rotation_fault_interplay_leaks_no_segments_and_compacts_nothing_early() {
     let dir = scratch("rotate");
-    let records: Vec<(u8, Vec<u8>)> =
-        (0u8..5).map(|i| (1, vec![i; 64])).collect();
+    let records: Vec<(u8, Vec<u8>)> = (0u8..5).map(|i| (1, vec![i; 64])).collect();
 
     // Rotation's segment-create write fails (torn to nothing).
     let plan = IoFaultPlan::new().with_fault(IoFault {
@@ -598,12 +598,9 @@ fn snapshot_failure_degrades_to_wal_only_and_heals_on_retry() {
     assert_eq!(durable.stats().snapshots, 0);
 
     // The WAL alone still recovers everything acknowledged so far.
-    let (probe, recovery) = DurableGlobalizer::open(
-        pipeline(1, full_cfg(RetentionPolicy::Unbounded)),
-        &dir,
-        1,
-    )
-    .expect("WAL-only store recovers");
+    let (probe, recovery) =
+        DurableGlobalizer::open(pipeline(1, full_cfg(RetentionPolicy::Unbounded)), &dir, 1)
+            .expect("WAL-only store recovers");
     assert_eq!(recovery.snapshot_seq, None, "no snapshot exists yet");
     assert_eq!(probe.inner().state_digest(), durable.inner().state_digest());
     drop(probe);

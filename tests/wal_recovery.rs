@@ -60,7 +60,11 @@ impl ContextualTagger for HashTagger {
             emb.row_mut(i)[h % DIM] = 1.0;
         }
         let tags = self.tag(tokens);
-        SentenceEncoding { embeddings: emb, tags, probs: Matrix::zeros(tokens.len(), BioTag::COUNT) }
+        SentenceEncoding {
+            embeddings: emb,
+            tags,
+            probs: Matrix::zeros(tokens.len(), BioTag::COUNT),
+        }
     }
 }
 
@@ -160,13 +164,11 @@ fn assert_prefix_recovery(
     reference: &BTreeMap<u64, Vec<u8>>,
     what: &str,
 ) -> u64 {
-    let (durable, report) =
-        DurableGlobalizer::open(pipeline(threads), dir, checkpoint_every)
-            .unwrap_or_else(|e| panic!("{what}: recovery failed: {e}"));
+    let (durable, report) = DurableGlobalizer::open(pipeline(threads), dir, checkpoint_every)
+        .unwrap_or_else(|e| panic!("{what}: recovery failed: {e}"));
     let op = durable.op_seq();
-    let state = reference
-        .get(&op)
-        .unwrap_or_else(|| panic!("{what}: landed on unrecorded op {op}"));
+    let state =
+        reference.get(&op).unwrap_or_else(|| panic!("{what}: landed on unrecorded op {op}"));
     assert_eq!(
         durable.inner().export_state_bytes(),
         &state[..],
