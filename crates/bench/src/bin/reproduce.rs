@@ -107,7 +107,7 @@ fn write_timings_json(
              \"delta_bytes_avg\": {:.1}, \"delta_bytes_last\": {}, \
              \"snapshot_bytes_last\": {}, \"wal_bytes_total\": {}, \
              \"snapshots\": {}, \"sublinear\": {}, \
-             \"snapshot_q_bytes\": {}, \"snapshot_f32_bytes\": {}, \
+             \"snapshot_q_bytes\": {}, \
              \"spill_bytes\": {}, \"page_cache_hits\": {}, \
              \"page_cache_misses\": {}, \"io_retries\": {}, \
              \"io_retry_exhausted\": {}}}",
@@ -120,7 +120,6 @@ fn write_timings_json(
             s.snapshots,
             s.sublinear,
             s.snapshot_q_bytes,
-            s.snapshot_f32_bytes,
             s.spill_bytes,
             s.page_cache_hits,
             s.page_cache_misses,

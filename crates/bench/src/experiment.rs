@@ -182,7 +182,7 @@ impl Experiment {
         );
         for batch in dataset.batches(500) {
             let tokens: Vec<Vec<String>> = batch.iter().map(|t| t.tokens.clone()).collect();
-            pipeline.process_batch_owned(tokens);
+            pipeline.ingest(tokens, None);
         }
         let global = pipeline.finalize();
         PipelineRun { local: pipeline.local_outputs(), global, timings: pipeline.timings() }

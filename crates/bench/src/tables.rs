@@ -76,7 +76,7 @@ pub fn table2(exp: &Experiment) -> String {
                     ngl_core::GlobalizerConfig::default(),
                 );
                 let toks: Vec<Vec<String>> = d.tweets.iter().map(|t| t.tokens.clone()).collect();
-                p.process_batch_owned(toks);
+                p.ingest(toks, None);
                 let out = p.finalize();
                 let gold = Experiment::gold_of(d);
                 f1s.push(evaluate(&gold, &out).macro_f1());
@@ -440,7 +440,7 @@ pub fn debug_surfaces(exp: &Experiment, dataset_name: &str) -> String {
         ngl_core::GlobalizerConfig::default(),
     );
     let tokens: Vec<Vec<String>> = d.tweets.iter().map(|t| t.tokens.clone()).collect();
-    pipeline.process_batch_owned(tokens);
+    pipeline.ingest(tokens, None);
     pipeline.finalize();
     let mut by_label: std::collections::BTreeMap<String, Vec<(usize, String)>> =
         std::collections::BTreeMap::new();
@@ -481,7 +481,7 @@ pub fn ablations(exp: &Experiment) -> String {
                 cfg,
             );
             let toks: Vec<Vec<String>> = d.tweets.iter().map(|t| t.tokens.clone()).collect();
-            p.process_batch_owned(toks);
+            p.ingest(toks, None);
             let out = p.finalize();
             let gold = Experiment::gold_of(d);
             f1s.push(evaluate(&gold, &out).macro_f1());
@@ -541,7 +541,7 @@ pub fn ablations(exp: &Experiment) -> String {
                 base,
             );
             let toks: Vec<Vec<String>> = d.tweets.iter().map(|t| t.tokens.clone()).collect();
-            p.process_batch_owned(toks);
+            p.ingest(toks, None);
             let out = p.finalize();
             let gold = Experiment::gold_of(d);
             f1s.push(evaluate(&gold, &out).macro_f1());
@@ -584,10 +584,8 @@ pub struct StoreBenchResult {
     /// Whether the per-batch delta stayed below the snapshot size —
     /// the sublinearity claim the store exists to deliver.
     pub sublinear: bool,
-    /// Final state re-encoded through the quantized (v4) snapshot codec.
+    /// Final state re-encoded through the (quantized) snapshot codec.
     pub snapshot_q_bytes: u64,
-    /// The same state through the previous full-`f32` (v3) codec.
-    pub snapshot_f32_bytes: u64,
     /// Live bytes in the cold-surface spill file (quantized codec); 0
     /// when the retention policy never spills.
     pub spill_bytes: u64,
@@ -631,7 +629,7 @@ pub fn store_bench(
     let mut delta_total = 0u64;
     let mut delta_last = 0u64;
     for batch in stream.chunks(40) {
-        durable.process_batch(batch.to_vec()).map_err(|e| e.to_string())?;
+        durable.ingest(batch.to_vec(), None).map_err(|e| e.to_string())?;
         durable.finalize().map_err(|e| e.to_string())?;
         delta_last = durable.stats().delta_bytes_last;
         delta_total += delta_last;
@@ -643,7 +641,6 @@ pub fn store_bench(
         durable.snapshot().map_err(|e| e.to_string())?;
     }
     let stats = durable.stats();
-    let (snapshot_q_bytes, snapshot_f32_bytes) = durable.inner().snapshot_codec_bytes();
     Ok(StoreBenchResult {
         tweets: stream.len(),
         batches,
@@ -653,8 +650,7 @@ pub fn store_bench(
         wal_bytes_total: stats.wal_bytes_total,
         snapshots: stats.snapshots,
         sublinear: delta_last < stats.snapshot_bytes_last,
-        snapshot_q_bytes,
-        snapshot_f32_bytes,
+        snapshot_q_bytes: durable.inner().export_state_bytes().len() as u64,
         spill_bytes: durable.spill_pool().map_or(0, |p| p.live_bytes()),
         page_cache_hits: durable.spill_pool().map_or(0, |p| p.page_cache_stats().0),
         page_cache_misses: durable.spill_pool().map_or(0, |p| p.page_cache_stats().1),
@@ -827,8 +823,7 @@ pub fn parallel_table(r: &ParallelBenchResult) -> String {
     )
 }
 
-/// Renders the [`store_bench`] comparison as a one-row bench table,
-/// with the quantized-vs-f32 snapshot codec sizes alongside.
+/// Renders the [`store_bench`] comparison as a one-row bench table.
 pub fn store_table(r: &StoreBenchResult) -> String {
     let rows = vec![vec![
         r.tweets.to_string(),
@@ -838,12 +833,6 @@ pub fn store_table(r: &StoreBenchResult) -> String {
         r.snapshot_bytes_last.to_string(),
         format!("{:.4}", r.delta_bytes_last as f64 / r.snapshot_bytes_last.max(1) as f64),
         if r.sublinear { "yes" } else { "NO" }.to_string(),
-        format!(
-            "{}/{} ({:.2})",
-            r.snapshot_q_bytes,
-            r.snapshot_f32_bytes,
-            r.snapshot_q_bytes as f64 / r.snapshot_f32_bytes.max(1) as f64
-        ),
         r.spill_bytes.to_string(),
         format!("{}/{}", r.page_cache_hits, r.page_cache_misses),
         format!("{}/{}", r.io_retries, r.io_retry_exhausted),
@@ -858,7 +847,6 @@ pub fn store_table(r: &StoreBenchResult) -> String {
             "SnapshotB",
             "Ratio",
             "Sublinear",
-            "SnapQ/F32",
             "SpillB",
             "PgHit/Miss",
             "IoRetry",

@@ -272,7 +272,7 @@ fn cmd_tag(flags: &HashMap<String, String>) -> Result<(), String> {
                     report.combined_digest
                 );
             }
-            sharded.process_batch(tweets.clone()).map_err(|e| e.to_string())?;
+            sharded.ingest(tweets.clone(), None).map_err(|e| e.to_string())?;
             let all = sharded.finalize().map_err(|e| e.to_string())?;
             for (i, health) in sharded.degradations().iter().enumerate() {
                 if health.is_degraded() {
@@ -305,7 +305,7 @@ fn cmd_tag(flags: &HashMap<String, String>) -> Result<(), String> {
                     if report.torn_tail { " (torn tail discarded)" } else { "" }
                 );
             }
-            durable.process_batch(tweets.clone()).map_err(|e| e.to_string())?;
+            durable.ingest(tweets.clone(), None).map_err(|e| e.to_string())?;
             let all = durable.finalize().map_err(|e| e.to_string())?;
             let health = durable.degradation();
             if health.is_degraded() {
@@ -327,7 +327,7 @@ fn cmd_tag(flags: &HashMap<String, String>) -> Result<(), String> {
         }
         None => {
             let mut pipeline = pipeline;
-            pipeline.process_batch(&tweets);
+            pipeline.ingest(tweets.clone(), None);
             (pipeline.finalize(), pipeline.n_surfaces(), false)
         }
     };
@@ -430,9 +430,10 @@ fn cmd_recover(flags: &HashMap<String, String>) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
     println!("store:              {dir}");
     print_recovery_section(&report);
-    let (q_bytes, f_bytes) = durable.inner().snapshot_codec_bytes();
-    let pct = if f_bytes > 0 { 100.0 * q_bytes as f64 / f_bytes as f64 } else { 100.0 };
-    println!("snapshot bytes:     {q_bytes} quantized vs {f_bytes} f32 ({pct:.1}%)");
+    println!(
+        "snapshot bytes:     {} (quantized codec)",
+        durable.inner().export_state_bytes().len()
+    );
     if let Some(pool) = durable.spill_pool() {
         println!(
             "spill bytes:        {} live / {} file (quantized codec)",

@@ -8,7 +8,7 @@
 //! mid-stream instead of losing position and re-finalizing from
 //! scratch. The model components (encoder, phrase embedder,
 //! classifier) are serialized separately by `GlobalizerBundle`, which
-//! embeds this checkpoint in its v2 layout.
+//! embeds this checkpoint in its payload.
 //!
 //! The wire format is the workspace's little-endian `ngl_nn::codec`
 //! style: explicit field-by-field layout, length-prefixed collections,
@@ -22,25 +22,20 @@
 //! decrease): re-inserting the surfaces reproduces the version, which
 //! [`get_checkpoint`] verifies.
 //!
-//! The codec is **versioned** alongside the `GlobalizerBundle` layout:
-//! v4 (current) stores mention and cluster embeddings through the
+//! Mention, cluster and cached span embeddings are stored through the
 //! quantized codec (`ngl_nn::codec::put_quantized_f32_slice`, one `i8`
-//! per element plus a power-of-two scale, ~4× smaller at rest); v3
-//! added the per-mention `trie_version` stamp, the per-surface
-//! `touched` LRU stamp and the `SpillCold` retention tag; v2
-//! checkpoints load with both stamps defaulting to 0. Writers take the
-//! target version explicitly so migration tests can still produce
-//! older bytes. Because the pipeline canonicalizes every embedding at
-//! creation (see `ngl_nn::kernels::canonicalize`), the v4 encoding is
-//! lossless and canonical: decode→re-encode is byte-identical, which
-//! the durable snapshot digests rely on.
+//! per element plus a power-of-two scale, ~4× smaller than `f32`).
+//! Because the pipeline canonicalizes every embedding at creation (see
+//! `ngl_nn::kernels::canonicalize`), the encoding is lossless and
+//! canonical: decode→re-encode is byte-identical, which the durable
+//! snapshot digests rely on.
 
 use std::collections::{BTreeSet, HashMap};
 
 use ngl_ctrie::CTrie;
 use ngl_nn::codec::{
-    get_f32, get_f32_vec, get_matrix, get_u64, put_f32, put_f32_slice, put_matrix, put_u64,
-    CodecError,
+    get_f32, get_matrix, get_quantized_f32_vec, get_u64, put_f32, put_matrix,
+    put_quantized_f32_slice, put_u64, CodecError,
 };
 use ngl_text::{EntityType, Span};
 
@@ -70,33 +65,6 @@ pub struct PipelineCheckpoint {
     pub mention_cache: HashMap<(usize, usize, usize), Vec<f32>>,
     /// Tweet ids already consumed from the stream.
     pub seen_ids: BTreeSet<u64>,
-}
-
-/// Checkpoint layout with quantized embedding storage (bundle v4,
-/// current).
-pub(crate) const CK_V4: u32 = 4;
-/// Checkpoint layout with per-mention trie versions and per-surface
-/// touch stamps, embeddings stored as full `f32` (bundle v3).
-pub(crate) const CK_V3: u32 = 3;
-/// Legacy checkpoint layout without the stamps (bundle v2).
-pub(crate) const CK_V2: u32 = 2;
-
-/// Embedding-slice codec for checkpoint version `v`: quantized from v4
-/// on, full `f32` before.
-fn put_emb(buf: &mut Vec<u8>, v: u32, emb: &[f32]) {
-    if v >= CK_V4 {
-        ngl_nn::codec::put_quantized_f32_slice(buf, emb);
-    } else {
-        put_f32_slice(buf, emb);
-    }
-}
-
-fn get_emb(buf: &mut &[u8], v: u32) -> Result<Vec<f32>, CodecError> {
-    if v >= CK_V4 {
-        ngl_nn::codec::get_quantized_f32_vec(buf)
-    } else {
-        get_f32_vec(buf)
-    }
 }
 
 // ---- primitive helpers ------------------------------------------------
@@ -190,96 +158,96 @@ fn get_spans(buf: &mut &[u8]) -> Result<Vec<Span>, CodecError> {
     Ok(spans)
 }
 
-fn put_mention(buf: &mut Vec<u8>, m: &MentionRecord, v: u32) {
+fn put_mention(buf: &mut Vec<u8>, m: &MentionRecord) {
     put_u64(buf, m.tweet as u64);
     put_u64(buf, m.start as u64);
     put_u64(buf, m.end as u64);
-    put_emb(buf, v, &m.local_emb);
+    put_quantized_f32_slice(buf, &m.local_emb);
     put_opt_type(buf, m.local_type);
-    if v >= CK_V3 {
-        put_u64(buf, m.trie_version);
-    }
+    put_u64(buf, m.trie_version);
 }
 
-fn get_mention(buf: &mut &[u8], v: u32) -> Result<MentionRecord, CodecError> {
+fn get_mention(buf: &mut &[u8]) -> Result<MentionRecord, CodecError> {
     Ok(MentionRecord {
         tweet: get_u64(buf)? as usize,
         start: get_u64(buf)? as usize,
         end: get_u64(buf)? as usize,
-        local_emb: get_emb(buf, v)?,
+        local_emb: get_quantized_f32_vec(buf)?,
         local_type: get_opt_type(buf)?,
-        trie_version: if v >= CK_V3 { get_u64(buf)? } else { 0 },
+        trie_version: get_u64(buf)?,
     })
 }
 
-fn put_cluster(buf: &mut Vec<u8>, c: &CandidateCluster, v: u32) {
+fn put_cluster(buf: &mut Vec<u8>, c: &CandidateCluster) {
     put_u64(buf, c.members.len() as u64);
     for &m in &c.members {
         put_u64(buf, m as u64);
     }
-    put_emb(buf, v, &c.global_emb);
+    put_quantized_f32_slice(buf, &c.global_emb);
     put_label(buf, c.label);
 }
 
-fn get_cluster(buf: &mut &[u8], v: u32) -> Result<CandidateCluster, CodecError> {
+fn get_cluster(buf: &mut &[u8]) -> Result<CandidateCluster, CodecError> {
     let n = get_count(buf, 8)?;
     let mut members = Vec::with_capacity(n);
     for _ in 0..n {
         members.push(get_u64(buf)? as usize);
     }
-    Ok(CandidateCluster { members, global_emb: get_emb(buf, v)?, label: get_label(buf)? })
+    Ok(CandidateCluster {
+        members,
+        global_emb: get_quantized_f32_vec(buf)?,
+        label: get_label(buf)?,
+    })
 }
 
-pub(crate) fn put_entry(buf: &mut Vec<u8>, e: &SurfaceEntry, v: u32) {
+pub(crate) fn put_entry(buf: &mut Vec<u8>, e: &SurfaceEntry) {
     put_u64(buf, e.mentions.len() as u64);
     for m in &e.mentions {
-        put_mention(buf, m, v);
+        put_mention(buf, m);
     }
     put_u64(buf, e.clusters.len() as u64);
     for c in &e.clusters {
-        put_cluster(buf, c, v);
+        put_cluster(buf, c);
     }
     put_u64(buf, e.clustered as u64);
     put_u64(buf, e.classified as u64);
-    if v >= CK_V3 {
-        put_u64(buf, e.touched);
-    }
+    put_u64(buf, e.touched);
 }
 
-pub(crate) fn get_entry(buf: &mut &[u8], v: u32) -> Result<SurfaceEntry, CodecError> {
+pub(crate) fn get_entry(buf: &mut &[u8]) -> Result<SurfaceEntry, CodecError> {
     let n = get_count(buf, 40)?;
     let mut mentions = Vec::with_capacity(n);
     for _ in 0..n {
-        mentions.push(get_mention(buf, v)?);
+        mentions.push(get_mention(buf)?);
     }
     let n = get_count(buf, 24)?;
     let mut clusters = Vec::with_capacity(n);
     for _ in 0..n {
-        clusters.push(get_cluster(buf, v)?);
+        clusters.push(get_cluster(buf)?);
     }
     Ok(SurfaceEntry {
         mentions,
         clusters,
         clustered: get_u64(buf)? as usize,
         classified: get_u64(buf)? as usize,
-        touched: if v >= CK_V3 { get_u64(buf)? } else { 0 },
+        touched: get_u64(buf)?,
     })
 }
 
-fn put_candidates(buf: &mut Vec<u8>, cb: &CandidateBase, v: u32) {
+fn put_candidates(buf: &mut Vec<u8>, cb: &CandidateBase) {
     put_u64(buf, cb.len() as u64);
     for (surface, entry) in cb.iter() {
         put_str(buf, surface);
-        put_entry(buf, entry, v);
+        put_entry(buf, entry);
     }
 }
 
-fn get_candidates(buf: &mut &[u8], v: u32) -> Result<CandidateBase, CodecError> {
+fn get_candidates(buf: &mut &[u8]) -> Result<CandidateBase, CodecError> {
     let n = get_count(buf, 24)?;
     let mut cb = CandidateBase::new();
     for _ in 0..n {
         let surface = get_str(buf)?;
-        let entry = get_entry(buf, v)?;
+        let entry = get_entry(buf)?;
         cb.insert_entry(surface, entry);
     }
     Ok(cb)
@@ -417,13 +385,12 @@ fn get_config(buf: &mut &[u8]) -> Result<GlobalizerConfig, CodecError> {
 
 // ---- checkpoint codec -------------------------------------------------
 
-/// Appends the checkpoint to `buf` in the canonical layout for codec
-/// version `v` ([`CK_V2`], [`CK_V3`] or [`CK_V4`]).
-pub(crate) fn put_checkpoint(buf: &mut Vec<u8>, ck: &PipelineCheckpoint, v: u32) {
+/// Appends the checkpoint to `buf` in its canonical layout.
+pub(crate) fn put_checkpoint(buf: &mut Vec<u8>, ck: &PipelineCheckpoint) {
     put_config(buf, &ck.cfg);
     put_ctrie(buf, &ck.ctrie);
     put_tweets(buf, &ck.tweets);
-    put_candidates(buf, &ck.candidates, v);
+    put_candidates(buf, &ck.candidates);
     put_u64(buf, ck.scanned_tweets as u64);
     put_u64(buf, ck.scanned_version);
     let mut keys: Vec<&(usize, usize, usize)> = ck.mention_cache.keys().collect();
@@ -433,7 +400,7 @@ pub(crate) fn put_checkpoint(buf: &mut Vec<u8>, ck: &PipelineCheckpoint, v: u32)
         put_u64(buf, k.0 as u64);
         put_u64(buf, k.1 as u64);
         put_u64(buf, k.2 as u64);
-        put_emb(buf, v, &ck.mention_cache[k]);
+        put_quantized_f32_slice(buf, &ck.mention_cache[k]);
     }
     put_u64(buf, ck.seen_ids.len() as u64);
     for &id in &ck.seen_ids {
@@ -441,13 +408,12 @@ pub(crate) fn put_checkpoint(buf: &mut Vec<u8>, ck: &PipelineCheckpoint, v: u32)
     }
 }
 
-/// Parses a checkpoint written by [`put_checkpoint`] at codec
-/// version `v`.
-pub(crate) fn get_checkpoint(buf: &mut &[u8], v: u32) -> Result<PipelineCheckpoint, CodecError> {
+/// Parses a checkpoint written by [`put_checkpoint`].
+pub(crate) fn get_checkpoint(buf: &mut &[u8]) -> Result<PipelineCheckpoint, CodecError> {
     let cfg = get_config(buf)?;
     let ctrie = get_ctrie(buf)?;
     let tweets = get_tweets(buf)?;
-    let candidates = get_candidates(buf, v)?;
+    let candidates = get_candidates(buf)?;
     let scanned_tweets = get_u64(buf)? as usize;
     let scanned_version = get_u64(buf)?;
     let n = get_count(buf, 32)?;
@@ -456,7 +422,7 @@ pub(crate) fn get_checkpoint(buf: &mut &[u8], v: u32) -> Result<PipelineCheckpoi
         let t = get_u64(buf)? as usize;
         let s = get_u64(buf)? as usize;
         let e = get_u64(buf)? as usize;
-        mention_cache.insert((t, s, e), get_emb(buf, v)?);
+        mention_cache.insert((t, s, e), get_quantized_f32_vec(buf)?);
     }
     let n = get_count(buf, 8)?;
     let mut seen_ids = BTreeSet::new();
@@ -537,21 +503,24 @@ mod tests {
         }
     }
 
-    fn to_bytes(ck: &PipelineCheckpoint, v: u32) -> Vec<u8> {
+    fn to_bytes(ck: &PipelineCheckpoint) -> Vec<u8> {
         let mut buf = Vec::new();
-        put_checkpoint(&mut buf, ck, v);
+        put_checkpoint(&mut buf, ck);
         buf
     }
 
     #[test]
     fn round_trip_is_canonical() {
         let ck = sample();
-        let bytes = to_bytes(&ck, CK_V3);
+        let bytes = to_bytes(&ck);
         let mut cursor = &bytes[..];
-        let back = get_checkpoint(&mut cursor, CK_V3).expect("parse");
+        let back = get_checkpoint(&mut cursor).expect("parse");
         assert!(cursor.is_empty(), "no trailing bytes");
-        // Canonical serialization ⇒ byte equality is deep equality.
-        assert_eq!(to_bytes(&back, CK_V3), bytes);
+        // Decoded embeddings are the quantization round-trip of the
+        // originals: re-encoding them is byte-identical even though the
+        // sample's raw values were not canonical. Canonical
+        // serialization ⇒ byte equality is deep equality.
+        assert_eq!(to_bytes(&back), bytes);
         assert_eq!(back.tweets.first_retained(), 1);
         assert_eq!(back.tweets.len(), 2);
         assert_eq!(back.ctrie.version(), 2);
@@ -561,45 +530,17 @@ mod tests {
         let entry = back.candidates.get("beshear").expect("entry");
         assert_eq!(entry.mentions[0].trie_version, 2);
         assert_eq!(entry.touched, 1);
-    }
-
-    #[test]
-    fn v2_layout_omits_the_stamps_and_loads_them_as_zero() {
-        let ck = sample();
-        let v2 = to_bytes(&ck, CK_V2);
-        let v3 = to_bytes(&ck, CK_V3);
-        // One mention + one entry each drop a u64 stamp in v2.
-        assert_eq!(v2.len() + 16, v3.len());
-        let mut cursor = &v2[..];
-        let back = get_checkpoint(&mut cursor, CK_V2).expect("parse v2");
-        assert!(cursor.is_empty(), "no trailing bytes");
-        let entry = back.candidates.get("beshear").expect("entry");
-        assert_eq!(entry.mentions[0].trie_version, 0);
-        assert_eq!(entry.touched, 0);
-    }
-
-    #[test]
-    fn v4_round_trip_is_canonical_and_smaller() {
-        let ck = sample();
-        let v4 = to_bytes(&ck, CK_V4);
-        let v3 = to_bytes(&ck, CK_V3);
-        assert!(v4.len() < v3.len(), "quantized layout must shrink: {} vs {}", v4.len(), v3.len());
-        let mut cursor = &v4[..];
-        let back = get_checkpoint(&mut cursor, CK_V4).expect("parse v4");
-        assert!(cursor.is_empty(), "no trailing bytes");
-        // Decoded embeddings are the quantization round-trip of the
-        // originals: re-encoding them is byte-identical even though the
-        // sample's raw values were not canonical.
-        assert_eq!(to_bytes(&back, CK_V4), v4);
-        let entry = back.candidates.get("beshear").expect("entry");
         let orig = &ck.candidates.get("beshear").expect("entry").mentions[0].local_emb;
         let got = &entry.mentions[0].local_emb;
         let scale = ngl_nn::QuantizedVec::quantize(orig).scale;
         for (a, b) in orig.iter().zip(got) {
             assert!((a - b).abs() <= scale * 0.5, "{a} vs {b}");
         }
-        // Canonical (pre-round-tripped) embeddings survive v4 exactly.
-        let mut canon = ck.clone();
+    }
+
+    #[test]
+    fn canonical_embeddings_are_stored_losslessly() {
+        let mut canon = sample();
         for (_, e) in canon.candidates.iter_mut() {
             for m in &mut e.mentions {
                 ngl_nn::kernels::canonicalize(&mut m.local_emb);
@@ -611,43 +552,29 @@ mod tests {
         for v in canon.mention_cache.values_mut() {
             ngl_nn::kernels::canonicalize(v);
         }
-        let back = get_checkpoint(&mut &to_bytes(&canon, CK_V4)[..], CK_V4).expect("parse canon");
+        let back = get_checkpoint(&mut &to_bytes(&canon)[..]).expect("parse canon");
         assert_eq!(
             back.candidates.get("beshear").expect("entry").mentions[0].local_emb,
             canon.candidates.get("beshear").expect("entry").mentions[0].local_emb,
-            "canonical embeddings are stored losslessly"
         );
-    }
-
-    #[test]
-    fn v4_truncation_fails_cleanly_everywhere() {
-        let bytes = to_bytes(&sample(), CK_V4);
-        for cut in 0..bytes.len() {
-            let mut truncated = &bytes[..cut];
-            assert!(
-                get_checkpoint(&mut truncated, CK_V4).is_err(),
-                "cut at {cut} of {} parsed",
-                bytes.len()
-            );
-        }
     }
 
     #[test]
     fn spill_cold_retention_round_trips() {
         let mut ck = sample();
         ck.cfg.retention = RetentionPolicy::SpillCold(1 << 20);
-        let bytes = to_bytes(&ck, CK_V3);
-        let back = get_checkpoint(&mut &bytes[..], CK_V3).expect("parse");
+        let bytes = to_bytes(&ck);
+        let back = get_checkpoint(&mut &bytes[..]).expect("parse");
         assert_eq!(back.cfg.retention, RetentionPolicy::SpillCold(1 << 20));
     }
 
     #[test]
     fn truncation_fails_cleanly_everywhere() {
-        let bytes = to_bytes(&sample(), CK_V3);
+        let bytes = to_bytes(&sample());
         for cut in 0..bytes.len() {
             let mut truncated = &bytes[..cut];
             assert!(
-                get_checkpoint(&mut truncated, CK_V3).is_err(),
+                get_checkpoint(&mut truncated).is_err(),
                 "cut at {cut} of {} parsed",
                 bytes.len()
             );
@@ -661,6 +588,6 @@ mod tests {
         put_config(&mut buf, &GlobalizerConfig::default());
         put_u64(&mut buf, 0); // trie version
         put_u64(&mut buf, u64::MAX); // surface count
-        assert!(get_checkpoint(&mut &buf[..], CK_V3).is_err());
+        assert!(get_checkpoint(&mut &buf[..]).is_err());
     }
 }

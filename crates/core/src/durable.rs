@@ -57,7 +57,7 @@ use ngl_store::{
 };
 
 use crate::bases::SurfaceEntry;
-use crate::checkpoint::{get_entry, get_str, put_entry, put_str, CK_V4};
+use crate::checkpoint::{get_entry, get_str, put_entry, put_str};
 use crate::persist::PersistError;
 use crate::pipeline::{BatchOutput, BatchReport, NerGlobalizer, RetentionPolicy};
 use ngl_runtime::TaskError;
@@ -160,7 +160,7 @@ impl SpillPool {
     ) -> Result<u64, StoreError> {
         let mut buf = Vec::new();
         put_str(&mut buf, surface);
-        put_entry(&mut buf, entry, CK_V4);
+        put_entry(&mut buf, entry);
         put_u64(&mut buf, cache.len() as u64);
         for ((t, s, e), emb) in cache {
             put_u64(&mut buf, *t as u64);
@@ -187,7 +187,7 @@ impl SpillPool {
         if stored != surface {
             return Err(StoreError::Corrupt("spill payload names a different surface"));
         }
-        let entry = get_entry(&mut buf, CK_V4).map_err(corrupt)?;
+        let entry = get_entry(&mut buf).map_err(corrupt)?;
         let n = get_u64(&mut buf).map_err(corrupt)? as usize;
         if n > entry.mentions.len() {
             return Err(StoreError::Corrupt("spill cache count exceeds mentions"));
@@ -248,10 +248,6 @@ const TAG_FINALIZE: u8 = 2;
 const TAG_EVICT: u8 = 3;
 const TAG_SPILL: u8 = 4;
 const TAG_SNAPSHOT: u8 = 5;
-/// A finalize mark carrying a `flags` word. Written only when some
-/// flag is set, so stores that never degrade stay byte-identical to
-/// the v1 format (and readable by older binaries).
-const TAG_FINALIZE_V2: u8 = 6;
 
 /// Finalize flag: the digest was computed on a state that diverged
 /// from fault-free replay (a spill fault pinned or dropped an entry),
@@ -276,7 +272,7 @@ pub(crate) enum WalRecord {
         surfaces: u64,
         mentions: u64,
         digest: u64,
-        /// See [`FINALIZE_FLAG_UNVERIFIED`]; `0` encodes as v1.
+        /// See [`FINALIZE_FLAG_UNVERIFIED`].
         flags: u64,
     },
     /// Retention moved the eviction boundary during the finalize of
@@ -286,6 +282,31 @@ pub(crate) enum WalRecord {
     Spill { op_seq: u64, count: u64, bytes: u64 },
     /// A full snapshot sequenced at `op_seq` was durably written.
     Snapshot { op_seq: u64, bytes: u64 },
+}
+
+/// Encodes a [`WalRecord::Batch`] from borrowed inputs, so a live
+/// batch is logged without copying it first.
+///
+/// # Panics
+/// Panics when `ids` is given with a length other than `tweets`'.
+fn encode_batch(op_seq: u64, ids: Option<&[u64]>, tweets: &[Vec<String>]) -> (u8, Vec<u8>) {
+    if let Some(ids) = ids {
+        assert_eq!(ids.len(), tweets.len(), "one id per tweet");
+    }
+    let mut buf = Vec::new();
+    put_u64(&mut buf, op_seq);
+    put_u64(&mut buf, ids.is_some() as u64);
+    put_u64(&mut buf, tweets.len() as u64);
+    for (i, tokens) in tweets.iter().enumerate() {
+        if let Some(ids) = ids {
+            put_u64(&mut buf, ids[i]);
+        }
+        put_u64(&mut buf, tokens.len() as u64);
+        for t in tokens {
+            put_str(&mut buf, t);
+        }
+    }
+    (TAG_BATCH, buf)
 }
 
 impl WalRecord {
@@ -303,19 +324,7 @@ impl WalRecord {
         let mut buf = Vec::new();
         let tag = match self {
             WalRecord::Batch { op_seq, ids, tweets } => {
-                put_u64(&mut buf, *op_seq);
-                put_u64(&mut buf, ids.is_some() as u64);
-                put_u64(&mut buf, tweets.len() as u64);
-                for (i, tokens) in tweets.iter().enumerate() {
-                    if let Some(ids) = ids {
-                        put_u64(&mut buf, ids[i]);
-                    }
-                    put_u64(&mut buf, tokens.len() as u64);
-                    for t in tokens {
-                        put_str(&mut buf, t);
-                    }
-                }
-                TAG_BATCH
+                return encode_batch(*op_seq, ids.as_deref(), tweets);
             }
             WalRecord::Finalize {
                 op_seq,
@@ -327,17 +336,19 @@ impl WalRecord {
                 digest,
                 flags,
             } => {
-                for v in
-                    [op_seq, watermark, first_retained, ctrie_version, surfaces, mentions, digest]
-                {
+                for v in [
+                    op_seq,
+                    watermark,
+                    first_retained,
+                    ctrie_version,
+                    surfaces,
+                    mentions,
+                    digest,
+                    flags,
+                ] {
                     put_u64(&mut buf, *v);
                 }
-                if *flags == 0 {
-                    TAG_FINALIZE
-                } else {
-                    put_u64(&mut buf, *flags);
-                    TAG_FINALIZE_V2
-                }
+                TAG_FINALIZE
             }
             WalRecord::Evict { op_seq, first_retained } => {
                 put_u64(&mut buf, *op_seq);
@@ -393,7 +404,7 @@ impl WalRecord {
                 }
                 WalRecord::Batch { op_seq, ids, tweets }
             }
-            TAG_FINALIZE | TAG_FINALIZE_V2 => {
+            TAG_FINALIZE => {
                 let op_seq = get_u64(&mut buf)?;
                 let watermark = get_u64(&mut buf)?;
                 let first_retained = get_u64(&mut buf)?;
@@ -401,7 +412,7 @@ impl WalRecord {
                 let surfaces = get_u64(&mut buf)?;
                 let mentions = get_u64(&mut buf)?;
                 let digest = get_u64(&mut buf)?;
-                let flags = if tag == TAG_FINALIZE_V2 { get_u64(&mut buf)? } else { 0 };
+                let flags = get_u64(&mut buf)?;
                 WalRecord::Finalize {
                     op_seq,
                     watermark,
@@ -926,17 +937,8 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
                         inner.prewarm_replay_encodes(std::mem::take(&mut group));
                         prewarmed = true;
                     }
-                    match ids {
-                        Some(ids) => {
-                            report.batch_ids.push(ids.clone());
-                            let batch = ids.into_iter().zip(tweets).collect();
-                            inner.try_process_batch_with_ids(batch);
-                        }
-                        None => {
-                            report.batch_ids.push(Vec::new());
-                            inner.try_process_batch_owned(tweets);
-                        }
-                    }
+                    report.batch_ids.push(ids.clone().unwrap_or_default());
+                    inner.ingest(tweets, ids);
                     op_seq = seq;
                     report.replayed_batches += 1;
                 }
@@ -1072,45 +1074,50 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         }
     }
 
-    /// Durably logs the batch inputs, then ingests them
-    /// (write-ahead: a crash after the log entry replays the batch; a
-    /// crash before it loses the batch wholesale — never half of it).
+    /// Durably logs the batch inputs, then ingests them through
+    /// [`NerGlobalizer::ingest`] (write-ahead: a crash after the log
+    /// entry replays the batch; a crash before it loses the batch
+    /// wholesale — never half of it).
     ///
     /// On a WAL commit failure the batch is *rejected with a typed
     /// error* — no state changes, `op_seq` does not advance, and the
     /// same batch may simply be submitted again. An out-of-space
     /// failure additionally flips the store read-only (see
     /// [`Self::degradation`]) until a commit succeeds.
+    ///
+    /// # Panics
+    /// Panics, before anything is logged, when `ids` is given with a
+    /// length other than `tweets`'.
+    pub fn ingest(
+        &mut self,
+        tweets: Vec<Vec<String>>,
+        ids: Option<Vec<u64>>,
+    ) -> Result<(BatchOutput, BatchReport), DurableError> {
+        self.stats.delta_bytes_last = 0;
+        self.commit_pending()?;
+        self.commit_encoded(&[encode_batch(self.op_seq + 1, ids.as_deref(), &tweets)])?;
+        self.op_seq += 1;
+        self.stats.batches += 1;
+        Ok(self.inner.ingest(tweets, ids))
+    }
+
+    /// [`Self::ingest`] without ids. Kept only because the benchmark
+    /// harness under `perfbench/` calls it by this name.
     pub fn process_batch(
         &mut self,
         batch: Vec<Vec<String>>,
     ) -> Result<(BatchOutput, BatchReport), DurableError> {
-        self.stats.delta_bytes_last = 0;
-        self.commit_pending()?;
-        let record = WalRecord::Batch { op_seq: self.op_seq + 1, ids: None, tweets: batch.clone() };
-        self.commit_encoded(&[record.encode()])?;
-        self.op_seq += 1;
-        self.stats.batches += 1;
-        Ok(self.inner.try_process_batch_owned(batch))
+        self.ingest(batch, None)
     }
 
-    /// [`Self::process_batch`] for id-carrying streams.
+    /// [`Self::ingest`] over `(id, tokens)` pairs. Kept only because the
+    /// benchmark harness under `perfbench/` calls it by this name.
     pub fn process_batch_with_ids(
         &mut self,
         batch: Vec<(u64, Vec<String>)>,
     ) -> Result<(BatchOutput, BatchReport), DurableError> {
-        self.stats.delta_bytes_last = 0;
-        self.commit_pending()?;
-        let (ids, tweets): (Vec<u64>, Vec<Vec<String>>) = batch.into_iter().unzip();
-        let record = WalRecord::Batch {
-            op_seq: self.op_seq + 1,
-            ids: Some(ids.clone()),
-            tweets: tweets.clone(),
-        };
-        self.commit_encoded(&[record.encode()])?;
-        self.op_seq += 1;
-        self.stats.batches += 1;
-        Ok(self.inner.try_process_batch_with_ids(ids.into_iter().zip(tweets).collect()))
+        let (ids, tweets) = batch.into_iter().unzip();
+        self.ingest(tweets, Some(ids))
     }
 
     /// Runs the Global NER stages, then durably marks the finalize
@@ -1454,28 +1461,48 @@ mod tests {
         }
     }
 
+    /// Retired layouts fail with a typed error, never a panic and
+    /// never a silent default: bundle versions 1–3 and a future 5, the
+    /// 7-word finalize mark written before every mark carried its
+    /// `flags` word, and the retired flagged-finalize tag 6.
     #[test]
-    fn finalize_flags_pick_the_record_version() {
-        let mut r = WalRecord::Finalize {
-            op_seq: 1,
-            watermark: 0,
-            first_retained: 0,
-            ctrie_version: 0,
-            surfaces: 0,
-            mentions: 0,
-            digest: 0,
-            flags: 0,
+    fn retired_formats_are_rejected_with_typed_errors() {
+        use crate::classifier::{ClassifierConfig, EntityClassifier};
+        use crate::persist::GlobalizerBundle;
+        use crate::phrase::{PhraseEmbedder, PhraseEmbedderConfig};
+        use ngl_encoder::{EncoderConfig, TokenEncoder};
+
+        let dim = 16;
+        let v4 = GlobalizerBundle::from_models(
+            TokenEncoder::new(EncoderConfig { out_dim: dim, ..Default::default() }),
+            PhraseEmbedder::new(PhraseEmbedderConfig { dim, ..Default::default() }),
+            EntityClassifier::new(ClassifierConfig { dim, ..Default::default() }),
+        )
+        .to_bytes();
+        // A well-formed bundle whose version field says `version`.
+        let bundle = |version: u32| {
+            let mut bytes = v4.clone();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            format!("{:?}", GlobalizerBundle::from_bytes(&bytes).map(|_| ()))
         };
-        let (tag, payload) = r.encode();
-        assert_eq!(tag, TAG_FINALIZE, "flagless finalize stays v1");
-        assert_eq!(payload.len(), 7 * 8);
-        if let WalRecord::Finalize { flags, .. } = &mut r {
-            *flags = FINALIZE_FLAG_UNVERIFIED;
+        let wal = |tag: u8, words: usize| {
+            format!("{:?}", WalRecord::decode(tag, &vec![0; 8 * words]).map(|_| ()))
+        };
+        let unknown_tag = r#"Err(Invalid("unknown WAL record tag"))"#;
+        let cases = [
+            ("bundle v1", bundle(1), "Err(UnsupportedVersion(1))"),
+            ("bundle v2", bundle(2), "Err(UnsupportedVersion(2))"),
+            ("bundle v3", bundle(3), "Err(UnsupportedVersion(3))"),
+            ("bundle v4", bundle(4), "Ok(())"),
+            ("bundle v5", bundle(5), "Err(UnsupportedVersion(5))"),
+            ("finalize tag 2, 7 words", wal(TAG_FINALIZE, 7), "Err(UnexpectedEof)"),
+            ("finalize tag 2, 8 words", wal(TAG_FINALIZE, 8), "Ok(())"),
+            ("tag 6, 7 words", wal(6, 7), unknown_tag),
+            ("tag 6, 8 words", wal(6, 8), unknown_tag),
+        ];
+        for (case, got, want) in cases {
+            assert_eq!(got, want, "{case}");
         }
-        let (tag, payload) = r.encode();
-        assert_eq!(tag, TAG_FINALIZE_V2, "flagged finalize upgrades to v2");
-        assert_eq!(payload.len(), 8 * 8);
-        assert_eq!(WalRecord::decode(tag, &payload).expect("decode"), r);
     }
 
     #[test]

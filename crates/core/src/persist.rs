@@ -4,28 +4,16 @@
 //! file and load it back — train once, deploy anywhere, restart
 //! without losing stream position.
 //!
-//! v4 layout (current):
+//! Layout (format version 4, the only one this build reads or writes):
 //! `magic ("NGLB") | version (u32) | payload_len (u64) | fnv1a64
 //! checksum of payload (u64) | payload`, where the payload is
 //! `encoder | phrase | classifier | has_checkpoint (u64: 0/1) |
 //! [checkpoint]`. The length + checksum header makes partial or
 //! bit-flipped writes detectable before any component parsing runs.
-//! v4 differs from v3 only inside the checkpoint: mention and cluster
-//! embeddings are stored through the quantized i8 codec (~4× smaller),
-//! losslessly because the pipeline canonicalizes embeddings at
-//! creation.
-//!
-//! v3 layout (legacy, still loadable): same framing, embeddings as
-//! full `f32`; adds over v2 the per-mention trie-version stamp, the
-//! per-surface LRU `touched` stamp and the `SpillCold` retention tag.
-//!
-//! v2 layout (legacy, still loadable): same framing, checkpoint
-//! without the per-mention / per-surface stamps — they load as 0.
-//!
-//! v1 layout (legacy, still loadable):
-//! `magic | version | encoder | phrase | classifier` — no checksum, no
-//! checkpoint. Loading a v1 bundle yields `checkpoint: None`; a
-//! pipeline built from it simply starts the stream from scratch.
+//! Mention and cluster embeddings inside the checkpoint are stored
+//! through the quantized i8 codec, losslessly because the pipeline
+//! canonicalizes embeddings at creation. A file with any other version
+//! is rejected with [`PersistError::UnsupportedVersion`].
 //!
 //! [`GlobalizerBundle::save`] is **crash-consistent**: bytes are
 //! written to a sibling temp file, fsynced, then atomically renamed
@@ -38,16 +26,14 @@ use std::path::Path;
 use ngl_encoder::TokenEncoder;
 use ngl_nn::codec::{get_u32, get_u64, put_u32, put_u64, take};
 use ngl_nn::CodecError;
+use ngl_store::fnv1a64;
 
-use crate::checkpoint::{get_checkpoint, put_checkpoint, PipelineCheckpoint, CK_V2, CK_V3, CK_V4};
+use crate::checkpoint::{get_checkpoint, put_checkpoint, PipelineCheckpoint};
 use crate::classifier::EntityClassifier;
 use crate::phrase::PhraseEmbedder;
 
 const MAGIC: &[u8; 4] = b"NGLB";
 const VERSION: u32 = 4;
-const V3_VERSION: u32 = 3;
-const V2_VERSION: u32 = 2;
-const LEGACY_VERSION: u32 = 1;
 
 /// Why loading a bundle failed.
 #[derive(Debug)]
@@ -58,8 +44,8 @@ pub enum PersistError {
     BadMagic,
     /// A format version this build cannot read.
     UnsupportedVersion(u32),
-    /// The v2 payload checksum or length did not match (torn write or
-    /// bit rot).
+    /// The payload checksum or length did not match (torn write or bit
+    /// rot).
     ChecksumMismatch,
     /// The payload was malformed.
     Codec(CodecError),
@@ -94,17 +80,6 @@ impl From<CodecError> for PersistError {
     }
 }
 
-/// FNV-1a 64-bit — tiny, dependency-free integrity hash for the v2
-/// payload. Guards against torn writes and bit rot, not adversaries.
-fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 /// A complete trained model: everything [`crate::NerGlobalizer`] needs,
 /// plus (optionally) a mid-stream state checkpoint.
 #[derive(Debug, Clone)]
@@ -130,26 +105,9 @@ impl GlobalizerBundle {
         Self { encoder, phrase, classifier, checkpoint: None }
     }
 
-    /// Serializes the bundle into one binary blob (v4 layout, quantized
-    /// embedding storage).
+    /// Serializes the bundle into one binary blob (see the module docs
+    /// for the layout).
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_versioned(VERSION, CK_V4)
-    }
-
-    /// Serializes in the v3 layout (full-`f32` embeddings). Kept for
-    /// the migration tests; new code should use [`Self::to_bytes`].
-    pub fn to_bytes_v3(&self) -> Vec<u8> {
-        self.to_bytes_versioned(V3_VERSION, CK_V3)
-    }
-
-    /// Serializes in the v2 layout (checkpoint without the trie-version
-    /// / touch stamps). Kept for the migration tests; new code should
-    /// use [`Self::to_bytes`].
-    pub fn to_bytes_v2(&self) -> Vec<u8> {
-        self.to_bytes_versioned(V2_VERSION, CK_V2)
-    }
-
-    fn to_bytes_versioned(&self, version: u32, ck_version: u32) -> Vec<u8> {
         let mut payload = self.encoder.to_bytes();
         payload.extend_from_slice(&self.phrase.to_bytes());
         payload.extend_from_slice(&self.classifier.to_bytes());
@@ -157,31 +115,18 @@ impl GlobalizerBundle {
             None => put_u64(&mut payload, 0),
             Some(ck) => {
                 put_u64(&mut payload, 1);
-                put_checkpoint(&mut payload, ck, ck_version);
+                put_checkpoint(&mut payload, ck);
             }
         }
         let mut buf = MAGIC.to_vec();
-        put_u32(&mut buf, version);
+        put_u32(&mut buf, VERSION);
         put_u64(&mut buf, payload.len() as u64);
         put_u64(&mut buf, fnv1a64(&payload));
         buf.extend_from_slice(&payload);
         buf
     }
 
-    /// Serializes in the legacy v1 layout (models only — no checksum,
-    /// no checkpoint). Kept for back-compat tooling and the migration
-    /// tests; new code should use [`Self::to_bytes`].
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let mut buf = MAGIC.to_vec();
-        put_u32(&mut buf, LEGACY_VERSION);
-        buf.extend_from_slice(&self.encoder.to_bytes());
-        buf.extend_from_slice(&self.phrase.to_bytes());
-        buf.extend_from_slice(&self.classifier.to_bytes());
-        buf
-    }
-
-    /// Parses a bundle previously produced by [`Self::to_bytes`] (v2)
-    /// or [`Self::to_bytes_v1`] / an older build (v1).
+    /// Parses a bundle produced by [`Self::to_bytes`].
     pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, PersistError> {
         if bytes.len() < 8 {
             return Err(PersistError::BadMagic);
@@ -190,47 +135,24 @@ impl GlobalizerBundle {
             return Err(PersistError::BadMagic);
         }
         let version = get_u32(&mut bytes)?;
-        match version {
-            LEGACY_VERSION => Self::parse_components(bytes, None),
-            VERSION | V3_VERSION | V2_VERSION => {
-                if bytes.len() < 16 {
-                    return Err(PersistError::ChecksumMismatch);
-                }
-                let payload_len = get_u64(&mut bytes)?;
-                let checksum = get_u64(&mut bytes)?;
-                if bytes.len() as u64 != payload_len {
-                    return Err(PersistError::ChecksumMismatch);
-                }
-                if fnv1a64(bytes) != checksum {
-                    return Err(PersistError::ChecksumMismatch);
-                }
-                let ck_version = match version {
-                    VERSION => CK_V4,
-                    V3_VERSION => CK_V3,
-                    _ => CK_V2,
-                };
-                Self::parse_components(bytes, Some(ck_version))
-            }
-            v => Err(PersistError::UnsupportedVersion(v)),
+        if version != VERSION {
+            return Err(PersistError::UnsupportedVersion(version));
         }
-    }
-
-    fn parse_components(mut bytes: &[u8], ck_version: Option<u32>) -> Result<Self, PersistError> {
+        if bytes.len() < 16 {
+            return Err(PersistError::ChecksumMismatch);
+        }
+        let payload_len = get_u64(&mut bytes)?;
+        let checksum = get_u64(&mut bytes)?;
+        if bytes.len() as u64 != payload_len || fnv1a64(bytes) != checksum {
+            return Err(PersistError::ChecksumMismatch);
+        }
         let encoder = TokenEncoder::from_bytes(&mut bytes)?;
         let phrase = PhraseEmbedder::from_bytes(&mut bytes)?;
         let classifier = EntityClassifier::from_bytes(&mut bytes)?;
-        let checkpoint = if let Some(v) = ck_version {
-            match get_u64(&mut bytes)? {
-                0 => None,
-                1 => Some(get_checkpoint(&mut bytes, v)?),
-                _ => {
-                    return Err(PersistError::Codec(CodecError::Invalid(
-                        "checkpoint flag out of range",
-                    )))
-                }
-            }
-        } else {
-            None
+        let checkpoint = match get_u64(&mut bytes)? {
+            0 => None,
+            1 => Some(get_checkpoint(&mut bytes)?),
+            _ => return Err(CodecError::Invalid("checkpoint flag out of range").into()),
         };
         if encoder.out_dim() != phrase.dim() {
             return Err(PersistError::Inconsistent("encoder vs phrase dim"));
@@ -320,108 +242,43 @@ mod tests {
         assert_eq!(b.classifier.predict_proba(&locals), back.classifier.predict_proba(&locals));
     }
 
-    #[test]
-    fn legacy_v1_bytes_still_load() {
-        let b = bundle();
-        let v1 = b.to_bytes_v1();
-        let back = GlobalizerBundle::from_bytes(&v1).expect("v1 load");
-        assert!(back.checkpoint.is_none());
-        let sent = toks("gov Beshear said stay home");
-        assert_eq!(b.encoder.encode(&sent).embeddings, back.encoder.encode(&sent).embeddings);
+    /// [`bundle`] with a checkpoint taken from a short stream that
+    /// seeds surfaces, finalizes twice and rejects one repeated id.
+    fn bundle_with_checkpoint() -> (GlobalizerBundle, Vec<u8>) {
+        use crate::pipeline::{GlobalizerConfig, NerGlobalizer};
+        let mut b = bundle();
+        let mut p = NerGlobalizer::new(
+            b.encoder.clone(),
+            b.phrase.clone(),
+            b.classifier.clone(),
+            GlobalizerConfig::default(),
+        )
+        .with_executor(ngl_runtime::Executor::sequential());
+        p.ingest(
+            vec![toks("gov Beshear said stay home"), toks("Beshear visited Italy today")],
+            None,
+        );
+        p.finalize();
+        let tweets =
+            vec![toks("more Beshear talk in Italy"), toks("a repeat"), toks("Italy won again")];
+        p.ingest(tweets, Some(vec![7, 7, 9]));
+        p.finalize();
+        let state = p.export_state_bytes();
+        b.checkpoint = Some(p.export_state());
+        (b, state)
     }
 
+    /// The bundle and checkpoint bytes did not move when the retired
+    /// format versions were deleted (values computed before the cut).
     #[test]
-    fn legacy_v2_bytes_load_with_zero_stamps() {
-        use crate::bases::{CandidateBase, MentionRecord, TweetBase};
-        use crate::pipeline::GlobalizerConfig;
-        use ngl_ctrie::CTrie;
-        use std::collections::{BTreeSet, HashMap};
-
-        let mut ctrie = CTrie::new();
-        ctrie.insert(&["beshear"]);
-        let mut candidates = CandidateBase::new();
-        candidates.add_mention(
-            "beshear",
-            MentionRecord {
-                tweet: 0,
-                start: 1,
-                end: 2,
-                local_emb: vec![0.5; 16],
-                local_type: Some(ngl_text::EntityType::Person),
-                trie_version: 1,
-            },
-        );
-        let mut b = bundle();
-        b.checkpoint = Some(PipelineCheckpoint {
-            cfg: GlobalizerConfig::default(),
-            ctrie,
-            tweets: TweetBase::new(),
-            candidates,
-            scanned_tweets: 0,
-            scanned_version: 1,
-            mention_cache: HashMap::new(),
-            seen_ids: BTreeSet::new(),
-        });
-
-        let back = GlobalizerBundle::from_bytes(&b.to_bytes_v2()).expect("v2 load");
-        let ck = back.checkpoint.expect("checkpoint survives");
-        let entry = ck.candidates.get("beshear").expect("entry");
-        // The v2 wire format has no stamps; they come back zeroed.
-        assert_eq!(entry.mentions[0].trie_version, 0);
-        assert_eq!(entry.touched, 0);
-
-        // The same bundle through the current (v4) path keeps them.
-        let back4 = GlobalizerBundle::from_bytes(&b.to_bytes()).expect("v4 load");
-        let entry4 = back4.checkpoint.expect("checkpoint").candidates.get("beshear").cloned();
-        assert_eq!(entry4.expect("entry").mentions[0].trie_version, 1);
-    }
-
-    #[test]
-    fn legacy_v3_bytes_load_with_exact_embeddings() {
-        use crate::bases::{CandidateBase, MentionRecord, TweetBase};
-        use crate::pipeline::GlobalizerConfig;
-        use ngl_ctrie::CTrie;
-        use std::collections::{BTreeSet, HashMap};
-
-        // Deliberately non-canonical values: a v3 (full-f32) encoding
-        // must round-trip them bit-exactly, while the v4 encoding of the
-        // same bundle is smaller but quantized.
-        let emb: Vec<f32> = (0..16).map(|i| ((i * 37 + 5) as f32).sin() * 0.7).collect();
-        let mut ctrie = CTrie::new();
-        ctrie.insert(&["beshear"]);
-        let mut candidates = CandidateBase::new();
-        candidates.add_mention(
-            "beshear",
-            MentionRecord {
-                tweet: 0,
-                start: 1,
-                end: 2,
-                local_emb: emb.clone(),
-                local_type: Some(ngl_text::EntityType::Person),
-                trie_version: 3,
-            },
-        );
-        let mut b = bundle();
-        b.checkpoint = Some(PipelineCheckpoint {
-            cfg: GlobalizerConfig::default(),
-            ctrie,
-            tweets: TweetBase::new(),
-            candidates,
-            scanned_tweets: 0,
-            scanned_version: 1,
-            mention_cache: HashMap::new(),
-            seen_ids: BTreeSet::new(),
-        });
-
-        let v3 = b.to_bytes_v3();
-        let v4 = b.to_bytes();
-        assert!(v4.len() < v3.len(), "v4 ({}) must be smaller than v3 ({})", v4.len(), v3.len());
-
-        let back = GlobalizerBundle::from_bytes(&v3).expect("v3 load");
-        let ck = back.checkpoint.expect("checkpoint survives");
-        let entry = ck.candidates.get("beshear").expect("entry");
-        assert_eq!(entry.mentions[0].local_emb, emb, "v3 embeddings are bit-exact");
-        assert_eq!(entry.mentions[0].trie_version, 3);
+    fn bundle_and_checkpoint_bytes_are_pinned() {
+        let (b, state) = bundle_with_checkpoint();
+        let ck = b.checkpoint.as_ref().expect("checkpoint");
+        assert_eq!((ck.candidates.len(), ck.tweets.len()), (10, 4));
+        assert_eq!(fnv1a64(&b.to_bytes()), 9265819532503226543);
+        assert_eq!(fnv1a64(&state), 6303434925236301342);
+        let back = GlobalizerBundle::from_bytes(&b.to_bytes()).expect("load");
+        assert_eq!(back.to_bytes(), b.to_bytes(), "decode→encode is byte-identical");
     }
 
     #[test]
@@ -456,14 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn wrong_version_is_rejected() {
-        let mut buf = MAGIC.to_vec();
-        put_u32(&mut buf, 99);
-        let err = GlobalizerBundle::from_bytes(&buf).expect_err("must fail");
-        assert!(matches!(err, PersistError::UnsupportedVersion(99)));
-    }
-
-    #[test]
     fn corruption_is_detected_by_checksum() {
         let bytes = bundle().to_bytes();
         // Flip one bit somewhere inside the payload (past the 24-byte
@@ -481,7 +330,7 @@ mod tests {
 
     #[test]
     fn truncation_anywhere_fails_cleanly() {
-        for bytes in [bundle().to_bytes(), bundle().to_bytes_v1()] {
+        for bytes in [bundle().to_bytes(), bundle_with_checkpoint().0.to_bytes()] {
             // Sample a spread of truncation points (all ~100k is slow).
             for frac in [0.1, 0.35, 0.6, 0.85, 0.99] {
                 let cut = (bytes.len() as f64 * frac) as usize;

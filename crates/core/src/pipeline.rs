@@ -2,7 +2,7 @@
 //!
 //! [`NerGlobalizer`] sustains a continuous execution over stream batches:
 //! Local NER seeds surfaces and embeddings per batch
-//! ([`NerGlobalizer::process_batch`]); the Global NER steps — mention
+//! ([`NerGlobalizer::ingest`]); the Global NER steps — mention
 //! extraction, phrase embedding, candidate clustering, pooling and
 //! classification — run over everything seen so far
 //! ([`NerGlobalizer::finalize`]). Per-stage wall-clock is tracked for the
@@ -13,7 +13,7 @@
 //!
 //! The three hot stages fan out over an [`ngl_runtime::Executor`]
 //! (worker count from `NGL_THREADS`, default = available parallelism):
-//! per-tweet encoding in [`NerGlobalizer::process_batch`], the per-tweet
+//! per-tweet encoding in [`NerGlobalizer::ingest`], the per-tweet
 //! CTrie scan + phrase embedding, and per-surface clustering +
 //! classification inside [`NerGlobalizer::finalize`]. Every parallel
 //! unit is pure and results are assembled in input order, so parallel
@@ -48,18 +48,17 @@
 //!
 //! ## Fault tolerance & bounded state
 //!
-//! The stream-facing entry points come in *fault-isolated* variants
-//! ([`NerGlobalizer::try_process_batch_owned`],
-//! [`NerGlobalizer::try_process_batch_with_ids`]) built on
-//! [`Executor::try_par_map`]: a tweet whose encoding task panics, whose
-//! embeddings come back non-finite, that re-uses an already-seen id, or
-//! that is empty (when [`GlobalizerConfig::reject_empty`] is set)
-//! degrades to a **skipped record** reported in a [`BatchReport`]
-//! instead of tearing down the pipeline. Rejected tweets are never
-//! stored, so the resulting state is *exactly* the state of a clean run
-//! over the surviving inputs. [`GlobalizerConfig::retention`] bounds
-//! the [`TweetBase`] and the mention cache; eviction only ever removes
-//! tweets strictly below the scan watermark (see
+//! The stream-facing entry point [`NerGlobalizer::ingest`] is
+//! *fault-isolated*, built on [`Executor::try_par_map`]: a tweet whose
+//! encoding task panics, whose embeddings come back non-finite, that
+//! re-uses an already-seen id, or that is empty (when
+//! [`GlobalizerConfig::reject_empty`] is set) degrades to a **skipped
+//! record** reported in a [`BatchReport`] instead of tearing down the
+//! pipeline. Rejected tweets are never stored, so the resulting state
+//! is *exactly* the state of a clean run over the surviving inputs.
+//! [`GlobalizerConfig::retention`] bounds the [`TweetBase`] and the
+//! mention cache; eviction only ever removes tweets strictly below the
+//! scan watermark (see
 //! [`NerGlobalizer::scan_watermark`]), so incremental finalize stays
 //! correct — evicted tweets keep their already-extracted mentions
 //! frozen in the candidate store.
@@ -158,7 +157,7 @@ pub struct GlobalizerConfig {
     /// Bound on retained stream state (tweets + mention cache).
     pub retention: RetentionPolicy,
     /// Hard cap on tokens ingested per tweet; longer token lists are
-    /// truncated at the `try_process_*` boundary (reported in
+    /// truncated at the [`NerGlobalizer::ingest`] boundary (reported in
     /// [`BatchReport::truncated`]) so one adversarial record can't blow
     /// up encoder cost or stored state.
     pub max_tweet_tokens: usize,
@@ -219,9 +218,9 @@ pub struct BatchOutput {
     pub local_spans: Vec<Vec<Span>>,
 }
 
-/// Fault accounting for one `try_process_*` batch: which inputs were
-/// stored, which were dropped and why, and which were truncated on the
-/// way in. Indices are batch-local input positions.
+/// Fault accounting for one [`NerGlobalizer::ingest`] batch: which
+/// inputs were stored, which were dropped and why, and which were
+/// truncated on the way in. Indices are batch-local input positions.
 #[derive(Debug, Clone, Default)]
 pub struct BatchReport {
     /// Inputs accepted into the [`TweetBase`], in input order.
@@ -318,7 +317,7 @@ pub struct NerGlobalizer<T: ContextualTagger> {
     /// entries stay valid across CTrie version bumps and candidate
     /// rebuilds.
     mention_cache: HashMap<(usize, usize, usize), Vec<f32>>,
-    /// Tweet ids already consumed by [`Self::try_process_batch_with_ids`]
+    /// Tweet ids already consumed by [`Self::ingest`]
     /// (ids are claimed on first sight, even if that record is later
     /// rejected, so replays are deterministic).
     seen_ids: BTreeSet<u64>,
@@ -465,80 +464,42 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
 
     /// The Local NER stage over one batch of tokenized tweets: tags each
     /// sentence, stores its record, registers detected surface forms in
-    /// the CTrie. Returns the batch's local outputs.
+    /// the CTrie. Token vectors and encoder outputs move into the stored
+    /// [`TweetRecord`]s. Returns the batch's local outputs and a fault
+    /// report.
     ///
-    /// Borrowing convenience over [`Self::process_batch_owned`]; callers
-    /// that own their token vectors should prefer the owned variant,
-    /// which moves them into the [`TweetBase`] instead of cloning.
-    pub fn process_batch(&mut self, batch: &[Vec<String>]) -> BatchOutput
-    where
-        T: Sync,
-    {
-        self.process_batch_owned(batch.to_vec())
-    }
-
-    /// [`Self::process_batch`] taking ownership of the batch: token
-    /// vectors and encoder outputs are moved into the stored
-    /// [`TweetRecord`]s — no per-tweet cloning on the hot path.
-    ///
-    /// Fault-isolated under the hood (see
-    /// [`Self::try_process_batch_owned`]): a poison tweet is silently
-    /// skipped here; callers that need to observe skips should use the
-    /// `try_` variant.
-    pub fn process_batch_owned(&mut self, batch: Vec<Vec<String>>) -> BatchOutput
-    where
-        T: Sync,
-    {
-        self.try_process_batch_owned(batch).0
-    }
-
-    /// Fault-isolated batch ingestion. Tweets are encoded in parallel
-    /// (each [`ContextualTagger::encode`] call is independent) with
-    /// per-task panic isolation; CTrie registration and [`TweetBase`]
-    /// insertion stay sequential in batch order so stored state is
-    /// identical to the sequential execution.
+    /// Tweets are encoded in parallel (each [`ContextualTagger::encode`]
+    /// call is independent) with per-task panic isolation; CTrie
+    /// registration and [`TweetBase`] insertion stay sequential in batch
+    /// order so stored state is identical to the sequential execution.
     ///
     /// A tweet is **rejected** — dropped before storage, reported in
     /// the [`BatchReport`] — when its encode task panics, its
-    /// embeddings contain NaN/Inf, or it is empty while
-    /// [`GlobalizerConfig::reject_empty`] is set. Rejected tweets leave
-    /// no trace in pipeline state: the store after a faulty batch is
-    /// exactly the store of a clean run over the surviving inputs.
-    pub fn try_process_batch_owned(&mut self, batch: Vec<Vec<String>>) -> (BatchOutput, BatchReport)
-    where
-        T: Sync,
-    {
-        let batch = batch.into_iter().map(|tokens| (None, tokens)).collect();
-        self.try_process_impl(batch)
-    }
-
-    /// [`Self::try_process_batch_owned`] for id-carrying streams: a
-    /// tweet whose id was already seen (in this or any earlier batch)
-    /// is additionally rejected as a duplicate. Ids are claimed on
-    /// first sight even when that record is rejected for another
-    /// reason, so replay behaviour is deterministic.
-    pub fn try_process_batch_with_ids(
+    /// embeddings contain NaN/Inf, it is empty while
+    /// [`GlobalizerConfig::reject_empty`] is set, or `ids` gives it an
+    /// id already seen (in this or any earlier batch). Ids are claimed
+    /// on first sight even when that record is rejected for another
+    /// reason, so replay behaviour is deterministic. Rejected tweets
+    /// leave no trace in pipeline state: the store after a faulty batch
+    /// is exactly the store of a clean run over the surviving inputs.
+    ///
+    /// # Panics
+    /// Panics when `ids` is given with a length other than `tweets`'.
+    pub fn ingest(
         &mut self,
-        batch: Vec<(u64, Vec<String>)>,
+        mut tweets: Vec<Vec<String>>,
+        ids: Option<Vec<u64>>,
     ) -> (BatchOutput, BatchReport)
     where
         T: Sync,
     {
-        let batch = batch.into_iter().map(|(id, tokens)| (Some(id), tokens)).collect();
-        self.try_process_impl(batch)
-    }
-
-    fn try_process_impl(
-        &mut self,
-        mut batch: Vec<(Option<u64>, Vec<String>)>,
-    ) -> (BatchOutput, BatchReport)
-    where
-        T: Sync,
-    {
+        if let Some(ids) = &ids {
+            assert_eq!(ids.len(), tweets.len(), "one id per tweet");
+        }
         // ngl-lint: allow(R3, wall-clock stage timing for BatchReport/Timings only; never feeds token processing, ordering, or persisted state)
         let t0 = Instant::now();
         let first_tweet = self.tweets.len();
-        let n = batch.len();
+        let n = tweets.len();
         let mut report = BatchReport::default();
 
         // Ingress guards run sequentially in input order: oversized
@@ -547,12 +508,12 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         // any encoder work is spent on them.
         let cap = self.cfg.max_tweet_tokens.max(1);
         let mut pre_rejected: Vec<Option<TaskError>> = (0..n).map(|_| None).collect();
-        for (i, (id, tokens)) in batch.iter_mut().enumerate() {
+        for (i, tokens) in tweets.iter_mut().enumerate() {
             if tokens.len() > cap {
                 tokens.truncate(cap);
                 report.truncated.push(i);
             }
-            if let Some(id) = *id {
+            if let Some(id) = ids.as_ref().map(|ids| ids[i]) {
                 if !self.seen_ids.insert(id) {
                     pre_rejected[i] = Some(TaskError {
                         index: i,
@@ -572,12 +533,8 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         }
 
         // Parallel panic-isolated encode over the survivors.
-        let survivors: Vec<(usize, Vec<String>)> = batch
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| pre_rejected[*i].is_none())
-            .map(|(i, (_, tokens))| (i, tokens))
-            .collect();
+        let survivors: Vec<(usize, Vec<String>)> =
+            tweets.into_iter().enumerate().filter(|(i, _)| pre_rejected[*i].is_none()).collect();
         let survivor_input: Vec<usize> = survivors.iter().map(|(i, _)| *i).collect();
         let local = &self.local;
         let memo = &self.replay_memo;
@@ -657,6 +614,16 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         }
         self.timings.local += t0.elapsed();
         (BatchOutput { first_tweet, local_spans }, report)
+    }
+
+    /// [`Self::ingest`] without ids. Kept only because the benchmark
+    /// harness under `perfbench/` calls it by this name; new code calls
+    /// `ingest` directly.
+    pub fn try_process_batch_owned(&mut self, batch: Vec<Vec<String>>) -> (BatchOutput, BatchReport)
+    where
+        T: Sync,
+    {
+        self.ingest(batch, None)
     }
 
     /// Pre-encodes the unique token vectors of an upcoming group of
@@ -1494,7 +1461,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// Snapshots the pipeline's stream state — CTrie, tweet store,
     /// candidate store (with per-surface progress counts), scan
     /// watermark + version, mention cache and consumed ids — for
-    /// inclusion in a crash-consistent `GlobalizerBundle` v2. The
+    /// inclusion in a crash-consistent `GlobalizerBundle`. The
     /// model components travel separately in the bundle.
     pub fn export_state(&self) -> PipelineCheckpoint {
         PipelineCheckpoint {
@@ -1509,34 +1476,22 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         }
     }
 
-    /// [`Self::export_state`] in the canonical v4 wire encoding
+    /// [`Self::export_state`] in the canonical checkpoint encoding
     /// (embeddings stored via the quantized codec) — equal pipeline
     /// states produce equal bytes, which is what the durable snapshots
     /// store and the crash-recovery tests compare. Lossless because
     /// every resident embedding is canonicalized at creation.
     pub fn export_state_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        crate::checkpoint::put_checkpoint(&mut buf, &self.export_state(), crate::checkpoint::CK_V4);
+        crate::checkpoint::put_checkpoint(&mut buf, &self.export_state());
         buf
-    }
-
-    /// Byte sizes of the state snapshot under the current (quantized,
-    /// v4) and the previous (full-`f32`, v3) embedding codecs — the
-    /// operational surfacing behind `ngl recover` and the store bench.
-    pub fn snapshot_codec_bytes(&self) -> (u64, u64) {
-        let state = self.export_state();
-        let mut q = Vec::new();
-        crate::checkpoint::put_checkpoint(&mut q, &state, crate::checkpoint::CK_V4);
-        let mut f = Vec::new();
-        crate::checkpoint::put_checkpoint(&mut f, &state, crate::checkpoint::CK_V3);
-        (q.len() as u64, f.len() as u64)
     }
 
     /// Restores state from bytes produced by
     /// [`Self::export_state_bytes`].
     pub fn import_state_bytes(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         let mut cursor = bytes;
-        let ck = crate::checkpoint::get_checkpoint(&mut cursor, crate::checkpoint::CK_V4)?;
+        let ck = crate::checkpoint::get_checkpoint(&mut cursor)?;
         if !cursor.is_empty() {
             return Err(PersistError::Codec(ngl_nn::CodecError::Invalid(
                 "trailing bytes after checkpoint",
@@ -1564,10 +1519,9 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         if ck.mention_cache.values().any(|v| v.len() != dim) {
             return Err(PersistError::Inconsistent("cached embedding dim mismatch"));
         }
-        // Re-canonicalize embeddings on ingest: a no-op for states
-        // written by this version (v4 decodes are canonical by
-        // construction), but it upgrades legacy full-f32 states so
-        // their next quantized encode is lossless too.
+        // Re-canonicalize embeddings on import: a no-op for exported or
+        // decoded states (canonical by construction), but it makes a
+        // hand-built checkpoint's next quantized encode lossless too.
         for (_, entry) in ck.candidates.iter_mut() {
             for m in &mut entry.mentions {
                 ngl_nn::kernels::canonicalize(&mut m.local_emb);
@@ -1851,7 +1805,7 @@ mod tests {
     fn local_only_passes_through_local_spans() {
         let mut p = pipeline(AblationMode::LocalOnly);
         let batch = vec![toks("Beshear spoke today"), toks("nothing here")];
-        let out = p.process_batch(&batch);
+        let (out, _) = p.ingest(batch, None);
         assert_eq!(out.local_spans[0].len(), 1);
         assert!(out.local_spans[1].is_empty());
         let fin = p.finalize();
@@ -1863,7 +1817,7 @@ mod tests {
         let mut p = pipeline(AblationMode::MentionExtraction);
         // "Beshear" detected locally in tweet 0; lowercase "beshear" in
         // tweet 1 is missed by the fake tagger but recovered by the scan.
-        p.process_batch(&[toks("Beshear spoke today"), toks("thanks beshear for this")]);
+        p.ingest(vec![toks("Beshear spoke today"), toks("thanks beshear for this")], None);
         let fin = p.finalize();
         assert_eq!(fin[0], vec![Span::new(0, 1, EntityType::Person)]);
         assert_eq!(fin[1], vec![Span::new(1, 2, EntityType::Person)]);
@@ -1873,9 +1827,9 @@ mod tests {
     fn surfaces_found_in_later_batches_recover_earlier_mentions() {
         let mut p = pipeline(AblationMode::MentionExtraction);
         // Batch 1: lowercase mention, locally missed; no surface yet.
-        p.process_batch(&[toks("saw beshear yesterday")]);
+        p.ingest(vec![toks("saw beshear yesterday")], None);
         // Batch 2: capitalized mention seeds the surface.
-        p.process_batch(&[toks("Beshear responded")]);
+        p.ingest(vec![toks("Beshear responded")], None);
         let fin = p.finalize();
         assert_eq!(fin[0].len(), 1, "early mention recovered: {fin:?}");
         assert_eq!(fin[1].len(), 1);
@@ -1884,7 +1838,7 @@ mod tests {
     #[test]
     fn timings_accumulate() {
         let mut p = pipeline(AblationMode::FullGlobal);
-        p.process_batch(&[toks("Beshear spoke")]);
+        p.ingest(vec![toks("Beshear spoke")], None);
         p.finalize();
         let t = p.timings();
         assert!(t.local > Duration::ZERO);
@@ -1894,11 +1848,14 @@ mod tests {
     #[test]
     fn full_global_clusters_per_surface() {
         let mut p = pipeline(AblationMode::FullGlobal);
-        p.process_batch(&[
-            toks("Beshear spoke today"),
-            toks("thanks beshear again"),
-            toks("Beshear announced plans"),
-        ]);
+        p.ingest(
+            vec![
+                toks("Beshear spoke today"),
+                toks("thanks beshear again"),
+                toks("Beshear announced plans"),
+            ],
+            None,
+        );
         p.finalize();
         let cb = p.candidate_base();
         let entry = cb.get("beshear").expect("surface registered");
@@ -1925,7 +1882,7 @@ mod tests {
     #[test]
     fn n_surfaces_counts_unique_folded_forms() {
         let mut p = pipeline(AblationMode::FullGlobal);
-        p.process_batch(&[toks("Beshear and BESHEAR and Italy")]);
+        p.ingest(vec![toks("Beshear and BESHEAR and Italy")], None);
         // Fake tagger tags all three capitalized tokens; "beshear" folds
         // to one surface.
         assert_eq!(p.n_surfaces(), 2);
@@ -1971,9 +1928,9 @@ mod tests {
             let mut full = pipeline(mode);
             let mut inc_out = Vec::new();
             for b in &batches {
-                inc.process_batch(b);
+                inc.ingest(b.clone(), None);
                 inc_out = inc.finalize(); // finalize after every batch
-                full.process_batch(b);
+                full.ingest(b.clone(), None);
             }
             let full_out = full.finalize(); // one end-of-stream finalize
             assert_eq!(inc_out, full_out, "outputs diverge in {mode:?}");
@@ -1988,13 +1945,13 @@ mod tests {
     #[test]
     fn unchanged_trie_version_skips_rescan_of_old_tweets() {
         let mut p = pipeline(AblationMode::FullGlobal);
-        p.process_batch(&[toks("Beshear spoke today"), toks("thanks beshear again")]);
+        p.ingest(vec![toks("Beshear spoke today"), toks("thanks beshear again")], None);
         p.finalize();
         let cached = p.cached_mentions();
         assert!(cached > 0);
         // A batch with no new surfaces (known surface + stopwords) keeps
         // the CTrie version, so only the new tweet is scanned/embedded.
-        p.process_batch(&[toks("more beshear talk")]);
+        p.ingest(vec![toks("more beshear talk")], None);
         p.finalize();
         assert_eq!(p.cached_mentions(), cached + 1, "exactly the new mention embeds");
     }
@@ -2002,12 +1959,12 @@ mod tests {
     #[test]
     fn version_bump_rebuilds_candidates_but_reuses_cached_embeddings() {
         let mut p = pipeline(AblationMode::FullGlobal);
-        p.process_batch(&[toks("saw beshear and italy yesterday")]);
+        p.ingest(vec![toks("saw beshear and italy yesterday")], None);
         p.finalize();
         assert_eq!(p.cached_mentions(), 0, "no surfaces yet, nothing embedded");
         // New surfaces arrive: version bumps, the old tweet is rescanned
         // and its recovered mentions are embedded and cached.
-        p.process_batch(&[toks("Beshear visited Italy")]);
+        p.ingest(vec![toks("Beshear visited Italy")], None);
         p.finalize();
         let cached = p.cached_mentions();
         assert_eq!(cached, 4, "two mentions in each tweet");
@@ -2022,7 +1979,7 @@ mod tests {
     #[test]
     fn reset_incremental_state_reproduces_identical_output() {
         let mut p = pipeline(AblationMode::FullGlobal);
-        p.process_batch(&[toks("Beshear spoke today"), toks("thanks beshear again")]);
+        p.ingest(vec![toks("Beshear spoke today"), toks("thanks beshear again")], None);
         let out = p.finalize();
         let fp = fingerprint(&p);
         p.reset_incremental_state();
@@ -2046,8 +2003,8 @@ mod tests {
         ] {
             let mut seq = pipeline(mode).with_executor(ngl_runtime::Executor::sequential());
             let mut par = pipeline(mode).with_executor(ngl_runtime::Executor::new(4));
-            seq.process_batch(&batch);
-            par.process_batch(&batch);
+            seq.ingest(batch.clone(), None);
+            par.ingest(batch.clone(), None);
             assert_eq!(seq.finalize(), par.finalize(), "{mode:?}");
             assert_eq!(fingerprint(&seq), fingerprint(&par), "{mode:?}");
         }
@@ -2106,7 +2063,7 @@ mod tests {
                 vec!["bad".into(), ngl_runtime::faults::NAN_TOKEN.into()],
                 toks("Italy won"),
             ];
-            let (out, report) = faulty.try_process_batch_owned(batch);
+            let (out, report) = faulty.ingest(batch, None);
             assert_eq!(report.ok, vec![0, 2, 4]);
             assert_eq!(report.rejected, vec![1, 3]);
             assert_eq!(report.errors.len(), 2);
@@ -2121,11 +2078,10 @@ mod tests {
 
             // The state is exactly a clean run over the survivors.
             let mut clean = faulty_pipeline(AblationMode::FullGlobal).with_executor(exec.clone());
-            clean.process_batch(&[
-                toks("Beshear spoke today"),
-                toks("thanks beshear again"),
-                toks("Italy won"),
-            ]);
+            clean.ingest(
+                vec![toks("Beshear spoke today"), toks("thanks beshear again"), toks("Italy won")],
+                None,
+            );
             clean.finalize();
             assert_eq!(faulty.tweet_base().len(), clean.tweet_base().len());
             assert_eq!(fingerprint(&faulty), fingerprint(&clean));
@@ -2135,24 +2091,21 @@ mod tests {
     #[test]
     fn duplicate_ids_are_rejected_across_batches() {
         let mut p = pipeline(AblationMode::FullGlobal);
-        let (_, r1) =
-            p.try_process_batch_with_ids(vec![(10, toks("Beshear spoke")), (11, toks("a b"))]);
+        let (_, r1) = p.ingest(vec![toks("Beshear spoke"), toks("a b")], Some(vec![10, 11]));
         assert!(r1.all_ok());
-        let (_, r2) =
-            p.try_process_batch_with_ids(vec![(11, toks("again a b")), (12, toks("c d"))]);
+        let (_, r2) = p.ingest(vec![toks("again a b"), toks("c d")], Some(vec![11, 12]));
         assert_eq!(r2.rejected, vec![0]);
         assert!(r2.errors[0].message.contains("duplicate tweet id 11"));
         assert_eq!(p.tweet_base().len(), 3);
         // A batch-internal duplicate is caught too.
-        let (_, r3) =
-            p.try_process_batch_with_ids(vec![(20, toks("x y")), (20, toks("x y again"))]);
+        let (_, r3) = p.ingest(vec![toks("x y"), toks("x y again")], Some(vec![20, 20]));
         assert_eq!(r3.rejected, vec![1]);
     }
 
     #[test]
     fn empty_tweets_rejected_only_when_configured() {
         let mut lax = pipeline(AblationMode::FullGlobal);
-        let (_, r) = lax.try_process_batch_owned(vec![vec![], toks("Beshear spoke")]);
+        let (_, r) = lax.ingest(vec![vec![], toks("Beshear spoke")], None);
         assert!(r.all_ok(), "empty tweets stored by default");
         assert_eq!(lax.tweet_base().len(), 2);
 
@@ -2163,7 +2116,7 @@ mod tests {
             EntityClassifier::new(ClassifierConfig { dim, ..Default::default() }),
             GlobalizerConfig { reject_empty: true, ..Default::default() },
         );
-        let (_, r) = strict.try_process_batch_owned(vec![vec![], toks("Beshear spoke")]);
+        let (_, r) = strict.ingest(vec![vec![], toks("Beshear spoke")], None);
         assert_eq!(r.rejected, vec![0]);
         assert!(r.errors[0].message.contains("empty"));
         assert_eq!(strict.tweet_base().len(), 1);
@@ -2179,7 +2132,7 @@ mod tests {
             GlobalizerConfig { max_tweet_tokens: 6, ..Default::default() },
         );
         let long: Vec<String> = (0..50).map(|i| format!("w{i}")).collect();
-        let (_, r) = p.try_process_batch_owned(vec![long, toks("short one")]);
+        let (_, r) = p.ingest(vec![long, toks("short one")], None);
         assert_eq!(r.truncated, vec![0]);
         assert_eq!(r.ok, vec![0, 1]);
         let rec = p.tweet_base().get(0);
@@ -2199,7 +2152,7 @@ mod tests {
         // Unfinalized tweets are beyond the watermark: nothing may be
         // evicted no matter how far over budget the store is.
         for i in 0..5 {
-            p.process_batch(&[toks(&format!("Surface{i} here"))]);
+            p.ingest(vec![toks(&format!("Surface{i} here"))], None);
         }
         assert_eq!(p.scan_watermark(), 0);
         assert_eq!(p.tweet_base().retained(), 5);
@@ -2209,7 +2162,7 @@ mod tests {
         assert_eq!(p.tweet_base().retained(), 2);
         assert!(p.tweet_base().first_retained() <= p.scan_watermark());
         // More stream keeps the invariant.
-        p.process_batch(&[toks("more Surface0 talk"), toks("and Surface1 too")]);
+        p.ingest(vec![toks("more Surface0 talk"), toks("and Surface1 too")], None);
         p.finalize();
         assert!(p.tweet_base().first_retained() <= p.scan_watermark());
         assert_eq!(p.tweet_base().retained(), 2);
@@ -2243,13 +2196,13 @@ mod tests {
             vec![toks("more beshear talk"), toks("italy italy italy")],
             vec![toks("beshear and italy together")],
         ];
-        bounded.process_batch(&seed_batch);
-        unbounded.process_batch(&seed_batch);
+        bounded.ingest(seed_batch.clone(), None);
+        unbounded.ingest(seed_batch, None);
         assert_eq!(bounded.finalize(), unbounded.finalize());
         assert!(bounded.tweet_base().retained() <= 2);
         for b in &stable_batches {
-            bounded.process_batch(b);
-            unbounded.process_batch(b);
+            bounded.ingest(b.clone(), None);
+            unbounded.ingest(b.clone(), None);
             let out_b = bounded.finalize();
             let out_u = unbounded.finalize();
             assert_eq!(out_b, out_u, "bounded output diverged");
@@ -2279,8 +2232,8 @@ mod tests {
             vec![toks("italy beshear italy")],
         ];
         for b in &batches {
-            bounded.process_batch(b);
-            unbounded.process_batch(b);
+            bounded.ingest(b.clone(), None);
+            unbounded.ingest(b.clone(), None);
         }
         assert_eq!(bounded.finalize(), unbounded.finalize());
         assert!(bounded.tweet_base().retained_bytes() <= 600);
@@ -2289,15 +2242,15 @@ mod tests {
             "budget small enough that eviction actually ran"
         );
         // Continuation with known surfaces stays identical.
-        bounded.process_batch(&[toks("beshear again")]);
-        unbounded.process_batch(&[toks("beshear again")]);
+        bounded.ingest(vec![toks("beshear again")], None);
+        unbounded.ingest(vec![toks("beshear again")], None);
         assert_eq!(bounded.finalize(), unbounded.finalize());
     }
 
     #[test]
     fn unchanged_surfaces_are_skipped_by_finalize() {
         let mut p = pipeline(AblationMode::FullGlobal);
-        p.process_batch(&[toks("Beshear spoke today"), toks("Italy won")]);
+        p.ingest(vec![toks("Beshear spoke today"), toks("Italy won")], None);
         p.finalize();
         for (_, e) in p.candidate_base().iter() {
             assert_eq!(e.clustered, e.mentions.len());
@@ -2305,7 +2258,7 @@ mod tests {
         }
         // A batch touching only "beshear" (known surface, no version
         // bump) leaves "italy" untouched and skippable.
-        p.process_batch(&[toks("more beshear talk")]);
+        p.ingest(vec![toks("more beshear talk")], None);
         let fp_before_italy = {
             let e = p.candidate_base().get("italy").expect("entry");
             (e.mentions.len(), e.clusters.len())
@@ -2321,14 +2274,14 @@ mod tests {
     #[test]
     fn version_bump_reclusters_only_changed_surfaces() {
         let mut p = pipeline(AblationMode::FullGlobal);
-        p.process_batch(&[toks("Beshear spoke today"), toks("Italy won"), toks("Covid masks")]);
+        p.ingest(vec![toks("Beshear spoke today"), toks("Italy won"), toks("Covid masks")], None);
         p.finalize();
         assert_eq!(p.timings().surfaces_clustered, 3);
         // "Louisville" occurs in no earlier tweet: seeding it bumps the
         // CTrie version, so the candidate store is rebuilt, yet only the
         // new surface and the re-mentioned "italy" changed.
         let version = p.trie_version();
-        p.process_batch(&[toks("Louisville beat italy")]);
+        p.ingest(vec![toks("Louisville beat italy")], None);
         assert!(p.trie_version() > version);
         p.finalize();
         assert_eq!(p.candidate_base().len(), 4);
@@ -2339,8 +2292,11 @@ mod tests {
         // The carried clusters are exactly what one end-of-stream
         // finalize computes.
         let mut once = pipeline(AblationMode::FullGlobal);
-        once.process_batch(&[toks("Beshear spoke today"), toks("Italy won"), toks("Covid masks")]);
-        once.process_batch(&[toks("Louisville beat italy")]);
+        once.ingest(
+            vec![toks("Beshear spoke today"), toks("Italy won"), toks("Covid masks")],
+            None,
+        );
+        once.ingest(vec![toks("Louisville beat italy")], None);
         once.finalize();
         assert_eq!(once.export_state_bytes(), p.export_state_bytes());
     }
@@ -2356,13 +2312,13 @@ mod tests {
             // Uninterrupted reference run.
             let mut reference = pipeline(mode);
             for b in &batches {
-                reference.process_batch(b);
+                reference.ingest(b.clone(), None);
                 reference.finalize();
             }
             // Interrupted run: snapshot after batch 1, restore into a
             // fresh pipeline (same trained models), continue.
             let mut first = pipeline(mode);
-            first.process_batch(&batches[0]);
+            first.ingest(batches[0].to_vec(), None);
             first.finalize();
             let snapshot = first.export_state();
             drop(first);
@@ -2370,14 +2326,14 @@ mod tests {
             resumed.import_state(snapshot).expect("import");
             let mut last = Vec::new();
             for b in &batches[1..] {
-                resumed.process_batch(b);
+                resumed.ingest(b.clone(), None);
                 last = resumed.finalize();
             }
             let mut ref_last = Vec::new();
             {
                 let mut r2 = pipeline(mode);
                 for b in &batches {
-                    r2.process_batch(b);
+                    r2.ingest(b.clone(), None);
                     ref_last = r2.finalize();
                 }
             }
@@ -2395,7 +2351,7 @@ mod tests {
     #[test]
     fn import_rejects_inconsistent_checkpoints() {
         let mut p = pipeline(AblationMode::FullGlobal);
-        p.process_batch(&[toks("Beshear spoke")]);
+        p.ingest(vec![toks("Beshear spoke")], None);
         p.finalize();
         let mut ck = p.export_state();
         ck.scanned_tweets = 99;

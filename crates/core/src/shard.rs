@@ -303,15 +303,7 @@ impl<T: ContextualTagger + Clone + Send + Sync> ShardedGlobalizer<T> {
                             "shard lag exceeds the donor's compaction horizon",
                         ));
                     }
-                    match ids {
-                        Some(ids) => {
-                            let batch = ids.iter().copied().zip(tweets.iter().cloned()).collect();
-                            lagging.process_batch_with_ids(batch)?;
-                        }
-                        None => {
-                            lagging.process_batch(tweets.clone())?;
-                        }
-                    }
+                    lagging.ingest(tweets.clone(), ids.clone())?;
                     expected += 1;
                     applied += 1;
                 }
@@ -422,21 +414,36 @@ impl<T: ContextualTagger + Clone + Send + Sync> ShardedGlobalizer<T> {
     /// the lowest-index shard's output — local spans and shared-state
     /// effects are identical on every shard; the report's
     /// mention-admission counters reflect that shard's owned subset.
+    ///
+    /// # Panics
+    /// Panics, before any shard logs the batch, when `ids` is given
+    /// with a length other than `tweets`'.
+    pub fn ingest(
+        &mut self,
+        tweets: Vec<Vec<String>>,
+        ids: Option<Vec<u64>>,
+    ) -> Result<(BatchOutput, BatchReport), DurableError> {
+        let results = self.broadcast(|shard| shard.ingest(tweets.clone(), ids.clone()));
+        self.settle(results, true)
+    }
+
+    /// [`Self::ingest`] without ids. Kept only because the benchmark
+    /// harness under `perfbench/` calls it by this name.
     pub fn process_batch(
         &mut self,
         batch: Vec<Vec<String>>,
     ) -> Result<(BatchOutput, BatchReport), DurableError> {
-        let results = self.broadcast(|shard| shard.process_batch(batch.clone()));
-        self.settle(results, true)
+        self.ingest(batch, None)
     }
 
-    /// [`Self::process_batch`] for id-carrying streams.
+    /// [`Self::ingest`] over `(id, tokens)` pairs. Kept only because the
+    /// benchmark harness under `perfbench/` calls it by this name.
     pub fn process_batch_with_ids(
         &mut self,
         batch: Vec<(u64, Vec<String>)>,
     ) -> Result<(BatchOutput, BatchReport), DurableError> {
-        let results = self.broadcast(|shard| shard.process_batch_with_ids(batch.clone()));
-        self.settle(results, true)
+        let (ids, tweets) = batch.into_iter().unzip();
+        self.ingest(tweets, Some(ids))
     }
 
     /// Finalizes every non-wedged shard concurrently, rebuilds the

@@ -37,8 +37,8 @@ mod tests {
         let mut a = pipeline(cfg);
         let mut b = pipeline(cfg);
         let tweets = vec![vec!["Andy".to_string(), "Beshear".to_string(), "spoke".to_string()]];
-        a.process_batch(&tweets);
-        b.process_batch(&tweets);
+        a.ingest(tweets.clone(), None);
+        b.ingest(tweets, None);
         a.finalize();
         b.finalize();
         assert_eq!(a.state_digest(), b.state_digest());

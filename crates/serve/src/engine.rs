@@ -5,7 +5,7 @@
 //! handlers never touch durable state directly: they enqueue
 //! [`IngestItem`]s into a bounded channel and wait on a per-item ack
 //! channel. The engine drains the queue into size/time-bounded batches,
-//! commits each through [`DurableGlobalizer::process_batch_with_ids`]
+//! commits each through [`DurableGlobalizer::ingest`]
 //! (WAL commit happens *before* apply, so an ack implies durability),
 //! and answers every submitter with a typed [`Ack`].
 //!
@@ -42,13 +42,14 @@ pub(crate) enum EngineStore<T: ContextualTagger> {
 }
 
 impl<T: ContextualTagger + Clone + Send + Sync> EngineStore<T> {
-    pub(crate) fn process_batch_with_ids(
+    pub(crate) fn ingest(
         &mut self,
-        batch: Vec<(u64, Vec<String>)>,
+        tweets: Vec<Vec<String>>,
+        ids: Vec<u64>,
     ) -> Result<(BatchOutput, BatchReport), DurableError> {
         match self {
-            EngineStore::Single(s) => s.process_batch_with_ids(batch),
-            EngineStore::Sharded(s) => s.process_batch_with_ids(batch),
+            EngineStore::Single(s) => s.ingest(tweets, Some(ids)),
+            EngineStore::Sharded(s) => s.ingest(tweets, Some(ids)),
         }
     }
 
@@ -346,13 +347,14 @@ pub(crate) fn run<T: ContextualTagger + Clone + Send + Sync>(
 fn commit_batch<T: ContextualTagger + Clone + Send + Sync>(
     shared: &Shared<T>,
     durable: &mut EngineStore<T>,
-    batch: Vec<IngestItem>,
+    mut batch: Vec<IngestItem>,
 ) {
     let stats = &shared.stats;
     let n = batch.len() as u64;
-    let payload: Vec<(u64, Vec<String>)> =
-        batch.iter().map(|item| (item.id, item.tokens.clone())).collect();
-    match durable.process_batch_with_ids(payload) {
+    // Acks need only the ids, so the token lists move into the batch.
+    let tweets = batch.iter_mut().map(|item| std::mem::take(&mut item.tokens)).collect();
+    let ids = batch.iter().map(|item| item.id).collect();
+    match durable.ingest(tweets, ids) {
         Ok((_, report)) => {
             add(&stats.batches, 1);
             add(&stats.batch_tweets, n);

@@ -10,7 +10,7 @@
 //!   bounded submission queue; one dedicated engine thread drains it
 //!   into size/time-bounded batches (`max_batch`, `max_delay_ms`) and
 //!   commits them through
-//!   [`DurableGlobalizer::process_batch_with_ids`]. Every tweet is
+//!   [`DurableGlobalizer::ingest`]. Every tweet is
 //!   acked only after its batch's WAL record is durable, and per-tweet
 //!   [`ngl_core::BatchReport`] rejections travel back to the
 //!   submitting client as typed statuses.

@@ -54,7 +54,7 @@ fn main() {
         NerGlobalizer::new(local, trained.phrase, trained.classifier, GlobalizerConfig::default());
     let batch: Vec<Vec<String>> =
         tweets.iter().map(|t| tokenize(t).into_iter().map(|tok| tok.text).collect()).collect();
-    pipeline.process_batch_owned(batch);
+    pipeline.ingest(batch, None);
     let out = pipeline.finalize();
 
     for (text, spans) in tweets.iter().zip(&out) {

@@ -62,7 +62,7 @@ fn main() {
             trained.classifier.clone(),
             GlobalizerConfig::default(),
         );
-        p.process_batch(&sentences);
+        p.ingest(sentences.clone(), None);
         let out = p.finalize();
         results.push(("NER Globalizer", evaluate(&gold, &out).macro_f1()));
         results.push((

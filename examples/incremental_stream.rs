@@ -44,7 +44,7 @@ fn main() {
     let mut seen = 0usize;
     for (bi, batch) in stream.batches(200).enumerate() {
         let tokens: Vec<Vec<String>> = batch.iter().map(|t| t.tokens.clone()).collect();
-        pipeline.process_batch_owned(tokens);
+        pipeline.ingest(tokens, None);
         seen += batch.len();
         // Re-run the Global NER steps over everything seen so far —
         // the continuous execution setup of §III.

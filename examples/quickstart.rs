@@ -72,7 +72,7 @@ fn main() {
         NerGlobalizer::new(local, trained.phrase, trained.classifier, GlobalizerConfig::default());
     for batch in stream.batches(200) {
         let tokens: Vec<Vec<String>> = batch.iter().map(|t| t.tokens.clone()).collect();
-        pipeline.process_batch_owned(tokens);
+        pipeline.ingest(tokens, None);
     }
     let global = pipeline.finalize();
     let local_out = pipeline.local_outputs();

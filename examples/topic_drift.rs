@@ -55,7 +55,7 @@ fn main() {
     for phase in 0..3 {
         let tweets = stream.next_batch(phase_len);
         let tokens: Vec<Vec<String>> = tweets.iter().map(|t| t.tokens.clone()).collect();
-        pipeline.process_batch_owned(tokens);
+        pipeline.ingest(tokens, None);
         all_tweets.extend(tweets);
         // Re-run Global NER over everything seen so far, then score just
         // this phase's slice.

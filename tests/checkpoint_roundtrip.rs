@@ -1,9 +1,8 @@
-//! Crash-consistency contract of `GlobalizerBundle` v2: a pipeline
+//! Crash-consistency contract of `GlobalizerBundle`: a pipeline
 //! checkpointed mid-stream, serialized, reloaded and resumed must be
 //! bitwise indistinguishable — in final outputs and in candidate
-//! state — from a never-interrupted run, and the v2 byte encoding
-//! itself must be canonical (serialize → parse → serialize is the
-//! identity). Legacy v1 bundles (models only) must keep loading.
+//! state — from a never-interrupted run, and the byte encoding itself
+//! must be canonical (serialize → parse → serialize is the identity).
 
 use std::collections::BTreeSet;
 
@@ -95,7 +94,8 @@ fn gen_stream(seed: u64, n: usize) -> Vec<(u64, Vec<String>)> {
 fn drive(p: &mut NerGlobalizer<CapTagger>, stream: &[(u64, Vec<String>)]) -> Vec<Vec<Span>> {
     let mut out = Vec::new();
     for chunk in stream.chunks(BATCH) {
-        let (_, report) = p.try_process_batch_with_ids(chunk.to_vec());
+        let (ids, tweets) = chunk.iter().cloned().unzip();
+        let (_, report) = p.ingest(tweets, Some(ids));
         assert!(report.all_ok());
         out = p.finalize();
     }
@@ -122,7 +122,7 @@ fn fingerprint(p: &NerGlobalizer<CapTagger>) -> Vec<(String, Vec<u64>, Vec<u32>)
         .collect()
 }
 
-/// Snapshot `donor` into a v2 bundle, serialize, parse back, and build
+/// Snapshot `donor` into a bundle, serialize, parse back, and build
 /// a resumed pipeline from the parsed models + checkpoint. Also checks
 /// the encoding is canonical.
 fn snapshot_and_restore(donor: &NerGlobalizer<CapTagger>) -> NerGlobalizer<CapTagger> {
@@ -130,8 +130,8 @@ fn snapshot_and_restore(donor: &NerGlobalizer<CapTagger>) -> NerGlobalizer<CapTa
     let mut bundle = GlobalizerBundle::from_models(encoder, phrase, classifier);
     bundle.checkpoint = Some(donor.export_state());
     let bytes = bundle.to_bytes();
-    let restored = GlobalizerBundle::from_bytes(&bytes).expect("v2 bundle parses");
-    assert_eq!(restored.to_bytes(), bytes, "v2 encoding is canonical");
+    let restored = GlobalizerBundle::from_bytes(&bytes).expect("bundle parses");
+    assert_eq!(restored.to_bytes(), bytes, "bundle encoding is canonical");
     let ck = restored.checkpoint.expect("checkpoint travels with the bundle");
     let mut resumed = NerGlobalizer::new(
         CapTagger(restored.encoder),
@@ -168,8 +168,7 @@ fn v2_checkpoint_resume_is_bitwise_identical() {
             assert!(resumed.cached_mentions() > 0, "state under test is non-trivial");
 
             // `seen_ids` survived: replaying a pre-split id is rejected.
-            let replay = vec![(stream[0].0, stream[0].1.clone())];
-            let (_, report) = resumed.try_process_batch_with_ids(replay);
+            let (_, report) = resumed.ingest(vec![stream[0].1.clone()], Some(vec![stream[0].0]));
             assert_eq!(report.rejected, vec![0]);
             assert!(report.errors[0].message.contains("duplicate tweet id"));
         }
@@ -194,30 +193,6 @@ fn checkpoint_preserves_eviction_state() {
     assert_eq!(fingerprint(&resumed), fingerprint(&reference));
     assert_eq!(resumed.tweet_base().first_retained(), reference.tweet_base().first_retained());
     assert_eq!(resumed.tweet_base().retained(), reference.tweet_base().retained());
-}
-
-#[test]
-fn legacy_v1_bundle_loads_and_reruns_the_stream() {
-    let stream = gen_stream(42, 8);
-    let mut reference = pipeline(GlobalizerConfig::default());
-    let ref_out = drive(&mut reference, &stream);
-
-    let (encoder, phrase, classifier) = models();
-    let bundle = GlobalizerBundle::from_models(encoder, phrase, classifier);
-    let v1 = bundle.to_bytes_v1();
-    let restored = GlobalizerBundle::from_bytes(&v1).expect("v1 bundle parses");
-    assert!(restored.checkpoint.is_none(), "v1 carries no stream state");
-
-    // No checkpoint to resume from: re-feed the whole stream.
-    let mut rerun = NerGlobalizer::new(
-        CapTagger(restored.encoder),
-        restored.phrase,
-        restored.classifier,
-        GlobalizerConfig::default(),
-    );
-    let out = drive(&mut rerun, &stream);
-    assert_eq!(out, ref_out);
-    assert_eq!(fingerprint(&rerun), fingerprint(&reference));
 }
 
 #[test]

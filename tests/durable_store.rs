@@ -134,7 +134,7 @@ fn delta_bytes_per_batch_stay_sublinear_in_stream_length() {
     let (mut durable, _) = DurableGlobalizer::open(pipeline(1, cfg), &dir, 10).expect("open");
     let mut deltas = Vec::new();
     for chunk in stream.chunks(BATCH) {
-        durable.process_batch(chunk.to_vec()).expect("batch");
+        durable.ingest(chunk.to_vec(), None).expect("batch");
         durable.finalize().expect("finalize");
         deltas.push(durable.stats().delta_bytes_last);
     }
@@ -172,7 +172,7 @@ fn spill_cold_caps_resident_memory_without_changing_output() {
         let mut unbounded = pipeline(threads, full_cfg(RetentionPolicy::Unbounded));
         let mut want: Vec<Vec<Span>> = Vec::new();
         for chunk in stream.chunks(BATCH) {
-            unbounded.process_batch_owned(chunk.to_vec());
+            unbounded.ingest(chunk.to_vec(), None);
             want = unbounded.finalize();
         }
         assert!(
@@ -189,7 +189,7 @@ fn spill_cold_caps_resident_memory_without_changing_output() {
         .expect("open");
         let mut got: Vec<Vec<Span>> = Vec::new();
         for chunk in stream.chunks(BATCH) {
-            durable.process_batch(chunk.to_vec()).expect("batch");
+            durable.ingest(chunk.to_vec(), None).expect("batch");
             got = durable.finalize().expect("finalize");
             assert!(durable.take_finalize_errors().is_empty(), "spill must not error");
             let resident = durable.inner().candidate_base().resident_bytes();
@@ -224,7 +224,7 @@ fn reopening_a_store_continues_bitwise_identically() {
                     .expect("open a");
             let mut want: Vec<Vec<Span>> = Vec::new();
             for chunk in stream.chunks(BATCH) {
-                run_a.process_batch(chunk.to_vec()).expect("batch a");
+                run_a.ingest(chunk.to_vec(), None).expect("batch a");
                 want = run_a.finalize().expect("finalize a");
             }
 
@@ -237,7 +237,7 @@ fn reopening_a_store_continues_bitwise_identically() {
                     DurableGlobalizer::open(pipeline(threads, full_cfg(retention)), &dir_b, 3)
                         .expect("open b1");
                 for chunk in stream[..half].chunks(BATCH) {
-                    first.process_batch(chunk.to_vec()).expect("batch b1");
+                    first.ingest(chunk.to_vec(), None).expect("batch b1");
                     first.finalize().expect("finalize b1");
                 }
             } // dropped: clean shutdown, no explicit flush call
@@ -248,7 +248,7 @@ fn reopening_a_store_continues_bitwise_identically() {
             assert_eq!(report.tweets, half, "recovery must land on the stopped state");
             let mut got: Vec<Vec<Span>> = Vec::new();
             for chunk in stream[half..].chunks(BATCH) {
-                second.process_batch(chunk.to_vec()).expect("batch b2");
+                second.ingest(chunk.to_vec(), None).expect("batch b2");
                 got = second.finalize().expect("finalize b2");
             }
 
@@ -278,7 +278,7 @@ fn frozen_mentions_of_evicted_tweets_go_stale_on_trie_growth() {
         vec!["Beshear".into(), "spoke".into(), "today".into()],
         vec!["Beshear".into(), "won".into()],
     ];
-    p.process_batch_owned(phase1);
+    p.ingest(phase1, None);
     p.finalize();
     assert!(p.stale_frozen_mentions().is_empty(), "nothing frozen or stale yet");
     let v1 = p.trie_version();
@@ -286,7 +286,7 @@ fn frozen_mentions_of_evicted_tweets_go_stale_on_trie_growth() {
     // Push the early tweets out of retention with filler...
     let filler: Vec<Vec<String>> =
         (0..6).map(|_| vec!["about".into(), "stream".into(), "covid".into()]).collect();
-    p.process_batch_owned(filler);
+    p.ingest(filler, None);
     p.finalize();
     assert!(p.tweet_base().first_retained() >= 2, "early tweets must be evicted");
     assert!(
@@ -295,7 +295,7 @@ fn frozen_mentions_of_evicted_tweets_go_stale_on_trie_growth() {
     );
 
     // ...then grow the CTrie with a brand-new surface.
-    p.process_batch_owned(vec![vec!["Madrid".into(), "rally".into()]]);
+    p.ingest(vec![vec!["Madrid".into(), "rally".into()]], None);
     p.finalize();
     assert!(p.trie_version() > v1, "a new surface must bump the trie version");
 

@@ -34,7 +34,7 @@ fn toks(s: &str) -> Vec<String> {
 #[test]
 fn empty_batch_is_a_noop() {
     let mut p = untrained_pipeline(AblationMode::FullGlobal);
-    let out = p.process_batch(&[]);
+    let (out, _) = p.ingest(vec![], None);
     assert!(out.local_spans.is_empty());
     assert!(p.finalize().is_empty());
 }
@@ -42,7 +42,7 @@ fn empty_batch_is_a_noop() {
 #[test]
 fn empty_sentences_flow_through() {
     let mut p = untrained_pipeline(AblationMode::FullGlobal);
-    p.process_batch(&[vec![], toks("hello world"), vec![]]);
+    p.ingest(vec![vec![], toks("hello world"), vec![]], None);
     let out = p.finalize();
     assert_eq!(out.len(), 3);
     assert!(out[0].is_empty());
@@ -59,7 +59,7 @@ fn punctuation_storm_does_not_panic() {
         toks("🦀 🦀 🦀"),
         toks("https://t.co/abc123 https://t.co/def456"),
     ];
-    p.process_batch(&weird);
+    p.ingest(weird.to_vec(), None);
     let out = p.finalize();
     assert_eq!(out.len(), weird.len());
 }
@@ -67,7 +67,7 @@ fn punctuation_storm_does_not_panic() {
 #[test]
 fn repeated_finalize_is_idempotent() {
     let mut p = untrained_pipeline(AblationMode::FullGlobal);
-    p.process_batch(&[toks("Beshear spoke in Italy"), toks("beshear again")]);
+    p.ingest(vec![toks("Beshear spoke in Italy"), toks("beshear again")], None);
     let a = p.finalize();
     let b = p.finalize();
     let c = p.finalize();
@@ -91,7 +91,7 @@ fn single_token_sentences_work_in_all_modes() {
         AblationMode::FullGlobal,
     ] {
         let mut p = untrained_pipeline(mode);
-        p.process_batch(&[toks("Coronavirus"), toks("x")]);
+        p.ingest(vec![toks("Coronavirus"), toks("x")], None);
         let out = p.finalize();
         assert_eq!(out.len(), 2, "mode {mode:?}");
         for spans in &out {
@@ -106,7 +106,7 @@ fn single_token_sentences_work_in_all_modes() {
 fn very_long_sentence_is_handled() {
     let mut p = untrained_pipeline(AblationMode::FullGlobal);
     let long: Vec<String> = (0..500).map(|i| format!("tok{i}")).collect();
-    p.process_batch(&[long]);
+    p.ingest(vec![long], None);
     let out = p.finalize();
     assert_eq!(out.len(), 1);
 }
@@ -115,7 +115,7 @@ fn very_long_sentence_is_handled() {
 fn duplicate_tweets_accumulate_mentions_not_surfaces() {
     let mut p = untrained_pipeline(AblationMode::FullGlobal);
     let t = toks("Beshear spoke in Italy today");
-    p.process_batch(&[t.clone(), t.clone(), t]);
+    p.ingest(vec![t.clone(), t.clone(), t], None);
     p.finalize();
     let surfaces = p.n_surfaces();
     let mentions = p.candidate_base().total_mentions();
@@ -124,7 +124,7 @@ fn duplicate_tweets_accumulate_mentions_not_surfaces() {
     // surface count as one tweet would.
     assert!(mentions.is_multiple_of(3), "mentions {mentions} not a multiple of 3");
     let mut p1 = untrained_pipeline(AblationMode::FullGlobal);
-    p1.process_batch(&[toks("Beshear spoke in Italy today")]);
+    p1.ingest(vec![toks("Beshear spoke in Italy today")], None);
     p1.finalize();
     assert_eq!(surfaces, p1.n_surfaces());
 }
@@ -135,7 +135,7 @@ fn stopword_only_detections_never_become_candidates() {
     // stopword filter must keep bare function words out of the CTrie.
     let mut p = untrained_pipeline(AblationMode::FullGlobal);
     let batch: Vec<Vec<String>> = (0..30).map(|_| toks("the of in and to for this that")).collect();
-    p.process_batch(&batch);
+    p.ingest(batch, None);
     p.finalize();
     for (surface, _) in p.candidate_base().iter() {
         let toks: Vec<&str> = surface.split(' ').collect();
@@ -149,11 +149,14 @@ fn stopword_only_detections_never_become_candidates() {
 #[test]
 fn unicode_and_mixed_script_tokens_survive_the_full_path() {
     let mut p = untrained_pipeline(AblationMode::FullGlobal);
-    p.process_batch(&[
-        toks("Überwachung in München heute"),
-        toks("código nuevo für alle"),
-        toks("ΚΟΣΜΟΣ και κόσμος"),
-    ]);
+    p.ingest(
+        vec![
+            toks("Überwachung in München heute"),
+            toks("código nuevo für alle"),
+            toks("ΚΟΣΜΟΣ και κόσμος"),
+        ],
+        None,
+    );
     let out = p.finalize();
     assert_eq!(out.len(), 3);
 }

@@ -207,7 +207,8 @@ fn run_stream(
     let mut out = Vec::new();
     for (b, chunk) in stream.chunks(BATCH).enumerate() {
         let offset = b * BATCH;
-        let (_, report) = p.try_process_batch_with_ids(chunk.to_vec());
+        let (ids, tweets) = chunk.iter().cloned().unzip();
+        let (_, report) = p.ingest(tweets, Some(ids));
         assert_eq!(report.rejected.len(), report.errors.len(), "one typed error per rejection");
         for (slot, err) in report.rejected.iter().zip(&report.errors) {
             assert_eq!(err.index, *slot, "error indices mirror rejected slots");
@@ -244,13 +245,13 @@ fn seeded_fault_plans_are_enumerated_and_leave_no_trace() {
             for (b, chunk) in injected.stream.chunks(BATCH).enumerate() {
                 let lo = b * BATCH;
                 let hi = lo + chunk.len();
-                let batch: Vec<(u64, Vec<String>)> = injected
+                let (ids, tweets) = injected
                     .survivors
                     .iter()
                     .filter(|(i, _, _)| lo <= *i && *i < hi)
                     .map(|(_, id, toks)| (*id, toks.clone()))
-                    .collect();
-                let (_, report) = clean.try_process_batch_with_ids(batch);
+                    .unzip();
+                let (_, report) = clean.ingest(tweets, Some(ids));
                 assert!(report.all_ok(), "survivors are clean by construction");
                 clean_out = clean.finalize();
             }
@@ -278,7 +279,8 @@ fn one_fault_of_each_kind_is_reported_precisely() {
         .with_fault(5, FaultKind::DuplicateId);
     let injected = inject(&base, &plan);
     let mut p = pipeline(2);
-    let (_, report) = p.try_process_batch_with_ids(injected.stream.clone());
+    let (ids, tweets) = injected.stream.iter().cloned().unzip();
+    let (_, report) = p.ingest(tweets, Some(ids));
     assert_eq!(report.ok, vec![0, 4, 6, 7]);
     assert_eq!(report.rejected, vec![1, 2, 3, 5]);
     assert_eq!(report.truncated, vec![4]);

@@ -90,7 +90,8 @@ fn gen_stream(seed: u64, n: usize) -> Vec<(u64, Vec<String>)> {
 fn drive(p: &mut NerGlobalizer<CapTagger>, stream: &[(u64, Vec<String>)]) -> Vec<Vec<Span>> {
     let mut out = Vec::new();
     for chunk in stream.chunks(BATCH) {
-        let (_, report) = p.try_process_batch_with_ids(chunk.to_vec());
+        let (ids, tweets) = chunk.iter().cloned().unzip();
+        let (_, report) = p.ingest(tweets, Some(ids));
         assert!(report.all_ok());
         out = p.finalize();
     }

@@ -161,8 +161,8 @@ fn parallel_runs_are_bitwise_identical_to_sequential() {
             let mut seq = pipeline(mode, Executor::sequential());
             let mut par = pipeline(mode, Executor::new(4));
             for batch in &batches {
-                let a = seq.process_batch(batch);
-                let b = par.process_batch(batch);
+                let (a, _) = seq.ingest(batch.to_vec(), None);
+                let (b, _) = par.ingest(batch.to_vec(), None);
                 assert_eq!(a.local_spans, b.local_spans, "local spans diverge in {mode:?}");
                 // Incremental finalize after every batch — the
                 // continuous-execution setup of §III.
@@ -189,9 +189,9 @@ fn incremental_finalize_matches_full_rebuild() {
                 let mut full = pipeline(mode, Executor::new(threads));
                 let mut inc_out = Vec::new();
                 for batch in &batches {
-                    inc.process_batch(batch);
+                    inc.ingest(batch.to_vec(), None);
                     inc_out = inc.finalize();
-                    full.process_batch(batch);
+                    full.ingest(batch.to_vec(), None);
                 }
                 let full_out = full.finalize();
                 assert_eq!(inc_out, full_out, "outputs diverge in {mode:?}");
@@ -236,8 +236,8 @@ fn shared_pool_with_giant_surfaces_is_bitwise_identical_to_sequential() {
         let mut seq = pipeline(mode, Executor::sequential());
         let mut par = pipeline(mode, shared.clone());
         for batch in &batches {
-            let a = seq.process_batch(batch);
-            let b = par.process_batch(batch);
+            let (a, _) = seq.ingest(batch.to_vec(), None);
+            let (b, _) = par.ingest(batch.to_vec(), None);
             assert_eq!(a.local_spans, b.local_spans, "local spans diverge in {mode:?}");
             assert_eq!(seq.finalize(), par.finalize(), "outputs diverge in {mode:?}");
         }
@@ -247,7 +247,7 @@ fn shared_pool_with_giant_surfaces_is_bitwise_identical_to_sequential() {
     // agree, so checking one suffices).
     let mut probe = pipeline(AblationMode::FullGlobal, shared);
     for batch in &batches {
-        probe.process_batch(batch);
+        probe.ingest(batch.to_vec(), None);
     }
     probe.finalize();
     let giant_mentions =
@@ -276,9 +276,9 @@ fn repeated_incremental_finalize_equals_single_finalize() {
         let mut full = pipeline(mode, Executor::from_env());
         let mut inc_out = Vec::new();
         for b in &batches {
-            inc.process_batch(b);
+            inc.ingest(b.to_vec(), None);
             inc_out = inc.finalize();
-            full.process_batch(b);
+            full.ingest(b.to_vec(), None);
         }
         let full_out = full.finalize();
         assert_eq!(inc_out, full_out, "outputs diverge in {mode:?}");
@@ -324,7 +324,7 @@ fn carried_clusters_match_a_from_scratch_finalize() {
             let mut p = pipeline(mode, Executor::new(2));
             let mut surfaces_finalized = 0u64;
             for batch in &batches {
-                p.process_batch(batch);
+                p.ingest(batch.to_vec(), None);
                 p.finalize();
                 surfaces_finalized += p.candidate_base().len() as u64;
                 let mut fresh = p.clone();
@@ -419,7 +419,7 @@ fn carried_clusters_under_max_tweets_retention_match_pinned_exports() {
         let exports: Vec<u64> = batches
             .iter()
             .map(|batch| {
-                p.process_batch(batch);
+                p.ingest(batch.to_vec(), None);
                 p.finalize();
                 fnv1a64(&p.export_state_bytes())
             })

@@ -55,7 +55,7 @@ fn run(stack: &Stack, mode: AblationMode) -> (Vec<Vec<Span>>, Vec<Vec<Span>>) {
     );
     for batch in stack.stream.batches(150) {
         let toks: Vec<Vec<String>> = batch.iter().map(|t| t.tokens.clone()).collect();
-        p.process_batch(&toks);
+        p.ingest(toks, None);
     }
     let out = p.finalize();
     (p.local_outputs(), out)
@@ -112,7 +112,7 @@ fn batched_and_single_shot_processing_agree() {
         stack.trained.classifier.clone(),
         GlobalizerConfig::default(),
     );
-    p1.process_batch(&toks);
+    p1.ingest(toks.clone(), None);
     let single = p1.finalize();
 
     let mut p2 = NerGlobalizer::new(
@@ -122,7 +122,7 @@ fn batched_and_single_shot_processing_agree() {
         GlobalizerConfig::default(),
     );
     for chunk in toks.chunks(57) {
-        p2.process_batch(chunk);
+        p2.ingest(chunk.to_vec(), None);
     }
     let batched = p2.finalize();
     // finalize() re-scans everything with the final CTrie, so batch size

@@ -379,9 +379,8 @@ fn sigkill_under_load_recovers_bitwise_identical_to_clean_run() {
     let (mut oracle, _) =
         DurableGlobalizer::open(devstack::pipeline(shared_cfg()), &oracle_dir, 4).expect("oracle");
     for ids in &batch_ids {
-        let payload: Vec<(u64, Vec<String>)> =
-            ids.iter().map(|&id| (id, tweet_tokens(id))).collect();
-        oracle.process_batch_with_ids(payload).expect("oracle batch");
+        let tweets = ids.iter().map(|&id| tweet_tokens(id)).collect();
+        oracle.ingest(tweets, Some(ids.clone())).expect("oracle batch");
         oracle.finalize().expect("oracle finalize");
     }
     oracle.finalize().expect("oracle tail finalize");

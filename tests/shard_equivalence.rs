@@ -145,7 +145,7 @@ fn run_sharded(
         ShardedGlobalizer::open(pipeline(threads, cfg(ablation)), dir, 10, shards).expect("open");
     let mut spans = Vec::new();
     for chunk in stream.chunks(BATCH) {
-        sharded.process_batch(chunk.to_vec()).expect("batch");
+        sharded.ingest(chunk.to_vec(), None).expect("batch");
         spans = sharded.finalize().expect("finalize");
     }
     let digest = sharded.combined_digest();
@@ -198,82 +198,104 @@ fn sharded_output_is_bitwise_identical_to_one_shard() {
     }
 }
 
+/// Runs once over id-less batches and once over id-carrying ones,
+/// where batch 3 repeats the first id of batch 0: catch-up must hand
+/// the donor's ids to the lagging shard, which then rejects that
+/// duplicate exactly as the other shards did.
 #[test]
 fn lagging_shard_catches_up_on_reopen_and_matches_clean_replay() {
     const SHARDS: u32 = 3;
     const FAULTY: usize = 1;
     let stream = gen_stream(0x1A66, 6 * BATCH);
+    let ids_of = |with_ids: bool, b: usize| {
+        with_ids.then(|| {
+            let mut ids: Vec<u64> = (0..BATCH).map(|k| (b * BATCH + k) as u64).collect();
+            if b == 3 {
+                ids[0] = 0;
+            }
+            ids
+        })
+    };
 
-    // Chaos run: shard 1's disk fills on its very first batch commit
-    // (WAL write #0 creates segment zero at open, #1 is the commit), so
-    // it wedges while the other shards absorb the whole stream.
-    let chaos_dir = scratch("lag-chaos");
-    {
-        let ios: Vec<IoHandle> = (0..SHARDS as usize)
-            .map(|i| {
-                if i == FAULTY {
-                    let plan = IoFaultPlan::new().with_fault(IoFault {
-                        op: IoOp::Write,
-                        class: IoPathClass::Wal,
-                        index: 1,
-                        kind: IoFaultKind::NoSpace { span: 1000 },
-                    });
-                    IoHandle::chaos(plan, RetryPolicy::default().no_sleep())
-                } else {
-                    IoHandle::real()
-                }
-            })
-            .collect();
-        let (mut sharded, _) = ShardedGlobalizer::open_with_ios(
-            pipeline(1, full_cfg()),
-            &chaos_dir,
-            1_000_000, // no compaction: the donor WAL must keep every record
-            SHARDS,
-            None,
-            ios,
-        )
-        .expect("open chaos");
-        for chunk in stream.chunks(BATCH) {
-            sharded.process_batch(chunk.to_vec()).expect("healthy shards keep committing");
-            sharded.finalize().expect("finalize");
+    for with_ids in [false, true] {
+        // Chaos run: shard 1's disk fills on its very first batch
+        // commit (WAL write #0 creates segment zero at open, #1 is the
+        // commit), so it wedges while the other shards absorb the
+        // whole stream.
+        let chaos_dir = scratch(&format!("lag-chaos-{with_ids}"));
+        {
+            let ios: Vec<IoHandle> = (0..SHARDS as usize)
+                .map(|i| {
+                    if i == FAULTY {
+                        let plan = IoFaultPlan::new().with_fault(IoFault {
+                            op: IoOp::Write,
+                            class: IoPathClass::Wal,
+                            index: 1,
+                            kind: IoFaultKind::NoSpace { span: 1000 },
+                        });
+                        IoHandle::chaos(plan, RetryPolicy::default().no_sleep())
+                    } else {
+                        IoHandle::real()
+                    }
+                })
+                .collect();
+            let (mut sharded, _) = ShardedGlobalizer::open_with_ios(
+                pipeline(1, full_cfg()),
+                &chaos_dir,
+                1_000_000, // no compaction: the donor WAL must keep every record
+                SHARDS,
+                None,
+                ios,
+            )
+            .expect("open chaos");
+            for (b, chunk) in stream.chunks(BATCH).enumerate() {
+                sharded
+                    .ingest(chunk.to_vec(), ids_of(with_ids, b))
+                    .expect("healthy shards keep committing");
+                sharded.finalize().expect("finalize");
+            }
+            assert!(sharded.is_wedged(FAULTY), "the full disk must wedge shard 1");
+            // SIGKILL: drop without any orderly shutdown.
         }
-        assert!(sharded.is_wedged(FAULTY), "the full disk must wedge shard 1");
-        // SIGKILL: drop without any orderly shutdown.
-    }
 
-    // Clean replay oracle: same stream, same call sequence, no faults.
-    let clean_dir = scratch("lag-clean");
-    {
-        let (mut sharded, _) =
+        // Clean replay oracle: same stream, same call sequence, no
+        // faults.
+        let clean_dir = scratch(&format!("lag-clean-{with_ids}"));
+        {
+            let (mut sharded, _) =
+                ShardedGlobalizer::open(pipeline(1, full_cfg()), &clean_dir, 1_000_000, SHARDS)
+                    .expect("open clean");
+            for (b, chunk) in stream.chunks(BATCH).enumerate() {
+                let (_, report) =
+                    sharded.ingest(chunk.to_vec(), ids_of(with_ids, b)).expect("batch");
+                let dup = with_ids && b == 3;
+                assert_eq!(report.rejected, if dup { vec![0] } else { vec![] }, "batch {b}");
+                sharded.finalize().expect("finalize");
+            }
+        }
+
+        // Reopen both; catch-up replication must replay the donor WAL
+        // into the lagging shard until the merged digests agree.
+        let (chaos, chaos_report) =
+            ShardedGlobalizer::open(pipeline(1, full_cfg()), &chaos_dir, 1_000_000, SHARDS)
+                .expect("reopen chaos");
+        let (clean, _) =
             ShardedGlobalizer::open(pipeline(1, full_cfg()), &clean_dir, 1_000_000, SHARDS)
-                .expect("open clean");
-        for chunk in stream.chunks(BATCH) {
-            sharded.process_batch(chunk.to_vec()).expect("batch");
-            sharded.finalize().expect("finalize");
-        }
+                .expect("reopen clean");
+        assert!(
+            chaos_report.caught_up_ops[FAULTY] > 0,
+            "the lagging shard must replay ops from the donor WAL, got {:?}",
+            chaos_report.caught_up_ops
+        );
+        assert_eq!(
+            chaos.combined_digest(),
+            clean.combined_digest(),
+            "merged digest after catch-up must match a clean replay (ids: {with_ids})"
+        );
+        assert_eq!(chaos_report.combined_digest, chaos.combined_digest());
+        let _ = std::fs::remove_dir_all(&chaos_dir);
+        let _ = std::fs::remove_dir_all(&clean_dir);
     }
-
-    // Reopen both; catch-up replication must replay the donor WAL into
-    // the lagging shard until the merged digests agree.
-    let (chaos, chaos_report) =
-        ShardedGlobalizer::open(pipeline(1, full_cfg()), &chaos_dir, 1_000_000, SHARDS)
-            .expect("reopen chaos");
-    let (clean, _) =
-        ShardedGlobalizer::open(pipeline(1, full_cfg()), &clean_dir, 1_000_000, SHARDS)
-            .expect("reopen clean");
-    assert!(
-        chaos_report.caught_up_ops[FAULTY] > 0,
-        "the lagging shard must replay ops from the donor WAL, got {:?}",
-        chaos_report.caught_up_ops
-    );
-    assert_eq!(
-        chaos.combined_digest(),
-        clean.combined_digest(),
-        "merged digest after catch-up must match a clean replay"
-    );
-    assert_eq!(chaos_report.combined_digest, chaos.combined_digest());
-    let _ = std::fs::remove_dir_all(&chaos_dir);
-    let _ = std::fs::remove_dir_all(&clean_dir);
 }
 
 #[test]
@@ -315,7 +337,7 @@ fn enospc_on_one_shard_degrades_only_that_shard() {
     // the batch is still acknowledged (a healthy shard committed it)
     // and the casualty is wedged, not the store.
     sharded
-        .process_batch(chunks.next().expect("chunk").to_vec())
+        .ingest(chunks.next().expect("chunk").to_vec(), None)
         .expect("one full disk must not reject the batch");
     assert!(sharded.is_wedged(FAULTY));
     let modes = sharded.shard_modes();
@@ -339,7 +361,7 @@ fn enospc_on_one_shard_degrades_only_that_shard() {
     // The rest of the stream keeps flowing through the healthy shard.
     let mut spans = Vec::new();
     for chunk in chunks {
-        sharded.process_batch(chunk.to_vec()).expect("healthy shards keep admitting");
+        sharded.ingest(chunk.to_vec(), None).expect("healthy shards keep admitting");
         spans = sharded.finalize().expect("finalize");
     }
     assert!(

@@ -174,7 +174,7 @@ fn run_chaos(threads: usize, dir: &Path, plan: IoFaultPlan) -> ChaosOutcome {
     let mut spans: Vec<Vec<Span>> = Vec::new();
     for chunk in stream.chunks(BATCH) {
         let mut attempts = 0;
-        while let Err(e) = durable.process_batch(chunk.to_vec()) {
+        while let Err(e) = durable.ingest(chunk.to_vec(), None) {
             assert!(matches!(e, DurableError::Store(_)), "untyped batch error: {e}");
             attempts += 1;
             assert!(attempts < 100, "batch never committed: {e}");
@@ -337,7 +337,7 @@ fn enospc_degrades_to_read_only_and_clears_when_space_returns() {
     .expect("open");
     let batch = gen_stream(0xE105, BATCH);
 
-    let err = durable.process_batch(batch.clone()).expect_err("disk is full");
+    let err = durable.ingest(batch.clone(), None).expect_err("disk is full");
     assert!(
         matches!(&err, DurableError::Store(StoreError::Io(e)) if e.raw_os_error() == Some(28)),
         "expected a typed ENOSPC, got: {err}"
@@ -356,7 +356,7 @@ fn enospc_degrades_to_read_only_and_clears_when_space_returns() {
     // applies exactly once, and read-only mode clears.
     let mut ok = false;
     for _ in 0..10 {
-        if durable.process_batch(batch.clone()).is_ok() {
+        if durable.ingest(batch.clone(), None).is_ok() {
             ok = true;
             break;
         }
@@ -409,7 +409,7 @@ fn fsync_failure_rolls_back_the_finalize_mark() {
             io,
         )
         .expect("open");
-        durable.process_batch(batch.clone()).expect("batch commits");
+        durable.ingest(batch.clone(), None).expect("batch commits");
         let err = durable.finalize().expect_err("finalize fsync fails");
         assert!(matches!(err, DurableError::Store(StoreError::Io(_))), "typed error: {err}");
         assert!(durable.has_pending_finalize(), "failed finalize must be stashed, not acked");
@@ -432,7 +432,7 @@ fn fsync_failure_rolls_back_the_finalize_mark() {
         let (mut clean, _) =
             DurableGlobalizer::open(pipeline(1, full_cfg(RetentionPolicy::Unbounded)), &dir, 100)
                 .expect("open clean");
-        clean.process_batch(batch.clone()).expect("batch");
+        clean.ingest(batch.clone(), None).expect("batch");
         let out = clean.finalize().expect("finalize");
         let _ = std::fs::remove_dir_all(&dir);
         out
@@ -448,7 +448,7 @@ fn fsync_failure_rolls_back_the_finalize_mark() {
             io,
         )
         .expect("open");
-        durable.process_batch(batch.clone()).expect("batch commits");
+        durable.ingest(batch.clone(), None).expect("batch commits");
         durable.finalize().expect_err("finalize fsync fails");
         let got = durable.finalize().expect("retry commits the stashed mark");
         assert_eq!(got, want, "retried finalize must surface the stashed spans");
@@ -588,7 +588,7 @@ fn snapshot_failure_degrades_to_wal_only_and_heals_on_retry() {
     .expect("open");
     let stream = gen_stream(0x5A10, 2 * BATCH);
 
-    durable.process_batch(stream[..BATCH].to_vec()).expect("batch");
+    durable.ingest(stream[..BATCH].to_vec(), None).expect("batch");
     durable.finalize().expect("finalize must succeed though its snapshot failed");
     let report = durable.degradation();
     assert!(report.snapshot_lagging, "failed snapshot must flag WAL-only operation");
@@ -606,7 +606,7 @@ fn snapshot_failure_degrades_to_wal_only_and_heals_on_retry() {
     drop(probe);
 
     // Next finalize retries the snapshot; the fault span has passed.
-    durable.process_batch(stream[BATCH..].to_vec()).expect("batch");
+    durable.ingest(stream[BATCH..].to_vec(), None).expect("batch");
     durable.finalize().expect("finalize");
     let report = durable.degradation();
     assert!(!report.snapshot_lagging, "a successful snapshot must end WAL-only mode");

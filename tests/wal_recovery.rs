@@ -117,7 +117,7 @@ fn record_reference(
     let mut states = BTreeMap::new();
     states.insert(0u64, durable.inner().export_state_bytes());
     for chunk in stream.chunks(BATCH) {
-        let (_, report) = durable.process_batch(chunk.to_vec()).expect("batch");
+        let (_, report) = durable.ingest(chunk.to_vec(), None).expect("batch");
         assert!(report.all_ok(), "reference stream is clean by construction");
         states.insert(durable.op_seq(), durable.inner().export_state_bytes());
         durable.finalize().expect("finalize");
@@ -265,7 +265,7 @@ fn long_unsnapshotted_suffix_replays_concurrently_to_the_clean_state() {
     // the last two batches are never finalized.
     let (mut durable, _) = DurableGlobalizer::open(pipeline(1), &dir, 1000).expect("open");
     for (i, chunk) in stream.chunks(BATCH).enumerate() {
-        let (_, report) = durable.process_batch(chunk.to_vec()).expect("batch");
+        let (_, report) = durable.ingest(chunk.to_vec(), None).expect("batch");
         assert!(report.all_ok());
         if i % 3 == 2 && i < 9 {
             durable.finalize().expect("finalize");
@@ -305,7 +305,7 @@ fn mismatched_model_fingerprint_fails_fast() {
         DurableGlobalizer::open_with_fingerprint(pipeline(1), &dir, 1000, Some(0xAAAA))
             .expect("create");
     for chunk in stream.chunks(BATCH) {
-        durable.process_batch(chunk.to_vec()).expect("batch");
+        durable.ingest(chunk.to_vec(), None).expect("batch");
         durable.finalize().expect("finalize");
     }
     drop(durable);
