@@ -151,6 +151,8 @@ fn write_timings_json(
              \"naive_scan_s\": {:.6}, \"block_scan_s\": {:.6}, \
              \"kernel_speedup\": {:.3}, \"quantized_bytes\": {}, \
              \"f32_bytes\": {}, \"quantized_bytes_ratio\": {:.4}, \
+             \"dense_inputs\": {}, \"ikj_forward_s\": {:.6}, \
+             \"kernel_forward_s\": {:.6}, \"matmul_speedup\": {:.3}, \
              \"parallelism\": {}}}",
             k.rows,
             k.dim,
@@ -161,6 +163,10 @@ fn write_timings_json(
             k.quantized_bytes,
             k.f32_bytes,
             k.quantized_bytes_ratio,
+            k.dense_inputs,
+            k.ikj_forward_s,
+            k.kernel_forward_s,
+            k.matmul_speedup,
             k.parallelism,
         ));
     }
@@ -355,6 +361,14 @@ fn main() {
                 "[reproduce] FAIL: cosine block scan is {:.2}x vs the naive loop — \
                  the fused kernels are slower than what they replaced",
                 k.kernel_speedup
+            );
+            std::process::exit(1);
+        }
+        if k.parallelism > 1 && k.matmul_speedup <= 1.0 {
+            eprintln!(
+                "[reproduce] FAIL: blocked matmul is {:.2}x vs the ikj loop on the encoder's \
+                 dense shapes — the kernel is slower than what it replaced",
+                k.matmul_speedup
             );
             std::process::exit(1);
         }

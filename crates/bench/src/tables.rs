@@ -5,6 +5,7 @@ use ngl_core::AblationMode;
 use ngl_corpus::{Dataset, GoldMention};
 use ngl_encoder::{SequenceTagger, TokenEncoder};
 use ngl_eval::{evaluate, evaluate_emd, fully_missed_entities, mistype_stats, recall_by_frequency};
+use ngl_text::shape::SHAPE_DIM;
 use ngl_text::{decode_bio, EntityType, Span};
 
 use crate::experiment::{Experiment, PipelineRun};
@@ -879,9 +880,58 @@ pub struct KernelBenchResult {
     pub f32_bytes: u64,
     /// `quantized_bytes / f32_bytes` — the at-rest shrink factor.
     pub quantized_bytes_ratio: f64,
+    /// Forward passes timed per side through the encoder's three dense
+    /// shapes, each over a [`DENSE_ROWS`]-row input.
+    pub dense_inputs: usize,
+    /// Total seconds for those passes through the `ikj` reference loop
+    /// (the pre-kernel `Matrix::matmul`).
+    pub ikj_forward_s: f64,
+    /// Total seconds for the same passes through the dispatched
+    /// [`ngl_nn::kernels::matmul`].
+    pub kernel_forward_s: f64,
+    /// `ikj_forward_s / kernel_forward_s`.
+    pub matmul_speedup: f64,
     /// `std::thread::available_parallelism()` of the host; timing-based
     /// speedups are only asserted on multicore hosts (CI convention).
     pub parallelism: usize,
+}
+
+/// The local encoder's dense shapes `(in, out)`: context → trunk,
+/// trunk → embedding, embedding → BIO logits.
+pub const DENSE_SHAPES: [(usize, usize); 3] = [(83, 48), (48, 32), (32, 9)];
+
+/// Rows per input of the dense-forward bench (a ten-token tweet).
+pub const DENSE_ROWS: usize = 10;
+
+/// `a @ b` through the `ikj` loop that `Matrix::matmul` ran before the
+/// blocked kernel: the reference side of the dense-forward bench.
+fn matmul_ikj(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    out.fill(0.0);
+    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        for (p, &x) in a_row.iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            for (o, &y) in out_row.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+                *o += x * y;
+            }
+        }
+    }
+}
+
+/// Signature shared by both sides of the dense-forward bench.
+type MatmulFn = fn(&[f32], &[f32], usize, usize, &mut [f32]);
+
+/// One encoder forward pass through `mm`: three matmuls with a ReLU
+/// after the first, into the reused buffers `h`. Returns the logit sum.
+fn dense_forward(mm: MatmulFn, x: &[f32], w: &[Vec<f32>; 3], h: &mut [Vec<f32>; 3]) -> f32 {
+    let [(k0, n0), (k1, n1), (k2, n2)] = DENSE_SHAPES;
+    let [h0, h1, h2] = h;
+    mm(x, &w[0], k0, n0, h0);
+    h0.iter_mut().for_each(|v| *v = v.max(0.0));
+    mm(h0, &w[1], k1, n1, h1);
+    mm(h1, &w[2], k2, n2, h2);
+    h2.iter().sum()
 }
 
 /// Runs the kernel benchmarks. Self-contained — needs no trained
@@ -944,11 +994,51 @@ pub fn kernel_bench() -> KernelBenchResult {
             .1;
     }
     let block_scan_s = t.elapsed().as_secs_f64();
-    std::hint::black_box(sink);
 
     let quantized_bytes: u64 =
         rows.iter().map(|r| QuantizedVec::quantize(r).payload_bytes() as u64).sum();
     let f32_bytes = (ROWS * DIM * 4) as u64;
+
+    // Dense forward: the encoder's three shapes over ten-token inputs,
+    // cycling through a small pool so the inputs stay cache-resident
+    // as the encoder's weights do. Context rows look like the
+    // encoder's: dense window embeddings, then 0/1 shape features that
+    // are mostly zero.
+    const DENSE_INPUTS: usize = 10_000;
+    const POOL: usize = 64;
+    let w: [Vec<f32>; 3] = DENSE_SHAPES
+        .map(|(k, n)| (0..k * n).map(|_| (rng.next_below(2000) as f32) / 4000.0 - 0.25).collect());
+    let (k0, _) = DENSE_SHAPES[0];
+    let inputs: Vec<Vec<f32>> = (0..POOL)
+        .map(|_| {
+            (0..DENSE_ROWS * k0)
+                .map(|i| match (i % k0 < k0 - SHAPE_DIM, rng.next_below(5)) {
+                    (true, _) => (rng.next_below(2000) as f32) / 1000.0 - 1.0,
+                    (false, 0) => 1.0,
+                    (false, _) => 0.0,
+                })
+                .collect()
+        })
+        .collect();
+    let kernel: MatmulFn = |a, b, k, n, out| kernels::matmul(a, b, a.len() / k, k, n, out);
+    let mut h = DENSE_SHAPES.map(|(_, n)| vec![0.0f32; DENSE_ROWS * n]);
+    let mut h_ref = h.clone();
+    for x in &inputs {
+        dense_forward(matmul_ikj, x, &w, &mut h_ref);
+        dense_forward(kernel, x, &w, &mut h);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&h[2]), bits(&h_ref[2]), "blocked matmul must match the ikj loop bitwise");
+    }
+    let mut time_forward = |mm: MatmulFn, h: &mut [Vec<f32>; 3]| {
+        let t = Instant::now();
+        for i in 0..DENSE_INPUTS {
+            sink += dense_forward(mm, std::hint::black_box(&inputs[i % POOL]), &w, h);
+        }
+        t.elapsed().as_secs_f64()
+    };
+    let ikj_forward_s = time_forward(matmul_ikj, &mut h_ref);
+    let kernel_forward_s = time_forward(kernel, &mut h);
+    std::hint::black_box(sink);
 
     KernelBenchResult {
         rows: ROWS,
@@ -960,11 +1050,15 @@ pub fn kernel_bench() -> KernelBenchResult {
         quantized_bytes,
         f32_bytes,
         quantized_bytes_ratio: quantized_bytes as f64 / f32_bytes.max(1) as f64,
+        dense_inputs: DENSE_INPUTS,
+        ikj_forward_s,
+        kernel_forward_s,
+        matmul_speedup: ikj_forward_s / kernel_forward_s.max(f64::MIN_POSITIVE),
         parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
 }
 
-/// Renders the [`kernel_bench`] comparison as a two-row bench table.
+/// Renders the [`kernel_bench`] comparison as a three-row bench table.
 pub fn kernel_table(r: &KernelBenchResult) -> String {
     let rows = vec![
         vec![
@@ -973,6 +1067,17 @@ pub fn kernel_table(r: &KernelBenchResult) -> String {
             secs(std::time::Duration::from_secs_f64(r.naive_scan_s)),
             secs(std::time::Duration::from_secs_f64(r.block_scan_s)),
             format!("{:.2}x", r.kernel_speedup),
+        ],
+        vec![
+            "dense_forward".to_string(),
+            format!(
+                "{} x {}x{DENSE_ROWS} rows",
+                DENSE_SHAPES.map(|(k, n)| format!("{k}x{n}")).join("·"),
+                r.dense_inputs
+            ),
+            secs(std::time::Duration::from_secs_f64(r.ikj_forward_s)),
+            secs(std::time::Duration::from_secs_f64(r.kernel_forward_s)),
+            format!("{:.2}x", r.matmul_speedup),
         ],
         vec![
             "quantized_storage".to_string(),

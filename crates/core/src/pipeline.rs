@@ -506,7 +506,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         // token lists are truncated (so stored tokens and embeddings
         // always agree), duplicates and empties are rejected before
         // any encoder work is spent on them.
-        let cap = self.cfg.max_tweet_tokens.max(1);
+        let cap = self.token_cap();
         let mut pre_rejected: Vec<Option<TaskError>> = (0..n).map(|_| None).collect();
         for (i, tokens) in tweets.iter_mut().enumerate() {
             if tokens.len() > cap {
@@ -626,6 +626,13 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         self.ingest(batch, None)
     }
 
+    /// Tokens kept per tweet: [`GlobalizerConfig::max_tweet_tokens`],
+    /// but at least one. Ingest, replay pre-encoding and [`Self::tag_query`]
+    /// all cut here, so a query encodes exactly what ingest stored.
+    fn token_cap(&self) -> usize {
+        self.cfg.max_tweet_tokens.max(1)
+    }
+
     /// Pre-encodes the unique token vectors of an upcoming group of
     /// replayed batches concurrently on the executor, filling the
     /// replay memo consulted by the batch ingestion path. WAL replay
@@ -643,7 +650,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     where
         T: Sync,
     {
-        let cap = self.cfg.max_tweet_tokens.max(1);
+        let cap = self.token_cap();
         let mut unique: Vec<Vec<String>> = Vec::new();
         let mut seen: std::collections::HashSet<Vec<String>> = std::collections::HashSet::new();
         for mut tokens in token_lists {
@@ -1274,7 +1281,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         if tokens.is_empty() {
             return Vec::new();
         }
-        let tokens = &tokens[..tokens.len().min(self.cfg.max_tweet_tokens)];
+        let tokens = &tokens[..tokens.len().min(self.token_cap())];
         let enc = self.local.encode(tokens);
         let local_spans = decode_bio(&enc.tags);
         let mut out: Vec<QueryTag> = Vec::new();
@@ -2138,6 +2145,24 @@ mod tests {
         let rec = p.tweet_base().get(0);
         assert_eq!(rec.tokens.len(), 6);
         assert_eq!(rec.embeddings.rows(), 6, "stored tokens and embeddings agree");
+    }
+
+    #[test]
+    fn query_truncates_like_ingest_at_cap_zero() {
+        let dim = 8;
+        let mut p = NerGlobalizer::new(
+            FakeTagger { dim },
+            PhraseEmbedder::new(PhraseEmbedderConfig { dim, ..Default::default() }),
+            EntityClassifier::new(ClassifierConfig { dim, ..Default::default() }),
+            GlobalizerConfig { max_tweet_tokens: 0, ..Default::default() },
+        );
+        let tweet = toks("Beshear spoke today");
+        let (_, r) = p.ingest(vec![tweet.clone()], None);
+        assert_eq!(r.truncated, vec![0]);
+        let stored = p.tweet_base().get(0).local_spans.clone();
+        assert_eq!(stored.len(), 1, "ingest keeps one token and tags it");
+        let queried: Vec<Span> = p.tag_query(&tweet).iter().map(|t| t.span).collect();
+        assert_eq!(queried, stored);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod features;
 pub mod model;
 pub mod train;
 
-pub use features::{hash_token, subword_ngrams, FeatureConfig};
+pub use features::FeatureConfig;
 pub use model::{EncoderConfig, SentenceEncoding, TokenEncoder};
 pub use train::{train_encoder, TrainConfig, TrainStats};
 

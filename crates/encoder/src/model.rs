@@ -3,12 +3,12 @@
 use ngl_runtime::rng::SplitMix64;
 
 use ngl_nn::layers::{Dense, Init, Relu};
-use ngl_nn::loss::SoftmaxCrossEntropy;
+use ngl_nn::loss::softmax_in_place;
 use ngl_nn::Matrix;
 use ngl_text::shape::{WordShape, SHAPE_DIM};
-use ngl_text::{BioTag, Token, TokenKind};
+use ngl_text::{BioTag, TokenKind};
 
-use crate::features::{hash_token, subword_ngrams, FeatureConfig};
+use crate::features::{FeatureConfig, Featurizer};
 
 /// Encoder hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -54,10 +54,17 @@ pub struct SentenceEncoding {
     pub probs: Matrix,
 }
 
+/// Hashed table rows a sentence's base embeddings read: per token, its
+/// word row and its trigram rows in window order.
+#[derive(Default)]
+pub(crate) struct BucketRows {
+    pub(crate) word: Vec<usize>,
+    pub(crate) sub: Vec<Vec<usize>>,
+}
+
 /// Per-sentence forward cache used by the trainer.
 pub(crate) struct ForwardCache {
-    pub(crate) word_rows: Vec<usize>,
-    pub(crate) sub_rows: Vec<Vec<usize>>,
+    pub(crate) rows: BucketRows,
     pub(crate) ctx: Matrix,
     pub(crate) pre1: Matrix,
     pub(crate) h: Matrix,
@@ -127,43 +134,37 @@ impl TokenEncoder {
             + self.head.param_count()
     }
 
-    /// Base (context-free) embedding of one token: word-bucket row plus
-    /// the mean of its trigram rows.
-    fn base_embedding(&self, token: &str, word_row: usize, sub_rows: &[usize]) -> Vec<f32> {
-        let _ = token;
-        let d = self.cfg.embed_dim;
-        let mut v = self.word_table.row(word_row).to_vec();
-        if !sub_rows.is_empty() {
-            let k = sub_rows.len() as f32;
-            for &r in sub_rows {
-                for (o, &x) in v.iter_mut().zip(self.sub_table.row(r)).take(d) {
-                    *o += x / k;
-                }
-            }
-        }
-        v
-    }
-
-    /// Full forward pass over a sentence, caching everything the
-    /// backward pass needs.
-    pub(crate) fn forward(&self, tokens: &[String]) -> ForwardCache {
+    /// The `n × (3·embed_dim + SHAPE_DIM)` context matrix of a sentence:
+    /// per token, the mean base embedding of its left window, its own,
+    /// the mean of its right window, and its shape features. A base
+    /// embedding is the token's word row plus the mean of its trigram
+    /// rows. When `rows` is given (training), the table rows read are
+    /// recorded into it for the sparse update.
+    fn context(&self, tokens: &[String], mut rows: Option<&mut BucketRows>) -> Matrix {
         let n = tokens.len();
         let d = self.cfg.embed_dim;
         let w = self.cfg.window;
-        let wb = self.cfg.features.word_buckets;
-        let sb = self.cfg.features.sub_buckets;
 
-        let word_rows: Vec<usize> = tokens.iter().map(|t| hash_token(t, wb)).collect();
-        let sub_rows: Vec<Vec<usize>> = tokens.iter().map(|t| subword_ngrams(t, sb)).collect();
-
-        let mut base = Matrix::zeros(n.max(1), d);
-        for i in 0..n {
-            let v = self.base_embedding(&tokens[i], word_rows[i], &sub_rows[i]);
-            base.row_mut(i).copy_from_slice(&v);
+        let mut feats = Featurizer::new(self.cfg.features);
+        let mut base = Matrix::zeros(n, d);
+        for (i, token) in tokens.iter().enumerate() {
+            let word = feats.load(token);
+            let v = base.row_mut(i);
+            v.copy_from_slice(self.word_table.row(word));
+            let k = feats.trigrams().len() as f32;
+            for r in feats.trigrams() {
+                for (o, &x) in v.iter_mut().zip(self.sub_table.row(r)) {
+                    *o += x / k;
+                }
+            }
+            if let Some(rows) = rows.as_deref_mut() {
+                rows.word.push(word);
+                rows.sub.push(feats.trigrams().collect());
+            }
         }
 
         let ctx_dim = 3 * d + SHAPE_DIM;
-        let mut ctx = Matrix::zeros(n.max(1), ctx_dim);
+        let mut ctx = Matrix::zeros(n, ctx_dim);
         for i in 0..n {
             let row = ctx.row_mut(i);
             // Left-window mean.
@@ -189,18 +190,27 @@ impl TokenEncoder {
                 }
             }
             // Shape features.
-            let shape = WordShape::of(&pseudo_token(&tokens[i])).to_features();
-            row[3 * d..].copy_from_slice(&shape);
+            let text = tokens[i].as_str();
+            row[3 * d..].copy_from_slice(&WordShape::of_text(text, shape_kind(text)).to_features());
         }
+        ctx
+    }
 
+    /// Full forward pass over a sentence, caching everything the
+    /// backward pass needs.
+    pub(crate) fn forward(&self, tokens: &[String]) -> ForwardCache {
+        let mut rows = BucketRows::default();
+        let ctx = self.context(tokens, Some(&mut rows));
         let pre1 = self.l1.forward(&ctx);
         let h = Relu.forward(&pre1);
         let emb = self.l2.forward(&h);
         let logits = self.head.forward(&emb);
-        ForwardCache { word_rows, sub_rows, ctx, pre1, h, emb, logits }
+        ForwardCache { rows, ctx, pre1, h, emb, logits }
     }
 
-    /// Encodes a sentence: contextual embeddings + BIO predictions.
+    /// Encodes a sentence: contextual embeddings + BIO predictions. The
+    /// same layers as [`Self::forward`], with ReLU and softmax applied
+    /// in place and nothing kept for a backward pass.
     pub fn encode_sentence(&self, tokens: &[String]) -> SentenceEncoding {
         if tokens.is_empty() {
             return SentenceEncoding {
@@ -209,8 +219,15 @@ impl TokenEncoder {
                 probs: Matrix::zeros(0, BioTag::COUNT),
             };
         }
-        let cache = self.forward(tokens);
-        let probs = SoftmaxCrossEntropy.probabilities(&cache.logits);
+        let mut h = self.l1.forward(&self.context(tokens, None));
+        for v in h.as_mut_slice() {
+            *v = v.max(0.0);
+        }
+        let embeddings = self.l2.forward(&h);
+        let mut probs = self.head.forward(&embeddings);
+        for r in 0..probs.rows() {
+            softmax_in_place(probs.row_mut(r));
+        }
         let tags = match &self.log_trans {
             Some(trans) => viterbi_decode(&probs, trans),
             None => (0..tokens.len())
@@ -226,7 +243,7 @@ impl TokenEncoder {
                 })
                 .collect(),
         };
-        SentenceEncoding { embeddings: cache.emb, tags, probs }
+        SentenceEncoding { embeddings, tags, probs }
     }
 
     /// Mutable access to the embedding tables for the trainer.
@@ -355,9 +372,10 @@ fn viterbi_decode(probs: &Matrix, log_trans: &[f32]) -> Vec<BioTag> {
     path.into_iter().map(BioTag::from_index).collect()
 }
 
-/// Builds a throwaway [`Token`] for shape extraction from a bare string.
-fn pseudo_token(text: &str) -> Token {
-    let kind = if text.starts_with('#') && text.len() > 1 {
+/// The token kind the shape features see, read off the bare token text
+/// (the encoder gets strings, not tokenizer output).
+fn shape_kind(text: &str) -> TokenKind {
+    if text.starts_with('#') && text.len() > 1 {
         TokenKind::Hashtag
     } else if text.starts_with('@') && text.len() > 1 {
         TokenKind::Mention
@@ -369,8 +387,7 @@ fn pseudo_token(text: &str) -> Token {
         TokenKind::Word
     } else {
         TokenKind::Punct
-    };
-    Token { text: text.to_string(), start: 0, kind }
+    }
 }
 
 impl crate::SequenceTagger for TokenEncoder {
@@ -472,6 +489,114 @@ mod tests {
         let b = TokenEncoder::new(small_cfg());
         let s = toks(&["stay", "safe"]);
         assert_eq!(a.encode_sentence(&s).probs, b.encode_sentence(&s).probs);
+    }
+
+    /// FNV-1a 64 over `bytes`, continuing from `h`.
+    fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        h
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// Tokens that stress normalization and shape: empty, blank, a bare
+    /// `#`, a hashtag, multi-char lowercasing (`İ`), a capital sharp s,
+    /// a combining mark, an emoji, an elongation and a 5000-char token.
+    fn odd_tokens() -> Vec<String> {
+        let long = "x".repeat(5000);
+        ["", "   ", "#", "#Coronavirus", "İstanbul", "ẞ", "a\u{301}b", "😷", "sooooo", &long]
+            .iter()
+            .map(|s| s.to_string())
+            .collect()
+    }
+
+    fn tweet_tokens() -> Vec<String> {
+        toks(&[
+            "@WHO",
+            "says",
+            "gov",
+            "Beshear",
+            "told",
+            "#Kentucky",
+            "to",
+            "stay",
+            "home",
+            "https://t.co/x1",
+            "2020",
+            "!",
+        ])
+    }
+
+    /// Pins the encoder's output bits and its hashed feature ids. The
+    /// constants were computed with the pre-blocked-kernel encoder
+    /// (per-trigram `String`s, `ikj` matmul), so any change to hashing,
+    /// shape features or the arithmetic order of a layer shows here.
+    #[test]
+    fn encoder_bits_and_bucket_ids_are_pinned() {
+        let mut enc = TokenEncoder::new(EncoderConfig { seed: 2024, ..Default::default() });
+        let t = BioTag::COUNT;
+        enc.set_transitions((0..t * t).map(|i| -0.25 * ((i * 7) % 5) as f32).collect());
+        let odd = odd_tokens();
+        let mut sentences = vec![odd.clone()];
+        sentences.extend(odd.iter().map(|s| vec![s.clone()]));
+        sentences.push(tweet_tokens());
+
+        let (mut emb, mut probs) = (FNV_OFFSET, FNV_OFFSET);
+        let mut tags = Vec::new();
+        for s in &sentences {
+            let out = enc.encode_sentence(s);
+            for v in out.embeddings.as_slice() {
+                emb = fnv1a64(emb, &v.to_bits().to_le_bytes());
+            }
+            for v in out.probs.as_slice() {
+                probs = fnv1a64(probs, &v.to_bits().to_le_bytes());
+            }
+            tags.push(out.tags.iter().map(|t| t.index()).collect::<Vec<_>>());
+        }
+        assert_eq!(emb, 0xea0c_36dc_e37c_d784, "embedding bits");
+        assert_eq!(probs, 0xbe38_efe7_6061_81ba, "probability bits");
+        let want: [&[usize]; 12] = [
+            &[5, 5, 5, 5, 5, 5, 5, 5, 5, 0],
+            &[3],
+            &[5],
+            &[3],
+            &[5],
+            &[5],
+            &[5],
+            &[5],
+            &[3],
+            &[5],
+            &[3],
+            &[0, 0, 0, 5, 5, 5, 5, 0, 0, 0, 0, 5],
+        ];
+        assert_eq!(tags, want, "tag indices");
+
+        let mut feats = Featurizer::new(FeatureConfig::default());
+        let (mut words, mut counts, mut grams) = (Vec::new(), Vec::new(), FNV_OFFSET);
+        for token in odd.iter().chain(&tweet_tokens()) {
+            words.push(feats.load(token));
+            counts.push(feats.trigrams().len());
+            for g in feats.trigrams() {
+                grams = fnv1a64(grams, &(g as u64).to_le_bytes());
+            }
+        }
+        assert_eq!(
+            words,
+            [
+                4449, 5547, 4449, 6414, 7304, 4795, 1575, 2025, 2055, 961, 5497, 341, 3843, 6149,
+                1504, 107, 6208, 6836, 6754, 6440, 5409, 4032
+            ],
+            "word buckets"
+        );
+        assert_eq!(
+            counts,
+            [1, 3, 1, 11, 9, 1, 3, 1, 6, 5000, 4, 4, 3, 7, 4, 8, 2, 4, 4, 15, 4, 1],
+            "trigrams per token"
+        );
+        assert_eq!(grams, 0x251f_a621_3139_b675, "trigram buckets");
     }
 
     #[test]

@@ -218,12 +218,12 @@ fn train_sentence(
     let (word_table, sub_table) = encoder.tables_mut();
     for i in 0..n {
         let g = dbase.row(i);
-        let wr = cache.word_rows[i];
+        let wr = cache.rows.word[i];
         for (p, &gi) in word_table.row_mut(wr).iter_mut().zip(g) {
             *p -= lr_table * gi;
         }
-        let k = cache.sub_rows[i].len() as f32;
-        for &sr in &cache.sub_rows[i] {
+        let k = cache.rows.sub[i].len() as f32;
+        for &sr in &cache.rows.sub[i] {
             for (p, &gi) in sub_table.row_mut(sr).iter_mut().zip(g) {
                 *p -= lr_table * gi / k;
             }

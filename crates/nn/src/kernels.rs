@@ -1,6 +1,6 @@
-//! Fused compute kernels with a fixed, dispatch-independent
-//! accumulation order, plus the i8 symmetric quantization used for
-//! stored embeddings.
+//! Fused compute kernels and the dense-layer matmul, each with a fixed,
+//! dispatch-independent accumulation order, plus the i8 symmetric
+//! quantization used for stored embeddings.
 //!
 //! ## Determinism contract
 //!
@@ -19,13 +19,24 @@
 //! for every input, which keeps pipeline outputs stable across
 //! `NGL_KERNEL` and `NGL_THREADS` settings.
 //!
+//! [`matmul`] reduces along `k` for each output element, so its rule is
+//! the order of the plain `ikj` loop it replaced: lanes run across
+//! output *columns* only, each element's sum starts at `0.0` and takes
+//! its terms in `p = 0..k` order, a term whose `a` entry equals zero
+//! (either sign) is skipped, and every kept term is one IEEE multiply
+//! and one IEEE add, no FMA. Scalar and AVX compile the same blocked
+//! body, so both return the `ikj` loop's bits for every input, signed
+//! zeros and non-finite `b` entries included.
+//!
 //! ## Dispatch
 //!
 //! `NGL_KERNEL=scalar|simd` selects the path at first use (default:
 //! `simd`, which falls back to scalar off x86_64);
 //! [`set_kernel_mode`] overrides it at runtime for tests and benches.
 //! Block scans resolve the kernel function once via [`dot_fn`] /
-//! [`cosine_fn`] instead of re-dispatching per row.
+//! [`cosine_fn`] instead of re-dispatching per row. [`matmul`] under
+//! `simd` runs its blocked body compiled for AVX when the CPU has it,
+//! and the plain blocked loop otherwise.
 //!
 //! ## Quantized storage
 //!
@@ -193,12 +204,92 @@ fn axpy_scalar(y: &mut [f32], alpha: f32, x: &[f32]) {
     }
 }
 
+/// Collects the terms of one `a` row that the sum keeps — every
+/// `a_p != 0`, as `(offset of b's row p, a_p)` in `p` order — without
+/// a data-dependent branch. Returns how many there are.
+#[inline(always)]
+fn matmul_terms(a_row: &[f32], n: usize, terms: &mut [(usize, f32)]) -> usize {
+    let mut len = 0;
+    for (p, &a) in a_row.iter().enumerate() {
+        terms[len] = (p * n, a);
+        len += usize::from(a != 0.0);
+    }
+    len
+}
+
+/// Output columns `j0..j0 + W` of one matmul row, summed in registers:
+/// `out_j = 0 + a_p b_pj + …` over the kept terms in `p` order.
+#[inline(always)]
+fn matmul_cols<const W: usize>(terms: &[(usize, f32)], b: &[f32], j0: usize, out: &mut [f32]) {
+    let mut acc = [0.0f32; W];
+    for &(off, a) in terms {
+        let b_cols = &b[off + j0..][..W];
+        for j in 0..W {
+            acc[j] += a * b_cols[j];
+        }
+    }
+    out[j0..j0 + W].copy_from_slice(&acc);
+}
+
+/// The matmul body both dispatch paths compile. Each output row runs
+/// in column blocks of up to 64 (eight AVX registers of accumulators)
+/// in steps of 8, then single columns; a row's blocks share one pass
+/// where they fit, so their sums advance side by side.
+#[inline(always)]
+fn matmul_body(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+    terms: &mut [(usize, f32)],
+) {
+    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        let len = matmul_terms(a_row, n, terms);
+        let terms = &terms[..len];
+        let mut j = 0;
+        while n - j >= 64 {
+            matmul_cols::<64>(terms, b, j, out_row);
+            j += 64;
+        }
+        match (n - j) / 8 {
+            7 => matmul_cols::<56>(terms, b, j, out_row),
+            6 => matmul_cols::<48>(terms, b, j, out_row),
+            5 => matmul_cols::<40>(terms, b, j, out_row),
+            4 => matmul_cols::<32>(terms, b, j, out_row),
+            3 => matmul_cols::<24>(terms, b, j, out_row),
+            2 => matmul_cols::<16>(terms, b, j, out_row),
+            1 => matmul_cols::<8>(terms, b, j, out_row),
+            _ => {}
+        }
+        for j in n - n % 8..n {
+            matmul_cols::<1>(terms, b, j, out_row);
+        }
+    }
+}
+
 // ---- SIMD paths (x86_64) ---------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{cosine_finish, tail_pad, LANES};
+    use super::{cosine_finish, matmul_body, tail_pad, LANES};
     use core::arch::x86_64::*;
+
+    /// [`matmul_body`] compiled for AVX: the column blocks become
+    /// 256-bit registers, with the same multiply and add per term.
+    /// Unsafe to call unless the caller guarantees AVX
+    /// (`avx_available()`).
+    #[target_feature(enable = "avx")]
+    pub fn matmul_avx(
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        n: usize,
+        out: &mut [f32],
+        terms: &mut [(usize, f32)],
+    ) {
+        matmul_body(a, b, k, n, out, terms);
+    }
 
     /// `(s_0 + s_2) + (s_1 + s_3)` of `s_j = l_j + l_{j+4}`, where `s`
     /// is already the packed 4-lane sum. SSE value intrinsics are part
@@ -603,6 +694,32 @@ pub fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
     }
 }
 
+/// `out = a @ b` for row-major `a` (`m×k`), `b` (`k×n`) and `out`
+/// (`m×n`, overwritten). Every output element is the sum
+/// `0 + a_i0 b_0j + a_i1 b_1j + …` taken in `p` order with one IEEE
+/// multiply and one IEEE add per term, skipping the terms whose
+/// `a_ip == 0`; lanes run across output columns only, so every path
+/// returns the bits of the plain `ikj` loop.
+///
+/// # Panics
+/// Panics when a buffer length does not match its shape.
+pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    assert_eq!(a.len(), m * k, "matmul lhs length");
+    assert_eq!(b.len(), k * n, "matmul rhs length");
+    assert_eq!(out.len(), m * n, "matmul output length");
+    if k == 0 || n == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let terms = &mut vec![(0, 0.0); k];
+    #[cfg(target_arch = "x86_64")]
+    if kernel_mode() == KernelMode::Simd && avx_available() {
+        // SAFETY: AVX presence was just checked.
+        return unsafe { x86::matmul_avx(a, b, k, n, out, terms) };
+    }
+    matmul_body(a, b, k, n, out, terms);
+}
+
 /// One-vs-many block scan: the row with the highest cosine similarity
 /// to `query` (first row wins ties — strict `>` update). Resolves the
 /// kernel once for the whole scan. Returns `None` for no rows.
@@ -827,6 +944,95 @@ mod tests {
         assert_eq!(d1.to_bits(), d2.to_bits());
         assert_eq!(n1.to_bits(), n2.to_bits());
         assert_eq!(c1.to_bits(), c2.to_bits());
+    }
+
+    /// The `ikj` loop `Matrix::matmul` ran before the blocked kernel,
+    /// kept as the bitwise reference.
+    fn matmul_ikj(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            let out_row = &mut out[i * n..(i + 1) * n];
+            for (p, &a) in a[i * k..(i + 1) * k].iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, &b) in out_row.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+                    *o += a * b;
+                }
+            }
+        }
+        out
+    }
+
+    /// Seeded matmul cases: ~30% exact zeros and some `-0.0` in `a`,
+    /// some `±inf` and NaN in `b`. NaN is the x86 default quiet NaN, the
+    /// bit pattern `inf - inf` produces, so every NaN in a product has
+    /// the same bits and the comparison does not depend on which operand
+    /// an add propagates.
+    /// One seeded matmul input: `a` is `m×k`, `b` is `k×n`.
+    struct MatmulCase {
+        m: usize,
+        k: usize,
+        n: usize,
+        a: Vec<f32>,
+        b: Vec<f32>,
+    }
+
+    fn matmul_cases() -> Vec<MatmulCase> {
+        let mut rng = ngl_runtime::rng::SplitMix64::new(0x4D4D);
+        let mut cases = Vec::new();
+        for c in 0..120 {
+            let m = rng.gen_range(1..41usize);
+            let k = rng.gen_range(1..101usize);
+            let n = match c % 4 {
+                0 => [9, 32, 48][c / 4 % 3],
+                _ => rng.gen_range(1..71usize),
+            };
+            let a = (0..m * k)
+                .map(|_| match rng.gen_range(0..20u32) {
+                    0..=5 => 0.0,
+                    6 => -0.0,
+                    _ => rng.gen_range(-2.0f32..2.0),
+                })
+                .collect();
+            let b = (0..k * n)
+                .map(|_| match rng.gen_range(0..200u32) {
+                    0 => f32::INFINITY,
+                    1 => f32::NEG_INFINITY,
+                    2 => f32::from_bits(0xFFC0_0000),
+                    _ => rng.gen_range(-2.0f32..2.0),
+                })
+                .collect();
+            cases.push(MatmulCase { m, k, n, a, b });
+        }
+        cases
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn matmul_matches_the_ikj_loop_bitwise() {
+        for MatmulCase { m, k, n, a, b } in matmul_cases() {
+            let want = bits(&matmul_ikj(&a, &b, m, k, n));
+            let terms = &mut vec![(0, 0.0); k];
+            let mut out = vec![f32::NAN; m * n];
+            matmul_body(&a, &b, k, n, &mut out, terms);
+            assert_eq!(bits(&out), want, "scalar {m}x{k}x{n}");
+            #[cfg(target_arch = "x86_64")]
+            if avx_available() {
+                let mut out = vec![f32::NAN; m * n];
+                // SAFETY: AVX presence was just checked.
+                unsafe { x86::matmul_avx(&a, &b, k, n, &mut out, terms) };
+                assert_eq!(bits(&out), want, "avx {m}x{k}x{n}");
+            }
+        }
+        // Degenerate shapes overwrite the output with zeros.
+        let mut out = vec![f32::NAN; 6];
+        matmul(&[], &[], 2, 0, 3, &mut out);
+        assert_eq!(out, vec![0.0; 6]);
+        matmul(&[1.0, 2.0], &[], 2, 1, 0, &mut []);
     }
 
     #[test]

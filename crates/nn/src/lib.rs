@@ -9,8 +9,10 @@
 //!   kernels used by the layers (GEMM, transposed GEMM variants, axpy).
 //! * [`kernels`] — fused dot / norm / cosine / axpy kernels with a fixed
 //!   8-lane accumulation order shared by the scalar and SIMD paths
-//!   (`NGL_KERNEL=scalar|simd`), plus the i8 symmetric quantization used
-//!   for stored embeddings.
+//!   (`NGL_KERNEL=scalar|simd`), the register-blocked matmul behind
+//!   every dense layer's forward pass (bitwise equal to the plain `ikj`
+//!   loop), plus the i8 symmetric quantization used for stored
+//!   embeddings.
 //! * [`Dense`], [`Relu`], [`BatchNorm1d`], [`L2Norm`] — layers with
 //!   explicit `forward` / `backward` passes.
 //! * [`SoftmaxCrossEntropy`] — fused softmax + cross-entropy for the

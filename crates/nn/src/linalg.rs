@@ -1,7 +1,7 @@
 //! Row-major `f32` matrices and the handful of dense kernels the layers
-//! need. The matrices here are tiny (embedding dimension ≤ a few hundred,
-//! batch sizes in the low thousands), so plain `ikj`-ordered loops are
-//! fast enough and keep the crate dependency-free.
+//! need. [`Matrix::matmul`] — the forward pass of every dense layer —
+//! runs the register-blocked kernel in [`crate::kernels`]; the
+//! transposed products of the backward passes stay plain loops.
 
 /// A dense row-major matrix of `f32`.
 ///
@@ -104,24 +104,13 @@ impl Matrix {
         self.data[r * self.cols + c] = v;
     }
 
-    /// `self @ other` — standard GEMM. `self` is `m×k`, `other` is `k×n`.
+    /// `self @ other` — standard GEMM through the dispatched
+    /// [`crate::kernels::matmul`]. `self` is `m×k`, `other` is `k×n`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (p, &a) in a_row.iter().enumerate().take(k) {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(p);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
+        crate::kernels::matmul(&self.data, &other.data, m, k, n, &mut out.data);
         out
     }
 

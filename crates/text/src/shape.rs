@@ -41,14 +41,30 @@ pub const SHAPE_DIM: usize = 11;
 impl WordShape {
     /// Extracts the shape of a token.
     pub fn of(token: &Token) -> Self {
-        let text = &token.text;
-        let alpha: Vec<char> = text.chars().filter(|c| c.is_alphabetic()).collect();
-        let has_alpha = !alpha.is_empty();
+        Self::of_text(&token.text, token.kind)
+    }
+
+    /// Extracts the shape of token text whose kind is already known, in
+    /// one pass over its chars and without allocating.
+    pub fn of_text(text: &str, kind: TokenKind) -> Self {
+        let mut alpha = 0usize;
+        let mut alpha_upper = true;
+        let mut alpha_lower = true;
+        let mut has_digit = false;
+        let mut chars = 0usize;
         let mut elongated = false;
         let mut run = 1;
         let mut prev = '\0';
         for c in text.chars() {
-            if c == prev && c.is_alphabetic() {
+            chars += 1;
+            let is_alpha = c.is_alphabetic();
+            if is_alpha {
+                alpha += 1;
+                alpha_upper &= c.is_uppercase();
+                alpha_lower &= c.is_lowercase();
+            }
+            has_digit |= c.is_ascii_digit();
+            if c == prev && is_alpha {
                 run += 1;
                 if run >= 3 {
                     elongated = true;
@@ -58,20 +74,21 @@ impl WordShape {
             }
             prev = c;
         }
+        let has_alpha = alpha > 0;
         Self {
             init_cap: has_alpha
                 && text.chars().next().is_some_and(|c| c.is_uppercase())
-                && !(alpha.len() > 1 && alpha.iter().all(|c| c.is_uppercase())),
-            all_caps: has_alpha && alpha.iter().all(|c| c.is_uppercase()),
-            all_lower: has_alpha && alpha.iter().all(|c| c.is_lowercase()),
-            has_digit: text.chars().any(|c| c.is_ascii_digit()),
-            is_numeric: token.kind == TokenKind::Number,
-            is_hashtag: token.kind == TokenKind::Hashtag,
-            is_mention: token.kind == TokenKind::Mention,
-            is_url: token.kind == TokenKind::Url,
-            is_punct: token.kind == TokenKind::Punct,
+                && !(alpha > 1 && alpha_upper),
+            all_caps: has_alpha && alpha_upper,
+            all_lower: has_alpha && alpha_lower,
+            has_digit,
+            is_numeric: kind == TokenKind::Number,
+            is_hashtag: kind == TokenKind::Hashtag,
+            is_mention: kind == TokenKind::Mention,
+            is_url: kind == TokenKind::Url,
+            is_punct: kind == TokenKind::Punct,
             elongated,
-            single_char: text.chars().count() == 1,
+            single_char: chars == 1,
         }
     }
 

@@ -1,9 +1,10 @@
 //! Kernel-dispatch equivalence contract: the full pipeline — encode,
 //! extract, cluster, score, finalize — must produce **bitwise
 //! identical** outputs and candidate state whether the vector kernels
-//! run in scalar or SIMD mode, at any thread count. The kernels pin a
-//! fixed 8-lane accumulation order precisely so that `NGL_KERNEL` is a
-//! pure speed knob, never a results knob.
+//! run in scalar or SIMD mode, at any thread count, and the blocked
+//! matmul must return the bits of the plain `ikj` loop in both modes.
+//! The kernels pin a fixed accumulation order precisely so that
+//! `NGL_KERNEL` is a pure speed knob, never a results knob.
 //!
 //! All mode flips live in ONE test function: `set_kernel_mode` is
 //! process-global, and the harness runs sibling tests concurrently.
@@ -15,7 +16,7 @@ use ner_globalizer::core::{
 use ner_globalizer::encoder::{
     ContextualTagger, EncoderConfig, SentenceEncoding, SequenceTagger, TokenEncoder,
 };
-use ner_globalizer::nn::{set_kernel_mode, KernelMode};
+use ner_globalizer::nn::{set_kernel_mode, KernelMode, Matrix};
 use ner_globalizer::runtime::rng::SplitMix64;
 use ner_globalizer::runtime::Executor;
 use ner_globalizer::text::{BioTag, EntityType, Span};
@@ -134,8 +135,68 @@ fn run(
     (out, fingerprint(&p))
 }
 
+/// `a @ b` through the `ikj` loop `Matrix::matmul` ran before the
+/// blocked kernel: zero `a` terms skipped, each sum in `p` order.
+fn matmul_ikj(a: &Matrix, b: &Matrix) -> Vec<u32> {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for p in 0..k {
+            let x = a.get(i, p);
+            if x == 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                out[i * n + j] += x * b.get(p, j);
+            }
+        }
+    }
+    out.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Seeded shapes (m 1..40, k 1..100, n 1..70, plus 9, 32 and 48) with
+/// ~30% exact zeros and some `-0.0` in `a`, and some `±inf` and NaN
+/// in `b`. The NaN is the x86 default quiet NaN (the bits `inf - inf`
+/// yields), so all NaNs in a sum share one bit pattern.
+fn matmul_cases() -> Vec<(Matrix, Matrix)> {
+    let mut rng = SplitMix64::new(0x6D61_746D);
+    (0..90)
+        .map(|c| {
+            let m = rng.gen_range(1..41usize);
+            let k = rng.gen_range(1..101usize);
+            let n = if c % 3 == 0 { [9, 32, 48][c / 3 % 3] } else { rng.gen_range(1..71usize) };
+            let a = (0..m * k)
+                .map(|_| match rng.gen_range(0..20u32) {
+                    0..=5 => 0.0,
+                    6 => -0.0,
+                    _ => rng.gen_range(-2.0f32..2.0),
+                })
+                .collect();
+            let b = (0..k * n)
+                .map(|_| match rng.gen_range(0..200u32) {
+                    0 => f32::INFINITY,
+                    1 => f32::NEG_INFINITY,
+                    2 => f32::from_bits(0xFFC0_0000),
+                    _ => rng.gen_range(-2.0f32..2.0),
+                })
+                .collect();
+            (Matrix::from_vec(m, k, a), Matrix::from_vec(k, n, b))
+        })
+        .collect()
+}
+
 #[test]
 fn pipeline_is_bitwise_identical_across_kernel_and_thread_matrix() {
+    let cases = matmul_cases();
+    for mode in [KernelMode::Scalar, KernelMode::Simd] {
+        set_kernel_mode(mode);
+        for (a, b) in &cases {
+            let got: Vec<u32> = a.matmul(b).as_slice().iter().map(|v| v.to_bits()).collect();
+            let (m, k, n) = (a.rows(), a.cols(), b.cols());
+            assert_eq!(got, matmul_ikj(a, b), "matmul {m}x{k}x{n} under {mode:?}");
+        }
+    }
+
     for seed in [7u64, 91] {
         let stream = gen_stream(seed, 16);
         let (ref_out, ref_fp) = run(KernelMode::Scalar, 1, &stream);
