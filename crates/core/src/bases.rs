@@ -4,6 +4,7 @@
 //! clusters and (eventually) cluster labels.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ngl_nn::Matrix;
 use ngl_text::{EntityType, Span};
@@ -329,6 +330,11 @@ impl TweetRecord {
 
 /// Store of processed tweets, indexed by arrival order.
 ///
+/// Records are immutable once stored and held behind one [`Arc`] each,
+/// so cloning a store (a pipeline clone: the cross-shard merged view, a
+/// published query snapshot, a shard opened from a shared base) copies
+/// pointers, and shards fed one encode per batch share the records.
+///
 /// Tweet indices are **stable stream positions**: evicting old records
 /// from the front (bounded-state retention) never renumbers survivors.
 /// `len()` keeps counting the whole stream; `retained()` counts what is
@@ -336,7 +342,7 @@ impl TweetRecord {
 /// only reachable through [`TweetBase::try_get`].
 #[derive(Debug, Clone, Default)]
 pub struct TweetBase {
-    records: std::collections::VecDeque<TweetRecord>,
+    records: std::collections::VecDeque<Arc<TweetRecord>>,
     /// Stream index of `records[0]` (number of evicted tweets).
     start: usize,
     /// Running `approx_bytes` total of the retained records.
@@ -353,11 +359,17 @@ impl TweetBase {
     /// records (checkpoint restore); the byte account is recomputed.
     pub(crate) fn from_parts(start: usize, records: Vec<TweetRecord>) -> Self {
         let bytes = records.iter().map(TweetRecord::approx_bytes).sum();
-        Self { records: records.into(), start, bytes }
+        Self { records: records.into_iter().map(Arc::new).collect(), start, bytes }
     }
 
     /// Appends a record, returning its stream index.
     pub fn push(&mut self, record: TweetRecord) -> usize {
+        self.push_shared(Arc::new(record))
+    }
+
+    /// [`Self::push`] of an already shared record (one encode stored by
+    /// every shard).
+    pub(crate) fn push_shared(&mut self, record: Arc<TweetRecord>) -> usize {
         self.bytes += record.approx_bytes();
         self.records.push_back(record);
         self.start + self.records.len() - 1
@@ -378,7 +390,7 @@ impl TweetBase {
 
     /// Record lookup returning `None` for evicted or unseen indices.
     pub fn try_get(&self, idx: usize) -> Option<&TweetRecord> {
-        idx.checked_sub(self.start).and_then(|i| self.records.get(i))
+        idx.checked_sub(self.start).and_then(|i| self.records.get(i)).map(|r| &**r)
     }
 
     /// Number of tweets ever pushed (evicted ones included) — i.e. the
@@ -420,12 +432,12 @@ impl TweetBase {
 
     /// Iterates **retained** records in arrival order.
     pub fn iter(&self) -> impl Iterator<Item = &TweetRecord> {
-        self.records.iter()
+        self.records.iter().map(|r| &**r)
     }
 
     /// Iterates retained records with their stream indices.
     pub fn iter_indexed(&self) -> impl Iterator<Item = (usize, &TweetRecord)> {
-        self.records.iter().enumerate().map(|(i, r)| (self.start + i, r))
+        self.records.iter().enumerate().map(|(i, r)| (self.start + i, &**r))
     }
 }
 

@@ -59,7 +59,7 @@ use ngl_store::{
 use crate::bases::SurfaceEntry;
 use crate::checkpoint::{get_entry, get_str, put_entry, put_str};
 use crate::persist::PersistError;
-use crate::pipeline::{BatchOutput, BatchReport, NerGlobalizer, RetentionPolicy};
+use crate::pipeline::{BatchOutput, BatchReport, EncodeMemo, NerGlobalizer, RetentionPolicy, Scan};
 use ngl_runtime::TaskError;
 use ngl_text::Span;
 
@@ -894,17 +894,17 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         // Concurrent replay: batches must still *apply* one at a time
         // in log order (barrier semantics, digest verification), but
         // the encoder work inside them is order-free. Group the token
-        // vectors of every batch up to each Finalize barrier, so each
-        // group's encodes run concurrently on the pool before its
-        // batches are applied. Groups are best-effort — a memo miss
-        // just encodes inline, exactly as before.
+        // vectors of every batch up to each Finalize barrier; the first
+        // batch of a group encodes the whole group concurrently on the
+        // pool into one memo, which every batch of the group borrows.
+        // A memo miss just encodes inline, exactly as live ingest does.
         let snap_seq = op_seq;
         let mut groups: Vec<Vec<Vec<String>>> = vec![Vec::new()];
         for record in &records {
             match record {
                 WalRecord::Batch { op_seq, tweets, .. } if *op_seq > snap_seq => {
                     // `groups` starts non-empty and only grows; if that
-                    // ever breaks, prewarm is best-effort anyway — skip
+                    // ever breaks, the memo is best-effort anyway — skip
                     // the group rather than abort recovery.
                     if let Some(group) = groups.last_mut() {
                         group.extend(tweets.iter().cloned());
@@ -918,7 +918,7 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         }
         let mut groups = groups.into_iter();
         let mut group: Vec<Vec<String>> = groups.next().unwrap_or_default();
-        let mut prewarmed = false;
+        let mut memo = None;
         // Once a finalize flagged unverified appears, the writing run
         // had diverged from fault-free replay, so every later digest
         // (and eviction cross-check) in this WAL was computed on that
@@ -933,12 +933,9 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
             }
             match record {
                 WalRecord::Batch { op_seq: seq, ids, tweets } => {
-                    if !prewarmed {
-                        inner.prewarm_replay_encodes(std::mem::take(&mut group));
-                        prewarmed = true;
-                    }
+                    let memo = memo.get_or_insert_with(|| inner.encode_memo(&group));
                     report.batch_ids.push(ids.clone().unwrap_or_default());
-                    inner.ingest(tweets, ids);
+                    inner.ingest_with_memo(tweets, ids, Some(memo));
                     op_seq = seq;
                     report.replayed_batches += 1;
                 }
@@ -962,9 +959,8 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
                     op_seq = seq;
                     report.replayed_finalizes += 1;
                     // Barrier crossed: this group's memo is spent.
-                    inner.clear_replay_memo();
+                    memo = None;
                     group = groups.next().unwrap_or_default();
-                    prewarmed = false;
                 }
                 WalRecord::Evict { first_retained, .. } => {
                     if !divergent_replay
@@ -980,9 +976,6 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
                 WalRecord::Spill { .. } | WalRecord::Snapshot { .. } => {}
             }
         }
-
-        // Trailing unfinalized batches may have left a live memo.
-        inner.clear_replay_memo();
 
         report.watermark = inner.scan_watermark();
         report.surfaces = inner.n_surfaces();
@@ -1093,12 +1086,23 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         tweets: Vec<Vec<String>>,
         ids: Option<Vec<u64>>,
     ) -> Result<(BatchOutput, BatchReport), DurableError> {
+        self.ingest_with_memo(tweets, ids, None)
+    }
+
+    /// [`Self::ingest`] through [`NerGlobalizer::ingest_with_memo`]:
+    /// the shards of a sharded batch borrow one memo.
+    pub(crate) fn ingest_with_memo(
+        &mut self,
+        tweets: Vec<Vec<String>>,
+        ids: Option<Vec<u64>>,
+        memo: Option<&EncodeMemo>,
+    ) -> Result<(BatchOutput, BatchReport), DurableError> {
         self.stats.delta_bytes_last = 0;
         self.commit_pending()?;
         self.commit_encoded(&[encode_batch(self.op_seq + 1, ids.as_deref(), &tweets)])?;
         self.op_seq += 1;
         self.stats.batches += 1;
-        Ok(self.inner.ingest(tweets, ids))
+        Ok(self.inner.ingest_with_memo(tweets, ids, memo))
     }
 
     /// [`Self::ingest`] without ids. Kept only because the benchmark
@@ -1139,6 +1143,16 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
     /// - **Snapshot fails**: the finalize still succeeds; the store
     ///   degrades to WAL-only and retries the snapshot next finalize.
     pub fn finalize(&mut self) -> Result<Vec<Vec<Span>>, DurableError> {
+        self.finalize_scanned(None)
+    }
+
+    /// [`Self::finalize`] over a scan shared by the shards of one
+    /// sharded finalize (see [`NerGlobalizer::finalize_scanned`]). A
+    /// retry of a stashed finalize runs no stages and ignores it.
+    pub(crate) fn finalize_scanned(
+        &mut self,
+        scan: Option<&Scan>,
+    ) -> Result<Vec<Vec<Span>>, DurableError> {
         if self.pending_finalize.is_some() {
             return match self.commit_pending()? {
                 Some(out) => Ok(out),
@@ -1149,7 +1163,7 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         }
         let first_retained_before = self.inner.tweet_base().first_retained();
         self.op_seq += 1;
-        let out = self.inner.finalize_with_spill(self.pool.as_mut());
+        let out = self.inner.finalize_scanned(self.pool.as_mut(), scan);
 
         // Spill faults (pins, losses — whether from these stages or
         // the re-spill after the last snapshot) make resident state
@@ -1327,6 +1341,12 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
     /// Drains fault diagnostics from the wrapped pipeline.
     pub fn take_finalize_errors(&mut self) -> Vec<TaskError> {
         self.inner.take_finalize_errors()
+    }
+
+    /// Appends diagnostics for [`Self::take_finalize_errors`] (a shared
+    /// scan's errors, reported on the shard that computed it).
+    pub(crate) fn push_finalize_errors(&mut self, errors: Vec<TaskError>) {
+        self.inner.push_finalize_errors(errors);
     }
 
     /// The spill pool, when [`RetentionPolicy::SpillCold`] is active.

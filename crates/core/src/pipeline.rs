@@ -63,10 +63,11 @@
 //! correct — evicted tweets keep their already-extracted mentions
 //! frozen in the candidate store.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ngl_ctrie::CTrie;
+use ngl_ctrie::{CTrie, MentionOccurrence};
 use ngl_encoder::ContextualTagger;
 use ngl_nn::Matrix;
 use ngl_runtime::{Executor, TaskError};
@@ -296,11 +297,54 @@ pub struct SurfaceSummary {
     pub stale_frozen: usize,
 }
 
+/// Local NER records of one batch's distinct (truncated) token
+/// vectors, encoded once ahead of ingest ([`NerGlobalizer::encode_memo`])
+/// and shared — by pointer — with every pipeline that stores them: the
+/// shards of one sharded batch, or the batches of one replayed barrier
+/// group.
+pub(crate) type EncodeMemo = HashMap<Vec<String>, Arc<TweetRecord>>;
+
+/// One CTrie pass of a finalize ([`NerGlobalizer::scan`]): the scan
+/// range, the trie version it ran with and, per scanned tweet, its
+/// occurrences in scan order, each tagged with the shard that owns its
+/// surface. It depends only on state every shard replicates, so a
+/// sharded finalize computes it once and applies it per shard with
+/// [`NerGlobalizer::admit`].
+pub(crate) struct Scan {
+    /// The [`CTrie::version`] scanned with.
+    version: u64,
+    /// Whether the version moved since the last scan, so the candidate
+    /// store is rebuilt from `start` on.
+    rebuild: bool,
+    /// Stream index of the first scanned tweet.
+    start: usize,
+    /// The shard count owners were computed for (1 when unsharded).
+    shards: u32,
+    /// `(owner, occurrence)` lists of tweets `start..`; empty for a
+    /// tweet whose scan task failed.
+    tweets: Vec<Vec<(u32, MentionOccurrence)>>,
+    /// The failed scan tasks, indexed by tweet.
+    errors: Vec<TaskError>,
+}
+
+impl Scan {
+    /// The scan errors, to be reported once however many pipelines
+    /// admit this scan.
+    pub(crate) fn into_errors(self) -> Vec<TaskError> {
+        self.errors
+    }
+}
+
 /// The NER Globalizer system.
+///
+/// The trained models never change after [`Self::new`] and sit behind
+/// [`Arc`]s, and tweet records are shared the same way (see
+/// [`TweetBase`]), so cloning a pipeline copies pointers for both; only
+/// the stream-derived state (CTrie, candidates, caches) is copied.
 pub struct NerGlobalizer<T: ContextualTagger> {
-    local: T,
-    phrase: PhraseEmbedder,
-    classifier: EntityClassifier,
+    local: Arc<T>,
+    phrase: Arc<PhraseEmbedder>,
+    classifier: Arc<EntityClassifier>,
     cfg: GlobalizerConfig,
     ctrie: CTrie,
     tweets: TweetBase,
@@ -323,7 +367,7 @@ pub struct NerGlobalizer<T: ContextualTagger> {
     seen_ids: BTreeSet<u64>,
     /// Task errors from fault-isolated finalize scans, drained by
     /// [`Self::take_finalize_errors`]. Transient diagnostics — not part
-    /// of checkpointed state.
+    /// of checkpointed state, and a clone starts without them.
     finalize_errors: Vec<TaskError>,
     /// Surfaces kept resident because their cold spill failed
     /// (lossless degradation: the entry simply stays in memory).
@@ -335,12 +379,6 @@ pub struct NerGlobalizer<T: ContextualTagger> {
     /// live state/output may diverge from a clean run until the next
     /// full rebuild or snapshot recovery.
     spill_losses: u64,
-    /// Pre-computed encodings keyed by *truncated* token vector,
-    /// installed during WAL replay (see
-    /// [`Self::prewarm_replay_encodes`]). Consulted before
-    /// [`ContextualTagger::encode`]; empty outside replay. Transient —
-    /// never checkpointed.
-    replay_memo: HashMap<Vec<String>, ngl_encoder::SentenceEncoding>,
     /// Shard-ownership filter `(index, count)`: when set, the candidate
     /// base only admits surfaces with
     /// `fnv1a64(surface) % count == index`; non-owned scan results
@@ -350,12 +388,16 @@ pub struct NerGlobalizer<T: ContextualTagger> {
     shard_filter: Option<(u32, u32)>,
 }
 
-impl<T: ContextualTagger + Clone> Clone for NerGlobalizer<T> {
+impl<T: ContextualTagger> Clone for NerGlobalizer<T> {
+    /// Shares the models and tweet records, copies the stream-derived
+    /// state, and starts without diagnostics: the errors and spill
+    /// counters stay with the pipeline that recorded them, so a merged
+    /// view or a published snapshot never reports them a second time.
     fn clone(&self) -> Self {
         Self {
-            local: self.local.clone(),
-            phrase: self.phrase.clone(),
-            classifier: self.classifier.clone(),
+            local: Arc::clone(&self.local),
+            phrase: Arc::clone(&self.phrase),
+            classifier: Arc::clone(&self.classifier),
             cfg: self.cfg,
             ctrie: self.ctrie.clone(),
             tweets: self.tweets.clone(),
@@ -366,10 +408,9 @@ impl<T: ContextualTagger + Clone> Clone for NerGlobalizer<T> {
             scanned_version: self.scanned_version,
             mention_cache: self.mention_cache.clone(),
             seen_ids: self.seen_ids.clone(),
-            finalize_errors: self.finalize_errors.clone(),
-            spill_pins: self.spill_pins,
-            spill_losses: self.spill_losses,
-            replay_memo: self.replay_memo.clone(),
+            finalize_errors: Vec::new(),
+            spill_pins: 0,
+            spill_losses: 0,
             shard_filter: self.shard_filter,
         }
     }
@@ -390,9 +431,9 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     ) -> Self {
         assert_eq!(local.dim(), phrase.dim(), "encoder/embedder dim mismatch");
         Self {
-            local,
-            phrase,
-            classifier,
+            local: Arc::new(local),
+            phrase: Arc::new(phrase),
+            classifier: Arc::new(classifier),
             cfg,
             ctrie: CTrie::new(),
             tweets: TweetBase::new(),
@@ -409,7 +450,6 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
             finalize_errors: Vec::new(),
             spill_pins: 0,
             spill_losses: 0,
-            replay_memo: HashMap::new(),
             shard_filter: None,
         }
     }
@@ -453,15 +493,6 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         self.shard_filter
     }
 
-    /// Whether this pipeline's candidate base stores `surface` under
-    /// the active ownership filter (always true when unfiltered).
-    fn owns_surface(&self, surface: &str) -> bool {
-        match self.shard_filter {
-            Some((index, count)) => crate::shard::shard_of_surface(surface, count) == index,
-            None => true,
-        }
-    }
-
     /// The Local NER stage over one batch of tokenized tweets: tags each
     /// sentence, stores its record, registers detected surface forms in
     /// the CTrie. Token vectors and encoder outputs move into the stored
@@ -487,8 +518,26 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// Panics when `ids` is given with a length other than `tweets`'.
     pub fn ingest(
         &mut self,
+        tweets: Vec<Vec<String>>,
+        ids: Option<Vec<u64>>,
+    ) -> (BatchOutput, BatchReport)
+    where
+        T: Sync,
+    {
+        self.ingest_with_memo(tweets, ids, None)
+    }
+
+    /// [`Self::ingest`] that first looks each surviving tweet up in a
+    /// memo from [`Self::encode_memo`] and stores a hit's shared record
+    /// as is — bitwise what encoding it here would store. Misses (no
+    /// memo, or an encode that panicked while the memo was built) take
+    /// the fault-isolated encode below, so rejections are reported
+    /// exactly as without a memo.
+    pub(crate) fn ingest_with_memo(
+        &mut self,
         mut tweets: Vec<Vec<String>>,
         ids: Option<Vec<u64>>,
+        memo: Option<&EncodeMemo>,
     ) -> (BatchOutput, BatchReport)
     where
         T: Sync,
@@ -532,67 +581,66 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
             }
         }
 
-        // Parallel panic-isolated encode over the survivors.
-        let survivors: Vec<(usize, Vec<String>)> =
-            tweets.into_iter().enumerate().filter(|(i, _)| pre_rejected[*i].is_none()).collect();
-        let survivor_input: Vec<usize> = survivors.iter().map(|(i, _)| *i).collect();
-        let local = &self.local;
-        let memo = &self.replay_memo;
-        let encoded = self.exec.try_par_map_described(
-            survivors,
-            |(i, tokens)| format!("input #{i}: {}", summarize_tokens(tokens)),
-            |_, (i, tokens)| {
-                // During WAL replay a barrier group's encodings are
-                // pre-computed; the memo holds `local.encode` outputs
-                // keyed by the same truncated token vector, so hitting
-                // it is bitwise-identical to encoding here.
-                let enc = match memo.get(&tokens) {
-                    Some(enc) => enc.clone(),
-                    None => local.encode(&tokens),
-                };
-                let spans = decode_bio(&enc.tags);
-                (i, tokens, enc, spans)
-            },
-        );
-
-        // Sequential assembly in input order: merge ingress rejections
-        // with encode results, then store the accepted tweets.
+        // Survivors found in the memo are ready; the rest are encoded
+        // in parallel with per-task panic isolation.
         enum Slot {
             Rejected(TaskError),
-            Ready(Vec<String>, ngl_encoder::SentenceEncoding, Vec<Span>),
+            Ready(Arc<TweetRecord>),
         }
         let mut slots: Vec<Option<Slot>> =
             pre_rejected.into_iter().map(|e| e.map(Slot::Rejected)).collect();
+        let mut misses: Vec<(usize, Vec<String>)> = Vec::new();
+        for (i, tokens) in tweets.into_iter().enumerate() {
+            if slots[i].is_some() {
+                continue;
+            }
+            match memo.and_then(|memo| memo.get(&tokens)) {
+                Some(record) => slots[i] = Some(Slot::Ready(Arc::clone(record))),
+                None => misses.push((i, tokens)),
+            }
+        }
+        let miss_input: Vec<usize> = misses.iter().map(|(i, _)| *i).collect();
+        let local = &*self.local;
+        let encoded = self.exec.try_par_map_described(
+            misses,
+            |(i, tokens)| format!("input #{i}: {}", summarize_tokens(tokens)),
+            |_, (_, tokens)| encode_record(local, tokens),
+        );
         for (k, result) in encoded.into_iter().enumerate() {
-            let i = survivor_input[k];
+            let i = miss_input[k];
             slots[i] = Some(match result {
-                Ok((_, tokens, enc, spans)) => {
-                    if enc.embeddings.as_slice().iter().all(|v| v.is_finite()) {
-                        Slot::Ready(tokens, enc, spans)
-                    } else {
-                        Slot::Rejected(TaskError {
-                            index: i,
-                            payload: summarize_tokens(&tokens),
-                            message: "non-finite embeddings rejected".to_string(),
-                        })
-                    }
-                }
+                Ok(record) => Slot::Ready(Arc::new(record)),
                 // The executor reports the task's position among the
-                // survivors; surface the batch input position instead.
+                // misses; surface the batch input position instead.
                 Err(e) => Slot::Rejected(TaskError { index: i, ..e }),
             });
         }
+
+        // Sequential assembly in input order: store the accepted tweets.
         let mut local_spans = Vec::new();
         for (i, slot) in slots.into_iter().enumerate() {
-            match slot.expect("every slot filled") {
-                Slot::Rejected(e) => {
+            let record = match slot.expect("every slot filled") {
+                Slot::Rejected(e) => Err(e),
+                Slot::Ready(record)
+                    if record.embeddings.as_slice().iter().all(|v| v.is_finite()) =>
+                {
+                    Ok(record)
+                }
+                Slot::Ready(record) => Err(TaskError {
+                    index: i,
+                    payload: summarize_tokens(&record.tokens),
+                    message: "non-finite embeddings rejected".to_string(),
+                }),
+            };
+            match record {
+                Err(e) => {
                     report.rejected.push(i);
                     report.errors.push(e);
                 }
-                Slot::Ready(tokens, enc, spans) => {
-                    for s in &spans {
+                Ok(record) => {
+                    for s in &record.local_spans {
                         let surface: Vec<&str> =
-                            tokens[s.start..s.end].iter().map(String::as_str).collect();
+                            record.tokens[s.start..s.end].iter().map(String::as_str).collect();
                         // Stray tags on bare function words are partial-
                         // extraction artifacts, never real candidates.
                         if !ngl_text::is_stopword_surface(&surface) {
@@ -600,14 +648,9 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                         }
                     }
                     // `Span` is `Copy`, so duplicating the span list for
-                    // the batch output is one flat memcpy; tokens and
-                    // embeddings move into the record.
-                    local_spans.push(spans.clone());
-                    self.tweets.push(TweetRecord {
-                        tokens,
-                        embeddings: enc.embeddings,
-                        local_spans: spans,
-                    });
+                    // the batch output is one flat memcpy.
+                    local_spans.push(record.local_spans.clone());
+                    self.tweets.push_shared(record);
                     report.ok.push(i);
                 }
             }
@@ -627,58 +670,45 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     }
 
     /// Tokens kept per tweet: [`GlobalizerConfig::max_tweet_tokens`],
-    /// but at least one. Ingest, replay pre-encoding and [`Self::tag_query`]
-    /// all cut here, so a query encodes exactly what ingest stored.
+    /// but at least one. Ingest, [`Self::encode_memo`] and
+    /// [`Self::tag_query`] all cut here, so a query encodes exactly
+    /// what ingest stored.
     fn token_cap(&self) -> usize {
         self.cfg.max_tweet_tokens.max(1)
     }
 
-    /// Pre-encodes the unique token vectors of an upcoming group of
-    /// replayed batches concurrently on the executor, filling the
-    /// replay memo consulted by the batch ingestion path. WAL replay
-    /// applies batches one at a time to preserve barrier semantics;
-    /// small logged batches would otherwise leave the worker pool
-    /// mostly idle. Encoding a whole barrier group up front restores
-    /// full parallelism without reordering any state mutation.
+    /// Encodes the distinct token vectors of `token_lists` once,
+    /// concurrently and panic-isolated on the executor, into records
+    /// that [`Self::ingest_with_memo`] stores without encoding again.
+    /// A sharded batch builds one memo for all shards; WAL replay
+    /// builds one per barrier group, whose small logged batches would
+    /// otherwise leave the pool mostly idle. Pure: no state changes.
     ///
-    /// Token vectors are truncated to
-    /// [`GlobalizerConfig::max_tweet_tokens`] first — the same ingress
-    /// guard the batch path applies — so memo keys match lookups
-    /// exactly. Panicking encodes are skipped here and surface through
-    /// the usual fault-isolated path when their batch is applied.
-    pub fn prewarm_replay_encodes(&mut self, token_lists: Vec<Vec<String>>)
+    /// Token vectors are truncated to the ingest cut first, so memo
+    /// keys match ingest lookups exactly. Panicking encodes are left
+    /// out and surface through ingest's fault-isolated path.
+    pub(crate) fn encode_memo(&self, token_lists: &[Vec<String>]) -> EncodeMemo
     where
         T: Sync,
     {
         let cap = self.token_cap();
-        let mut unique: Vec<Vec<String>> = Vec::new();
-        let mut seen: std::collections::HashSet<Vec<String>> = std::collections::HashSet::new();
-        for mut tokens in token_lists {
-            if tokens.len() > cap {
-                tokens.truncate(cap);
-            }
-            if !self.replay_memo.contains_key(&tokens) && seen.insert(tokens.clone()) {
-                unique.push(tokens);
-            }
-        }
-        let local = &self.local;
-        let encoded = self.exec.try_par_map_described(
-            unique,
-            |tokens| summarize_tokens(tokens),
-            |_, tokens| {
-                let enc = local.encode(&tokens);
-                (tokens, enc)
-            },
-        );
-        for (tokens, enc) in encoded.into_iter().flatten() {
-            self.replay_memo.insert(tokens, enc);
-        }
-    }
-
-    /// Drops the replay memo (called at each replayed finalize
-    /// barrier, and once replay completes).
-    pub fn clear_replay_memo(&mut self) {
-        self.replay_memo = HashMap::new();
+        let mut seen: HashSet<&[String]> = HashSet::new();
+        let unique: Vec<&[String]> = token_lists
+            .iter()
+            .map(|tokens| &tokens[..tokens.len().min(cap)])
+            .filter(|tokens| seen.insert(tokens))
+            .collect();
+        let local = &*self.local;
+        self.exec
+            .try_par_map_described(
+                unique,
+                |tokens| summarize_tokens(tokens),
+                |_, tokens| encode_record(local, tokens.to_vec()),
+            )
+            .into_iter()
+            .flatten()
+            .map(|record| (record.tokens.clone(), Arc::new(record)))
+            .collect()
     }
 
     /// Runs the Global NER stages over everything processed so far and
@@ -703,7 +733,21 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// [`Self::take_finalize_errors`] diagnostics, never a panic.
     pub fn finalize_with_spill(
         &mut self,
+        pool: Option<&mut crate::durable::SpillPool>,
+    ) -> Vec<Vec<Span>> {
+        self.finalize_scanned(pool, None)
+    }
+
+    /// [`Self::finalize_with_spill`] over a [`Scan`] computed once for
+    /// several pipelines (the shards of one sharded finalize). Its
+    /// errors are the caller's to report, once. Without one — or with
+    /// one taken from a different stream state, which the replicated
+    /// ingest rules out — the pipeline scans for itself and records
+    /// the scan's errors.
+    pub(crate) fn finalize_scanned(
+        &mut self,
         mut pool: Option<&mut crate::durable::SpillPool>,
+        shared: Option<&Scan>,
     ) -> Vec<Vec<Span>> {
         // ngl-lint: allow(R3, wall-clock stage timing for BatchReport/Timings only; never feeds token processing, ordering, or persisted state)
         let t0 = Instant::now();
@@ -715,7 +759,20 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
             mode => {
                 // ngl-lint: allow(R3, wall-clock stage timing for BatchReport/Timings only; never feeds token processing, ordering, or persisted state)
                 let t = Instant::now();
-                self.extract_and_embed(pool.as_deref_mut());
+                match shared {
+                    Some(scan) if self.fits(scan) => self.admit(scan, pool.as_deref_mut()),
+                    _ => {
+                        debug_assert!(shared.is_none(), "a scan of another stream state");
+                        let own = self.scan();
+                        self.finalize_errors.extend_from_slice(&own.errors);
+                        self.admit(&own, pool.as_deref_mut());
+                        // Dropped here, before the stages below: the
+                        // scan's buffers come from the worker threads,
+                        // and freeing them after the last stage leaves
+                        // the allocator's cleanup of them to the next
+                        // ingest's encode, on the ack path.
+                    }
+                }
                 self.timings.extract += t.elapsed();
                 // ngl-lint: allow(R3, wall-clock stage timing for BatchReport/Timings only; never feeds token processing, ordering, or persisted state)
                 let t = Instant::now();
@@ -957,27 +1014,86 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         out
     }
 
-    /// Stage (i)+(ii): CTrie scan plus phrase embedding of every
-    /// occurrence, incremental where possible (see the module docs):
-    /// with an unchanged CTrie version only tweets beyond
-    /// `scanned_tweets` are scanned; a version bump rebuilds the
-    /// candidate store (late-discovered surfaces recover early mentions
-    /// and can shift greedy scan boundaries) while reusing every cached
-    /// span embedding, and the clusters and labels of every surface
-    /// whose rebuilt mention list equals the one they were computed
-    /// over. Tweets are scanned and embedded in parallel;
-    /// candidate insertion stays sequential in tweet order so the store
-    /// is identical to a sequential full rebuild.
+    /// Stage (i): the CTrie scan, incremental where possible (see the
+    /// module docs). With an unchanged CTrie version only tweets beyond
+    /// `scanned_tweets` are scanned; a version bump rescans every
+    /// retained tweet, because late-discovered surfaces recover early
+    /// mentions and can shift greedy scan boundaries. Each occurrence
+    /// is tagged with the shard that owns its surface under this
+    /// pipeline's ownership filter.
     ///
-    /// Under a bounded [`RetentionPolicy`] the version-bump rebuild can
-    /// only rescan *retained* tweets: mentions of evicted tweets are
-    /// kept frozen at the boundaries they were extracted with (their
-    /// source records are gone), while everything from
-    /// `TweetBase::first_retained` on is rebuilt against the new trie.
+    /// Pure, and a function of state every shard replicates only
+    /// (CTrie, tweets, scan watermark and version), which is what lets
+    /// one scan serve all shards. Tweets are scanned in parallel; scan
+    /// tasks are panic-isolated, so a poison record degrades to a tweet
+    /// with no occurrences plus an entry in [`Scan`]'s errors.
+    pub(crate) fn scan(&self) -> Scan {
+        let (version, rebuild, start) = self.scan_origin();
+        let shards = self.shard_count();
+        let ctrie = &self.ctrie;
+        let tweets = &self.tweets;
+        let max_len = self.cfg.max_mention_len;
+        let per_tweet =
+            self.exec.try_par_map((start..self.tweets.len()).collect::<Vec<usize>>(), |_, ti| {
+                ctrie
+                    .extract_mentions(&tweets.get(ti).tokens, max_len)
+                    .into_iter()
+                    .map(|occ| (crate::shard::shard_of_surface(&occ.surface, shards), occ))
+                    .collect::<Vec<_>>()
+            });
+        let mut errors = Vec::new();
+        let tweets = per_tweet
+            .into_iter()
+            .enumerate()
+            .map(|(k, result)| {
+                result.unwrap_or_else(|e| {
+                    // The tweet keeps its record but contributes no
+                    // mentions this scan.
+                    errors.push(tweet_task_error(start + k, e));
+                    Vec::new()
+                })
+            })
+            .collect();
+        Scan { version, rebuild, start, shards, tweets, errors }
+    }
+
+    /// Where the next scan starts: `(CTrie version, rebuild, first
+    /// tweet)`. A version bump rescans from the oldest retained tweet.
+    fn scan_origin(&self) -> (u64, bool, usize) {
+        let version = self.ctrie.version();
+        let rebuild = version != self.scanned_version;
+        (version, rebuild, if rebuild { self.tweets.first_retained() } else { self.scanned_tweets })
+    }
+
+    /// The shard count of the ownership filter (1 when unfiltered).
+    fn shard_count(&self) -> u32 {
+        self.shard_filter.map_or(1, |(_, count)| count)
+    }
+
+    /// Whether `scan` was computed from this pipeline's current stream
+    /// state and shard layout.
+    fn fits(&self, scan: &Scan) -> bool {
+        (scan.version, scan.rebuild, scan.start) == self.scan_origin()
+            && scan.start + scan.tweets.len() == self.tweets.len()
+            && scan.shards == self.shard_count()
+    }
+
+    /// Stage (ii): applies a [`Scan`] to this pipeline's candidate
+    /// store. A version bump first rebuilds the store from the scan
+    /// start, carrying the clusters and labels of every surface whose
+    /// rebuilt mention list equals the one they were computed over.
+    /// Then the *owned* occurrences whose span embedding is not cached
+    /// are phrase-embedded, in parallel per tweet, and every owned
+    /// occurrence is added in tweet order — so the store is identical
+    /// to a sequential full rebuild. A non-owned occurrence only
+    /// consumes its touch-clock tick, so owned entries carry the
+    /// unsharded stamps.
     ///
-    /// Scan tasks are panic-isolated: a poison record degrades to a
-    /// tweet with no extracted mentions, reported through
-    /// [`Self::take_finalize_errors`].
+    /// Under a bounded [`RetentionPolicy`] the rebuild can only rescan
+    /// *retained* tweets: mentions of evicted tweets are kept frozen at
+    /// the boundaries they were extracted with (their source records
+    /// are gone), while everything from `TweetBase::first_retained` on
+    /// is rebuilt against the new trie.
     ///
     /// With a spill pool, a surface re-matched by the scan while its
     /// entry sits on disk is rehydrated (and touch-stamped) before the
@@ -985,18 +1101,12 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// the pool wholesale — under [`RetentionPolicy::SpillCold`] no
     /// tweet is ever evicted, so the rebuild re-derives every spilled
     /// mention from the still-resident tweet records.
-    fn extract_and_embed(&mut self, mut pool: Option<&mut crate::durable::SpillPool>) {
-        let version = self.ctrie.version();
+    fn admit(&mut self, scan: &Scan, mut pool: Option<&mut crate::durable::SpillPool>) {
+        let start = scan.start;
         let mut carried = None;
-        let start = if version == self.scanned_version {
-            self.scanned_tweets
-        } else {
-            // Both rebuild paths below carry the clean entries' clusters
-            // across the rescan; entries rebuilt with an identical
-            // mention list get them back instead of a recluster.
+        if scan.rebuild {
             carried = Some(self.candidates.take_clean_clusters());
-            let keep_from = self.tweets.first_retained();
-            if keep_from == 0 {
+            if start == 0 {
                 self.candidates = CandidateBase::new();
                 if let Some(pool) = pool.as_deref_mut() {
                     if let Err(e) = pool.reset() {
@@ -1010,133 +1120,137 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
             } else {
                 // Freeze the evicted prefix, rebuild the retained
                 // suffix (marks every entry dirty).
-                self.candidates.truncate_mentions_from_tweet(keep_from);
+                self.candidates.truncate_mentions_from_tweet(start);
             }
-            keep_from
+        }
+        let owner = self.shard_filter.map(|(index, _)| index);
+        let owns = |shard: u32| match owner {
+            Some(index) => index == shard,
+            None => true,
         };
-        let n = self.tweets.len();
-        if start < n {
-            let ctrie = &self.ctrie;
-            let phrase = &self.phrase;
-            let tweets = &self.tweets;
-            let cache = &self.mention_cache;
-            let max_len = self.cfg.max_mention_len;
-            let per_tweet = self.exec.try_par_map_described(
-                (start..n).collect::<Vec<usize>>(),
-                |&ti| format!("tweet #{ti}"),
-                |_, ti| {
-                    let record = tweets.get(ti);
-                    let occs = ctrie.extract_mentions(&record.tokens, max_len);
-                    // All cache-miss spans of one tweet go through a
-                    // single batched dense forward instead of one
-                    // single-row matmul each — bitwise identical per
-                    // [`PhraseEmbedder::embed_spans`]'s contract.
-                    let mut miss_spans: Vec<Span> = Vec::new();
-                    let mut miss_at: Vec<usize> = Vec::new();
-                    for (k, occ) in occs.iter().enumerate() {
-                        if !cache.contains_key(&(ti, occ.start, occ.end)) {
-                            miss_spans.push(Span::new(occ.start, occ.end, EntityType::Person));
-                            miss_at.push(k);
+
+        // Per tweet with owned occurrences, in parallel: embed the owned
+        // cache misses and build the owned mention records. All misses
+        // of one tweet go through a single batched dense forward instead
+        // of one single-row matmul each — bitwise identical per
+        // [`PhraseEmbedder::embed_spans`]'s contract.
+        let work: Vec<usize> = (0..scan.tweets.len())
+            .filter(|&k| scan.tweets[k].iter().any(|&(shard, _)| owns(shard)))
+            .collect();
+        let cache = &self.mention_cache;
+        let phrase = &*self.phrase;
+        let tweets = &self.tweets;
+        let built = self.exec.try_par_map(work.clone(), |_, k| {
+            let ti = start + k;
+            let record = tweets.get(ti);
+            let owned: Vec<&MentionOccurrence> = scan.tweets[k]
+                .iter()
+                .filter(|&&(shard, _)| owns(shard))
+                .map(|(_, occ)| occ)
+                .collect();
+            let misses: Vec<Span> = owned
+                .iter()
+                .filter(|occ| !cache.contains_key(&(ti, occ.start, occ.end)))
+                .map(|occ| Span::new(occ.start, occ.end, EntityType::Person))
+                .collect();
+            let mut fresh = phrase.embed_spans(&record.embeddings, &misses).into_iter();
+            owned
+                .into_iter()
+                .map(|occ| {
+                    let local_emb = match cache.get(&(ti, occ.start, occ.end)) {
+                        Some(emb) => emb.clone(),
+                        None => {
+                            // Canonicalize fresh embeddings once, at
+                            // creation: every value kept in memory or
+                            // persisted afterwards is an exact i8
+                            // quantization round-trip, so the
+                            // quantized storage codec is lossless
+                            // ("i8 at rest, f32 in compute").
+                            let mut emb = fresh.next().expect("one embedding per cache miss");
+                            ngl_nn::kernels::canonicalize(&mut emb);
+                            emb
                         }
+                    };
+                    let local_type = record
+                        .local_spans
+                        .iter()
+                        .find(|s| s.start == occ.start && s.end == occ.end)
+                        .map(|s| s.ty);
+                    MentionRecord {
+                        tweet: ti,
+                        start: occ.start,
+                        end: occ.end,
+                        local_emb,
+                        local_type,
+                        trie_version: scan.version,
                     }
-                    let mut fresh = phrase.embed_spans(&record.embeddings, &miss_spans).into_iter();
-                    let mut miss_at = miss_at.into_iter().peekable();
-                    occs.into_iter()
-                        .enumerate()
-                        .map(|(k, occ)| {
-                            let local_emb = if miss_at.peek() == Some(&k) {
-                                miss_at.next();
-                                // Canonicalize fresh embeddings once, at
-                                // creation: every value kept in memory or
-                                // persisted afterwards is an exact i8
-                                // quantization round-trip, so the
-                                // quantized storage codec is lossless
-                                // ("i8 at rest, f32 in compute").
-                                let mut emb = fresh.next().expect("one embedding per cache miss");
-                                ngl_nn::kernels::canonicalize(&mut emb);
-                                emb
-                            } else {
-                                cache.get(&(ti, occ.start, occ.end)).expect("span cached").clone()
-                            };
-                            let local_type = record
-                                .local_spans
-                                .iter()
-                                .find(|s| s.start == occ.start && s.end == occ.end)
-                                .map(|s| s.ty);
-                            (
-                                occ.surface,
-                                MentionRecord {
-                                    tweet: ti,
-                                    start: occ.start,
-                                    end: occ.end,
-                                    local_emb,
-                                    local_type,
-                                    trie_version: version,
-                                },
-                            )
-                        })
-                        .collect::<Vec<(String, MentionRecord)>>()
-                },
-            );
-            for (k, result) in per_tweet.into_iter().enumerate() {
-                match result {
-                    Ok(tweet_mentions) => {
-                        for (surface, record) in tweet_mentions {
-                            if !self.owns_surface(&surface) {
-                                // Another shard stores this mention;
-                                // consume its clock tick so owned
-                                // entries keep the unsharded stamps.
-                                self.candidates.touch_skip();
-                                continue;
-                            }
-                            if let Some(pool) = pool.as_deref_mut() {
-                                if pool.contains(&surface) {
-                                    match pool.take(&surface) {
-                                        Ok(Some((entry, cache))) => {
-                                            // No explicit re-touch: the
-                                            // add_mention below stamps
-                                            // recency exactly as it would
-                                            // for a resident entry, so
-                                            // replay-from-snapshot (where
-                                            // nothing is spilled) evolves
-                                            // the clock identically.
-                                            self.candidates.insert_entry(surface.clone(), entry);
-                                            self.mention_cache.extend(cache);
-                                        }
-                                        Ok(None) => {}
-                                        Err(e) => {
-                                            self.spill_losses += 1;
-                                            self.finalize_errors.push(TaskError {
-                                                index: start + k,
-                                                payload: surface.clone(),
-                                                message: format!(
-                                                    "spill rehydration failed, \
-                                                     entry restarts empty: {e}"
-                                                ),
-                                            })
-                                        }
-                                    }
-                                }
-                            }
-                            self.mention_cache
-                                .entry((record.tweet, record.start, record.end))
-                                .or_insert_with(|| record.local_emb.clone());
-                            self.candidates.add_mention(&surface, record);
-                        }
-                    }
-                    // The executor reports the task's position in the
-                    // scan range; surface the tweet index instead. The
-                    // tweet keeps its record but contributes no
-                    // mentions this scan.
-                    Err(e) => self.finalize_errors.push(TaskError { index: start + k, ..e }),
+                })
+                .collect::<Vec<MentionRecord>>()
+        });
+        let mut admitted: Vec<Option<Vec<MentionRecord>>> =
+            vec![Some(Vec::new()); scan.tweets.len()];
+        for (k, result) in work.into_iter().zip(built) {
+            admitted[k] = match result {
+                Ok(records) => Some(records),
+                // The tweet contributes no mentions this scan.
+                Err(e) => {
+                    self.finalize_errors.push(tweet_task_error(start + k, e));
+                    None
                 }
+            };
+        }
+
+        // Sequentially, in tweet order: add the owned mentions, tick the
+        // clock for the rest.
+        for (k, occs) in scan.tweets.iter().enumerate() {
+            let Some(records) = admitted[k].take() else { continue };
+            let mut records = records.into_iter();
+            for (shard, occ) in occs {
+                if !owns(*shard) {
+                    // Another shard stores this mention; consume its
+                    // clock tick so owned entries keep the unsharded
+                    // stamps.
+                    self.candidates.touch_skip();
+                    continue;
+                }
+                if let Some(pool) = pool.as_deref_mut() {
+                    if pool.contains(&occ.surface) {
+                        match pool.take(&occ.surface) {
+                            Ok(Some((entry, cache))) => {
+                                // No explicit re-touch: the add_mention
+                                // below stamps recency exactly as it
+                                // would for a resident entry, so
+                                // replay-from-snapshot (where nothing is
+                                // spilled) evolves the clock identically.
+                                self.candidates.insert_entry(occ.surface.clone(), entry);
+                                self.mention_cache.extend(cache);
+                            }
+                            Ok(None) => {}
+                            Err(e) => {
+                                self.spill_losses += 1;
+                                self.finalize_errors.push(TaskError {
+                                    index: start + k,
+                                    payload: occ.surface.clone(),
+                                    message: format!(
+                                        "spill rehydration failed, entry restarts empty: {e}"
+                                    ),
+                                })
+                            }
+                        }
+                    }
+                }
+                let record = records.next().expect("one record per owned occurrence");
+                self.mention_cache
+                    .entry((record.tweet, record.start, record.end))
+                    .or_insert_with(|| record.local_emb.clone());
+                self.candidates.add_mention(&occ.surface, record);
             }
         }
         if let Some(carried) = carried {
             self.candidates.restore_clusters(carried);
         }
-        self.scanned_tweets = n;
-        self.scanned_version = version;
+        self.scanned_tweets = start + scan.tweets.len();
+        self.scanned_version = scan.version;
     }
 
     /// Stage (iii): split each surface's mentions into candidate
@@ -1179,7 +1293,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// Same skip rule as [`Self::cluster_candidates`], tracked by
     /// `SurfaceEntry::classified`.
     fn classify_candidates(&mut self, mode: AblationMode) {
-        let classifier = &self.classifier;
+        let classifier = &*self.classifier;
         let min_confidence = self.cfg.min_confidence;
         let exec = &self.exec;
         // Same split as `cluster_candidates`: giants score their
@@ -1561,6 +1675,22 @@ fn clip(s: &str, max_chars: usize) -> &str {
     }
 }
 
+/// A failed per-tweet finalize task, reported by stream index. The
+/// executor gives the task's position in its batch; the payload is
+/// named here, on failure only, so a clean finalize formats nothing
+/// per tweet.
+fn tweet_task_error(ti: usize, e: TaskError) -> TaskError {
+    TaskError { index: ti, payload: format!("tweet #{ti}"), ..e }
+}
+
+/// Local NER over one (already truncated) token list: the record
+/// ingest stores.
+fn encode_record<T: ContextualTagger>(local: &T, tokens: Vec<String>) -> TweetRecord {
+    let enc = local.encode(&tokens);
+    let local_spans = decode_bio(&enc.tags);
+    TweetRecord { tokens, embeddings: enc.embeddings, local_spans }
+}
+
 /// Short human-readable summary of a token list for [`TaskError`]
 /// payloads (bounded regardless of input size).
 fn summarize_tokens(tokens: &[String]) -> String {
@@ -1745,7 +1875,7 @@ fn majority_local_type(types: impl Iterator<Item = Option<EntityType>>) -> Optio
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::classifier::ClassifierConfig;
     use crate::phrase::PhraseEmbedderConfig;
@@ -1755,8 +1885,8 @@ mod tests {
     /// A deterministic fake local tagger for pipeline unit tests: tags
     /// any capitalized token as B-PER and embeds tokens by a hash-driven
     /// one-hot so the clustering is predictable.
-    struct FakeTagger {
-        dim: usize,
+    pub(crate) struct FakeTagger {
+        pub(crate) dim: usize,
     }
 
     impl SequenceTagger for FakeTagger {
@@ -1794,11 +1924,11 @@ mod tests {
         }
     }
 
-    fn toks(s: &str) -> Vec<String> {
+    pub(crate) fn toks(s: &str) -> Vec<String> {
         s.split(' ').map(|x| x.to_string()).collect()
     }
 
-    fn pipeline(mode: AblationMode) -> NerGlobalizer<FakeTagger> {
+    pub(crate) fn pipeline(mode: AblationMode) -> NerGlobalizer<FakeTagger> {
         let dim = 8;
         NerGlobalizer::new(
             FakeTagger { dim },

@@ -1,8 +1,8 @@
 //! Sharded globalization: N durable shards over one shared runtime.
 //!
-//! The sharding model is *replicated ingest, ownership-partitioned
-//! globalization*. Every shard runs the full pipeline over the full
-//! tweet stream — CTrie, tweet store, seen-ids and watermarks are
+//! The sharding model is *replicated state, shared compute,
+//! ownership-partitioned globalization*. Every shard holds the full
+//! stream state — CTrie, tweet store, seen-ids and watermarks are
 //! bitwise identical on every shard — but a shard admits into its
 //! candidate base only the surfaces it *owns*:
 //!
@@ -10,11 +10,20 @@
 //! owner(surface) = fnv1a64(surface) % shard_count
 //! ```
 //!
+//! The work that state derives from runs once, not once per shard:
+//! a batch is encoded once into a memo every shard stores its records
+//! from, and a finalize scans the CTrie once, on the lead shard (the
+//! lowest-index non-wedged one), tagging every occurrence with its
+//! owner. Each shard then phrase-embeds and admits only its owned
+//! occurrences. The models and the tweet records sit behind `Arc`s, so
+//! the shards, the merged view and its clones hold one copy of each
+//! (records a shard recovered from its own snapshot are its own).
+//!
 //! Ownership partitions exactly the state that makes the single
 //! process a bottleneck: the per-surface mention sets and their
 //! clustering (quadratic in mentions-per-surface under a Zipfian
-//! stream), which now run concurrently across shards on the one
-//! shared [`Executor`] pool. Non-owned surfaces still consume their
+//! stream), which run concurrently across shards on the one shared
+//! [`Executor`] pool. Non-owned surfaces still consume their
 //! touch-clock tick on every shard, so owned entries carry the same
 //! stamps as the unsharded run and the cross-shard merge is bitwise
 //! faithful.
@@ -29,7 +38,8 @@
 //!
 //! **Merge.** Finalize runs on every shard, then the merged view is
 //! rebuilt deterministically: clone the most-advanced shard's
-//! pipeline (shared state), drop its ownership filter, and absorb
+//! pipeline (shared state; models and tweet records by pointer), drop
+//! its ownership filter, and absorb
 //! every other shard's candidate entries and mention caches — both
 //! disjoint unions by the ownership rule. Output, `/export` bytes and
 //! the combined `state_digest` come from that merged pipeline, and
@@ -63,7 +73,7 @@ use crate::durable::{
     read_model_meta, write_model_meta, DegradationMode, DegradationReport, DurableError,
     DurableGlobalizer, RecoveryReport, StoreStats, WalRecord, MODEL_META_FILE,
 };
-use crate::pipeline::{BatchOutput, BatchReport, NerGlobalizer};
+use crate::pipeline::{AblationMode, BatchOutput, BatchReport, NerGlobalizer};
 
 /// The shard that owns `surface`: FNV-1a over the surface bytes,
 /// reduced modulo the shard count. Stable across processes, platforms
@@ -162,7 +172,7 @@ pub struct ShardedGlobalizer<T: ContextualTagger> {
     exec: Executor,
 }
 
-impl<T: ContextualTagger + Clone + Send + Sync> ShardedGlobalizer<T> {
+impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
     /// Opens (or creates) a sharded store at `dir`: `shards` clones of
     /// `base`, each with the ownership filter for its index and its
     /// own WAL/snapshot lineage under `dir/shard-NN/`. All shards
@@ -355,6 +365,12 @@ impl<T: ContextualTagger + Clone + Send + Sync> ShardedGlobalizer<T> {
         merged
     }
 
+    /// The lowest-index non-wedged shard: its replicated state stands
+    /// for every shard's when work is done once for all of them.
+    fn lead(&self) -> Option<usize> {
+        self.wedged.iter().position(|&w| !w)
+    }
+
     /// Runs `op` on every non-wedged shard concurrently (on the shared
     /// pool; shards nest their own `par_map` inside, which the
     /// atomic-counter pull loop makes deadlock-free) and returns
@@ -410,10 +426,11 @@ impl<T: ContextualTagger + Clone + Send + Sync> ShardedGlobalizer<T> {
     }
 
     /// Broadcasts one batch to every non-wedged shard (replicated
-    /// ingest; each shard admits only its owned surfaces). Returns
-    /// the lowest-index shard's output — local spans and shared-state
-    /// effects are identical on every shard; the report's
-    /// mention-admission counters reflect that shard's owned subset.
+    /// ingest; each shard admits only its owned surfaces). The batch
+    /// is encoded once, into a memo every shard borrows and stores
+    /// records from by pointer. Returns the lowest-index shard's
+    /// output — local spans, fault reports and shared-state effects are
+    /// identical on every shard.
     ///
     /// # Panics
     /// Panics, before any shard logs the batch, when `ids` is given
@@ -423,7 +440,10 @@ impl<T: ContextualTagger + Clone + Send + Sync> ShardedGlobalizer<T> {
         tweets: Vec<Vec<String>>,
         ids: Option<Vec<u64>>,
     ) -> Result<(BatchOutput, BatchReport), DurableError> {
-        let results = self.broadcast(|shard| shard.ingest(tweets.clone(), ids.clone()));
+        let memo = self.lead().map(|lead| self.shards[lead].inner().encode_memo(&tweets));
+        let memo = memo.as_ref();
+        let results =
+            self.broadcast(|shard| shard.ingest_with_memo(tweets.clone(), ids.clone(), memo));
         self.settle(results, true)
     }
 
@@ -448,7 +468,10 @@ impl<T: ContextualTagger + Clone + Send + Sync> ShardedGlobalizer<T> {
 
     /// Finalizes every non-wedged shard concurrently, rebuilds the
     /// merged view, and emits the merged output — bitwise identical
-    /// to the 1-shard finalize under non-spill retention.
+    /// to the 1-shard finalize under non-spill retention. The CTrie
+    /// scan runs once, on the lead shard, and every shard admits its
+    /// owned share of it; the scan's errors are reported once, on the
+    /// lead shard.
     ///
     /// A shard whose finalize errored has still *applied* the stages
     /// (state and `op_seq` advanced; only the WAL records are stashed
@@ -458,6 +481,11 @@ impl<T: ContextualTagger + Clone + Send + Sync> ShardedGlobalizer<T> {
     /// stashed records, without re-running anything elsewhere.
     pub fn finalize(&mut self) -> Result<Vec<Vec<Span>>, DurableError> {
         let retry = self.shards.iter().any(|s| s.has_pending_finalize());
+        let lead = self.lead().filter(|&lead| {
+            !retry && self.shards[lead].inner().config().ablation != AblationMode::LocalOnly
+        });
+        let scan = lead.map(|lead| self.shards[lead].inner().scan());
+        let shared = scan.as_ref();
         let wedged = &self.wedged;
         let items: Vec<(usize, &mut DurableGlobalizer<T>)> = self
             .shards
@@ -465,7 +493,11 @@ impl<T: ContextualTagger + Clone + Send + Sync> ShardedGlobalizer<T> {
             .enumerate()
             .filter(|(i, s)| !wedged[*i] && (!retry || s.has_pending_finalize()))
             .collect();
-        let results = self.exec.par_map(items, |_, (ix, shard)| (ix, shard.finalize()));
+        let results =
+            self.exec.par_map(items, |_, (ix, shard)| (ix, shard.finalize_scanned(shared)));
+        if let (Some(lead), Some(scan)) = (lead, scan) {
+            self.shards[lead].push_finalize_errors(scan.into_errors());
+        }
         for (_, result) in &results {
             if let Err(e) = result {
                 return Err(clone_error(e));
@@ -585,7 +617,8 @@ impl<T: ContextualTagger + Clone + Send + Sync> ShardedGlobalizer<T> {
         self.shards.iter().any(|s| s.has_pending_finalize())
     }
 
-    /// Drains fault diagnostics from every shard and the merged view.
+    /// Drains fault diagnostics from every shard and the merged view
+    /// (which starts each rebuild without any).
     pub fn take_finalize_errors(&mut self) -> Vec<TaskError> {
         let mut out = Vec::new();
         for shard in &mut self.shards {
@@ -638,6 +671,31 @@ mod tests {
         assert_eq!(shard_of_surface("anything", 1), 0);
         // The documented rule, verbatim.
         assert_eq!(shard_of_surface("beshear", 4), (fnv1a64(b"beshear") % 4) as u32);
+    }
+
+    /// Diagnostics stay with the pipeline that recorded them: the
+    /// merged view rebuilt from a shard must not report that shard's
+    /// undrained errors a second time.
+    #[test]
+    fn finalize_errors_come_back_exactly_once() {
+        use crate::pipeline::tests::{pipeline, toks};
+        let dir = tmp("errors-once");
+        let (mut sharded, _) =
+            ShardedGlobalizer::open(pipeline(AblationMode::FullGlobal), &dir, 10, 3).expect("open");
+        sharded.ingest(vec![toks("Beshear spoke today"), toks("Italy won")], None).expect("ingest");
+        for (i, shard) in sharded.shards.iter_mut().enumerate() {
+            shard.push_finalize_errors(vec![TaskError {
+                index: i,
+                payload: String::new(),
+                message: format!("recorded on shard {i}"),
+            }]);
+        }
+        sharded.finalize().expect("finalize");
+        let mut messages: Vec<String> =
+            sharded.take_finalize_errors().into_iter().map(|e| e.message).collect();
+        messages.sort();
+        assert_eq!(messages, ["recorded on shard 0", "recorded on shard 1", "recorded on shard 2"]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

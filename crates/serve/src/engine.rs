@@ -10,9 +10,10 @@
 //! and answers every submitter with a typed [`Ack`].
 //!
 //! Every `finalize_every` batches — or as soon as the queue goes idle —
-//! the engine finalizes and publishes a full pipeline clone as the
-//! **query snapshot**: readers always see the last finalized state and
-//! never contend with ingestion beyond one `RwLock` pointer swap.
+//! the engine finalizes and publishes a pipeline clone as the **query
+//! snapshot** (models and tweet records shared by pointer): readers
+//! always see the last finalized state and never contend with
+//! ingestion beyond one `RwLock` pointer swap.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
@@ -41,7 +42,7 @@ pub(crate) enum EngineStore<T: ContextualTagger> {
     Sharded(Box<ShardedGlobalizer<T>>),
 }
 
-impl<T: ContextualTagger + Clone + Send + Sync> EngineStore<T> {
+impl<T: ContextualTagger + Send + Sync> EngineStore<T> {
     pub(crate) fn ingest(
         &mut self,
         tweets: Vec<Vec<String>>,
@@ -244,7 +245,7 @@ pub(crate) fn retention_pressure_milli<T: ContextualTagger>(g: &NerGlobalizer<T>
 
 /// Mirrors store-side health and cache/IO counters into the shared
 /// stats so `/stats` serves them without touching the engine.
-pub(crate) fn refresh_store_view<T: ContextualTagger + Clone + Send + Sync>(
+pub(crate) fn refresh_store_view<T: ContextualTagger + Send + Sync>(
     shared: &Shared<T>,
     store: &EngineStore<T>,
 ) {
@@ -266,7 +267,7 @@ pub(crate) fn refresh_store_view<T: ContextualTagger + Clone + Send + Sync>(
 
 /// Finalizes, publishes the post-finalize pipeline as the new query
 /// snapshot, and refreshes the mirrored store view.
-pub(crate) fn finalize_and_publish<T: ContextualTagger + Clone + Send + Sync>(
+pub(crate) fn finalize_and_publish<T: ContextualTagger + Send + Sync>(
     shared: &Shared<T>,
     store: &mut EngineStore<T>,
 ) {
@@ -278,7 +279,7 @@ pub(crate) fn finalize_and_publish<T: ContextualTagger + Clone + Send + Sync>(
 }
 
 /// Publishes the current query view as the query snapshot.
-pub(crate) fn publish_snapshot<T: ContextualTagger + Clone + Send + Sync>(
+pub(crate) fn publish_snapshot<T: ContextualTagger + Send + Sync>(
     shared: &Shared<T>,
     store: &EngineStore<T>,
 ) {
@@ -288,7 +289,7 @@ pub(crate) fn publish_snapshot<T: ContextualTagger + Clone + Send + Sync>(
 }
 
 /// The engine thread body: batch, commit, ack, finalize, publish.
-pub(crate) fn run<T: ContextualTagger + Clone + Send + Sync>(
+pub(crate) fn run<T: ContextualTagger + Send + Sync>(
     mut durable: EngineStore<T>,
     rx: Receiver<IngestItem>,
     shared: Arc<Shared<T>>,
@@ -344,7 +345,7 @@ pub(crate) fn run<T: ContextualTagger + Clone + Send + Sync>(
     }
 }
 
-fn commit_batch<T: ContextualTagger + Clone + Send + Sync>(
+fn commit_batch<T: ContextualTagger + Send + Sync>(
     shared: &Shared<T>,
     durable: &mut EngineStore<T>,
     mut batch: Vec<IngestItem>,

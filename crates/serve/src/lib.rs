@@ -17,7 +17,8 @@
 //! * **Query path** — `/tag` tags one message against the global state
 //!   without mutating it, `/surface` lists a surface's clusters, types
 //!   and staleness. Queries run against the **snapshot rule**: the
-//!   engine publishes a full pipeline clone after every finalize, and
+//!   engine publishes a pipeline clone after every finalize (models
+//!   and tweet records shared by pointer, the rest copied), and
 //!   readers see exactly that last finalized state — one `RwLock`
 //!   pointer swap of contention, no interleaving with ingestion.
 //! * **Admission control** — ingest sheds with typed responses instead
@@ -161,7 +162,7 @@ impl<T: ContextualTagger> HandlerCtx<T> {
     }
 }
 
-impl<T: ContextualTagger + Clone + Send + Sync + 'static> Server<T> {
+impl<T: ContextualTagger + Send + Sync + 'static> Server<T> {
     /// Starts serving over an opened durable store. Binds synchronously
     /// — when this returns, the listener accepts connections and the
     /// first query snapshot (the recovered, finalized state) is

@@ -12,9 +12,15 @@
 //! * **faults stay contained** — ENOSPC on one shard degrades only
 //!   that shard: the others keep admitting batches and the admission
 //!   gate stays healthy while the worst-of aggregate reports the
-//!   casualty.
+//!   casualty;
+//! * **shared work is done once** — a sharded batch is encoded once and
+//!   every shard, the merged view and its clones hold the same model
+//!   and tweet records, while rejected inputs are reported exactly as
+//!   by one shard.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use ner_globalizer::core::{
     AblationMode, ClassifierConfig, DegradationMode, EntityClassifier, GlobalizerConfig,
@@ -22,7 +28,9 @@ use ner_globalizer::core::{
 };
 use ner_globalizer::encoder::{ContextualTagger, SentenceEncoding, SequenceTagger};
 use ner_globalizer::nn::Matrix;
-use ner_globalizer::runtime::faults::{IoFault, IoFaultKind, IoFaultPlan, IoOp, IoPathClass};
+use ner_globalizer::runtime::faults::{
+    IoFault, IoFaultKind, IoFaultPlan, IoOp, IoPathClass, NAN_TOKEN, PANIC_TOKEN,
+};
 use ner_globalizer::runtime::rng::SplitMix64;
 use ner_globalizer::runtime::Executor;
 use ner_globalizer::store::{IoHandle, RetryPolicy};
@@ -369,4 +377,146 @@ fn enospc_on_one_shard_degrades_only_that_shard() {
         "the degraded store must still emit mentions from its healthy shards"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// [`HashTagger`] that counts its encodes and carries the fault
+/// sentinels: a tweet holding [`PANIC_TOKEN`] panics the encode, one
+/// holding [`NAN_TOKEN`] comes back with a NaN embedding. Not `Clone`:
+/// sharding never copies the tagger.
+struct CountingTagger {
+    encodes: Arc<AtomicUsize>,
+}
+
+impl SequenceTagger for CountingTagger {
+    fn tag(&self, tokens: &[String]) -> Vec<BioTag> {
+        HashTagger.tag(tokens)
+    }
+}
+
+impl ContextualTagger for CountingTagger {
+    fn dim(&self) -> usize {
+        DIM
+    }
+
+    fn encode(&self, tokens: &[String]) -> SentenceEncoding {
+        self.encodes.fetch_add(1, Ordering::Relaxed);
+        if tokens.iter().any(|t| t == PANIC_TOKEN) {
+            panic!("poison tweet");
+        }
+        let mut enc = HashTagger.encode(tokens);
+        if tokens.iter().any(|t| t == NAN_TOKEN) {
+            enc.embeddings.row_mut(0)[0] = f32::NAN;
+        }
+        enc
+    }
+}
+
+fn counting_pipeline(cfg: GlobalizerConfig) -> (NerGlobalizer<CountingTagger>, Arc<AtomicUsize>) {
+    let encodes = Arc::new(AtomicUsize::new(0));
+    let pipeline = NerGlobalizer::new(
+        CountingTagger { encodes: Arc::clone(&encodes) },
+        PhraseEmbedder::new(PhraseEmbedderConfig { dim: DIM, ..Default::default() }),
+        EntityClassifier::new(ClassifierConfig { dim: DIM, ..Default::default() }),
+        cfg,
+    )
+    .with_executor(Executor::new(4));
+    (pipeline, encodes)
+}
+
+#[test]
+fn shards_encode_once_and_share_models_and_tweet_records() {
+    let stream = gen_stream(0x5AED, 3 * BATCH);
+    let dir = scratch("shared");
+    let (base, encodes) = counting_pipeline(full_cfg());
+    let (mut sharded, _) = ShardedGlobalizer::open(base, &dir, 10, 4).expect("open");
+    let mut unique = 0;
+    for chunk in stream.chunks(BATCH) {
+        let mut distinct = chunk.to_vec();
+        distinct.sort();
+        distinct.dedup();
+        unique += distinct.len();
+        sharded.ingest(chunk.to_vec(), None).expect("batch");
+        sharded.finalize().expect("finalize");
+    }
+    assert_eq!(
+        encodes.load(Ordering::Relaxed),
+        unique,
+        "one encode per distinct tweet of each batch, not one per shard"
+    );
+
+    let merged = sharded.merged();
+    let clone = merged.clone();
+    let mut views: Vec<&NerGlobalizer<CountingTagger>> =
+        sharded.shards().iter().map(|shard| shard.inner()).collect();
+    views.push(merged);
+    views.push(&clone);
+    for (i, view) in views.iter().enumerate() {
+        assert!(std::ptr::eq(view.local_tagger(), merged.local_tagger()), "view {i}: tagger");
+        for t in [0, stream.len() - 1] {
+            assert!(
+                std::ptr::eq(view.tweet_base().get(t), merged.tweet_base().get(t)),
+                "view {i}: tweet #{t}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn faulty_batches_report_alike_at_one_and_four_shards() {
+    let tokens = |s: &str| s.split(' ').map(String::from).collect::<Vec<String>>();
+    let batches: Vec<(Vec<Vec<String>>, Vec<u64>)> = vec![
+        (
+            vec![
+                tokens("Beshear spoke today"),
+                tokens(&format!("oh {PANIC_TOKEN} no")),
+                tokens(&format!("bad {NAN_TOKEN} Italy")),
+                Vec::new(),
+                tokens("Italy won again and again and again"),
+                tokens("thanks beshear for Italy"),
+            ],
+            vec![1, 2, 3, 4, 5, 6],
+        ),
+        (
+            vec![
+                tokens("Beshear spoke today"),
+                tokens(&format!("oh {PANIC_TOKEN} no")),
+                tokens("more Madrid talk"),
+            ],
+            vec![7, 2, 8],
+        ),
+    ];
+    let cfg = GlobalizerConfig { reject_empty: true, max_tweet_tokens: 5, ..full_cfg() };
+    let mut outcomes = Vec::new();
+    for shards in [1u32, 4] {
+        let dir = scratch(&format!("faults-{shards}s"));
+        let (base, _) = counting_pipeline(cfg);
+        let (mut sharded, _) = ShardedGlobalizer::open(base, &dir, 10, shards).expect("open");
+        let mut reports = Vec::new();
+        for (tweets, ids) in &batches {
+            let (out, report) = sharded.ingest(tweets.clone(), Some(ids.clone())).expect("batch");
+            sharded.finalize().expect("finalize");
+            reports.push((out.local_spans, format!("{report:?}")));
+        }
+        outcomes.push((reports, sharded.combined_digest()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    // The plain pipeline encodes every tweet inside its own ingest.
+    let (mut plain, _) = counting_pipeline(cfg);
+    let mut reports = Vec::new();
+    for (tweets, ids) in &batches {
+        let (out, report) = plain.ingest(tweets.clone(), Some(ids.clone()));
+        plain.finalize();
+        reports.push((out.local_spans, format!("{report:?}")));
+    }
+    outcomes.push((reports, plain.state_digest()));
+
+    let (reports, _) = &outcomes[0];
+    assert!(reports[0].1.contains("poison tweet"), "the panicking encode is reported");
+    assert!(reports[0].1.contains("non-finite embeddings rejected"));
+    assert!(reports[0].1.contains("empty tweet rejected"));
+    assert!(reports[0].1.contains("truncated: [4]"));
+    assert!(reports[1].1.contains("duplicate tweet id 2"));
+    assert_eq!(outcomes[0], outcomes[1], "4 shards must report and store what 1 shard does");
+    assert_eq!(outcomes[0], outcomes[2], "a sharded batch must report what a plain ingest does");
 }
