@@ -20,8 +20,8 @@
 //! The `store` section (also forced by `--store-dir` or
 //! `--timings-json`) streams the eval datasets through the durable
 //! store and prints a bench row comparing WAL delta bytes per batch
-//! against the full-snapshot size; with `--store-dir` the WAL,
-//! snapshots, and spill file land at the given path (so the store is
+//! against the full-snapshot size; with `--store-dir` the WAL and
+//! snapshots land at the given path (so the store is
 //! exercisable end-to-end and inspectable with `ngl recover`),
 //! otherwise in a throwaway temp dir. `--checkpoint-every` sets the
 //! snapshot cadence (default 8 batches). Past ~1k streamed tweets the
@@ -107,9 +107,7 @@ fn write_timings_json(
              \"delta_bytes_avg\": {:.1}, \"delta_bytes_last\": {}, \
              \"snapshot_bytes_last\": {}, \"wal_bytes_total\": {}, \
              \"snapshots\": {}, \"sublinear\": {}, \
-             \"snapshot_q_bytes\": {}, \
-             \"spill_bytes\": {}, \"page_cache_hits\": {}, \
-             \"page_cache_misses\": {}, \"io_retries\": {}, \
+             \"snapshot_q_bytes\": {}, \"io_retries\": {}, \
              \"io_retry_exhausted\": {}}}",
             s.tweets,
             s.batches,
@@ -120,9 +118,6 @@ fn write_timings_json(
             s.snapshots,
             s.sublinear,
             s.snapshot_q_bytes,
-            s.spill_bytes,
-            s.page_cache_hits,
-            s.page_cache_misses,
             s.io_retries,
             s.io_retry_exhausted,
         ));

@@ -587,13 +587,6 @@ pub struct StoreBenchResult {
     pub sublinear: bool,
     /// Final state re-encoded through the (quantized) snapshot codec.
     pub snapshot_q_bytes: u64,
-    /// Live bytes in the cold-surface spill file (quantized codec); 0
-    /// when the retention policy never spills.
-    pub spill_bytes: u64,
-    /// Read-side page-cache hits of the spill file (0 without a pool).
-    pub page_cache_hits: u64,
-    /// Read-side page-cache misses of the spill file.
-    pub page_cache_misses: u64,
     /// Transient IO errors absorbed by retry during the run (should be
     /// 0 on a healthy disk).
     pub io_retries: u64,
@@ -652,9 +645,6 @@ pub fn store_bench(
         snapshots: stats.snapshots,
         sublinear: delta_last < stats.snapshot_bytes_last,
         snapshot_q_bytes: durable.inner().export_state_bytes().len() as u64,
-        spill_bytes: durable.spill_pool().map_or(0, |p| p.live_bytes()),
-        page_cache_hits: durable.spill_pool().map_or(0, |p| p.page_cache_stats().0),
-        page_cache_misses: durable.spill_pool().map_or(0, |p| p.page_cache_stats().1),
         io_retries: durable.io_stats().transient_retries,
         io_retry_exhausted: durable.io_stats().retry_exhausted,
     })
@@ -834,8 +824,6 @@ pub fn store_table(r: &StoreBenchResult) -> String {
         r.snapshot_bytes_last.to_string(),
         format!("{:.4}", r.delta_bytes_last as f64 / r.snapshot_bytes_last.max(1) as f64),
         if r.sublinear { "yes" } else { "NO" }.to_string(),
-        r.spill_bytes.to_string(),
-        format!("{}/{}", r.page_cache_hits, r.page_cache_misses),
         format!("{}/{}", r.io_retries, r.io_retry_exhausted),
     ]];
     render_table(
@@ -848,8 +836,6 @@ pub fn store_table(r: &StoreBenchResult) -> String {
             "SnapshotB",
             "Ratio",
             "Sublinear",
-            "SpillB",
-            "PgHit/Miss",
             "IoRetry",
         ],
         &rows,

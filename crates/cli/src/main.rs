@@ -37,7 +37,7 @@ use std::process::ExitCode;
 use ngl_core::{
     model_fingerprint, train_globalizer, DegradationMode, DurableGlobalizer, GlobalizerBundle,
     GlobalizerConfig, GlobalizerTrainingConfig, NerGlobalizer, PoolPolicy, RecoveryReport,
-    ShardedGlobalizer, SharedPageCache,
+    ShardedGlobalizer,
 };
 use ngl_corpus::{profiles, Dataset, KnowledgeBase};
 use ngl_encoder::{train_encoder, EncoderConfig, TokenEncoder, TrainConfig};
@@ -278,12 +278,10 @@ fn cmd_tag(flags: &HashMap<String, String>) -> Result<(), String> {
                 if health.is_degraded() {
                     eprintln!(
                         "warning: shard {i} degraded ({}): {} wal commit failures, \
-                         {} snapshot failures, {} spill pins, {} spill losses",
+                         {} snapshot failures",
                         health.mode(),
                         health.wal_commit_failures,
-                        health.snapshot_failures,
-                        health.spill_pins,
-                        health.spill_losses
+                        health.snapshot_failures
                     );
                 }
             }
@@ -311,12 +309,10 @@ fn cmd_tag(flags: &HashMap<String, String>) -> Result<(), String> {
             if health.is_degraded() {
                 eprintln!(
                     "warning: storage degraded ({}): {} wal commit failures, \
-                     {} snapshot failures, {} spill pins, {} spill losses",
+                     {} snapshot failures",
                     health.mode(),
                     health.wal_commit_failures,
-                    health.snapshot_failures,
-                    health.spill_pins,
-                    health.spill_losses
+                    health.snapshot_failures
                 );
             }
             // A resumed store emits spans for every retained tweet;
@@ -370,13 +366,6 @@ fn print_recovery_section(report: &RecoveryReport) {
     println!("tweets:             {}", report.tweets);
     println!("surfaces:           {} ({} resident)", report.surfaces, report.resident_surfaces);
     println!("state digest:       {:016x}", report.digest);
-    if report.unverified_finalizes > 0 {
-        println!(
-            "unverified marks:   {} (writer degraded under spill faults; \
-             replay is the fault-free reconstruction of its inputs)",
-            report.unverified_finalizes
-        );
-    }
 }
 
 fn cmd_recover(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -420,8 +409,6 @@ fn cmd_recover(flags: &HashMap<String, String>) -> Result<(), String> {
             sharded.merged().tweet_base().len(),
             sharded.merged().scan_watermark()
         );
-        let (hits, misses) = SharedPageCache::global().stats();
-        println!("shared page cache:  {hits} hits / {misses} misses (process-wide)");
         drop(sharded); // recovery only: nothing new is logged
         return Ok(());
     }
@@ -434,17 +421,6 @@ fn cmd_recover(flags: &HashMap<String, String>) -> Result<(), String> {
         "snapshot bytes:     {} (quantized codec)",
         durable.inner().export_state_bytes().len()
     );
-    if let Some(pool) = durable.spill_pool() {
-        println!(
-            "spill bytes:        {} live / {} file (quantized codec)",
-            pool.live_bytes(),
-            pool.file_bytes()
-        );
-        // The page cache is process-shared (one byte budget across
-        // every spill file); these are the shared totals.
-        let (hits, misses) = pool.page_cache_stats();
-        println!("shared page cache:  {hits} hits / {misses} misses (process-wide)");
-    }
     let health = durable.degradation();
     let io = durable.io_stats();
     println!(

@@ -35,7 +35,7 @@ pub struct MentionRecord {
 
 impl MentionRecord {
     /// Rough heap footprint in bytes (embedding floats + struct), the
-    /// unit of account for `RetentionPolicy::SpillCold`.
+    /// unit of [`CandidateBase::resident_bytes`].
     pub fn approx_bytes(&self) -> usize {
         self.local_emb.len() * std::mem::size_of::<f32>() + std::mem::size_of::<Self>()
     }
@@ -69,10 +69,10 @@ pub struct SurfaceEntry {
     /// Mention count the cluster labels/global embeddings were last
     /// computed over (same skip logic as `clustered`).
     pub classified: usize,
-    /// Logical timestamp of the last touch (mention append or spill
-    /// rehydration), from the owning [`CandidateBase`]'s touch clock.
-    /// `RetentionPolicy::SpillCold` evicts the smallest-`touched`
-    /// (least-recently-matched) entries first.
+    /// Logical timestamp of the last mention append, from the owning
+    /// [`CandidateBase`]'s touch clock. Part of the pinned state: it is
+    /// hashed into `NerGlobalizer::state_digest` and encoded in the
+    /// checkpoint.
     pub touched: u64,
 }
 
@@ -108,17 +108,15 @@ impl SurfaceEntry {
         self.classified = usize::MAX;
     }
 
-    /// Whether clusters *and* labels are current for the mention set —
-    /// only clean entries are eligible for cold spill (a dirty entry
-    /// still owes the next finalize a recompute).
+    /// Whether clusters *and* labels are current for the mention set (a
+    /// dirty entry still owes the next finalize a recompute).
     pub fn is_clean(&self) -> bool {
         !self.needs_recluster() && !self.needs_reclassify()
     }
 
     /// Rough heap footprint of the entry in bytes (mentions, clusters,
-    /// struct overhead) — the resident-memory measure bounded by
-    /// `RetentionPolicy::SpillCold`. Stable and monotone, like
-    /// [`TweetRecord::approx_bytes`].
+    /// struct overhead), summed by [`CandidateBase::resident_bytes`].
+    /// Stable and monotone, like [`TweetRecord::approx_bytes`].
     pub fn approx_bytes(&self) -> usize {
         let mention_bytes: usize = self.mentions.iter().map(MentionRecord::approx_bytes).sum();
         let cluster_bytes: usize = self
@@ -146,8 +144,7 @@ pub struct CandidateBase {
     surfaces: BTreeMap<String, SurfaceEntry>,
     /// Monotone logical clock stamping [`SurfaceEntry::touched`].
     /// Advanced on every mention append (sequential in tweet order, so
-    /// stamps are identical across worker counts) and on every spill
-    /// rehydration.
+    /// stamps are identical across worker counts).
     clock: u64,
 }
 
@@ -173,6 +170,9 @@ impl CandidateBase {
     /// one: every scan-ordered mention consumes exactly one tick
     /// whether or not this base stores it, so the `touched` values of
     /// the entries it *does* own match the 1-shard run bit for bit.
+    /// Nothing reads the stamps' order any more, but they are hashed
+    /// into `NerGlobalizer::state_digest` and encoded in checkpoint v4,
+    /// so shard neutrality of both needs the skipped ticks.
     pub(crate) fn touch_skip(&mut self) {
         self.clock += 1;
     }
@@ -226,23 +226,17 @@ impl CandidateBase {
         }
     }
 
-    /// Total approximate heap bytes of the resident entries — what
-    /// `RetentionPolicy::SpillCold` bounds.
+    /// Total approximate heap bytes of the candidate entries.
     pub fn resident_bytes(&self) -> usize {
         self.surfaces.values().map(SurfaceEntry::approx_bytes).sum()
     }
 
-    /// Installs a fully-formed entry (checkpoint restore, spill
-    /// rehydration). The touch clock is advanced past the entry's
+    /// Installs a fully-formed entry (checkpoint restore, cross-shard
+    /// merge). The touch clock is advanced past the entry's
     /// stamp so future touches stay strictly newer.
     pub(crate) fn insert_entry(&mut self, surface: String, entry: SurfaceEntry) {
         self.clock = self.clock.max(entry.touched);
         self.surfaces.insert(surface, entry);
-    }
-
-    /// Removes an entry wholesale (cold spill).
-    pub(crate) fn remove_entry(&mut self, surface: &str) -> Option<SurfaceEntry> {
-        self.surfaces.remove(surface)
     }
 
     /// Detaches the clusters and labels of every clean entry, keyed by
@@ -313,11 +307,10 @@ pub struct TweetRecord {
 }
 
 impl TweetRecord {
-    /// Rough heap footprint of this record in bytes, the unit of
-    /// account for `RetentionPolicy::MaxBytes`. Deliberately simple
-    /// (token bytes + embedding floats + span structs + fixed
-    /// overhead): the retention policy needs a stable, monotone
-    /// measure, not an allocator-exact one.
+    /// Rough heap footprint of this record in bytes, summed by
+    /// [`TweetBase::retained_bytes`]. Deliberately simple (token
+    /// bytes, embedding floats, span structs and a fixed overhead): a
+    /// stable, monotone measure, not an allocator-exact one.
     pub fn approx_bytes(&self) -> usize {
         let token_bytes: usize =
             self.tokens.iter().map(|t| t.len() + std::mem::size_of::<String>()).sum();
@@ -642,7 +635,7 @@ mod tests {
         cb.add_mention("cold", record(3));
         assert!(cb.get("cold").expect("entry").touched > warm);
         // Reinstalling an entry never rewinds the clock.
-        let e = cb.remove_entry("cold").expect("removed");
+        let e = cb.get("cold").expect("entry").clone();
         let stamp = e.touched;
         cb.insert_entry("cold".into(), e);
         cb.add_mention("warm", record(3));
@@ -660,8 +653,9 @@ mod tests {
         cb.add_mention("us", record(2));
         let three = cb.resident_bytes();
         assert!(three > one);
-        let removed = cb.remove_entry("italy").expect("entry");
-        assert_eq!(cb.resident_bytes(), three - removed.approx_bytes());
+        let italy = cb.get("italy").expect("entry").approx_bytes();
+        let us = cb.get("us").expect("entry").approx_bytes();
+        assert_eq!(three, italy + us);
     }
 
     #[test]

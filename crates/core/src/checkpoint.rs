@@ -200,7 +200,7 @@ fn get_cluster(buf: &mut &[u8]) -> Result<CandidateCluster, CodecError> {
     })
 }
 
-pub(crate) fn put_entry(buf: &mut Vec<u8>, e: &SurfaceEntry) {
+fn put_entry(buf: &mut Vec<u8>, e: &SurfaceEntry) {
     put_u64(buf, e.mentions.len() as u64);
     for m in &e.mentions {
         put_mention(buf, m);
@@ -214,7 +214,7 @@ pub(crate) fn put_entry(buf: &mut Vec<u8>, e: &SurfaceEntry) {
     put_u64(buf, e.touched);
 }
 
-pub(crate) fn get_entry(buf: &mut &[u8]) -> Result<SurfaceEntry, CodecError> {
+fn get_entry(buf: &mut &[u8]) -> Result<SurfaceEntry, CodecError> {
     let n = get_count(buf, 40)?;
     let mut mentions = Vec::with_capacity(n);
     for _ in 0..n {
@@ -333,8 +333,6 @@ fn put_config(buf: &mut Vec<u8>, cfg: &GlobalizerConfig) {
     let (tag, arg) = match cfg.retention {
         RetentionPolicy::Unbounded => (0u64, 0u64),
         RetentionPolicy::MaxTweets(n) => (1, n as u64),
-        RetentionPolicy::MaxBytes(b) => (2, b as u64),
-        RetentionPolicy::SpillCold(b) => (3, b as u64),
     };
     put_u64(buf, tag);
     put_u64(buf, arg);
@@ -358,8 +356,6 @@ fn get_config(buf: &mut &[u8]) -> Result<GlobalizerConfig, CodecError> {
     let retention = match tag {
         0 => RetentionPolicy::Unbounded,
         1 => RetentionPolicy::MaxTweets(arg as usize),
-        2 => RetentionPolicy::MaxBytes(arg as usize),
-        3 => RetentionPolicy::SpillCold(arg as usize),
         _ => return Err(CodecError::Invalid("retention tag out of range")),
     };
     let max_tweet_tokens = get_u64(buf)? as usize;
@@ -559,13 +555,19 @@ mod tests {
         );
     }
 
+    /// Tags 2 and 3 (the retired byte-budget and cold-spill policies)
+    /// fail with a typed error, like any other unknown tag.
     #[test]
-    fn spill_cold_retention_round_trips() {
-        let mut ck = sample();
-        ck.cfg.retention = RetentionPolicy::SpillCold(1 << 20);
-        let bytes = to_bytes(&ck);
-        let back = get_checkpoint(&mut &bytes[..]).expect("parse");
-        assert_eq!(back.cfg.retention, RetentionPolicy::SpillCold(1 << 20));
+    fn retired_retention_tags_are_rejected() {
+        let mut buf = Vec::new();
+        put_config(&mut buf, &GlobalizerConfig::default());
+        // The retention tag is the fourth-from-last word.
+        let at = buf.len() - 32;
+        for tag in [2u64, 3, 4] {
+            buf[at..at + 8].copy_from_slice(&tag.to_le_bytes());
+            let got = format!("{:?}", get_config(&mut &buf[..]).map(|_| ()));
+            assert_eq!(got, r#"Err(Invalid("retention tag out of range"))"#, "tag {tag}");
+        }
     }
 
     #[test]

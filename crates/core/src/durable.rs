@@ -1,6 +1,5 @@
 //! Durable stream state on top of `ngl-store`: delta checkpointing
-//! via a typed write-ahead log, periodic full snapshots, and the
-//! cold-surface spill pool backing [`RetentionPolicy::SpillCold`].
+//! via a typed write-ahead log and periodic full snapshots.
 //!
 //! ## Delta checkpointing model
 //!
@@ -36,228 +35,29 @@
 //! the state of a clean run over the surviving operations. Corruption
 //! anywhere earlier is a hard error — silently skipping interior
 //! records would violate prefix consistency.
-//!
-//! ## Cold-surface spill
-//!
-//! [`SpillPool`] serializes whole surface entries (mentions + their
-//! cached span embeddings) into an `ngl_store::SpillFile`. Spilled
-//! entries are transient per-process state — the pool is rebuilt by
-//! replay/rehydration, never recovered from disk — so the pool resets
-//! whenever state is rebuilt or snapshotted and re-spills afterwards,
-//! which doubles as spill-file compaction.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use ngl_encoder::ContextualTagger;
-use ngl_nn::codec::{get_quantized_f32_vec, get_u64, put_quantized_f32_slice, put_u64, CodecError};
-use ngl_store::{
-    IoHandle, IoStatsSnapshot, SharedPageCache, SnapshotStore, SpillFile, StoreError, Wal,
-    DEFAULT_SEGMENT_BYTES,
-};
+use ngl_nn::codec::{get_u64, put_u64, CodecError};
+use ngl_store::{IoHandle, IoStatsSnapshot, SnapshotStore, StoreError, Wal, DEFAULT_SEGMENT_BYTES};
 
-use crate::bases::SurfaceEntry;
-use crate::checkpoint::{get_entry, get_str, put_entry, put_str};
+use crate::checkpoint::{get_str, put_str};
 use crate::persist::PersistError;
-use crate::pipeline::{BatchOutput, BatchReport, EncodeMemo, NerGlobalizer, RetentionPolicy, Scan};
+use crate::pipeline::{BatchOutput, BatchReport, EncodeMemo, NerGlobalizer, Scan};
 use ngl_runtime::TaskError;
 use ngl_text::Span;
-
-/// Spill-file and mention-cache entry: `(tweet, start, end)` ↦ span
-/// embedding.
-type CacheEntry = ((usize, usize, usize), Vec<f32>);
-
-/// Env var overriding the byte budget of the process-shared spill
-/// page cache (`0` disables the cache; read once, at first use).
-pub use ngl_store::SPILL_CACHE_ENV;
-
-// ---- spill pool --------------------------------------------------------
-
-/// Where one spilled surface lives inside the spill file.
-#[derive(Debug, Clone, Copy)]
-struct SpillSlot {
-    offset: u64,
-    bytes: u64,
-}
-
-/// An on-disk index of cold surface entries (see the module docs).
-/// Entries are keyed by surface form; the in-memory index maps each to
-/// a checksummed extent of the backing [`SpillFile`].
-pub struct SpillPool {
-    file: SpillFile,
-    index: BTreeMap<String, SpillSlot>,
-    /// `(surface, payload bytes)` spilled since the last
-    /// [`Self::take_spill_log`] drain.
-    spill_log: Vec<(String, u64)>,
-}
-
-impl SpillPool {
-    /// Opens (and truncates) the spill file at `path`. Spilled entries
-    /// never outlive the process, so an existing file's contents are
-    /// always stale.
-    pub fn create<P: AsRef<Path>>(path: P) -> Result<Self, StoreError> {
-        Self::create_with_io(path, IoHandle::real())
-    }
-
-    /// [`Self::create`] over an explicit IO layer (chaos tests inject
-    /// faults here). Reads go through the **process-shared** page
-    /// cache ([`SharedPageCache::global`]): every durable spill pool
-    /// in the process — one per shard under a sharded store —
-    /// arbitrates one `NGL_SPILL_CACHE_BYTES` budget with stamp-LRU
-    /// recency instead of owning a private cache each.
-    pub fn create_with_io<P: AsRef<Path>>(path: P, io: IoHandle) -> Result<Self, StoreError> {
-        let file = SpillFile::open_with_cache(path, io, SharedPageCache::global())?;
-        Ok(Self { file, index: BTreeMap::new(), spill_log: Vec::new() })
-    }
-
-    /// `(hits, misses)` of the shared spill page cache —
-    /// process-wide totals, not per-file counts.
-    pub fn page_cache_stats(&self) -> (u64, u64) {
-        self.file.page_cache_stats()
-    }
-
-    /// Number of spilled surfaces.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether nothing is spilled.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Whether `surface` is currently spilled.
-    pub fn contains(&self, surface: &str) -> bool {
-        self.index.contains_key(surface)
-    }
-
-    /// The spilled surfaces, in lexicographic order.
-    pub fn surfaces(&self) -> Vec<String> {
-        self.index.keys().cloned().collect()
-    }
-
-    /// Bytes held by live spilled entries (excludes dead extents of
-    /// already-rehydrated entries; those are reclaimed by the next
-    /// [`Self::reset`]).
-    pub fn live_bytes(&self) -> u64 {
-        self.index.values().map(|s| s.bytes).sum()
-    }
-
-    /// Total size of the backing file, dead extents included.
-    pub fn file_bytes(&self) -> u64 {
-        self.file.len()
-    }
-
-    /// Serializes `entry` (with the given slice of its cached span
-    /// embeddings) and appends it to the spill file. Returns the
-    /// payload size. The caller removes the resident copy *after* this
-    /// succeeds — serialize-before-remove.
-    pub fn spill(
-        &mut self,
-        surface: &str,
-        entry: &SurfaceEntry,
-        cache: &[CacheEntry],
-    ) -> Result<u64, StoreError> {
-        let mut buf = Vec::new();
-        put_str(&mut buf, surface);
-        put_entry(&mut buf, entry);
-        put_u64(&mut buf, cache.len() as u64);
-        for ((t, s, e), emb) in cache {
-            put_u64(&mut buf, *t as u64);
-            put_u64(&mut buf, *s as u64);
-            put_u64(&mut buf, *e as u64);
-            // Lossless for pipeline-produced embeddings: they are
-            // canonicalized (quantize→dequantize) at ingest.
-            put_quantized_f32_slice(&mut buf, emb);
-        }
-        let bytes = buf.len() as u64;
-        let offset = self.file.append(&buf)?;
-        self.index.insert(surface.to_string(), SpillSlot { offset, bytes });
-        self.spill_log.push((surface.to_string(), bytes));
-        Ok(bytes)
-    }
-
-    fn decode(
-        surface: &str,
-        payload: &[u8],
-    ) -> Result<(SurfaceEntry, Vec<CacheEntry>), StoreError> {
-        let corrupt = |_: CodecError| StoreError::Corrupt("undecodable spill payload");
-        let mut buf = payload;
-        let stored = get_str(&mut buf).map_err(corrupt)?;
-        if stored != surface {
-            return Err(StoreError::Corrupt("spill payload names a different surface"));
-        }
-        let entry = get_entry(&mut buf).map_err(corrupt)?;
-        let n = get_u64(&mut buf).map_err(corrupt)? as usize;
-        if n > entry.mentions.len() {
-            return Err(StoreError::Corrupt("spill cache count exceeds mentions"));
-        }
-        let mut cache = Vec::with_capacity(n);
-        for _ in 0..n {
-            let t = get_u64(&mut buf).map_err(corrupt)? as usize;
-            let s = get_u64(&mut buf).map_err(corrupt)? as usize;
-            let e = get_u64(&mut buf).map_err(corrupt)? as usize;
-            let emb = get_quantized_f32_vec(&mut buf).map_err(corrupt)?;
-            cache.push(((t, s, e), emb));
-        }
-        Ok((entry, cache))
-    }
-
-    /// Removes `surface` from the pool and returns its entry and cached
-    /// embeddings (rehydration). The index slot is dropped even when
-    /// the read fails — a rotted extent can never rehydrate, so the
-    /// surface restarts empty rather than erroring forever.
-    pub fn take(
-        &mut self,
-        surface: &str,
-    ) -> Result<Option<(SurfaceEntry, Vec<CacheEntry>)>, StoreError> {
-        let Some(slot) = self.index.remove(surface) else {
-            return Ok(None);
-        };
-        let payload = self.file.read(slot.offset)?;
-        Self::decode(surface, &payload).map(Some)
-    }
-
-    /// Decodes `surface`'s entry without removing it from the pool
-    /// (read-only emit access; no touch-stamp, no rehydration).
-    pub fn peek(&mut self, surface: &str) -> Result<Option<SurfaceEntry>, StoreError> {
-        let Some(slot) = self.index.get(surface).copied() else {
-            return Ok(None);
-        };
-        let payload = self.file.read(slot.offset)?;
-        Self::decode(surface, &payload).map(|(entry, _)| Some(entry))
-    }
-
-    /// Drops every spilled entry and truncates the backing file.
-    pub fn reset(&mut self) -> Result<(), StoreError> {
-        self.index.clear();
-        self.file.reset()?;
-        Ok(())
-    }
-
-    /// Drains the `(surface, bytes)` log of spills since the last call.
-    pub fn take_spill_log(&mut self) -> Vec<(String, u64)> {
-        std::mem::take(&mut self.spill_log)
-    }
-}
 
 // ---- WAL record codec --------------------------------------------------
 
 const TAG_BATCH: u8 = 1;
 const TAG_FINALIZE: u8 = 2;
 const TAG_EVICT: u8 = 3;
-const TAG_SPILL: u8 = 4;
 const TAG_SNAPSHOT: u8 = 5;
 
-/// Finalize flag: the digest was computed on a state that diverged
-/// from fault-free replay (a spill fault pinned or dropped an entry),
-/// so recovery must not verify it. Cleared by the next successful
-/// snapshot, which re-baselines replay.
-pub(crate) const FINALIZE_FLAG_UNVERIFIED: u64 = 1;
-
-/// A typed WAL record. `Batch` and `Finalize` drive replay; `Evict`,
-/// `Spill` and `Snapshot` are audit records — cheap summaries of
-/// derived transitions that replay re-derives and (for evictions)
+/// A typed WAL record. `Batch` and `Finalize` drive replay; `Evict`
+/// and `Snapshot` are audit records — cheap summaries of derived
+/// transitions that replay re-derives and (for evictions)
 /// cross-checks.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum WalRecord {
@@ -272,14 +72,10 @@ pub(crate) enum WalRecord {
         surfaces: u64,
         mentions: u64,
         digest: u64,
-        /// See [`FINALIZE_FLAG_UNVERIFIED`].
-        flags: u64,
     },
     /// Retention moved the eviction boundary during the finalize of
     /// `op_seq`.
     Evict { op_seq: u64, first_retained: u64 },
-    /// Cold surfaces were spilled during the finalize of `op_seq`.
-    Spill { op_seq: u64, count: u64, bytes: u64 },
     /// A full snapshot sequenced at `op_seq` was durably written.
     Snapshot { op_seq: u64, bytes: u64 },
 }
@@ -315,7 +111,6 @@ impl WalRecord {
             WalRecord::Batch { op_seq, .. }
             | WalRecord::Finalize { op_seq, .. }
             | WalRecord::Evict { op_seq, .. }
-            | WalRecord::Spill { op_seq, .. }
             | WalRecord::Snapshot { op_seq, .. } => op_seq,
         }
     }
@@ -334,18 +129,10 @@ impl WalRecord {
                 surfaces,
                 mentions,
                 digest,
-                flags,
             } => {
-                for v in [
-                    op_seq,
-                    watermark,
-                    first_retained,
-                    ctrie_version,
-                    surfaces,
-                    mentions,
-                    digest,
-                    flags,
-                ] {
+                for v in
+                    [op_seq, watermark, first_retained, ctrie_version, surfaces, mentions, digest]
+                {
                     put_u64(&mut buf, *v);
                 }
                 TAG_FINALIZE
@@ -354,12 +141,6 @@ impl WalRecord {
                 put_u64(&mut buf, *op_seq);
                 put_u64(&mut buf, *first_retained);
                 TAG_EVICT
-            }
-            WalRecord::Spill { op_seq, count, bytes } => {
-                put_u64(&mut buf, *op_seq);
-                put_u64(&mut buf, *count);
-                put_u64(&mut buf, *bytes);
-                TAG_SPILL
             }
             WalRecord::Snapshot { op_seq, bytes } => {
                 put_u64(&mut buf, *op_seq);
@@ -412,7 +193,6 @@ impl WalRecord {
                 let surfaces = get_u64(&mut buf)?;
                 let mentions = get_u64(&mut buf)?;
                 let digest = get_u64(&mut buf)?;
-                let flags = get_u64(&mut buf)?;
                 WalRecord::Finalize {
                     op_seq,
                     watermark,
@@ -421,17 +201,11 @@ impl WalRecord {
                     surfaces,
                     mentions,
                     digest,
-                    flags,
                 }
             }
             TAG_EVICT => {
                 WalRecord::Evict { op_seq: get_u64(&mut buf)?, first_retained: get_u64(&mut buf)? }
             }
-            TAG_SPILL => WalRecord::Spill {
-                op_seq: get_u64(&mut buf)?,
-                count: get_u64(&mut buf)?,
-                bytes: get_u64(&mut buf)?,
-            },
             TAG_SNAPSHOT => {
                 WalRecord::Snapshot { op_seq: get_u64(&mut buf)?, bytes: get_u64(&mut buf)? }
             }
@@ -449,7 +223,7 @@ impl WalRecord {
 /// Why a durable operation failed.
 #[derive(Debug)]
 pub enum DurableError {
-    /// The underlying WAL / snapshot / spill store failed.
+    /// The underlying WAL / snapshot store failed.
     Store(StoreError),
     /// A WAL record or snapshot payload did not decode.
     Codec(CodecError),
@@ -589,12 +363,6 @@ pub struct RecoveryReport {
     pub tweets: usize,
     /// The recovered state digest.
     pub digest: u64,
-    /// Finalize marks replayed *without* digest verification because
-    /// the writing run recorded a spill-fault divergence (see
-    /// [`FINALIZE_FLAG_UNVERIFIED`]). Non-zero means the pre-crash
-    /// run degraded and never healed with a snapshot; the replayed
-    /// state is the fault-free reconstruction of the logged inputs.
-    pub unverified_finalizes: usize,
     /// The tweet-id partition of every replayed id-carrying batch, in
     /// log order. This is the exact batch boundary the pre-crash run
     /// committed, so a verifier can re-run the same partition cleanly
@@ -635,9 +403,6 @@ pub enum DegradationCause {
     /// A full snapshot could not be written; durability rides on the
     /// WAL alone and the snapshot is retried at the next finalize.
     SnapshotWrite,
-    /// Rehydrating spilled surfaces for a snapshot failed; the
-    /// affected surface restarts empty (a recorded loss).
-    SnapshotRehydrate,
     /// WAL rotation/compaction or snapshot pruning failed after a
     /// successful snapshot. Stale files linger — harmless for
     /// correctness (replay filters records by `op_seq`), costs disk.
@@ -650,7 +415,6 @@ impl std::fmt::Display for DegradationCause {
             DegradationCause::WalCommit => "wal-commit",
             DegradationCause::DiskFull => "disk-full",
             DegradationCause::SnapshotWrite => "snapshot-write",
-            DegradationCause::SnapshotRehydrate => "snapshot-rehydrate",
             DegradationCause::Compaction => "compaction",
         };
         f.write_str(name)
@@ -699,10 +463,9 @@ impl std::fmt::Display for DegradationMode {
 }
 
 /// Typed storage-health report for the degradation ladder: flags for
-/// the current operating mode, cumulative failure counters, spill
-/// pin/loss totals and IO retry statistics. Obtained from
-/// [`DurableGlobalizer::degradation`]; never panics, never lies about
-/// acknowledged data.
+/// the current operating mode, cumulative failure counters and IO
+/// retry statistics. Obtained from [`DurableGlobalizer::degradation`];
+/// never panics, never lies about acknowledged data.
 #[derive(Debug, Clone, Default)]
 pub struct DegradationReport {
     /// Mutations are currently refused (last commit hit ENOSPC).
@@ -711,26 +474,14 @@ pub struct DegradationReport {
     /// The last due snapshot failed; WAL-only operation until one
     /// succeeds.
     pub snapshot_lagging: bool,
-    /// Finalize digests are currently written unverifiable (a spill
-    /// fault made resident state diverge from fault-free replay).
-    /// Healed by the next successful snapshot.
-    pub digest_unverified: bool,
     /// WAL commits rejected (each one a typed error to the caller —
     /// the operation did not happen and may be retried).
     pub wal_commit_failures: u64,
-    /// Snapshot attempts that failed (write or rehydrate).
+    /// Snapshot writes that failed.
     pub snapshot_failures: u64,
     /// Post-snapshot rotate/compact/prune failures (disk-space cost
     /// only).
     pub compaction_failures: u64,
-    /// Surfaces lost while rehydrating for a snapshot.
-    pub rehydrate_losses: u64,
-    /// Surfaces kept resident because their spill write failed
-    /// (lossless degradation of the memory budget).
-    pub spill_pins: u64,
-    /// Surfaces that lost cold state to spill/rehydrate faults
-    /// (restart empty; includes `rehydrate_losses`).
-    pub spill_losses: u64,
     /// Transient IO errors absorbed by retry (healthy).
     pub io_retries: u64,
     /// Transient IO errors that exhausted the retry budget and
@@ -765,12 +516,9 @@ impl DegradationReport {
     pub fn is_degraded(&self) -> bool {
         self.read_only
             || self.snapshot_lagging
-            || self.digest_unverified
             || self.wal_commit_failures
                 + self.snapshot_failures
                 + self.compaction_failures
-                + self.spill_pins
-                + self.spill_losses
                 + self.io_retry_exhausted
                 > 0
     }
@@ -787,14 +535,12 @@ struct PendingFinalize {
 }
 
 /// [`NerGlobalizer`] with durable state: every batch and finalize is
-/// logged to a WAL before/after it applies, full snapshots land every
-/// `checkpoint_every` finalizes, and [`RetentionPolicy::SpillCold`]
-/// gets its spill pool managed automatically (see the module docs).
+/// logged to a WAL before/after it applies, and full snapshots land
+/// every `checkpoint_every` finalizes (see the module docs).
 pub struct DurableGlobalizer<T: ContextualTagger> {
     inner: NerGlobalizer<T>,
     wal: Wal,
     snaps: SnapshotStore,
-    pool: Option<SpillPool>,
     dir: PathBuf,
     io: IoHandle,
     checkpoint_every: usize,
@@ -803,9 +549,6 @@ pub struct DurableGlobalizer<T: ContextualTagger> {
     stats: StoreStats,
     degradation: DegradationReport,
     pending_finalize: Option<PendingFinalize>,
-    /// `spill_pins + spill_losses` of `inner` at the last divergence
-    /// check — a change since then means new spill faults.
-    spill_faults_marked: u64,
 }
 
 impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
@@ -840,9 +583,9 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
     }
 
     /// [`Self::open_with_fingerprint`] over an explicit IO layer: the
-    /// WAL, snapshot store and spill pool all share `io`, so a chaos
-    /// plan sees every store IO call in one global order and the
-    /// retry/degradation machinery is exercised end to end.
+    /// WAL and snapshot store share `io`, so a chaos plan sees every
+    /// store IO call in one global order and the retry/degradation
+    /// machinery is exercised end to end.
     pub fn open_with_io<P: AsRef<Path>>(
         mut inner: NerGlobalizer<T>,
         dir: P,
@@ -872,15 +615,6 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
             report.snapshot_seq = Some(seq);
             op_seq = seq;
         }
-
-        // The spill pool must exist before replay: replayed finalizes
-        // under SpillCold spill exactly like the original run did.
-        let mut pool = match inner.config().retention {
-            RetentionPolicy::SpillCold(_) => {
-                Some(SpillPool::create_with_io(dir.join("spill.cold"), io.clone())?)
-            }
-            _ => None,
-        };
 
         let replay = wal.replay()?;
         // `Wal::open` repairs (cuts) a torn active-segment tail before
@@ -919,13 +653,6 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         let mut groups = groups.into_iter();
         let mut group: Vec<Vec<String>> = groups.next().unwrap_or_default();
         let mut memo = None;
-        // Once a finalize flagged unverified appears, the writing run
-        // had diverged from fault-free replay, so every later digest
-        // (and eviction cross-check) in this WAL was computed on that
-        // diverged state and cannot be verified. A successful snapshot
-        // would have compacted the flagged records away — their
-        // presence means the degradation was never healed.
-        let mut divergent_replay = false;
 
         for record in records {
             if record.op_seq() <= op_seq {
@@ -939,22 +666,15 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
                     op_seq = seq;
                     report.replayed_batches += 1;
                 }
-                WalRecord::Finalize { op_seq: seq, digest, flags, .. } => {
-                    inner.finalize_with_spill(pool.as_mut());
-                    if flags & FINALIZE_FLAG_UNVERIFIED != 0 {
-                        divergent_replay = true;
-                    }
-                    if divergent_replay {
-                        report.unverified_finalizes += 1;
-                    } else {
-                        let replayed = inner.state_digest();
-                        if replayed != digest {
-                            return Err(DurableError::DigestMismatch {
-                                op_seq: seq,
-                                logged: digest,
-                                replayed,
-                            });
-                        }
+                WalRecord::Finalize { op_seq: seq, digest, .. } => {
+                    inner.finalize();
+                    let replayed = inner.state_digest();
+                    if replayed != digest {
+                        return Err(DurableError::DigestMismatch {
+                            op_seq: seq,
+                            logged: digest,
+                            replayed,
+                        });
                     }
                     op_seq = seq;
                     report.replayed_finalizes += 1;
@@ -963,17 +683,14 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
                     group = groups.next().unwrap_or_default();
                 }
                 WalRecord::Evict { first_retained, .. } => {
-                    if !divergent_replay
-                        && inner.tweet_base().first_retained() as u64 != first_retained
-                    {
+                    if inner.tweet_base().first_retained() as u64 != first_retained {
                         return Err(DurableError::Corrupt(
                             "eviction record contradicts replayed retention",
                         ));
                     }
                 }
-                // Audit-only: spills are re-derived by the replayed
-                // finalizes, snapshots were consumed above.
-                WalRecord::Spill { .. } | WalRecord::Snapshot { .. } => {}
+                // Audit-only: snapshots were consumed above.
+                WalRecord::Snapshot { .. } => {}
             }
         }
 
@@ -982,29 +699,19 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         report.resident_surfaces = inner.candidate_base().len();
         report.tweets = inner.tweet_base().len();
         report.digest = inner.state_digest();
-        let checkpoint_every = checkpoint_every.max(1);
-        // An unhealed divergence in the replayed WAL: new finalizes
-        // must stay flagged (older flagged digests make them
-        // unverifiable on the next replay) and the healing snapshot is
-        // pulled forward to the very next finalize.
-        let degradation =
-            DegradationReport { digest_unverified: divergent_replay, ..Default::default() };
-        let spill_faults_marked = inner.spill_pins() + inner.spill_losses();
         Ok((
             Self {
                 inner,
                 wal,
                 snaps,
-                pool,
                 dir,
                 io,
-                checkpoint_every,
+                checkpoint_every: checkpoint_every.max(1),
                 op_seq,
-                finalizes_since_snapshot: if divergent_replay { checkpoint_every - 1 } else { 0 },
+                finalizes_since_snapshot: 0,
                 stats: StoreStats::default(),
-                degradation,
+                degradation: DegradationReport::default(),
                 pending_finalize: None,
-                spill_faults_marked,
             },
             report,
         ))
@@ -1125,9 +832,8 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
     }
 
     /// Runs the Global NER stages, then durably marks the finalize
-    /// (with its post-state digest) plus any derived eviction/spill
-    /// transitions, and snapshots + compacts every `checkpoint_every`
-    /// finalizes.
+    /// (with its post-state digest) plus any derived eviction, and
+    /// snapshots + compacts every `checkpoint_every` finalizes.
     ///
     /// Failure handling, rung by rung:
     /// - **WAL commit fails**: the stages already ran, so the records
@@ -1136,10 +842,6 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
     ///   operation re-commits the stashed records first (keeping WAL
     ///   order equal to apply order); retrying `finalize` itself
     ///   returns the stashed spans without re-running the stages.
-    /// - **Spill fault during the stages**: resident state diverged
-    ///   from fault-free replay, so this and subsequent finalize marks
-    ///   are flagged digest-unverifiable and the next snapshot is
-    ///   pulled forward to heal (a snapshot re-baselines replay).
     /// - **Snapshot fails**: the finalize still succeeds; the store
     ///   degrades to WAL-only and retries the snapshot next finalize.
     pub fn finalize(&mut self) -> Result<Vec<Vec<Span>>, DurableError> {
@@ -1163,21 +865,7 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         }
         let first_retained_before = self.inner.tweet_base().first_retained();
         self.op_seq += 1;
-        let out = self.inner.finalize_scanned(self.pool.as_mut(), scan);
-
-        // Spill faults (pins, losses — whether from these stages or
-        // the re-spill after the last snapshot) make resident state
-        // diverge from what fault-free replay of this WAL rebuilds:
-        // flag the digests and pull the healing snapshot forward.
-        let spill_faults = self.inner.spill_pins() + self.inner.spill_losses();
-        if spill_faults != self.spill_faults_marked {
-            self.spill_faults_marked = spill_faults;
-            if !self.degradation.digest_unverified {
-                self.degradation.digest_unverified = true;
-                self.finalizes_since_snapshot = self.checkpoint_every - 1;
-            }
-        }
-        let flags = if self.degradation.digest_unverified { FINALIZE_FLAG_UNVERIFIED } else { 0 };
+        let out = self.inner.finalize_scanned(scan);
 
         let mut records = vec![WalRecord::Finalize {
             op_seq: self.op_seq,
@@ -1187,7 +875,6 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
             surfaces: self.inner.candidate_base().len() as u64,
             mentions: self.inner.candidate_base().total_mentions() as u64,
             digest: self.inner.state_digest(),
-            flags,
         }];
         let first_retained_after = self.inner.tweet_base().first_retained();
         if first_retained_after != first_retained_before {
@@ -1195,16 +882,6 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
                 op_seq: self.op_seq,
                 first_retained: first_retained_after as u64,
             });
-        }
-        if let Some(pool) = self.pool.as_mut() {
-            let spills = pool.take_spill_log();
-            if !spills.is_empty() {
-                records.push(WalRecord::Spill {
-                    op_seq: self.op_seq,
-                    count: spills.len() as u64,
-                    bytes: spills.iter().map(|(_, b)| b).sum(),
-                });
-            }
         }
         let encoded: Vec<(u8, Vec<u8>)> = records.iter().map(|r| r.encode()).collect();
         if let Err(e) = self.commit_encoded(&encoded) {
@@ -1232,9 +909,7 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
 
     /// Writes a full snapshot at the current `op_seq`, then compacts:
     /// WAL segments at or below the snapshot are dropped and all but
-    /// the two newest snapshots pruned. With a spill pool, the state
-    /// is rehydrated first so the snapshot is complete, and re-spilled
-    /// afterwards (which also compacts the spill file).
+    /// the two newest snapshots pruned.
     ///
     /// A stashed finalize is re-committed first (WAL order is apply
     /// order); its spans are dropped here — only a retried
@@ -1245,22 +920,6 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
     }
 
     fn snapshot_now(&mut self) -> Result<u64, DurableError> {
-        // Rehydrate so the snapshot is complete. A failure loses the
-        // affected surface (its index slot is consumed): record the
-        // loss, flag digests unverifiable, and degrade to WAL-only —
-        // the snapshot is retried at the next finalize.
-        let rehydrated = match self.pool.as_mut() {
-            Some(pool) => self.inner.rehydrate_all(pool),
-            None => Ok(()),
-        };
-        if let Err(e) = rehydrated {
-            self.degradation.snapshot_failures += 1;
-            self.degradation.snapshot_lagging = true;
-            self.degradation.rehydrate_losses += 1;
-            self.degradation.digest_unverified = true;
-            self.push_event(DegradationCause::SnapshotRehydrate, e.to_string());
-            return Err(e.into());
-        }
         let payload = self.inner.export_state_bytes();
         let bytes = match self.snaps.write(self.op_seq, &payload) {
             Ok(bytes) => bytes,
@@ -1279,10 +938,8 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         self.stats.snapshot_bytes_last = bytes;
         self.stats.snapshots += 1;
         // The snapshot is durable: recovery no longer needs the WAL
-        // prefix, so WAL-only mode ends and any spill-divergence
-        // window is healed (replay now starts from this snapshot).
+        // prefix, so WAL-only mode ends.
         self.degradation.snapshot_lagging = false;
-        self.degradation.digest_unverified = false;
         self.finalizes_since_snapshot = 0;
 
         // Compaction: everything at or below the snapshot's op_seq is
@@ -1321,14 +978,6 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
                 self.push_event(DegradationCause::Compaction, e.to_string());
             }
         }
-
-        if let Some(pool) = self.pool.as_mut() {
-            pool.take_spill_log(); // re-spills below aren't new deltas
-            let mut errors: Vec<TaskError> = Vec::new();
-            self.inner.enforce_spill(pool, &mut errors);
-            pool.take_spill_log();
-            self.inner.push_finalize_errors(errors);
-        }
         Ok(bytes)
     }
 
@@ -1349,18 +998,6 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         self.inner.push_finalize_errors(errors);
     }
 
-    /// The spill pool, when [`RetentionPolicy::SpillCold`] is active.
-    pub fn spill_pool(&self) -> Option<&SpillPool> {
-        self.pool.as_ref()
-    }
-
-    /// Mutable pool access for the cross-shard merge: peeking a
-    /// spilled entry reads through the page cache, which needs `&mut`.
-    /// The merge only *reads* entries; it never spills or rehydrates.
-    pub(crate) fn spill_pool_mut(&mut self) -> Option<&mut SpillPool> {
-        self.pool.as_mut()
-    }
-
     /// The store directory.
     pub fn store_dir(&self) -> &Path {
         &self.dir
@@ -1377,12 +1014,10 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
     }
 
     /// Typed storage-health report: degradation flags, cumulative
-    /// failure counters, spill pin/loss totals and IO retry stats
-    /// (see the module docs' degradation ladder).
+    /// failure counters and IO retry stats (see the module docs'
+    /// degradation ladder).
     pub fn degradation(&self) -> DegradationReport {
         let mut report = self.degradation.clone();
-        report.spill_pins = self.inner.spill_pins();
-        report.spill_losses = self.inner.spill_losses() + report.rehydrate_losses;
         let io = self.io.stats();
         report.io_retries = io.transient_retries;
         report.io_retry_exhausted = io.retry_exhausted;
@@ -1418,24 +1053,6 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bases::MentionRecord;
-
-    fn entry() -> SurfaceEntry {
-        SurfaceEntry {
-            mentions: vec![MentionRecord {
-                tweet: 3,
-                start: 1,
-                end: 2,
-                local_emb: vec![0.5, -1.5],
-                local_type: Some(ngl_text::EntityType::Person),
-                trie_version: 4,
-            }],
-            clusters: Vec::new(),
-            clustered: 1,
-            classified: 1,
-            touched: 9,
-        }
-    }
 
     #[test]
     fn wal_records_round_trip() {
@@ -1458,20 +1075,8 @@ mod tests {
                 surfaces: 6,
                 mentions: 7,
                 digest: 0xDEAD_BEEF,
-                flags: 0,
-            },
-            WalRecord::Finalize {
-                op_seq: 4,
-                watermark: 4,
-                first_retained: 1,
-                ctrie_version: 5,
-                surfaces: 6,
-                mentions: 7,
-                digest: 0xDEAD_BEEF,
-                flags: FINALIZE_FLAG_UNVERIFIED,
             },
             WalRecord::Evict { op_seq: 3, first_retained: 2 },
-            WalRecord::Spill { op_seq: 3, count: 2, bytes: 1024 },
             WalRecord::Snapshot { op_seq: 3, bytes: 4096 },
         ];
         for r in &records {
@@ -1483,8 +1088,8 @@ mod tests {
 
     /// Retired layouts fail with a typed error, never a panic and
     /// never a silent default: bundle versions 1–3 and a future 5, the
-    /// 7-word finalize mark written before every mark carried its
-    /// `flags` word, and the retired flagged-finalize tag 6.
+    /// 8-word finalize mark whose last word flagged unverifiable
+    /// digests, the retired spill tag 4 and flagged-finalize tag 6.
     #[test]
     fn retired_formats_are_rejected_with_typed_errors() {
         use crate::classifier::{ClassifierConfig, EntityClassifier};
@@ -1515,8 +1120,13 @@ mod tests {
             ("bundle v3", bundle(3), "Err(UnsupportedVersion(3))"),
             ("bundle v4", bundle(4), "Ok(())"),
             ("bundle v5", bundle(5), "Err(UnsupportedVersion(5))"),
-            ("finalize tag 2, 7 words", wal(TAG_FINALIZE, 7), "Err(UnexpectedEof)"),
-            ("finalize tag 2, 8 words", wal(TAG_FINALIZE, 8), "Ok(())"),
+            ("finalize tag 2, 7 words", wal(TAG_FINALIZE, 7), "Ok(())"),
+            (
+                "finalize tag 2, 8 words",
+                wal(TAG_FINALIZE, 8),
+                r#"Err(Invalid("trailing bytes in WAL record"))"#,
+            ),
+            ("tag 4, 3 words", wal(4, 3), unknown_tag),
             ("tag 6, 7 words", wal(6, 7), unknown_tag),
             ("tag 6, 8 words", wal(6, 8), unknown_tag),
         ];
@@ -1540,35 +1150,5 @@ mod tests {
         let mut bad = payload.clone();
         bad[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(WalRecord::decode(tag, &bad).is_err());
-    }
-
-    #[test]
-    fn spill_pool_round_trips_take_and_peek() {
-        let dir = std::env::temp_dir().join(format!("ngl-spillpool-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let mut pool = SpillPool::create(dir.join("spill.cold")).expect("create");
-        assert!(pool.is_empty());
-
-        let e = entry();
-        let cache = vec![((3usize, 1usize, 2usize), vec![0.5f32, -1.5])];
-        pool.spill("beshear", &e, &cache).expect("spill");
-        assert!(pool.contains("beshear"));
-        assert_eq!(pool.surfaces(), vec!["beshear".to_string()]);
-        assert_eq!(pool.take_spill_log().len(), 1);
-
-        let peeked = pool.peek("beshear").expect("peek io").expect("present");
-        assert_eq!(peeked.mentions.len(), 1);
-        assert_eq!(peeked.touched, 9);
-        assert!(pool.contains("beshear"), "peek must not consume");
-
-        let (back, back_cache) = pool.take("beshear").expect("take io").expect("present");
-        assert_eq!(back.mentions[0].trie_version, 4);
-        assert_eq!(back_cache, cache);
-        assert!(!pool.contains("beshear"));
-        assert!(pool.take("beshear").expect("missing ok").is_none());
-
-        pool.reset().expect("reset");
-        assert_eq!(pool.file_bytes(), 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

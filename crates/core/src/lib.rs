@@ -46,10 +46,9 @@ pub use checkpoint::PipelineCheckpoint;
 pub use classifier::{CandidateExample, ClassifierConfig, EntityClassifier};
 pub use durable::{
     model_fingerprint, DegradationCause, DegradationEvent, DegradationMode, DegradationReport,
-    DurableError, DurableGlobalizer, RecoveryReport, SpillPool, StoreStats, MAX_DEGRADATION_EVENTS,
-    SPILL_CACHE_ENV,
+    DurableError, DurableGlobalizer, RecoveryReport, StoreStats, MAX_DEGRADATION_EVENTS,
 };
-pub use ngl_store::{IoStatsSnapshot, SharedPageCache};
+pub use ngl_store::IoStatsSnapshot;
 pub use persist::{GlobalizerBundle, PersistError};
 pub use phrase::{PhraseEmbedder, PhraseEmbedderConfig, PhraseLoss};
 pub use pipeline::{

@@ -107,21 +107,6 @@ pub enum RetentionPolicy {
     Unbounded,
     /// Keep at most this many tweet records.
     MaxTweets(usize),
-    /// Keep tweet records totalling at most this many (approximate)
-    /// heap bytes — see `TweetRecord::approx_bytes`.
-    MaxBytes(usize),
-    /// Bound the **candidate store** instead of the tweet store: keep
-    /// resident [`CandidateBase`] entries under this many approximate
-    /// heap bytes by spilling the least-recently-touched clean surfaces
-    /// (mentions + cached embeddings) to a [`crate::durable::SpillPool`]
-    /// on disk, rehydrating them transparently when the CTrie matches
-    /// the surface again. Tweets are never evicted under this policy,
-    /// and final outputs are identical to an unbounded run — spilled
-    /// entries are still consulted (read-only) at emit time. Requires a
-    /// pool: [`NerGlobalizer::finalize_with_spill`] /
-    /// [`crate::durable::DurableGlobalizer`]; a plain
-    /// [`NerGlobalizer::finalize`] treats it as [`Self::Unbounded`].
-    SpillCold(usize),
 }
 
 /// Which [`Executor`] a freshly assembled pipeline runs on. Held
@@ -280,16 +265,15 @@ pub struct SurfaceSummary {
     pub surface: String,
     /// Whether the surface is registered in the CTrie at all.
     pub known: bool,
-    /// Whether a resident [`crate::bases::SurfaceEntry`] backs the
-    /// counts below. `false` for unknown surfaces and for entries
-    /// spilled cold to disk — the summary reflects *resident* finalized
-    /// state, consistent with the serving snapshot rule.
+    /// Whether a [`crate::bases::SurfaceEntry`] backs the counts below
+    /// (`false` for surfaces with no candidate entry).
     pub resident: bool,
     /// Mentions recorded for this surface.
     pub mentions: usize,
     /// One line per candidate cluster.
     pub clusters: Vec<ClusterSummary>,
-    /// LRU touch stamp (spill-eviction recency; 0 when untracked).
+    /// Touch stamp: the clock tick of the surface's latest scan match
+    /// (0 when untracked).
     pub touched: u64,
     /// Mentions both frozen (source tweet evicted) and stale (the trie
     /// grew after extraction) — see
@@ -369,16 +353,6 @@ pub struct NerGlobalizer<T: ContextualTagger> {
     /// [`Self::take_finalize_errors`]. Transient diagnostics — not part
     /// of checkpointed state, and a clone starts without them.
     finalize_errors: Vec<TaskError>,
-    /// Surfaces kept resident because their cold spill failed
-    /// (lossless degradation: the entry simply stays in memory).
-    /// Transient diagnostics, like `finalize_errors`.
-    spill_pins: u64,
-    /// Spill reads that failed (rehydration or emit): the affected
-    /// entry restarted empty or its spans were missing from one
-    /// finalize's output. Lossy degradation — a nonzero count means
-    /// live state/output may diverge from a clean run until the next
-    /// full rebuild or snapshot recovery.
-    spill_losses: u64,
     /// Shard-ownership filter `(index, count)`: when set, the candidate
     /// base only admits surfaces with
     /// `fnv1a64(surface) % count == index`; non-owned scan results
@@ -390,9 +364,9 @@ pub struct NerGlobalizer<T: ContextualTagger> {
 
 impl<T: ContextualTagger> Clone for NerGlobalizer<T> {
     /// Shares the models and tweet records, copies the stream-derived
-    /// state, and starts without diagnostics: the errors and spill
-    /// counters stay with the pipeline that recorded them, so a merged
-    /// view or a published snapshot never reports them a second time.
+    /// state, and starts without diagnostics: the errors stay with the
+    /// pipeline that recorded them, so a merged view or a published
+    /// snapshot never reports them a second time.
     fn clone(&self) -> Self {
         Self {
             local: Arc::clone(&self.local),
@@ -409,8 +383,6 @@ impl<T: ContextualTagger> Clone for NerGlobalizer<T> {
             mention_cache: self.mention_cache.clone(),
             seen_ids: self.seen_ids.clone(),
             finalize_errors: Vec::new(),
-            spill_pins: 0,
-            spill_losses: 0,
             shard_filter: self.shard_filter,
         }
     }
@@ -448,8 +420,6 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
             mention_cache: HashMap::new(),
             seen_ids: BTreeSet::new(),
             finalize_errors: Vec::new(),
-            spill_pins: 0,
-            spill_losses: 0,
             shard_filter: None,
         }
     }
@@ -714,44 +684,19 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// Runs the Global NER stages over everything processed so far and
     /// returns the final NER output per stored tweet. Can be called
     /// after every batch (incremental execution) or once at the end.
-    ///
-    /// Without a spill pool a [`RetentionPolicy::SpillCold`] config
-    /// behaves like [`RetentionPolicy::Unbounded`]; use
-    /// [`Self::finalize_with_spill`] (or the durable wrapper) to
-    /// actually bound candidate memory.
     pub fn finalize(&mut self) -> Vec<Vec<Span>> {
-        self.finalize_with_spill(None)
+        self.finalize_scanned(None)
     }
 
-    /// [`Self::finalize`] with an optional cold-surface spill pool.
-    /// Under [`RetentionPolicy::SpillCold`] the pool receives the
-    /// least-recently-touched clean surfaces after emission, spilled
-    /// surfaces re-matched by the scan are rehydrated first, and emit
-    /// consults spilled entries read-only — so outputs are identical
-    /// to an unbounded run while resident candidate memory stays under
-    /// the cap. Spill I/O failures degrade to
-    /// [`Self::take_finalize_errors`] diagnostics, never a panic.
-    pub fn finalize_with_spill(
-        &mut self,
-        pool: Option<&mut crate::durable::SpillPool>,
-    ) -> Vec<Vec<Span>> {
-        self.finalize_scanned(pool, None)
-    }
-
-    /// [`Self::finalize_with_spill`] over a [`Scan`] computed once for
+    /// [`Self::finalize`] over a [`Scan`] computed once for
     /// several pipelines (the shards of one sharded finalize). Its
     /// errors are the caller's to report, once. Without one — or with
     /// one taken from a different stream state, which the replicated
     /// ingest rules out — the pipeline scans for itself and records
     /// the scan's errors.
-    pub(crate) fn finalize_scanned(
-        &mut self,
-        mut pool: Option<&mut crate::durable::SpillPool>,
-        shared: Option<&Scan>,
-    ) -> Vec<Vec<Span>> {
+    pub(crate) fn finalize_scanned(&mut self, shared: Option<&Scan>) -> Vec<Vec<Span>> {
         // ngl-lint: allow(R3, wall-clock stage timing for BatchReport/Timings only; never feeds token processing, ordering, or persisted state)
         let t0 = Instant::now();
-        let mut spill_errors = Vec::new();
         let out = match self.cfg.ablation {
             AblationMode::LocalOnly => (0..self.tweets.len())
                 .map(|i| self.tweets.try_get(i).map(|t| t.local_spans.clone()).unwrap_or_default())
@@ -760,12 +705,12 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 // ngl-lint: allow(R3, wall-clock stage timing for BatchReport/Timings only; never feeds token processing, ordering, or persisted state)
                 let t = Instant::now();
                 match shared {
-                    Some(scan) if self.fits(scan) => self.admit(scan, pool.as_deref_mut()),
+                    Some(scan) if self.fits(scan) => self.admit(scan),
                     _ => {
                         debug_assert!(shared.is_none(), "a scan of another stream state");
                         let own = self.scan();
                         self.finalize_errors.extend_from_slice(&own.errors);
-                        self.admit(&own, pool.as_deref_mut());
+                        self.admit(&own);
                         // Dropped here, before the stages below: the
                         // scan's buffers come from the worker threads,
                         // and freeing them after the last stage leaves
@@ -782,17 +727,10 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 let t = Instant::now();
                 self.classify_candidates(mode);
                 self.timings.classify += t.elapsed();
-                self.emit(mode, pool.as_deref_mut(), &mut spill_errors)
+                self.emit(mode)
             }
         };
-        // Every error emit pushed is an unreadable spilled entry whose
-        // spans are missing from this finalize's output.
-        self.spill_losses += spill_errors.len() as u64;
         self.enforce_retention();
-        if let Some(pool) = pool {
-            self.enforce_spill(pool, &mut spill_errors);
-        }
-        self.finalize_errors.append(&mut spill_errors);
         self.timings.global += t0.elapsed();
         out
     }
@@ -814,14 +752,6 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         }
     }
 
-    /// Absorbs one entry a shard had spilled to its cold pool, so the
-    /// merged view emits and answers queries over spilled surfaces
-    /// too (a per-shard pool only holds that shard's owned surfaces,
-    /// so these inserts are disjoint from every resident absorb).
-    pub(crate) fn absorb_spilled_entry(&mut self, surface: String, entry: SurfaceEntry) {
-        self.candidates.insert_entry(surface, entry);
-    }
-
     /// Re-emits the final NER output from already-finalized state
     /// without running any stage — the cross-shard merge path. Every
     /// entry in the (merged) candidate base is already clustered and
@@ -832,12 +762,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
             AblationMode::LocalOnly => (0..self.tweets.len())
                 .map(|i| self.tweets.try_get(i).map(|t| t.local_spans.clone()).unwrap_or_default())
                 .collect(),
-            mode => {
-                let mut errors = Vec::new();
-                let out = self.emit(mode, None, &mut errors);
-                self.finalize_errors.append(&mut errors);
-                out
-            }
+            mode => self.emit(mode),
         }
     }
 
@@ -851,13 +776,6 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         let over = |tweets: &TweetBase| match self.cfg.retention {
             RetentionPolicy::Unbounded => false,
             RetentionPolicy::MaxTweets(n) => tweets.retained() > n,
-            RetentionPolicy::MaxBytes(b) => tweets.retained_bytes() > b,
-            // SpillCold bounds the candidate store, not the tweet
-            // store; keeping every tweet means `first_retained` stays
-            // 0 and a CTrie version bump always performs a *full*
-            // rebuild — which is what lets the spill pool be cleared
-            // wholesale on rebuilds.
-            RetentionPolicy::SpillCold(_) => false,
         };
         let mut evicted = false;
         while over(&self.tweets) && self.tweets.first_retained() < self.scanned_tweets {
@@ -873,73 +791,8 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         }
     }
 
-    /// Spills least-recently-touched clean surfaces to `pool` until
-    /// resident candidate memory is within the
-    /// [`RetentionPolicy::SpillCold`] budget. Victim order is
-    /// `(touched, surface)` over the BTreeMap, so spill decisions are
-    /// byte-deterministic across worker counts and across crash-replay.
-    /// Serialize-before-remove: an entry leaves memory only after its
-    /// bytes are durably appended, so an I/O failure (reported via
-    /// [`Self::take_finalize_errors`]) loses nothing.
-    pub(crate) fn enforce_spill(
-        &mut self,
-        pool: &mut crate::durable::SpillPool,
-        errors: &mut Vec<TaskError>,
-    ) {
-        let RetentionPolicy::SpillCold(budget) = self.cfg.retention else {
-            return;
-        };
-        while self.candidates.resident_bytes() > budget {
-            let victim = self
-                .candidates
-                .iter()
-                .filter(|(_, e)| e.is_clean())
-                .min_by(|(sa, ea), (sb, eb)| (ea.touched, *sa).cmp(&(eb.touched, *sb)))
-                .map(|(s, _)| s.clone());
-            let Some(surface) = victim else { break };
-            let entry = self.candidates.get(&surface).expect("victim resident");
-            let cache: Vec<((usize, usize, usize), Vec<f32>)> = entry
-                .mentions
-                .iter()
-                .filter_map(|m| {
-                    let key = (m.tweet, m.start, m.end);
-                    self.mention_cache.get(&key).map(|emb| (key, emb.clone()))
-                })
-                .collect();
-            if let Err(e) = pool.spill(&surface, entry, &cache) {
-                self.spill_pins += 1;
-                errors.push(TaskError {
-                    index: 0,
-                    payload: surface,
-                    message: format!("cold spill failed, entry kept resident: {e}"),
-                });
-                break;
-            }
-            self.candidates.remove_entry(&surface);
-            for (key, _) in &cache {
-                self.mention_cache.remove(key);
-            }
-        }
-    }
-
-    /// Moves every spilled surface back into the resident candidate
-    /// store (and mention cache), leaving `pool` empty. Used before
-    /// state export so snapshots always describe the *complete*
-    /// candidate store; the caller re-spills afterwards.
-    pub(crate) fn rehydrate_all(
-        &mut self,
-        pool: &mut crate::durable::SpillPool,
-    ) -> Result<(), ngl_store::StoreError> {
-        for surface in pool.surfaces() {
-            let (entry, cache) = pool.take(&surface)?.expect("listed surface present");
-            self.candidates.insert_entry(surface, entry);
-            self.mention_cache.extend(cache);
-        }
-        pool.reset()
-    }
-
-    /// Appends externally collected spill/store diagnostics to the
-    /// fault log drained by [`Self::take_finalize_errors`].
+    /// Appends externally collected diagnostics to the fault log
+    /// drained by [`Self::take_finalize_errors`].
     pub(crate) fn push_finalize_errors(&mut self, mut errors: Vec<TaskError>) {
         self.finalize_errors.append(&mut errors);
     }
@@ -1094,29 +947,13 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// the boundaries they were extracted with (their source records
     /// are gone), while everything from `TweetBase::first_retained` on
     /// is rebuilt against the new trie.
-    ///
-    /// With a spill pool, a surface re-matched by the scan while its
-    /// entry sits on disk is rehydrated (and touch-stamped) before the
-    /// new mention is appended; a version-bump rebuild instead clears
-    /// the pool wholesale — under [`RetentionPolicy::SpillCold`] no
-    /// tweet is ever evicted, so the rebuild re-derives every spilled
-    /// mention from the still-resident tweet records.
-    fn admit(&mut self, scan: &Scan, mut pool: Option<&mut crate::durable::SpillPool>) {
+    fn admit(&mut self, scan: &Scan) {
         let start = scan.start;
         let mut carried = None;
         if scan.rebuild {
             carried = Some(self.candidates.take_clean_clusters());
             if start == 0 {
                 self.candidates = CandidateBase::new();
-                if let Some(pool) = pool.as_deref_mut() {
-                    if let Err(e) = pool.reset() {
-                        self.finalize_errors.push(TaskError {
-                            index: 0,
-                            payload: String::new(),
-                            message: format!("spill pool reset failed on rebuild: {e}"),
-                        });
-                    }
-                }
             } else {
                 // Freeze the evicted prefix, rebuild the retained
                 // suffix (marks every entry dirty).
@@ -1213,32 +1050,6 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                     self.candidates.touch_skip();
                     continue;
                 }
-                if let Some(pool) = pool.as_deref_mut() {
-                    if pool.contains(&occ.surface) {
-                        match pool.take(&occ.surface) {
-                            Ok(Some((entry, cache))) => {
-                                // No explicit re-touch: the add_mention
-                                // below stamps recency exactly as it
-                                // would for a resident entry, so
-                                // replay-from-snapshot (where nothing is
-                                // spilled) evolves the clock identically.
-                                self.candidates.insert_entry(occ.surface.clone(), entry);
-                                self.mention_cache.extend(cache);
-                            }
-                            Ok(None) => {}
-                            Err(e) => {
-                                self.spill_losses += 1;
-                                self.finalize_errors.push(TaskError {
-                                    index: start + k,
-                                    payload: occ.surface.clone(),
-                                    message: format!(
-                                        "spill rehydration failed, entry restarts empty: {e}"
-                                    ),
-                                })
-                            }
-                        }
-                    }
-                }
                 let record = records.next().expect("one record per owned occurrence");
                 self.mention_cache
                     .entry((record.tweet, record.start, record.end))
@@ -1314,33 +1125,11 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         });
     }
 
-    /// Produces the final span outputs per tweet. Spilled surfaces
-    /// contribute exactly like resident ones — their entries are
-    /// decoded transiently from the pool (read-only; no rehydration,
-    /// no touch-stamp), so bounding resident memory never changes the
-    /// emitted spans.
-    fn emit(
-        &self,
-        mode: AblationMode,
-        pool: Option<&mut crate::durable::SpillPool>,
-        errors: &mut Vec<TaskError>,
-    ) -> Vec<Vec<Span>> {
+    /// Produces the final span outputs per tweet.
+    fn emit(&self, mode: AblationMode) -> Vec<Vec<Span>> {
         let mut out: Vec<Vec<Span>> = vec![Vec::new(); self.tweets.len()];
         for (_, entry) in self.candidates.iter() {
             self.emit_entry(entry, mode, &mut out);
-        }
-        if let Some(pool) = pool {
-            for surface in pool.surfaces() {
-                match pool.peek(&surface) {
-                    Ok(Some(entry)) => self.emit_entry(&entry, mode, &mut out),
-                    Ok(None) => {}
-                    Err(e) => errors.push(TaskError {
-                        index: 0,
-                        payload: surface,
-                        message: format!("spilled entry unreadable at emit: {e}"),
-                    }),
-                }
-            }
         }
         for spans in &mut out {
             spans.sort_by_key(|s| (s.start, s.end));
@@ -1348,7 +1137,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         out
     }
 
-    /// Emission of a single surface entry (resident or spill-decoded).
+    /// Emission of a single surface entry.
     fn emit_entry(&self, entry: &SurfaceEntry, mode: AblationMode, out: &mut [Vec<Span>]) {
         match mode {
             AblationMode::MentionExtraction | AblationMode::FullGlobal => {
@@ -1387,10 +1176,6 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// Ablation modes mirror batch emission: `LocalOnly` returns local
     /// spans only; `LocalClassifier` classifies each matched mention's
     /// embedding directly instead of consulting cluster labels.
-    ///
-    /// Surfaces whose entries are spilled cold contribute nothing —
-    /// queries see resident finalized state (the documented snapshot
-    /// rule), and the stream itself is unaffected.
     pub fn tag_query(&self, tokens: &[String]) -> Vec<QueryTag> {
         if tokens.is_empty() {
             return Vec::new();
@@ -1565,18 +1350,6 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// scans since the last drain (empty on a clean stream).
     pub fn take_finalize_errors(&mut self) -> Vec<TaskError> {
         std::mem::take(&mut self.finalize_errors)
-    }
-
-    /// Surfaces kept resident because a cold spill failed (lossless
-    /// degradation), since this pipeline was built.
-    pub fn spill_pins(&self) -> u64 {
-        self.spill_pins
-    }
-
-    /// Failed spill reads (rehydration or emit) — lossy degradation;
-    /// see the field docs.
-    pub fn spill_losses(&self) -> u64 {
-        self.spill_losses
     }
 
     /// Snapshots the pipeline's stream state — CTrie, tweet store,
@@ -2365,41 +2138,6 @@ pub(crate) mod tests {
             assert!(bounded.tweet_base().retained() <= 2);
         }
         assert_eq!(unbounded.tweet_base().retained(), unbounded.tweet_base().len());
-    }
-
-    /// Same scenario under a byte budget.
-    #[test]
-    fn max_bytes_eviction_preserves_outputs() {
-        let dim = 8;
-        let mk = |retention| {
-            NerGlobalizer::new(
-                FakeTagger { dim },
-                PhraseEmbedder::new(PhraseEmbedderConfig { dim, ..Default::default() }),
-                EntityClassifier::new(ClassifierConfig { dim, ..Default::default() }),
-                GlobalizerConfig { retention, ..Default::default() },
-            )
-        };
-        let mut bounded = mk(RetentionPolicy::MaxBytes(600));
-        let mut unbounded = mk(RetentionPolicy::Unbounded);
-        let batches = vec![
-            vec![toks("Beshear spoke today"), toks("Italy won")],
-            vec![toks("more beshear and italy")],
-            vec![toks("italy beshear italy")],
-        ];
-        for b in &batches {
-            bounded.ingest(b.clone(), None);
-            unbounded.ingest(b.clone(), None);
-        }
-        assert_eq!(bounded.finalize(), unbounded.finalize());
-        assert!(bounded.tweet_base().retained_bytes() <= 600);
-        assert!(
-            bounded.tweet_base().first_retained() > 0,
-            "budget small enough that eviction actually ran"
-        );
-        // Continuation with known surfaces stays identical.
-        bounded.ingest(vec![toks("beshear again")], None);
-        unbounded.ingest(vec![toks("beshear again")], None);
-        assert_eq!(bounded.finalize(), unbounded.finalize());
     }
 
     #[test]

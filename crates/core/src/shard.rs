@@ -43,13 +43,8 @@
 //! every other shard's candidate entries and mention caches — both
 //! disjoint unions by the ownership rule. Output, `/export` bytes and
 //! the combined `state_digest` come from that merged pipeline, and
-//! under `Unbounded`/`MaxTweets`/`MaxBytes` retention they are
-//! bitwise identical to the 1-shard run at any `NGL_THREADS` /
-//! `NGL_KERNEL`. (`SpillCold` is the one caveat: spill decisions
-//! depend on per-shard resident bytes, so sharded runs spill
-//! different victims than a 1-shard run; the merged view absorbs
-//! spilled entries read-only so no span is lost, but the digest is
-//! not comparable across shard counts.)
+//! under every [`crate::RetentionPolicy`] they are bitwise identical
+//! to the 1-shard run at any `NGL_THREADS` / `NGL_KERNEL`.
 //!
 //! **Failure containment.** A shard whose WAL rejects a batch that
 //! other shards committed is *wedged*: it receives no further
@@ -66,7 +61,7 @@ use std::path::{Path, PathBuf};
 
 use ngl_encoder::ContextualTagger;
 use ngl_runtime::{Executor, TaskError};
-use ngl_store::{fnv1a64, IoHandle, SharedPageCache, StoreError};
+use ngl_store::{fnv1a64, IoHandle, StoreError};
 use ngl_text::Span;
 
 use crate::durable::{
@@ -146,8 +141,8 @@ pub struct ShardedRecoveryReport {
     /// `Batch`/`Finalize` ops each shard replayed from the
     /// most-advanced shard's WAL to heal a lag (0 = was current).
     pub caught_up_ops: Vec<usize>,
-    /// `state_digest` of the merged view after recovery — comparable
-    /// to the 1-shard digest under non-spill retention.
+    /// `state_digest` of the merged view after recovery — equal to
+    /// the 1-shard digest.
     pub combined_digest: u64,
 }
 
@@ -263,7 +258,7 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
         }
 
         report.caught_up_ops = Self::catch_up_lagging(&mut shard_stores)?;
-        let merged = Self::rebuild_merged(&mut shard_stores);
+        let merged = Self::rebuild_merged(&shard_stores);
         report.combined_digest = merged.state_digest();
         let wedged = vec![false; shard_stores.len()];
         Ok((Self { shards: shard_stores, wedged, merged, dir, exec }, report))
@@ -273,9 +268,9 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
     /// shard's WAL into every lagging shard, through the lagging
     /// shard's normal durable path (so the caught-up ops are
     /// re-committed to its own lineage). Audit records (`Evict`,
-    /// `Spill`, `Snapshot`) are skipped — shards re-derive those —
-    /// and donor *snapshots* are never applied (they hold the donor's
-    /// ownership, not the lagging shard's). Errors if the donor has
+    /// `Snapshot`) are skipped — shards re-derive those — and donor
+    /// *snapshots* are never applied (they hold the donor's ownership,
+    /// not the lagging shard's). Errors if the donor has
     /// compacted past a lagging shard's position.
     fn catch_up_lagging(shards: &mut [DurableGlobalizer<T>]) -> Result<Vec<usize>, DurableError> {
         let mut caught_up = vec![0usize; shards.len()];
@@ -338,13 +333,9 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
 
     /// Rebuilds the merged view: clone the most-advanced shard's
     /// pipeline (its shared state is a superset of every wedged
-    /// shard's), drop the ownership filter, absorb every other
-    /// shard's owned entries, then absorb any spilled entries
-    /// read-only so `SpillCold` runs still emit and answer queries
-    /// over cold surfaces. A spilled entry whose extent fails to read
-    /// is skipped — same restart-empty semantics as rehydration, and
-    /// the owner shard's ladder already recorded the fault.
-    fn rebuild_merged(shards: &mut [DurableGlobalizer<T>]) -> NerGlobalizer<T> {
+    /// shard's), drop the ownership filter and absorb every other
+    /// shard's owned entries.
+    fn rebuild_merged(shards: &[DurableGlobalizer<T>]) -> NerGlobalizer<T> {
         let base_ix =
             shards.iter().enumerate().max_by_key(|(_, s)| s.op_seq()).map(|(i, _)| i).unwrap_or(0);
         let mut merged = shards[base_ix].inner().clone();
@@ -352,14 +343,6 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
         for (i, shard) in shards.iter().enumerate() {
             if i != base_ix {
                 merged.absorb_owned_state(shard.inner());
-            }
-        }
-        for shard in shards.iter_mut() {
-            let Some(pool) = shard.spill_pool_mut() else { continue };
-            for surface in pool.surfaces() {
-                if let Ok(Some(entry)) = pool.peek(&surface) {
-                    merged.absorb_spilled_entry(surface, entry);
-                }
             }
         }
         merged
@@ -468,10 +451,9 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
 
     /// Finalizes every non-wedged shard concurrently, rebuilds the
     /// merged view, and emits the merged output — bitwise identical
-    /// to the 1-shard finalize under non-spill retention. The CTrie
-    /// scan runs once, on the lead shard, and every shard admits its
-    /// owned share of it; the scan's errors are reported once, on the
-    /// lead shard.
+    /// to the 1-shard finalize. The CTrie scan runs once, on the lead
+    /// shard, and every shard admits its owned share of it; the scan's
+    /// errors are reported once, on the lead shard.
     ///
     /// A shard whose finalize errored has still *applied* the stages
     /// (state and `op_seq` advanced; only the WAL records are stashed
@@ -503,7 +485,7 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
                 return Err(clone_error(e));
             }
         }
-        self.merged = Self::rebuild_merged(&mut self.shards);
+        self.merged = Self::rebuild_merged(&self.shards);
         Ok(self.merged.emit_finalized())
     }
 
@@ -578,12 +560,6 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
             total.finalizes = total.finalizes.max(s.finalizes);
         }
         total
-    }
-
-    /// Process-wide spill-page-cache `(hits, misses)` — all shards
-    /// share the one [`SharedPageCache`] budget.
-    pub fn page_cache_stats(&self) -> (u64, u64) {
-        SharedPageCache::global().stats()
     }
 
     /// The shard that owns `surface` under this store's layout.

@@ -146,8 +146,6 @@ pub enum IoPathClass {
     Wal,
     /// Snapshot files, including in-flight temporaries (`snap-*`).
     Snapshot,
-    /// The cold-surface spill file.
-    Spill,
     /// Model fingerprint metadata.
     Meta,
     /// Anything else (directories, unknown files).
@@ -158,8 +156,7 @@ impl IoPathClass {
     /// The classes seeded plans draw faults from. `Meta` is excluded:
     /// the fingerprint file is written once at open, before any fault
     /// schedule meaningfully applies, and `Other` is a catch-all.
-    pub const FAULTABLE: [IoPathClass; 3] =
-        [IoPathClass::Wal, IoPathClass::Snapshot, IoPathClass::Spill];
+    pub const FAULTABLE: [IoPathClass; 2] = [IoPathClass::Wal, IoPathClass::Snapshot];
 }
 
 /// The kinds of IO faults a chaos IO layer knows how to inject.
@@ -217,7 +214,7 @@ impl IoFaultPlan {
     }
 
     /// A pseudo-random schedule of (up to) `n_faults` IO faults, fully
-    /// determined by `seed`. Faults land on WAL/snapshot/spill paths at
+    /// determined by `seed`. Faults land on WAL/snapshot paths at
     /// per-(op, class) call indices in `0..index_bound`, with kinds
     /// matched to ops (torn writes only on writes, sync failures only
     /// on syncs).
@@ -354,7 +351,7 @@ mod tests {
             );
         }
         assert_eq!(plan.fault_at(IoOp::Write, IoPathClass::Wal, 8), None);
-        assert_eq!(plan.fault_at(IoOp::Write, IoPathClass::Spill, 5), None);
+        assert_eq!(plan.fault_at(IoOp::Write, IoPathClass::Snapshot, 5), None);
         assert_eq!(plan.fault_at(IoOp::Sync, IoPathClass::Wal, 5), None);
     }
 

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use ngl_core::IoStatsSnapshot;
 use ngl_core::{
     BatchOutput, BatchReport, DegradationMode, DurableError, DurableGlobalizer, NerGlobalizer,
-    RetentionPolicy, ShardedGlobalizer, SpillPool,
+    RetentionPolicy, ShardedGlobalizer,
 };
 use ngl_encoder::ContextualTagger;
 
@@ -88,9 +88,9 @@ impl<T: ContextualTagger + Send + Sync> EngineStore<T> {
         }
     }
 
-    /// Retention pressure: the sharded value is the worst shard's —
-    /// tweet-store pressure is identical everywhere (replicated
-    /// ingest), spill pressure is per-shard.
+    /// Retention pressure: the sharded value is the worst shard's
+    /// (the most advanced one's; replicated ingest gives every current
+    /// shard the same tweet store).
     pub(crate) fn pressure_milli(&self) -> u64 {
         match self {
             EngineStore::Single(s) => retention_pressure_milli(s.inner()),
@@ -100,15 +100,6 @@ impl<T: ContextualTagger + Send + Sync> EngineStore<T> {
                 .map(|shard| retention_pressure_milli(shard.inner()))
                 .max()
                 .unwrap_or(0),
-        }
-    }
-
-    /// Spill-page-cache `(hits, misses)`: per-store when a single
-    /// lineage spills, process-wide shared-cache totals when sharded.
-    pub(crate) fn page_cache_stats(&self) -> Option<(u64, u64)> {
-        match self {
-            EngineStore::Single(s) => s.spill_pool().map(SpillPool::page_cache_stats),
-            EngineStore::Sharded(s) => Some(s.page_cache_stats()),
         }
     }
 
@@ -232,18 +223,11 @@ pub(crate) fn retention_pressure_milli<T: ContextualTagger>(g: &NerGlobalizer<T>
     };
     match g.config().retention {
         RetentionPolicy::Unbounded => 0,
-        RetentionPolicy::MaxTweets(cap) => {
-            let retained = g.tweet_base().len() - g.tweet_base().first_retained();
-            ratio_milli(retained as u64, cap)
-        }
-        RetentionPolicy::MaxBytes(cap) => ratio_milli(g.tweet_base().retained_bytes() as u64, cap),
-        RetentionPolicy::SpillCold(cap) => {
-            ratio_milli(g.candidate_base().resident_bytes() as u64, cap)
-        }
+        RetentionPolicy::MaxTweets(cap) => ratio_milli(g.tweet_base().retained() as u64, cap),
     }
 }
 
-/// Mirrors store-side health and cache/IO counters into the shared
+/// Mirrors store-side health and IO counters into the shared
 /// stats so `/stats` serves them without touching the engine.
 pub(crate) fn refresh_store_view<T: ContextualTagger + Send + Sync>(
     shared: &Shared<T>,
@@ -253,10 +237,6 @@ pub(crate) fn refresh_store_view<T: ContextualTagger + Send + Sync>(
     shared.mode.store(mode_to_u8(store.admission_mode()), Ordering::Relaxed);
     shared.worst_mode.store(mode_to_u8(store.worst_mode()), Ordering::Relaxed);
     shared.pressure_milli.store(store.pressure_milli(), Ordering::Relaxed);
-    if let Some((hits, misses)) = store.page_cache_stats() {
-        stats.spill_cache_hits.store(hits, Ordering::Relaxed);
-        stats.spill_cache_misses.store(misses, Ordering::Relaxed);
-    }
     let io = store.io_stats();
     stats.io_transient_retries.store(io.transient_retries, Ordering::Relaxed);
     stats.io_retry_exhausted.store(io.retry_exhausted, Ordering::Relaxed);

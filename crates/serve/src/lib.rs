@@ -34,7 +34,7 @@
 //! | `POST /ingest` | Lines of `id<TAB>text` (or bare `text`); one typed ack per line |
 //! | `GET /tag?q=…` | Read-only tagging against the last finalized state |
 //! | `GET /surface?s=…` | Clusters / types / staleness for one surface |
-//! | `GET /stats` | Counters, batch sizes, p50/p99 ingest-to-ack latency, spill/IO stats |
+//! | `GET /stats` | Counters, batch sizes, p50/p99 ingest-to-ack latency, IO stats |
 //! | `GET /health` | Degradation mode and admission verdict |
 //! | `GET /digest` | State digest of the query snapshot |
 //! | `GET /export` | Full checkpoint bytes of the query snapshot |
@@ -553,7 +553,6 @@ fn stats_json<T: ContextualTagger>(ctx: &HandlerCtx<T>) -> String {
             "\"queries_tag\":{},\"queries_surface\":{},\"bad_requests\":{},",
             "\"ack_p50_us\":{},\"ack_p99_us\":{},",
             "\"mode\":\"{}\",\"worst_mode\":\"{}\",\"shard_count\":{},\"pressure_milli\":{},",
-            "\"spill_cache_hits\":{},\"spill_cache_misses\":{},",
             "\"io_transient_retries\":{},\"io_retry_exhausted\":{},",
             "\"wal_bytes_total\":{},\"snapshots\":{}}}"
         ),
@@ -579,8 +578,6 @@ fn stats_json<T: ContextualTagger>(ctx: &HandlerCtx<T>) -> String {
         mode_name(ctx.shared.worst_mode.load(Ordering::Relaxed)),
         ctx.shared.shard_count,
         ctx.shared.pressure_milli.load(Ordering::Relaxed),
-        get(&s.spill_cache_hits),
-        get(&s.spill_cache_misses),
         get(&s.io_transient_retries),
         get(&s.io_retry_exhausted),
         get(&s.wal_bytes_total),
@@ -657,7 +654,7 @@ fn recovery_report_json(r: &RecoveryReport) -> String {
         concat!(
             "{{\"snapshot_seq\":{},\"replayed_batches\":{},\"replayed_finalizes\":{},",
             "\"torn_tail\":{},\"watermark\":{},\"surfaces\":{},\"resident_surfaces\":{},",
-            "\"tweets\":{},\"digest\":\"{}\",\"unverified_finalizes\":{},\"batch_ids\":["
+            "\"tweets\":{},\"digest\":\"{}\",\"batch_ids\":["
         ),
         r.snapshot_seq.map_or("null".to_string(), |s| s.to_string()),
         r.replayed_batches,
@@ -668,7 +665,6 @@ fn recovery_report_json(r: &RecoveryReport) -> String {
         r.resident_surfaces,
         r.tweets,
         r.digest,
-        r.unverified_finalizes,
     );
     for (i, ids) in r.batch_ids.iter().enumerate() {
         if i > 0 {

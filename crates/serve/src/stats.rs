@@ -52,12 +52,6 @@ pub struct ServeStats {
     pub queries_surface: AtomicU64,
     /// Malformed requests answered with a 4xx.
     pub bad_requests: AtomicU64,
-    /// Spill page-cache hits, mirrored from the durable store after
-    /// each ingest-loop operation (satellite: previously only visible
-    /// via `ngl recover`).
-    pub spill_cache_hits: AtomicU64,
-    /// Spill page-cache misses, mirrored like `spill_cache_hits`.
-    pub spill_cache_misses: AtomicU64,
     /// Transient IO faults absorbed by retry, mirrored from
     /// [`ngl_core::DurableGlobalizer::io_stats`].
     pub io_transient_retries: AtomicU64,

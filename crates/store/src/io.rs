@@ -1,9 +1,9 @@
 //! Injectable IO layer for the durable store.
 //!
-//! Every byte [`crate::Wal`], [`crate::SnapshotStore`] and
-//! [`crate::SpillFile`] move to or from disk goes through a [`StoreIo`]
-//! implementation, shared via a cloneable [`IoHandle`]. Production code
-//! uses the passthrough [`RealIo`]; chaos tests wrap it in [`ChaosIo`],
+//! Every byte [`crate::Wal`] and [`crate::SnapshotStore`] move to or
+//! from disk goes through a [`StoreIo`] implementation, shared via a
+//! cloneable [`IoHandle`]. Production code uses the passthrough
+//! [`RealIo`]; chaos tests wrap it in [`ChaosIo`],
 //! which consults a seeded [`IoFaultPlan`] (a pure value from
 //! `ngl-runtime::faults` — no globals) to fail specific calls
 //! deterministically by **(op, path-class, call-index)**.
@@ -85,8 +85,6 @@ pub fn classify_path(path: &Path) -> IoPathClass {
     } else if name.starts_with("snap-") {
         // Covers both published snapshots (.ck) and in-flight (.ck.tmp).
         IoPathClass::Snapshot
-    } else if name.contains("spill") {
-        IoPathClass::Spill
     } else if name == "model.meta" {
         IoPathClass::Meta
     } else {
@@ -452,8 +450,8 @@ impl RetryPolicy {
 }
 
 /// Counters the retry loop maintains, shared by every clone of an
-/// [`IoHandle`] (and therefore visible across the WAL, snapshot store
-/// and spill file of one `DurableGlobalizer`).
+/// [`IoHandle`] (and therefore visible across the WAL and snapshot
+/// store of one `DurableGlobalizer`).
 #[derive(Default)]
 pub struct IoStats {
     transient_retries: AtomicU64,
@@ -550,15 +548,6 @@ impl IoHandle {
         self.run(|io| io.read_file(path))
     }
 
-    pub(crate) fn read_at(
-        &self,
-        path: &Path,
-        offset: u64,
-        len: usize,
-    ) -> Result<Vec<u8>, StoreError> {
-        self.run(|io| io.read_at(path, offset, len))
-    }
-
     pub(crate) fn write_file(&self, path: &Path, data: &[u8]) -> Result<(), StoreError> {
         self.run(|io| io.write_file(path, data))
     }
@@ -605,7 +594,6 @@ mod tests {
         assert_eq!(classify_path(Path::new("/x/wal-00000003.log")), IoPathClass::Wal);
         assert_eq!(classify_path(Path::new("/x/snap-00000001.ck")), IoPathClass::Snapshot);
         assert_eq!(classify_path(Path::new("/x/snap-00000001.ck.tmp")), IoPathClass::Snapshot);
-        assert_eq!(classify_path(Path::new("/x/spill.dat")), IoPathClass::Spill);
         assert_eq!(classify_path(Path::new("/x/model.meta")), IoPathClass::Meta);
         assert_eq!(classify_path(Path::new("/x/whatever.bin")), IoPathClass::Other);
     }
@@ -703,7 +691,7 @@ mod tests {
     #[test]
     fn real_io_round_trips_through_handle_cache() {
         let dir = tmpdir("realio");
-        let file = dir.join("spill.dat");
+        let file = dir.join("data.bin");
         let mut io = RealIo::new();
         io.write_file(&file, b"").unwrap();
         io.write_at(&file, 0, b"abcdef").unwrap();
@@ -711,7 +699,7 @@ mod tests {
         assert_eq!(io.file_len(&file).unwrap(), 6);
         io.set_len(&file, 3).unwrap();
         assert_eq!(io.read_file(&file).unwrap(), b"abc");
-        let moved = dir.join("spill2.dat");
+        let moved = dir.join("data2.bin");
         io.rename(&file, &moved).unwrap();
         io.sync(&moved).unwrap();
         assert_eq!(io.read_file(&moved).unwrap(), b"abc");

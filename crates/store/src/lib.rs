@@ -1,9 +1,8 @@
 //! # ngl-store
 //!
 //! The durable-state substrate of the NER Globalizer: a **segment-based
-//! append-only write-ahead log** ([`Wal`]), a **crash-consistent
-//! snapshot store** ([`SnapshotStore`]) and a positional **spill file**
-//! ([`SpillFile`]) for cold surfaces. Deliberately dependency-free —
+//! append-only write-ahead log** ([`Wal`]) and a **crash-consistent
+//! snapshot store** ([`SnapshotStore`]). Deliberately dependency-free —
 //! `std` only — so every byte on disk is laid out by this crate.
 //!
 //! ## Record framing
@@ -44,7 +43,7 @@
 //!
 //! ## Injectable IO and fault handling
 //!
-//! All three components perform disk IO through the [`io::StoreIo`]
+//! Both components perform disk IO through the [`io::StoreIo`]
 //! layer (shared as a cloneable [`IoHandle`]): production uses the
 //! passthrough [`io::RealIo`], chaos tests swap in [`io::ChaosIo`]
 //! with a seeded fault plan. Transient errors are retried inside the
@@ -57,8 +56,6 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 pub mod io;
 
@@ -634,413 +631,6 @@ impl SnapshotStore {
     }
 }
 
-// ---- spill file -------------------------------------------------------
-
-/// Append-only file with positional, checksummed reads — the backing
-/// store for cold-surface spill. Each entry is framed as
-/// `len u32 | checksum u64 | payload`; [`SpillFile::read`] verifies the
-/// frame before returning the payload, so a bad offset or bit rot
-/// surfaces as [`StoreError::Corrupt`] rather than garbage state.
-///
-/// Spill entries are transient (rebuilt from resident state whenever the
-/// process restarts or a snapshot is cut), so the file supports
-/// [`SpillFile::reset`] instead of compaction.
-///
-/// Reads go through a **stamp-LRU page cache** (fixed
-/// [`SPILL_PAGE`]-byte pages, byte budget configurable via
-/// [`SpillFile::set_page_cache_budget`]): rehydration-heavy workloads
-/// re-read neighbouring entries of the same surface working set, and
-/// the cache turns those from one `seek` + `read` per CTrie match into
-/// memory copies. The cache is a [`SharedPageCache`] — private per
-/// file by default, or shared across files (one process-wide byte
-/// budget) via [`SpillFile::open_with_cache`]. Append-only writes keep
-/// every page below the old EOF immutable; the single partially-filled
-/// EOF page is invalidated on [`SpillFile::append`] and all of this
-/// file's pages on [`SpillFile::reset`], so a cached read can never be
-/// stale. Checksum verification is unchanged — cached bytes still have
-/// to match their frame checksum.
-pub struct SpillFile {
-    io: IoHandle,
-    path: PathBuf,
-    len: u64,
-    cache: SharedPageCache,
-    /// This file's key space within `cache` (process-unique).
-    file_id: u64,
-}
-
-/// Frame header of one spill entry: `len u32 | checksum u64`.
-const SPILL_HEADER: usize = 4 + 8;
-
-/// Fixed page size of the [`SpillFile`] read cache.
-pub const SPILL_PAGE: usize = 4096;
-
-/// Default [`SpillFile`] page-cache budget in bytes (64 pages).
-pub const DEFAULT_SPILL_CACHE_BYTES: usize = 64 * SPILL_PAGE;
-
-/// Env var overriding the byte budget of the process-shared spill
-/// page cache ([`SharedPageCache::global`]; `0` disables caching).
-/// Read once, at first use of the global cache.
-pub const SPILL_CACHE_ENV: &str = "NGL_SPILL_CACHE_BYTES";
-
-/// Uniquely identifies one [`SpillFile`] within every cache it may
-/// share pages with — process-wide, never reused.
-static NEXT_SPILL_FILE_ID: AtomicU64 = AtomicU64::new(0);
-
-static GLOBAL_PAGE_CACHE: OnceLock<SharedPageCache> = OnceLock::new();
-
-/// LRU page cache shareable between [`SpillFile`]s. Pages are keyed
-/// `(file id, page index)` and arbitrate **one** byte budget with a
-/// monotone recency stamp per page (stamp-LRU): on overflow the
-/// coldest page across *all* participating files is evicted first, so
-/// a hot file naturally displaces an idle one. Eviction scans for the
-/// minimum stamp — the page count is small (budget / 4 KiB), so the
-/// scan is cheap and keeps the structure dependency-free.
-///
-/// Cloning shares the cache (it is an `Arc` internally). Each
-/// [`SpillFile`] defaults to a private cache;
-/// [`SpillFile::open_with_cache`] opts into sharing, and
-/// [`SharedPageCache::global`] is the process-wide instance whose
-/// budget [`SPILL_CACHE_ENV`] configures.
-#[derive(Clone)]
-pub struct SharedPageCache {
-    inner: Arc<Mutex<PageCacheInner>>,
-}
-
-struct PageCacheInner {
-    budget: usize,
-    pages: BTreeMap<(u64, u64), (Vec<u8>, u64)>,
-    bytes: usize,
-    clock: u64,
-    hits: u64,
-    misses: u64,
-}
-
-impl SharedPageCache {
-    /// A fresh, unshared cache with the given byte budget.
-    pub fn new(budget: usize) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(PageCacheInner {
-                budget,
-                pages: BTreeMap::new(),
-                bytes: 0,
-                clock: 0,
-                hits: 0,
-                misses: 0,
-            })),
-        }
-    }
-
-    /// The process-shared cache: one byte budget arbitrated across
-    /// every spill file opened against it. The budget comes from
-    /// [`SPILL_CACHE_ENV`] (read once, `0` disables caching),
-    /// defaulting to [`DEFAULT_SPILL_CACHE_BYTES`].
-    pub fn global() -> SharedPageCache {
-        GLOBAL_PAGE_CACHE
-            .get_or_init(|| {
-                let budget = std::env::var(SPILL_CACHE_ENV)
-                    .ok()
-                    .and_then(|raw| raw.trim().parse::<usize>().ok())
-                    .unwrap_or(DEFAULT_SPILL_CACHE_BYTES);
-                SharedPageCache::new(budget)
-            })
-            .clone()
-    }
-
-    /// A poisoned mutex only means another thread panicked mid-update;
-    /// the cache degrades to possibly-stale *accounting* (never stale
-    /// bytes — pages are immutable below EOF), so recover the guard
-    /// rather than propagate the panic.
-    fn lock(&self) -> MutexGuard<'_, PageCacheInner> {
-        self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Sets the byte budget (shared across all participating files).
-    /// `0` disables caching and drops every page; shrinking evicts
-    /// down to the new budget immediately.
-    pub fn set_budget(&self, bytes: usize) {
-        let mut inner = self.lock();
-        inner.budget = bytes;
-        if bytes == 0 {
-            inner.pages.clear();
-            inner.bytes = 0;
-        } else {
-            inner.evict_to_budget(None);
-        }
-    }
-
-    /// The current byte budget.
-    pub fn budget(&self) -> usize {
-        self.lock().budget
-    }
-
-    /// Cumulative `(hits, misses)` across every participating file.
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = self.lock();
-        (inner.hits, inner.misses)
-    }
-
-    /// Bytes currently held by cached pages (all files).
-    pub fn resident_bytes(&self) -> usize {
-        self.lock().bytes
-    }
-
-    /// Copies `take` bytes at `within` from the cached page into
-    /// `out`, stamping recency. `Ok(false)` = miss (not yet counted —
-    /// [`Self::insert_and_copy`] counts it when the load lands).
-    fn copy_span(
-        &self,
-        file_id: u64,
-        page_ix: u64,
-        within: usize,
-        take: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<bool, StoreError> {
-        let mut inner = self.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        match inner.pages.get_mut(&(file_id, page_ix)) {
-            Some((page, stamp)) => {
-                *stamp = clock;
-                if within.saturating_add(take) > page.len() {
-                    return Err(StoreError::Corrupt("spill read past end of file"));
-                }
-                out.extend_from_slice(&page[within..within + take]);
-                inner.hits += 1;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// Caches a freshly loaded page (counting the miss), copies
-    /// `take` bytes at `within` out of it, then evicts
-    /// least-recently-used pages down to the byte budget (the new page
-    /// itself always stays).
-    fn insert_and_copy(
-        &self,
-        file_id: u64,
-        page_ix: u64,
-        page: Vec<u8>,
-        within: usize,
-        take: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), StoreError> {
-        if within.saturating_add(take) > page.len() {
-            return Err(StoreError::Corrupt("spill read past end of file"));
-        }
-        out.extend_from_slice(&page[within..within + take]);
-        let mut inner = self.lock();
-        inner.misses += 1;
-        inner.clock += 1;
-        let clock = inner.clock;
-        inner.bytes = inner.bytes.saturating_add(page.len());
-        if let Some((old, _)) = inner.pages.insert((file_id, page_ix), (page, clock)) {
-            // Another handle raced the same page in; keep accounting
-            // exact rather than leaking the replaced copy's bytes.
-            inner.bytes = inner.bytes.saturating_sub(old.len());
-        }
-        inner.evict_to_budget(Some((file_id, page_ix)));
-        Ok(())
-    }
-
-    /// Drops every page of `file_id` with index ≥ `from_page` — the
-    /// append-path invalidation for the partially filled EOF page.
-    fn invalidate_from(&self, file_id: u64, from_page: u64) {
-        let mut inner = self.lock();
-        let stale: Vec<(u64, u64)> = inner
-            .pages
-            .range((file_id, from_page)..=(file_id, u64::MAX))
-            .map(|(&k, _)| k)
-            .collect();
-        for k in stale {
-            if let Some((page, _)) = inner.pages.remove(&k) {
-                inner.bytes -= page.len();
-            }
-        }
-    }
-
-    /// Drops every page of `file_id` (reset path). Other files' pages
-    /// are untouched.
-    fn clear_file(&self, file_id: u64) {
-        self.invalidate_from(file_id, 0);
-    }
-}
-
-impl PageCacheInner {
-    /// Evicts minimum-stamp pages until `bytes <= budget`, never
-    /// evicting `keep` (the page an in-flight read still needs).
-    fn evict_to_budget(&mut self, keep: Option<(u64, u64)>) {
-        while self.bytes > self.budget && self.pages.len() > 1 {
-            // An empty scan is impossible while `len() > 1`, but a
-            // bookkeeping bug here must degrade to an over-budget cache
-            // rather than abort ingestion.
-            let Some(oldest) =
-                self.pages.iter().min_by_key(|(_, (_, stamp))| *stamp).map(|(&k, _)| k)
-            else {
-                break;
-            };
-            if Some(oldest) == keep {
-                break;
-            }
-            if let Some((page, _)) = self.pages.remove(&oldest) {
-                self.bytes -= page.len();
-            }
-        }
-    }
-}
-
-impl SpillFile {
-    /// Opens (or creates) the spill file at `path`, truncating any
-    /// previous contents — spilled entries never outlive the process
-    /// that wrote them.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, StoreError> {
-        Self::open_with_io(path, IoHandle::real())
-    }
-
-    /// [`Self::open`] over an explicit IO layer, with a private cache.
-    pub fn open_with_io<P: AsRef<Path>>(path: P, io: IoHandle) -> Result<Self, StoreError> {
-        Self::open_with_cache(path, io, SharedPageCache::new(DEFAULT_SPILL_CACHE_BYTES))
-    }
-
-    /// [`Self::open_with_io`] reading through an explicit (possibly
-    /// shared) page cache — pass [`SharedPageCache::global`] to join
-    /// the process-wide budget.
-    pub fn open_with_cache<P: AsRef<Path>>(
-        path: P,
-        io: IoHandle,
-        cache: SharedPageCache,
-    ) -> Result<Self, StoreError> {
-        let path = path.as_ref().to_path_buf();
-        if let Some(parent) = path.parent() {
-            io.create_dir_all(parent)?;
-        }
-        io.write_file(&path, &[])?;
-        let file_id = NEXT_SPILL_FILE_ID.fetch_add(1, Ordering::Relaxed);
-        Ok(Self { io, path, len: 0, cache, file_id })
-    }
-
-    /// Sets the page-cache byte budget. A budget of `0` disables the
-    /// cache entirely — every read goes straight to the file, exactly
-    /// the pre-cache behaviour. Shrinking the budget evicts down to it
-    /// immediately. With a shared cache this adjusts the *shared*
-    /// budget — every participating file sees the change.
-    pub fn set_page_cache_budget(&mut self, bytes: usize) {
-        self.cache.set_budget(bytes);
-    }
-
-    /// `(hits, misses)` of the page cache — cache-wide totals when the
-    /// cache is shared.
-    pub fn page_cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
-    }
-
-    /// Bytes currently held by cached pages — cache-wide when shared.
-    pub fn page_cache_resident_bytes(&self) -> usize {
-        self.cache.resident_bytes()
-    }
-
-    /// Bytes currently in the file.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Whether nothing has been appended since the last reset.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Appends one entry, returning the offset to read it back from.
-    /// On error the logical length is unchanged: a retry rewrites the
-    /// same offset, overwriting any torn bytes a failed attempt left.
-    pub fn append(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
-        let len = u32::try_from(payload.len())
-            .ok()
-            .filter(|_| payload.len() <= MAX_PAYLOAD)
-            .ok_or(StoreError::Corrupt("spill payload over MAX_PAYLOAD"))?;
-        let offset = self.len;
-        let mut frame = Vec::with_capacity(SPILL_HEADER.saturating_add(payload.len()));
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        let result = self.io.write_at(&self.path, offset, &frame);
-        // Every page strictly below the old EOF is immutable in an
-        // append-only file; only the partially filled EOF page (if any)
-        // now holds different bytes than a cached copy would. Even a
-        // *failed* write may have deposited a torn prefix there, so
-        // invalidate unconditionally.
-        self.cache.invalidate_from(self.file_id, offset / SPILL_PAGE as u64);
-        result?;
-        self.len = self.len.saturating_add(frame.len() as u64);
-        Ok(offset)
-    }
-
-    /// Reads back the entry appended at `offset`, verifying its frame.
-    pub fn read(&mut self, offset: u64) -> Result<Vec<u8>, StoreError> {
-        let head_end = offset.saturating_add(SPILL_HEADER as u64);
-        if head_end > self.len {
-            return Err(StoreError::Corrupt("spill offset out of range"));
-        }
-        let header = self.read_span(offset, SPILL_HEADER)?;
-        let len = u32_le_at(&header, 0) as usize;
-        let checksum = u64_le_at(&header, 4);
-        if len > MAX_PAYLOAD || head_end.saturating_add(len as u64) > self.len {
-            return Err(StoreError::Corrupt("spill entry length out of range"));
-        }
-        let payload = self.read_span(head_end, len)?;
-        if fnv1a64(&payload) != checksum {
-            return Err(StoreError::Corrupt("spill entry checksum mismatch"));
-        }
-        Ok(payload)
-    }
-
-    /// Reads `len` bytes starting at `offset`, assembling the span from
-    /// cached pages (loading misses from disk). With a zero budget this
-    /// degenerates to a single positional read.
-    fn read_span(&mut self, offset: u64, len: usize) -> Result<Vec<u8>, StoreError> {
-        if self.cache.budget() == 0 {
-            return self.io.read_at(&self.path, offset, len);
-        }
-        let mut out = Vec::with_capacity(len);
-        let mut pos = offset;
-        let Some(end) = offset.checked_add(len as u64) else {
-            return Err(StoreError::Corrupt("spill span overflows the offset space"));
-        };
-        while pos < end {
-            let page_ix = pos / SPILL_PAGE as u64;
-            let within = (pos % SPILL_PAGE as u64) as usize;
-            let take = ((end - pos) as usize).min(SPILL_PAGE - within);
-            if !self.cache.copy_span(self.file_id, page_ix, within, take, &mut out)? {
-                let page = self.load_page(page_ix)?;
-                self.cache.insert_and_copy(self.file_id, page_ix, page, within, take, &mut out)?;
-            }
-            pos += take as u64;
-        }
-        Ok(out)
-    }
-
-    /// Loads one page from disk. The final page of the file is short —
-    /// its length is whatever remains before the current EOF.
-    fn load_page(&mut self, page_ix: u64) -> Result<Vec<u8>, StoreError> {
-        let start = page_ix * SPILL_PAGE as u64;
-        if start >= self.len {
-            return Err(StoreError::Corrupt("spill page out of range"));
-        }
-        let len = (SPILL_PAGE as u64).min(self.len - start) as usize;
-        self.io.read_at(&self.path, start, len)
-    }
-
-    /// Discards all entries (used when every spilled surface has been
-    /// rehydrated, e.g. before a snapshot or a CTrie-rebuild). Cached
-    /// pages are dropped even when the truncation fails — stale reads
-    /// are never served.
-    pub fn reset(&mut self) -> Result<(), StoreError> {
-        self.cache.clear_file(self.file_id);
-        self.io.set_len(&self.path, 0)?;
-        self.len = 0;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1231,177 +821,6 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty());
         assert_eq!(snaps.latest().unwrap().unwrap().1, vec![0x55; 1000]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn spill_file_round_trips_and_detects_rot() {
-        let dir = tmpdir("spill");
-        let path = dir.join("spill.dat");
-        let mut spill = SpillFile::open(&path).unwrap();
-        assert!(spill.is_empty());
-        let a = spill.append(b"cold surface A").unwrap();
-        let b = spill.append(&[0x77; 500]).unwrap();
-        assert_eq!(spill.read(a).unwrap(), b"cold surface A");
-        assert_eq!(spill.read(b).unwrap(), vec![0x77; 500]);
-        // Reads are positional — order doesn't matter, repeats are fine.
-        assert_eq!(spill.read(a).unwrap(), b"cold surface A");
-        // A bogus offset is a typed error, not garbage.
-        assert!(matches!(spill.read(a + 1), Err(StoreError::Corrupt(_))));
-        assert!(matches!(spill.read(1 << 40), Err(StoreError::Corrupt(_))));
-        spill.reset().unwrap();
-        assert!(spill.is_empty());
-        assert!(spill.read(a).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn spill_page_cache_serves_repeat_reads_from_memory() {
-        let dir = tmpdir("spill-cache-hits");
-        let mut spill = SpillFile::open(dir.join("spill.dat")).unwrap();
-        let a = spill.append(&[0x11; 64]).unwrap();
-        let b = spill.append(&[0x22; 64]).unwrap();
-        assert_eq!(spill.read(a).unwrap(), vec![0x11; 64]);
-        let (_, misses_after_first) = spill.page_cache_stats();
-        assert!(misses_after_first >= 1, "first read must load the page");
-        // Both entries live on the same 4 KiB page: every subsequent
-        // read is a pure cache hit.
-        for _ in 0..5 {
-            assert_eq!(spill.read(b).unwrap(), vec![0x22; 64]);
-            assert_eq!(spill.read(a).unwrap(), vec![0x11; 64]);
-        }
-        let (hits, misses) = spill.page_cache_stats();
-        assert_eq!(misses, misses_after_first, "repeat reads must not touch disk");
-        assert!(hits >= 10);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn spill_append_invalidates_the_partial_tail_page() {
-        let dir = tmpdir("spill-cache-tail");
-        let mut spill = SpillFile::open(dir.join("spill.dat")).unwrap();
-        let a = spill.append(&[0xAA; 40]).unwrap();
-        // Cache the (short, partial) tail page...
-        assert_eq!(spill.read(a).unwrap(), vec![0xAA; 40]);
-        // ...then grow the file: the entry landing on that same page
-        // must be readable, i.e. the stale cached copy was dropped.
-        let b = spill.append(&[0xBB; 40]).unwrap();
-        assert_eq!(spill.read(b).unwrap(), vec![0xBB; 40]);
-        assert_eq!(spill.read(a).unwrap(), vec![0xAA; 40]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn spill_page_cache_respects_its_byte_budget() {
-        let dir = tmpdir("spill-cache-budget");
-        let mut spill = SpillFile::open(dir.join("spill.dat")).unwrap();
-        spill.set_page_cache_budget(2 * SPILL_PAGE);
-        let offsets: Vec<u64> =
-            (0..8).map(|i| spill.append(&vec![i as u8; SPILL_PAGE]).unwrap()).collect();
-        for &off in &offsets {
-            spill.read(off).unwrap();
-            assert!(
-                spill.page_cache_resident_bytes() <= 2 * SPILL_PAGE + SPILL_PAGE,
-                "resident {} exceeded budget + one in-flight page",
-                spill.page_cache_resident_bytes()
-            );
-        }
-        // Shrinking the budget evicts immediately; zero disables caching.
-        spill.set_page_cache_budget(0);
-        assert_eq!(spill.page_cache_resident_bytes(), 0);
-        let (_, misses_before) = spill.page_cache_stats();
-        for (i, &off) in offsets.iter().enumerate() {
-            assert_eq!(spill.read(off).unwrap(), vec![i as u8; SPILL_PAGE]);
-        }
-        let (_, misses_after) = spill.page_cache_stats();
-        assert_eq!(misses_before, misses_after, "budget 0 must bypass the cache");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn spill_reset_clears_cached_pages() {
-        let dir = tmpdir("spill-cache-reset");
-        let mut spill = SpillFile::open(dir.join("spill.dat")).unwrap();
-        let a = spill.append(&[0xCC; 100]).unwrap();
-        assert_eq!(spill.read(a).unwrap(), vec![0xCC; 100]);
-        assert!(spill.page_cache_resident_bytes() > 0);
-        spill.reset().unwrap();
-        assert_eq!(spill.page_cache_resident_bytes(), 0);
-        // New contents after reset are served correctly (no stale page).
-        let b = spill.append(&[0xDD; 100]).unwrap();
-        assert_eq!(spill.read(b).unwrap(), vec![0xDD; 100]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn shared_cache_arbitrates_one_budget_across_files() {
-        let dir = tmpdir("spill-cache-shared");
-        let cache = SharedPageCache::new(2 * SPILL_PAGE);
-        let mut a =
-            SpillFile::open_with_cache(dir.join("a.dat"), IoHandle::real(), cache.clone()).unwrap();
-        let mut b =
-            SpillFile::open_with_cache(dir.join("b.dat"), IoHandle::real(), cache.clone()).unwrap();
-        let offs_a: Vec<u64> =
-            (0..4).map(|i| a.append(&vec![0x10 + i as u8; SPILL_PAGE]).unwrap()).collect();
-        let offs_b: Vec<u64> =
-            (0..4).map(|i| b.append(&vec![0x20 + i as u8; SPILL_PAGE]).unwrap()).collect();
-        for (&oa, &ob) in offs_a.iter().zip(&offs_b) {
-            a.read(oa).unwrap();
-            b.read(ob).unwrap();
-            // One budget across both files: resident bytes never exceed
-            // the shared cap plus one in-flight page.
-            assert!(
-                cache.resident_bytes() <= 2 * SPILL_PAGE + SPILL_PAGE,
-                "shared resident {} exceeded the shared budget",
-                cache.resident_bytes()
-            );
-        }
-        // Per-file views report the shared totals.
-        assert_eq!(a.page_cache_stats(), cache.stats());
-        assert_eq!(b.page_cache_stats(), cache.stats());
-        let (_, misses) = cache.stats();
-        assert!(misses >= 8, "every page load is a shared-cache miss");
-
-        // Resetting one file must not drop the other file's pages.
-        let before = cache.resident_bytes();
-        assert!(before > 0);
-        a.reset().unwrap();
-        let (_, misses_before) = cache.stats();
-        assert_eq!(b.read(offs_b[3]).unwrap(), vec![0x23; SPILL_PAGE]);
-        let (_, misses_after) = cache.stats();
-        assert_eq!(misses_before, misses_after, "b's hot page must survive a's reset");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn shared_cache_keeps_the_hot_file_resident() {
-        let dir = tmpdir("spill-cache-hot");
-        let cache = SharedPageCache::new(2 * SPILL_PAGE);
-        let mut hot =
-            SpillFile::open_with_cache(dir.join("hot.dat"), IoHandle::real(), cache.clone())
-                .unwrap();
-        let mut cold =
-            SpillFile::open_with_cache(dir.join("cold.dat"), IoHandle::real(), cache.clone())
-                .unwrap();
-        let h = hot.append(&[0xAB; 64]).unwrap();
-        hot.read(h).unwrap();
-        // Stream uncached pages through the cold file while touching
-        // the hot file's page between loads: stamp-LRU keeps the
-        // recently-stamped hot page resident and evicts cold's older
-        // pages instead, even though cold is the bigger file.
-        for i in 0..6 {
-            let off = cold.append(&vec![i as u8; SPILL_PAGE]).unwrap();
-            cold.read(off).unwrap();
-            hot.read(h).unwrap();
-        }
-        assert!(
-            cache.resident_bytes() <= 2 * SPILL_PAGE + SPILL_PAGE,
-            "cold streaming must stay inside the shared budget"
-        );
-        let (_, misses_before) = cache.stats();
-        hot.read(h).unwrap();
-        let (_, misses_after) = cache.stats();
-        assert_eq!(misses_after, misses_before, "the hot page must still be cached");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

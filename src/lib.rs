@@ -19,8 +19,8 @@
 //! * [`eval`] — span-level NER metrics and error analysis.
 //! * [`runtime`] — the scoped-thread parallel executor driving the
 //!   pipeline's hot stages (`NGL_THREADS`-configurable, deterministic).
-//! * [`store`] — the durable-state substrate: append-only WAL,
-//!   crash-consistent snapshots and the cold-surface spill file.
+//! * [`store`] — the durable-state substrate: append-only WAL and
+//!   crash-consistent snapshots.
 //! * [`serve`] — the online serving front-end: batching ingest over the
 //!   durable store, read-only queries against finalized snapshots, and
 //!   typed admission control under load or storage faults.

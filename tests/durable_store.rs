@@ -4,12 +4,10 @@
 //! * **delta checkpoints are cheap** — per-batch WAL bytes stay flat
 //!   while the full-snapshot size grows with the stream, so past ~1k
 //!   tweets the delta is a small fraction of a snapshot rewrite;
-//! * **cold-surface spill is invisible** — `RetentionPolicy::SpillCold`
-//!   keeps resident `CandidateBase` memory under the configured cap
-//!   while emitting exactly the spans of an unbounded run;
 //! * **resume equals one continuous run** — stopping a durable stream
 //!   and reopening the store (fresh pipeline, same models) continues
-//!   bitwise identically, at 1 and 4 worker threads;
+//!   bitwise identically, at 1 and 4 worker threads, unbounded and
+//!   under `MaxTweets` retention;
 //! * **frozen mentions go stale on trie growth** — the persisted
 //!   per-mention CTrie version flags mentions of evicted tweets once
 //!   the trie outgrows them.
@@ -81,8 +79,8 @@ fn full_cfg(retention: RetentionPolicy) -> GlobalizerConfig {
     GlobalizerConfig { ablation: AblationMode::FullGlobal, retention, ..Default::default() }
 }
 
-/// A reproducible token stream over a wider surface vocabulary (so
-/// spill has many distinct candidates to choose victims from).
+/// A reproducible token stream over a wider surface vocabulary (many
+/// distinct candidate surfaces).
 fn gen_stream(seed: u64, n: usize) -> Vec<Vec<String>> {
     const VOCAB: [&str; 20] = [
         "Beshear",
@@ -163,58 +161,10 @@ fn delta_bytes_per_batch_stay_sublinear_in_stream_length() {
 }
 
 #[test]
-fn spill_cold_caps_resident_memory_without_changing_output() {
-    const BATCH: usize = 20;
-    const BUDGET: usize = 6 * 1024;
-    let stream = gen_stream(0x5C01D, 16 * BATCH);
-    for threads in [1usize, 4] {
-        // Reference: unbounded run, plain pipeline, same batching.
-        let mut unbounded = pipeline(threads, full_cfg(RetentionPolicy::Unbounded));
-        let mut want: Vec<Vec<Span>> = Vec::new();
-        for chunk in stream.chunks(BATCH) {
-            unbounded.ingest(chunk.to_vec(), None);
-            want = unbounded.finalize();
-        }
-        assert!(
-            unbounded.candidate_base().resident_bytes() > 2 * BUDGET,
-            "stream too small to exercise the cap"
-        );
-
-        let dir = scratch(&format!("spill-{threads}t"));
-        let (mut durable, _) = DurableGlobalizer::open(
-            pipeline(threads, full_cfg(RetentionPolicy::SpillCold(BUDGET))),
-            &dir,
-            6,
-        )
-        .expect("open");
-        let mut got: Vec<Vec<Span>> = Vec::new();
-        for chunk in stream.chunks(BATCH) {
-            durable.ingest(chunk.to_vec(), None).expect("batch");
-            got = durable.finalize().expect("finalize");
-            assert!(durable.take_finalize_errors().is_empty(), "spill must not error");
-            let resident = durable.inner().candidate_base().resident_bytes();
-            assert!(
-                resident <= BUDGET,
-                "resident candidate memory {resident} B over the {BUDGET} B cap ({threads}t)"
-            );
-        }
-        let pool = durable.spill_pool().expect("SpillCold must carry a pool");
-        assert!(!pool.is_empty(), "nothing was ever spilled ({threads}t)");
-        assert_eq!(
-            durable.inner().candidate_base().len() + pool.len(),
-            unbounded.candidate_base().len(),
-            "resident + spilled surfaces must partition the unbounded surface set"
-        );
-        assert_eq!(got, want, "SpillCold changed the emitted spans ({threads}t)");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-#[test]
 fn reopening_a_store_continues_bitwise_identically() {
     const BATCH: usize = 10;
     let stream = gen_stream(0x2E09E4, 8 * BATCH);
-    for retention in [RetentionPolicy::Unbounded, RetentionPolicy::SpillCold(4 * 1024)] {
+    for retention in [RetentionPolicy::Unbounded, RetentionPolicy::MaxTweets(12)] {
         for threads in [1usize, 4] {
             let tag = format!("reopen-{threads}t-{:?}", std::mem::discriminant(&retention));
             // One continuous durable run.

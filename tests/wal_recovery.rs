@@ -143,7 +143,7 @@ fn wal_segments(dir: &Path) -> Vec<(u64, PathBuf, Vec<u8>)> {
     segs
 }
 
-/// Copies every non-WAL file (snapshots, spill) of `src` into `dst`.
+/// Copies every non-WAL file (snapshots, metadata) of `src` into `dst`.
 fn copy_non_wal(src: &Path, dst: &Path) {
     std::fs::create_dir_all(dst).expect("copy dst");
     for entry in std::fs::read_dir(src).expect("read src") {
