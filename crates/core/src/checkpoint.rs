@@ -67,6 +67,35 @@ pub struct PipelineCheckpoint {
     pub seen_ids: BTreeSet<u64>,
 }
 
+/// The stream state a checkpoint holds, borrowed: from a live pipeline
+/// (`NerGlobalizer::put_state_bytes`), so a snapshot encodes without
+/// copying the state first, or from a [`PipelineCheckpoint`].
+pub(crate) struct StateRef<'a> {
+    pub cfg: &'a GlobalizerConfig,
+    pub ctrie: &'a CTrie,
+    pub tweets: &'a TweetBase,
+    pub candidates: &'a CandidateBase,
+    pub scanned_tweets: usize,
+    pub scanned_version: u64,
+    pub mention_cache: &'a HashMap<(usize, usize, usize), Vec<f32>>,
+    pub seen_ids: &'a BTreeSet<u64>,
+}
+
+impl PipelineCheckpoint {
+    pub(crate) fn state_ref(&self) -> StateRef<'_> {
+        StateRef {
+            cfg: &self.cfg,
+            ctrie: &self.ctrie,
+            tweets: &self.tweets,
+            candidates: &self.candidates,
+            scanned_tweets: self.scanned_tweets,
+            scanned_version: self.scanned_version,
+            mention_cache: &self.mention_cache,
+            seen_ids: &self.seen_ids,
+        }
+    }
+}
+
 // ---- primitive helpers ------------------------------------------------
 
 pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
@@ -382,11 +411,11 @@ fn get_config(buf: &mut &[u8]) -> Result<GlobalizerConfig, CodecError> {
 // ---- checkpoint codec -------------------------------------------------
 
 /// Appends the checkpoint to `buf` in its canonical layout.
-pub(crate) fn put_checkpoint(buf: &mut Vec<u8>, ck: &PipelineCheckpoint) {
-    put_config(buf, &ck.cfg);
-    put_ctrie(buf, &ck.ctrie);
-    put_tweets(buf, &ck.tweets);
-    put_candidates(buf, &ck.candidates);
+pub(crate) fn put_checkpoint(buf: &mut Vec<u8>, ck: StateRef<'_>) {
+    put_config(buf, ck.cfg);
+    put_ctrie(buf, ck.ctrie);
+    put_tweets(buf, ck.tweets);
+    put_candidates(buf, ck.candidates);
     put_u64(buf, ck.scanned_tweets as u64);
     put_u64(buf, ck.scanned_version);
     let mut keys: Vec<&(usize, usize, usize)> = ck.mention_cache.keys().collect();
@@ -399,7 +428,7 @@ pub(crate) fn put_checkpoint(buf: &mut Vec<u8>, ck: &PipelineCheckpoint) {
         put_quantized_f32_slice(buf, &ck.mention_cache[k]);
     }
     put_u64(buf, ck.seen_ids.len() as u64);
-    for &id in &ck.seen_ids {
+    for &id in ck.seen_ids {
         put_u64(buf, id);
     }
 }
@@ -501,7 +530,7 @@ mod tests {
 
     fn to_bytes(ck: &PipelineCheckpoint) -> Vec<u8> {
         let mut buf = Vec::new();
-        put_checkpoint(&mut buf, ck);
+        put_checkpoint(&mut buf, ck.state_ref());
         buf
     }
 

@@ -920,8 +920,13 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
     }
 
     fn snapshot_now(&mut self) -> Result<u64, DurableError> {
-        let payload = self.inner.export_state_bytes();
-        let bytes = match self.snaps.write(self.op_seq, &payload) {
+        // The last snapshot's size is the next one's estimate: the state
+        // mostly grows between snapshots, so the file image is usually
+        // one allocation.
+        let hint = self.stats.snapshot_bytes_last as usize;
+        let inner = &self.inner;
+        let written = self.snaps.write_with(self.op_seq, hint, |buf| inner.put_state_bytes(buf));
+        let bytes = match written {
             Ok(bytes) => bytes,
             Err(e) => {
                 self.degradation.snapshot_failures += 1;

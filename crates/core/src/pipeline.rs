@@ -812,9 +812,8 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// covered coordinates); full bitwise checks live in the
     /// recovery tests, which compare exported checkpoint bytes.
     pub fn state_digest(&self) -> u64 {
-        use ngl_store::fnv1a64;
-        let mut acc: Vec<u8> = Vec::new();
-        let mut word = |v: u64| acc.extend_from_slice(&v.to_le_bytes());
+        let mut acc = ngl_store::Fnv1a64::new();
+        let mut word = |v: u64| acc.update(&v.to_le_bytes());
         word(self.scanned_tweets as u64);
         word(self.scanned_version);
         word(self.tweets.len() as u64);
@@ -824,9 +823,9 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         word(self.seen_ids.len() as u64);
         word(self.mention_cache.len() as u64);
         word(self.candidates.len() as u64);
-        let mut surfaces: Vec<u8> = Vec::new();
+        let mut surfaces = ngl_store::Fnv1a64::new();
         for (surface, entry) in self.candidates.iter() {
-            surfaces.extend_from_slice(surface.as_bytes());
+            surfaces.update(surface.as_bytes());
             for v in [
                 entry.mentions.len() as u64,
                 entry.clusters.len() as u64,
@@ -834,16 +833,16 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 entry.classified as u64,
                 entry.touched,
             ] {
-                surfaces.extend_from_slice(&v.to_le_bytes());
+                surfaces.update(&v.to_le_bytes());
             }
             for m in &entry.mentions {
                 for v in [m.tweet as u64, m.start as u64, m.end as u64, m.trie_version] {
-                    surfaces.extend_from_slice(&v.to_le_bytes());
+                    surfaces.update(&v.to_le_bytes());
                 }
             }
         }
-        word(fnv1a64(&surfaces));
-        fnv1a64(&acc)
+        word(surfaces.finish());
+        acc.finish()
     }
 
     /// Mentions that are **frozen** (their source tweet was evicted, so
@@ -1377,8 +1376,26 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// every resident embedding is canonicalized at creation.
     pub fn export_state_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        crate::checkpoint::put_checkpoint(&mut buf, &self.export_state());
+        self.put_state_bytes(&mut buf);
         buf
+    }
+
+    /// Appends [`Self::export_state_bytes`] to `buf`, encoding the live
+    /// state in place rather than a copy of it.
+    pub(crate) fn put_state_bytes(&self, buf: &mut Vec<u8>) {
+        crate::checkpoint::put_checkpoint(
+            buf,
+            crate::checkpoint::StateRef {
+                cfg: &self.cfg,
+                ctrie: &self.ctrie,
+                tweets: &self.tweets,
+                candidates: &self.candidates,
+                scanned_tweets: self.scanned_tweets,
+                scanned_version: self.scanned_version,
+                mention_cache: &self.mention_cache,
+                seen_ids: &self.seen_ids,
+            },
+        );
     }
 
     /// Restores state from bytes produced by
@@ -2214,6 +2231,11 @@ pub(crate) mod tests {
             first.ingest(batches[0].to_vec(), None);
             first.finalize();
             let snapshot = first.export_state();
+            // Encoding the live state in place gives the bytes of the
+            // exported copy.
+            let mut copied = Vec::new();
+            crate::checkpoint::put_checkpoint(&mut copied, snapshot.state_ref());
+            assert_eq!(first.export_state_bytes(), copied);
             drop(first);
             let mut resumed = pipeline(mode);
             resumed.import_state(snapshot).expect("import");

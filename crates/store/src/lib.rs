@@ -80,24 +80,51 @@ const SNAP_HEADER: usize = 4 + 4 + 8 + 8 + 8;
 /// FNV-1a 64-bit: the workspace's tiny, dependency-free integrity hash.
 /// Guards against torn writes and bit rot, not adversaries.
 pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    let mut h = Fnv1a64::new();
+    h.update(data);
+    h.finish()
 }
 
-/// FNV-1a over several slices without concatenating them.
-fn fnv1a64_parts(parts: &[&[u8]]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+/// [`fnv1a64`] fed in pieces: hashing the concatenation of the slices
+/// passed to [`Self::update`] without building it.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// The hash of the empty input.
+    #[inline]
+    pub fn new() -> Self {
+        Self(0xCBF2_9CE4_8422_2325)
+    }
+
+    /// Appends `data` to the hashed input.
+    #[inline]
+    pub fn update(&mut self, data: &[u8]) {
+        for &b in data {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
         }
     }
-    hash
+
+    /// The hash of everything appended so far.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// FNV-1a over a record's tag byte and payload.
+fn record_checksum(tag: u8, payload: &[u8]) -> u64 {
+    let mut h = Fnv1a64::new();
+    h.update(&[tag]);
+    h.update(payload);
+    h.finish()
 }
 
 /// Why a store operation failed.
@@ -180,7 +207,7 @@ fn scan_segment(data: &[u8]) -> SegmentScan {
             return SegmentScan { records, valid_len: pos, clean: false };
         };
         let payload = &data[body..end];
-        if fnv1a64_parts(&[&[tag], payload]) != checksum {
+        if record_checksum(tag, payload) != checksum {
             return SegmentScan { records, valid_len: pos, clean: false };
         }
         records.push(Record { tag, payload: payload.to_vec() });
@@ -353,7 +380,7 @@ impl Wal {
         let mut frame = Vec::with_capacity(FRAME_HEADER.saturating_add(payload.len()));
         frame.extend_from_slice(&len.to_le_bytes());
         frame.push(tag);
-        frame.extend_from_slice(&fnv1a64_parts(&[&[tag], payload]).to_le_bytes());
+        frame.extend_from_slice(&record_checksum(tag, payload).to_le_bytes());
         frame.extend_from_slice(payload);
         Ok(frame)
     }
@@ -557,17 +584,37 @@ impl SnapshotStore {
     /// temporary on a best-effort basis and never disturbs previously
     /// published snapshots.
     pub fn write(&self, seq: u64, payload: &[u8]) -> Result<u64, StoreError> {
+        self.write_with(seq, payload.len(), |buf| buf.extend_from_slice(payload))
+    }
+
+    /// [`Self::write`] of the payload `encode` appends to the buffer it
+    /// is given: the payload is encoded straight into the file image,
+    /// in one allocation of `SNAP_HEADER + size_hint` bytes when the
+    /// hint is large enough, instead of encoded and then copied.
+    pub fn write_with(
+        &self,
+        seq: u64,
+        size_hint: usize,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<u64, StoreError> {
         let path = snapshot_path(&self.dir, seq);
         let mut tmp = path.as_os_str().to_os_string();
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
-        let mut bytes = Vec::with_capacity(SNAP_HEADER.saturating_add(payload.len()));
-        bytes.extend_from_slice(SNAP_MAGIC);
-        bytes.extend_from_slice(&SNAP_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&seq.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        bytes.extend_from_slice(payload);
+        let mut bytes = Vec::with_capacity(SNAP_HEADER.saturating_add(size_hint));
+        bytes.resize(SNAP_HEADER, 0);
+        encode(&mut bytes);
+        let payload = &bytes[SNAP_HEADER..];
+        let (len, checksum) = (payload.len() as u64, fnv1a64(payload));
+        let header = [
+            &SNAP_MAGIC[..],
+            &SNAP_VERSION.to_le_bytes(),
+            &seq.to_le_bytes(),
+            &len.to_le_bytes(),
+            &checksum.to_le_bytes(),
+        ]
+        .concat();
+        bytes[..SNAP_HEADER].copy_from_slice(&header);
         let write = self
             .io
             .write_file(&tmp, &bytes)
@@ -806,6 +853,35 @@ mod tests {
         assert_eq!(snaps.latest().unwrap(), Some((3, b"state at 3".to_vec())));
         assert_eq!(snaps.prune_below(7).unwrap(), 1);
         assert_eq!(snaps.list().unwrap(), vec![7]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fnv1a64_fed_in_pieces_hashes_the_concatenation() {
+        let data = b"state digest over surfaces and mentions";
+        for cut in [0, 1, 7, data.len()] {
+            let mut h = Fnv1a64::new();
+            h.update(&data[..cut]);
+            h.update(&data[cut..]);
+            assert_eq!(h.finish(), fnv1a64(data));
+        }
+        assert_eq!(Fnv1a64::new().finish(), fnv1a64(&[]));
+    }
+
+    #[test]
+    fn snapshot_encoded_in_place_matches_a_copied_payload() {
+        let dir = tmpdir("snap-in-place");
+        let snaps = SnapshotStore::open(&dir).unwrap();
+        let payload: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
+        let copied = snaps.write(1, &payload).unwrap();
+        let copied_file = std::fs::read(snapshot_path(&dir, 1)).unwrap();
+        // A hint too small and one too large both frame the same bytes.
+        for hint in [0, 1 << 16] {
+            let n = snaps.write_with(1, hint, |buf| buf.extend_from_slice(&payload)).unwrap();
+            assert_eq!(n, copied);
+            assert_eq!(std::fs::read(snapshot_path(&dir, 1)).unwrap(), copied_file);
+        }
+        assert_eq!(snaps.latest().unwrap(), Some((1, payload)));
         std::fs::remove_dir_all(&dir).ok();
     }
 
