@@ -43,6 +43,7 @@ impl Token {
     }
 }
 
+/// The emoticon inventory (all ASCII, at most three chars).
 const EMOTICONS: &[&str] = &[
     ":)", ":(", ":-)", ":-(", ":D", ":-D", ";)", ";-)", ":P", ":-P", ":'(", "<3", ":/", ":-/",
     "xD", "XD", ":o", ":O",
@@ -76,92 +77,56 @@ const EMOTICONS: &[&str] = &[
 /// an empty token list.
 pub fn tokenize(text: &str) -> Vec<Token> {
     let text = truncate_chars(text, MAX_TWEET_CHARS);
-    let bytes: Vec<char> = text.chars().collect();
-    // Byte offset of each char for reporting spans in bytes.
-    let mut byte_of = Vec::with_capacity(bytes.len() + 1);
-    let mut off = 0usize;
-    for c in &bytes {
-        byte_of.push(off);
-        off += c.len_utf8();
-    }
-    byte_of.push(off);
-
+    let bytes = text.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0usize;
-    let n = bytes.len();
-    while i < n {
-        let c = bytes[i];
+    while let Some(c) = char_at(text, i) {
+        let next = i + c.len_utf8();
         if c.is_whitespace() {
-            i += 1;
+            i = next;
             continue;
         }
-        // URL?
-        if starts_with_at(&bytes, i, "http://")
-            || starts_with_at(&bytes, i, "https://")
-            || starts_with_at(&bytes, i, "www.")
-        {
-            let start = i;
-            while i < n && !bytes[i].is_whitespace() {
-                i += 1;
-            }
-            tokens.push(make(text, &byte_of, start, i, TokenKind::Url));
-            continue;
-        }
-        // Emoticon?
-        if let Some(len) = match_emoticon(&bytes, i) {
-            tokens.push(make(text, &byte_of, i, i + len, TokenKind::Emoticon));
-            i += len;
-            continue;
-        }
-        // Hashtag / mention?
-        if (c == '#' || c == '@') && i + 1 < n && is_word_char(bytes[i + 1]) {
-            let start = i;
-            i += 1;
-            while i < n && is_word_char(bytes[i]) {
-                i += 1;
-            }
+        let (end, kind) = if is_url_start(&bytes[i..]) {
+            (skip_while(text, next, |c| !c.is_whitespace()), TokenKind::Url)
+        } else if let Some(len) = match_emoticon(text, i) {
+            (i + len, TokenKind::Emoticon)
+        } else if (c == '#' || c == '@') && char_at(text, next).is_some_and(is_word_char) {
             let kind = if c == '#' { TokenKind::Hashtag } else { TokenKind::Mention };
-            tokens.push(make(text, &byte_of, start, i, kind));
-            continue;
-        }
-        // Number?
-        if c.is_ascii_digit() {
-            let start = i;
-            i += 1;
-            while i < n
-                && (bytes[i].is_ascii_digit()
-                    || (matches!(bytes[i], '.' | ',' | ':')
-                        && i + 1 < n
-                        && bytes[i + 1].is_ascii_digit()))
+            (skip_while(text, next, is_word_char), kind)
+        } else if c.is_ascii_digit() {
+            // Digits and separators are ASCII: a byte loop suffices.
+            let digit_at = |j: usize| bytes.get(j).is_some_and(u8::is_ascii_digit);
+            let mut j = next;
+            while digit_at(j)
+                || (matches!(bytes.get(j), Some(b'.' | b',' | b':')) && digit_at(j + 1))
             {
-                i += 1;
+                j += 1;
             }
-            tokens.push(make(text, &byte_of, start, i, TokenKind::Number));
-            continue;
-        }
-        // Word?
-        if c.is_alphabetic() {
-            let start = i;
-            i += 1;
-            while i < n
-                && (bytes[i].is_alphabetic()
-                    || (matches!(bytes[i], '\'' | '’')
-                        && i + 1 < n
-                        && bytes[i + 1].is_alphabetic()))
-            {
-                i += 1;
+            (j, TokenKind::Number)
+        } else if c.is_alphabetic() {
+            let mut j = next;
+            while let Some(d) = char_at(text, j) {
+                let after = j + d.len_utf8();
+                let joins = d.is_alphabetic()
+                    || (matches!(d, '\'' | '’')
+                        && char_at(text, after).is_some_and(char::is_alphabetic));
+                if !joins {
+                    break;
+                }
+                j = after;
             }
-            tokens.push(make(text, &byte_of, start, i, TokenKind::Word));
-            continue;
-        }
-        // Punctuation run of the same character ("..." stays together).
-        let start = i;
-        let p = bytes[i];
-        i += 1;
-        while i < n && bytes[i] == p {
-            i += 1;
-        }
-        tokens.push(make(text, &byte_of, start, i, TokenKind::Punct));
+            (j, TokenKind::Word)
+        } else {
+            // Punctuation run of the same character ("..." stays together).
+            let unit = &bytes[i..next];
+            let mut j = next;
+            while bytes[j..].starts_with(unit) {
+                j += unit.len();
+            }
+            (j, TokenKind::Punct)
+        };
+        tokens.push(Token { text: text[i..end].to_string(), start: i, kind });
+        i = end;
     }
     tokens
 }
@@ -175,37 +140,51 @@ pub const MAX_TWEET_CHARS: usize = 10_000;
 /// `text` truncated to at most `max` characters, respecting UTF-8
 /// boundaries (never panics mid-codepoint).
 fn truncate_chars(text: &str, max: usize) -> &str {
+    if text.len() <= max {
+        return text; // no more chars than bytes
+    }
     match text.char_indices().nth(max) {
         Some((byte, _)) => &text[..byte],
         None => text,
     }
 }
 
-fn make(text: &str, byte_of: &[usize], start: usize, end: usize, kind: TokenKind) -> Token {
-    Token { text: text[byte_of[start]..byte_of[end]].to_string(), start: byte_of[start], kind }
-}
-
-fn starts_with_at(chars: &[char], i: usize, pat: &str) -> bool {
-    let p: Vec<char> = pat.chars().collect();
-    if i + p.len() > chars.len() {
-        return false;
+/// The char starting at byte `i` (a char boundary), or `None` at the
+/// end. ASCII needs no decoding.
+fn char_at(text: &str, i: usize) -> Option<char> {
+    let b = *text.as_bytes().get(i)?;
+    if b.is_ascii() {
+        Some(char::from(b))
+    } else {
+        text.get(i..)?.chars().next()
     }
-    chars[i..i + p.len()].iter().zip(&p).all(|(a, b)| a.eq_ignore_ascii_case(b))
 }
 
-fn match_emoticon(chars: &[char], i: usize) -> Option<usize> {
-    // Longest match first.
-    let rest: String = chars[i..chars.len().min(i + 4)].iter().collect();
-    let mut best = None;
-    for e in EMOTICONS {
-        if rest.starts_with(e) {
-            let l = e.chars().count();
-            if best.is_none_or(|b| l > b) {
-                best = Some(l);
-            }
+/// Byte offset of the first char at or after `i` that fails `keep`.
+fn skip_while(text: &str, mut i: usize, keep: impl Fn(char) -> bool) -> usize {
+    while let Some(c) = char_at(text, i) {
+        if !keep(c) {
+            break;
         }
+        i += c.len_utf8();
     }
-    best
+    i
+}
+
+/// Whether `rest` starts with a URL prefix, ASCII case-insensitively.
+fn is_url_start(rest: &[u8]) -> bool {
+    [&b"http://"[..], b"https://", b"www."]
+        .iter()
+        .any(|p| rest.get(..p.len()).is_some_and(|head| head.eq_ignore_ascii_case(p)))
+}
+
+/// Byte length of the longest emoticon starting at byte `i`.
+fn match_emoticon(text: &str, i: usize) -> Option<usize> {
+    let rest = &text.as_bytes()[i..];
+    if !matches!(rest.first(), Some(b':' | b';' | b'<' | b'x' | b'X')) {
+        return None;
+    }
+    EMOTICONS.iter().filter(|e| rest.starts_with(e.as_bytes())).map(|e| e.len()).max()
 }
 
 fn is_word_char(c: char) -> bool {
@@ -256,6 +235,9 @@ pub fn normalize_tokens(tokens: &[Token]) -> Vec<String> {
         })
         .collect()
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -376,5 +358,127 @@ mod tests {
         // 4-byte codepoints too.
         let emoji = "\u{1F600}".repeat(12_000);
         let _ = tokenize(&emoji); // must not panic
+    }
+
+    /// Pieces of the differential tests' inputs: ASCII in both cases,
+    /// digits and separators, both apostrophes, a combining mark, the
+    /// sigmas, dotted capital I, emoji, NBSP and other Unicode spaces,
+    /// mixed-case URL prefixes, every emoticon and its neighbours.
+    const PIECES: &[&str] = &[
+        "a",
+        "Z",
+        "x",
+        "X",
+        "d",
+        "D",
+        "o",
+        "O",
+        "P",
+        "3",
+        "0",
+        "7",
+        ".",
+        ",",
+        ":",
+        ";",
+        "-",
+        "'",
+        "’",
+        "_",
+        "#",
+        "@",
+        "<",
+        "(",
+        ")",
+        "/",
+        "!",
+        "!",
+        "?",
+        " ",
+        " ",
+        " ",
+        "\t",
+        "\n",
+        "\u{b}",
+        "\u{85}",
+        "\u{1c}",
+        "\u{a0}",
+        "\u{2003}",
+        "\u{301}",
+        "\u{345}",
+        "Σ",
+        "ς",
+        "σ",
+        "İ",
+        "é",
+        "ß",
+        "中",
+        "٣",
+        "\u{1F600}",
+        "\u{1F44D}",
+        "HTTP://",
+        "http://",
+        "hTtPs://",
+        "www.",
+        "WwW.",
+        "http:/",
+        ":)",
+        ":-D",
+        ":D",
+        ":P",
+        ":-P",
+        ":'(",
+        "xD",
+        "XD",
+        "<3",
+        ":o",
+        ":O",
+        ":/",
+        "1,000",
+        "10:30",
+        "3.5",
+        "don't",
+        "y’all",
+        "Obama",
+        "rive",
+        "#Covid",
+        "@gov",
+    ];
+
+    fn random_text(rng: &mut ngl_runtime::rng::SplitMix64, pieces: usize) -> String {
+        (0..pieces).map(|_| PIECES[rng.gen_range(0..PIECES.len())]).collect()
+    }
+
+    /// The byte-offset tokenizer agrees with the char-vector one it
+    /// replaced on text, offsets and kinds.
+    #[test]
+    fn matches_the_reference_tokenizer() {
+        ngl_runtime::rng::for_each_case(0x70C0_0001, 4000, |rng| {
+            let n = rng.gen_range(0..40usize);
+            let text = random_text(rng, n);
+            assert_eq!(tokenize(&text), reference::tokenize(&text), "{text:?}");
+        });
+    }
+
+    /// Past [`MAX_TWEET_CHARS`] both cut at the same char, wherever
+    /// the cut falls: inside a token, a URL or a multi-byte char run.
+    #[test]
+    fn matches_the_reference_at_the_length_cap() {
+        ngl_runtime::rng::for_each_case(0x70C0_0002, 24, |rng| {
+            let mut text = String::new();
+            while text.chars().count() < MAX_TWEET_CHARS + 200 {
+                text.push_str(PIECES[rng.gen_range(0..PIECES.len())]);
+            }
+            for cut in
+                [MAX_TWEET_CHARS - 3, MAX_TWEET_CHARS, MAX_TWEET_CHARS + 1, MAX_TWEET_CHARS + 7]
+            {
+                let head: String = text.chars().take(cut).collect();
+                assert_eq!(tokenize(&head), reference::tokenize(&head));
+            }
+            assert_eq!(tokenize(&text), reference::tokenize(&text));
+        });
+        for giant in ["é".repeat(20_000), "\u{1F600}".repeat(12_000), "ab ".repeat(4_000)] {
+            assert_eq!(tokenize(&giant), reference::tokenize(&giant));
+        }
     }
 }
