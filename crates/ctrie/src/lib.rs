@@ -14,7 +14,8 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A discovered occurrence of a registered surface form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,13 +28,132 @@ pub struct MentionOccurrence {
     pub surface: String,
 }
 
+/// Id of a token the trie has never seen; also the free-slot marker of
+/// the interner's table.
+const NONE: u32 = u32::MAX;
+
+/// The root of the forest.
+const ROOT: u32 = 0;
+
+/// Every distinct folded token once, numbered in first-insert order.
 #[derive(Debug, Clone, Default)]
+struct Interner {
+    /// The tokens, concatenated.
+    text: String,
+    /// `ends[id]` is where token `id` ends in `text`; it starts where
+    /// token `id - 1` ends.
+    ends: Vec<usize>,
+    /// Open-addressed table of ids (`NONE` = free slot), probed
+    /// linearly from the token's FNV-1a hash. Its length is a power of
+    /// two and at least twice the token count.
+    slots: Vec<u32>,
+}
+
+impl Interner {
+    fn token(&self, id: u32) -> &str {
+        let id = id as usize;
+        let start = if id == 0 { 0 } else { self.ends[id - 1] };
+        &self.text[start..self.ends[id]]
+    }
+
+    /// The slot holding `token`, or the free slot where it would go.
+    fn slot(&self, token: &str) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = fnv1a(token.as_bytes()) as usize & mask;
+        while self.slots[at] != NONE && self.token(self.slots[at]) != token {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    fn get(&self, token: &str) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        Some(self.slots[self.slot(token)]).filter(|&id| id != NONE)
+    }
+
+    fn intern(&mut self, token: &str) -> u32 {
+        if let Some(id) = self.get(token) {
+            return id;
+        }
+        if 2 * (self.ends.len() + 1) > self.slots.len() {
+            self.slots = vec![NONE; (2 * self.slots.len()).max(16)];
+            for id in 0..self.ends.len() {
+                let at = self.slot(self.token(id as u32));
+                self.slots[at] = id as u32;
+            }
+        }
+        let id = u32::try_from(self.ends.len()).expect("fewer than 2^32 - 1 distinct tokens");
+        self.text.push_str(token);
+        self.ends.push(self.text.len());
+        let at = self.slot(token);
+        self.slots[at] = id;
+        id
+    }
+
+    /// `rank[id]`: the position of token `id` in byte order.
+    fn ranks(&self) -> Vec<u32> {
+        let mut ids: Vec<u32> = (0..self.ends.len() as u32).collect();
+        ids.sort_unstable_by_key(|&id| self.token(id));
+        let mut rank = vec![0; ids.len()];
+        for (r, &id) in ids.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        rank
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Hasher of the edge map's packed `(node, token)` keys: the SplitMix64
+/// finalizer, fixed and seedless, so the map behaves identically on
+/// every run.
+#[derive(Default)]
+struct EdgeHasher(u64);
+
+impl Hasher for EdgeHasher {
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 ^= x;
+    }
+}
+
+fn edge(node: u32, token: u32) -> u64 {
+    u64::from(node) << 32 | u64::from(token)
+}
+
+#[derive(Debug, Clone, Copy)]
 struct Node {
-    children: BTreeMap<String, Node>,
+    /// The node this one hangs from, and the token of that edge (both
+    /// unused at the root).
+    parent: u32,
+    token: u32,
+    /// Whether the path from the root to here is a registered surface.
     terminal: bool,
 }
 
 /// Case-insensitive token-level prefix trie forest.
+///
+/// Each folded token is interned once; nodes are numbered and the
+/// edges live in one flat map keyed by `(node, token id)`, so a scan
+/// resolves each tweet token to an id once and then walks integers.
 ///
 /// ```
 /// use ngl_ctrie::CTrie;
@@ -48,9 +168,12 @@ struct Node {
 /// assert_eq!(mentions[0].surface, "andy beshear");
 /// assert_eq!((mentions[1].start, mentions[1].end), (5, 6));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CTrie {
-    root: Node,
+    tokens: Interner,
+    /// `nodes[0]` is the root.
+    nodes: Vec<Node>,
+    edges: HashMap<u64, u32, BuildHasherDefault<EdgeHasher>>,
     len: usize,
     /// Monotonic counter bumped on every *new* surface registration.
     /// Consumers (the pipeline's incremental mention cache) compare it
@@ -60,12 +183,39 @@ pub struct CTrie {
     version: u64,
 }
 
+impl Default for CTrie {
+    fn default() -> Self {
+        Self {
+            tokens: Interner::default(),
+            nodes: vec![Node { parent: ROOT, token: NONE, terminal: false }],
+            edges: HashMap::default(),
+            len: 0,
+            version: 0,
+        }
+    }
+}
+
 /// Folds one token for trie matching: lowercase, leading `#` stripped
 /// (the paper's case-insensitive comparison of tokens with CTrie nodes,
 /// extended to hashtag markers so "#Coronavirus" matches "coronavirus").
 pub fn fold_token(token: &str) -> String {
+    let mut out = String::new();
+    fold_into(token, &mut out);
+    out
+}
+
+/// [`fold_token`] into a reused buffer. ASCII is lowercased in place;
+/// anything else goes through `str::to_lowercase`, which keeps its
+/// context rules (a word-final `Σ` becomes `ς`).
+fn fold_into(token: &str, out: &mut String) {
+    out.clear();
     let t = token.strip_prefix('#').unwrap_or(token);
-    t.to_lowercase()
+    if t.is_ascii() {
+        out.push_str(t);
+        out.make_ascii_lowercase();
+    } else {
+        out.push_str(&t.to_lowercase());
+    }
 }
 
 impl CTrie {
@@ -74,20 +224,37 @@ impl CTrie {
         Self::default()
     }
 
+    fn child(&self, node: u32, token: u32) -> Option<u32> {
+        if token == NONE {
+            return None;
+        }
+        self.edges.get(&edge(node, token)).copied()
+    }
+
     /// Registers a surface form given as tokens. Returns `true` when the
     /// surface was not present before. Empty surfaces are rejected.
     pub fn insert<S: AsRef<str>>(&mut self, surface: &[S]) -> bool {
-        let folded: Vec<String> =
-            surface.iter().map(|t| fold_token(t.as_ref())).filter(|t| !t.is_empty()).collect();
-        if folded.is_empty() {
-            return false;
+        let mut fold = String::new();
+        let mut node = ROOT;
+        for t in surface {
+            fold_into(t.as_ref(), &mut fold);
+            if fold.is_empty() {
+                continue;
+            }
+            let token = self.tokens.intern(&fold);
+            node = match self.child(node, token) {
+                Some(next) => next,
+                None => {
+                    let next = u32::try_from(self.nodes.len()).expect("fewer than 2^32 nodes");
+                    self.nodes.push(Node { parent: node, token, terminal: false });
+                    self.edges.insert(edge(node, token), next);
+                    next
+                }
+            };
         }
-        let mut node = &mut self.root;
-        for tok in &folded {
-            node = node.children.entry(tok.clone()).or_default();
-        }
-        if node.terminal {
-            false
+        let node = &mut self.nodes[node as usize];
+        if node.terminal || node.token == NONE {
+            false // already registered, or nothing but empty tokens
         } else {
             node.terminal = true;
             self.len += 1;
@@ -105,20 +272,19 @@ impl CTrie {
 
     /// Whether the exact surface form is registered.
     pub fn contains<S: AsRef<str>>(&self, surface: &[S]) -> bool {
-        let mut node = &self.root;
-        let mut any = false;
+        let mut fold = String::new();
+        let mut node = ROOT;
         for t in surface {
-            let f = fold_token(t.as_ref());
-            if f.is_empty() {
+            fold_into(t.as_ref(), &mut fold);
+            if fold.is_empty() {
                 continue;
             }
-            any = true;
-            match node.children.get(&f) {
-                Some(n) => node = n,
+            match self.tokens.get(&fold).and_then(|token| self.child(node, token)) {
+                Some(next) => node = next,
                 None => return false,
             }
         }
-        any && node.terminal
+        self.nodes[node as usize].terminal
     }
 
     /// Number of registered surface forms.
@@ -131,22 +297,41 @@ impl CTrie {
         self.len == 0
     }
 
-    /// Enumerates all registered surface forms (folded, space-joined),
-    /// in lexicographic order.
+    /// Enumerates all registered surface forms (folded, space-joined)
+    /// in token order: a depth-first walk visiting children in byte
+    /// order of their tokens, a surface before its extensions. (That is
+    /// not the joined strings' order when a token holds a byte below
+    /// the space.) Snapshots store the trie as this list.
     pub fn surfaces(&self) -> Vec<String> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut path: Vec<&str> = Vec::new();
-        fn walk<'a>(node: &'a Node, path: &mut Vec<&'a str>, out: &mut Vec<String>) {
-            if node.terminal {
-                out.push(path.join(" "));
+        let rank = self.tokens.ranks();
+        let mut paths: Vec<Vec<u32>> = (0..self.nodes.len())
+            .filter(|&n| self.nodes[n].terminal)
+            .map(|n| {
+                let mut path = Vec::new();
+                let mut node = n as u32;
+                while node != ROOT {
+                    let Node { parent, token, .. } = self.nodes[node as usize];
+                    path.push(token);
+                    node = parent;
+                }
+                path.reverse();
+                path
+            })
+            .collect();
+        let ranked = |path: &[u32]| path.iter().map(|&t| rank[t as usize]).collect::<Vec<_>>();
+        paths.sort_by_cached_key(|p| ranked(p));
+        paths.iter().map(|p| self.join(p)).collect()
+    }
+
+    /// The surface spelled by a token-id path.
+    fn join(&self, path: &[u32]) -> String {
+        let mut out = String::new();
+        for (k, &t) in path.iter().enumerate() {
+            if k > 0 {
+                out.push(' ');
             }
-            for (tok, child) in &node.children {
-                path.push(tok);
-                walk(child, path, out);
-                path.pop();
-            }
+            out.push_str(self.tokens.token(t));
         }
-        walk(&self.root, &mut path, &mut out);
         out
     }
 
@@ -161,21 +346,29 @@ impl CTrie {
         tokens: &[S],
         max_len: usize,
     ) -> Vec<MentionOccurrence> {
-        let folded: Vec<String> = tokens.iter().map(|t| fold_token(t.as_ref())).collect();
+        let mut fold = String::new();
+        let ids: Vec<u32> = tokens
+            .iter()
+            .map(|t| {
+                fold_into(t.as_ref(), &mut fold);
+                self.tokens.get(&fold).unwrap_or(NONE)
+            })
+            .collect();
         let mut out = Vec::new();
         let mut i = 0usize;
-        while i < folded.len() {
+        while i < ids.len() {
             // Walk the trie from position i, remembering the longest
-            // terminal node reached.
-            let mut node = &self.root;
+            // terminal node reached; a token the trie has never seen
+            // ends the walk at once.
+            let mut node = ROOT;
             let mut best_end: Option<usize> = None;
             let mut j = i;
-            while j < folded.len() && j - i < max_len {
-                match node.children.get(&folded[j]) {
+            while j < ids.len() && j - i < max_len {
+                match self.child(node, ids[j]) {
                     Some(next) => {
                         node = next;
                         j += 1;
-                        if node.terminal {
+                        if self.nodes[node as usize].terminal {
                             best_end = Some(j);
                         }
                     }
@@ -184,11 +377,7 @@ impl CTrie {
             }
             match best_end {
                 Some(end) => {
-                    out.push(MentionOccurrence {
-                        start: i,
-                        end,
-                        surface: folded[i..end].join(" "),
-                    });
+                    out.push(MentionOccurrence { start: i, end, surface: self.join(&ids[i..end]) });
                     i = end; // skip past the match
                 }
                 None => i += 1, // restart one token to the right
@@ -197,6 +386,9 @@ impl CTrie {
         out
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -438,5 +630,81 @@ mod proptests {
                 assert!(t.contains(&toks));
             }
         });
+    }
+
+    /// Tokens for the differential test: ASCII in both cases, `#`
+    /// markers and a lone `#`, non-ASCII capitals (a word-final `Σ`
+    /// folds to `ς`), and tokens with a byte below the space, where
+    /// token order and joined-string order differ.
+    const VOCAB: &[&str] = &[
+        "us",
+        "US",
+        "open",
+        "italy",
+        "#Italy",
+        "#",
+        "##us",
+        "new",
+        "York",
+        "Σ",
+        "ΟΔΟΣ",
+        "οδος",
+        "İstanbul",
+        "ÉCOLE",
+        "école",
+        "ß",
+        "a",
+        "a\u{1f}b",
+        "a\u{1f}",
+        "b",
+        "\u{1f}",
+        "中国",
+    ];
+
+    fn random_tokens(rng: &mut SplitMix64, max: usize) -> Vec<String> {
+        let n = rng.gen_range(0..max + 1);
+        (0..n).map(|_| VOCAB[rng.gen_range(0..VOCAB.len())].to_string()).collect()
+    }
+
+    /// The interned trie agrees with the nested-map one it replaced:
+    /// insert results, `len`, `version`, `surfaces()` order, `contains`
+    /// and every scan.
+    #[test]
+    fn matches_the_reference_trie() {
+        for_each_case(0xC7_0004, 512, |rng| {
+            let mut ours = CTrie::new();
+            let mut theirs = super::reference::CTrie::new();
+            for _ in 0..rng.gen_range(0..24usize) {
+                let surface = random_tokens(rng, 3);
+                assert_eq!(ours.insert(&surface), theirs.insert(&surface), "{surface:?}");
+                assert_eq!((ours.len(), ours.version()), (theirs.len(), theirs.version()));
+            }
+            assert_eq!(ours.surfaces(), theirs.surfaces());
+            for _ in 0..8 {
+                let probe = random_tokens(rng, 3);
+                assert_eq!(ours.contains(&probe), theirs.contains(&probe), "{probe:?}");
+                let text = random_tokens(rng, 16);
+                let max_len = rng.gen_range(0..5usize);
+                assert_eq!(
+                    ours.extract_mentions(&text, max_len),
+                    theirs.extract_mentions(&text, max_len),
+                    "{text:?}"
+                );
+            }
+        });
+    }
+
+    /// Token order is not joined-string order: `["a", "b"]` comes
+    /// before `["a\u{1f}b"]` although `"a b"` sorts after it.
+    #[test]
+    fn surfaces_follow_token_order_not_joined_order() {
+        let mut t = CTrie::new();
+        t.insert(&["a\u{1f}b"]);
+        t.insert(&["a", "b"]);
+        assert_eq!(t.surfaces(), ["a b", "a\u{1f}b"]);
+        let mut r = super::reference::CTrie::new();
+        r.insert(&["a\u{1f}b"]);
+        r.insert(&["a", "b"]);
+        assert_eq!(t.surfaces(), r.surfaces());
     }
 }
