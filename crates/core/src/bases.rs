@@ -158,7 +158,12 @@ impl CandidateBase {
     /// Bumps the entry's `touched` stamp — the surface was just matched.
     pub fn add_mention(&mut self, surface: &str, record: MentionRecord) -> usize {
         self.clock += 1;
-        let entry = self.surfaces.entry(surface.to_string()).or_default();
+        // Nearly every mention lands on a known surface: look it up by
+        // `&str` first and allocate a key only for a new one.
+        let entry = match self.surfaces.get_mut(surface) {
+            Some(entry) => entry,
+            None => self.surfaces.entry(surface.to_string()).or_default(),
+        };
         entry.touched = self.clock;
         entry.mentions.push(record);
         entry.mentions.len() - 1

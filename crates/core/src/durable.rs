@@ -667,7 +667,7 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
                     report.replayed_batches += 1;
                 }
                 WalRecord::Finalize { op_seq: seq, digest, .. } => {
-                    inner.finalize();
+                    inner.finalize_scanned(None, false);
                     let replayed = inner.state_digest();
                     if replayed != digest {
                         return Err(DurableError::DigestMismatch {
@@ -845,15 +845,18 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
     /// - **Snapshot fails**: the finalize still succeeds; the store
     ///   degrades to WAL-only and retries the snapshot next finalize.
     pub fn finalize(&mut self) -> Result<Vec<Vec<Span>>, DurableError> {
-        self.finalize_scanned(None)
+        self.finalize_scanned(None, true)
     }
 
     /// [`Self::finalize`] over a scan shared by the shards of one
-    /// sharded finalize (see [`NerGlobalizer::finalize_scanned`]). A
-    /// retry of a stashed finalize runs no stages and ignores it.
+    /// sharded finalize, emitting spans only when `emit` is set (see
+    /// [`NerGlobalizer::finalize_scanned`]). A retry of a stashed
+    /// finalize runs no stages, ignores both and returns the stashed
+    /// spans.
     pub(crate) fn finalize_scanned(
         &mut self,
         scan: Option<&Scan>,
+        emit: bool,
     ) -> Result<Vec<Vec<Span>>, DurableError> {
         if self.pending_finalize.is_some() {
             return match self.commit_pending()? {
@@ -865,7 +868,7 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         }
         let first_retained_before = self.inner.tweet_base().first_retained();
         self.op_seq += 1;
-        let out = self.inner.finalize_scanned(scan);
+        let out = self.inner.finalize_scanned(scan, emit);
 
         let mut records = vec![WalRecord::Finalize {
             op_seq: self.op_seq,

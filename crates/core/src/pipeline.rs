@@ -685,7 +685,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// returns the final NER output per stored tweet. Can be called
     /// after every batch (incremental execution) or once at the end.
     pub fn finalize(&mut self) -> Vec<Vec<Span>> {
-        self.finalize_scanned(None)
+        self.finalize_scanned(None, true)
     }
 
     /// [`Self::finalize`] over a [`Scan`] computed once for
@@ -693,11 +693,14 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// errors are the caller's to report, once. Without one — or with
     /// one taken from a different stream state, which the replicated
     /// ingest rules out — the pipeline scans for itself and records
-    /// the scan's errors.
-    pub(crate) fn finalize_scanned(&mut self, shared: Option<&Scan>) -> Vec<Vec<Span>> {
+    /// the scan's errors. With `emit` false the stages run as usual
+    /// but no spans are built (an empty list comes back): WAL replay
+    /// and the shards of a sharded finalize never read them.
+    pub(crate) fn finalize_scanned(&mut self, shared: Option<&Scan>, emit: bool) -> Vec<Vec<Span>> {
         // ngl-lint: allow(R3, wall-clock stage timing for BatchReport/Timings only; never feeds token processing, ordering, or persisted state)
         let t0 = Instant::now();
         let out = match self.cfg.ablation {
+            AblationMode::LocalOnly if !emit => Vec::new(),
             AblationMode::LocalOnly => (0..self.tweets.len())
                 .map(|i| self.tweets.try_get(i).map(|t| t.local_spans.clone()).unwrap_or_default())
                 .collect(),
@@ -727,7 +730,11 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 let t = Instant::now();
                 self.classify_candidates(mode);
                 self.timings.classify += t.elapsed();
-                self.emit(mode)
+                if emit {
+                    self.emit(mode)
+                } else {
+                    Vec::new()
+                }
             }
         };
         self.enforce_retention();

@@ -318,7 +318,7 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
                             "shard lag exceeds the donor's compaction horizon",
                         ));
                     }
-                    lagging.finalize()?;
+                    lagging.finalize_scanned(None, false)?;
                     expected += 1;
                     applied += 1;
                 }
@@ -476,7 +476,7 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
             .filter(|(i, s)| !wedged[*i] && (!retry || s.has_pending_finalize()))
             .collect();
         let results =
-            self.exec.par_map(items, |_, (ix, shard)| (ix, shard.finalize_scanned(shared)));
+            self.exec.par_map(items, |_, (ix, shard)| (ix, shard.finalize_scanned(shared, false)));
         if let (Some(lead), Some(scan)) = (lead, scan) {
             self.shards[lead].push_finalize_errors(scan.into_errors());
         }
