@@ -63,7 +63,8 @@ const EMOTICONS: &[&str] = &[
 ///
 /// Rules, in priority order at each position:
 /// 1. URLs (`http://`, `https://`, `www.`) run until whitespace.
-/// 2. Emoticons from a small fixed inventory are kept whole.
+/// 2. Emoticons from a small fixed inventory are kept whole; one that
+///    ends in a letter or digit only where no letter or digit follows.
 /// 3. `#` / `@` followed by a word character starts a hashtag/mention
 ///    token running over word characters, digits and underscores.
 /// 4. Number runs (digits with internal `.`/`,`/`:` separators).
@@ -178,13 +179,23 @@ fn is_url_start(rest: &[u8]) -> bool {
         .any(|p| rest.get(..p.len()).is_some_and(|head| head.eq_ignore_ascii_case(p)))
 }
 
-/// Byte length of the longest emoticon starting at byte `i`.
+/// Byte length of the longest emoticon starting at byte `i`. One that
+/// ends in a letter or digit (`:D`, `xD`, `<3`) matches only where no
+/// letter or digit follows, so "xDrive", ":Obama" and "<30" stay whole.
 fn match_emoticon(text: &str, i: usize) -> Option<usize> {
     let rest = &text.as_bytes()[i..];
     if !matches!(rest.first(), Some(b':' | b';' | b'<' | b'x' | b'X')) {
         return None;
     }
-    EMOTICONS.iter().filter(|e| rest.starts_with(e.as_bytes())).map(|e| e.len()).max()
+    EMOTICONS
+        .iter()
+        .filter(|e| rest.starts_with(e.as_bytes()))
+        .filter(|e| {
+            !(e.ends_with(char::is_alphanumeric)
+                && char_at(text, i + e.len()).is_some_and(char::is_alphanumeric))
+        })
+        .map(|e| e.len())
+        .max()
 }
 
 fn is_word_char(c: char) -> bool {
@@ -294,6 +305,18 @@ mod tests {
         let t = tokenize("stay safe :) please :-(");
         assert_eq!(texts(&t), vec!["stay", "safe", ":)", "please", ":-("]);
         assert_eq!(t[2].kind, TokenKind::Emoticon);
+    }
+
+    #[test]
+    fn emoticons_do_not_split_words() {
+        assert_eq!(texts(&tokenize("xDrive")), ["xDrive"]);
+        assert_eq!(texts(&tokenize("XDA")), ["XDA"]);
+        assert_eq!(texts(&tokenize(":Obama")), [":", "Obama"]);
+        assert_eq!(texts(&tokenize("<30")), ["<", "30"]);
+        assert_eq!(texts(&tokenize(":Pé")), [":", "Pé"]);
+        // Followed by a non-alphanumeric char, or at the end, they match.
+        assert_eq!(texts(&tokenize("xD :P! <3")), ["xD", ":P", "!", "<3"]);
+        assert_eq!(tokenize(":-D)")[0].kind, TokenKind::Emoticon);
     }
 
     #[test]

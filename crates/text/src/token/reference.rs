@@ -125,7 +125,10 @@ fn match_emoticon(chars: &[char], i: usize) -> Option<usize> {
     for e in EMOTICONS {
         if rest.starts_with(e) {
             let l = e.chars().count();
-            if best.is_none_or(|b| l > b) {
+            // An emoticon ending in a letter or digit must not split a word.
+            let splits = e.ends_with(char::is_alphanumeric)
+                && chars.get(i + l).is_some_and(|c| c.is_alphanumeric());
+            if !splits && best.is_none_or(|b| l > b) {
                 best = Some(l);
             }
         }
