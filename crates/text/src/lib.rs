@@ -8,10 +8,9 @@
 //! * [`BioTag`] — the BIO token-level tagging scheme (Ramshaw & Marcus)
 //!   with encode/decode between tag sequences and typed [`Span`]s.
 //! * [`tokenize`] — a tweet-aware tokenizer (hashtags, @mentions, URLs,
-//!   emoticons survive as single tokens).
-//! * [`normalize_surface`] — canonical surface forms for candidate
-//!   bookkeeping (case-folded, hashtag-stripped), as used by the
-//!   CandidatePrefixTrie's case-insensitive matching (§V-A).
+//!   emoticons survive as single tokens). It walks the text by byte
+//!   offset, decodes a char only where a byte is non-ASCII, and
+//!   allocates nothing but each token's `String`.
 //! * [`shape`] — orthographic word-shape features consumed by the
 //!   feature-based baselines.
 
@@ -25,8 +24,5 @@ pub mod types;
 
 pub use bio::{decode_bio, encode_bio, BioTag};
 pub use span::Span;
-pub use token::{
-    is_stopword_surface, normalize_surface, normalize_tokens, tokenize, Token, TokenKind,
-    MAX_TWEET_CHARS, STOPWORDS,
-};
+pub use token::{is_stopword_surface, tokenize, Token, TokenKind, MAX_TWEET_CHARS, STOPWORDS};
 pub use types::EntityType;

@@ -5,6 +5,12 @@
 //! encoder and the mention-extraction scan both operate on this token
 //! stream, so tokenization must keep those artifacts intact (a split
 //! "#covid" would never match a CTrie path).
+//!
+//! Every tweet passes through here once per ingest (and every `/tag`
+//! query), so [`tokenize`] is allocation-lean: it walks the `&str` by
+//! byte offset, takes ASCII bytes as chars directly and decodes only
+//! where a byte is ≥ 0x80, matches URL prefixes and emoticons as byte
+//! slices, and allocates only the `String` of each emitted token.
 
 /// Classification of a token's surface category.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,7 +31,7 @@ pub enum TokenKind {
     Emoticon,
 }
 
-/// A single token with its character offset into the original message.
+/// A single token with its byte offset into the original message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
     /// The token text exactly as it appeared.
@@ -34,13 +40,6 @@ pub struct Token {
     pub start: usize,
     /// Surface category.
     pub kind: TokenKind,
-}
-
-impl Token {
-    /// Case-folded text used for case-insensitive matching (§V-A).
-    pub fn folded(&self) -> String {
-        self.text.to_lowercase()
-    }
 }
 
 /// The emoticon inventory (all ASCII, at most three chars).
@@ -222,31 +221,6 @@ pub fn is_stopword_surface<S: AsRef<str>>(tokens: &[S]) -> bool {
         })
 }
 
-/// Canonical surface form of a token sequence: case-folded tokens joined
-/// with single spaces, with leading `#` stripped from hashtags (the paper
-/// treats "#coronavirus" and "coronavirus" as the same surface form).
-pub fn normalize_surface(tokens: &[&str]) -> String {
-    tokens
-        .iter()
-        .map(|t| {
-            let t = t.strip_prefix('#').unwrap_or(t);
-            t.to_lowercase()
-        })
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-/// Normalizes each token of a [`Token`] slice (convenience wrapper).
-pub fn normalize_tokens(tokens: &[Token]) -> Vec<String> {
-    tokens
-        .iter()
-        .map(|t| {
-            let s = t.text.strip_prefix('#').unwrap_or(&t.text);
-            s.to_lowercase()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod reference;
 
@@ -326,11 +300,6 @@ mod tests {
         for tok in &t {
             assert!(src[tok.start..].starts_with(tok.text.as_str()));
         }
-    }
-
-    #[test]
-    fn normalize_strips_hashtag_and_case() {
-        assert_eq!(normalize_surface(&["#Coronavirus", "UPDATE"]), "coronavirus update");
     }
 
     #[test]
