@@ -11,11 +11,21 @@
 //! NER missed. The scan finds, at each position, the longest token
 //! subsequence matching a registered surface, then skips past it; on a
 //! failed search it restarts one token to the right.
+//!
+//! The scan runs over every tweet of the store on each finalize, so
+//! the trie is laid out for it: each folded token is interned once as a
+//! `u32`, nodes are numbered, and all edges sit in one flat map keyed by
+//! `(node, token id)` under a fixed, seedless hasher. A scan folds each
+//! tweet token once into a reused buffer, resolves it to its id (a
+//! token the trie has never seen cannot extend any match) and then
+//! walks integer edges; it allocates only the id list and each match's
+//! surface string.
 
 #![forbid(unsafe_code)]
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// A discovered occurrence of a registered surface form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,9 +54,14 @@ struct Interner {
     /// token `id - 1` ends.
     ends: Vec<usize>,
     /// Open-addressed table of ids (`NONE` = free slot), probed
-    /// linearly from the token's FNV-1a hash. Its length is a power of
-    /// two and at least twice the token count.
+    /// linearly from the token's hash. Its length is a power of two and
+    /// at least twice the token count.
     slots: Vec<u32>,
+    /// Tokens come from tweets, so they are hashed with std's keyed
+    /// hasher, which crafted colliding tokens cannot defeat. Nothing
+    /// observable depends on where a token lands: ids are given in
+    /// first-insert order, and a clone keeps the keys with the table.
+    hasher: RandomState,
 }
 
 impl Interner {
@@ -59,7 +74,7 @@ impl Interner {
     /// The slot holding `token`, or the free slot where it would go.
     fn slot(&self, token: &str) -> usize {
         let mask = self.slots.len() - 1;
-        let mut at = fnv1a(token.as_bytes()) as usize & mask;
+        let mut at = self.hasher.hash_one(token) as usize & mask;
         while self.slots[at] != NONE && self.token(self.slots[at]) != token {
             at = (at + 1) & mask;
         }
@@ -91,28 +106,13 @@ impl Interner {
         self.slots[at] = id;
         id
     }
-
-    /// `rank[id]`: the position of token `id` in byte order.
-    fn ranks(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = (0..self.ends.len() as u32).collect();
-        ids.sort_unstable_by_key(|&id| self.token(id));
-        let mut rank = vec![0; ids.len()];
-        for (r, &id) in ids.iter().enumerate() {
-            rank[id as usize] = r as u32;
-        }
-        rank
-    }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 /// Hasher of the edge map's packed `(node, token)` keys: the SplitMix64
 /// finalizer, fixed and seedless, so the map behaves identically on
-/// every run.
+/// every run. The keys are ids this crate hands out in sequence, not
+/// input bytes, so a fixed hasher gives crafted input nothing to aim
+/// at.
 #[derive(Default)]
 struct EdgeHasher(u64);
 
@@ -303,27 +303,40 @@ impl CTrie {
     /// not the joined strings' order when a token holds a byte below
     /// the space.) Snapshots store the trie as this list.
     pub fn surfaces(&self) -> Vec<String> {
-        let rank = self.tokens.ranks();
-        let mut paths: Vec<Vec<u32>> = (0..self.nodes.len())
-            .filter(|&n| self.nodes[n].terminal)
-            .map(|n| {
-                let mut path = Vec::new();
-                let mut node = n as u32;
-                while node != ROOT {
-                    let Node { parent, token, .. } = self.nodes[node as usize];
-                    path.push(token);
-                    node = parent;
-                }
-                path.reverse();
-                path
+        // Every node's children in token order: `(parent, token,
+        // child)` sorted, so a node's children are one contiguous run.
+        let mut kids: Vec<(u32, &str, u32)> = (1..self.nodes.len() as u32)
+            .map(|child| {
+                let Node { parent, token, .. } = self.nodes[child as usize];
+                (parent, self.tokens.token(token), child)
             })
             .collect();
-        let ranked = |path: &[u32]| path.iter().map(|&t| rank[t as usize]).collect::<Vec<_>>();
-        paths.sort_by_cached_key(|p| ranked(p));
-        paths.iter().map(|p| self.join(p)).collect()
+        kids.sort_unstable();
+        fn walk<'a>(
+            trie: &CTrie,
+            kids: &[(u32, &'a str, u32)],
+            node: u32,
+            path: &mut Vec<&'a str>,
+            out: &mut Vec<String>,
+        ) {
+            if trie.nodes[node as usize].terminal {
+                out.push(path.join(" "));
+            }
+            let first = kids.partition_point(|&(parent, ..)| parent < node);
+            for &(_, token, child) in
+                kids[first..].iter().take_while(|&&(parent, ..)| parent == node)
+            {
+                path.push(token);
+                walk(trie, kids, child, path, out);
+                path.pop();
+            }
+        }
+        let mut out = Vec::with_capacity(self.len);
+        walk(self, &kids, ROOT, &mut Vec::new(), &mut out);
+        out
     }
 
-    /// The surface spelled by a token-id path.
+    /// The surface spelled by a sequence of token ids.
     fn join(&self, path: &[u32]) -> String {
         let mut out = String::new();
         for (k, &t) in path.iter().enumerate() {
