@@ -252,9 +252,12 @@ impl CTrie {
                 }
             };
         }
+        if node == ROOT {
+            return false; // nothing but empty tokens
+        }
         let node = &mut self.nodes[node as usize];
-        if node.terminal || node.token == NONE {
-            false // already registered, or nothing but empty tokens
+        if node.terminal {
+            false
         } else {
             node.terminal = true;
             self.len += 1;
