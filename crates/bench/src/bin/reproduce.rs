@@ -105,7 +105,7 @@ fn write_timings_json(
         out.push_str(&format!(
             ",\n  \"store\": {{\"tweets\": {}, \"batches\": {}, \
              \"delta_bytes_avg\": {:.1}, \"delta_bytes_last\": {}, \
-             \"snapshot_bytes_last\": {}, \"wal_bytes_total\": {}, \
+             \"snapshot_bytes_last\": {}, \"tweet_log_bytes\": {}, \"wal_bytes_total\": {}, \
              \"snapshots\": {}, \"sublinear\": {}, \
              \"snapshot_q_bytes\": {}, \"io_retries\": {}, \
              \"io_retry_exhausted\": {}}}",
@@ -114,6 +114,7 @@ fn write_timings_json(
             s.delta_bytes_avg,
             s.delta_bytes_last,
             s.snapshot_bytes_last,
+            s.tweet_log_bytes,
             s.wal_bytes_total,
             s.snapshots,
             s.sublinear,

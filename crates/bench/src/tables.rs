@@ -576,8 +576,10 @@ pub struct StoreBenchResult {
     pub delta_bytes_last: u64,
     /// Mean WAL bytes per batch across the whole run.
     pub delta_bytes_avg: f64,
-    /// Size of the last full snapshot written.
+    /// Size of the last snapshot file written.
     pub snapshot_bytes_last: u64,
+    /// Tweet-log bytes appended over the run (each record once).
+    pub tweet_log_bytes: u64,
     /// Total WAL bytes appended over the run.
     pub wal_bytes_total: u64,
     /// Full snapshots written (one every `checkpoint_every` batches).
@@ -641,6 +643,7 @@ pub fn store_bench(
         delta_bytes_last: delta_last,
         delta_bytes_avg: delta_total as f64 / batches.max(1) as f64,
         snapshot_bytes_last: stats.snapshot_bytes_last,
+        tweet_log_bytes: stats.tweet_log_bytes,
         wal_bytes_total: stats.wal_bytes_total,
         snapshots: stats.snapshots,
         sublinear: delta_last < stats.snapshot_bytes_last,
@@ -822,6 +825,7 @@ pub fn store_table(r: &StoreBenchResult) -> String {
         format!("{:.0}", r.delta_bytes_avg),
         r.delta_bytes_last.to_string(),
         r.snapshot_bytes_last.to_string(),
+        r.tweet_log_bytes.to_string(),
         format!("{:.4}", r.delta_bytes_last as f64 / r.snapshot_bytes_last.max(1) as f64),
         if r.sublinear { "yes" } else { "NO" }.to_string(),
         format!("{}/{}", r.io_retries, r.io_retry_exhausted),
@@ -834,6 +838,7 @@ pub fn store_table(r: &StoreBenchResult) -> String {
             "AvgDeltaB",
             "LastDeltaB",
             "SnapshotB",
+            "TweetLogB",
             "Ratio",
             "Sublinear",
             "IoRetry",

@@ -364,6 +364,7 @@ fn print_recovery_section(report: &RecoveryReport) {
     println!("torn tail:          {}", report.torn_tail);
     println!("watermark:          {}", report.watermark);
     println!("tweets:             {}", report.tweets);
+    println!("tweets from log:    {}", report.tweets_from_log);
     println!("surfaces:           {} ({} resident)", report.surfaces, report.resident_surfaces);
     println!("state digest:       {:016x}", report.digest);
 }

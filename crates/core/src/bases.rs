@@ -18,8 +18,12 @@ pub struct MentionRecord {
     pub start: usize,
     /// One past the last token.
     pub end: usize,
-    /// Local mention embedding from the Phrase Embedder.
-    pub local_emb: Vec<f32>,
+    /// Local mention embedding from the Phrase Embedder, shared with
+    /// the pipeline's mention cache entry for the same span (an
+    /// embedding depends only on its immutable tweet record and span),
+    /// so re-admitting a cached mention and cloning a record copy a
+    /// pointer, not the vector.
+    pub local_emb: Arc<[f32]>,
     /// Type Local NER assigned to an overlapping detection, if any
     /// (used by the mention-extraction ablation's majority vote).
     pub local_type: Option<EntityType>,
@@ -448,7 +452,7 @@ mod tests {
             tweet,
             start: 0,
             end: 1,
-            local_emb: vec![1.0, 0.0],
+            local_emb: vec![1.0, 0.0].into(),
             local_type: None,
             trie_version: 0,
         }

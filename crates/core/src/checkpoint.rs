@@ -16,6 +16,12 @@
 //! written in sorted key order, so serialization is canonical — equal
 //! states produce equal bytes.
 //!
+//! A durable snapshot writes the same layout with one difference: its
+//! tweet section is a [`TweetLogRef`] into the lineage's append-only
+//! tweet log (`crate::tweet_log`) instead of the records themselves,
+//! since a record never changes once stored. Bundles and
+//! `NerGlobalizer::export_state_bytes` keep the records inline.
+//!
 //! The CTrie is serialized as its surface list plus its version
 //! counter, relying on the trie invariant that `version() == len()`
 //! (both bump exactly once per newly-inserted surface and never
@@ -31,6 +37,7 @@
 //! snapshot digests rely on.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use ngl_ctrie::CTrie;
 use ngl_nn::codec::{
@@ -62,7 +69,7 @@ pub struct PipelineCheckpoint {
     /// The CTrie version the scan last ran with.
     pub scanned_version: u64,
     /// Cached span embeddings by `(tweet, start, end)`.
-    pub mention_cache: HashMap<(usize, usize, usize), Vec<f32>>,
+    pub mention_cache: HashMap<(usize, usize, usize), Arc<[f32]>>,
     /// Tweet ids already consumed from the stream.
     pub seen_ids: BTreeSet<u64>,
 }
@@ -77,7 +84,7 @@ pub(crate) struct StateRef<'a> {
     pub candidates: &'a CandidateBase,
     pub scanned_tweets: usize,
     pub scanned_version: u64,
-    pub mention_cache: &'a HashMap<(usize, usize, usize), Vec<f32>>,
+    pub mention_cache: &'a HashMap<(usize, usize, usize), Arc<[f32]>>,
     pub seen_ids: &'a BTreeSet<u64>,
 }
 
@@ -94,6 +101,19 @@ impl PipelineCheckpoint {
             seen_ids: &self.seen_ids,
         }
     }
+}
+
+/// What a durable snapshot stores in place of its tweet records: the
+/// retained stream range `first_retained..len`, and the frame checksum
+/// of the last record the tweet log held when the snapshot was taken
+/// (0 if it never held one). Log records chain each checksum into the
+/// next, so that one word binds the snapshot to every record it
+/// references.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct TweetLogRef {
+    pub first_retained: u64,
+    pub len: u64,
+    pub checksum: u64,
 }
 
 // ---- primitive helpers ------------------------------------------------
@@ -201,7 +221,7 @@ fn get_mention(buf: &mut &[u8]) -> Result<MentionRecord, CodecError> {
         tweet: get_u64(buf)? as usize,
         start: get_u64(buf)? as usize,
         end: get_u64(buf)? as usize,
-        local_emb: get_quantized_f32_vec(buf)?,
+        local_emb: get_quantized_f32_vec(buf)?.into(),
         local_type: get_opt_type(buf)?,
         trie_version: get_u64(buf)?,
     })
@@ -282,7 +302,7 @@ fn get_candidates(buf: &mut &[u8]) -> Result<CandidateBase, CodecError> {
     Ok(cb)
 }
 
-fn put_tweet(buf: &mut Vec<u8>, t: &TweetRecord) {
+pub(crate) fn put_tweet(buf: &mut Vec<u8>, t: &TweetRecord) {
     put_u64(buf, t.tokens.len() as u64);
     for tok in &t.tokens {
         put_str(buf, tok);
@@ -291,7 +311,7 @@ fn put_tweet(buf: &mut Vec<u8>, t: &TweetRecord) {
     put_spans(buf, &t.local_spans);
 }
 
-fn get_tweet(buf: &mut &[u8]) -> Result<TweetRecord, CodecError> {
+pub(crate) fn get_tweet(buf: &mut &[u8]) -> Result<TweetRecord, CodecError> {
     let n = get_count(buf, 8)?;
     let mut tokens = Vec::with_capacity(n);
     for _ in 0..n {
@@ -410,11 +430,19 @@ fn get_config(buf: &mut &[u8]) -> Result<GlobalizerConfig, CodecError> {
 
 // ---- checkpoint codec -------------------------------------------------
 
-/// Appends the checkpoint to `buf` in its canonical layout.
-pub(crate) fn put_checkpoint(buf: &mut Vec<u8>, ck: StateRef<'_>) {
+/// Appends the checkpoint to `buf` in its canonical layout, with the
+/// tweet records inline or, for a durable snapshot, as `log`.
+pub(crate) fn put_checkpoint(buf: &mut Vec<u8>, ck: StateRef<'_>, log: Option<&TweetLogRef>) {
     put_config(buf, ck.cfg);
     put_ctrie(buf, ck.ctrie);
-    put_tweets(buf, ck.tweets);
+    match log {
+        None => put_tweets(buf, ck.tweets),
+        Some(r) => {
+            put_u64(buf, r.first_retained);
+            put_u64(buf, r.len);
+            put_u64(buf, r.checksum);
+        }
+    }
     put_candidates(buf, ck.candidates);
     put_u64(buf, ck.scanned_tweets as u64);
     put_u64(buf, ck.scanned_version);
@@ -433,8 +461,33 @@ pub(crate) fn put_checkpoint(buf: &mut Vec<u8>, ck: StateRef<'_>) {
     }
 }
 
-/// Parses a checkpoint written by [`put_checkpoint`].
+/// Parses a checkpoint written by [`put_checkpoint`] with inline tweets.
 pub(crate) fn get_checkpoint(buf: &mut &[u8]) -> Result<PipelineCheckpoint, CodecError> {
+    let (mut ck, tweets) = get_checkpoint_with(buf, get_tweets)?;
+    ck.tweets = tweets;
+    Ok(ck)
+}
+
+/// Parses a durable snapshot's checkpoint: the tweet store comes back
+/// empty, to be filled from the tweet log the returned reference names.
+pub(crate) fn get_logged_checkpoint(
+    buf: &mut &[u8],
+) -> Result<(PipelineCheckpoint, TweetLogRef), CodecError> {
+    get_checkpoint_with(buf, |buf| {
+        Ok(TweetLogRef {
+            first_retained: get_u64(buf)?,
+            len: get_u64(buf)?,
+            checksum: get_u64(buf)?,
+        })
+    })
+}
+
+/// Parses a checkpoint whose tweet section `get_tweets` reads; the
+/// returned checkpoint's tweet store is empty.
+fn get_checkpoint_with<S>(
+    buf: &mut &[u8],
+    get_tweets: impl FnOnce(&mut &[u8]) -> Result<S, CodecError>,
+) -> Result<(PipelineCheckpoint, S), CodecError> {
     let cfg = get_config(buf)?;
     let ctrie = get_ctrie(buf)?;
     let tweets = get_tweets(buf)?;
@@ -447,23 +500,24 @@ pub(crate) fn get_checkpoint(buf: &mut &[u8]) -> Result<PipelineCheckpoint, Code
         let t = get_u64(buf)? as usize;
         let s = get_u64(buf)? as usize;
         let e = get_u64(buf)? as usize;
-        mention_cache.insert((t, s, e), get_quantized_f32_vec(buf)?);
+        mention_cache.insert((t, s, e), get_quantized_f32_vec(buf)?.into());
     }
     let n = get_count(buf, 8)?;
     let mut seen_ids = BTreeSet::new();
     for _ in 0..n {
         seen_ids.insert(get_u64(buf)?);
     }
-    Ok(PipelineCheckpoint {
+    let ck = PipelineCheckpoint {
         cfg,
         ctrie,
-        tweets,
+        tweets: TweetBase::new(),
         candidates,
         scanned_tweets,
         scanned_version,
         mention_cache,
         seen_ids,
-    })
+    };
+    Ok((ck, tweets))
 }
 
 #[cfg(test)]
@@ -494,7 +548,7 @@ mod tests {
                 tweet: 0,
                 start: 1,
                 end: 2,
-                local_emb: vec![1.0, -2.5, 3.25],
+                local_emb: vec![1.0, -2.5, 3.25].into(),
                 local_type: Some(EntityType::Person),
                 trie_version: 2,
             },
@@ -508,7 +562,7 @@ mod tests {
         entry.clustered = 1;
         entry.classified = 1;
         let mut mention_cache = HashMap::new();
-        mention_cache.insert((0, 1, 2), vec![1.0, -2.5, 3.25]);
+        mention_cache.insert((0, 1, 2), vec![1.0, -2.5, 3.25].into());
         let mut seen_ids = BTreeSet::new();
         seen_ids.insert(7);
         seen_ids.insert(42);
@@ -530,7 +584,7 @@ mod tests {
 
     fn to_bytes(ck: &PipelineCheckpoint) -> Vec<u8> {
         let mut buf = Vec::new();
-        put_checkpoint(&mut buf, ck.state_ref());
+        put_checkpoint(&mut buf, ck.state_ref(), None);
         buf
     }
 
@@ -558,7 +612,7 @@ mod tests {
         let orig = &ck.candidates.get("beshear").expect("entry").mentions[0].local_emb;
         let got = &entry.mentions[0].local_emb;
         let scale = ngl_nn::QuantizedVec::quantize(orig).scale;
-        for (a, b) in orig.iter().zip(got) {
+        for (a, b) in orig.iter().zip(got.iter()) {
             assert!((a - b).abs() <= scale * 0.5, "{a} vs {b}");
         }
     }
@@ -566,16 +620,21 @@ mod tests {
     #[test]
     fn canonical_embeddings_are_stored_losslessly() {
         let mut canon = sample();
+        let canonical = |v: &[f32]| {
+            let mut v = v.to_vec();
+            ngl_nn::kernels::canonicalize(&mut v);
+            v
+        };
         for (_, e) in canon.candidates.iter_mut() {
             for m in &mut e.mentions {
-                ngl_nn::kernels::canonicalize(&mut m.local_emb);
+                m.local_emb = canonical(&m.local_emb).into();
             }
             for c in &mut e.clusters {
                 ngl_nn::kernels::canonicalize(&mut c.global_emb);
             }
         }
         for v in canon.mention_cache.values_mut() {
-            ngl_nn::kernels::canonicalize(v);
+            *v = canonical(v).into();
         }
         let back = get_checkpoint(&mut &to_bytes(&canon)[..]).expect("parse canon");
         assert_eq!(

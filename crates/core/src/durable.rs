@@ -16,11 +16,20 @@
 //! which is what makes delta checkpointing sublinear per batch.
 //!
 //! Every `checkpoint_every` finalizes, [`DurableGlobalizer`] writes a
-//! full snapshot (the canonical checkpoint bytes of
-//! [`NerGlobalizer::export_state_bytes`]) and compacts: the WAL rotates
-//! and drops segments at or below the snapshot, and older snapshots are
-//! pruned (the newest two are kept — the latest plus one fallback in
-//! case the latest is found corrupt on open). Snapshots are sequenced
+//! snapshot and compacts. The tweet records go to the lineage's
+//! append-only tweet log (`tweets-NNNNNNNN.log`, see
+//! `crate::tweet_log`), each once, at the first snapshot that covers
+//! it; the snapshot holds the canonical checkpoint bytes of
+//! [`NerGlobalizer::export_state_bytes`] with the tweet section
+//! replaced by a reference into that log, so its size no longer grows
+//! with the stored tweets. Commit order: the new log records are
+//! written and fsynced, then the snapshot is published (tmp file,
+//! fsync, rename), then the WAL rotates and drops segments at or below
+//! the snapshot, older snapshots are pruned (the newest two are kept —
+//! the latest plus one fallback in case the latest is found corrupt on
+//! open), and last the log drops the segments that hold only tweets
+//! below the oldest kept snapshot's first retained tweet, so
+//! `MaxTweets` retention still bounds the disk. Snapshots are sequenced
 //! by the global **operation counter** (`op_seq`, bumped once per batch
 //! and once per finalize); replay skips WAL records with
 //! `op_seq <= snapshot.seq`, so a crash *between* snapshot write and
@@ -28,7 +37,11 @@
 //!
 //! ## Recovery
 //!
-//! [`DurableGlobalizer::open`] = newest valid snapshot + WAL replay.
+//! [`DurableGlobalizer::open`] = newest valid snapshot + the tweet-log
+//! records it references + WAL replay. Log records past the snapshot
+//! (a crash between the log's fsync and the snapshot's rename) are cut;
+//! a referenced record that is missing or fails its checksum is a typed
+//! error, never a silent fallback.
 //! Torn or bit-flipped bytes at the very tail of the final WAL segment
 //! are tolerated (the write that was in flight when the process died);
 //! the replay stops at the last checksum-valid record, yielding exactly
@@ -42,9 +55,11 @@ use ngl_encoder::ContextualTagger;
 use ngl_nn::codec::{get_u64, put_u64, CodecError};
 use ngl_store::{IoHandle, IoStatsSnapshot, SnapshotStore, StoreError, Wal, DEFAULT_SEGMENT_BYTES};
 
-use crate::checkpoint::{get_str, put_str};
+use crate::bases::TweetBase;
+use crate::checkpoint::{get_logged_checkpoint, get_str, put_str, PipelineCheckpoint, TweetLogRef};
 use crate::persist::PersistError;
 use crate::pipeline::{BatchOutput, BatchReport, EncodeMemo, NerGlobalizer, Scan};
+use crate::tweet_log::TweetLog;
 use ngl_runtime::TaskError;
 use ngl_text::Span;
 
@@ -218,6 +233,29 @@ impl WalRecord {
     }
 }
 
+// ---- snapshot payload --------------------------------------------------
+
+/// First word of a snapshot payload. Snapshots that carry their tweets
+/// inline (written before the tweet log existed) begin with the
+/// configuration's `max_mention_len` instead, and fail to open.
+const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"NGLSNAP2");
+
+/// Decodes a snapshot payload: the checkpoint, whose tweet store is
+/// still to be read from the tweet log, and the reference into it.
+fn decode_snapshot(payload: &[u8]) -> Result<(PipelineCheckpoint, TweetLogRef), DurableError> {
+    let mut buf = payload;
+    if get_u64(&mut buf)? != SNAPSHOT_MAGIC {
+        return Err(DurableError::Corrupt(
+            "snapshot has no tweet-log reference (written by an older format)",
+        ));
+    }
+    let decoded = get_logged_checkpoint(&mut buf)?;
+    if !buf.is_empty() {
+        return Err(CodecError::Invalid("trailing bytes after snapshot").into());
+    }
+    Ok(decoded)
+}
+
 // ---- errors ------------------------------------------------------------
 
 /// Why a durable operation failed.
@@ -363,6 +401,9 @@ pub struct RecoveryReport {
     pub tweets: usize,
     /// The recovered state digest.
     pub digest: u64,
+    /// Tweet records decoded from the tweet log: the snapshot's
+    /// retained tweets.
+    pub tweets_from_log: usize,
     /// The tweet-id partition of every replayed id-carrying batch, in
     /// log order. This is the exact batch boundary the pre-crash run
     /// committed, so a verifier can re-run the same partition cleanly
@@ -379,8 +420,11 @@ pub struct StoreStats {
     pub delta_bytes_last: u64,
     /// Total WAL bytes appended over the process lifetime.
     pub wal_bytes_total: u64,
-    /// Size of the most recent full snapshot.
+    /// Size of the most recent snapshot file.
     pub snapshot_bytes_last: u64,
+    /// Total tweet-log bytes appended over the process lifetime (each
+    /// tweet record once, at the first snapshot that covers it).
+    pub tweet_log_bytes: u64,
     /// Snapshots written.
     pub snapshots: u64,
     /// Batches logged.
@@ -541,6 +585,11 @@ pub struct DurableGlobalizer<T: ContextualTagger> {
     inner: NerGlobalizer<T>,
     wal: Wal,
     snaps: SnapshotStore,
+    tweet_log: TweetLog,
+    /// First retained tweet of the newest snapshot on disk: the floor
+    /// of tweet-log compaction once a newer snapshot makes it the
+    /// fallback.
+    snapshot_first_retained: Option<u64>,
     dir: PathBuf,
     io: IoHandle,
     checkpoint_every: usize,
@@ -610,11 +659,24 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
 
         let mut report = RecoveryReport::default();
         let mut op_seq = 0u64;
-        if let Some((seq, payload)) = snaps.latest()? {
-            inner.import_state_bytes(&payload)?;
-            report.snapshot_seq = Some(seq);
-            op_seq = seq;
-        }
+        let (tweet_log, snapshot_first_retained) = match snaps.latest()? {
+            Some((seq, payload)) => {
+                let (mut ck, log_ref) = decode_snapshot(&payload)?;
+                drop(payload);
+                let (log, records) =
+                    TweetLog::open(&dir, io.clone(), &log_ref, DEFAULT_SEGMENT_BYTES)?;
+                report.tweets_from_log = records.len();
+                ck.tweets = TweetBase::from_parts(log_ref.first_retained as usize, records);
+                inner.import_state(ck)?;
+                report.snapshot_seq = Some(seq);
+                op_seq = seq;
+                (log, Some(log_ref.first_retained))
+            }
+            None => {
+                let fresh = TweetLogRef::default();
+                (TweetLog::open(&dir, io.clone(), &fresh, DEFAULT_SEGMENT_BYTES)?.0, None)
+            }
+        };
 
         let replay = wal.replay()?;
         // `Wal::open` repairs (cuts) a torn active-segment tail before
@@ -704,6 +766,8 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
                 inner,
                 wal,
                 snaps,
+                tweet_log,
+                snapshot_first_retained,
                 dir,
                 io,
                 checkpoint_every: checkpoint_every.max(1),
@@ -923,25 +987,25 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
     }
 
     fn snapshot_now(&mut self) -> Result<u64, DurableError> {
+        // The tweet records the snapshot will reference are durable in
+        // the log before the snapshot is published.
+        let (log_ref, appended) = match self.tweet_log.append(self.inner.tweet_base()) {
+            Ok(done) => done,
+            Err(e) => return Err(self.snapshot_failed(e)),
+        };
+        self.stats.tweet_log_bytes += appended;
         // The last snapshot's size is the next one's estimate: the state
         // mostly grows between snapshots, so the file image is usually
         // one allocation.
         let hint = self.stats.snapshot_bytes_last as usize;
         let inner = &self.inner;
-        let written = self.snaps.write_with(self.op_seq, hint, |buf| inner.put_state_bytes(buf));
+        let written = self.snaps.write_with(self.op_seq, hint, |buf| {
+            put_u64(buf, SNAPSHOT_MAGIC);
+            inner.put_state_bytes(buf, Some(&log_ref));
+        });
         let bytes = match written {
             Ok(bytes) => bytes,
-            Err(e) => {
-                self.degradation.snapshot_failures += 1;
-                self.degradation.snapshot_lagging = true;
-                let cause = if e.is_no_space() {
-                    DegradationCause::DiskFull
-                } else {
-                    DegradationCause::SnapshotWrite
-                };
-                self.push_event(cause, e.to_string());
-                return Err(e.into());
-            }
+            Err(e) => return Err(self.snapshot_failed(e)),
         };
         self.stats.snapshot_bytes_last = bytes;
         self.stats.snapshots += 1;
@@ -957,36 +1021,50 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         // until the next compaction. All of this is best-effort —
         // replay filters stale records by op_seq, so a failure only
         // costs disk space: degrade, don't fail.
-        match self.wal.rotate() {
-            Ok(active) => {
-                if let Err(e) = self.wal.compact_below(active) {
-                    self.degradation.compaction_failures += 1;
-                    self.push_event(DegradationCause::Compaction, e.to_string());
-                }
-            }
-            Err(e) => {
-                self.degradation.compaction_failures += 1;
-                self.push_event(DegradationCause::Compaction, e.to_string());
-            }
+        if let Err(e) = self.wal.rotate().and_then(|active| self.wal.compact_below(active)) {
+            self.compaction_failed(e);
         }
         let marker = WalRecord::Snapshot { op_seq: self.op_seq, bytes }.encode();
         let _ = self.commit_encoded(&[marker]); // audit-only
-        match self.snaps.list() {
-            Ok(mut snapshots) => {
-                snapshots.sort_unstable();
-                if snapshots.len() > 2 {
-                    if let Err(e) = self.snaps.prune_below(snapshots[snapshots.len() - 2]) {
-                        self.degradation.compaction_failures += 1;
-                        self.push_event(DegradationCause::Compaction, e.to_string());
-                    }
-                }
+        let pruned = self.snaps.list().and_then(|mut snapshots| {
+            snapshots.sort_unstable();
+            match snapshots.len() {
+                0..=2 => Ok(0),
+                n => self.snaps.prune_below(snapshots[n - 2]),
             }
-            Err(e) => {
-                self.degradation.compaction_failures += 1;
-                self.push_event(DegradationCause::Compaction, e.to_string());
-            }
+        });
+        // The tweet log keeps every record the fallback snapshot
+        // references. After a failed prune an older snapshot may still
+        // be on disk, so the log keeps its segments until a prune
+        // succeeds.
+        let floor = self
+            .snapshot_first_retained
+            .map_or(log_ref.first_retained, |f| f.min(log_ref.first_retained));
+        self.snapshot_first_retained = Some(log_ref.first_retained);
+        if let Err(e) = pruned.and_then(|_| self.tweet_log.compact_below(floor)) {
+            self.compaction_failed(e);
         }
         Ok(bytes)
+    }
+
+    /// Records a failed snapshot (tweet-log append or snapshot write):
+    /// WAL-only until one succeeds.
+    fn snapshot_failed(&mut self, e: StoreError) -> DurableError {
+        self.degradation.snapshot_failures += 1;
+        self.degradation.snapshot_lagging = true;
+        let cause = if e.is_no_space() {
+            DegradationCause::DiskFull
+        } else {
+            DegradationCause::SnapshotWrite
+        };
+        self.push_event(cause, e.to_string());
+        e.into()
+    }
+
+    /// Records a failed post-snapshot compaction step.
+    fn compaction_failed(&mut self, e: StoreError) {
+        self.degradation.compaction_failures += 1;
+        self.push_event(DegradationCause::Compaction, e.to_string());
     }
 
     /// The wrapped pipeline (read-only — mutating it directly would
@@ -1141,6 +1219,64 @@ mod tests {
         for (case, got, want) in cases {
             assert_eq!(got, want, "{case}");
         }
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ngl-durable-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// What one snapshot writes — its file plus the tweet-log records
+    /// appended for it — follows the tweets since the previous snapshot,
+    /// while the inline encoding of the same state grows with the stream.
+    #[test]
+    fn snapshot_bytes_follow_the_tweets_since_the_last_snapshot() {
+        use crate::pipeline::tests::{pipeline, toks};
+        use crate::pipeline::AblationMode;
+        let dir = scratch("snapshot-bytes");
+        let (mut durable, _) =
+            DurableGlobalizer::open(pipeline(AblationMode::LocalOnly), &dir, 2).expect("open");
+        let tweets = ["Beshear spoke today", "thanks beshear again", "Italy won it"];
+        let mut written = Vec::new();
+        let mut log_bytes = 0;
+        for i in 0..40 {
+            let batch = (0..3).map(|k| toks(tweets[(i + k) % 3])).collect();
+            durable.ingest(batch, None).expect("batch");
+            durable.finalize().expect("finalize");
+            let stats = durable.stats();
+            if stats.snapshots > written.len() as u64 {
+                written.push(stats.snapshot_bytes_last + stats.tweet_log_bytes - log_bytes);
+                log_bytes = stats.tweet_log_bytes;
+            }
+        }
+        assert_eq!(written.len(), 20);
+        let (first, last) = (written[0], written[19]);
+        assert!(last <= first + first / 10, "snapshot writes grew: first {first} B, last {last} B");
+        let inline = durable.inner().export_state_bytes().len() as u64;
+        assert!(inline > 8 * last, "inline state {inline} B vs last snapshot write {last} B");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store whose snapshot carries its tweets inline (the layout
+    /// before the tweet log) fails to open with a typed error.
+    #[test]
+    fn snapshots_with_inline_tweets_are_rejected_with_a_typed_error() {
+        use crate::pipeline::tests::{pipeline, toks};
+        use crate::pipeline::AblationMode;
+        let dir = scratch("inline-snapshot");
+        let mut p = pipeline(AblationMode::FullGlobal);
+        p.ingest(vec![toks("Beshear spoke today"), toks("thanks beshear")], None);
+        p.finalize();
+        SnapshotStore::open(&dir).expect("snaps").write(2, &p.export_state_bytes()).expect("write");
+        let err = DurableGlobalizer::open(pipeline(AblationMode::FullGlobal), &dir, 8)
+            .err()
+            .expect("an inline-tweet snapshot must not open");
+        assert!(
+            matches!(err, DurableError::Corrupt(what) if what.contains("older format")),
+            "got: {err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

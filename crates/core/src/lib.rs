@@ -40,6 +40,7 @@ pub mod pipeline;
 pub mod pooling;
 pub mod shard;
 pub mod train;
+mod tweet_log;
 
 pub use bases::{CandidateBase, CandidateCluster, MentionRecord, SurfaceEntry, TweetBase};
 pub use checkpoint::PipelineCheckpoint;

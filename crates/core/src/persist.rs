@@ -115,7 +115,7 @@ impl GlobalizerBundle {
             None => put_u64(&mut payload, 0),
             Some(ck) => {
                 put_u64(&mut payload, 1);
-                put_checkpoint(&mut payload, ck.state_ref());
+                put_checkpoint(&mut payload, ck.state_ref(), None);
             }
         }
         let mut buf = MAGIC.to_vec();

@@ -344,7 +344,8 @@ pub struct NerGlobalizer<T: ContextualTagger> {
     /// depend only on the (immutable) tweet record and the span, so
     /// entries stay valid across CTrie version bumps and candidate
     /// rebuilds.
-    mention_cache: HashMap<(usize, usize, usize), Vec<f32>>,
+    /// The records admitted from an entry share its vector.
+    mention_cache: HashMap<(usize, usize, usize), Arc<[f32]>>,
     /// Tweet ids already consumed by [`Self::ingest`]
     /// (ids are claimed on first sight, even if that record is later
     /// rejected, so replays are deterministic).
@@ -755,7 +756,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
             self.candidates.insert_entry(surface.clone(), entry.clone());
         }
         for (k, v) in &shard.mention_cache {
-            self.mention_cache.entry(*k).or_insert_with(|| v.clone());
+            self.mention_cache.entry(*k).or_insert_with(|| Arc::clone(v));
         }
     }
 
@@ -1001,7 +1002,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 .into_iter()
                 .map(|occ| {
                     let local_emb = match cache.get(&(ti, occ.start, occ.end)) {
-                        Some(emb) => emb.clone(),
+                        Some(emb) => Arc::clone(emb),
                         None => {
                             // Canonicalize fresh embeddings once, at
                             // creation: every value kept in memory or
@@ -1011,7 +1012,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                             // ("i8 at rest, f32 in compute").
                             let mut emb = fresh.next().expect("one embedding per cache miss");
                             ngl_nn::kernels::canonicalize(&mut emb);
-                            emb
+                            emb.into()
                         }
                     };
                     let local_type = record
@@ -1059,7 +1060,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 let record = records.next().expect("one record per owned occurrence");
                 self.mention_cache
                     .entry((record.tweet, record.start, record.end))
-                    .or_insert_with(|| record.local_emb.clone());
+                    .or_insert_with(|| Arc::clone(&record.local_emb));
                 self.candidates.add_mention(&occ.surface, record);
             }
         }
@@ -1159,7 +1160,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
             }
             AblationMode::LocalClassifier => {
                 for m in &entry.mentions {
-                    let locals = Matrix::from_rows(&[m.local_emb.as_slice()]);
+                    let locals = Matrix::from_rows(&[&m.local_emb[..]]);
                     if let Some(ty) =
                         self.classifier.predict_confident(&locals, self.cfg.min_confidence)
                     {
@@ -1383,13 +1384,18 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// every resident embedding is canonicalized at creation.
     pub fn export_state_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        self.put_state_bytes(&mut buf);
+        self.put_state_bytes(&mut buf, None);
         buf
     }
 
     /// Appends [`Self::export_state_bytes`] to `buf`, encoding the live
-    /// state in place rather than a copy of it.
-    pub(crate) fn put_state_bytes(&self, buf: &mut Vec<u8>) {
+    /// state in place rather than a copy of it; with `log`, the tweet
+    /// section is that tweet-log reference (a durable snapshot).
+    pub(crate) fn put_state_bytes(
+        &self,
+        buf: &mut Vec<u8>,
+        log: Option<&crate::checkpoint::TweetLogRef>,
+    ) {
         crate::checkpoint::put_checkpoint(
             buf,
             crate::checkpoint::StateRef {
@@ -1402,6 +1408,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 mention_cache: &self.mention_cache,
                 seen_ids: &self.seen_ids,
             },
+            log,
         );
     }
 
@@ -1440,16 +1447,23 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         // Re-canonicalize embeddings on import: a no-op for exported or
         // decoded states (canonical by construction), but it makes a
         // hand-built checkpoint's next quantized encode lossless too.
+        for emb in ck.mention_cache.values_mut() {
+            canonicalize_shared(emb);
+        }
+        // Then link each mention to the cache entry of its span, as
+        // admit does, so the restored pipeline holds each embedding once.
         for (_, entry) in ck.candidates.iter_mut() {
             for m in &mut entry.mentions {
-                ngl_nn::kernels::canonicalize(&mut m.local_emb);
+                canonicalize_shared(&mut m.local_emb);
+                if let Some(cached) = ck.mention_cache.get(&(m.tweet, m.start, m.end)) {
+                    if same_bits(cached, &m.local_emb) {
+                        m.local_emb = Arc::clone(cached);
+                    }
+                }
             }
             for c in &mut entry.clusters {
                 ngl_nn::kernels::canonicalize(&mut c.global_emb);
             }
-        }
-        for emb in ck.mention_cache.values_mut() {
-            ngl_nn::kernels::canonicalize(emb);
         }
         self.cfg = ck.cfg;
         self.ctrie = ck.ctrie;
@@ -1462,6 +1476,24 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         self.finalize_errors.clear();
         Ok(())
     }
+}
+
+/// Canonicalizes a shared embedding: in place when this is its only
+/// handle, else into a fresh vector.
+fn canonicalize_shared(emb: &mut Arc<[f32]>) {
+    match Arc::get_mut(emb) {
+        Some(v) => ngl_nn::kernels::canonicalize(v),
+        None => {
+            let mut v = emb.to_vec();
+            ngl_nn::kernels::canonicalize(&mut v);
+            *emb = v.into();
+        }
+    }
+}
+
+/// Bitwise equality of two embeddings.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Char-boundary-safe prefix of `s` with at most `max_chars` chars.
@@ -1533,8 +1565,7 @@ fn cluster_surface_exec(
         // approximation.
         const BATCH_CLUSTER_CAP: usize = 400;
         if entry.mentions.len() <= BATCH_CLUSTER_CAP {
-            let points: Vec<&[f32]> =
-                entry.mentions.iter().map(|m| m.local_emb.as_slice()).collect();
+            let points: Vec<&[f32]> = entry.mentions.iter().map(|m| &m.local_emb[..]).collect();
             let clustering = ngl_cluster::agglomerative_exec(&points, threshold, exec);
             for group in clustering.groups() {
                 entry.clusters.push(CandidateCluster {
@@ -1635,7 +1666,7 @@ fn score_cluster(
         }
         AblationMode::FullGlobal => {
             let rows: Vec<&[f32]> =
-                cluster.members.iter().map(|&m| mentions[m].local_emb.as_slice()).collect();
+                cluster.members.iter().map(|&m| &mentions[m].local_emb[..]).collect();
             let locals = Matrix::from_rows(&rows);
             // One fused attention pass for both outputs — bitwise equal
             // to the separate global_embedding + predict_confident
@@ -1908,6 +1939,39 @@ pub(crate) mod tests {
         p.finalize();
         assert_eq!(p.cached_mentions(), cached);
         assert_eq!(fingerprint(&p), fp);
+    }
+
+    /// Every mention shares its vector with the cache entry of its
+    /// span, after a rebuild that re-admits cached mentions and after a
+    /// checkpoint round trip.
+    #[test]
+    fn mentions_share_embeddings_with_the_cache() {
+        fn shared(p: &NerGlobalizer<FakeTagger>) -> usize {
+            let mut n = 0;
+            for (surface, e) in p.candidate_base().iter() {
+                for m in &e.mentions {
+                    let cached = &p.mention_cache[&(m.tweet, m.start, m.end)];
+                    assert!(Arc::ptr_eq(cached, &m.local_emb), "{surface} @ {}", m.tweet);
+                    n += 1;
+                }
+            }
+            n
+        }
+        let mut p = pipeline(AblationMode::FullGlobal);
+        p.ingest(vec![toks("saw beshear and italy yesterday")], None);
+        p.finalize();
+        p.ingest(vec![toks("Beshear visited Italy")], None);
+        p.finalize();
+        let version = p.trie_version();
+        // A new surface bumps the version: the rebuild re-admits the
+        // four mentions above from the cache.
+        p.ingest(vec![toks("Madrid and italy")], None);
+        p.finalize();
+        assert!(p.trie_version() > version);
+        assert!(shared(&p) > 4);
+        let mut q = pipeline(AblationMode::FullGlobal);
+        q.import_state_bytes(&p.export_state_bytes()).expect("import");
+        assert_eq!(shared(&q), shared(&p));
     }
 
     #[test]
@@ -2241,7 +2305,7 @@ pub(crate) mod tests {
             // Encoding the live state in place gives the bytes of the
             // exported copy.
             let mut copied = Vec::new();
-            crate::checkpoint::put_checkpoint(&mut copied, snapshot.state_ref());
+            crate::checkpoint::put_checkpoint(&mut copied, snapshot.state_ref(), None);
             assert_eq!(first.export_state_bytes(), copied);
             drop(first);
             let mut resumed = pipeline(mode);
@@ -2281,7 +2345,7 @@ pub(crate) mod tests {
         assert!(matches!(q.import_state(ck), Err(PersistError::Inconsistent(_))));
 
         let mut ck = p.export_state();
-        ck.mention_cache.insert((0, 0, 1), vec![1.0; 3]); // wrong dim
+        ck.mention_cache.insert((0, 0, 1), vec![1.0; 3].into()); // wrong dim
         assert!(matches!(q.import_state(ck), Err(PersistError::Inconsistent(_))));
     }
 

@@ -555,6 +555,7 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
             total.delta_bytes_last += s.delta_bytes_last;
             total.wal_bytes_total += s.wal_bytes_total;
             total.snapshot_bytes_last += s.snapshot_bytes_last;
+            total.tweet_log_bytes += s.tweet_log_bytes;
             total.snapshots += s.snapshots;
             total.batches = total.batches.max(s.batches);
             total.finalizes = total.finalizes.max(s.finalizes);

@@ -146,6 +146,8 @@ pub enum IoPathClass {
     Wal,
     /// Snapshot files, including in-flight temporaries (`snap-*`).
     Snapshot,
+    /// Tweet-log segment files (`tweets-*.log`).
+    TweetLog,
     /// Model fingerprint metadata.
     Meta,
     /// Anything else (directories, unknown files).
@@ -153,10 +155,17 @@ pub enum IoPathClass {
 }
 
 impl IoPathClass {
-    /// The classes seeded plans draw faults from. `Meta` is excluded:
-    /// the fingerprint file is written once at open, before any fault
-    /// schedule meaningfully applies, and `Other` is a catch-all.
+    /// The classes [`IoFaultPlan::seeded`] draws faults from. `Meta`
+    /// is excluded: the fingerprint file is written once at open,
+    /// before any fault schedule meaningfully applies, and `Other` is a
+    /// catch-all. `TweetLog` is left out so that a seed keeps naming
+    /// the same WAL and snapshot calls it named before the tweet log
+    /// existed; [`Self::FAULTABLE_WITH_LOG`] adds it.
     pub const FAULTABLE: [IoPathClass; 2] = [IoPathClass::Wal, IoPathClass::Snapshot];
+
+    /// [`Self::FAULTABLE`] plus the tweet log.
+    pub const FAULTABLE_WITH_LOG: [IoPathClass; 3] =
+        [IoPathClass::Wal, IoPathClass::Snapshot, IoPathClass::TweetLog];
 }
 
 /// The kinds of IO faults a chaos IO layer knows how to inject.
@@ -219,8 +228,19 @@ impl IoFaultPlan {
     /// matched to ops (torn writes only on writes, sync failures only
     /// on syncs).
     pub fn seeded(seed: u64, n_faults: usize, index_bound: u64) -> Self {
+        Self::seeded_over(seed, n_faults, index_bound, &IoPathClass::FAULTABLE)
+    }
+
+    /// [`Self::seeded`] drawing the path class of each fault from
+    /// `classes`. Over [`IoPathClass::FAULTABLE`] it is `seeded`.
+    pub fn seeded_over(
+        seed: u64,
+        n_faults: usize,
+        index_bound: u64,
+        classes: &[IoPathClass],
+    ) -> Self {
         let mut plan = Self::new();
-        if index_bound == 0 {
+        if index_bound == 0 || classes.is_empty() {
             return plan;
         }
         let mut rng = SplitMix64::new(seed ^ 0x10_57_0A_05_FA_17_5Eu64);
@@ -229,8 +249,7 @@ impl IoFaultPlan {
         while plan.faults.len() < n_faults && attempts < n_faults * 16 + 64 {
             attempts += 1;
             let op = IoOp::ALL[rng.next_below(IoOp::ALL.len() as u64) as usize];
-            let class = IoPathClass::FAULTABLE
-                [rng.next_below(IoPathClass::FAULTABLE.len() as u64) as usize];
+            let class = classes[rng.next_below(classes.len() as u64) as usize];
             let index = rng.next_below(index_bound);
             let kind = match (op, rng.next_below(4)) {
                 (IoOp::Sync, 0 | 1) => IoFaultKind::SyncFail,
@@ -333,6 +352,19 @@ mod tests {
             }
         }
         assert_ne!(a, IoFaultPlan::seeded(43, 12, 32));
+    }
+
+    #[test]
+    fn seeded_over_the_default_classes_is_seeded() {
+        for seed in 0..8 {
+            assert_eq!(
+                IoFaultPlan::seeded_over(seed, 12, 32, &IoPathClass::FAULTABLE),
+                IoFaultPlan::seeded(seed, 12, 32)
+            );
+        }
+        let with_log = IoFaultPlan::seeded_over(7, 24, 32, &IoPathClass::FAULTABLE_WITH_LOG);
+        assert!(with_log.iter().any(|f| f.class == IoPathClass::TweetLog));
+        assert!(IoFaultPlan::seeded(7, 24, 32).iter().all(|f| f.class != IoPathClass::TweetLog));
     }
 
     #[test]

@@ -243,6 +243,7 @@ pub(crate) fn refresh_store_view<T: ContextualTagger + Send + Sync>(
     let wire = store.stats();
     stats.wal_bytes_total.store(wire.wal_bytes_total, Ordering::Relaxed);
     stats.snapshots.store(wire.snapshots, Ordering::Relaxed);
+    stats.tweet_log_bytes.store(wire.tweet_log_bytes, Ordering::Relaxed);
 }
 
 /// Finalizes, publishes the post-finalize pipeline as the new query

@@ -554,7 +554,7 @@ fn stats_json<T: ContextualTagger>(ctx: &HandlerCtx<T>) -> String {
             "\"ack_p50_us\":{},\"ack_p99_us\":{},",
             "\"mode\":\"{}\",\"worst_mode\":\"{}\",\"shard_count\":{},\"pressure_milli\":{},",
             "\"io_transient_retries\":{},\"io_retry_exhausted\":{},",
-            "\"wal_bytes_total\":{},\"snapshots\":{}}}"
+            "\"wal_bytes_total\":{},\"snapshots\":{},\"tweet_log_bytes\":{}}}"
         ),
         get(&s.accepted),
         get(&s.truncated),
@@ -582,6 +582,7 @@ fn stats_json<T: ContextualTagger>(ctx: &HandlerCtx<T>) -> String {
         get(&s.io_retry_exhausted),
         get(&s.wal_bytes_total),
         get(&s.snapshots),
+        get(&s.tweet_log_bytes),
     )
 }
 
@@ -654,7 +655,7 @@ fn recovery_report_json(r: &RecoveryReport) -> String {
         concat!(
             "{{\"snapshot_seq\":{},\"replayed_batches\":{},\"replayed_finalizes\":{},",
             "\"torn_tail\":{},\"watermark\":{},\"surfaces\":{},\"resident_surfaces\":{},",
-            "\"tweets\":{},\"digest\":\"{}\",\"batch_ids\":["
+            "\"tweets\":{},\"tweets_from_log\":{},\"digest\":\"{}\",\"batch_ids\":["
         ),
         r.snapshot_seq.map_or("null".to_string(), |s| s.to_string()),
         r.replayed_batches,
@@ -664,6 +665,7 @@ fn recovery_report_json(r: &RecoveryReport) -> String {
         r.surfaces,
         r.resident_surfaces,
         r.tweets,
+        r.tweets_from_log,
         r.digest,
     );
     for (i, ids) in r.batch_ids.iter().enumerate() {

@@ -61,6 +61,8 @@ pub struct ServeStats {
     pub wal_bytes_total: AtomicU64,
     /// Snapshots written, mirrored from the store stats.
     pub snapshots: AtomicU64,
+    /// Total tweet-log bytes appended, mirrored from the store stats.
+    pub tweet_log_bytes: AtomicU64,
     latencies: Mutex<LatencyRing>,
 }
 

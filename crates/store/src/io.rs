@@ -80,8 +80,10 @@ pub fn classify_path(path: &Path) -> IoPathClass {
     let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
         return IoPathClass::Other;
     };
-    if name.starts_with("wal-") && name.ends_with(".log") {
+    if name.starts_with(crate::WAL_PREFIX) && name.ends_with(".log") {
         IoPathClass::Wal
+    } else if name.starts_with(crate::TWEET_LOG_PREFIX) && name.ends_with(".log") {
+        IoPathClass::TweetLog
     } else if name.starts_with("snap-") {
         // Covers both published snapshots (.ck) and in-flight (.ck.tmp).
         IoPathClass::Snapshot
@@ -594,6 +596,7 @@ mod tests {
         assert_eq!(classify_path(Path::new("/x/wal-00000003.log")), IoPathClass::Wal);
         assert_eq!(classify_path(Path::new("/x/snap-00000001.ck")), IoPathClass::Snapshot);
         assert_eq!(classify_path(Path::new("/x/snap-00000001.ck.tmp")), IoPathClass::Snapshot);
+        assert_eq!(classify_path(Path::new("/x/tweets-00000064.log")), IoPathClass::TweetLog);
         assert_eq!(classify_path(Path::new("/x/model.meta")), IoPathClass::Meta);
         assert_eq!(classify_path(Path::new("/x/whatever.bin")), IoPathClass::Other);
     }

@@ -23,13 +23,20 @@
 //!
 //! ## Segments, rotation, compaction
 //!
-//! The log is a directory of numbered segment files (`wal-NNNNNNNN.log`).
+//! The log is a directory of numbered segment files (`wal-NNNNNNNN.log`;
+//! other logs share a directory under their own file-name prefix, see
+//! [`Wal::resume`]).
 //! Appends go to the highest-numbered (active) segment and roll over to
 //! a fresh segment once [`Wal::segment_bytes`] is exceeded or
 //! [`Wal::rotate`] is called explicitly. After a snapshot has captured
 //! all state up to a point, [`Wal::compact_below`] deletes the segments
 //! that precede it — the delta log stays proportional to the stream
 //! since the last snapshot, not to the stream's lifetime.
+//!
+//! [`read_log`] hands a caller every valid record borrowed from its
+//! segment's buffer, with its position, so a log of large immutable
+//! records decodes without a per-record copy and can be cut at any
+//! record boundary ([`Wal::resume`]).
 //!
 //! ## Snapshots
 //!
@@ -71,6 +78,11 @@ const FRAME_HEADER: usize = 4 + 1 + 8;
 const MAX_PAYLOAD: usize = 1 << 30;
 /// Default segment roll-over size.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
+/// File-name prefix of write-ahead log segments.
+pub const WAL_PREFIX: &str = "wal-";
+/// File-name prefix of tweet-log segments (the append-only log of
+/// immutable tweet records that snapshots reference).
+pub const TWEET_LOG_PREFIX: &str = "tweets-";
 
 const SNAP_MAGIC: &[u8; 4] = b"NGLS";
 const SNAP_VERSION: u32 = 1;
@@ -119,8 +131,9 @@ impl Default for Fnv1a64 {
     }
 }
 
-/// FNV-1a over a record's tag byte and payload.
-fn record_checksum(tag: u8, payload: &[u8]) -> u64 {
+/// The frame checksum of a record: FNV-1a over its tag byte and
+/// payload (what [`RecordRef::checksum`] reports).
+pub fn record_checksum(tag: u8, payload: &[u8]) -> u64 {
     let mut h = Fnv1a64::new();
     h.update(&[tag]);
     h.update(payload);
@@ -163,11 +176,44 @@ pub struct Record {
     pub payload: Vec<u8>,
 }
 
-/// Result of scanning one segment's bytes: the valid records, the byte
-/// length of the valid prefix, and whether the scan consumed the whole
-/// buffer (`false` = a torn or corrupt tail was cut off).
+/// A record boundary in a segmented log: a segment and a byte offset
+/// in it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub struct LogPos {
+    /// Segment sequence number.
+    pub segment: u64,
+    /// Byte offset within the segment.
+    pub offset: u64,
+}
+
+/// One valid record as [`read_log`] hands it out, borrowed from the
+/// segment's buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordRef<'a> {
+    /// Application-level record type.
+    pub tag: u8,
+    /// Record body.
+    pub payload: &'a [u8],
+    /// The frame checksum, `fnv1a64(tag ++ payload)`.
+    pub checksum: u64,
+    /// Where the frame starts.
+    pub start: LogPos,
+}
+
+/// Where [`read_log`] stopped.
+#[derive(Debug, Clone, Copy)]
+pub struct LogScan {
+    /// Just past the last valid record (the start of the lowest segment
+    /// when the log holds none).
+    pub end: LogPos,
+    /// Whether a torn/corrupt tail follows `end`.
+    pub torn_tail: bool,
+}
+
+/// Result of scanning one segment's bytes: the byte length of the
+/// valid prefix, and whether the scan consumed the whole buffer
+/// (`false` = a torn or corrupt tail was cut off).
 struct SegmentScan {
-    records: Vec<Record>,
     valid_len: usize,
     clean: bool,
 }
@@ -187,45 +233,53 @@ fn u64_le_at(data: &[u8], pos: usize) -> u64 {
     u64::from_le_bytes(b)
 }
 
-/// Decodes records from `data` until the first incomplete or
-/// checksum-invalid frame.
-fn scan_segment(data: &[u8]) -> SegmentScan {
-    let mut records = Vec::new();
+/// Walks the frames of `data` up to the first incomplete or
+/// checksum-invalid one, handing each valid frame to `visit` as
+/// `(tag, payload, checksum, start offset)`.
+fn scan_segment<E>(
+    data: &[u8],
+    mut visit: impl FnMut(u8, &[u8], u64, usize) -> Result<(), E>,
+) -> Result<SegmentScan, E> {
     let mut pos = 0usize;
     loop {
         if data.len() - pos < FRAME_HEADER {
-            return SegmentScan { records, valid_len: pos, clean: pos == data.len() };
+            return Ok(SegmentScan { valid_len: pos, clean: pos == data.len() });
         }
         let len = u32_le_at(data, pos) as usize;
         let tag = data[pos + 4];
         let checksum = u64_le_at(data, pos + 5);
         if len > MAX_PAYLOAD || data.len() - pos - FRAME_HEADER < len {
-            return SegmentScan { records, valid_len: pos, clean: false };
+            return Ok(SegmentScan { valid_len: pos, clean: false });
         }
         let body = pos + FRAME_HEADER;
         let Some(end) = body.checked_add(len) else {
-            return SegmentScan { records, valid_len: pos, clean: false };
+            return Ok(SegmentScan { valid_len: pos, clean: false });
         };
         let payload = &data[body..end];
         if record_checksum(tag, payload) != checksum {
-            return SegmentScan { records, valid_len: pos, clean: false };
+            return Ok(SegmentScan { valid_len: pos, clean: false });
         }
-        records.push(Record { tag, payload: payload.to_vec() });
+        visit(tag, payload, checksum, pos)?;
         pos = end;
     }
 }
 
-fn segment_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("wal-{seq:08}.log"))
+fn segment_path(dir: &Path, prefix: &str, seq: u64) -> PathBuf {
+    dir.join(format!("{prefix}{seq:08}.log"))
 }
 
-/// Lists `(seq, path)` of every WAL segment in `dir`, ascending.
-fn list_segments(io: &IoHandle, dir: &Path) -> Result<BTreeMap<u64, PathBuf>, StoreError> {
+/// Lists `(seq, path)` of every segment of the log named `prefix` in
+/// `dir`, ascending.
+fn list_segments(
+    io: &IoHandle,
+    dir: &Path,
+    prefix: &str,
+) -> Result<BTreeMap<u64, PathBuf>, StoreError> {
     let mut out = BTreeMap::new();
     for path in io.list_dir(dir)? {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
         if let Some(seq) = name
-            .strip_prefix("wal-")
+            .strip_prefix(prefix)
             .and_then(|s| s.strip_suffix(".log"))
             .and_then(|s| s.parse::<u64>().ok())
         {
@@ -235,10 +289,49 @@ fn list_segments(io: &IoHandle, dir: &Path) -> Result<BTreeMap<u64, PathBuf>, St
     Ok(out)
 }
 
+/// Reads the log named `prefix` in `dir` one segment at a time and
+/// hands every checksum-valid record to `visit`, borrowed from the
+/// segment's buffer. A torn or bit-flipped tail on the last segment
+/// holding data ends the scan (`torn_tail`); invalid bytes in any
+/// earlier segment are a hard [`StoreError::Corrupt`]. Empty segments
+/// (leaked by a faulted rotation) are skipped. Nothing is modified:
+/// pair with [`Wal::resume`] to cut the log at a chosen boundary.
+pub fn read_log<E: From<StoreError>>(
+    io: &IoHandle,
+    dir: &Path,
+    prefix: &str,
+    mut visit: impl FnMut(RecordRef<'_>) -> Result<(), E>,
+) -> Result<LogScan, E> {
+    let segments = list_segments(io, dir, prefix)?;
+    let first = segments.keys().next().copied().unwrap_or(0);
+    let mut scan = LogScan { end: LogPos { segment: first, offset: 0 }, torn_tail: false };
+    for (&segment, path) in &segments {
+        let data = io.read_file(path)?;
+        if data.is_empty() {
+            continue;
+        }
+        if scan.torn_tail {
+            return Err(StoreError::Corrupt("invalid record before the final segment").into());
+        }
+        let seg = scan_segment(&data, |tag, payload, checksum, start| {
+            let start = LogPos { segment, offset: start as u64 };
+            visit(RecordRef { tag, payload, checksum, start })
+        })?;
+        scan = LogScan {
+            end: LogPos { segment, offset: seg.valid_len as u64 },
+            torn_tail: !seg.clean,
+        };
+    }
+    Ok(scan)
+}
+
 /// A segment-based append-only write-ahead log (see the module docs).
 pub struct Wal {
     io: IoHandle,
     dir: PathBuf,
+    /// Segment file-name prefix ([`WAL_PREFIX`] unless opened by
+    /// [`Wal::resume`]).
+    prefix: &'static str,
     active_seq: u64,
     active_len: u64,
     segment_bytes: u64,
@@ -275,7 +368,7 @@ impl Wal {
     ) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         io.create_dir_all(&dir)?;
-        let segments = list_segments(&io, &dir)?;
+        let segments = list_segments(&io, &dir, WAL_PREFIX)?;
         let active_seq = segments.keys().next_back().copied().unwrap_or(0);
         let mut repaired_tail = false;
         let mut active_len = 0;
@@ -289,7 +382,7 @@ impl Wal {
             if data.is_empty() {
                 continue;
             }
-            let scan = scan_segment(&data);
+            let scan = scan_segment(&data, |_, _, _, _| Ok::<(), StoreError>(()))?;
             if !scan.clean {
                 io.set_len(path, scan.valid_len as u64)?;
                 io.sync(path)?;
@@ -303,15 +396,55 @@ impl Wal {
         if !segments.contains_key(&active_seq) {
             // Fresh log: materialize segment zero so `segments()` and
             // `sync()` see it, matching the pre-IO-layer behaviour.
-            io.write_at(&segment_path(&dir, active_seq), 0, &[])?;
+            io.write_at(&segment_path(&dir, WAL_PREFIX, active_seq), 0, &[])?;
         }
         Ok(Self {
             io,
             dir,
+            prefix: WAL_PREFIX,
             active_seq,
             active_len,
             segment_bytes,
             repaired_tail,
+            pending_repair: None,
+        })
+    }
+
+    /// Opens the log named `prefix` in `dir` with its end at `end`, a
+    /// record boundary a [`read_log`] pass over the same log returned:
+    /// segments after `end.segment` are removed, newest first, and
+    /// `end.segment` is cut to `end.offset`. Reads nothing, so the
+    /// caller's pass is the only one over the data.
+    pub fn resume<P: AsRef<Path>>(
+        dir: P,
+        prefix: &'static str,
+        segment_bytes: u64,
+        io: IoHandle,
+        end: LogPos,
+    ) -> Result<Self, StoreError> {
+        let dir = dir.as_ref().to_path_buf();
+        io.create_dir_all(&dir)?;
+        let segments = list_segments(&io, &dir, prefix)?;
+        for path in segments.range(end.segment.saturating_add(1)..).map(|(_, p)| p).rev() {
+            io.remove(path)?;
+        }
+        let path = segment_path(&dir, prefix, end.segment);
+        let mut cut = false;
+        if !segments.contains_key(&end.segment) {
+            io.write_at(&path, 0, &[])?;
+        } else if io.file_len(&path)? != end.offset {
+            io.set_len(&path, end.offset)?;
+            io.sync(&path)?;
+            cut = true;
+        }
+        Ok(Self {
+            io,
+            dir,
+            prefix,
+            active_seq: end.segment,
+            active_len: end.offset,
+            segment_bytes,
+            repaired_tail: cut,
             pending_repair: None,
         })
     }
@@ -331,6 +464,11 @@ impl Wal {
         self.active_seq
     }
 
+    /// Bytes in the active segment.
+    pub fn active_len(&self) -> u64 {
+        self.active_len
+    }
+
     /// Retry counters of the underlying IO handle.
     pub fn io_stats(&self) -> IoStatsSnapshot {
         self.io.stats()
@@ -338,13 +476,13 @@ impl Wal {
 
     /// Sequence numbers of every on-disk segment, ascending.
     pub fn segments(&self) -> Result<Vec<u64>, StoreError> {
-        Ok(list_segments(&self.io, &self.dir)?.into_keys().collect())
+        Ok(list_segments(&self.io, &self.dir, self.prefix)?.into_keys().collect())
     }
 
     /// Total bytes across all on-disk segments.
     pub fn total_bytes(&self) -> Result<u64, StoreError> {
         let mut total = 0u64;
-        for path in list_segments(&self.io, &self.dir)?.values() {
+        for path in list_segments(&self.io, &self.dir, self.prefix)?.values() {
             total = total.saturating_add(self.io.file_len(path)?);
         }
         Ok(total)
@@ -356,7 +494,7 @@ impl Wal {
     /// otherwise a reader could see garbage spliced between records.
     pub fn repair(&mut self) -> Result<(), StoreError> {
         if let Some((seq, valid_len)) = self.pending_repair {
-            let path = segment_path(&self.dir, seq);
+            let path = segment_path(&self.dir, self.prefix, seq);
             self.io.set_len(&path, valid_len)?;
             self.pending_repair = None;
         }
@@ -396,7 +534,7 @@ impl Wal {
             self.rotate()?;
         }
         let frame = Self::frame(tag, payload)?;
-        let path = segment_path(&self.dir, self.active_seq);
+        let path = segment_path(&self.dir, self.prefix, self.active_seq);
         if let Err(e) = self.io.write_at(&path, self.active_len, &frame) {
             self.rollback(self.active_len);
             return Err(e);
@@ -423,7 +561,7 @@ impl Wal {
             buf.extend_from_slice(&Self::frame(tag, payload)?);
         }
         let pre_len = self.active_len;
-        let path = segment_path(&self.dir, self.active_seq);
+        let path = segment_path(&self.dir, self.prefix, self.active_seq);
         let result = self.io.write_at(&path, pre_len, &buf).and_then(|()| self.io.sync(&path));
         match result {
             Ok(()) => {
@@ -440,7 +578,7 @@ impl Wal {
     /// Truncates the active segment back to `pre_len` after a failed
     /// write, arming `pending_repair` if even the truncation fails.
     fn rollback(&mut self, pre_len: u64) {
-        let path = segment_path(&self.dir, self.active_seq);
+        let path = segment_path(&self.dir, self.prefix, self.active_seq);
         match self.io.set_len(&path, pre_len) {
             Ok(()) => {
                 // Make the truncation itself durable on a best-effort
@@ -455,7 +593,7 @@ impl Wal {
 
     /// Flushes appended records to stable storage.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.io.sync(&segment_path(&self.dir, self.active_seq))
+        self.io.sync(&segment_path(&self.dir, self.prefix, self.active_seq))
     }
 
     /// Closes the active segment and starts a fresh one; returns the new
@@ -463,10 +601,19 @@ impl Wal {
     /// keeps appending to the current segment and no half-created
     /// segment is left behind.
     pub fn rotate(&mut self) -> Result<u64, StoreError> {
+        self.rotate_to(self.active_seq + 1)
+    }
+
+    /// [`Self::rotate`] to the segment numbered `next_seq`, which must
+    /// lie past the active one (a log may number its segments by the
+    /// first record each holds).
+    pub fn rotate_to(&mut self, next_seq: u64) -> Result<u64, StoreError> {
+        if next_seq <= self.active_seq {
+            return Err(StoreError::Corrupt("rotation to a segment at or below the active one"));
+        }
         self.repair()?;
-        self.io.sync(&segment_path(&self.dir, self.active_seq))?;
-        let next_seq = self.active_seq + 1;
-        let next_path = segment_path(&self.dir, next_seq);
+        self.io.sync(&segment_path(&self.dir, self.prefix, self.active_seq))?;
+        let next_path = segment_path(&self.dir, self.prefix, next_seq);
         if let Err(e) = self.io.write_at(&next_path, 0, &[]) {
             // A fault may have created the file before failing; remove
             // it so no empty segment leaks ahead of the active one.
@@ -485,7 +632,7 @@ impl Wal {
     /// filters records by sequence number).
     pub fn compact_below(&mut self, seq: u64) -> Result<usize, StoreError> {
         let mut removed = 0;
-        for (s, path) in list_segments(&self.io, &self.dir)? {
+        for (s, path) in list_segments(&self.io, &self.dir, self.prefix)? {
             if s < seq && s != self.active_seq {
                 self.io.remove(&path)?;
                 removed += 1;
@@ -501,26 +648,12 @@ impl Wal {
     /// segment are a hard [`StoreError::Corrupt`]. Trailing empty
     /// segments (leaked by a faulted rotation) are ignored.
     pub fn replay(&self) -> Result<Replay, StoreError> {
-        let segments = list_segments(&self.io, &self.dir)?;
-        let mut loaded = Vec::with_capacity(segments.len());
-        for (seq, path) in &segments {
-            loaded.push((*seq, self.io.read_file(path)?));
-        }
-        let last_nonempty =
-            loaded.iter().rev().find(|(_, data)| !data.is_empty()).map(|&(seq, _)| seq);
         let mut records = Vec::new();
-        let mut torn_tail = false;
-        for (seq, data) in &loaded {
-            let scan = scan_segment(data);
-            if !scan.clean {
-                if Some(*seq) != last_nonempty {
-                    return Err(StoreError::Corrupt("invalid record before the final segment"));
-                }
-                torn_tail = true;
-            }
-            records.extend(scan.records);
-        }
-        Ok(Replay { records, torn_tail })
+        let scan = read_log(&self.io, &self.dir, self.prefix, |r: RecordRef<'_>| {
+            records.push(Record { tag: r.tag, payload: r.payload.to_vec() });
+            Ok::<(), StoreError>(())
+        })?;
+        Ok(Replay { records, torn_tail: scan.torn_tail })
     }
 }
 
@@ -628,9 +761,9 @@ impl SnapshotStore {
     }
 
     /// Parses one snapshot file, verifying magic, version, length and
-    /// checksum.
+    /// checksum; the header is cut off the file's own buffer in place.
     fn read(&self, path: &Path, expect_seq: u64) -> Result<Vec<u8>, StoreError> {
-        let data = self.io.read_file(path)?;
+        let mut data = self.io.read_file(path)?;
         if data.len() < SNAP_HEADER || &data[0..4] != SNAP_MAGIC {
             return Err(StoreError::Corrupt("bad snapshot magic"));
         }
@@ -648,7 +781,8 @@ impl SnapshotStore {
         if fnv1a64(&data[SNAP_HEADER..]) != checksum {
             return Err(StoreError::Corrupt("snapshot checksum mismatch"));
         }
-        Ok(data[SNAP_HEADER..].to_vec())
+        data.drain(..SNAP_HEADER);
+        Ok(data)
     }
 
     /// The newest snapshot that verifies, as `(seq, payload)` — corrupt
@@ -730,7 +864,7 @@ mod tests {
         }
         wal.sync().unwrap();
         drop(wal);
-        let seg = segment_path(&dir, 0);
+        let seg = segment_path(&dir, WAL_PREFIX, 0);
         let full = std::fs::read(&seg).unwrap();
         assert_eq!(full.len() as u64, total);
         for cut in 0..=full.len() {
@@ -752,12 +886,13 @@ mod tests {
         let mut wal = Wal::open(&dir).unwrap();
         let mut last_start = 0;
         for (tag, p) in payloads() {
-            last_start = std::fs::metadata(segment_path(&dir, 0)).map(|m| m.len()).unwrap_or(0);
+            last_start =
+                std::fs::metadata(segment_path(&dir, WAL_PREFIX, 0)).map(|m| m.len()).unwrap_or(0);
             wal.append(tag, &p).unwrap();
             wal.sync().unwrap();
         }
         drop(wal);
-        let seg = segment_path(&dir, 0);
+        let seg = segment_path(&dir, WAL_PREFIX, 0);
         let mut data = std::fs::read(&seg).unwrap();
         let flip = last_start as usize + FRAME_HEADER; // first payload byte of last record
         data[flip] ^= 0x01;
@@ -777,7 +912,7 @@ mod tests {
         wal.append(2, b"gone").unwrap();
         wal.sync().unwrap();
         drop(wal);
-        let seg = segment_path(&dir, 0);
+        let seg = segment_path(&dir, WAL_PREFIX, 0);
         let data = std::fs::read(&seg).unwrap();
         std::fs::write(&seg, &data[..data.len() - 2]).unwrap(); // tear the tail
         let mut wal = Wal::open(&dir).unwrap();
@@ -823,13 +958,59 @@ mod tests {
         wal.sync().unwrap();
         drop(wal);
         // Flip a byte in the *first* segment: not a tolerated torn tail.
-        let seg0 = segment_path(&dir, 0);
+        let seg0 = segment_path(&dir, WAL_PREFIX, 0);
         let mut data = std::fs::read(&seg0).unwrap();
         let n = data.len();
         data[n - 1] ^= 0xFF;
         std::fs::write(&seg0, &data).unwrap();
         let wal = Wal::open(&dir).unwrap();
         assert!(matches!(wal.replay(), Err(StoreError::Corrupt(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_log_positions_let_resume_cut_at_any_record() {
+        let dir = tmpdir("resume");
+        let io = IoHandle::real();
+        let mut log = Wal::resume(&dir, TWEET_LOG_PREFIX, 64, io.clone(), LogPos::default())
+            .expect("fresh log");
+        // Segments numbered by their first record: 0, 2, 4.
+        for i in 0u8..6 {
+            if log.active_len() >= log.segment_bytes() {
+                log.rotate_to(u64::from(i)).unwrap();
+            }
+            log.commit(&[(1, &[i; 40])]).unwrap();
+        }
+        assert_eq!(log.segments().unwrap(), vec![0, 2, 4]);
+        assert!(log.rotate_to(4).is_err(), "rotation must move forward");
+        let mut starts = Vec::new();
+        let scan = read_log(&io, &dir, TWEET_LOG_PREFIX, |r: RecordRef<'_>| {
+            assert_eq!(r.checksum, record_checksum(r.tag, r.payload));
+            starts.push((r.start, r.payload[0]));
+            Ok::<(), StoreError>(())
+        })
+        .unwrap();
+        assert!(!scan.torn_tail);
+        assert_eq!(starts.len(), 6);
+        assert_eq!(scan.end, LogPos { segment: 4, offset: 2 * (FRAME_HEADER as u64 + 40) });
+        // The WAL of the same directory sees none of it.
+        assert!(Wal::open(&dir).unwrap().replay().unwrap().records.is_empty());
+
+        // Cut before record 3 (the second record of segment 2), then
+        // keep appending: the log holds 0, 1, 2 and the new record.
+        drop(log);
+        let (cut, _) = starts[3];
+        let mut log = Wal::resume(&dir, TWEET_LOG_PREFIX, 64, io.clone(), cut).unwrap();
+        assert!(log.repaired_tail());
+        assert_eq!(log.segments().unwrap(), vec![0, 2]);
+        log.commit(&[(1, &[9; 40])]).unwrap();
+        let mut got = Vec::new();
+        read_log(&io, &dir, TWEET_LOG_PREFIX, |r: RecordRef<'_>| {
+            got.push(r.payload[0]);
+            Ok::<(), StoreError>(())
+        })
+        .unwrap();
+        assert_eq!(got, vec![0, 1, 2, 9]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -302,7 +302,9 @@ fn randomized_seed_chaos_smoke() {
     };
     println!("chaos smoke seed: {seed} (rerun with NGL_CHAOS_SEED={seed})");
     let dir = scratch("smoke");
-    let outcome = run_chaos(1, &dir, IoFaultPlan::seeded(seed, 8, FAULT_INDEX_BOUND));
+    let plan =
+        IoFaultPlan::seeded_over(seed, 8, FAULT_INDEX_BOUND, &IoPathClass::FAULTABLE_WITH_LOG);
+    let outcome = run_chaos(1, &dir, plan);
     // The contract subset that holds for *any* seed: typed degradation
     // or none, and fault-free recovery once the schedule is exhausted.
     if outcome.report.is_degraded() {
@@ -613,4 +615,65 @@ fn snapshot_failure_degrades_to_wal_only_and_heals_on_retry() {
     assert!(!report.snapshot_lagging, "a successful snapshot must end WAL-only mode");
     assert_eq!(durable.stats().snapshots, 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A failed tweet-log append (torn write, failed fsync, full disk)
+/// fails only its snapshot: the finalize still acks, the store degrades
+/// to WAL-only, the next finalize retries the snapshot, and the run and
+/// its recovery are bitwise identical to the never-faulted store.
+#[test]
+fn tweet_log_faults_degrade_to_wal_only_and_recover_bitwise() {
+    let clean_dir = scratch("logfault-clean");
+    let clean = run_chaos(1, &clean_dir, IoFaultPlan::new());
+    let clean_recovered = recover(1, &clean_dir);
+    let stream = gen_stream(0xC4A05, 8 * BATCH);
+    // Tweet-log write #0 creates its first segment at open and #1 is
+    // the first snapshot's append; sync #0 is that append's fsync.
+    let faults = [
+        (IoOp::Write, 1, IoFaultKind::TornWrite { keep_pct: 40 }),
+        (IoOp::Sync, 0, IoFaultKind::SyncFail),
+        (IoOp::Write, 1, IoFaultKind::NoSpace { span: 1 }),
+    ];
+    for (op, index, kind) in faults {
+        for threads in [1usize, 4] {
+            let what = format!("{op:?} {kind:?} {threads}t");
+            let plan = IoFaultPlan::new().with_fault(IoFault {
+                op,
+                class: IoPathClass::TweetLog,
+                index,
+                kind,
+            });
+            let io = IoHandle::chaos(plan, RetryPolicy::default().no_sleep());
+            let dir = scratch(&format!("logfault-{op:?}-{threads}t"));
+            let mut durable = open_retrying(threads, &dir, &io);
+            let mut spans = Vec::new();
+            for (i, chunk) in stream.chunks(BATCH).enumerate() {
+                durable.ingest(chunk.to_vec(), None).expect("batch");
+                spans = durable.finalize().unwrap_or_else(|e| panic!("{what}: finalize {i}: {e}"));
+                let report = durable.degradation();
+                if i + 1 == CKPT {
+                    assert_eq!(report.mode(), DegradationMode::WalOnly, "{what}");
+                    assert_eq!(report.snapshot_failures, 1, "{what}");
+                    assert_eq!(durable.stats().snapshots, 0, "{what}");
+                    assert!(
+                        report.events.iter().any(|e| matches!(
+                            e.cause,
+                            DegradationCause::SnapshotWrite | DegradationCause::DiskFull
+                        )),
+                        "{what}: the failure must be named"
+                    );
+                }
+                if i == CKPT {
+                    assert!(!report.snapshot_lagging, "{what}: the retry must publish");
+                    assert_eq!(durable.stats().snapshots, 1, "{what}");
+                }
+            }
+            assert_eq!(spans, clean.spans, "{what}: spans");
+            assert_eq!(durable.inner().state_digest(), clean.digest, "{what}: digest");
+            drop(durable);
+            assert_eq!(recover(threads, &dir), clean_recovered, "{what}: recovery");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&clean_dir);
 }

@@ -12,6 +12,11 @@
 //! worker threads; the recovered bytes must also be identical across
 //! thread counts (replay rides on the pipeline's parallel-equivalence
 //! guarantee).
+//!
+//! The tweet log next to the WAL gets the same treatment: a crash
+//! between its fsync and the snapshot's rename, at every byte of its
+//! last append, recovers exactly, and a damaged record that a live
+//! snapshot references is a typed error.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -22,8 +27,10 @@ use ner_globalizer::core::{
 };
 use ner_globalizer::encoder::{ContextualTagger, SentenceEncoding, SequenceTagger};
 use ner_globalizer::nn::Matrix;
+use ner_globalizer::runtime::faults::{IoFault, IoFaultKind, IoFaultPlan, IoOp, IoPathClass};
 use ner_globalizer::runtime::rng::SplitMix64;
 use ner_globalizer::runtime::Executor;
+use ner_globalizer::store::{IoHandle, RetryPolicy};
 use ner_globalizer::text::{BioTag, EntityType};
 
 const DIM: usize = 8;
@@ -387,6 +394,129 @@ fn single_bit_flips_in_the_tail_record_are_cut_not_trusted() {
                 "flip byte {byte} bit {bit}: a corrupt tail record must not replay as valid"
             );
         }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Every file of `src` (flat) copied into a fresh `dst`.
+fn copy_store(src: &Path, dst: &Path) {
+    let _ = std::fs::remove_dir_all(dst);
+    std::fs::create_dir_all(dst).expect("copy dst");
+    for entry in std::fs::read_dir(src).expect("read src") {
+        let path = entry.expect("entry").path();
+        std::fs::copy(&path, dst.join(path.file_name().expect("name"))).expect("copy file");
+    }
+}
+
+/// The single tweet-log segment of a store that never rotated it.
+fn tweet_log(dir: &Path) -> PathBuf {
+    let log = dir.join("tweets-00000000.log");
+    assert!(log.exists(), "the store must have a tweet log");
+    log
+}
+
+/// A crash after the tweet log's fsync and before the snapshot's
+/// rename: the second snapshot's publish fails, which leaves the store
+/// exactly as such a crash would (its records logged and synced, no new
+/// snapshot, the WAL uncompacted). Cutting the log at every byte of
+/// that last append must recover bitwise to the clean run, at 1 and 4
+/// threads, and the open must cut the unreferenced records.
+#[test]
+fn kill_between_tweet_log_sync_and_snapshot_rename_recovers_at_every_log_byte() {
+    // Small batches keep the sweep short: one case per byte.
+    const LOG_BATCH: usize = 2;
+    let root = scratch_root("logcut");
+    let stream = gen_stream(0x7EE7, 6 * LOG_BATCH);
+    let (mut clean, _) = DurableGlobalizer::open(pipeline(1), root.join("clean"), 3).expect("open");
+    for chunk in stream.chunks(LOG_BATCH) {
+        clean.ingest(chunk.to_vec(), None).expect("batch");
+        clean.finalize().expect("finalize");
+    }
+    let (final_op, want) = (clean.op_seq(), clean.inner().export_state_bytes());
+    drop(clean);
+
+    let dir = root.join("crashed");
+    // Rename #0 publishes the first snapshot; #1 (the second) fails.
+    let plan = IoFaultPlan::new().with_fault(IoFault {
+        op: IoOp::Rename,
+        class: IoPathClass::Snapshot,
+        index: 1,
+        kind: IoFaultKind::Transient,
+    });
+    let io = IoHandle::chaos(plan, RetryPolicy::none());
+    let (mut durable, _) =
+        DurableGlobalizer::open_with_io(pipeline(1), &dir, 3, None, io).expect("open");
+    let mut logged_by_first_snapshot = 0;
+    for (i, chunk) in stream.chunks(LOG_BATCH).enumerate() {
+        durable.ingest(chunk.to_vec(), None).expect("batch");
+        durable.finalize().expect("a failed snapshot must not fail the finalize");
+        if i == 2 {
+            assert_eq!(durable.stats().snapshots, 1);
+            logged_by_first_snapshot = std::fs::metadata(tweet_log(&dir)).expect("log").len();
+        }
+    }
+    assert_eq!(durable.stats().snapshots, 1, "the second snapshot was never published");
+    assert!(durable.degradation().snapshot_lagging);
+    assert_eq!(durable.op_seq(), final_op);
+    drop(durable); // the crash
+
+    let full = std::fs::read(tweet_log(&dir)).expect("log bytes");
+    let pre = logged_by_first_snapshot as usize;
+    assert!(full.len() > pre, "the failed snapshot's records must be in the log");
+    let case = root.join("case");
+    for cut in pre..=full.len() {
+        copy_store(&dir, &case);
+        std::fs::write(tweet_log(&case), &full[..cut]).expect("cut log");
+        let threads = if cut % 7 == 0 || cut == full.len() { 4 } else { 1 };
+        let what = format!("log cut at byte {cut} of {} ({threads}t)", full.len());
+        let (durable, report) = DurableGlobalizer::open(pipeline(threads), &case, 3)
+            .unwrap_or_else(|e| {
+                panic!("{what}: recovery failed: {e}");
+            });
+        assert_eq!(report.snapshot_seq, Some(6), "{what}: recovers from the first snapshot");
+        assert_eq!(report.tweets_from_log, 3 * LOG_BATCH, "{what}: the first snapshot's tweets");
+        assert_eq!(durable.op_seq(), final_op, "{what}: the WAL holds every op");
+        assert_eq!(
+            durable.inner().export_state_bytes(),
+            want,
+            "{what}: recovered state is not bitwise identical to the clean run"
+        );
+        drop(durable);
+        let kept = std::fs::metadata(tweet_log(&case)).expect("log").len();
+        assert_eq!(kept as usize, pre, "{what}: records past the snapshot must be cut");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A bit flip anywhere in a tweet record that the live snapshot
+/// references fails `open` with a typed error and leaves the log as it
+/// was — never a panic, never a silent fallback to replay.
+#[test]
+fn bit_flips_in_referenced_tweet_records_fail_open_with_a_typed_error() {
+    let root = scratch_root("logflip");
+    let stream = gen_stream(0xF1E7, 4 * BATCH);
+    let clean = root.join("clean");
+    let reference = record_reference(1, 3, &clean, &stream);
+    assert!(reference.contains_key(&6), "a snapshot lands at op 6");
+    let full = std::fs::read(tweet_log(&clean)).expect("log bytes");
+    assert!(!full.is_empty());
+    let case = root.join("case");
+    for byte in 0..full.len() {
+        copy_store(&clean, &case);
+        let mut flipped = full.clone();
+        flipped[byte] ^= 1 << (byte % 8);
+        std::fs::write(tweet_log(&case), &flipped).expect("flip");
+        match DurableGlobalizer::open(pipeline(1), &case, 3) {
+            Err(
+                DurableError::Corrupt(_)
+                | DurableError::Store(_)
+                | DurableError::Codec(_)
+                | DurableError::Persist(_),
+            ) => {}
+            Err(other) => panic!("flip at byte {byte}: unexpected error {other}"),
+            Ok(_) => panic!("flip at byte {byte}: a damaged referenced record opened"),
+        }
+        assert_eq!(std::fs::read(tweet_log(&case)).expect("log"), flipped, "byte {byte}");
     }
     let _ = std::fs::remove_dir_all(&root);
 }
