@@ -1,5 +1,6 @@
 //! Durable stream state on top of `ngl-store`: delta checkpointing
-//! via a typed write-ahead log and periodic full snapshots.
+//! via a typed write-ahead log, an append-only tweet log and periodic
+//! snapshots.
 //!
 //! ## Delta checkpointing model
 //!
@@ -12,8 +13,8 @@
 //! additionally carries a [`NerGlobalizer::state_digest`] so recovery
 //! proves it reconverged instead of assuming it. Per-batch WAL cost is
 //! proportional to the *new inputs* of that batch (plus a constant-size
-//! finalize mark), while a full snapshot grows with the whole stream —
-//! which is what makes delta checkpointing sublinear per batch.
+//! finalize mark), while a snapshot grows with the stream's candidate
+//! state — which is what makes delta checkpointing sublinear per batch.
 //!
 //! Every `checkpoint_every` finalizes, [`DurableGlobalizer`] writes a
 //! snapshot and compacts. The tweet records go to the lineage's
@@ -444,12 +445,14 @@ pub enum DegradationCause {
     /// The disk reported out-of-space; mutations are refused until a
     /// commit succeeds again.
     DiskFull,
-    /// A full snapshot could not be written; durability rides on the
-    /// WAL alone and the snapshot is retried at the next finalize.
+    /// A snapshot (or the tweet-log append before it) could not be
+    /// written; durability rides on the WAL alone and the snapshot is
+    /// retried at the next finalize.
     SnapshotWrite,
-    /// WAL rotation/compaction or snapshot pruning failed after a
-    /// successful snapshot. Stale files linger — harmless for
-    /// correctness (replay filters records by `op_seq`), costs disk.
+    /// WAL rotation/compaction, snapshot pruning or tweet-log
+    /// compaction failed after a successful snapshot. Stale files
+    /// linger — harmless for correctness (replay filters records by
+    /// `op_seq`, recovery cuts the tweet log), costs disk.
     Compaction,
 }
 
@@ -974,9 +977,11 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         }
     }
 
-    /// Writes a full snapshot at the current `op_seq`, then compacts:
-    /// WAL segments at or below the snapshot are dropped and all but
-    /// the two newest snapshots pruned.
+    /// Writes a snapshot at the current `op_seq` — the tweet log takes
+    /// the records added since the previous one first — then compacts:
+    /// WAL segments at or below the snapshot are dropped, all but the
+    /// two newest snapshots pruned, and tweet-log segments below the
+    /// older one's first retained tweet deleted.
     ///
     /// A stashed finalize is re-committed first (WAL order is apply
     /// order); its spans are dropped here — only a retried

@@ -54,6 +54,9 @@ impl TweetLog {
         snapshot: &TweetLogRef,
         segment_bytes: u64,
     ) -> Result<(Self, Vec<TweetRecord>), DurableError> {
+        if snapshot.first_retained > snapshot.len {
+            return Err(DurableError::Corrupt("snapshot retains tweets past its stream end"));
+        }
         let mut records = Vec::new();
         // `(index, checksum)` of the last record below the cut.
         let mut last: Option<(u64, u64)> = None;
@@ -78,7 +81,7 @@ impl TweetLog {
                 }
             }
             if index >= snapshot.first_retained {
-                if index != snapshot.first_retained + records.len() as u64 {
+                if index - snapshot.first_retained != records.len() as u64 {
                     return Err(DurableError::Corrupt(
                         "tweet log lacks a record the snapshot references",
                     ));
@@ -91,7 +94,7 @@ impl TweetLog {
             last = Some((index, r.checksum));
             Ok(())
         })?;
-        if records.len() as u64 != snapshot.len.saturating_sub(snapshot.first_retained) {
+        if records.len() as u64 != snapshot.len - snapshot.first_retained {
             return Err(DurableError::Corrupt("tweet log ends before the snapshot's last record"));
         }
         if last.is_some_and(|(_, sum)| sum != snapshot.checksum) {

@@ -130,6 +130,12 @@ pub fn put_quantized_f32_slice(buf: &mut Vec<u8>, v: &[f32]) {
 /// Reads a quantized `f32` record written by [`put_quantized_f32_slice`],
 /// returning the dequantized vector.
 pub fn get_quantized_f32_vec(buf: &mut &[u8]) -> Result<Vec<f32>, CodecError> {
+    get_quantized_f32s(buf)
+}
+
+/// [`get_quantized_f32_vec`] collected into any container, e.g. an
+/// `Arc<[f32]>` built in one allocation.
+pub fn get_quantized_f32s<C: FromIterator<f32>>(buf: &mut &[u8]) -> Result<C, CodecError> {
     let n = get_u64(buf)?;
     if n > MAX_ELEMENTS {
         return Err(CodecError::Invalid("quantized slice length"));
