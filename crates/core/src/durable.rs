@@ -236,6 +236,11 @@ impl WalRecord {
 
 // ---- snapshot payload --------------------------------------------------
 
+/// Tweet-log segment roll-over size. Compaction deletes whole
+/// segments, so under `MaxTweets` retention up to one segment of
+/// evicted records stays on disk; recovery reads one segment at a time.
+const TWEET_LOG_SEGMENT_BYTES: u64 = 1 << 20;
+
 /// First word of a snapshot payload. Snapshots that carry their tweets
 /// inline (written before the tweet log existed) begin with the
 /// configuration's `max_mention_len` instead, and fail to open.
@@ -667,7 +672,7 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
                 let (mut ck, log_ref) = decode_snapshot(&payload)?;
                 drop(payload);
                 let (log, records) =
-                    TweetLog::open(&dir, io.clone(), &log_ref, DEFAULT_SEGMENT_BYTES)?;
+                    TweetLog::open(&dir, io.clone(), &log_ref, TWEET_LOG_SEGMENT_BYTES)?;
                 report.tweets_from_log = records.len();
                 ck.tweets = TweetBase::from_parts(log_ref.first_retained as usize, records);
                 inner.import_state(ck)?;
@@ -677,7 +682,7 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
             }
             None => {
                 let fresh = TweetLogRef::default();
-                (TweetLog::open(&dir, io.clone(), &fresh, DEFAULT_SEGMENT_BYTES)?.0, None)
+                (TweetLog::open(&dir, io.clone(), &fresh, TWEET_LOG_SEGMENT_BYTES)?.0, None)
             }
         };
 

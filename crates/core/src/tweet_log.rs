@@ -28,6 +28,8 @@ use crate::checkpoint::{get_tweet, put_tweet, TweetLogRef};
 use crate::durable::DurableError;
 
 const TAG_TWEET: u8 = 1;
+/// Most records [`TweetLog::open`] reserves room for before reading.
+const PREALLOC_RECORDS: u64 = 1 << 16;
 
 /// The tweet log of one lineage (see the module docs).
 pub(crate) struct TweetLog {
@@ -57,7 +59,11 @@ impl TweetLog {
         if snapshot.first_retained > snapshot.len {
             return Err(DurableError::Corrupt("snapshot retains tweets past its stream end"));
         }
-        let mut records = Vec::new();
+        // Sized up front (a grown vector leaves freed blocks behind in
+        // the heap), with a cap so that a damaged count cannot
+        // allocate much before the log disproves it.
+        let referenced = snapshot.len - snapshot.first_retained;
+        let mut records = Vec::with_capacity(referenced.min(PREALLOC_RECORDS) as usize);
         // `(index, checksum)` of the last record below the cut.
         let mut last: Option<(u64, u64)> = None;
         let mut cut: Option<LogPos> = None;
@@ -94,7 +100,7 @@ impl TweetLog {
             last = Some((index, r.checksum));
             Ok(())
         })?;
-        if records.len() as u64 != snapshot.len - snapshot.first_retained {
+        if records.len() as u64 != referenced {
             return Err(DurableError::Corrupt("tweet log ends before the snapshot's last record"));
         }
         if last.is_some_and(|(_, sum)| sum != snapshot.checksum) {

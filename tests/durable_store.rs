@@ -219,6 +219,43 @@ fn reopening_a_store_continues_bitwise_identically() {
     }
 }
 
+/// Under `MaxTweets` retention the tweet log drops the segments whose
+/// records every kept snapshot has evicted, so its disk use stays near
+/// one segment while the appended total grows with the stream, and the
+/// store still reopens to the live state.
+#[test]
+fn max_tweets_retention_bounds_the_tweet_log_on_disk() {
+    let dir = scratch("log-retention");
+    let cfg = GlobalizerConfig {
+        ablation: AblationMode::MentionExtraction,
+        retention: RetentionPolicy::MaxTweets(40),
+        ..Default::default()
+    };
+    // Every snapshot covers one whole retained batch: each tweet is
+    // logged once.
+    let (mut durable, _) = DurableGlobalizer::open(pipeline(1, cfg), &dir, 1).expect("open");
+    for chunk in gen_stream(0x106, 9000).chunks(40) {
+        durable.ingest(chunk.to_vec(), None).expect("batch");
+        durable.finalize().expect("finalize");
+    }
+    let on_disk: u64 = std::fs::read_dir(&dir)
+        .expect("dir")
+        .map(|e| e.expect("entry"))
+        .filter(|e| e.file_name().to_string_lossy().starts_with("tweets-"))
+        .map(|e| e.metadata().expect("meta").len())
+        .sum();
+    let appended = durable.stats().tweet_log_bytes;
+    assert!(appended > 2 * (1 << 20), "the stream must fill several segments: {appended} B");
+    assert!(on_disk <= 2 * (1 << 20), "log kept {on_disk} B of {appended} B appended");
+    assert!(!dir.join("tweets-00000000.log").exists(), "the first segment is fully evicted");
+    let want = durable.inner().export_state_bytes();
+    drop(durable);
+    let (reopened, report) = DurableGlobalizer::open(pipeline(1, cfg), &dir, 1).expect("reopen");
+    assert_eq!(report.tweets_from_log, 40);
+    assert_eq!(reopened.inner().export_state_bytes(), want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn frozen_mentions_of_evicted_tweets_go_stale_on_trie_growth() {
     // Keep only the last 4 tweets resident so early mentions freeze.
