@@ -419,8 +419,8 @@ fn tweet_log(dir: &Path) -> PathBuf {
 /// rename: the second snapshot's publish fails, which leaves the store
 /// exactly as such a crash would (its records logged and synced, no new
 /// snapshot, the WAL uncompacted). Cutting the log at every byte of
-/// that last append must recover bitwise to the clean run, at 1 and 4
-/// threads, and the open must cut the unreferenced records.
+/// that last append must recover bitwise to the clean run, each cut at
+/// 1 and at 4 threads, and the open must cut the unreferenced records.
 #[test]
 fn kill_between_tweet_log_sync_and_snapshot_rename_recovers_at_every_log_byte() {
     // Small batches keep the sweep short: one case per byte.
@@ -465,25 +465,26 @@ fn kill_between_tweet_log_sync_and_snapshot_rename_recovers_at_every_log_byte() 
     assert!(full.len() > pre, "the failed snapshot's records must be in the log");
     let case = root.join("case");
     for cut in pre..=full.len() {
-        copy_store(&dir, &case);
-        std::fs::write(tweet_log(&case), &full[..cut]).expect("cut log");
-        let threads = if cut % 7 == 0 || cut == full.len() { 4 } else { 1 };
-        let what = format!("log cut at byte {cut} of {} ({threads}t)", full.len());
-        let (durable, report) = DurableGlobalizer::open(pipeline(threads), &case, 3)
-            .unwrap_or_else(|e| {
-                panic!("{what}: recovery failed: {e}");
-            });
-        assert_eq!(report.snapshot_seq, Some(6), "{what}: recovers from the first snapshot");
-        assert_eq!(report.tweets_from_log, 3 * LOG_BATCH, "{what}: the first snapshot's tweets");
-        assert_eq!(durable.op_seq(), final_op, "{what}: the WAL holds every op");
-        assert_eq!(
-            durable.inner().export_state_bytes(),
-            want,
-            "{what}: recovered state is not bitwise identical to the clean run"
-        );
-        drop(durable);
-        let kept = std::fs::metadata(tweet_log(&case)).expect("log").len();
-        assert_eq!(kept as usize, pre, "{what}: records past the snapshot must be cut");
+        for threads in [1, 4] {
+            copy_store(&dir, &case);
+            std::fs::write(tweet_log(&case), &full[..cut]).expect("cut log");
+            let what = format!("log cut at byte {cut} of {} ({threads}t)", full.len());
+            let (durable, report) = DurableGlobalizer::open(pipeline(threads), &case, 3)
+                .unwrap_or_else(|e| {
+                    panic!("{what}: recovery failed: {e}");
+                });
+            assert_eq!(report.snapshot_seq, Some(6), "{what}: recovers from the first snapshot");
+            assert_eq!(report.tweets_from_log, 3 * LOG_BATCH, "{what}: the snapshot's tweets");
+            assert_eq!(durable.op_seq(), final_op, "{what}: the WAL holds every op");
+            assert_eq!(
+                durable.inner().export_state_bytes(),
+                want,
+                "{what}: recovered state is not bitwise identical to the clean run"
+            );
+            drop(durable);
+            let kept = std::fs::metadata(tweet_log(&case)).expect("log").len();
+            assert_eq!(kept as usize, pre, "{what}: records past the snapshot must be cut");
+        }
     }
     let _ = std::fs::remove_dir_all(&root);
 }
