@@ -831,7 +831,7 @@ pub fn store_table(r: &StoreBenchResult) -> String {
         format!("{}/{}", r.io_retries, r.io_retry_exhausted),
     ]];
     render_table(
-        "Durable store: delta WAL bytes per batch vs full snapshot",
+        "Durable store: delta WAL bytes per batch vs snapshot, and tweet-log bytes",
         &[
             "Tweets",
             "Batches",

@@ -41,8 +41,8 @@
 //! [`DurableGlobalizer::open`] = newest valid snapshot + the tweet-log
 //! records it references + WAL replay. Log records past the snapshot
 //! (a crash between the log's fsync and the snapshot's rename) are cut;
-//! a referenced record that is missing or fails its checksum is a typed
-//! error, never a silent fallback.
+//! a referenced record that is missing or fails its checksum fails the
+//! open with a typed error.
 //! Torn or bit-flipped bytes at the very tail of the final WAL segment
 //! are tolerated (the write that was in flight when the process died);
 //! the replay stops at the last checksum-valid record, yielding exactly

@@ -59,9 +59,9 @@ impl TweetLog {
         if snapshot.first_retained > snapshot.len {
             return Err(DurableError::Corrupt("snapshot retains tweets past its stream end"));
         }
-        // Sized up front (a grown vector leaves freed blocks behind in
-        // the heap), with a cap so that a damaged count cannot
-        // allocate much before the log disproves it.
+        // Sized up front, as the inline codec sizes its records, with a
+        // cap so that a damaged count cannot allocate much before the
+        // log disproves it.
         let referenced = snapshot.len - snapshot.first_retained;
         let mut records = Vec::with_capacity(referenced.min(PREALLOC_RECORDS) as usize);
         // `(index, checksum)` of the last record below the cut.
