@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use ngl_ctrie::CTrie;
 use ngl_nn::codec::{
-    get_f32, get_matrix, get_quantized_f32_vec, get_quantized_f32s, get_u64, put_f32, put_matrix,
+    get_f32, get_matrix, get_quantized_f32_vec, get_u64, put_f32, put_matrix,
     put_quantized_f32_slice, put_u64, CodecError,
 };
 use ngl_text::{EntityType, Span};
@@ -221,7 +221,7 @@ fn get_mention(buf: &mut &[u8]) -> Result<MentionRecord, CodecError> {
         tweet: get_u64(buf)? as usize,
         start: get_u64(buf)? as usize,
         end: get_u64(buf)? as usize,
-        local_emb: get_quantized_f32s(buf)?,
+        local_emb: get_quantized_f32_vec(buf)?,
         local_type: get_opt_type(buf)?,
         trie_version: get_u64(buf)?,
     })
@@ -500,7 +500,7 @@ fn get_checkpoint_with<S>(
         let t = get_u64(buf)? as usize;
         let s = get_u64(buf)? as usize;
         let e = get_u64(buf)? as usize;
-        mention_cache.insert((t, s, e), get_quantized_f32s(buf)?);
+        mention_cache.insert((t, s, e), get_quantized_f32_vec(buf)?);
     }
     let n = get_count(buf, 8)?;
     let mut seen_ids = BTreeSet::new();

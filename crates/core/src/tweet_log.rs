@@ -16,11 +16,12 @@
 //! segment lies below the next segment's number, and compaction below a
 //! stream index needs no lookup.
 
+use std::ops::ControlFlow;
 use std::path::Path;
 
 use ngl_nn::codec::{get_u64, put_u64, CodecError};
 use ngl_store::{
-    read_log, record_checksum, IoHandle, LogPos, RecordRef, StoreError, Wal, TWEET_LOG_PREFIX,
+    read_log, record_checksum, IoHandle, RecordRef, StoreError, Wal, TWEET_LOG_PREFIX,
 };
 
 use crate::bases::{TweetBase, TweetRecord};
@@ -46,9 +47,9 @@ impl TweetLog {
     /// stored `snapshot` (`TweetLogRef::default()` without one): decodes
     /// the records it references, straight from the segment buffers, and
     /// cuts every record past them (an append whose snapshot was never
-    /// published). A log that lacks a referenced record or disagrees
-    /// with the snapshot's checksum is a typed error, and is left as it
-    /// was. New segments start once the active one reaches
+    /// published) unread. A log that lacks a referenced record or
+    /// disagrees with the snapshot's checksum is a typed error, and is
+    /// left as it was. New segments start once the active one reaches
     /// `segment_bytes`.
     pub(crate) fn open(
         dir: &Path,
@@ -66,11 +67,9 @@ impl TweetLog {
         let mut records = Vec::with_capacity(referenced.min(PREALLOC_RECORDS) as usize);
         // `(index, checksum)` of the last record below the cut.
         let mut last: Option<(u64, u64)> = None;
-        let mut cut: Option<LogPos> = None;
+        // The scan stops at the first record past the snapshot: the
+        // cut starts there.
         let scan = read_log(&io, dir, TWEET_LOG_PREFIX, |r: RecordRef<'_>| {
-            if cut.is_some() {
-                return Ok(());
-            }
             if r.tag != TAG_TWEET {
                 return Err(DurableError::Corrupt("unknown tweet-log record tag"));
             }
@@ -78,8 +77,7 @@ impl TweetLog {
             let index = get_u64(&mut buf)?;
             let prev = get_u64(&mut buf)?;
             if index >= snapshot.len {
-                cut = Some(r.start);
-                return Ok(());
+                return Ok(ControlFlow::Break(()));
             }
             if let Some((i, sum)) = last {
                 if index <= i || prev != sum {
@@ -98,7 +96,7 @@ impl TweetLog {
                 }
             }
             last = Some((index, r.checksum));
-            Ok(())
+            Ok(ControlFlow::Continue(()))
         })?;
         if records.len() as u64 != referenced {
             return Err(DurableError::Corrupt("tweet log ends before the snapshot's last record"));
@@ -106,8 +104,7 @@ impl TweetLog {
         if last.is_some_and(|(_, sum)| sum != snapshot.checksum) {
             return Err(DurableError::Corrupt("tweet log does not match the snapshot"));
         }
-        let end = cut.unwrap_or(scan.end);
-        let wal = Wal::resume(dir, TWEET_LOG_PREFIX, segment_bytes, io, end)?;
+        let wal = Wal::resume(dir, TWEET_LOG_PREFIX, segment_bytes, io, scan.end)?;
         Ok((Self { wal, next: snapshot.len, last: snapshot.checksum }, records))
     }
 
@@ -238,6 +235,40 @@ mod tests {
         let after: Vec<Vec<u8>> =
             segments(&dir).iter().map(|n| std::fs::read(dir.join(n)).expect("read")).collect();
         assert_eq!(after, bytes);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Records past the snapshot are cut unread: a flipped byte in an
+    /// unreferenced segment before the last one (appends whose
+    /// snapshots each failed after rolling over) does not fail the open.
+    #[test]
+    fn damage_past_the_snapshot_is_cut_without_failing_the_open() {
+        let dir = std::env::temp_dir().join(format!("ngl-tweetlog-cut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("dir");
+        let io = IoHandle::real();
+        let (mut log, _) =
+            TweetLog::open(&dir, io.clone(), &TweetLogRef::default(), 64).expect("open");
+        let mut tweets = TweetBase::new();
+        let mut refs = Vec::new();
+        for round in 0..4 {
+            for k in 0..2 {
+                tweets.push(record(round * 2 + k));
+            }
+            refs.push(log.append(&tweets).expect("append").0);
+        }
+        drop(log);
+        let names = segments(&dir);
+        assert_eq!(names.len(), 4, "each append must roll over: {names:?}");
+        let middle = dir.join(&names[2]);
+        let mut data = std::fs::read(&middle).expect("read");
+        data[20] ^= 0x40;
+        std::fs::write(&middle, &data).expect("write");
+
+        let (mut log, kept) = TweetLog::open(&dir, io, &refs[0], 64).expect("cut open");
+        assert_eq!(tokens(&kept), ["t0", "t1"]);
+        assert_eq!(segments(&dir), names[..2]);
+        assert_eq!(log.append(&tweets).expect("re-append").0, refs[3]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -128,14 +128,9 @@ pub fn put_quantized_f32_slice(buf: &mut Vec<u8>, v: &[f32]) {
 }
 
 /// Reads a quantized `f32` record written by [`put_quantized_f32_slice`],
-/// returning the dequantized vector.
-pub fn get_quantized_f32_vec(buf: &mut &[u8]) -> Result<Vec<f32>, CodecError> {
-    get_quantized_f32s(buf)
-}
-
-/// [`get_quantized_f32_vec`] collected into any container, e.g. an
-/// `Arc<[f32]>` built in one allocation.
-pub fn get_quantized_f32s<C: FromIterator<f32>>(buf: &mut &[u8]) -> Result<C, CodecError> {
+/// returning the dequantized vector collected into any container, e.g.
+/// a `Vec<f32>` or an `Arc<[f32]>` built in one allocation.
+pub fn get_quantized_f32_vec<C: FromIterator<f32>>(buf: &mut &[u8]) -> Result<C, CodecError> {
     let n = get_u64(buf)?;
     if n > MAX_ELEMENTS {
         return Err(CodecError::Invalid("quantized slice length"));
@@ -299,7 +294,7 @@ mod tests {
         let v = vec![0.83f32, -1.2, 0.0, 0.004, 2.7, -0.3311];
         let mut buf = Vec::new();
         put_quantized_f32_slice(&mut buf, &v);
-        let got = get_quantized_f32_vec(&mut &buf[..]).expect("decode");
+        let got: Vec<f32> = get_quantized_f32_vec(&mut &buf[..]).expect("decode");
         let scale = crate::kernels::QuantizedVec::quantize(&v).scale;
         for (&x, &y) in v.iter().zip(&got) {
             assert!((x - y).abs() <= scale * 0.5, "{x} vs {y}");
@@ -314,7 +309,8 @@ mod tests {
         put_quantized_f32_slice(&mut buf, &v);
         for cut in 0..buf.len() {
             let mut sliced = &buf[..cut];
-            assert!(get_quantized_f32_vec(&mut sliced).is_err(), "truncation at {cut} must fail");
+            let got: Result<Vec<f32>, _> = get_quantized_f32_vec(&mut sliced);
+            assert!(got.is_err(), "truncation at {cut} must fail");
         }
     }
 }

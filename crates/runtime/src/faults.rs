@@ -155,16 +155,11 @@ pub enum IoPathClass {
 }
 
 impl IoPathClass {
-    /// The classes [`IoFaultPlan::seeded`] draws faults from. `Meta`
-    /// is excluded: the fingerprint file is written once at open,
-    /// before any fault schedule meaningfully applies, and `Other` is a
-    /// catch-all. `TweetLog` is left out so that a seed keeps naming
-    /// the same WAL and snapshot calls it named before the tweet log
-    /// existed; [`Self::FAULTABLE_WITH_LOG`] adds it.
-    pub const FAULTABLE: [IoPathClass; 2] = [IoPathClass::Wal, IoPathClass::Snapshot];
-
-    /// [`Self::FAULTABLE`] plus the tweet log.
-    pub const FAULTABLE_WITH_LOG: [IoPathClass; 3] =
+    /// Every class a seeded [`IoFaultPlan`] should draw faults from.
+    /// `Meta` is excluded: the fingerprint file is written once at
+    /// open, before any fault schedule meaningfully applies, and
+    /// `Other` is a catch-all.
+    pub const FAULTABLE: [IoPathClass; 3] =
         [IoPathClass::Wal, IoPathClass::Snapshot, IoPathClass::TweetLog];
 }
 
@@ -223,22 +218,11 @@ impl IoFaultPlan {
     }
 
     /// A pseudo-random schedule of (up to) `n_faults` IO faults, fully
-    /// determined by `seed`. Faults land on WAL/snapshot paths at
-    /// per-(op, class) call indices in `0..index_bound`, with kinds
-    /// matched to ops (torn writes only on writes, sync failures only
-    /// on syncs).
-    pub fn seeded(seed: u64, n_faults: usize, index_bound: u64) -> Self {
-        Self::seeded_over(seed, n_faults, index_bound, &IoPathClass::FAULTABLE)
-    }
-
-    /// [`Self::seeded`] drawing the path class of each fault from
-    /// `classes`. Over [`IoPathClass::FAULTABLE`] it is `seeded`.
-    pub fn seeded_over(
-        seed: u64,
-        n_faults: usize,
-        index_bound: u64,
-        classes: &[IoPathClass],
-    ) -> Self {
+    /// determined by `seed` and `classes`. Faults land on paths of the
+    /// given classes at per-(op, class) call indices in
+    /// `0..index_bound`, with kinds matched to ops (torn writes only on
+    /// writes, sync failures only on syncs).
+    pub fn seeded(seed: u64, n_faults: usize, index_bound: u64, classes: &[IoPathClass]) -> Self {
         let mut plan = Self::new();
         if index_bound == 0 || classes.is_empty() {
             return plan;
@@ -339,8 +323,8 @@ mod tests {
 
     #[test]
     fn seeded_io_plans_are_reproducible_and_kind_matched() {
-        let a = IoFaultPlan::seeded(42, 12, 32);
-        let b = IoFaultPlan::seeded(42, 12, 32);
+        let a = IoFaultPlan::seeded(42, 12, 32, &IoPathClass::FAULTABLE);
+        let b = IoFaultPlan::seeded(42, 12, 32, &IoPathClass::FAULTABLE);
         assert_eq!(a, b);
         assert!(!a.is_empty());
         for fault in a.iter() {
@@ -351,20 +335,7 @@ mod tests {
                 IoFaultKind::Transient | IoFaultKind::NoSpace { .. } => {}
             }
         }
-        assert_ne!(a, IoFaultPlan::seeded(43, 12, 32));
-    }
-
-    #[test]
-    fn seeded_over_the_default_classes_is_seeded() {
-        for seed in 0..8 {
-            assert_eq!(
-                IoFaultPlan::seeded_over(seed, 12, 32, &IoPathClass::FAULTABLE),
-                IoFaultPlan::seeded(seed, 12, 32)
-            );
-        }
-        let with_log = IoFaultPlan::seeded_over(7, 24, 32, &IoPathClass::FAULTABLE_WITH_LOG);
-        assert!(with_log.iter().any(|f| f.class == IoPathClass::TweetLog));
-        assert!(IoFaultPlan::seeded(7, 24, 32).iter().all(|f| f.class != IoPathClass::TweetLog));
+        assert_ne!(a, IoFaultPlan::seeded(43, 12, 32, &IoPathClass::FAULTABLE));
     }
 
     #[test]

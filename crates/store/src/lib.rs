@@ -62,6 +62,7 @@
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 pub mod io;
@@ -211,11 +212,13 @@ pub struct LogScan {
 }
 
 /// Result of scanning one segment's bytes: the byte length of the
-/// valid prefix, and whether the scan consumed the whole buffer
-/// (`false` = a torn or corrupt tail was cut off).
+/// valid prefix, whether the scan consumed the whole buffer (`false` =
+/// a torn or corrupt tail was cut off), and whether the visitor stopped
+/// it (`valid_len` is then the start of the record it stopped at).
 struct SegmentScan {
     valid_len: usize,
     clean: bool,
+    stopped: bool,
 }
 
 /// Little-endian `u32` at `pos`. Caller has bounds-checked `pos + 4`;
@@ -235,31 +238,34 @@ fn u64_le_at(data: &[u8], pos: usize) -> u64 {
 
 /// Walks the frames of `data` up to the first incomplete or
 /// checksum-invalid one, handing each valid frame to `visit` as
-/// `(tag, payload, checksum, start offset)`.
+/// `(tag, payload, checksum, start offset)`, until `visit` breaks.
 fn scan_segment<E>(
     data: &[u8],
-    mut visit: impl FnMut(u8, &[u8], u64, usize) -> Result<(), E>,
+    mut visit: impl FnMut(u8, &[u8], u64, usize) -> Result<ControlFlow<()>, E>,
 ) -> Result<SegmentScan, E> {
     let mut pos = 0usize;
+    let torn = |pos| Ok(SegmentScan { valid_len: pos, clean: false, stopped: false });
     loop {
         if data.len() - pos < FRAME_HEADER {
-            return Ok(SegmentScan { valid_len: pos, clean: pos == data.len() });
+            return Ok(SegmentScan { valid_len: pos, clean: pos == data.len(), stopped: false });
         }
         let len = u32_le_at(data, pos) as usize;
         let tag = data[pos + 4];
         let checksum = u64_le_at(data, pos + 5);
         if len > MAX_PAYLOAD || data.len() - pos - FRAME_HEADER < len {
-            return Ok(SegmentScan { valid_len: pos, clean: false });
+            return torn(pos);
         }
         let body = pos + FRAME_HEADER;
         let Some(end) = body.checked_add(len) else {
-            return Ok(SegmentScan { valid_len: pos, clean: false });
+            return torn(pos);
         };
         let payload = &data[body..end];
         if record_checksum(tag, payload) != checksum {
-            return Ok(SegmentScan { valid_len: pos, clean: false });
+            return torn(pos);
         }
-        visit(tag, payload, checksum, pos)?;
+        if visit(tag, payload, checksum, pos)?.is_break() {
+            return Ok(SegmentScan { valid_len: pos, clean: true, stopped: true });
+        }
         pos = end;
     }
 }
@@ -294,13 +300,15 @@ fn list_segments(
 /// segment's buffer. A torn or bit-flipped tail on the last segment
 /// holding data ends the scan (`torn_tail`); invalid bytes in any
 /// earlier segment are a hard [`StoreError::Corrupt`]. Empty segments
-/// (leaked by a faulted rotation) are skipped. Nothing is modified:
-/// pair with [`Wal::resume`] to cut the log at a chosen boundary.
+/// (leaked by a faulted rotation) are skipped. When `visit` breaks, the
+/// scan ends before that record: `end` is its start, and no later
+/// segment is read or checked. Nothing is modified: pair with
+/// [`Wal::resume`] to cut the log at a chosen boundary.
 pub fn read_log<E: From<StoreError>>(
     io: &IoHandle,
     dir: &Path,
     prefix: &str,
-    mut visit: impl FnMut(RecordRef<'_>) -> Result<(), E>,
+    mut visit: impl FnMut(RecordRef<'_>) -> Result<ControlFlow<()>, E>,
 ) -> Result<LogScan, E> {
     let segments = list_segments(io, dir, prefix)?;
     let first = segments.keys().next().copied().unwrap_or(0);
@@ -321,6 +329,9 @@ pub fn read_log<E: From<StoreError>>(
             end: LogPos { segment, offset: seg.valid_len as u64 },
             torn_tail: !seg.clean,
         };
+        if seg.stopped {
+            break;
+        }
     }
     Ok(scan)
 }
@@ -382,7 +393,8 @@ impl Wal {
             if data.is_empty() {
                 continue;
             }
-            let scan = scan_segment(&data, |_, _, _, _| Ok::<(), StoreError>(()))?;
+            let scan =
+                scan_segment(&data, |_, _, _, _| Ok::<_, StoreError>(ControlFlow::Continue(())))?;
             if !scan.clean {
                 io.set_len(path, scan.valid_len as u64)?;
                 io.sync(path)?;
@@ -651,7 +663,7 @@ impl Wal {
         let mut records = Vec::new();
         let scan = read_log(&self.io, &self.dir, self.prefix, |r: RecordRef<'_>| {
             records.push(Record { tag: r.tag, payload: r.payload.to_vec() });
-            Ok::<(), StoreError>(())
+            Ok::<_, StoreError>(ControlFlow::Continue(()))
         })?;
         Ok(Replay { records, torn_tail: scan.torn_tail })
     }
@@ -786,11 +798,16 @@ impl SnapshotStore {
     }
 
     /// The newest snapshot that verifies, as `(seq, payload)` — corrupt
-    /// or torn snapshot files are skipped in favour of older ones.
+    /// or torn snapshot files are skipped in favour of older ones. A
+    /// read that fails with an IO error is passed up instead: the file
+    /// may verify at the next attempt, and the caller must not take an
+    /// older snapshot as the newest.
     pub fn latest(&self) -> Result<Option<(u64, Vec<u8>)>, StoreError> {
         for (seq, path) in list_snapshots(&self.io, &self.dir)?.into_iter().rev() {
-            if let Ok(payload) = self.read(&path, seq) {
-                return Ok(Some((seq, payload)));
+            match self.read(&path, seq) {
+                Ok(payload) => return Ok(Some((seq, payload))),
+                Err(StoreError::Corrupt(_)) => {}
+                Err(e) => return Err(e),
             }
         }
         Ok(None)
@@ -987,12 +1004,22 @@ mod tests {
         let scan = read_log(&io, &dir, TWEET_LOG_PREFIX, |r: RecordRef<'_>| {
             assert_eq!(r.checksum, record_checksum(r.tag, r.payload));
             starts.push((r.start, r.payload[0]));
-            Ok::<(), StoreError>(())
+            Ok::<_, StoreError>(ControlFlow::Continue(()))
         })
         .unwrap();
         assert!(!scan.torn_tail);
         assert_eq!(starts.len(), 6);
         assert_eq!(scan.end, LogPos { segment: 4, offset: 2 * (FRAME_HEADER as u64 + 40) });
+        // A visitor that breaks at record 3 ends the scan at its start.
+        let stop = read_log(&io, &dir, TWEET_LOG_PREFIX, |r: RecordRef<'_>| {
+            Ok::<_, StoreError>(if r.payload[0] == 3 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            })
+        })
+        .unwrap();
+        assert_eq!(stop.end, starts[3].0);
         // The WAL of the same directory sees none of it.
         assert!(Wal::open(&dir).unwrap().replay().unwrap().records.is_empty());
 
@@ -1007,7 +1034,7 @@ mod tests {
         let mut got = Vec::new();
         read_log(&io, &dir, TWEET_LOG_PREFIX, |r: RecordRef<'_>| {
             got.push(r.payload[0]);
-            Ok::<(), StoreError>(())
+            Ok::<_, StoreError>(ControlFlow::Continue(()))
         })
         .unwrap();
         assert_eq!(got, vec![0, 1, 2, 9]);

@@ -140,6 +140,10 @@ const CKPT: usize = 3;
 /// renames), so most drawn faults land on a call the stream makes
 /// instead of past its end.
 const FAULT_INDEX_BOUND: u64 = 24;
+/// The classes the seeded sweep draws from: without the tweet log, so
+/// each seed names the same WAL and snapshot calls it named before the
+/// log existed. The randomized smoke draws from every faultable class.
+const SWEEP_CLASSES: &[IoPathClass] = &[IoPathClass::Wal, IoPathClass::Snapshot];
 
 /// Opens a durable globalizer, retrying through open-time faults (the
 /// fault schedule advances with every attempted IO call, so a bounded
@@ -222,7 +226,7 @@ fn seeded_chaos_sweep_is_bitwise_or_degraded_and_recovers() {
     for seed in 0..6u64 {
         let mut per_thread: Vec<ChaosOutcome> = Vec::new();
         for threads in [1usize, 4] {
-            let plan = IoFaultPlan::seeded(seed, 12, FAULT_INDEX_BOUND);
+            let plan = IoFaultPlan::seeded(seed, 12, FAULT_INDEX_BOUND, SWEEP_CLASSES);
             assert!(!plan.is_empty(), "seeded plan {seed} is empty");
             let dir = scratch(&format!("sweep-{seed}-{threads}t"));
             let outcome = run_chaos(threads, &dir, plan);
@@ -302,8 +306,7 @@ fn randomized_seed_chaos_smoke() {
     };
     println!("chaos smoke seed: {seed} (rerun with NGL_CHAOS_SEED={seed})");
     let dir = scratch("smoke");
-    let plan =
-        IoFaultPlan::seeded_over(seed, 8, FAULT_INDEX_BOUND, &IoPathClass::FAULTABLE_WITH_LOG);
+    let plan = IoFaultPlan::seeded(seed, 8, FAULT_INDEX_BOUND, &IoPathClass::FAULTABLE);
     let outcome = run_chaos(1, &dir, plan);
     // The contract subset that holds for *any* seed: typed degradation
     // or none, and fault-free recovery once the schedule is exhausted.
@@ -676,4 +679,53 @@ fn tweet_log_faults_degrade_to_wal_only_and_recover_bitwise() {
         }
     }
     let _ = std::fs::remove_dir_all(&clean_dir);
+}
+
+/// A snapshot that cannot be read at open (an IO error, not a corrupt
+/// file) fails the open instead of being skipped: falling back to an
+/// older snapshot would cut the tweet-log records the newest one still
+/// references. The failed open leaves every file as it was, and a
+/// fault-free reopen recovers the clean state bitwise.
+#[test]
+fn snapshot_read_errors_at_open_fail_it_and_cut_nothing() {
+    let dir = scratch("snapread");
+    let clean = run_chaos(1, &dir, IoFaultPlan::new());
+    let clean_recovered = recover(1, &dir);
+    let files = |dir: &Path| {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .expect("dir")
+            .map(|e| {
+                let path = e.expect("entry").path();
+                let name = path.file_name().expect("name").to_string_lossy().into_owned();
+                (name, std::fs::read(&path).expect("read"))
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = files(&dir);
+    assert!(before.iter().any(|(n, _)| n.starts_with("tweets-")), "{before:?}");
+    for threads in [1usize, 4] {
+        let plan = IoFaultPlan::new().with_fault(IoFault {
+            op: IoOp::Read,
+            class: IoPathClass::Snapshot,
+            index: 0,
+            kind: IoFaultKind::Transient,
+        });
+        let io = IoHandle::chaos(plan, RetryPolicy::none().no_sleep());
+        let err = DurableGlobalizer::open_with_io(
+            pipeline(threads, full_cfg(RetentionPolicy::Unbounded)),
+            &dir,
+            CKPT,
+            None,
+            io,
+        )
+        .err()
+        .expect("an unreadable newest snapshot must fail the open");
+        assert!(matches!(err, DurableError::Store(StoreError::Io(_))), "{threads}t: {err}");
+        assert_eq!(files(&dir), before, "{threads}t: the failed open changed the store");
+        assert_eq!(recover(threads, &dir), clean_recovered, "{threads}t: recovery");
+        assert_eq!(clean_recovered.0, clean.digest);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
