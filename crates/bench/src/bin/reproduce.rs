@@ -11,11 +11,12 @@
 //! ```
 //!
 //! `--timings-json` additionally writes the per-stage pipeline
-//! wall-clock (local, extract+embed, cluster, classify, global) and
-//! the number of surface clusterings run (`clustered_surfaces`) of
-//! every eval dataset to the given path (conventionally
-//! `BENCH_pipeline.json`), forcing the pipeline runs even when no
-//! requested section needs them.
+//! wall-clock (local, extract+embed, cluster, classify, global), the
+//! number of surface clusterings run (`clustered_surfaces`) and the
+//! number of already-scanned tweets rescanned at CTrie version bumps
+//! (`rescanned_tweets`) of every eval dataset to the given path
+//! (conventionally `BENCH_pipeline.json`), forcing the pipeline runs
+//! even when no requested section needs them.
 //!
 //! The `store` section (also forced by `--store-dir` or
 //! `--timings-json`) streams the eval datasets through the durable
@@ -89,7 +90,7 @@ fn write_timings_json(
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"local_s\": {:.6}, \"extract_s\": {:.6}, \
              \"cluster_s\": {:.6}, \"classify_s\": {:.6}, \"global_s\": {:.6}, \
-             \"clustered_surfaces\": {}}}{}\n",
+             \"clustered_surfaces\": {}, \"rescanned_tweets\": {}}}{}\n",
             d.name,
             t.local.as_secs_f64(),
             t.extract.as_secs_f64(),
@@ -97,6 +98,7 @@ fn write_timings_json(
             t.classify.as_secs_f64(),
             t.global.as_secs_f64(),
             t.surfaces_clustered,
+            t.tweets_rescanned,
             if i + 1 == runs.full.len() { "" } else { "," },
         ));
     }

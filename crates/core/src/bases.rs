@@ -3,7 +3,7 @@
 //! one entry per discovered candidate surface form with its mentions,
 //! clusters and (eventually) cluster labels.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use ngl_nn::Matrix;
@@ -28,11 +28,11 @@ pub struct MentionRecord {
     /// (used by the mention-extraction ablation's majority vote).
     pub local_type: Option<EntityType>,
     /// The [`ngl_ctrie::CTrie`] version this mention was extracted
-    /// with. Retained mentions are re-extracted (and re-stamped) on
-    /// every version-bump rebuild, but mentions of *evicted* tweets are
-    /// frozen — a frozen mention whose version trails the live trie was
-    /// extracted with boundaries the current surface set might not
-    /// reproduce, and is reported stale by
+    /// with. Retained mentions are re-stamped on every version bump
+    /// (re-extracted where the bump can change them), but mentions of
+    /// *evicted* tweets are frozen — a frozen mention whose version
+    /// trails the live trie was extracted with boundaries the current
+    /// surface set might not reproduce, and is reported stale by
     /// `NerGlobalizer::stale_frozen_mentions`.
     pub trie_version: u64,
 }
@@ -64,11 +64,11 @@ pub struct SurfaceEntry {
     pub mentions: Vec<MentionRecord>,
     /// Current candidate clusters over those mentions.
     pub clusters: Vec<CandidateCluster>,
-    /// Mention count `clusters` was last computed over. Mentions only
-    /// ever append between candidate-store rebuilds, so an entry whose
-    /// count still matches is untouched and its clusters (a pure
-    /// function of the mention set) can be reused verbatim by the next
-    /// finalize.
+    /// Mention count `clusters` was last computed over. A finalize
+    /// that changes an entry's mentions marks it dirty
+    /// ([`Self::mark_dirty`]), so an entry whose count still matches is
+    /// untouched and its clusters (a pure function of the ordered
+    /// mention list) can be reused verbatim by the next finalize.
     pub clustered: usize,
     /// Mention count the cluster labels/global embeddings were last
     /// computed over (same skip logic as `clustered`).
@@ -105,8 +105,8 @@ impl SurfaceEntry {
     }
 
     /// Forces the next finalize to recompute this entry even if the
-    /// mention *count* is coincidentally unchanged (used after rebuilds
-    /// that may replace mentions rather than append).
+    /// mention *count* is coincidentally unchanged (mentions replaced
+    /// rather than appended).
     pub fn mark_dirty(&mut self) {
         self.clustered = usize::MAX;
         self.classified = usize::MAX;
@@ -139,8 +139,36 @@ impl SurfaceEntry {
 /// Clusters detached from clean entries before a candidate-store
 /// rebuild ([`CandidateBase::take_clean_clusters`]): per surface, the
 /// ordered mention coordinates and the clusters computed over them.
+#[cfg(test)]
 pub(crate) type CarriedClusters =
     BTreeMap<String, (Vec<(usize, usize, usize)>, Vec<CandidateCluster>)>;
+
+/// One finalize's scan as [`CandidateBase::patch`] applies it. The
+/// scan covers the tweets `from..`; the touch clock ticks once per
+/// occurrence in that range, in scan order.
+pub(crate) struct Patch<'a> {
+    /// Stream index of the first tweet of the range.
+    pub(crate) from: usize,
+    /// The new CTrie version when it moved since the last scan: every
+    /// entry is then visited, its mentions in range restamped with it
+    /// and its touch stamp recomputed.
+    pub(crate) bump: Option<u64>,
+    /// Whether the clock restarts at zero (the range starts at the
+    /// first tweet of the stream) instead of continuing.
+    pub(crate) restart: bool,
+    /// Per tweet of the range, whether its mentions are dropped: the
+    /// scan found other occurrences there, or the store never admitted
+    /// them.
+    pub(crate) replaced: &'a [bool],
+    /// The mentions to add, by surface, each list in `(tweet, start)`
+    /// order (the patch does not depend on the map's order).
+    pub(crate) added: HashMap<&'a str, Vec<MentionRecord>>,
+    /// The 1-based tick, within the range, of the occurrence at
+    /// `(tweet, start)`.
+    pub(crate) tick: &'a dyn Fn(usize, usize) -> u64,
+    /// The ticks the whole range consumes.
+    pub(crate) ticks: u64,
+}
 
 /// Candidate store keyed by folded surface form.
 #[derive(Debug, Clone, Default)]
@@ -160,7 +188,10 @@ impl CandidateBase {
 
     /// Records a mention of `surface`, returning its index in the entry.
     /// Bumps the entry's `touched` stamp — the surface was just matched.
-    pub fn add_mention(&mut self, surface: &str, record: MentionRecord) -> usize {
+    /// The reference rebuild's one-mention step; finalize applies a
+    /// whole scan with [`Self::patch`].
+    #[cfg(test)]
+    pub(crate) fn add_mention(&mut self, surface: &str, record: MentionRecord) -> usize {
         self.clock += 1;
         // Nearly every mention lands on a known surface: look it up by
         // `&str` first and allocate a key only for a new one.
@@ -182,6 +213,7 @@ impl CandidateBase {
     /// Nothing reads the stamps' order any more, but they are hashed
     /// into `NerGlobalizer::state_digest` and encoded in checkpoint v4,
     /// so shard neutrality of both needs the skipped ticks.
+    #[cfg(test)]
     pub(crate) fn touch_skip(&mut self) {
         self.clock += 1;
     }
@@ -221,20 +253,6 @@ impl CandidateBase {
         self.surfaces.values().map(|e| e.mentions.len()).sum()
     }
 
-    /// Drops all clusters (used before a full re-clustering pass).
-    pub fn clear_clusters(&mut self) {
-        for e in self.surfaces.values_mut() {
-            e.clusters.clear();
-        }
-    }
-
-    /// Marks every entry dirty so the next finalize recomputes it.
-    pub fn mark_all_dirty(&mut self) {
-        for e in self.surfaces.values_mut() {
-            e.mark_dirty();
-        }
-    }
-
     /// Total approximate heap bytes of the candidate entries.
     pub fn resident_bytes(&self) -> usize {
         self.surfaces.values().map(SurfaceEntry::approx_bytes).sum()
@@ -248,11 +266,86 @@ impl CandidateBase {
         self.surfaces.insert(surface, entry);
     }
 
+    /// Applies one finalize's scan in place, leaving exactly the store
+    /// that rebuilding every mention of the range in scan order would:
+    /// the mentions of replaced tweets are dropped, the added ones
+    /// merged in at their `(tweet, start)` position, and an entry whose
+    /// ordered mention coordinates this changes is marked dirty while
+    /// every other one keeps its clusters and labels. Entries left
+    /// without mentions are removed. An entry's touch stamp is the tick
+    /// of its last mention when that mention lies in the range (else it
+    /// keeps its stamp, as the frozen mentions of evicted tweets do),
+    /// and the clock ends at the range's last tick.
+    pub(crate) fn patch(&mut self, patch: Patch<'_>) {
+        let Patch { from, bump, restart, replaced, mut added, tick, ticks } = patch;
+        let base = if restart { 0 } else { self.clock };
+        let dropped = |m: &MentionRecord| m.tweet >= from && replaced[m.tweet - from];
+        let any_dropped = replaced.contains(&true);
+        let update = |e: &mut SurfaceEntry, fresh: Vec<MentionRecord>| {
+            let drops = any_dropped && e.mentions.iter().any(dropped);
+            if drops || !fresh.is_empty() {
+                let old = std::mem::take(&mut e.mentions);
+                let before: Vec<(usize, usize, usize)> = if drops {
+                    old.iter().map(|m| (m.tweet, m.start, m.end)).collect()
+                } else {
+                    Vec::new()
+                };
+                let mut fresh = fresh.into_iter().peekable();
+                let mut merged = Vec::with_capacity(old.len() + fresh.len());
+                for m in old.into_iter().filter(|m| !dropped(m)) {
+                    while let Some(f) = fresh.next_if(|f| (f.tweet, f.start) < (m.tweet, m.start)) {
+                        merged.push(f);
+                    }
+                    merged.push(m);
+                }
+                merged.extend(fresh);
+                // Without drops the entry only gained mentions.
+                let changed =
+                    !drops || !merged.iter().map(|m| (m.tweet, m.start, m.end)).eq(before);
+                e.mentions = merged;
+                if changed {
+                    e.mark_dirty();
+                }
+            }
+            if let Some(version) = bump {
+                for m in e.mentions.iter_mut().rev().take_while(|m| m.tweet >= from) {
+                    m.trie_version = version;
+                }
+            }
+            if let Some(last) = e.mentions.last().filter(|m| m.tweet >= from) {
+                e.touched = base + tick(last.tweet, last.start);
+            }
+        };
+        if bump.is_some() {
+            for (surface, e) in &mut self.surfaces {
+                update(e, added.remove(surface.as_str()).unwrap_or_default());
+            }
+        } else {
+            added.retain(|surface, fresh| match self.surfaces.get_mut(*surface) {
+                Some(e) => {
+                    update(e, std::mem::take(fresh));
+                    false
+                }
+                None => true,
+            });
+        }
+        for (surface, mentions) in added {
+            let mut e = SurfaceEntry::default();
+            update(&mut e, mentions);
+            self.surfaces.insert(surface.to_string(), e);
+        }
+        if any_dropped {
+            self.surfaces.retain(|_, e| !e.mentions.is_empty());
+        }
+        self.clock = base + ticks;
+    }
+
     /// Detaches the clusters and labels of every clean entry, keyed by
     /// surface together with the ordered `(tweet, start, end)` list
     /// they were computed over — the first half of a candidate-store
     /// rebuild that keeps unchanged surfaces' work (see
     /// [`Self::restore_clusters`]).
+    #[cfg(test)]
     pub(crate) fn take_clean_clusters(&mut self) -> CarriedClusters {
         self.surfaces
             .iter_mut()
@@ -271,6 +364,7 @@ impl CandidateBase {
     /// clusters and labels are a pure function of the ordered mention
     /// list: embeddings come from the coordinate-keyed cache and local
     /// types from the immutable tweet records.
+    #[cfg(test)]
     pub(crate) fn restore_clusters(&mut self, carried: CarriedClusters) {
         for (surface, (coords, clusters)) in carried {
             let Some(e) = self.surfaces.get_mut(&surface) else {
@@ -294,6 +388,7 @@ impl CandidateBase {
     /// rescanned and re-appended. Clusters are cleared and entries
     /// marked dirty because the mention sets are about to change;
     /// [`Self::restore_clusters`] reinstates those that did not.
+    #[cfg(test)]
     pub(crate) fn truncate_mentions_from_tweet(&mut self, from: usize) {
         self.surfaces.retain(|_, e| {
             e.mentions.retain(|m| m.tweet < from);
@@ -468,20 +563,6 @@ mod tests {
         assert_eq!(cb.total_mentions(), 3);
         assert_eq!(cb.get("italy").expect("entry").mentions.len(), 2);
         assert!(cb.get("nowhere").is_none());
-    }
-
-    #[test]
-    fn clear_clusters_keeps_mentions() {
-        let mut cb = CandidateBase::new();
-        cb.add_mention("us", record(0));
-        cb.get_mut("us").expect("entry").clusters.push(CandidateCluster {
-            members: vec![0],
-            global_emb: vec![],
-            label: None,
-        });
-        cb.clear_clusters();
-        assert!(cb.get("us").expect("entry").clusters.is_empty());
-        assert_eq!(cb.total_mentions(), 1);
     }
 
     #[test]

@@ -25,12 +25,13 @@
 //! replaced by a reference into that log, so its size no longer grows
 //! with the stored tweets. Commit order: the new log records are
 //! written and fsynced, then the snapshot is published (tmp file,
-//! fsync, rename), then the WAL rotates and drops segments at or below
-//! the snapshot, older snapshots are pruned (the newest two are kept —
-//! the latest plus one fallback in case the latest is found corrupt on
-//! open), and last the log drops the segments that hold only tweets
-//! below the oldest kept snapshot's first retained tweet, so
-//! `MaxTweets` retention still bounds the disk. Snapshots are sequenced
+//! fsync, rename), then the WAL rotates and drops the segments wholly
+//! below the *older* kept snapshot, older snapshots are pruned (the
+//! newest two are kept — the latest plus one fallback in case the
+//! latest is found corrupt on open, and the WAL still holds every op
+//! after the fallback), and last the log drops the segments that hold
+//! only tweets below the oldest kept snapshot's first retained tweet,
+//! so `MaxTweets` retention still bounds the disk. Snapshots are sequenced
 //! by the global **operation counter** (`op_seq`, bumped once per batch
 //! and once per finalize); replay skips WAL records with
 //! `op_seq <= snapshot.seq`, so a crash *between* snapshot write and
@@ -48,7 +49,10 @@
 //! the replay stops at the last checksum-valid record, yielding exactly
 //! the state of a clean run over the surviving operations. Corruption
 //! anywhere earlier is a hard error — silently skipping interior
-//! records would violate prefix consistency.
+//! records would violate prefix consistency — and so is a gap in the
+//! op sequence between the chosen snapshot and the WAL's records
+//! ([`DurableError::OpGap`]): recovery never succeeds short of an
+//! acknowledged operation it still has a record of.
 
 use std::path::{Path, PathBuf};
 
@@ -286,6 +290,11 @@ pub enum DurableError {
     /// opening a 4-shard store as 2 shards would otherwise silently
     /// replay a subset of the lineages (wrong ownership everywhere).
     ShardLayoutMismatch { stored: u32, requested: u32 },
+    /// The WAL's next record after op `after` (the chosen snapshot's,
+    /// or the last one replayed) is op `found`: the operations between
+    /// were acknowledged but are in neither the snapshot nor the log,
+    /// so the open fails rather than recover short of them.
+    OpGap { after: u64, found: u64 },
     /// The log's structure is inconsistent (e.g. a finalize mark with
     /// no preceding state, an eviction record contradicting replay).
     Corrupt(&'static str),
@@ -313,6 +322,11 @@ impl std::fmt::Display for DurableError {
                 "shard layout mismatch: store was written with {stored} \
                  shard(s), reopen requested {requested} — reopen with the \
                  original shard count or start a fresh store"
+            ),
+            DurableError::OpGap { after, found } => write!(
+                f,
+                "operations missing from the durable log: op {found} follows op {after} \
+                 — the snapshot that covered them is unreadable"
             ),
             DurableError::Corrupt(what) => write!(f, "corrupt durable log: {what}"),
         }
@@ -598,6 +612,11 @@ pub struct DurableGlobalizer<T: ContextualTagger> {
     /// of tweet-log compaction once a newer snapshot makes it the
     /// fallback.
     snapshot_first_retained: Option<u64>,
+    /// The first WAL segment holding records after the newest snapshot
+    /// on disk (or after the start of the log, without one): the floor
+    /// of WAL compaction once a newer snapshot makes that one the
+    /// fallback.
+    wal_floor: u64,
     dir: PathBuf,
     io: IoHandle,
     checkpoint_every: usize,
@@ -694,6 +713,13 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         for raw in &replay.records {
             records.push(WalRecord::decode(raw.tag, &raw.payload)?);
         }
+        // The ops after the snapshot start here (or, with none logged
+        // yet, in the segment that takes the next append).
+        let wal_floor = records
+            .iter()
+            .zip(&replay.segments)
+            .find(|(record, _)| record.op_seq() > op_seq)
+            .map_or(wal.active_segment(), |(_, &segment)| segment);
 
         // Concurrent replay: batches must still *apply* one at a time
         // in log order (barrier semantics, digest verification), but
@@ -725,18 +751,28 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         let mut memo = None;
 
         for record in records {
-            if record.op_seq() <= op_seq {
-                continue; // already inside the snapshot
-            }
+            let seq = record.op_seq();
             match record {
-                WalRecord::Batch { op_seq: seq, ids, tweets } => {
+                // An eviction is logged with the finalize that made it,
+                // so it is checked right after that finalize replays.
+                WalRecord::Evict { first_retained, .. } if seq == op_seq => {
+                    if inner.tweet_base().first_retained() as u64 != first_retained {
+                        return Err(DurableError::Corrupt(
+                            "eviction record contradicts replayed retention",
+                        ));
+                    }
+                }
+                // Inside the snapshot, or an audit record of an applied
+                // op (snapshot markers were consumed above).
+                _ if seq <= op_seq => {}
+                WalRecord::Batch { ids, tweets, .. } if seq == op_seq + 1 => {
                     let memo = memo.get_or_insert_with(|| inner.encode_memo(&group));
                     report.batch_ids.push(ids.clone().unwrap_or_default());
                     inner.ingest_with_memo(tweets, ids, Some(memo));
                     op_seq = seq;
                     report.replayed_batches += 1;
                 }
-                WalRecord::Finalize { op_seq: seq, digest, .. } => {
+                WalRecord::Finalize { digest, .. } if seq == op_seq + 1 => {
                     inner.finalize_scanned(None, false);
                     let replayed = inner.state_digest();
                     if replayed != digest {
@@ -752,15 +788,9 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
                     memo = None;
                     group = groups.next().unwrap_or_default();
                 }
-                WalRecord::Evict { first_retained, .. } => {
-                    if inner.tweet_base().first_retained() as u64 != first_retained {
-                        return Err(DurableError::Corrupt(
-                            "eviction record contradicts replayed retention",
-                        ));
-                    }
-                }
-                // Audit-only: snapshots were consumed above.
-                WalRecord::Snapshot { .. } => {}
+                // An op past the next one, or an audit record of an op
+                // the log no longer holds.
+                _ => return Err(DurableError::OpGap { after: op_seq, found: seq }),
             }
         }
 
@@ -776,6 +806,7 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
                 snaps,
                 tweet_log,
                 snapshot_first_retained,
+                wal_floor,
                 dir,
                 io,
                 checkpoint_every: checkpoint_every.max(1),
@@ -984,7 +1015,7 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
 
     /// Writes a snapshot at the current `op_seq` — the tweet log takes
     /// the records added since the previous one first — then compacts:
-    /// WAL segments at or below the snapshot are dropped, all but the
+    /// WAL segments below the previous snapshot are dropped, all but the
     /// two newest snapshots pruned, and tweet-log segments below the
     /// older one's first retained tweet deleted.
     ///
@@ -1024,14 +1055,16 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         self.degradation.snapshot_lagging = false;
         self.finalizes_since_snapshot = 0;
 
-        // Compaction: everything at or below the snapshot's op_seq is
-        // now redundant. Rotate so the active segment starts fresh,
-        // then drop the older segments; keep one fallback snapshot.
-        // The audit marker goes into the *new* segment so it survives
-        // until the next compaction. All of this is best-effort —
+        // Compaction: rotate so the records after this snapshot start
+        // in a fresh segment, then drop the segments below the one
+        // that started after the previous snapshot — the fallback kept
+        // below — so the WAL still reaches back to it. The audit marker
+        // goes into the *new* segment. All of this is best-effort —
         // replay filters stale records by op_seq, so a failure only
         // costs disk space: degrade, don't fail.
-        if let Err(e) = self.wal.rotate().and_then(|active| self.wal.compact_below(active)) {
+        let rotated = self.wal.rotate();
+        let floor = std::mem::replace(&mut self.wal_floor, self.wal.active_segment());
+        if let Err(e) = rotated.and_then(|_| self.wal.compact_below(floor)) {
             self.compaction_failed(e);
         }
         let marker = WalRecord::Snapshot { op_seq: self.op_seq, bytes }.encode();
@@ -1270,6 +1303,69 @@ mod tests {
 
     /// A store whose snapshot carries its tweets inline (the layout
     /// before the tweet log) fails to open with a typed error.
+    /// Replay checks each logged eviction against the retention the
+    /// finalize before it reproduced.
+    #[test]
+    fn a_contradicting_eviction_record_fails_replay() {
+        use crate::pipeline::tests::{toks, FakeTagger};
+        use crate::pipeline::{GlobalizerConfig, RetentionPolicy};
+        let bounded = || {
+            let dim = 8;
+            NerGlobalizer::new(
+                FakeTagger { dim },
+                crate::phrase::PhraseEmbedder::new(crate::phrase::PhraseEmbedderConfig {
+                    dim,
+                    ..Default::default()
+                }),
+                crate::classifier::EntityClassifier::new(crate::classifier::ClassifierConfig {
+                    dim,
+                    ..Default::default()
+                }),
+                GlobalizerConfig { retention: RetentionPolicy::MaxTweets(2), ..Default::default() },
+            )
+        };
+        let dir = scratch("evict-check");
+        let (mut durable, _) = DurableGlobalizer::open(bounded(), &dir, 100).expect("open");
+        durable
+            .ingest(vec![toks("Beshear spoke"), toks("Italy won"), toks("a b")], None)
+            .expect("batch");
+        durable.finalize().expect("finalize");
+        let (op, first) = (durable.op_seq(), durable.inner().tweet_base().first_retained());
+        assert_eq!(first, 1, "the finalize evicted one tweet");
+        drop(durable);
+        DurableGlobalizer::open(bounded(), &dir, 100).expect("a consistent log replays");
+        let mut wal = Wal::open(&dir).expect("wal");
+        let (tag, payload) = WalRecord::Evict { op_seq: op, first_retained: 0 }.encode();
+        wal.commit(&[(tag, &payload)]).expect("append");
+        match DurableGlobalizer::open(bounded(), &dir, 100) {
+            Err(DurableError::Corrupt(what)) => assert!(what.contains("eviction"), "{what}"),
+            Err(other) => panic!("unexpected error: {other}"),
+            Ok(_) => panic!("a contradicting eviction record replayed"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A process that writes one snapshot per open (as `ngl tag
+    /// --store-dir` does) still compacts: the floor set at open is the
+    /// segment of the first op after the chosen snapshot, so the WAL
+    /// keeps the ops since the older kept snapshot and no more.
+    #[test]
+    fn reopen_cycles_keep_the_wal_bounded() {
+        use crate::pipeline::tests::{pipeline, toks};
+        use crate::pipeline::AblationMode;
+        let dir = scratch("reopen-floor");
+        for i in 0..12 {
+            let (mut durable, report) =
+                DurableGlobalizer::open(pipeline(AblationMode::FullGlobal), &dir, 1).expect("open");
+            assert_eq!(report.snapshot_seq, (i > 0).then_some(2 * i as u64));
+            durable.ingest(vec![toks("Beshear spoke"), toks("Italy won")], None).expect("batch");
+            durable.finalize().expect("finalize");
+            let segments = durable.wal.segments().expect("segments");
+            assert!(segments.len() <= 3, "cycle {i}: WAL segments {segments:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn snapshots_with_inline_tweets_are_rejected_with_a_typed_error() {
         use crate::pipeline::tests::{pipeline, toks};

@@ -33,18 +33,32 @@
 //! * **version unchanged** — only tweets that arrived since the last
 //!   `finalize()` are scanned and embedded; earlier mentions are reused
 //!   as-is.
-//! * **version bumped** (a batch seeded a new surface) — the candidate
-//!   store is rebuilt because new surfaces can change the greedy scan's
-//!   occurrence boundaries anywhere in the stream, but every previously
-//!   embedded `(tweet, start, end)` span is served from the cache
-//!   instead of re-running the phrase embedder, and every surface whose
-//!   rebuilt mention list equals its previous one (same coordinates, same
-//!   order) keeps its clusters and labels instead of being reclustered.
+//! * **version bumped** (a batch seeded a new surface) — new surfaces
+//!   can recover mentions in old tweets and shift the greedy scan's
+//!   boundaries there, but only where a new surface matches. A *scan
+//!   memo* keeps, per retained tweet, the occurrence coordinates of its
+//!   last scan and a fixed-hash fingerprint of each folded token, so the
+//!   scan revisits only the new tweets, the old ones holding the first
+//!   token of a surface registered since `scanned_version`, and those
+//!   whose last scan or admit failed. The candidate store is patched in
+//!   place: a tweet whose occurrences changed has its mentions replaced
+//!   at their `(tweet, start)` position, and only the entries that
+//!   touches turn dirty; every retained mention is restamped with the
+//!   new version, and touch stamps and the clock are recomputed from
+//!   per-tweet occurrence counts. Embeddings of known spans come from
+//!   the cache.
+//! * **no memo** (after open, import, reset or clone, until a scan
+//!   covers every retained tweet) — a version bump runs the same
+//!   routine with every retained tweet counted as affected: each is
+//!   rescanned and re-admitted, and an entry whose mention list comes
+//!   back unchanged keeps its clusters and labels.
 //!
-//! Both paths produce byte-identical state to a from-scratch rebuild
+//! Every path produces byte-identical state to a from-scratch rebuild
 //! (the embedder is frozen and deterministic, and clusters and labels
 //! are a pure function of the ordered mention list), so repeated
-//! incremental calls match one end-of-stream call exactly.
+//! incremental calls match one end-of-stream call exactly; the
+//! `reference` test module pins the patch to the full rebuild it
+//! replaced.
 //!
 //! ## Fault tolerance & bounded state
 //!
@@ -191,6 +205,10 @@ pub struct StageTimings {
     /// Surfaces whose clusters were recomputed; the rest of each
     /// finalize's surfaces reused clusters from an earlier one.
     pub surfaces_clustered: u64,
+    /// Already-scanned tweets the CTrie scan revisited at version
+    /// bumps; the other retained tweets were vouched for by the scan
+    /// memo.
+    pub tweets_rescanned: u64,
 }
 
 /// Output of one processed batch.
@@ -288,27 +306,46 @@ pub struct SurfaceSummary {
 /// group.
 pub(crate) type EncodeMemo = HashMap<Vec<String>, Arc<TweetRecord>>;
 
-/// One CTrie pass of a finalize ([`NerGlobalizer::scan`]): the scan
-/// range, the trie version it ran with and, per scanned tweet, its
+/// One CTrie pass of a finalize ([`NerGlobalizer::scan`]): the range
+/// it covers, the trie version it ran with and, per scanned tweet, its
 /// occurrences in scan order, each tagged with the shard that owns its
-/// surface. It depends only on state every shard replicates, so a
-/// sharded finalize computes it once and applies it per shard with
-/// [`NerGlobalizer::admit`].
+/// surface. It depends only on state every shard replicates (the
+/// shards' scan memos are equal too), so a sharded finalize computes it
+/// once and applies it per shard with [`NerGlobalizer::admit`].
 pub(crate) struct Scan {
     /// The [`CTrie::version`] scanned with.
     version: u64,
-    /// Whether the version moved since the last scan, so the candidate
-    /// store is rebuilt from `start` on.
+    /// Whether the version moved since the last scan, so every mention
+    /// from `start` on is restamped and re-ticked.
     rebuild: bool,
-    /// Stream index of the first scanned tweet.
+    /// Stream index of the first tweet of the range.
     start: usize,
+    /// One past the last tweet of the range (the stream length).
+    end: usize,
     /// The shard count owners were computed for (1 when unsharded).
     shards: u32,
-    /// `(owner, occurrence)` lists of tweets `start..`; empty for a
-    /// tweet whose scan task failed.
-    tweets: Vec<Vec<(u32, MentionOccurrence)>>,
+    /// Whether every tweet of the range was scanned. If not, the scan
+    /// memo vouches for the rest: their occurrences cannot have
+    /// changed.
+    full: bool,
+    /// The scanned tweets, in stream order.
+    tweets: Vec<ScannedTweet>,
     /// The failed scan tasks, indexed by tweet.
     errors: Vec<TaskError>,
+}
+
+/// One tweet of a [`Scan`].
+struct ScannedTweet {
+    /// Its stream index.
+    index: usize,
+    /// `(owner, occurrence)` pairs in scan order; empty when the scan
+    /// task failed.
+    occurrences: Vec<(u32, MentionOccurrence)>,
+    /// Fingerprints of its folded tokens, for the scan memo (empty when
+    /// the scan task failed).
+    tokens: Arc<[u32]>,
+    /// Whether the scan task failed.
+    failed: bool,
 }
 
 impl Scan {
@@ -316,6 +353,111 @@ impl Scan {
     /// admit this scan.
     pub(crate) fn into_errors(self) -> Vec<TaskError> {
         self.errors
+    }
+}
+
+/// What the last scan found in one retained tweet.
+struct TweetScan {
+    /// Fingerprints of the tweet's folded tokens
+    /// ([`CTrie::extract_mentions_fingerprinted`]); a tweet holding none
+    /// of a version bump's new first tokens scans as before.
+    tokens: Arc<[u32]>,
+    /// `(start, end)` of every occurrence, whichever shard owns it, in
+    /// scan order.
+    occurrences: Box<[(u32, u32)]>,
+    /// Whether the scan task or this pipeline's admit task failed: the
+    /// tweet's mentions are then missing from the candidate store and
+    /// its occurrences consumed no clock ticks.
+    failed: bool,
+}
+
+impl TweetScan {
+    fn from_scanned(t: &ScannedTweet) -> Self {
+        Self {
+            tokens: Arc::clone(&t.tokens),
+            occurrences: t
+                .occurrences
+                .iter()
+                .map(|(_, o)| {
+                    let at = |i: usize| u32::try_from(i).expect("fewer than 2^32 tokens per tweet");
+                    (at(o.start), at(o.end))
+                })
+                .collect(),
+            failed: t.failed,
+        }
+    }
+
+    /// Clock ticks the tweet's occurrences consume in a scan.
+    fn ticks(&self) -> u64 {
+        if self.failed {
+            0
+        } else {
+            self.occurrences.len() as u64
+        }
+    }
+
+    /// The 1-based tick of the occurrence starting at `start` among
+    /// the tweet's occurrences.
+    fn tick_of(&self, start: usize) -> u64 {
+        self.occurrences.partition_point(|&(s, _)| (s as usize) < start) as u64 + 1
+    }
+}
+
+/// The scan memo: what the last scan found in each tweet from the
+/// first retained one up to the scan watermark, all at the scanned
+/// CTrie version. Derived state: never persisted, and a clone (a
+/// published snapshot, the shard merged view) starts without one, as
+/// it starts without `finalize_errors`.
+struct ScanMemo {
+    /// Stream index of `tweets[0]`.
+    first: usize,
+    tweets: std::collections::VecDeque<TweetScan>,
+}
+
+impl ScanMemo {
+    fn get(&self, tweet: usize) -> Option<&TweetScan> {
+        tweet.checked_sub(self.first).and_then(|k| self.tweets.get(k))
+    }
+
+    /// The tweets a scan at a version bump must revisit: those holding
+    /// the first folded token of a surface registered since the memo's
+    /// version (`fresh`, sorted fingerprints) and those whose last scan
+    /// or admit failed. Every other tweet scans as it did.
+    fn affected<'a>(&'a self, fresh: &'a [u32]) -> impl Iterator<Item = usize> + 'a {
+        self.tweets.iter().enumerate().filter_map(move |(k, t)| {
+            let hit = t.failed || t.tokens.iter().any(|f| fresh.binary_search(f).is_ok());
+            hit.then_some(self.first + k)
+        })
+    }
+
+    /// Whether every failed tweet of the memo is among `tweets`.
+    fn failures_among(&self, tweets: &[ScannedTweet]) -> bool {
+        self.tweets
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.failed)
+            .all(|(k, _)| tweets.binary_search_by_key(&(self.first + k), |t| t.index).is_ok())
+    }
+
+    /// Records the scan's findings: replaces the entries of rescanned
+    /// tweets and appends those of new ones.
+    fn update(&mut self, scanned: impl Iterator<Item = (usize, TweetScan)>) {
+        for (index, found) in scanned {
+            match index.checked_sub(self.first).and_then(|k| self.tweets.get_mut(k)) {
+                Some(slot) => *slot = found,
+                None => {
+                    debug_assert_eq!(index, self.first + self.tweets.len(), "memo gap");
+                    self.tweets.push_back(found);
+                }
+            }
+        }
+    }
+
+    /// Forgets the tweets below `first` (evicted).
+    fn evict_below(&mut self, first: usize) {
+        while self.first < first && self.tweets.pop_front().is_some() {
+            self.first += 1;
+        }
     }
 }
 
@@ -340,10 +482,14 @@ pub struct NerGlobalizer<T: ContextualTagger> {
     /// The [`CTrie::version`] the scan last ran with; a mismatch means
     /// new surfaces were seeded and earlier scan results are stale.
     scanned_version: u64,
+    /// What the last scan found per retained tweet, so a version bump
+    /// rescans only the tweets a new surface can change; `None` until a
+    /// scan covers every retained tweet (after open, import, reset or
+    /// clone).
+    scan_memo: Option<ScanMemo>,
     /// Local mention embeddings by `(tweet, start, end)`. Embeddings
     /// depend only on the (immutable) tweet record and the span, so
-    /// entries stay valid across CTrie version bumps and candidate
-    /// rebuilds.
+    /// entries stay valid across CTrie version bumps.
     /// The records admitted from an entry share its vector.
     mention_cache: HashMap<(usize, usize, usize), Arc<[f32]>>,
     /// Tweet ids already consumed by [`Self::ingest`]
@@ -361,13 +507,19 @@ pub struct NerGlobalizer<T: ContextualTagger> {
     /// entries carry the same stamps as an unfiltered run. Runtime
     /// wiring like `exec` — never serialized, survives state import.
     shard_filter: Option<(u32, u32)>,
+    /// Finalize through the full-rebuild reference instead (see
+    /// [`Self::with_reference_rebuild`]).
+    #[cfg(test)]
+    reference_rebuild: bool,
 }
 
 impl<T: ContextualTagger> Clone for NerGlobalizer<T> {
     /// Shares the models and tweet records, copies the stream-derived
-    /// state, and starts without diagnostics: the errors stay with the
-    /// pipeline that recorded them, so a merged view or a published
-    /// snapshot never reports them a second time.
+    /// state, and starts without diagnostics or scan memo: the errors
+    /// stay with the pipeline that recorded them, so a merged view or a
+    /// published snapshot never reports them a second time, and the
+    /// memo is rebuilt by the clone's first scan of every retained
+    /// tweet should it ever finalize.
     fn clone(&self) -> Self {
         Self {
             local: Arc::clone(&self.local),
@@ -381,10 +533,13 @@ impl<T: ContextualTagger> Clone for NerGlobalizer<T> {
             exec: self.exec.clone(),
             scanned_tweets: self.scanned_tweets,
             scanned_version: self.scanned_version,
+            scan_memo: None,
             mention_cache: self.mention_cache.clone(),
             seen_ids: self.seen_ids.clone(),
             finalize_errors: Vec::new(),
             shard_filter: self.shard_filter,
+            #[cfg(test)]
+            reference_rebuild: self.reference_rebuild,
         }
     }
 }
@@ -418,10 +573,13 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
             },
             scanned_tweets: 0,
             scanned_version: 0,
+            scan_memo: None,
             mention_cache: HashMap::new(),
             seen_ids: BTreeSet::new(),
             finalize_errors: Vec::new(),
             shard_filter: None,
+            #[cfg(test)]
+            reference_rebuild: false,
         }
     }
 
@@ -457,11 +615,6 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// everything).
     pub fn clear_shard_ownership(&mut self) {
         self.shard_filter = None;
-    }
-
-    /// The active shard-ownership filter `(index, count)`, if any.
-    pub fn shard_ownership(&self) -> Option<(u32, u32)> {
-        self.shard_filter
     }
 
     /// The Local NER stage over one batch of tokenized tweets: tags each
@@ -710,8 +863,11 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 let t = Instant::now();
                 match shared {
                     Some(scan) if self.fits(scan) => self.admit(scan),
+                    // No shared scan, or one this pipeline cannot apply:
+                    // it holds no scan memo to vouch for the tweets the
+                    // scan skipped, or an admit failure of its own that
+                    // the scan does not revisit.
                     _ => {
-                        debug_assert!(shared.is_none(), "a scan of another stream state");
                         let own = self.scan();
                         self.finalize_errors.extend_from_slice(&own.errors);
                         self.admit(&own);
@@ -796,6 +952,9 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
             // earliest), so the cache shrinks with the store.
             let keep_from = self.tweets.first_retained();
             self.mention_cache.retain(|&(t, _, _), _| t >= keep_from);
+            if let Some(memo) = &mut self.scan_memo {
+                memo.evict_below(keep_from);
+            }
         }
     }
 
@@ -859,7 +1018,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// full stream might segment those positions differently). Returned
     /// as `(surface, tweet, start, end)` so emit consumers can flag the
     /// affected spans. Retained mentions are never stale: every version
-    /// bump rescans and re-stamps them.
+    /// bump re-stamps them.
     pub fn stale_frozen_mentions(&self) -> Vec<(String, usize, usize, usize)> {
         let frozen_below = self.tweets.first_retained();
         let live = self.ctrie.version();
@@ -876,49 +1035,73 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
 
     /// Stage (i): the CTrie scan, incremental where possible (see the
     /// module docs). With an unchanged CTrie version only tweets beyond
-    /// `scanned_tweets` are scanned; a version bump rescans every
+    /// `scanned_tweets` are scanned. A version bump covers every
     /// retained tweet, because late-discovered surfaces recover early
-    /// mentions and can shift greedy scan boundaries. Each occurrence
-    /// is tagged with the shard that owns its surface under this
+    /// mentions and can shift greedy scan boundaries; but with a scan
+    /// memo it rescans only the new tweets and the old ones the memo
+    /// cannot vouch for ([`ScanMemo::affected`]). Each occurrence is
+    /// tagged with the shard that owns its surface under this
     /// pipeline's ownership filter.
     ///
     /// Pure, and a function of state every shard replicates only
-    /// (CTrie, tweets, scan watermark and version), which is what lets
-    /// one scan serve all shards. Tweets are scanned in parallel; scan
-    /// tasks are panic-isolated, so a poison record degrades to a tweet
-    /// with no occurrences plus an entry in [`Scan`]'s errors.
+    /// (CTrie, tweets, scan watermark, version and memo), which is what
+    /// lets one scan serve all shards. Tweets are scanned in parallel;
+    /// scan tasks are panic-isolated, so a poison record degrades to a
+    /// tweet with no occurrences plus an entry in [`Scan`]'s errors.
     pub(crate) fn scan(&self) -> Scan {
         let (version, rebuild, start) = self.scan_origin();
+        let end = self.tweets.len();
+        let memo = self.scan_memo.as_ref().filter(|_| rebuild);
+        let targets: Vec<usize> = match memo {
+            Some(memo) => {
+                let mut fresh = self.ctrie.first_token_fingerprints_since(self.scanned_version);
+                fresh.sort_unstable();
+                fresh.dedup();
+                memo.affected(&fresh).chain(self.scanned_tweets..end).collect()
+            }
+            None => (start..end).collect(),
+        };
         let shards = self.shard_count();
         let ctrie = &self.ctrie;
         let tweets = &self.tweets;
         let max_len = self.cfg.max_mention_len;
-        let per_tweet =
-            self.exec.try_par_map((start..self.tweets.len()).collect::<Vec<usize>>(), |_, ti| {
-                ctrie
-                    .extract_mentions(&tweets.get(ti).tokens, max_len)
-                    .into_iter()
-                    .map(|occ| (crate::shard::shard_of_surface(&occ.surface, shards), occ))
-                    .collect::<Vec<_>>()
-            });
+        let per_tweet = self.exec.try_par_map(targets.clone(), |_, ti| {
+            let tokens = &tweets.get(ti).tokens;
+            let mut fingerprints = Vec::with_capacity(tokens.len());
+            let occurrences = ctrie
+                .extract_mentions_fingerprinted(tokens, max_len, &mut fingerprints)
+                .into_iter()
+                .map(|occ| (crate::shard::shard_of_surface(&occ.surface, shards), occ))
+                .collect::<Vec<_>>();
+            (occurrences, Arc::<[u32]>::from(fingerprints))
+        });
         let mut errors = Vec::new();
-        let tweets = per_tweet
+        let tweets = targets
             .into_iter()
-            .enumerate()
-            .map(|(k, result)| {
-                result.unwrap_or_else(|e| {
+            .zip(per_tweet)
+            .map(|(index, result)| match result {
+                Ok((occurrences, tokens)) => {
+                    ScannedTweet { index, occurrences, tokens, failed: false }
+                }
+                Err(e) => {
                     // The tweet keeps its record but contributes no
                     // mentions this scan.
-                    errors.push(tweet_task_error(start + k, e));
-                    Vec::new()
-                })
+                    errors.push(tweet_task_error(index, e));
+                    ScannedTweet {
+                        index,
+                        occurrences: Vec::new(),
+                        tokens: Arc::from([]),
+                        failed: true,
+                    }
+                }
             })
             .collect();
-        Scan { version, rebuild, start, shards, tweets, errors }
+        Scan { version, rebuild, start, end, shards, full: memo.is_none(), tweets, errors }
     }
 
     /// Where the next scan starts: `(CTrie version, rebuild, first
-    /// tweet)`. A version bump rescans from the oldest retained tweet.
+    /// tweet)`. A version bump covers everything from the oldest
+    /// retained tweet on.
     fn scan_origin(&self) -> (u64, bool, usize) {
         let version = self.ctrie.version();
         let rebuild = version != self.scanned_version;
@@ -931,63 +1114,88 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     }
 
     /// Whether `scan` was computed from this pipeline's current stream
-    /// state and shard layout.
+    /// state and shard layout, and this pipeline can apply it: a scan
+    /// that skipped tweets needs a memo here to vouch for them, one
+    /// whose failed tweets it revisits.
     fn fits(&self, scan: &Scan) -> bool {
         (scan.version, scan.rebuild, scan.start) == self.scan_origin()
-            && scan.start + scan.tweets.len() == self.tweets.len()
+            && scan.end == self.tweets.len()
             && scan.shards == self.shard_count()
+            && (scan.full
+                || self.scan_memo.as_ref().is_some_and(|memo| memo.failures_among(&scan.tweets)))
     }
 
     /// Stage (ii): applies a [`Scan`] to this pipeline's candidate
-    /// store. A version bump first rebuilds the store from the scan
-    /// start, carrying the clusters and labels of every surface whose
-    /// rebuilt mention list equals the one they were computed over.
-    /// Then the *owned* occurrences whose span embedding is not cached
-    /// are phrase-embedded, in parallel per tweet, and every owned
-    /// occurrence is added in tweet order — so the store is identical
-    /// to a sequential full rebuild. A non-owned occurrence only
-    /// consumes its touch-clock tick, so owned entries carry the
-    /// unsharded stamps.
+    /// store, in place. A scanned tweet is (re)admitted when it is new,
+    /// when the memo does not hold it, when its last scan or admit
+    /// failed, or when its occurrences differ from the memo's: its old
+    /// mentions are dropped and the *owned* occurrences' mentions added
+    /// at their `(tweet, start)` position. Only the entries this changes
+    /// turn dirty; every other entry keeps its clusters and labels,
+    /// exact because those are a pure function of the ordered mention
+    /// list (embeddings come from the coordinate-keyed cache, local
+    /// types from the immutable tweet records). Owned occurrences whose
+    /// span embedding is not cached are phrase-embedded first, in
+    /// parallel per tweet.
     ///
-    /// Under a bounded [`RetentionPolicy`] the rebuild can only rescan
-    /// *retained* tweets: mentions of evicted tweets are kept frozen at
-    /// the boundaries they were extracted with (their source records
-    /// are gone), while everything from `TweetBase::first_retained` on
-    /// is rebuilt against the new trie.
+    /// The result is the store a sequential rebuild from the scan start
+    /// produces: on a version bump every mention from the scan start on
+    /// is restamped with the new version, and every touch stamp and the
+    /// clock are recomputed from per-tweet occurrence counts as that
+    /// rebuild's ticks would leave them — the clock restarting at zero
+    /// when the range starts at the first tweet, else continuing. A
+    /// non-owned occurrence consumes its tick all the same, so owned
+    /// entries carry the unsharded stamps.
+    ///
+    /// Under a bounded [`RetentionPolicy`] only *retained* tweets are in
+    /// range: mentions of evicted tweets stay frozen at the boundaries
+    /// they were extracted with (their source records are gone).
     fn admit(&mut self, scan: &Scan) {
-        let start = scan.start;
-        let mut carried = None;
-        if scan.rebuild {
-            carried = Some(self.candidates.take_clean_clusters());
-            if start == 0 {
-                self.candidates = CandidateBase::new();
-            } else {
-                // Freeze the evicted prefix, rebuild the retained
-                // suffix (marks every entry dirty).
-                self.candidates.truncate_mentions_from_tweet(start);
-            }
+        #[cfg(test)]
+        if self.reference_rebuild {
+            return self.admit_reference(scan);
         }
+        let (start, end) = (scan.start, scan.end);
+        let old_end = self.scanned_tweets;
+        if scan.rebuild {
+            self.timings.tweets_rescanned +=
+                scan.tweets.iter().filter(|t| t.index < old_end).count() as u64;
+        }
+        // A scanned tweet is (re)admitted unless the memo holds exactly
+        // what the scan found, admitted without failure.
+        let memo = self.scan_memo.as_ref();
+        let mut found: Vec<TweetScan> = scan.tweets.iter().map(TweetScan::from_scanned).collect();
+        let readmit: Vec<bool> = scan
+            .tweets
+            .iter()
+            .zip(&found)
+            .map(|(t, now)| match memo.and_then(|memo| memo.get(t.index)) {
+                Some(old) => old.failed || now.failed || old.occurrences != now.occurrences,
+                None => true,
+            })
+            .collect();
         let owner = self.shard_filter.map(|(index, _)| index);
         let owns = |shard: u32| match owner {
             Some(index) => index == shard,
             None => true,
         };
 
-        // Per tweet with owned occurrences, in parallel: embed the owned
-        // cache misses and build the owned mention records. All misses
-        // of one tweet go through a single batched dense forward instead
-        // of one single-row matmul each — bitwise identical per
-        // [`PhraseEmbedder::embed_spans`]'s contract.
+        // Per (re)admitted tweet with owned occurrences, in parallel:
+        // embed the owned cache misses and build the owned mention
+        // records. All misses of one tweet go through a single batched
+        // dense forward instead of one single-row matmul each — bitwise
+        // identical per [`PhraseEmbedder::embed_spans`]'s contract.
         let work: Vec<usize> = (0..scan.tweets.len())
-            .filter(|&k| scan.tweets[k].iter().any(|&(shard, _)| owns(shard)))
+            .filter(|&k| readmit[k] && scan.tweets[k].occurrences.iter().any(|&(s, _)| owns(s)))
             .collect();
         let cache = &self.mention_cache;
         let phrase = &*self.phrase;
         let tweets = &self.tweets;
         let built = self.exec.try_par_map(work.clone(), |_, k| {
-            let ti = start + k;
+            let ti = scan.tweets[k].index;
             let record = tweets.get(ti);
             let owned: Vec<&MentionOccurrence> = scan.tweets[k]
+                .occurrences
                 .iter()
                 .filter(|&&(shard, _)| owns(shard))
                 .map(|(_, occ)| occ)
@@ -1031,43 +1239,78 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 })
                 .collect::<Vec<MentionRecord>>()
         });
-        let mut admitted: Vec<Option<Vec<MentionRecord>>> =
-            vec![Some(Vec::new()); scan.tweets.len()];
+        let mut records: Vec<Vec<MentionRecord>> = vec![Vec::new(); scan.tweets.len()];
         for (k, result) in work.into_iter().zip(built) {
-            admitted[k] = match result {
-                Ok(records) => Some(records),
+            match result {
+                Ok(built) => records[k] = built,
                 // The tweet contributes no mentions this scan.
                 Err(e) => {
-                    self.finalize_errors.push(tweet_task_error(start + k, e));
-                    None
+                    self.finalize_errors.push(tweet_task_error(scan.tweets[k].index, e));
+                    found[k].failed = true;
                 }
-            };
+            }
         }
 
-        // Sequentially, in tweet order: add the owned mentions, tick the
-        // clock for the rest.
-        for (k, occs) in scan.tweets.iter().enumerate() {
-            let Some(records) = admitted[k].take() else { continue };
-            let mut records = records.into_iter();
-            for (shard, occ) in occs {
-                if !owns(*shard) {
-                    // Another shard stores this mention; consume its
-                    // clock tick so owned entries keep the unsharded
-                    // stamps.
-                    self.candidates.touch_skip();
-                    continue;
-                }
-                let record = records.next().expect("one record per owned occurrence");
+        // The new mentions by surface, each list in `(tweet, start)`
+        // order; the cache keeps every admitted span's embedding.
+        let mut added: HashMap<&str, Vec<MentionRecord>> = HashMap::new();
+        for (t, records) in scan.tweets.iter().zip(records) {
+            let owned = t.occurrences.iter().filter(|&&(shard, _)| owns(shard));
+            for ((_, occ), record) in owned.zip(records) {
                 self.mention_cache
                     .entry((record.tweet, record.start, record.end))
                     .or_insert_with(|| Arc::clone(&record.local_emb));
-                self.candidates.add_mention(&occ.surface, record);
+                added.entry(&occ.surface).or_default().push(record);
             }
         }
-        if let Some(carried) = carried {
-            self.candidates.restore_clusters(carried);
+
+        // Touch stamps: a tweet's occurrences tick the clock in scan
+        // order, the scanned ones as found now, the rest as the memo
+        // holds them.
+        let mut found_at = scan.tweets.iter().map(|t| t.index).zip(&found).peekable();
+        let in_range: Vec<&TweetScan> = (start..end)
+            .map(|ti| match found_at.next_if(|&(index, _)| index == ti) {
+                Some((_, t)) => t,
+                None => memo
+                    .and_then(|memo| memo.get(ti))
+                    .expect("a partial scan is applied against a scan memo"),
+            })
+            .collect();
+        let mut prefix = Vec::with_capacity(in_range.len() + 1);
+        prefix.push(0u64);
+        for t in &in_range {
+            prefix.push(prefix[prefix.len() - 1] + t.ticks());
         }
-        self.scanned_tweets = start + scan.tweets.len();
+        let tick = |ti: usize, at: usize| prefix[ti - start] + in_range[ti - start].tick_of(at);
+        let replaced: Vec<bool> = {
+            let mut replaced = vec![false; end - start];
+            for (t, &again) in scan.tweets.iter().zip(&readmit) {
+                replaced[t.index - start] = again;
+            }
+            replaced
+        };
+        self.candidates.patch(crate::bases::Patch {
+            from: start,
+            bump: scan.rebuild.then_some(scan.version),
+            restart: scan.rebuild && start == 0,
+            replaced: &replaced,
+            added,
+            tick: &tick,
+            ticks: prefix[prefix.len() - 1],
+        });
+
+        let found = scan.tweets.iter().map(|t| t.index).zip(found);
+        self.scan_memo = match self.scan_memo.take() {
+            Some(mut memo) => {
+                memo.update(found);
+                Some(memo)
+            }
+            None if scan.full && start == self.tweets.first_retained() => {
+                Some(ScanMemo { first: start, tweets: found.map(|(_, t)| t).collect() })
+            }
+            None => None,
+        };
+        self.scanned_tweets = end;
         self.scanned_version = scan.version;
     }
 
@@ -1317,9 +1560,10 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         self.mention_cache.len()
     }
 
-    /// Drops all incremental state — the mention-embedding cache and the
-    /// scan watermark — forcing the next [`Self::finalize`] to rebuild
-    /// and re-embed everything from scratch. Benchmarking hook for
+    /// Drops all incremental state — the mention-embedding cache, the
+    /// scan watermark and the scan memo — forcing the next
+    /// [`Self::finalize`] to rescan and re-embed everything from
+    /// scratch. Benchmarking hook for
     /// comparing incremental against full-rebuild finalization; output
     /// is unaffected (both paths are byte-identical) as long as nothing
     /// has been evicted — evicted tweets cannot be rescanned, so their
@@ -1328,6 +1572,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         self.mention_cache.clear();
         self.scanned_tweets = 0;
         self.scanned_version = 0;
+        self.scan_memo = None;
         self.candidates = CandidateBase::new();
     }
 
@@ -1471,6 +1716,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         self.candidates = ck.candidates;
         self.scanned_tweets = ck.scanned_tweets;
         self.scanned_version = ck.scanned_version;
+        self.scan_memo = None;
         self.mention_cache = ck.mention_cache;
         self.seen_ids = ck.seen_ids;
         self.finalize_errors.clear();
@@ -1701,6 +1947,9 @@ fn majority_local_type(types: impl Iterator<Item = Option<EntityType>>) -> Optio
         Some(EntityType::from_index(best))
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 pub(crate) mod tests {

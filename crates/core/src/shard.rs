@@ -563,11 +563,6 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
         total
     }
 
-    /// The shard that owns `surface` under this store's layout.
-    pub fn shard_for(&self, surface: &str) -> u32 {
-        shard_of_surface(surface, self.shard_count())
-    }
-
     pub fn shard_count(&self) -> u32 {
         self.shards.len() as u32
     }
@@ -619,6 +614,9 @@ fn clone_error(e: &DurableError) -> DurableError {
         }
         DurableError::ShardLayoutMismatch { stored, requested } => {
             DurableError::ShardLayoutMismatch { stored: *stored, requested: *requested }
+        }
+        DurableError::OpGap { after, found } => {
+            DurableError::OpGap { after: *after, found: *found }
         }
         DurableError::Corrupt(msg) => DurableError::Corrupt(msg),
         other => DurableError::Store(StoreError::Io(std::io::Error::other(other.to_string()))),

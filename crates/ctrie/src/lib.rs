@@ -20,6 +20,15 @@
 //! token the trie has never seen cannot extend any match) and then
 //! walks integer edges; it allocates only the id list and each match's
 //! surface string.
+//!
+//! Adding surfaces changes a greedy longest-match scan only where a new
+//! surface matches, so a tweet that holds no new surface's first token
+//! scans the same after the addition as before it. The trie therefore
+//! remembers its surfaces in registration order
+//! ([`CTrie::first_token_fingerprints_since`]), and a scan can report a
+//! fixed-hash fingerprint of every folded token
+//! ([`CTrie::extract_mentions_fingerprinted`]): together they let a
+//! caller rescan only the tweets a version bump can change.
 
 #![forbid(unsafe_code)]
 
@@ -174,13 +183,12 @@ pub struct CTrie {
     /// `nodes[0]` is the root.
     nodes: Vec<Node>,
     edges: HashMap<u64, u32, BuildHasherDefault<EdgeHasher>>,
-    len: usize,
-    /// Monotonic counter bumped on every *new* surface registration.
-    /// Consumers (the pipeline's incremental mention cache) compare it
-    /// against the version they last scanned with: an unchanged version
-    /// guarantees the trie accepts exactly the same matches, so earlier
-    /// scan results are still valid.
-    version: u64,
+    /// The terminal node of every surface, in registration order, so
+    /// `order[v..]` are the surfaces registered after version `v`. Its
+    /// length is both the surface count and the version (see
+    /// [`Self::version`]). A trie rebuilt from [`Self::surfaces`]
+    /// registers them in that list's order instead.
+    order: Vec<u32>,
 }
 
 impl Default for CTrie {
@@ -189,8 +197,7 @@ impl Default for CTrie {
             tokens: Interner::default(),
             nodes: vec![Node { parent: ROOT, token: NONE, terminal: false }],
             edges: HashMap::default(),
-            len: 0,
-            version: 0,
+            order: Vec::new(),
         }
     }
 }
@@ -202,6 +209,14 @@ pub fn fold_token(token: &str) -> String {
     let mut out = String::new();
     fold_into(token, &mut out);
     out
+}
+
+/// The fixed 32-bit fingerprint of a folded token (FNV-1a): equal
+/// tokens always agree, on every run and platform; distinct tokens
+/// collide rarely, which costs a caller of
+/// [`CTrie::first_token_fingerprints_since`] only a needless rescan.
+fn fingerprint(folded: &str) -> u32 {
+    folded.bytes().fold(0x811c_9dc5, |h, b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193))
 }
 
 /// [`fold_token`] into a reused buffer. ASCII is lowercased in place;
@@ -255,22 +270,43 @@ impl CTrie {
         if node == ROOT {
             return false; // nothing but empty tokens
         }
-        let node = &mut self.nodes[node as usize];
-        if node.terminal {
+        let terminal = &mut self.nodes[node as usize].terminal;
+        if *terminal {
             false
         } else {
-            node.terminal = true;
-            self.len += 1;
-            self.version += 1;
+            *terminal = true;
+            self.order.push(node);
             true
         }
     }
 
     /// The trie's content version: bumped exactly when [`Self::insert`]
-    /// registers a previously unknown surface. Re-inserting a known
-    /// surface leaves it unchanged.
+    /// registers a previously unknown surface, so it always equals
+    /// [`Self::len`]. Re-inserting a known surface leaves it unchanged.
+    /// Consumers compare it against the version they last scanned with:
+    /// an unchanged version guarantees the trie accepts exactly the same
+    /// matches, so earlier scan results are still valid.
     pub fn version(&self) -> u64 {
-        self.version
+        self.order.len() as u64
+    }
+
+    /// The fingerprints of the first folded token of every surface
+    /// registered after `version` (none when `version` is the current
+    /// one), in registration order. Only versions this trie reached by
+    /// registering surfaces one at a time are meaningful: a trie rebuilt
+    /// from [`Self::surfaces`] numbers the rebuilt ones in list order.
+    pub fn first_token_fingerprints_since(&self, version: u64) -> Vec<u32> {
+        let from = usize::try_from(version).map_or(self.order.len(), |v| v.min(self.order.len()));
+        self.order[from..]
+            .iter()
+            .map(|&terminal| {
+                let mut node = terminal;
+                while self.nodes[node as usize].parent != ROOT {
+                    node = self.nodes[node as usize].parent;
+                }
+                fingerprint(self.tokens.token(self.nodes[node as usize].token))
+            })
+            .collect()
     }
 
     /// Whether the exact surface form is registered.
@@ -292,12 +328,12 @@ impl CTrie {
 
     /// Number of registered surface forms.
     pub fn len(&self) -> usize {
-        self.len
+        self.order.len()
     }
 
     /// Whether no surface forms are registered.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.order.is_empty()
     }
 
     /// Enumerates all registered surface forms (folded, space-joined)
@@ -334,7 +370,7 @@ impl CTrie {
                 path.pop();
             }
         }
-        let mut out = Vec::with_capacity(self.len);
+        let mut out = Vec::with_capacity(self.order.len());
         walk(self, &kids, ROOT, &mut Vec::new(), &mut out);
         out
     }
@@ -362,11 +398,37 @@ impl CTrie {
         tokens: &[S],
         max_len: usize,
     ) -> Vec<MentionOccurrence> {
+        self.scan(tokens, max_len, None)
+    }
+
+    /// [`Self::extract_mentions`] that also appends the fingerprint of
+    /// each folded token to `fingerprints`, one per token in order. A
+    /// tweet none of whose fingerprints is among
+    /// [`Self::first_token_fingerprints_since`]`(v)` scans exactly as it
+    /// did at version `v`.
+    pub fn extract_mentions_fingerprinted<S: AsRef<str>>(
+        &self,
+        tokens: &[S],
+        max_len: usize,
+        fingerprints: &mut Vec<u32>,
+    ) -> Vec<MentionOccurrence> {
+        self.scan(tokens, max_len, Some(fingerprints))
+    }
+
+    fn scan<S: AsRef<str>>(
+        &self,
+        tokens: &[S],
+        max_len: usize,
+        mut fingerprints: Option<&mut Vec<u32>>,
+    ) -> Vec<MentionOccurrence> {
         let mut fold = String::new();
         let ids: Vec<u32> = tokens
             .iter()
             .map(|t| {
                 fold_into(t.as_ref(), &mut fold);
+                if let Some(out) = fingerprints.as_deref_mut() {
+                    out.push(fingerprint(&fold));
+                }
                 self.tokens.get(&fold).unwrap_or(NONE)
             })
             .collect();
@@ -552,6 +614,24 @@ mod tests {
     }
 
     #[test]
+    fn first_tokens_since_follow_registration_order() {
+        let mut t = trie(&["andy beshear", "italy"]);
+        let v = t.version();
+        assert!(t.first_token_fingerprints_since(v).is_empty());
+        t.insert(&["#New", "York"]);
+        t.insert(&["italy"]); // known: no new version, no new entry
+        t.insert(&["andy"]);
+        let fresh = t.first_token_fingerprints_since(v);
+        assert_eq!(fresh, [fingerprint("new"), fingerprint("andy")]);
+        assert_eq!(t.first_token_fingerprints_since(0).len(), 4);
+        assert!(t.first_token_fingerprints_since(u64::MAX).is_empty());
+        // A tweet's fingerprints are those of its folded tokens.
+        let mut fps = Vec::new();
+        t.extract_mentions_fingerprinted(&toks("NEW #york"), 4, &mut fps);
+        assert_eq!(fps, [fingerprint("new"), fingerprint("york")]);
+    }
+
+    #[test]
     fn overlap_resolution_is_greedy_left_to_right() {
         // "us open" and "open tennis" both registered; greedy scan takes
         // "us open" and then cannot match "tennis" alone.
@@ -706,6 +786,39 @@ mod proptests {
                     theirs.extract_mentions(&text, max_len),
                     "{text:?}"
                 );
+            }
+        });
+    }
+
+    /// The exactness of a prefiltered rescan: after more surfaces are
+    /// registered, a tweet whose token fingerprints miss every new
+    /// surface's first-token fingerprint scans exactly as before, and
+    /// the fingerprints are one per token, the same as the plain scan's
+    /// occurrences come back.
+    #[test]
+    fn tweets_without_a_new_first_token_scan_unchanged() {
+        for_each_case(0xC7_0005, 512, |rng| {
+            let mut trie = CTrie::new();
+            for _ in 0..rng.gen_range(0..12usize) {
+                trie.insert(&random_tokens(rng, 3));
+            }
+            let before = trie.clone();
+            let version = trie.version();
+            for _ in 0..rng.gen_range(0..4usize) {
+                trie.insert(&random_tokens(rng, 3));
+            }
+            let fresh = trie.first_token_fingerprints_since(version);
+            assert_eq!(fresh.len() as u64, trie.version() - version);
+            for _ in 0..8 {
+                let text = random_tokens(rng, 16);
+                let max_len = rng.gen_range(0..5usize);
+                let mut fps = Vec::new();
+                let now = trie.extract_mentions_fingerprinted(&text, max_len, &mut fps);
+                assert_eq!(fps.len(), text.len());
+                assert_eq!(now, trie.extract_mentions(&text, max_len));
+                if !fps.iter().any(|f| fresh.contains(f)) {
+                    assert_eq!(now, before.extract_mentions(&text, max_len), "{text:?}");
+                }
             }
         });
     }

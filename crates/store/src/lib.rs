@@ -660,12 +660,13 @@ impl Wal {
     /// segment are a hard [`StoreError::Corrupt`]. Trailing empty
     /// segments (leaked by a faulted rotation) are ignored.
     pub fn replay(&self) -> Result<Replay, StoreError> {
-        let mut records = Vec::new();
+        let (mut records, mut segments) = (Vec::new(), Vec::new());
         let scan = read_log(&self.io, &self.dir, self.prefix, |r: RecordRef<'_>| {
             records.push(Record { tag: r.tag, payload: r.payload.to_vec() });
+            segments.push(r.start.segment);
             Ok::<_, StoreError>(ControlFlow::Continue(()))
         })?;
-        Ok(Replay { records, torn_tail: scan.torn_tail })
+        Ok(Replay { records, segments, torn_tail: scan.torn_tail })
     }
 }
 
@@ -674,6 +675,8 @@ impl Wal {
 pub struct Replay {
     /// The checksum-valid record prefix, in append order.
     pub records: Vec<Record>,
+    /// The segment each record was read from, in the same order.
+    pub segments: Vec<u64>,
     /// Whether a torn/corrupt tail was cut off the final segment.
     pub torn_tail: bool,
 }

@@ -8,7 +8,7 @@
 
 use ner_globalizer::core::{
     AblationMode, ClassifierConfig, EntityClassifier, GlobalizerConfig, NerGlobalizer,
-    PhraseEmbedder, PhraseEmbedderConfig, RetentionPolicy,
+    PhraseEmbedder, PhraseEmbedderConfig, RetentionPolicy, ShardedGlobalizer,
 };
 use ner_globalizer::encoder::{ContextualTagger, SentenceEncoding, SequenceTagger};
 use ner_globalizer::nn::Matrix;
@@ -429,4 +429,138 @@ fn carried_clusters_under_max_tweets_retention_match_pinned_exports() {
         }
         assert_eq!(exports, pinned, "export bytes moved in {mode:?}");
     }
+}
+
+/// Local NER stand-in that seeds multi-token surfaces: a capitalized
+/// token (`#` markers ignored) begins a span and an all-caps one
+/// continues it. A token embeds as its folded hash one-hot plus half
+/// its left neighbour's, so mentions of one surface differ by context.
+#[derive(Clone)]
+struct SpanTagger;
+
+impl SequenceTagger for SpanTagger {
+    fn tag(&self, tokens: &[String]) -> Vec<BioTag> {
+        tokens
+            .iter()
+            .map(|t| {
+                let t = t.trim_start_matches('#');
+                let caps = t.len() > 1 && t.chars().all(|c| !c.is_lowercase());
+                match t.chars().next() {
+                    Some(c) if c.is_uppercase() && caps => BioTag::I(EntityType::Person),
+                    Some(c) if c.is_uppercase() => BioTag::B(EntityType::Person),
+                    _ => BioTag::O,
+                }
+            })
+            .collect()
+    }
+}
+
+impl ContextualTagger for SpanTagger {
+    fn dim(&self) -> usize {
+        DIM
+    }
+
+    fn encode(&self, tokens: &[String]) -> SentenceEncoding {
+        let hash = |t: &String| {
+            t.trim_start_matches('#').to_lowercase().bytes().map(usize::from).sum::<usize>()
+        };
+        let mut emb = Matrix::zeros(tokens.len(), DIM);
+        for (i, t) in tokens.iter().enumerate() {
+            emb.row_mut(i)[hash(t) % DIM] += 1.0;
+            if i > 0 {
+                emb.row_mut(i)[hash(&tokens[i - 1]) % DIM] += 0.5;
+            }
+        }
+        SentenceEncoding {
+            embeddings: emb,
+            tags: self.tag(tokens),
+            probs: Matrix::zeros(tokens.len(), BioTag::COUNT),
+        }
+    }
+}
+
+/// 10–17 batches over a small vocabulary in four spellings (lower,
+/// capitalized, all caps, `#`-marked) plus lone `#`s: later surfaces
+/// extend, prefix and overlap earlier ones, shifting greedy boundaries
+/// inside old tweets, and capitalized runs sometimes outgrow the scan
+/// window.
+fn boundary_stream(rng: &mut SplitMix64) -> Vec<Vec<Vec<String>>> {
+    const WORDS: [&str; 12] = [
+        "andy", "beshear", "new", "york", "city", "covid", "italy", "us", "open", "gov",
+        "kentucky", "state",
+    ];
+    let token = |rng: &mut SplitMix64| {
+        let w = WORDS[rng.gen_range(0..WORDS.len())];
+        match rng.gen_range(0..20u32) {
+            0..=10 => w.to_string(),
+            11..=14 => w[..1].to_uppercase() + &w[1..],
+            15..=17 => w.to_uppercase(),
+            18 => format!("#{w}"),
+            _ => "#".to_string(),
+        }
+    };
+    (0..rng.gen_range(10..18usize))
+        .map(|_| {
+            (0..rng.gen_range(1..5usize))
+                .map(|_| (0..rng.gen_range(0..11usize)).map(|_| token(rng)).collect())
+                .collect()
+        })
+        .collect()
+}
+
+fn span_pipeline(retention: RetentionPolicy) -> NerGlobalizer<SpanTagger> {
+    NerGlobalizer::new(
+        SpanTagger,
+        PhraseEmbedder::new(PhraseEmbedderConfig { dim: DIM, ..Default::default() }),
+        EntityClassifier::new(ClassifierConfig { dim: DIM, ..Default::default() }),
+        GlobalizerConfig { retention, ..Default::default() },
+    )
+}
+
+/// A version bump rescans only the tweets the scan memo cannot vouch
+/// for and patches the candidate store in place. After every finalize
+/// that incremental state equals — in `/export` bytes and state digest —
+/// a pipeline whose memo was dropped first (a checkpoint round trip),
+/// which rescans and re-admits every retained tweet, and a 4-shard
+/// store's merged view; under `Unbounded` and `MaxTweets`, at the
+/// environment's thread count and kernel.
+#[test]
+fn memo_rescans_match_full_rescans_at_one_and_four_shards() {
+    for_each_case(0x5E9_0005, 6, |rng| {
+        let batches = boundary_stream(rng);
+        for retention in [RetentionPolicy::Unbounded, RetentionPolicy::MaxTweets(8)] {
+            let dir = std::env::temp_dir()
+                .join(format!("ngl-par-eq-memo-{}-{retention:?}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut memo = span_pipeline(retention);
+            let mut full = span_pipeline(retention);
+            let (mut sharded, _) =
+                ShardedGlobalizer::open(span_pipeline(retention), &dir, 4, 4).expect("open");
+            // Old tweets each side rescanned; `full` is a new pipeline
+            // at every finalize.
+            let mut full_rescanned = 0;
+            for (i, batch) in batches.iter().enumerate() {
+                memo.ingest(batch.clone(), None);
+                sharded.ingest(batch.clone(), None).expect("ingest");
+                full.ingest(batch.clone(), None);
+                let mut again = span_pipeline(retention);
+                again.import_state_bytes(&full.export_state_bytes()).expect("import");
+                full = again;
+                let spans = memo.finalize();
+                assert_eq!(spans, full.finalize(), "{retention:?}, finalize {i}");
+                assert_eq!(spans, sharded.finalize().expect("finalize"));
+                let bytes = memo.export_state_bytes();
+                assert!(bytes == full.export_state_bytes(), "{retention:?}, finalize {i}");
+                assert!(bytes == sharded.merged().export_state_bytes(), "{retention:?}, {i}");
+                assert_eq!(memo.state_digest(), full.state_digest());
+                assert_eq!(memo.state_digest(), sharded.combined_digest());
+                full_rescanned += full.timings().tweets_rescanned;
+            }
+            assert!(
+                memo.timings().tweets_rescanned < full_rescanned,
+                "the memo skipped no tweet under {retention:?}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    });
 }

@@ -521,3 +521,84 @@ fn bit_flips_in_referenced_tweet_records_fail_open_with_a_typed_error() {
     }
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// `(seq, path)` of the newest snapshot in `dir`, if any.
+fn newest_snapshot(dir: &Path) -> Option<(u64, PathBuf)> {
+    std::fs::read_dir(dir)
+        .expect("read store dir")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter_map(|path| {
+            let name = path.file_name()?.to_str()?;
+            let seq = name.strip_prefix("snap-")?.strip_suffix(".ck")?.parse().ok()?;
+            Some((seq, path))
+        })
+        .max()
+}
+
+/// Flips the last byte of `path`.
+fn flip_last_byte(path: &Path) {
+    let mut bytes = std::fs::read(path).expect("read");
+    let last = bytes.last_mut().expect("non-empty file");
+    *last ^= 0x01;
+    std::fs::write(path, &bytes).expect("write");
+}
+
+/// A newest snapshot found corrupt at open falls back to the older
+/// kept one, and the WAL still holds every op since that one: at
+/// every cadence point of a store that snapshots every 3 finalizes,
+/// the open recovers bitwise to the last acknowledged op, at 1 and at
+/// 4 threads.
+#[test]
+fn a_corrupt_newest_snapshot_falls_back_without_losing_an_acknowledged_op() {
+    let root = scratch_root("snapflip");
+    let stream = gen_stream(0x5EAF, 9 * BATCH);
+    let clean = root.join("clean");
+    let case = root.join("case");
+    let (mut durable, _) = DurableGlobalizer::open(pipeline(1), &clean, 3).expect("open");
+    let mut fallbacks = 0;
+    for chunk in stream.chunks(BATCH) {
+        durable.ingest(chunk.to_vec(), None).expect("batch");
+        durable.finalize().expect("finalize");
+        let (op, want) = (durable.op_seq(), durable.inner().export_state_bytes());
+        let Some((newest, _)) = newest_snapshot(&clean) else { continue };
+        for threads in [1, 4] {
+            copy_store(&clean, &case);
+            flip_last_byte(&case.join(format!("snap-{newest:08}.ck")));
+            let what = format!("op {op}, snap-{newest:08}.ck flipped ({threads}t)");
+            let (recovered, report) = DurableGlobalizer::open(pipeline(threads), &case, 3)
+                .unwrap_or_else(|e| panic!("{what}: recovery failed: {e}"));
+            assert!(report.snapshot_seq < Some(newest), "{what}: the flipped snapshot was used");
+            assert_eq!(recovered.op_seq(), op, "{what}: recovered short");
+            assert!(recovered.inner().export_state_bytes() == want, "{what}: state differs");
+            fallbacks += usize::from(report.snapshot_seq.is_some());
+        }
+    }
+    assert!(fallbacks > 0, "no case fell back to an older snapshot");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// When the records after the fallback snapshot are gone as well, the
+/// op sequence has a gap and the open fails typed instead of
+/// recovering short of the acknowledged ops.
+#[test]
+fn an_op_gap_behind_a_corrupt_snapshot_fails_open_typed() {
+    let root = scratch_root("opgap");
+    let stream = gen_stream(0x6A9, 9 * BATCH);
+    let clean = root.join("clean");
+    record_reference(1, 3, &clean, &stream);
+    let case = root.join("case");
+    copy_store(&clean, &case);
+    let (newest, snapshot) = newest_snapshot(&case).expect("a snapshot");
+    assert_eq!(newest, 18);
+    flip_last_byte(&snapshot);
+    // The oldest surviving segment holds the ops after the fallback
+    // snapshot (op 12).
+    let (_, oldest, _) = wal_segments(&case).into_iter().next().expect("a WAL segment");
+    std::fs::remove_file(oldest).expect("drop the segment");
+    match DurableGlobalizer::open(pipeline(1), &case, 3) {
+        Err(DurableError::OpGap { after: 12, found: 18 }) => {}
+        Err(other) => panic!("unexpected error: {other}"),
+        Ok((durable, _)) => panic!("opened short at op {}", durable.op_seq()),
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
