@@ -116,13 +116,6 @@ impl AkbikTagger {
         self.memory.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Clears the dynamic part of the memory (for independent eval runs
-    /// the caller can rebuild the tagger instead; this is a convenience
-    /// for experiments).
-    pub fn memory_len(&self) -> usize {
-        self.memory().len()
-    }
-
     fn tag_with_memory(&self, tokens: &[String], memory: &Memory) -> Vec<BioTag> {
         if tokens.is_empty() {
             return Vec::new();
@@ -208,16 +201,6 @@ mod tests {
             }
         }
         assert!(tp > 5, "akbik found only {tp} correct spans");
-    }
-
-    #[test]
-    fn memory_grows_with_tagging() {
-        let (tagger, test) = setup();
-        let before = tagger.memory_len();
-        let novel: Vec<String> = vec!["zyxwolia".into(), "qblorton".into()];
-        let _ = tagger.tag(&novel);
-        let _ = test; // keep test data alive for symmetry
-        assert!(tagger.memory_len() >= before + 2);
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl BertNer {
         Self { inner }
     }
 
-    /// Wraps an already trained encoder.
-    pub fn from_encoder(inner: TokenEncoder) -> Self {
-        Self { inner }
-    }
-
     /// The wrapped encoder.
     pub fn encoder(&self) -> &TokenEncoder {
         &self.inner

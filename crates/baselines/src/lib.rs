@@ -54,11 +54,3 @@ pub trait DocumentTagger {
     /// Tags every sentence of the document.
     fn tag_document(&self, sentences: &[Vec<String>]) -> Vec<Vec<BioTag>>;
 }
-
-/// Helper: applies a per-sentence tagger to a document.
-pub fn tag_sentencewise<T: ngl_encoder::SequenceTagger + ?Sized>(
-    tagger: &T,
-    sentences: &[Vec<String>],
-) -> Vec<Vec<BioTag>> {
-    sentences.iter().map(|s| tagger.tag(s)).collect()
-}

@@ -154,12 +154,6 @@ impl Experiment {
         cfg
     }
 
-    /// Re-trains the Global NER stack with the soft-NN objective
-    /// (the second Table II row).
-    pub fn train_soft_nn_variant(&self) -> GlobalizerTrainingReport {
-        self.train_soft_nn_stack().0
-    }
-
     /// Soft-NN variant with its trained components, for pipeline-level
     /// objective comparisons.
     pub fn train_soft_nn_stack(
@@ -250,7 +244,8 @@ mod tests {
     #[test]
     fn quick_experiment_reproduces_the_headline_direction() {
         let exp = Experiment::build(2024, Scale::quick());
-        let d2 = exp.data.eval_by_name("D2").expect("D2 exists");
+        let d2 = &exp.data.streaming_eval()[1];
+        assert_eq!(d2.name, "D2");
         let gold = Experiment::gold_of(d2);
         let run = exp.run_pipeline(d2, AblationMode::FullGlobal);
         let local_f1 = evaluate(&gold, &run.local).macro_f1();

@@ -430,43 +430,6 @@ pub fn emd_gains(exp: &Experiment, runs: &EvalRuns) -> String {
     out
 }
 
-/// Diagnostic: largest clusters per predicted label on one dataset.
-/// Not part of the paper's artifacts; used to debug classifier behaviour.
-pub fn debug_surfaces(exp: &Experiment, dataset_name: &str) -> String {
-    let d = exp.data.eval_by_name(dataset_name).expect("dataset exists");
-    let mut pipeline = ngl_core::NerGlobalizer::new(
-        exp.local.clone(),
-        exp.phrase.clone(),
-        exp.classifier.clone(),
-        ngl_core::GlobalizerConfig::default(),
-    );
-    let tokens: Vec<Vec<String>> = d.tweets.iter().map(|t| t.tokens.clone()).collect();
-    pipeline.ingest(tokens, None);
-    pipeline.finalize();
-    let mut by_label: std::collections::BTreeMap<String, Vec<(usize, String)>> =
-        std::collections::BTreeMap::new();
-    for (surface, entry) in pipeline.candidate_base().iter() {
-        for cluster in &entry.clusters {
-            let label = match cluster.label {
-                Some(Some(ty)) => ty.code().to_string(),
-                Some(None) => "NONE".to_string(),
-                None => "?".to_string(),
-            };
-            by_label.entry(label).or_default().push((cluster.members.len(), surface.clone()));
-        }
-    }
-    let mut out = format!("Cluster labels on {dataset_name} (top 15 by size):\n");
-    for (label, mut v) in by_label {
-        v.sort_by_key(|x| std::cmp::Reverse(x.0));
-        out.push_str(&format!("  {label}: "));
-        for (n, s) in v.iter().take(15) {
-            out.push_str(&format!("{s}({n}) "));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Ablation sweeps over the pipeline's design parameters — the tuning
 /// choices §V-C/§V-D leave open (clustering threshold below the triplet
 /// margin, the classifier confidence guard, the scan window k). Reports

@@ -285,12 +285,6 @@ impl OnlineClusters {
         self.counts[c]
     }
 
-    /// Mean cosine distance from `point` to cluster `c`.
-    pub fn distance_to(&self, c: usize, point: &[f32]) -> f32 {
-        let p = l2_normalized(point);
-        1.0 - (kernels::dot(&p, &self.sums[c]) / self.counts[c] as f32).clamp(-1.0, 1.0)
-    }
-
     /// First-minimum scan of one centroid range with a pre-resolved dot
     /// kernel. Both the sequential and the chunked-parallel assignment
     /// paths are built from this, so per-row distances are computed
@@ -543,13 +537,6 @@ mod tests {
         let c2 = oc.insert(&[0.0, 1.0]);
         assert_ne!(c0, c2);
         assert_eq!(oc.len(), 2);
-    }
-
-    #[test]
-    fn distance_to_is_zero_for_identical_direction() {
-        let mut oc = OnlineClusters::new(0.4);
-        let c = oc.insert(&[0.5, 0.5]);
-        assert!(oc.distance_to(c, &[2.0, 2.0]) < 1e-5);
     }
 }
 

@@ -114,7 +114,8 @@ impl SurfaceEntry {
 
     /// Whether clusters *and* labels are current for the mention set (a
     /// dirty entry still owes the next finalize a recompute).
-    pub fn is_clean(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_clean(&self) -> bool {
         !self.needs_recluster() && !self.needs_reclassify()
     }
 

@@ -95,11 +95,6 @@ impl EntityClassifier {
         }
     }
 
-    /// The pooled global embedding of a candidate cluster (Eq. 8).
-    pub fn global_embedding(&self, locals: &Matrix) -> Vec<f32> {
-        self.pooling.forward(locals).0
-    }
-
     /// Class probabilities over the L+1 classes for one candidate.
     pub fn predict_proba(&self, locals: &Matrix) -> Vec<f32> {
         let (global, _) = self.pooling.forward(locals);
@@ -141,10 +136,10 @@ impl EntityClassifier {
 
     /// Fused scoring for the finalize hot path: the pooled global
     /// embedding (Eq. 8) **and** the confidence-gated prediction from a
-    /// single attention pass, instead of one pass for
-    /// [`Self::global_embedding`] and another inside
-    /// [`Self::predict_confident`]. The pooling is deterministic, so
-    /// both outputs are bitwise identical to the two separate calls.
+    /// single attention pass, instead of one pass for the embedding and
+    /// another inside [`Self::predict_confident`]. The pooling is
+    /// deterministic, so the label is bitwise the one
+    /// [`Self::predict_confident`] gives.
     pub fn score_candidate(
         &self,
         locals: &Matrix,
@@ -435,13 +430,6 @@ mod tests {
         let p = clf.predict_proba(&locals);
         assert_eq!(p.len(), EntityType::COUNT + 1);
         assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn global_embedding_has_input_dim() {
-        let clf = EntityClassifier::new(ClassifierConfig { dim: 6, ..ClassifierConfig::default() });
-        let locals = Matrix::from_vec(4, 6, vec![0.2; 24]);
-        assert_eq!(clf.global_embedding(&locals).len(), 6);
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl MiningResult {
     pub fn total_mentions(&self) -> usize {
         self.candidates.iter().map(|c| c.pooled_mentions.len()).sum()
     }
-
-    /// Number of entity (vs non-entity) candidates.
-    pub fn entity_candidates(&self) -> usize {
-        self.candidates.iter().filter(|c| c.ty.is_some()).count()
-    }
 }
 
 /// Runs Local NER + gold seeding + CTrie extraction over the annotated
@@ -309,7 +304,8 @@ mod tests {
     fn mining_produces_entity_and_nonentity_candidates() {
         let (enc, d5) = setup();
         let res = mine_candidates(&enc, &d5);
-        assert!(res.entity_candidates() > 10, "{} entities", res.entity_candidates());
+        let entities = res.candidates.iter().filter(|c| c.ty.is_some()).count();
+        assert!(entities > 10, "{entities} entities");
         assert!(res.total_mentions() > 100);
         // The ambiguous "us"-style usages should surface non-entities if
         // local NER produced any false positives; at minimum the

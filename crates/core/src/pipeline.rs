@@ -1915,8 +1915,7 @@ fn score_cluster(
                 cluster.members.iter().map(|&m| &mentions[m].local_emb[..]).collect();
             let locals = Matrix::from_rows(&rows);
             // One fused attention pass for both outputs — bitwise equal
-            // to the separate global_embedding + predict_confident
-            // calls it replaces.
+            // to pooling and then calling predict_confident.
             let (mut global, label) = classifier.score_candidate(&locals, min_confidence);
             // Canonicalize the stored embedding (the label was already
             // decided from the raw pooled vector) so the quantized

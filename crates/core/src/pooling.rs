@@ -71,11 +71,6 @@ impl AttentivePooling {
         (global, PoolingCache { weights: scores })
     }
 
-    /// Attention weights only (diagnostics / interpretability).
-    pub fn attention_weights(&self, locals: &Matrix) -> Vec<f32> {
-        self.forward(locals).1.weights
-    }
-
     /// Backward pass: accumulates gradients for `w_a`/`b_a` given the
     /// upstream gradient on the pooled output. Input gradients are not
     /// produced — the phrase embedder is frozen at this stage.

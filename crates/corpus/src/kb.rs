@@ -171,7 +171,8 @@ impl KnowledgeBase {
 
     /// Entities whose alias set contains the given surface form
     /// (lowercase, space-joined). Ambiguous surfaces return several.
-    pub fn entities_with_surface(&self, surface: &str) -> Vec<EntityId> {
+    #[cfg(test)]
+    fn entities_with_surface(&self, surface: &str) -> Vec<EntityId> {
         self.entities
             .iter()
             .filter(|e| e.aliases.iter().any(|a| a.join(" ") == surface))

@@ -162,11 +162,6 @@ impl StandardDatasets {
     pub fn non_streaming_eval(&self) -> &[Dataset] {
         &self.eval[4..]
     }
-
-    /// Looks an eval dataset up by name.
-    pub fn eval_by_name(&self, name: &str) -> Option<&Dataset> {
-        self.eval.iter().find(|d| d.name == name)
-    }
 }
 
 #[cfg(test)]

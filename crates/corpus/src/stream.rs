@@ -10,7 +10,6 @@
 //! [`DatasetSource`] replays a pre-generated dataset.
 
 use ngl_runtime::rng::SplitMix64;
-use ngl_text::EntityType;
 
 use crate::dataset::DatasetSpec;
 use crate::kb::{EntityId, KnowledgeBase, Topic};
@@ -185,25 +184,6 @@ pub fn capture<S: TweetSource>(source: &mut S, n: usize, name: &str) -> Dataset 
     Dataset { name: name.to_string(), tweets, hashtags: Vec::new() }
 }
 
-/// The fraction of gold mentions of each entity type in a captured
-/// window — used to sanity-check drift behaviour in tests.
-pub fn type_mix(tweets: &[AnnotatedTweet]) -> [f64; EntityType::COUNT] {
-    let mut counts = [0usize; EntityType::COUNT];
-    for t in tweets {
-        for g in &t.gold {
-            counts[g.span.ty.index()] += 1;
-        }
-    }
-    let total: usize = counts.iter().sum();
-    let mut out = [0.0; EntityType::COUNT];
-    if total > 0 {
-        for (o, &c) in out.iter_mut().zip(&counts) {
-            *o = c as f64 / total as f64;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,9 +262,6 @@ mod tests {
         let mut s = SyntheticStream::new(&kb, spec(4), Topic::Entertainment);
         let d = capture(&mut s, 123, "window");
         assert_eq!(d.tweets.len(), 123);
-        let mix = type_mix(&d.tweets);
-        let total: f64 = mix.iter().sum();
-        assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -76,7 +76,8 @@ impl Template {
     }
 
     /// Number of typed-entity slots (`{P}/{L}/{O}/{M}/{E}`).
-    pub fn entity_slots(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn entity_slots(&self) -> usize {
         self.parts.iter().filter(|p| matches!(p, Part::Entity(_) | Part::AnyEntity)).count()
     }
 }

@@ -260,14 +260,6 @@ fn token_accuracy(encoder: &TokenEncoder, dev: &[Example]) -> f32 {
     correct as f32 / total as f32
 }
 
-/// Convenience: tags every tweet of a dataset, returning decoded spans.
-pub fn tag_dataset(
-    tagger: &dyn crate::SequenceTagger,
-    dataset: &Dataset,
-) -> Vec<Vec<ngl_text::Span>> {
-    dataset.tweets.iter().map(|t| ngl_text::decode_bio(&tagger.tag(&t.tokens))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

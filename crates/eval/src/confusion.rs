@@ -57,23 +57,6 @@ impl ConfusionMatrix {
         self.counts[gold][pred]
     }
 
-    /// Total gold mentions of a type.
-    pub fn gold_total(&self, ty: EntityType) -> usize {
-        self.counts[ty.index()].iter().sum()
-    }
-
-    /// The most common *wrong* prediction for a gold type, with its
-    /// count — "what does this type get mistaken for".
-    pub fn dominant_confusion(&self, ty: EntityType) -> Option<(Option<EntityType>, usize)> {
-        let row = &self.counts[ty.index()];
-        row.iter()
-            .enumerate()
-            .filter(|(i, _)| *i != ty.index())
-            .max_by_key(|(_, &c)| c)
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (EntityType::from_class_index(i), c))
-    }
-
     /// Renders a fixed-width table (rows gold, columns predicted).
     pub fn render(&self) -> String {
         let label = |i: usize| -> &'static str {
@@ -113,7 +96,6 @@ mod tests {
         let m = ConfusionMatrix::build(&gold, &gold.clone());
         assert_eq!(m.get(Person.index(), Person.index()), 1);
         assert_eq!(m.get(Location.index(), Location.index()), 1);
-        assert_eq!(m.gold_total(Person), 1);
     }
 
     #[test]
@@ -122,7 +104,6 @@ mod tests {
         let pred = vec![vec![s(0, Person)]];
         let m = ConfusionMatrix::build(&gold, &pred);
         assert_eq!(m.get(Organization.index(), Person.index()), 1);
-        assert_eq!(m.dominant_confusion(Organization), Some((Some(Person), 1)));
     }
 
     #[test]
@@ -132,11 +113,6 @@ mod tests {
         let m = ConfusionMatrix::build(&gold, &pred);
         assert_eq!(m.get(Miscellaneous.index(), EntityType::COUNT), 1);
         assert_eq!(m.get(EntityType::COUNT, Location.index()), 1);
-        assert_eq!(
-            m.dominant_confusion(Miscellaneous),
-            Some((None, 1)),
-            "dominant confusion is a miss"
-        );
     }
 
     #[test]
@@ -146,11 +122,5 @@ mod tests {
         for code in ["PER", "LOC", "ORG", "MISC", "none"] {
             assert!(text.contains(code), "{text}");
         }
-    }
-
-    #[test]
-    fn no_confusion_when_type_absent() {
-        let m = ConfusionMatrix::build(&[vec![]], &[vec![]]);
-        assert_eq!(m.dominant_confusion(Person), None);
     }
 }

@@ -84,15 +84,6 @@ impl NerScores {
     pub fn macro_f1(&self) -> f64 {
         self.per_type.iter().map(TypeScores::f1).sum::<f64>() / EntityType::COUNT as f64
     }
-
-    /// Micro-F1 over pooled counts (reported for completeness).
-    pub fn micro_f1(&self) -> f64 {
-        let mut total = TypeScores::default();
-        for t in &self.per_type {
-            total.add(t);
-        }
-        total.f1()
-    }
 }
 
 /// Evaluates predictions against gold, sentence-aligned: `gold[i]` and
@@ -214,7 +205,6 @@ mod tests {
     fn empty_everything_is_perfect() {
         let scores = evaluate(&[vec![]], &[vec![]]);
         assert_eq!(scores.macro_f1(), 1.0);
-        assert_eq!(scores.micro_f1(), 1.0);
     }
 
     #[test]

@@ -28,13 +28,6 @@ pub struct Masked {
     pub comments: Vec<String>,
 }
 
-impl Masked {
-    /// Lines of the masked code (0-based index).
-    pub fn code_lines(&self) -> Vec<&str> {
-        self.code.lines().collect()
-    }
-}
-
 /// Minimal token over masked code: identifiers (including keywords and
 /// number-ish words) and single punctuation characters. Whitespace is
 /// dropped.

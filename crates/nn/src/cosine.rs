@@ -58,7 +58,8 @@ pub fn l2_normalized(v: &[f32]) -> Vec<f32> {
 /// Gradient of cosine similarity `cos(a, b)` with respect to `a`.
 ///
 /// `d cos / d a = b / (|a||b|) - cos(a,b) * a / |a|²`
-pub fn cosine_similarity_grad_a(a: &[f32], b: &[f32]) -> Vec<f32> {
+#[cfg(test)]
+fn cosine_similarity_grad_a(a: &[f32], b: &[f32]) -> Vec<f32> {
     let mut out = vec![0.0f32; a.len()];
     cosine_similarity_grad_a_into(a, b, &mut out);
     out

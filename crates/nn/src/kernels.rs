@@ -797,7 +797,8 @@ impl QuantizedVec {
 
     /// Reconstructs the `f32` vector (`data[i] * scale`, exact for a
     /// power-of-two scale).
-    pub fn dequantize(&self) -> Vec<f32> {
+    #[cfg(test)]
+    fn dequantize(&self) -> Vec<f32> {
         self.data.iter().map(|&q| q as f32 * self.scale).collect()
     }
 
@@ -816,14 +817,6 @@ impl QuantizedVec {
     pub fn payload_bytes(&self) -> usize {
         4 + self.data.len()
     }
-}
-
-/// Dequantization-free dot product: exact `i32` accumulation (order
-/// free) scaled by the product of the two scales.
-pub fn dot_quantized(a: &QuantizedVec, b: &QuantizedVec) -> f32 {
-    debug_assert_eq!(a.data.len(), b.data.len());
-    let acc: i32 = a.data.iter().zip(&b.data).map(|(&x, &y)| x as i32 * y as i32).sum();
-    acc as f32 * (a.scale * b.scale)
 }
 
 /// Replaces `xs` with its quantize→dequantize round-trip, making the
@@ -1124,22 +1117,6 @@ mod tests {
         assert!(q.scale.is_finite() && q.scale > 0.0);
         let e0 = (q.dequantize()[0] - xs[0]).abs();
         assert!(e0 <= q.scale * 0.5);
-    }
-
-    #[test]
-    fn quantized_dot_tracks_f32_dot() {
-        for seed in 40..56u64 {
-            let xs = gen(seed, 32);
-            let ys = gen(seed + 1000, 32);
-            let qx = QuantizedVec::quantize(&xs);
-            let qy = QuantizedVec::quantize(&ys);
-            let qd = dot_quantized(&qx, &qy);
-            let fd = dot_scalar(&qx.dequantize(), &qy.dequantize());
-            assert!(
-                (qd - fd).abs() <= 1e-3 * (1.0 + fd.abs()),
-                "seed {seed}: quantized {qd} vs dequantized {fd}"
-            );
-        }
     }
 
     #[test]

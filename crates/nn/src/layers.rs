@@ -110,11 +110,6 @@ impl Dense {
     pub fn bias(&self) -> &[f32] {
         &self.b
     }
-
-    /// Total number of scalar parameters.
-    pub fn param_count(&self) -> usize {
-        self.w.rows() * self.w.cols() + self.b.len()
-    }
 }
 
 /// Element-wise rectified linear unit.

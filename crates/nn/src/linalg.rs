@@ -152,8 +152,10 @@ impl Matrix {
         out
     }
 
-    /// Returns an explicit transpose. Only used in tests and cold paths.
-    pub fn transpose(&self) -> Matrix {
+    /// Returns an explicit transpose: the reference the fused
+    /// transposed products are tested against.
+    #[cfg(test)]
+    fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
@@ -196,16 +198,6 @@ impl Matrix {
         for v in &mut self.data {
             *v *= alpha;
         }
-    }
-
-    /// Frobenius norm. Useful in tests and for gradient-norm diagnostics.
-    pub fn frobenius_norm(&self) -> f32 {
-        crate::kernels::sq_norm(&self.data).sqrt()
-    }
-
-    /// Returns true when any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|v| !v.is_finite())
     }
 }
 

@@ -90,24 +90,9 @@ impl Mlp {
             .collect()
     }
 
-    /// Re-creates optimizer state after deserialization.
-    pub fn reset_optimizer(&mut self) {
-        self.adam_states = Self::fresh_states(&self.layers);
-    }
-
-    /// Number of output classes.
-    pub fn n_classes(&self) -> usize {
-        self.layers.last().expect("non-empty").out_dim()
-    }
-
     /// Input feature dimension.
     pub fn in_dim(&self) -> usize {
         self.layers.first().expect("non-empty").in_dim()
-    }
-
-    /// Total scalar parameter count.
-    pub fn param_count(&self) -> usize {
-        self.layers.iter().map(Dense::param_count).sum()
     }
 
     /// Forward pass returning logits; `acts` receives the pre-activation
@@ -330,13 +315,11 @@ mod tests {
     }
 
     #[test]
-    fn clone_preserves_predictions_and_reset_optimizer_is_safe() {
+    fn clone_preserves_predictions() {
         let mlp =
             Mlp::new(MlpConfig { layer_sizes: vec![3, 5, 2], seed: 9, ..MlpConfig::default() });
-        let mut back = mlp.clone();
-        back.reset_optimizer();
+        let back = mlp.clone();
         let x = Matrix::from_vec(1, 3, vec![0.2, 0.4, -0.6]);
         assert_eq!(mlp.logits(&x), back.logits(&x));
-        assert_eq!(mlp.param_count(), back.param_count());
     }
 }

@@ -98,11 +98,6 @@ impl FaultPlan {
         self.faults.iter().map(|(&i, &k)| (i, k))
     }
 
-    /// Ascending indices of every planned fault of `kind`.
-    pub fn indices_of(&self, kind: FaultKind) -> Vec<usize> {
-        self.iter().filter(|&(_, k)| k == kind).map(|(i, _)| i).collect()
-    }
-
     /// Number of planned faults.
     pub fn len(&self) -> usize {
         self.faults.len()
@@ -309,15 +304,13 @@ mod tests {
     }
 
     #[test]
-    fn explicit_plan_lookup_and_filtering() {
+    fn explicit_plan_lookup() {
         let plan = FaultPlan::new()
             .with_fault(2, FaultKind::TaskPanic)
             .with_fault(5, FaultKind::EmptyTweet)
             .with_fault(9, FaultKind::TaskPanic);
         assert_eq!(plan.fault_at(2), Some(FaultKind::TaskPanic));
         assert_eq!(plan.fault_at(3), None);
-        assert_eq!(plan.indices_of(FaultKind::TaskPanic), vec![2, 9]);
-        assert_eq!(plan.indices_of(FaultKind::DuplicateId), Vec::<usize>::new());
         assert_eq!(plan.len(), 3);
     }
 

@@ -52,7 +52,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use pool::{Pool, PoolStats};
+use pool::Pool;
 
 /// A task that panicked inside [`Executor::try_par_map`], captured as a
 /// value instead of tearing down the executor.
@@ -177,12 +177,6 @@ impl Executor {
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Scheduler counters of the backing pool (`None` for the
-    /// sequential executor). Exposed for tests and benches.
-    pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.pool.as_ref().map(|p| p.stats())
     }
 
     /// Maps `f` over owned `items`, returning results **in input
@@ -338,24 +332,6 @@ impl Executor {
     {
         self.par_map(items.iter().collect(), f)
     }
-
-    /// Runs `f` over contiguous chunks of `items` (the last chunk may
-    /// be shorter), returning per-chunk results in chunk order. `f`
-    /// receives `(offset_of_first_item, chunk)`.
-    ///
-    /// Use this when per-item work is too small to amortize the
-    /// per-item scheduling of [`Self::par_map`].
-    pub fn par_chunks<T, R, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        let chunks: Vec<(usize, &[T])> =
-            items.chunks(chunk_size).enumerate().map(|(ci, c)| (ci * chunk_size, c)).collect();
-        self.par_map(chunks, |_, (offset, chunk)| f(offset, chunk))
-    }
 }
 
 /// The machine's available parallelism, defaulting to 1 when the query
@@ -418,25 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_covers_all_items_with_correct_offsets() {
-        let items: Vec<usize> = (0..103).collect();
-        for threads in [1, 4] {
-            let sums = Executor::new(threads).par_chunks(&items, 10, |offset, chunk| {
-                assert_eq!(chunk[0], offset);
-                chunk.iter().sum::<usize>()
-            });
-            assert_eq!(sums.len(), 11);
-            assert_eq!(sums.iter().sum::<usize>(), items.iter().sum::<usize>());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_size must be positive")]
-    fn par_chunks_rejects_zero_chunk() {
-        Executor::new(2).par_chunks(&[1, 2, 3], 0, |_, c: &[i32]| c.len());
-    }
-
-    #[test]
     fn worker_panic_propagates() {
         let result = std::panic::catch_unwind(|| {
             Executor::new(4).par_map((0..64usize).collect(), |_, x| {
@@ -467,7 +424,7 @@ mod tests {
             let ok = exec.par_map((0..32usize).collect(), |_, x| x + round);
             assert_eq!(ok, (0..32usize).map(|x| x + round).collect::<Vec<_>>());
         }
-        assert_eq!(exec.pool_stats().expect("pooled").workers, 3);
+        assert_eq!(exec.pool.as_ref().expect("pooled").stats().workers, 3);
     }
 
     #[test]
@@ -480,7 +437,6 @@ mod tests {
         assert_eq!(out_a, out_b);
         // The sequential executor spawns no pool at all.
         assert!(Executor::sequential().pool.is_none());
-        assert!(Executor::sequential().pool_stats().is_none());
     }
 
     #[test]

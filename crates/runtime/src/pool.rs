@@ -168,8 +168,8 @@ impl Shared {
     }
 }
 
-/// Point-in-time scheduler counters, exposed for tests and benches via
-/// [`crate::Executor::pool_stats`].
+/// Point-in-time scheduler counters, read by the pool's tests.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// OS worker threads owned by the pool (callers are extra).
@@ -272,7 +272,8 @@ impl Pool {
     }
 
     /// Snapshot of the scheduler counters.
-    pub fn stats(&self) -> PoolStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> PoolStats {
         PoolStats {
             workers: self.handles.len(),
             steals: self.shared.steals.load(Ordering::Relaxed),

@@ -491,15 +491,6 @@ impl Wal {
         Ok(list_segments(&self.io, &self.dir, self.prefix)?.into_keys().collect())
     }
 
-    /// Total bytes across all on-disk segments.
-    pub fn total_bytes(&self) -> Result<u64, StoreError> {
-        let mut total = 0u64;
-        for path in list_segments(&self.io, &self.dir, self.prefix)?.values() {
-            total = total.saturating_add(self.io.file_len(path)?);
-        }
-        Ok(total)
-    }
-
     /// Retries the truncation a failed commit rollback left behind.
     /// Until it succeeds, the segment carries torn bytes past
     /// `active_len` that every new write must land *after* truncating —
@@ -511,11 +502,6 @@ impl Wal {
             self.pending_repair = None;
         }
         Ok(())
-    }
-
-    /// Whether a failed rollback is waiting for [`Self::repair`].
-    pub fn needs_repair(&self) -> bool {
-        self.pending_repair.is_some()
     }
 
     /// Encodes one record frame. Oversized payloads are a typed error,

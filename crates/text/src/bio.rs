@@ -48,14 +48,6 @@ impl BioTag {
         }
     }
 
-    /// The entity type carried by the tag, if any.
-    pub fn entity_type(self) -> Option<EntityType> {
-        match self {
-            BioTag::O => None,
-            BioTag::B(t) | BioTag::I(t) => Some(t),
-        }
-    }
-
     /// Conventional string form: "O", "B-PER", "I-MISC", …
     pub fn code(self) -> String {
         match self {
@@ -64,26 +56,12 @@ impl BioTag {
             BioTag::I(t) => format!("I-{}", t.code()),
         }
     }
-
-    /// Parses the conventional string form.
-    pub fn from_code(code: &str) -> Option<Self> {
-        if code.eq_ignore_ascii_case("O") {
-            return Some(BioTag::O);
-        }
-        let (head, ty) = code.split_once('-')?;
-        let ty = EntityType::from_code(ty)?;
-        match head.to_ascii_uppercase().as_str() {
-            "B" => Some(BioTag::B(ty)),
-            "I" => Some(BioTag::I(ty)),
-            _ => None,
-        }
-    }
 }
 
 /// Encodes typed spans into a BIO tag sequence of length `n_tokens`.
 ///
-/// Overlapping spans are encoded first-come-first-served; callers should
-/// resolve overlaps beforehand (see [`crate::span::resolve_overlaps`]).
+/// Overlapping spans are encoded first-come-first-served: a span
+/// overlapping an earlier one is skipped.
 ///
 /// # Panics
 /// Panics when a span exceeds `n_tokens`.
@@ -197,15 +175,6 @@ mod tests {
     fn mention_running_to_end_is_closed() {
         let tags = vec![BioTag::O, BioTag::B(Miscellaneous), BioTag::I(Miscellaneous)];
         assert_eq!(decode_bio(&tags), vec![Span::new(1, 3, Miscellaneous)]);
-    }
-
-    #[test]
-    fn codes_round_trip() {
-        for i in 0..BioTag::COUNT {
-            let t = BioTag::from_index(i);
-            assert_eq!(BioTag::from_code(&t.code()), Some(t));
-        }
-        assert_eq!(BioTag::from_code("Q-PER"), None);
     }
 
     #[test]

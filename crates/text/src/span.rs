@@ -55,21 +55,6 @@ impl Span {
     }
 }
 
-/// Removes overlapping spans, keeping longer spans first and, at equal
-/// length, earlier spans. Useful when merging predictions from multiple
-/// sources.
-pub fn resolve_overlaps(mut spans: Vec<Span>) -> Vec<Span> {
-    spans.sort_by(|a, b| b.len().cmp(&a.len()).then(a.start.cmp(&b.start)));
-    let mut kept: Vec<Span> = Vec::with_capacity(spans.len());
-    for s in spans {
-        if !kept.iter().any(|k| k.overlaps(&s)) {
-            kept.push(s);
-        }
-    }
-    kept.sort_by_key(|s| (s.start, s.end));
-    kept
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,17 +84,6 @@ mod tests {
         let toks = ["andy", "beshear", "update"];
         let s = Span::new(0, 2, Person);
         assert_eq!(s.surface(&toks), "andy beshear");
-    }
-
-    #[test]
-    fn resolve_overlaps_prefers_longer() {
-        let spans = vec![
-            Span::new(0, 1, Person),
-            Span::new(0, 2, Person), // longer, wins
-            Span::new(3, 4, Location),
-        ];
-        let kept = resolve_overlaps(spans);
-        assert_eq!(kept, vec![Span::new(0, 2, Person), Span::new(3, 4, Location)]);
     }
 
     #[test]

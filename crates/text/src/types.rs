@@ -81,17 +81,6 @@ impl EntityType {
             EntityType::Miscellaneous => "MISC",
         }
     }
-
-    /// Parses the short code, case-insensitively.
-    pub fn from_code(code: &str) -> Option<Self> {
-        match code.to_ascii_uppercase().as_str() {
-            "PER" | "PERSON" => Some(EntityType::Person),
-            "LOC" | "LOCATION" => Some(EntityType::Location),
-            "ORG" | "ORGANIZATION" => Some(EntityType::Organization),
-            "MISC" | "MISCELLANEOUS" => Some(EntityType::Miscellaneous),
-            _ => None,
-        }
-    }
 }
 
 /// The classifier index of the non-entity class (`L`).
@@ -122,15 +111,6 @@ mod tests {
         assert_eq!(EntityType::class_index(None), non_entity_class());
         assert_eq!(EntityType::from_class_index(non_entity_class()), None);
         assert_eq!(EntityType::from_class_index(2), Some(EntityType::Organization));
-    }
-
-    #[test]
-    fn code_round_trips() {
-        for ty in EntityType::ALL {
-            assert_eq!(EntityType::from_code(ty.code()), Some(ty));
-            assert_eq!(EntityType::from_code(&ty.code().to_lowercase()), Some(ty));
-        }
-        assert_eq!(EntityType::from_code("bogus"), None);
     }
 
     #[test]
