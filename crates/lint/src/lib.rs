@@ -18,6 +18,7 @@
 //! | R4 | `kernel-layer` | no raw f32 dot/cosine/norm accumulation loops outside `ngl_nn::kernels` (heuristic: zip→mul→sum chains, `fold(0.0` reductions, zipped `+=` accumulators) |
 //! | R5 | `checked-framing` | codec/WAL byte-framing code uses checked arithmetic: no bare narrowing `as` casts, no unchecked `+`/`+=` on length/offset operands |
 //! | R6 | `path-deps-only` | every package in the root `Cargo.lock` is a path crate: a `source =` line (crates.io, git) is a violation, so the workspace builds offline |
+//! | R7 | `dead-pub` | every bare-`pub` item declared in non-test code under `crates/` or `src/` has its name as a token somewhere outside its own definition and outside `#[cfg(test)]` code |
 //! | W1 | `waiver-reason` | every waiver comment names a known rule and carries a reason |
 //!
 //! ## Waivers
@@ -45,17 +46,23 @@
 //! unsound `unsafe` block in a test is still unsound. Fixture sources
 //! under a `fixture_data` directory are skipped entirely (they exist
 //! to *violate* rules).
+//!
+//! R7 is the one cross-file rule: a reference anywhere in the scanned
+//! trees counts (`tests/` and `examples/` included, `#[cfg(test)]`
+//! code not), and so does one in `perfbench/harness/src`, which links
+//! the crates by path but is not itself linted.
 
 #![forbid(unsafe_code)]
 
 pub mod lexer;
 
 use lexer::{Masked, SpannedTok, Tok};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// Static description of one rule.
 pub struct RuleInfo {
-    /// Stable id (`R1`..`R6`, `W1`).
+    /// Stable id (`R1`..`R7`, `W1`).
     pub id: &'static str,
     /// Human-readable slug.
     pub name: &'static str,
@@ -94,6 +101,11 @@ pub const RULES: &[RuleInfo] = &[
         id: "R6",
         name: "path-deps-only",
         description: "Cargo.lock lists only path crates (no `source =` line)",
+    },
+    RuleInfo {
+        id: "R7",
+        name: "dead-pub",
+        description: "every `pub` item in crates/ or src/ is named outside its definition and #[cfg(test)] code",
     },
     RuleInfo {
         id: "W1",
@@ -228,6 +240,9 @@ struct FileClass {
     r4_exempt: bool,
     /// Codec/WAL byte-framing file: R5 applies.
     r5_scope: bool,
+    /// Library or binary source under `crates/` or `src/`: R7 checks
+    /// the `pub` items it declares.
+    r7_scope: bool,
 }
 
 impl FileClass {
@@ -254,7 +269,8 @@ impl FileClass {
             || rel.starts_with("crates/bench/")
             || rel.starts_with("crates/lint/");
         let r5_scope = rel == "crates/store/src/lib.rs" || rel == "crates/nn/src/codec.rs";
-        Self { is_test_file, r2_scope, r3_exempt, r4_exempt, r5_scope }
+        let r7_scope = (rel.starts_with("crates/") || rel.starts_with("src/")) && !is_test_file;
+        Self { is_test_file, r2_scope, r3_exempt, r4_exempt, r5_scope, r7_scope }
     }
 }
 
@@ -476,8 +492,8 @@ struct Ctx<'a> {
     class: FileClass,
     masked: &'a Masked,
     lines: Vec<&'a str>,
-    toks: Vec<SpannedTok>,
-    test_lines: Vec<bool>,
+    toks: &'a [SpannedTok],
+    test_lines: &'a [bool],
 }
 
 impl Ctx<'_> {
@@ -502,7 +518,7 @@ fn has_safety(comment: &str) -> bool {
 
 /// R1: every `unsafe` keyword is preceded by a SAFETY justification.
 fn rule_r1(ctx: &Ctx, diags: &mut Vec<Diagnostic>) {
-    for t in &ctx.toks {
+    for t in ctx.toks {
         let Tok::Ident(id) = &t.tok else { continue };
         if id != "unsafe" {
             continue;
@@ -540,7 +556,7 @@ fn rule_r2(ctx: &Ctx, diags: &mut Vec<Diagnostic>) {
     if !ctx.class.r2_scope {
         return;
     }
-    let toks = &ctx.toks;
+    let toks = ctx.toks;
     for i in 0..toks.len() {
         let Tok::Ident(id) = &toks[i].tok else { continue };
         if ctx.is_test_line(toks[i].line) {
@@ -568,7 +584,7 @@ fn rule_r3(ctx: &Ctx, diags: &mut Vec<Diagnostic>) {
     if ctx.class.r3_exempt {
         return;
     }
-    let toks = &ctx.toks;
+    let toks = ctx.toks;
     let ident = |i: usize| -> Option<&str> {
         match toks.get(i).map(|t| &t.tok) {
             Some(Tok::Ident(s)) => Some(s.as_str()),
@@ -710,7 +726,7 @@ fn rule_r5(ctx: &Ctx, diags: &mut Vec<Diagnostic>) {
     if !ctx.class.r5_scope {
         return;
     }
-    let toks = &ctx.toks;
+    let toks = ctx.toks;
     const NARROW: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
     let lengthy = |s: &str| {
         let l = s.to_ascii_lowercase();
@@ -785,19 +801,172 @@ fn rule_r5(ctx: &Ctx, diags: &mut Vec<Diagnostic>) {
     }
 }
 
+// ---- R7: public items nothing names ------------------------------------
+
+/// A bare-`pub` item declared outside test code: its name, the 0-based
+/// line of its `pub`, and the token range of its whole definition.
+struct PubItem {
+    name: String,
+    line: usize,
+    span: std::ops::Range<usize>,
+}
+
+/// Item keywords R7 tracks after `pub`. `pub(crate)` and narrower are
+/// left to rustc's dead-code lint; `pub use` re-exports declare nothing.
+const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod"];
+
+/// Function qualifiers that may sit between `pub` and the item keyword.
+const QUALIFIERS: &[&str] = &["async", "const", "extern", "unsafe"];
+
+fn pub_items(file: &Source) -> Vec<PubItem> {
+    let toks = &file.toks;
+    let ident = |i: usize| match toks.get(i).map(|t| &t.tok) {
+        Some(Tok::Ident(s)) => Some(s.as_str()),
+        _ => None,
+    };
+    let mut items = Vec::new();
+    for i in 0..toks.len() {
+        if ident(i) != Some("pub") || file.in_cfg_test(toks[i].line) {
+            continue;
+        }
+        let mut j = i + 1;
+        while ident(j).is_some_and(|q| QUALIFIERS.contains(&q))
+            && ident(j + 1).is_some_and(|n| n == "fn" || n == "trait" || QUALIFIERS.contains(&n))
+        {
+            j += 1;
+        }
+        let Some(keyword) = ident(j).filter(|k| ITEM_KEYWORDS.contains(k)) else { continue };
+        let at = if ident(j + 1) == Some("mut") { j + 2 } else { j + 1 };
+        let Some(name) = ident(at) else { continue };
+        // The definition ends at its `;` or at the brace closing its body
+        // (a `const`/`static`/`type` initializer may hold braces).
+        let braced = !matches!(keyword, "const" | "static" | "type");
+        let mut depth = 0i32;
+        let mut end = at;
+        while end < toks.len() {
+            match toks[end].tok {
+                Tok::Punct('(' | '[' | '{') => depth += 1,
+                Tok::Punct(')' | ']') => depth -= 1,
+                Tok::Punct('}') => {
+                    depth -= 1;
+                    if depth == 0 && braced {
+                        break;
+                    }
+                }
+                Tok::Punct(';') if depth == 0 => break,
+                _ => {}
+            }
+            end += 1;
+        }
+        items.push(PubItem {
+            name: name.to_string(),
+            line: toks[i].line,
+            span: i..(end + 1).min(toks.len()),
+        });
+    }
+    items
+}
+
+/// R7: a `pub` item in scope whose name has no token outside its own
+/// definition and outside `#[cfg(test)]` code, in `files` or `callers`.
+/// Returns the diagnostics of each file of `files`, in order.
+fn rule_r7(files: &[Source], callers: &[Source]) -> Vec<Vec<Diagnostic>> {
+    let mut refs: HashMap<&str, usize> = HashMap::new();
+    for file in files.iter().chain(callers) {
+        for t in &file.toks {
+            if let Tok::Ident(name) = &t.tok {
+                if !file.in_cfg_test(t.line) {
+                    *refs.entry(name.as_str()).or_default() += 1;
+                }
+            }
+        }
+    }
+    let items: Vec<Vec<PubItem>> = files
+        .iter()
+        .map(|f| if FileClass::of(&f.rel).r7_scope { pub_items(f) } else { Vec::new() })
+        .collect();
+    // A definition naming itself (a recursive call, a `Self`-less
+    // constructor) is not a caller.
+    for (file, items) in files.iter().zip(&items) {
+        for item in items {
+            let own = file.toks[item.span.clone()]
+                .iter()
+                .filter(|t| matches!(&t.tok, Tok::Ident(n) if *n == item.name))
+                .count();
+            if let Some(n) = refs.get_mut(item.name.as_str()) {
+                *n = n.saturating_sub(own);
+            }
+        }
+    }
+    files
+        .iter()
+        .zip(items)
+        .map(|(file, items)| {
+            items
+                .into_iter()
+                .filter(|item| refs.get(item.name.as_str()).copied().unwrap_or(0) == 0)
+                .map(|item| Diagnostic {
+                    rule: "R7".into(),
+                    name: rule_name("R7").into(),
+                    file: file.rel.clone(),
+                    line: item.line + 1,
+                    message: format!(
+                        "`pub` item `{}` is named nowhere outside its definition and test code — delete it (or move it into `#[cfg(test)]`)",
+                        item.name
+                    ),
+                })
+                .collect()
+        })
+        .collect()
+}
+
 // ---- per-file driver ---------------------------------------------------
 
-/// Lints one source file. `rel` is the workspace-relative path with
-/// `/` separators — it determines rule scoping.
-pub fn lint_source(rel: &str, src: &str) -> FileReport {
-    let masked = lexer::mask(src);
-    let toks = lexer::tokenize(&masked.code);
-    let lines: Vec<&str> = masked.code.lines().collect();
-    let test_lines = test_spans(&toks, lines.len());
-    let ctx = Ctx { rel, class: FileClass::of(rel), masked: &masked, lines, toks, test_lines };
+/// One source file, masked and tokenized once for every rule.
+struct Source {
+    rel: String,
+    masked: Masked,
+    toks: Vec<SpannedTok>,
+    /// Per 0-based line: inside a `#[cfg(test)]` item.
+    test_lines: Vec<bool>,
+}
 
-    let mut diags = Vec::new();
-    let mut waivers = parse_waivers(&masked, &mut diags, rel);
+impl Source {
+    fn parse(rel: &str, src: &str) -> Self {
+        let masked = lexer::mask(src);
+        let toks = lexer::tokenize(&masked.code);
+        let test_lines = test_spans(&toks, masked.code.lines().count());
+        Self { rel: rel.to_string(), masked, toks, test_lines }
+    }
+
+    fn in_cfg_test(&self, line: usize) -> bool {
+        self.test_lines.get(line).copied().unwrap_or(false)
+    }
+}
+
+/// Lints one source file with the per-file rules (R1–R5). `rel` is the
+/// workspace-relative path with `/` separators — it determines rule
+/// scoping.
+pub fn lint_source(rel: &str, src: &str) -> FileReport {
+    lint_parsed(&Source::parse(rel, src), Vec::new())
+}
+
+/// Runs the per-file rules over `file` and applies its waivers to their
+/// diagnostics and to `diags` (the cross-file rules' findings).
+fn lint_parsed(file: &Source, mut diags: Vec<Diagnostic>) -> FileReport {
+    let rel = file.rel.as_str();
+    let masked = &file.masked;
+    let lines: Vec<&str> = masked.code.lines().collect();
+    let ctx = Ctx {
+        rel,
+        class: FileClass::of(rel),
+        masked,
+        lines,
+        toks: &file.toks,
+        test_lines: &file.test_lines,
+    };
+
+    let mut waivers = parse_waivers(masked, &mut diags, rel);
     rule_r1(&ctx, &mut diags);
     rule_r2(&ctx, &mut diags);
     rule_r3(&ctx, &mut diags);
@@ -911,39 +1080,69 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Lints every `.rs` file in the workspace's source trees under `root`
-/// (skipping `target/`, VCS and fixture directories) plus the root
-/// `Cargo.lock`, aggregating diagnostics sorted by file/line.
-pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
-    let mut files = Vec::new();
-    for dir in SOURCE_DIRS {
-        let dir = root.join(dir);
-        if dir.is_dir() {
-            walk(&dir, &mut files)?;
-        }
-    }
-    let mut report = Report::default();
-    if let Ok(lock) = std::fs::read_to_string(root.join("Cargo.lock")) {
-        report.diagnostics.extend(lint_lockfile("Cargo.lock", &lock));
-        report.files_scanned += 1;
-    }
-    for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy().into_owned())
-            .collect::<Vec<_>>()
-            .join("/");
-        let src = std::fs::read_to_string(&path)?;
-        let file_report = lint_source(&rel, &src);
+/// Trees read only as R7 callers: the benchmark harness links the
+/// workspace crates by path from outside the workspace.
+const CALLER_DIRS: &[&str] = &["perfbench/harness/src"];
+
+/// Lints `files` (workspace-relative path, source) as one workspace:
+/// the per-file rules on each, and R7 across all of them, counting
+/// references in `callers` as well (sources that are not linted).
+/// Diagnostics come sorted by file/line.
+pub fn lint_sources<S: AsRef<str>>(files: &[(S, S)], callers: &[(S, S)]) -> Report {
+    let parse = |set: &[(S, S)]| -> Vec<Source> {
+        set.iter().map(|(rel, src)| Source::parse(rel.as_ref(), src.as_ref())).collect()
+    };
+    let (files, callers) = (parse(files), parse(callers));
+    let mut report = Report { files_scanned: files.len(), ..Default::default() };
+    for (file, r7) in files.iter().zip(rule_r7(&files, &callers)) {
+        let file_report = lint_parsed(file, r7);
         report.diagnostics.extend(file_report.diagnostics);
         report.waivers.extend(file_report.waivers);
-        report.files_scanned += 1;
     }
     report.diagnostics.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     report.diagnostics.dedup();
     report.waivers.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    report
+}
+
+/// Reads every `.rs` file under `dirs` of `root` (skipping `target/`,
+/// VCS and fixture directories) as (workspace-relative path, source).
+fn read_sources(root: &Path, dirs: &[&str]) -> std::io::Result<Vec<(String, String)>> {
+    let mut paths = Vec::new();
+    for dir in dirs {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            walk(&dir, &mut paths)?;
+        }
+    }
+    paths
+        .into_iter()
+        .map(|path| {
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(&path)
+                .components()
+                .map(|c| c.as_os_str().to_string_lossy().into_owned())
+                .collect::<Vec<_>>()
+                .join("/");
+            Ok((rel, std::fs::read_to_string(&path)?))
+        })
+        .collect()
+}
+
+/// Lints the workspace's source trees under `root` with
+/// [`lint_sources`] (the benchmark harness as callers), plus the root
+/// `Cargo.lock` (R6).
+pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
+    let files = read_sources(root, SOURCE_DIRS)?;
+    let callers = read_sources(root, CALLER_DIRS)?;
+    let mut report = lint_sources(&files, &callers);
+    if let Ok(lock) = std::fs::read_to_string(root.join("Cargo.lock")) {
+        let mut diags = lint_lockfile("Cargo.lock", &lock);
+        diags.append(&mut report.diagnostics);
+        report.diagnostics = diags;
+        report.files_scanned += 1;
+    }
     Ok(report)
 }
 

@@ -1,7 +1,8 @@
-//! Fixture-based tests for the `ngl-lint` rule engine, plus the
-//! acceptance mutations from the issue: stripping a SAFETY comment
-//! from the real `kernels.rs`/`pool.rs` must make the lint fail, and
-//! adding an `unwrap()` to `crates/store/src/` must make it fail.
+//! Fixture-based tests for the `ngl-lint` rule engine, plus acceptance
+//! mutations of the real workspace: stripping a SAFETY comment from
+//! `kernels.rs`/`pool.rs`, adding an `unwrap()` to `crates/store/src/`
+//! or adding a `pub fn` nothing calls under `crates/` must each make
+//! the lint fail.
 //!
 //! Fixtures live in `tests/fixture_data/` (a directory `lint_workspace`
 //! deliberately skips) and are linted under *synthetic* relative paths,
@@ -10,7 +11,8 @@
 use std::path::Path;
 
 use ngl_lint::{
-    find_workspace_root, lint_lockfile, lint_source, lint_workspace, Diagnostic, Report, Waiver,
+    find_workspace_root, lint_lockfile, lint_source, lint_sources, lint_workspace, Diagnostic,
+    Report, Waiver,
 };
 
 fn rules(diags: &[Diagnostic]) -> Vec<&str> {
@@ -176,6 +178,67 @@ fn r6_accepts_a_path_only_lockfile() {
     assert!(lint_lockfile("Cargo.lock", &path_only).is_empty());
 }
 
+// ---- R7: public items nothing names -------------------------------------
+
+const R7_LIB: &str = "crates/fixture/src/lib.rs";
+
+fn r7_lines(report: &Report) -> Vec<usize> {
+    assert!(report.diagnostics.iter().all(|d| d.rule == "R7"), "{:?}", report.diagnostics);
+    report.diagnostics.iter().map(|d| d.line).collect()
+}
+
+#[test]
+fn r7_fires_on_pub_items_named_only_in_their_own_definition() {
+    let report = lint_sources(&[(R7_LIB, include_str!("fixture_data/r7_bad.rs"))], &[]);
+    // `orphan`, the self-recursive `countdown` and `origin`; `Point` is
+    // named by `origin`, and `pub(crate)` items and fields are not R7's.
+    assert_eq!(r7_lines(&report), [1, 5, 15]);
+}
+
+#[test]
+fn r7_counts_callers_that_are_read_but_not_linted() {
+    let harness = ("perfbench/harness/src/main.rs", "fn main() { let _ = fixture::origin(); }");
+    let report = lint_sources(&[(R7_LIB, include_str!("fixture_data/r7_bad.rs"))], &[harness]);
+    assert_eq!(r7_lines(&report), [1, 5]);
+}
+
+#[test]
+fn r7_accepts_a_reasoned_waiver() {
+    let report = lint_sources(&[(R7_LIB, include_str!("fixture_data/r7_waived.rs"))], &[]);
+    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+    assert_eq!(report.waivers.len(), 1);
+    assert!(report.waivers[0].used && report.waivers[0].rule == "R7");
+}
+
+#[test]
+fn r7_does_not_count_references_from_cfg_test_code() {
+    let report = lint_sources(&[(R7_LIB, include_str!("fixture_data/r7_test_only.rs"))], &[]);
+    assert_eq!(r7_lines(&report), [1]);
+}
+
+#[test]
+fn r7_counts_references_from_a_tests_file() {
+    let files = [
+        (R7_LIB, include_str!("fixture_data/r7_lib.rs")),
+        ("tests/api.rs", include_str!("fixture_data/r7_caller.rs")),
+    ];
+    let report = lint_sources(&files, &[]);
+    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+    // Without the caller the item is dead.
+    assert_eq!(r7_lines(&lint_sources(&files[..1], &[])), [1]);
+}
+
+#[test]
+fn r7_checks_only_crate_and_src_sources() {
+    let src = include_str!("fixture_data/r7_bad.rs");
+    for rel in ["tests/support.rs", "examples/demo.rs", "crates/fixture/tests/it.rs"] {
+        let report = lint_sources(&[(rel, src)], &[]);
+        assert!(report.diagnostics.is_empty(), "{rel}: {:?}", report.diagnostics);
+    }
+    let report = lint_sources(&[("src/bin/tool.rs", src)], &[]);
+    assert_eq!(r7_lines(&report), [1, 5, 15]);
+}
+
 // ---- JSON schema -------------------------------------------------------
 
 #[test]
@@ -283,6 +346,50 @@ fn adding_an_unwrap_to_the_store_fails_r2() {
     assert!(
         report.diagnostics.iter().any(|d| d.rule == "R2"),
         "a fresh unwrap in the store must trip R2: {:?}",
+        report.diagnostics
+    );
+}
+
+/// Copies the trees `lint_workspace` reads (sources, the benchmark
+/// harness, the lockfile) to `to`.
+fn copy_lint_inputs(from: &Path, to: &Path) {
+    fn copy_rs(from: &Path, to: &Path) {
+        for entry in std::fs::read_dir(from).expect("read dir") {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().expect("name");
+            if path.is_dir() {
+                if name != "target" {
+                    copy_rs(&path, &to.join(name));
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                std::fs::create_dir_all(to).expect("mkdir");
+                std::fs::copy(&path, to.join(name)).expect("copy");
+            }
+        }
+    }
+    for dir in ["crates", "src", "tests", "examples", "perfbench/harness/src"] {
+        copy_rs(&from.join(dir), &to.join(dir));
+    }
+    std::fs::copy(from.join("Cargo.lock"), to.join("Cargo.lock")).expect("copy lockfile");
+}
+
+#[test]
+fn adding_a_pub_fn_nothing_calls_fails_r7() {
+    let copy = Path::new(env!("CARGO_TARGET_TMPDIR")).join("r7-mutation");
+    let _ = std::fs::remove_dir_all(&copy);
+    copy_lint_inputs(&workspace_root(), &copy);
+    let baseline = lint_workspace(&copy).expect("scan the copy");
+    assert!(baseline.clean(), "{:#?}", baseline.diagnostics);
+
+    let rel = "crates/text/src/lib.rs";
+    let src = std::fs::read_to_string(copy.join(rel)).expect(rel);
+    let injected = "pub fn injected_dead_api() -> usize {\n    0\n}\n";
+    std::fs::write(copy.join(rel), format!("{src}\n{injected}")).expect("mutate");
+    let report = lint_workspace(&copy).expect("scan the mutated copy");
+    let _ = std::fs::remove_dir_all(&copy);
+    assert!(
+        report.diagnostics.iter().any(|d| d.rule == "R7" && d.file == rel),
+        "an unreferenced pub fn must trip R7: {:?}",
         report.diagnostics
     );
 }
