@@ -7,8 +7,7 @@
 //! cache and the consumed tweet ids — so a restarted process resumes
 //! mid-stream instead of losing position and re-finalizing from
 //! scratch. The model components (encoder, phrase embedder,
-//! classifier) are serialized separately by `GlobalizerBundle`, which
-//! embeds this checkpoint in its payload.
+//! classifier) are serialized separately, by `GlobalizerBundle`.
 //!
 //! The wire format is the workspace's little-endian `ngl_nn::codec`
 //! style: explicit field-by-field layout, length-prefixed collections,
@@ -19,8 +18,8 @@
 //! A durable snapshot writes the same layout with one difference: its
 //! tweet section is a [`TweetLogRef`] into the lineage's append-only
 //! tweet log (`crate::tweet_log`) instead of the records themselves,
-//! since a record never changes once stored. Bundles and
-//! `NerGlobalizer::export_state_bytes` keep the records inline.
+//! since a record never changes once stored.
+//! `NerGlobalizer::export_state_bytes` keeps the records inline.
 //!
 //! The CTrie is serialized as its surface list plus its version
 //! counter, relying on the trie invariant that `version() == len()`
@@ -74,9 +73,9 @@ pub struct PipelineCheckpoint {
     pub seen_ids: BTreeSet<u64>,
 }
 
-/// The stream state a checkpoint holds, borrowed: from a live pipeline
+/// The stream state a checkpoint holds, borrowed from a live pipeline
 /// (`NerGlobalizer::put_state_bytes`), so a snapshot encodes without
-/// copying the state first, or from a [`PipelineCheckpoint`].
+/// copying the state first (tests also borrow a [`PipelineCheckpoint`]).
 pub(crate) struct StateRef<'a> {
     pub cfg: &'a GlobalizerConfig,
     pub ctrie: &'a CTrie,
@@ -89,6 +88,7 @@ pub(crate) struct StateRef<'a> {
 }
 
 impl PipelineCheckpoint {
+    #[cfg(test)]
     pub(crate) fn state_ref(&self) -> StateRef<'_> {
         StateRef {
             cfg: &self.cfg,

@@ -1,19 +1,20 @@
 //! Model persistence: save a fully trained NER Globalizer (Local NER
-//! encoder + Phrase Embedder + Entity Classifier), optionally together
-//! with a mid-stream [`PipelineCheckpoint`], to one versioned binary
-//! file and load it back — train once, deploy anywhere, restart
-//! without losing stream position.
+//! encoder + Phrase Embedder + Entity Classifier) to one versioned
+//! binary file and load it back — train once, deploy anywhere. The
+//! stream state lives elsewhere: a restartable stream runs on the
+//! durable store (`crate::durable`, `--store-dir`).
 //!
 //! Layout (format version 4, the only one this build reads or writes):
 //! `magic ("NGLB") | version (u32) | payload_len (u64) | fnv1a64
 //! checksum of payload (u64) | payload`, where the payload is
-//! `encoder | phrase | classifier | has_checkpoint (u64: 0/1) |
-//! [checkpoint]`. The length + checksum header makes partial or
-//! bit-flipped writes detectable before any component parsing runs.
-//! Mention and cluster embeddings inside the checkpoint are stored
-//! through the quantized i8 codec, losslessly because the pipeline
-//! canonicalizes embeddings at creation. A file with any other version
-//! is rejected with [`PersistError::UnsupportedVersion`].
+//! `encoder | phrase | classifier | 0 (u64)`. The length + checksum
+//! header makes partial or bit-flipped writes detectable before any
+//! component parsing runs. The trailing word once flagged an embedded
+//! stream checkpoint; it is always written as 0, so every model file
+//! keeps its bytes and its store fingerprint, and a file with the flag
+//! set fails with [`PersistError::EmbeddedCheckpoint`]. A file with
+//! any other version is rejected with
+//! [`PersistError::UnsupportedVersion`].
 //!
 //! [`GlobalizerBundle::save`] is **crash-consistent**: bytes are
 //! written to a sibling temp file, fsynced, then atomically renamed
@@ -28,7 +29,6 @@ use ngl_nn::codec::{get_u32, get_u64, put_u32, put_u64, take};
 use ngl_nn::CodecError;
 use ngl_store::fnv1a64;
 
-use crate::checkpoint::{get_checkpoint, put_checkpoint, PipelineCheckpoint};
 use crate::classifier::EntityClassifier;
 use crate::phrase::PhraseEmbedder;
 
@@ -51,6 +51,9 @@ pub enum PersistError {
     Codec(CodecError),
     /// Component dimensions disagree with each other.
     Inconsistent(&'static str),
+    /// The file carries an embedded stream checkpoint, which bundles
+    /// no longer hold.
+    EmbeddedCheckpoint,
 }
 
 impl std::fmt::Display for PersistError {
@@ -62,6 +65,11 @@ impl std::fmt::Display for PersistError {
             PersistError::ChecksumMismatch => write!(f, "payload checksum mismatch"),
             PersistError::Codec(e) => write!(f, "malformed payload: {e}"),
             PersistError::Inconsistent(what) => write!(f, "inconsistent bundle: {what}"),
+            PersistError::EmbeddedCheckpoint => write!(
+                f,
+                "model file embeds a stream checkpoint, which this build does not read; \
+                 keep stream state in a durable store (--store-dir) instead"
+            ),
         }
     }
 }
@@ -80,8 +88,7 @@ impl From<CodecError> for PersistError {
     }
 }
 
-/// A complete trained model: everything [`crate::NerGlobalizer`] needs,
-/// plus (optionally) a mid-stream state checkpoint.
+/// A complete trained model: everything [`crate::NerGlobalizer`] needs.
 #[derive(Debug, Clone)]
 pub struct GlobalizerBundle {
     /// The fine-tuned Local NER encoder.
@@ -90,19 +97,16 @@ pub struct GlobalizerBundle {
     pub phrase: PhraseEmbedder,
     /// The pooling + classification head.
     pub classifier: EntityClassifier,
-    /// Stream state captured by `NerGlobalizer::export_state`, when
-    /// the bundle is a restart checkpoint rather than a bare model.
-    pub checkpoint: Option<PipelineCheckpoint>,
 }
 
 impl GlobalizerBundle {
-    /// A bare model bundle (no stream checkpoint).
+    /// A bundle of the three trained components.
     pub fn from_models(
         encoder: TokenEncoder,
         phrase: PhraseEmbedder,
         classifier: EntityClassifier,
     ) -> Self {
-        Self { encoder, phrase, classifier, checkpoint: None }
+        Self { encoder, phrase, classifier }
     }
 
     /// Serializes the bundle into one binary blob (see the module docs
@@ -111,13 +115,7 @@ impl GlobalizerBundle {
         let mut payload = self.encoder.to_bytes();
         payload.extend_from_slice(&self.phrase.to_bytes());
         payload.extend_from_slice(&self.classifier.to_bytes());
-        match &self.checkpoint {
-            None => put_u64(&mut payload, 0),
-            Some(ck) => {
-                put_u64(&mut payload, 1);
-                put_checkpoint(&mut payload, ck.state_ref(), None);
-            }
-        }
+        put_u64(&mut payload, 0); // no embedded stream checkpoint
         let mut buf = MAGIC.to_vec();
         put_u32(&mut buf, VERSION);
         put_u64(&mut buf, payload.len() as u64);
@@ -149,15 +147,15 @@ impl GlobalizerBundle {
         let encoder = TokenEncoder::from_bytes(&mut bytes)?;
         let phrase = PhraseEmbedder::from_bytes(&mut bytes)?;
         let classifier = EntityClassifier::from_bytes(&mut bytes)?;
-        let checkpoint = match get_u64(&mut bytes)? {
-            0 => None,
-            1 => Some(get_checkpoint(&mut bytes)?),
+        match get_u64(&mut bytes)? {
+            0 => {}
+            1 => return Err(PersistError::EmbeddedCheckpoint),
             _ => return Err(CodecError::Invalid("checkpoint flag out of range").into()),
-        };
+        }
         if encoder.out_dim() != phrase.dim() {
             return Err(PersistError::Inconsistent("encoder vs phrase dim"));
         }
-        Ok(Self { encoder, phrase, classifier, checkpoint })
+        Ok(Self { encoder, phrase, classifier })
     }
 
     /// Writes the bundle to `path` atomically: the bytes land in a
@@ -227,7 +225,6 @@ mod tests {
         let b = bundle();
         let bytes = b.to_bytes();
         let back = GlobalizerBundle::from_bytes(&bytes).expect("load");
-        assert!(back.checkpoint.is_none());
 
         // The models must behave identically, not just parse.
         let sent = toks("gov Beshear said stay home");
@@ -242,18 +239,14 @@ mod tests {
         assert_eq!(b.classifier.predict_proba(&locals), back.classifier.predict_proba(&locals));
     }
 
-    /// [`bundle`] with a checkpoint taken from a short stream that
-    /// seeds surfaces, finalizes twice and rejects one repeated id.
-    fn bundle_with_checkpoint() -> (GlobalizerBundle, Vec<u8>) {
+    /// The state of a short stream that seeds surfaces, finalizes
+    /// twice and rejects one repeated id, in the canonical encoding.
+    fn stream_state_bytes() -> Vec<u8> {
         use crate::pipeline::{GlobalizerConfig, NerGlobalizer};
-        let mut b = bundle();
-        let mut p = NerGlobalizer::new(
-            b.encoder.clone(),
-            b.phrase.clone(),
-            b.classifier.clone(),
-            GlobalizerConfig::default(),
-        )
-        .with_executor(ngl_runtime::Executor::sequential());
+        let b = bundle();
+        let mut p =
+            NerGlobalizer::new(b.encoder, b.phrase, b.classifier, GlobalizerConfig::default())
+                .with_executor(ngl_runtime::Executor::sequential());
         p.ingest(
             vec![toks("gov Beshear said stay home"), toks("Beshear visited Italy today")],
             None,
@@ -263,22 +256,38 @@ mod tests {
             vec![toks("more Beshear talk in Italy"), toks("a repeat"), toks("Italy won again")];
         p.ingest(tweets, Some(vec![7, 7, 9]));
         p.finalize();
-        let state = p.export_state_bytes();
-        b.checkpoint = Some(p.export_state());
-        (b, state)
+        p.export_state_bytes()
     }
 
-    /// The bundle and checkpoint bytes did not move when the retired
-    /// format versions were deleted (values computed before the cut).
+    /// Model and state bytes did not move when the retired format
+    /// versions and the embedded stream checkpoint were deleted (values
+    /// computed before each cut): every model file still loads, with
+    /// the same store fingerprint.
     #[test]
-    fn bundle_and_checkpoint_bytes_are_pinned() {
-        let (b, state) = bundle_with_checkpoint();
-        let ck = b.checkpoint.as_ref().expect("checkpoint");
-        assert_eq!((ck.candidates.len(), ck.tweets.len()), (10, 4));
-        assert_eq!(fnv1a64(&b.to_bytes()), 9265819532503226543);
-        assert_eq!(fnv1a64(&state), 6303434925236301342);
-        let back = GlobalizerBundle::from_bytes(&b.to_bytes()).expect("load");
-        assert_eq!(back.to_bytes(), b.to_bytes(), "decode→encode is byte-identical");
+    fn bundle_and_state_bytes_are_pinned() {
+        let bytes = bundle().to_bytes();
+        assert_eq!(fnv1a64(&bytes), 14153714715217974114);
+        assert_eq!(fnv1a64(&stream_state_bytes()), 6303434925236301342);
+        let back = GlobalizerBundle::from_bytes(&bytes).expect("load");
+        assert_eq!(back.to_bytes(), bytes, "decode→encode is byte-identical");
+    }
+
+    /// A model file whose checkpoint flag is set — once a bundle with
+    /// an embedded stream checkpoint — fails typed; any other nonzero
+    /// flag is malformed.
+    #[test]
+    fn an_embedded_checkpoint_flag_fails_typed() {
+        let with_flag = |flag: u64| {
+            let mut bytes = bundle().to_bytes();
+            let at = bytes.len() - 8;
+            bytes[at..].copy_from_slice(&flag.to_le_bytes());
+            let checksum = fnv1a64(&bytes[24..]);
+            bytes[16..24].copy_from_slice(&checksum.to_le_bytes());
+            GlobalizerBundle::from_bytes(&bytes)
+        };
+        assert!(with_flag(0).is_ok());
+        assert!(matches!(with_flag(1), Err(PersistError::EmbeddedCheckpoint)));
+        assert!(matches!(with_flag(2), Err(PersistError::Codec(_))));
     }
 
     #[test]
@@ -330,17 +339,16 @@ mod tests {
 
     #[test]
     fn truncation_anywhere_fails_cleanly() {
-        for bytes in [bundle().to_bytes(), bundle_with_checkpoint().0.to_bytes()] {
-            // Sample a spread of truncation points (all ~100k is slow).
-            for frac in [0.1, 0.35, 0.6, 0.85, 0.99] {
-                let cut = (bytes.len() as f64 * frac) as usize;
-                let sliced = &bytes[..cut];
-                assert!(
-                    GlobalizerBundle::from_bytes(sliced).is_err(),
-                    "truncation at {cut}/{} must fail",
-                    bytes.len()
-                );
-            }
+        let bytes = bundle().to_bytes();
+        // Sample a spread of truncation points (all ~100k is slow).
+        for frac in [0.1, 0.35, 0.6, 0.85, 0.99] {
+            let cut = (bytes.len() as f64 * frac) as usize;
+            let sliced = &bytes[..cut];
+            assert!(
+                GlobalizerBundle::from_bytes(sliced).is_err(),
+                "truncation at {cut}/{} must fail",
+                bytes.len()
+            );
         }
     }
 }

@@ -1606,9 +1606,8 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
 
     /// Snapshots the pipeline's stream state — CTrie, tweet store,
     /// candidate store (with per-surface progress counts), scan
-    /// watermark + version, mention cache and consumed ids — for
-    /// inclusion in a crash-consistent `GlobalizerBundle`. The
-    /// model components travel separately in the bundle.
+    /// watermark + version, mention cache and consumed ids. The model
+    /// components are not part of it.
     pub fn export_state(&self) -> PipelineCheckpoint {
         PipelineCheckpoint {
             cfg: self.cfg,

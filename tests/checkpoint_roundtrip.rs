@@ -1,8 +1,10 @@
-//! Crash-consistency contract of `GlobalizerBundle`: a pipeline
-//! checkpointed mid-stream, serialized, reloaded and resumed must be
-//! bitwise indistinguishable — in final outputs and in candidate
-//! state — from a never-interrupted run, and the byte encoding itself
-//! must be canonical (serialize → parse → serialize is the identity).
+//! Resume contract of the pipeline's stream state: a pipeline whose
+//! state is exported mid-stream (`export_state_bytes`) and imported
+//! (`import_state_bytes`) into a fresh pipeline on models parsed back
+//! from a `GlobalizerBundle` must be bitwise indistinguishable — in
+//! final outputs and in candidate state — from a never-interrupted
+//! run, and both byte encodings must be canonical (serialize → parse →
+//! serialize is the identity).
 
 use std::collections::BTreeSet;
 
@@ -122,24 +124,23 @@ fn fingerprint(p: &NerGlobalizer<CapTagger>) -> Vec<(String, Vec<u64>, Vec<u32>)
         .collect()
 }
 
-/// Snapshot `donor` into a bundle, serialize, parse back, and build
-/// a resumed pipeline from the parsed models + checkpoint. Also checks
-/// the encoding is canonical.
+/// Export `donor`'s state, and build a resumed pipeline from models
+/// parsed back from a bundle plus the imported state. Also checks both
+/// encodings are canonical.
 fn snapshot_and_restore(donor: &NerGlobalizer<CapTagger>) -> NerGlobalizer<CapTagger> {
     let (encoder, phrase, classifier) = models();
-    let mut bundle = GlobalizerBundle::from_models(encoder, phrase, classifier);
-    bundle.checkpoint = Some(donor.export_state());
-    let bytes = bundle.to_bytes();
+    let bytes = GlobalizerBundle::from_models(encoder, phrase, classifier).to_bytes();
     let restored = GlobalizerBundle::from_bytes(&bytes).expect("bundle parses");
     assert_eq!(restored.to_bytes(), bytes, "bundle encoding is canonical");
-    let ck = restored.checkpoint.expect("checkpoint travels with the bundle");
+    let state = donor.export_state_bytes();
     let mut resumed = NerGlobalizer::new(
         CapTagger(restored.encoder),
         restored.phrase,
         restored.classifier,
         GlobalizerConfig::default(),
     );
-    resumed.import_state(ck).expect("checkpoint is self-consistent");
+    resumed.import_state_bytes(&state).expect("state is self-consistent");
+    assert_eq!(resumed.export_state_bytes(), state, "state encoding is canonical");
     resumed
 }
 
@@ -153,7 +154,7 @@ fn v2_checkpoint_resume_is_bitwise_identical() {
             let mut reference = pipeline(GlobalizerConfig::default());
             let ref_out = drive(&mut reference, &stream);
 
-            // Interrupted at `split`, checkpointed through the bundle,
+            // Interrupted at `split`, state exported and imported,
             // resumed on freshly parsed models.
             let mut first = pipeline(GlobalizerConfig::default());
             drive(&mut first, &stream[..split]);
@@ -203,16 +204,22 @@ fn bundle_file_save_is_atomic_and_loads_back() {
     drive(&mut donor, &gen_stream(8, 8));
 
     let (encoder, phrase, classifier) = models();
-    let mut bundle = GlobalizerBundle::from_models(encoder, phrase, classifier);
-    bundle.checkpoint = Some(donor.export_state());
+    let bundle = GlobalizerBundle::from_models(encoder, phrase, classifier);
     bundle.save(&path).expect("save");
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
     assert!(!std::path::Path::new(&tmp).exists(), "temp file renamed away");
 
     let loaded = GlobalizerBundle::load(&path).expect("load");
-    assert_eq!(loaded.to_bytes(), bundle.to_bytes(), "file round-trip is bitwise exact");
-    let ck = loaded.checkpoint.expect("checkpoint loaded");
-    assert_eq!(ck.seen_ids, (0..8).map(|i| 500 + i as u64).collect::<BTreeSet<u64>>());
     std::fs::remove_file(&path).ok();
+    assert_eq!(loaded.to_bytes(), bundle.to_bytes(), "file round-trip is bitwise exact");
+    let mut resumed = NerGlobalizer::new(
+        CapTagger(loaded.encoder),
+        loaded.phrase,
+        loaded.classifier,
+        GlobalizerConfig::default(),
+    );
+    resumed.import_state_bytes(&donor.export_state_bytes()).expect("import");
+    let seen = resumed.export_state().seen_ids;
+    assert_eq!(seen, (0..8).map(|i| 500 + i as u64).collect::<BTreeSet<u64>>());
 }
