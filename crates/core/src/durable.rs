@@ -26,9 +26,10 @@
 //! with the stored tweets. Commit order: the new log records are
 //! written and fsynced, then the snapshot is published (tmp file,
 //! fsync, rename), then the WAL rotates and drops the segments wholly
-//! below the *older* kept snapshot, older snapshots are pruned (the
-//! newest two are kept — the latest plus one fallback in case the
-//! latest is found corrupt on open, and the WAL still holds every op
+//! below the *older* kept snapshot, older snapshots are pruned (kept:
+//! the new one plus one fallback in case it is found corrupt on open,
+//! the snapshot this lineage opened from or last wrote — never a newer
+//! file the open skipped as corrupt — and the WAL still holds every op
 //! after the fallback), and last the log drops the segments that hold
 //! only tweets below the oldest kept snapshot's first retained tweet,
 //! so `MaxTweets` retention still bounds the disk. Snapshots are sequenced
@@ -608,6 +609,10 @@ pub struct DurableGlobalizer<T: ContextualTagger> {
     wal: Wal,
     snaps: SnapshotStore,
     tweet_log: TweetLog,
+    /// The snapshot this lineage opened from or last wrote: the one
+    /// kept as the fallback when the next snapshot prunes the rest. A
+    /// newer file the open skipped as corrupt is no fallback.
+    snapshot_seq: Option<u64>,
     /// First retained tweet of the newest snapshot on disk: the floor
     /// of tweet-log compaction once a newer snapshot makes it the
     /// fallback.
@@ -805,6 +810,7 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
                 wal,
                 snaps,
                 tweet_log,
+                snapshot_seq: report.snapshot_seq,
                 snapshot_first_retained,
                 wal_floor,
                 dir,
@@ -1015,9 +1021,10 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
 
     /// Writes a snapshot at the current `op_seq` — the tweet log takes
     /// the records added since the previous one first — then compacts:
-    /// WAL segments below the previous snapshot are dropped, all but the
-    /// two newest snapshots pruned, and tweet-log segments below the
-    /// older one's first retained tweet deleted.
+    /// WAL segments below the previous snapshot are dropped, snapshots
+    /// below the previous one (the one this lineage opened from or last
+    /// wrote) pruned, and tweet-log segments below the previous one's
+    /// first retained tweet deleted.
     ///
     /// A stashed finalize is re-committed first (WAL order is apply
     /// order); its spans are dropped here — only a retried
@@ -1069,13 +1076,11 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         }
         let marker = WalRecord::Snapshot { op_seq: self.op_seq, bytes }.encode();
         let _ = self.commit_encoded(&[marker]); // audit-only
-        let pruned = self.snaps.list().and_then(|mut snapshots| {
-            snapshots.sort_unstable();
-            match snapshots.len() {
-                0..=2 => Ok(0),
-                n => self.snaps.prune_below(snapshots[n - 2]),
-            }
-        });
+        // Prune below the snapshot this lineage opened from or last
+        // wrote (an explicit snapshot at the same op keeps the older
+        // one), never below a newer file the open found corrupt.
+        let fallback = self.snapshot_seq.replace(self.op_seq).filter(|&seq| seq < self.op_seq);
+        let pruned = fallback.map_or(Ok(0), |seq| self.snaps.prune_below(seq));
         // The tweet log keeps every record the fallback snapshot
         // references. After a failed prune an older snapshot may still
         // be on disk, so the log keeps its segments until a prune

@@ -803,8 +803,8 @@ impl SnapshotStore {
     }
 
     /// Deletes every snapshot with a sequence number strictly below
-    /// `seq`. Callers typically keep the latest two (the newest plus one
-    /// fallback). Returns how many were removed; on error some
+    /// `seq`. Callers typically keep the newest plus one verified
+    /// fallback. Returns how many were removed; on error some
     /// snapshots may already be gone, and retrying is safe.
     pub fn prune_below(&self, seq: u64) -> Result<usize, StoreError> {
         let mut removed = 0;

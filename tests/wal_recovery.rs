@@ -602,3 +602,46 @@ fn an_op_gap_behind_a_corrupt_snapshot_fails_open_typed() {
     }
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A lineage that opened from a fallback snapshot keeps that fallback
+/// until a snapshot of its own can take over: the next snapshot prunes
+/// below the one the open used, not below the second-newest file, so a
+/// corrupt file above it cannot push the verified fallback out. With a
+/// snapshot every 3 finalizes: flip snap-18 after 9 batch+finalize
+/// pairs, reopen (falls back to 12), run 3 more pairs (snap-24), flip
+/// snap-24 as well; the open still recovers op 24 bitwise, at 1 and 4
+/// threads.
+#[test]
+fn a_snapshot_after_a_fallback_open_keeps_the_verified_fallback() {
+    let root = scratch_root("fallbackprune");
+    let stream = gen_stream(0x12F, 12 * BATCH);
+    let run = |durable: &mut DurableGlobalizer<HashTagger>, tweets: &[Vec<String>]| {
+        for chunk in tweets.chunks(BATCH) {
+            durable.ingest(chunk.to_vec(), None).expect("batch");
+            durable.finalize().expect("finalize");
+        }
+    };
+    let (mut clean, _) =
+        DurableGlobalizer::open(pipeline(1), root.join("clean"), 3).expect("open clean");
+    run(&mut clean, &stream);
+    let want = clean.inner().export_state_bytes();
+    let (head, tail) = stream.split_at(9 * BATCH);
+    for threads in [1, 4] {
+        let case = root.join(format!("case-{threads}"));
+        let (mut durable, _) = DurableGlobalizer::open(pipeline(threads), &case, 3).expect("open");
+        run(&mut durable, head);
+        drop(durable);
+        flip_last_byte(&case.join("snap-00000018.ck"));
+        let (mut durable, report) =
+            DurableGlobalizer::open(pipeline(threads), &case, 3).expect("fallback open");
+        assert_eq!((report.snapshot_seq, durable.op_seq()), (Some(12), 18), "{threads}t");
+        run(&mut durable, tail);
+        drop(durable);
+        flip_last_byte(&case.join("snap-00000024.ck"));
+        let (durable, report) = DurableGlobalizer::open(pipeline(threads), &case, 3)
+            .unwrap_or_else(|e| panic!("{threads}t: open after flipping snap-24 failed: {e}"));
+        assert_eq!((report.snapshot_seq, durable.op_seq()), (Some(12), 24), "{threads}t");
+        assert!(durable.inner().export_state_bytes() == want, "{threads}t: state differs");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
