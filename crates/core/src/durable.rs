@@ -1076,6 +1076,7 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         }
         let marker = WalRecord::Snapshot { op_seq: self.op_seq, bytes }.encode();
         let _ = self.commit_encoded(&[marker]); // audit-only
+
         // Prune below the snapshot this lineage opened from or last
         // wrote (an explicit snapshot at the same op keeps the older
         // one), never below a newer file the open found corrupt.

@@ -813,7 +813,8 @@ struct PubItem {
 
 /// Item keywords R7 tracks after `pub`. `pub(crate)` and narrower are
 /// left to rustc's dead-code lint; `pub use` re-exports declare nothing.
-const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod"];
+const ITEM_KEYWORDS: &[&str] =
+    &["fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod"];
 
 /// Function qualifiers that may sit between `pub` and the item keyword.
 const QUALIFIERS: &[&str] = &["async", "const", "extern", "unsafe"];
