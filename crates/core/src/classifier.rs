@@ -12,7 +12,6 @@ use ngl_runtime::rng::SplitMix64;
 use ngl_nn::layers::{Dense, Init, Relu};
 use ngl_nn::loss::SoftmaxCrossEntropy;
 use ngl_nn::{Adam, AdamState, EarlyStopping, Matrix};
-use ngl_text::types::non_entity_class;
 use ngl_text::EntityType;
 
 /// Classifier hyperparameters (paper: Adam lr 0.0015, batch 32, 200
@@ -304,11 +303,6 @@ impl EntityClassifier {
                 s += 1;
             }
         }
-    }
-
-    /// The non-entity class index (= L), re-exported for callers.
-    pub fn non_entity() -> usize {
-        non_entity_class()
     }
 
     /// Serializes the trained classifier (pooling + dense stack + config).

@@ -55,7 +55,7 @@
 //! ([`DurableError::OpGap`]): recovery never succeeds short of an
 //! acknowledged operation it still has a record of.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use ngl_encoder::ContextualTagger;
 use ngl_nn::codec::{get_u64, put_u64, CodecError};
@@ -622,7 +622,6 @@ pub struct DurableGlobalizer<T: ContextualTagger> {
     /// of WAL compaction once a newer snapshot makes that one the
     /// fallback.
     wal_floor: u64,
-    dir: PathBuf,
     io: IoHandle,
     checkpoint_every: usize,
     op_seq: u64,
@@ -813,7 +812,6 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
                 snapshot_seq: report.snapshot_seq,
                 snapshot_first_retained,
                 wal_floor,
-                dir,
                 io,
                 checkpoint_every: checkpoint_every.max(1),
                 op_seq,
@@ -1133,11 +1131,6 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         self.inner.push_finalize_errors(errors);
     }
 
-    /// The store directory.
-    pub fn store_dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The global operation counter (one per batch or finalize).
     pub fn op_seq(&self) -> u64 {
         self.op_seq
@@ -1270,7 +1263,7 @@ mod tests {
         }
     }
 
-    fn scratch(tag: &str) -> PathBuf {
+    fn scratch(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("ngl-durable-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir

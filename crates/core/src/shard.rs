@@ -163,7 +163,6 @@ pub struct ShardedGlobalizer<T: ContextualTagger> {
     /// Rebuilt after every successful finalize; serves queries,
     /// exports and the combined digest.
     merged: NerGlobalizer<T>,
-    dir: PathBuf,
     exec: Executor,
 }
 
@@ -261,7 +260,7 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
         let merged = Self::rebuild_merged(&shard_stores);
         report.combined_digest = merged.state_digest();
         let wedged = vec![false; shard_stores.len()];
-        Ok((Self { shards: shard_stores, wedged, merged, dir, exec }, report))
+        Ok((Self { shards: shard_stores, wedged, merged, exec }, report))
     }
 
     /// Replays `Batch`/`Finalize` records from the most-advanced
@@ -571,11 +570,6 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
     /// would desynchronize the replicated streams).
     pub fn shards(&self) -> &[DurableGlobalizer<T>] {
         &self.shards
-    }
-
-    /// The store root (shard lineages live in `shard-NN/` under it).
-    pub fn store_dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The most-advanced shard's operation counter.

@@ -43,5 +43,5 @@ pub use dataset::{Dataset, DatasetSpec, DatasetStats};
 pub use kb::{EntityId, EntityRecord, KnowledgeBase, Topic};
 pub use noise::NoiseProfile;
 pub use profiles::{all_eval_profiles, StandardDatasets};
-pub use stream::{capture, DatasetSource, StreamPhase, SyntheticStream, TweetSource};
+pub use stream::{StreamPhase, SyntheticStream, TweetSource};
 pub use tweets::{AnnotatedTweet, GoldMention};

@@ -6,8 +6,7 @@
 //! [`TweetSource`] is the pull interface the pipeline consumes batches
 //! from, [`SyntheticStream`] produces an endless topical stream on
 //! demand (optionally *drifting* across topics over time, the
-//! "conversation streams evolving over time" of §I), and
-//! [`DatasetSource`] replays a pre-generated dataset.
+//! "conversation streams evolving over time" of §I).
 
 use ngl_runtime::rng::SplitMix64;
 
@@ -17,31 +16,12 @@ use crate::templates::{
     ambiguous_usage_templates, filler_templates, strong_templates, weak_templates, Template,
 };
 use crate::tweets::{generate_tweet, AnnotatedTweet, EntitySampler};
-use crate::Dataset;
 
 /// A pull-based source of stream batches.
 pub trait TweetSource {
     /// Returns up to `max` new tweets; an empty vector means the stream
     /// has ended.
     fn next_batch(&mut self, max: usize) -> Vec<AnnotatedTweet>;
-}
-
-/// Replays an existing dataset in stream order.
-pub struct DatasetSource {
-    tweets: std::vec::IntoIter<AnnotatedTweet>,
-}
-
-impl DatasetSource {
-    /// Wraps a dataset.
-    pub fn new(dataset: Dataset) -> Self {
-        Self { tweets: dataset.tweets.into_iter() }
-    }
-}
-
-impl TweetSource for DatasetSource {
-    fn next_batch(&mut self, max: usize) -> Vec<AnnotatedTweet> {
-        self.tweets.by_ref().take(max.max(1)).collect()
-    }
 }
 
 /// One phase of a drifting stream: a topic and how many tweets the
@@ -170,20 +150,6 @@ impl TweetSource for SyntheticStream<'_> {
     }
 }
 
-/// Convenience: drains a source into a dataset (for offline analysis of
-/// a captured stream window).
-pub fn capture<S: TweetSource>(source: &mut S, n: usize, name: &str) -> Dataset {
-    let mut tweets = Vec::with_capacity(n);
-    while tweets.len() < n {
-        let batch = source.next_batch((n - tweets.len()).min(512));
-        if batch.is_empty() {
-            break;
-        }
-        tweets.extend(batch);
-    }
-    Dataset { name: name.to_string(), tweets, hashtags: Vec::new() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,39 +203,5 @@ mod tests {
         let ents_second: HashSet<u32> =
             second.iter().flat_map(|t| t.gold.iter().map(|g| g.entity.0)).collect();
         assert!(ents_first.is_disjoint(&ents_second), "pools must drift");
-    }
-
-    #[test]
-    fn dataset_source_replays_and_ends() {
-        let kb = kb();
-        let d = Dataset::generate(&DatasetSpec::streaming("d", 45, vec![Topic::Science], 3), &kb);
-        let expected: Vec<Vec<String>> = d.tweets.iter().map(|t| t.tokens.clone()).collect();
-        let mut src = DatasetSource::new(d);
-        let mut got = Vec::new();
-        loop {
-            let b = src.next_batch(20);
-            if b.is_empty() {
-                break;
-            }
-            got.extend(b.into_iter().map(|t| t.tokens));
-        }
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn capture_collects_exactly_n() {
-        let kb = kb();
-        let mut s = SyntheticStream::new(&kb, spec(4), Topic::Entertainment);
-        let d = capture(&mut s, 123, "window");
-        assert_eq!(d.tweets.len(), 123);
-    }
-
-    #[test]
-    fn capture_respects_finite_sources() {
-        let kb = kb();
-        let d = Dataset::generate(&DatasetSpec::streaming("d", 30, vec![Topic::Health], 5), &kb);
-        let mut src = DatasetSource::new(d);
-        let captured = capture(&mut src, 100, "w");
-        assert_eq!(captured.tweets.len(), 30, "finite source ends early");
     }
 }

@@ -21,14 +21,6 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
     kernels::cosine(a, b)
 }
 
-/// Cosine similarity for vectors already normalized by [`l2_normalize`]:
-/// a plain dot product clamped to `[-1, 1]`, skipping both norm
-/// accumulations and the division.
-pub fn cosine_similarity_prenorm(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    kernels::dot(a, b).clamp(-1.0, 1.0)
-}
-
 /// Cosine distance `1 - cos(a, b)` in `[0, 2]`.
 ///
 /// A value of `1` means orthogonality — the margin the paper sets for its
@@ -120,15 +112,6 @@ mod tests {
         let b = [0.5f32, -0.25, 2.0];
         let scaled: Vec<f32> = a.iter().map(|x| x * 7.5).collect();
         assert!((cosine_similarity(&a, &b) - cosine_similarity(&scaled, &b)).abs() < 1e-5);
-    }
-
-    #[test]
-    fn prenorm_matches_full_similarity_on_unit_vectors() {
-        let a = l2_normalized(&[1.0, 2.0, -1.0, 0.5]);
-        let b = l2_normalized(&[0.5, -0.25, 2.0, 1.5]);
-        let full = cosine_similarity(&a, &b);
-        let fast = cosine_similarity_prenorm(&a, &b);
-        assert!((full - fast).abs() < 1e-6, "{full} vs {fast}");
     }
 
     #[test]

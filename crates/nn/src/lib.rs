@@ -20,8 +20,8 @@
 //! * [`triplet`] and [`soft_nn`] — the two contrastive objectives the
 //!   paper trains the Phrase Embedder with (§V-B): cosine-distance
 //!   triplet loss with margin, and the soft-nearest-neighbour loss.
-//! * [`Adam`] / [`Sgd`] — optimizers (the paper trains everything with
-//!   Adam at fixed learning rates).
+//! * [`Adam`] — the optimizer (the paper trains everything with Adam at
+//!   fixed learning rates).
 //! * [`Mlp`] — a small sequential network builder used by the Entity
 //!   Classifier and the tagging heads.
 //! * [`EarlyStopping`] — the patience-based stopping rule of §VI.
@@ -44,13 +44,11 @@ pub mod mlp;
 pub mod optim;
 
 pub use codec::CodecError;
-pub use cosine::{
-    cosine_distance, cosine_similarity, cosine_similarity_prenorm, l2_normalize, l2_normalized,
-};
+pub use cosine::{cosine_distance, cosine_similarity, l2_normalize, l2_normalized};
 pub use early_stopping::EarlyStopping;
 pub use kernels::{set_kernel_mode, KernelMode, QuantizedVec};
 pub use layers::{BatchNorm1d, Dense, L2Norm, Relu};
 pub use linalg::Matrix;
 pub use loss::{soft_nn, triplet, SoftmaxCrossEntropy};
 pub use mlp::{Mlp, MlpConfig};
-pub use optim::{Adam, AdamState, Sgd};
+pub use optim::{Adam, AdamState};

@@ -73,28 +73,6 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone, Copy)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// New SGD with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-
-    /// `params -= lr * grads`.
-    pub fn step(&self, params: &mut [f32], grads: &[f32]) {
-        assert_eq!(params.len(), grads.len(), "grad length mismatch");
-        for (p, &g) in params.iter_mut().zip(grads) {
-            *p -= self.lr * g;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,17 +89,6 @@ mod tests {
             adam.step(&mut x, &g, &mut state);
         }
         assert!((x[0] - 3.0).abs() < 1e-2, "x = {}", x[0]);
-    }
-
-    #[test]
-    fn sgd_minimizes_quadratic() {
-        let mut x = vec![10.0f32];
-        let sgd = Sgd::new(0.1);
-        for _ in 0..200 {
-            let g = vec![2.0 * (x[0] - 3.0)];
-            sgd.step(&mut x, &g);
-        }
-        assert!((x[0] - 3.0).abs() < 1e-3);
     }
 
     #[test]

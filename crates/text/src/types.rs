@@ -55,7 +55,7 @@ impl EntityType {
     }
 
     /// Classifier class index over L+1 classes: entity types map to
-    /// `0..L`, the non-entity class is `L` (see [`non_entity_class`]).
+    /// `0..L`, the non-entity class is `L` (`Self::COUNT`).
     pub fn class_index(ty: Option<EntityType>) -> usize {
         match ty {
             Some(t) => t.index(),
@@ -83,11 +83,6 @@ impl EntityType {
     }
 }
 
-/// The classifier index of the non-entity class (`L`).
-pub const fn non_entity_class() -> usize {
-    EntityType::COUNT
-}
-
 impl fmt::Display for EntityType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.code())
@@ -108,8 +103,8 @@ mod tests {
     #[test]
     fn class_index_covers_l_plus_one() {
         assert_eq!(EntityType::class_index(Some(EntityType::Person)), 0);
-        assert_eq!(EntityType::class_index(None), non_entity_class());
-        assert_eq!(EntityType::from_class_index(non_entity_class()), None);
+        assert_eq!(EntityType::class_index(None), EntityType::COUNT);
+        assert_eq!(EntityType::from_class_index(EntityType::COUNT), None);
         assert_eq!(EntityType::from_class_index(2), Some(EntityType::Organization));
     }
 
