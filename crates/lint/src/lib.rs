@@ -1139,9 +1139,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     let callers = read_sources(root, CALLER_DIRS)?;
     let mut report = lint_sources(&files, &callers);
     if let Ok(lock) = std::fs::read_to_string(root.join("Cargo.lock")) {
-        let mut diags = lint_lockfile("Cargo.lock", &lock);
-        diags.append(&mut report.diagnostics);
-        report.diagnostics = diags;
+        report.diagnostics.splice(0..0, lint_lockfile("Cargo.lock", &lock));
         report.files_scanned += 1;
     }
     Ok(report)
