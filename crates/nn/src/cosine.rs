@@ -47,9 +47,7 @@ pub fn l2_normalized(v: &[f32]) -> Vec<f32> {
     out
 }
 
-/// Gradient of cosine similarity `cos(a, b)` with respect to `a`.
-///
-/// `d cos / d a = b / (|a||b|) - cos(a,b) * a / |a|²`
+/// [`cosine_similarity_grad_a_into`] into a fresh vector.
 #[cfg(test)]
 fn cosine_similarity_grad_a(a: &[f32], b: &[f32]) -> Vec<f32> {
     let mut out = vec![0.0f32; a.len()];
@@ -57,8 +55,10 @@ fn cosine_similarity_grad_a(a: &[f32], b: &[f32]) -> Vec<f32> {
     out
 }
 
-/// Allocation-free variant of [`cosine_similarity_grad_a`]: writes the
-/// gradient into `out`, which training loops reuse across pairs.
+/// Gradient of cosine similarity `cos(a, b)` with respect to `a`,
+/// written into `out`, which training loops reuse across pairs.
+///
+/// `d cos / d a = b / (|a||b|) - cos(a,b) * a / |a|²`
 pub fn cosine_similarity_grad_a_into(a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(a.len(), b.len());
     debug_assert_eq!(a.len(), out.len());

@@ -773,8 +773,8 @@ fn quant_scale(max_abs: f32) -> f32 {
 impl QuantizedVec {
     /// Quantizes `xs`. The maximum absolute error is `scale / 2`, zero
     /// elements are preserved exactly, and the encoding is canonical:
-    /// quantizing a [`Self::dequantize`]d vector reproduces the same
-    /// `(scale, data)` bit for bit.
+    /// quantizing the dequantized vector (`data[i] * scale`) reproduces
+    /// the same `(scale, data)` bit for bit.
     pub fn quantize(xs: &[f32]) -> Self {
         let max_abs = xs.iter().fold(0.0f32, |m, x| m.max(x.abs()));
         let scale = quant_scale(max_abs);
