@@ -27,9 +27,9 @@
 //! written and fsynced, then the snapshot is published (tmp file,
 //! fsync, rename), then the WAL rotates and drops the segments wholly
 //! below the *older* kept snapshot, older snapshots are pruned (kept:
-//! the new one plus one fallback in case it is found corrupt on open,
-//! the snapshot this lineage opened from or last wrote — never a newer
-//! file the open skipped as corrupt — and the WAL still holds every op
+//! the new one and, as the fallback in case it is found corrupt on
+//! open, the one this lineage opened from or last wrote, never a newer
+//! file the open skipped as corrupt; the WAL still holds every op
 //! after the fallback), and last the log drops the segments that hold
 //! only tweets below the oldest kept snapshot's first retained tweet,
 //! so `MaxTweets` retention still bounds the disk. Snapshots are sequenced
@@ -1076,8 +1076,9 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         let _ = self.commit_encoded(&[marker]); // audit-only
 
         // Prune below the snapshot this lineage opened from or last
-        // wrote (an explicit snapshot at the same op keeps the older
-        // one), never below a newer file the open found corrupt.
+        // wrote, not below the second-newest file, which may be one the
+        // open skipped as corrupt. A snapshot at an unchanged op keeps
+        // the older one.
         let fallback = self.snapshot_seq.replace(self.op_seq).filter(|&seq| seq < self.op_seq);
         let pruned = fallback.map_or(Ok(0), |seq| self.snaps.prune_below(seq));
         // The tweet log keeps every record the fallback snapshot
