@@ -204,6 +204,15 @@ mod tests {
     }
 
     #[test]
+    fn memory_grows_with_tagging() {
+        let (tagger, _) = setup();
+        let before = tagger.memory().len();
+        let novel: Vec<String> = vec!["zyxwolia".into(), "qblorton".into()];
+        let _ = tagger.tag(&novel);
+        assert!(tagger.memory().len() >= before + 2);
+    }
+
+    #[test]
     fn empty_sentence_is_safe() {
         let (tagger, _) = setup();
         assert!(tagger.tag(&[]).is_empty());
