@@ -41,16 +41,17 @@
 //! `tests/` and `examples/` under the root (other packages kept in the
 //! tree, with their own `[workspace]`, follow their own rules).
 //!
-//! Test code (`#[cfg(test)]` modules/items, `tests/`, `benches/`,
-//! `examples/`) is exempt from R2–R5; R1 applies everywhere — an
-//! unsound `unsafe` block in a test is still unsound. Fixture sources
+//! Test code (`#[cfg(test)]` modules/items, out-of-line ones included,
+//! `tests/`, `benches/`, `examples/`) is exempt from R2–R5; R1 applies
+//! everywhere — an unsound `unsafe` block in a test is still unsound. Fixture sources
 //! under a `fixture_data` directory are skipped entirely (they exist
 //! to *violate* rules).
 //!
 //! R7 is the one cross-file rule: a reference anywhere in the scanned
-//! trees counts (`tests/` and `examples/` included, `#[cfg(test)]`
-//! code not), and so does one in `perfbench/harness/src`, which links
-//! the crates by path but is not itself linted.
+//! trees counts (`tests/` and `examples/` included), and so does one in
+//! `perfbench/harness/src`, which links the crates by path but is not
+//! itself linted. Test code does not count, nor does the last segment
+//! of a `use` path: a `pub use` re-export alone keeps nothing alive.
 
 #![forbid(unsafe_code)]
 
@@ -868,17 +869,40 @@ fn pub_items(file: &Source) -> Vec<PubItem> {
     items
 }
 
-/// R7: a `pub` item in scope whose name has no token outside its own
-/// definition and outside `#[cfg(test)]` code, in `files` or `callers`.
+/// Per token of `file`: whether R7 counts it as a reference. Test code
+/// does not, nor does the last segment of a `use` path (a re-export or
+/// an import names an item without using it); a leaf renamed with `as`
+/// does, since the code then names it by its alias.
+fn references(file: &Source) -> Vec<bool> {
+    let next = |i: usize| file.toks.get(i + 1).map(|t| &t.tok);
+    let mut in_use = false;
+    let mut out = vec![false; file.toks.len()];
+    for (i, t) in file.toks.iter().enumerate() {
+        match &t.tok {
+            // `use<..>` is a precise-capturing bound, not an import.
+            Tok::Ident(k) if k == "use" => in_use = next(i) != Some(&Tok::Punct('<')),
+            Tok::Punct(c) => in_use &= *c != ';',
+            Tok::Ident(_) if file.in_cfg_test(t.line) => {}
+            Tok::Ident(_) => {
+                out[i] = !in_use
+                    || next(i) == Some(&Tok::Punct(':'))
+                    || next(i) == Some(&Tok::Ident("as".into()))
+            }
+        }
+    }
+    out
+}
+
+/// R7: a `pub` item in scope whose name has no reference (see
+/// [`references`]) outside its own definition, in `files` or `callers`.
 /// Returns the diagnostics of each file of `files`, in order.
 fn rule_r7(files: &[Source], callers: &[Source]) -> Vec<Vec<Diagnostic>> {
     let mut refs: HashMap<&str, usize> = HashMap::new();
-    for file in files.iter().chain(callers) {
-        for t in &file.toks {
-            if let Tok::Ident(name) = &t.tok {
-                if !file.in_cfg_test(t.line) {
-                    *refs.entry(name.as_str()).or_default() += 1;
-                }
+    let counted: Vec<Vec<bool>> = files.iter().chain(callers).map(references).collect();
+    for (file, counted) in files.iter().chain(callers).zip(&counted) {
+        for (t, &c) in file.toks.iter().zip(counted) {
+            if let (Tok::Ident(name), true) = (&t.tok, c) {
+                *refs.entry(name.as_str()).or_default() += 1;
             }
         }
     }
@@ -888,11 +912,14 @@ fn rule_r7(files: &[Source], callers: &[Source]) -> Vec<Vec<Diagnostic>> {
         .collect();
     // A definition naming itself (a recursive call, a `Self`-less
     // constructor) is not a caller.
-    for (file, items) in files.iter().zip(&items) {
+    for ((file, items), counted) in files.iter().zip(&items).zip(&counted) {
         for item in items {
-            let own = file.toks[item.span.clone()]
-                .iter()
-                .filter(|t| matches!(&t.tok, Tok::Ident(n) if *n == item.name))
+            let own = item
+                .span
+                .clone()
+                .filter(|&i| {
+                    counted[i] && matches!(&file.toks[i].tok, Tok::Ident(n) if *n == item.name)
+                })
                 .count();
             if let Some(n) = refs.get_mut(item.name.as_str()) {
                 *n = n.saturating_sub(own);
@@ -928,7 +955,8 @@ struct Source {
     rel: String,
     masked: Masked,
     toks: Vec<SpannedTok>,
-    /// Per 0-based line: inside a `#[cfg(test)]` item.
+    /// Per 0-based line: inside a `#[cfg(test)]` item, or in a file
+    /// declared by one (see [`mark_test_modules`]).
     test_lines: Vec<bool>,
 }
 
@@ -942,6 +970,35 @@ impl Source {
 
     fn in_cfg_test(&self, line: usize) -> bool {
         self.test_lines.get(line).copied().unwrap_or(false)
+    }
+}
+
+/// Marks as test code every file that is, or lies under, a module some
+/// file declares out of line in test code: `#[cfg(test)] mod reference;`
+/// in `src/pipeline.rs` is `src/pipeline/reference.rs`.
+fn mark_test_modules(files: &mut [Source]) {
+    let mut modules = Vec::new();
+    for file in files.iter() {
+        let path = file.rel.trim_end_matches(".rs");
+        let dir =
+            ["/lib", "/main", "/mod"].iter().find_map(|s| path.strip_suffix(s)).unwrap_or(path);
+        for w in file.toks.windows(3) {
+            if let [Tok::Ident(m), Tok::Ident(name), Tok::Punct(';')] =
+                [&w[0].tok, &w[1].tok, &w[2].tok]
+            {
+                if m == "mod" && file.in_cfg_test(w[0].line) {
+                    modules.push(format!("{dir}/{name}"));
+                }
+            }
+        }
+    }
+    for file in files {
+        let path = file.rel.trim_end_matches(".rs");
+        if modules.iter().any(|m| {
+            path.strip_prefix(m.as_str()).is_some_and(|r| r.is_empty() || r.starts_with('/'))
+        }) {
+            file.test_lines.fill(true);
+        }
     }
 }
 
@@ -1093,7 +1150,8 @@ pub fn lint_sources<S: AsRef<str>>(files: &[(S, S)], callers: &[(S, S)]) -> Repo
     let parse = |set: &[(S, S)]| -> Vec<Source> {
         set.iter().map(|(rel, src)| Source::parse(rel.as_ref(), src.as_ref())).collect()
     };
-    let (files, callers) = (parse(files), parse(callers));
+    let (mut files, callers) = (parse(files), parse(callers));
+    mark_test_modules(&mut files);
     let mut report = Report { files_scanned: files.len(), ..Default::default() };
     for (file, r7) in files.iter().zip(rule_r7(&files, &callers)) {
         let file_report = lint_parsed(file, r7);

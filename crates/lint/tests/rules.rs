@@ -217,6 +217,35 @@ fn r7_does_not_count_references_from_cfg_test_code() {
 }
 
 #[test]
+fn r7_does_not_count_references_from_an_out_of_line_cfg_test_module() {
+    let lib = include_str!("fixture_data/r7_test_module.rs");
+    let reference = include_str!("fixture_data/r7_reference.rs");
+    for (parent, child) in [
+        (R7_LIB, "crates/fixture/src/reference.rs"),
+        ("crates/fixture/src/stage.rs", "crates/fixture/src/stage/reference.rs"),
+    ] {
+        let report = lint_sources(&[(parent, lib), (child, reference)], &[]);
+        let found: Vec<_> = report.diagnostics.iter().map(|d| (d.file.as_str(), d.line)).collect();
+        assert_eq!(found, [(parent, 4)], "{parent}");
+    }
+    // Declared without `#[cfg(test)]`, the module is production code:
+    // its call keeps `helper` alive and its own item is the dead one.
+    let plain = lib.replacen("#[cfg(test)]\n", "", 1);
+    let child = "crates/fixture/src/reference.rs";
+    let report = lint_sources(&[(R7_LIB, plain.as_str()), (child, reference)], &[]);
+    let found: Vec<_> = report.diagnostics.iter().map(|d| (d.file.as_str(), d.line)).collect();
+    assert_eq!(found, [(child, 1)]);
+}
+
+#[test]
+fn r7_does_not_count_a_use_path_leaf() {
+    let caller = ("tests/api.rs", "#[test]\nfn t() {\n    assert_eq!(fixture::called(), 4);\n}\n");
+    let files = [(R7_LIB, include_str!("fixture_data/r7_reexport.rs")), caller];
+    // `reexported_only` is named only by the `pub use` that re-exports it.
+    assert_eq!(r7_lines(&lint_sources(&files, &[])), [2]);
+}
+
+#[test]
 fn r7_counts_references_from_a_tests_file() {
     let files = [
         (R7_LIB, include_str!("fixture_data/r7_lib.rs")),
