@@ -56,6 +56,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+#[cfg(test)]
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -149,8 +150,12 @@ struct Shared {
     /// Per-worker deques. Lock order: `state` before any local, never a
     /// local before `state`, never two locals at once.
     locals: Vec<Mutex<VecDeque<Ticket>>>,
+    // Scheduler counters for `Pool::stats`; only tests read them.
+    #[cfg(test)]
     steals: AtomicUsize,
+    #[cfg(test)]
     parks: AtomicUsize,
+    #[cfg(test)]
     tickets_run: AtomicUsize,
 }
 
@@ -199,8 +204,11 @@ impl Pool {
             state: Mutex::new(State { injector: VecDeque::new(), shutdown: false }),
             cv: Condvar::new(),
             locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            #[cfg(test)]
             steals: AtomicUsize::new(0),
+            #[cfg(test)]
             parks: AtomicUsize::new(0),
+            #[cfg(test)]
             tickets_run: AtomicUsize::new(0),
         });
         let handles = (0..workers)
@@ -319,6 +327,7 @@ unsafe fn erase_job(f: Box<dyn Fn() + Send + Sync + '_>) -> Job {
 fn worker_loop(shared: Arc<Shared>, me: usize) {
     loop {
         if let Some(t) = find_work(&shared, me) {
+            #[cfg(test)]
             shared.tickets_run.fetch_add(1, Ordering::Relaxed);
             t.run();
             continue;
@@ -331,6 +340,7 @@ fn worker_loop(shared: Arc<Shared>, me: usize) {
             // Full park condition checked under the state lock — every
             // deposit (submit or injector-grab) happens under the same
             // lock and notifies, so a wakeup cannot be lost.
+            #[cfg(test)]
             shared.parks.fetch_add(1, Ordering::Relaxed);
             drop(shared.cv.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner));
         }
@@ -372,6 +382,7 @@ fn find_work(shared: &Shared, me: usize) -> Option<Ticket> {
     for k in 1..w {
         let victim = (me + k) % w;
         if let Some(t) = shared.local(victim).pop_back() {
+            #[cfg(test)]
             shared.steals.fetch_add(1, Ordering::Relaxed);
             return Some(t);
         }
