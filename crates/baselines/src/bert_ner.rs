@@ -32,11 +32,6 @@ impl BertNer {
         train_encoder(&mut inner, generic_corpus, train_cfg);
         Self { inner }
     }
-
-    /// The wrapped encoder.
-    pub fn encoder(&self) -> &TokenEncoder {
-        &self.inner
-    }
 }
 
 impl SequenceTagger for BertNer {

@@ -28,6 +28,7 @@ impl<T: SequenceTagger> DoclNer<T> {
     }
 
     /// The wrapped tagger.
+    #[cfg(test)]
     pub fn base(&self) -> &T {
         &self.base
     }

@@ -281,6 +281,7 @@ impl OnlineClusters {
     }
 
     /// Member count of cluster `c`.
+    #[cfg(test)]
     pub fn count(&self, c: usize) -> usize {
         self.counts[c]
     }

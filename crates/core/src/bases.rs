@@ -225,6 +225,7 @@ impl CandidateBase {
     }
 
     /// Mutable entry access.
+    #[cfg(test)]
     pub fn get_mut(&mut self, surface: &str) -> Option<&mut SurfaceEntry> {
         self.surfaces.get_mut(surface)
     }
@@ -461,12 +462,13 @@ impl TweetBase {
     }
 
     /// Appends a record, returning its stream index.
+    #[cfg(test)]
     pub fn push(&mut self, record: TweetRecord) -> usize {
         self.push_shared(Arc::new(record))
     }
 
-    /// [`Self::push`] of an already shared record (one encode stored by
-    /// every shard).
+    /// Appends an already shared record (one encode stored by every
+    /// shard), returning its stream index.
     pub(crate) fn push_shared(&mut self, record: Arc<TweetRecord>) -> usize {
         self.bytes += record.approx_bytes();
         self.records.push_back(record);

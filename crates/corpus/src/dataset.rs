@@ -202,26 +202,6 @@ impl Dataset {
         }
     }
 
-    /// Splits the dataset into `(head, tail)` at `frac` (0..1) of the
-    /// tweets — used to carve train/dev splits out of training corpora.
-    pub fn split(&self, frac: f64) -> (Dataset, Dataset) {
-        assert!((0.0..=1.0).contains(&frac), "frac out of range");
-        let k = ((self.tweets.len() as f64) * frac).round() as usize;
-        let k = k.min(self.tweets.len());
-        (
-            Dataset {
-                name: format!("{}-head", self.name),
-                tweets: self.tweets[..k].to_vec(),
-                hashtags: self.hashtags.clone(),
-            },
-            Dataset {
-                name: format!("{}-tail", self.name),
-                tweets: self.tweets[k..].to_vec(),
-                hashtags: self.hashtags.clone(),
-            },
-        )
-    }
-
     /// Batches of `size` tweets in stream order (the discretized stream
     /// iterations of §III).
     pub fn batches(&self, size: usize) -> impl Iterator<Item = &[AnnotatedTweet]> {
@@ -286,16 +266,6 @@ mod tests {
         assert_eq!(s.n_topics, 2);
         assert_eq!(s.n_hashtags, 4);
         assert_eq!(s.size, 300);
-    }
-
-    #[test]
-    fn split_preserves_all_tweets() {
-        let kb = kb();
-        let d = Dataset::generate(&DatasetSpec::streaming("X", 100, vec![Topic::Science], 4), &kb);
-        let (a, b) = d.split(0.8);
-        assert_eq!(a.tweets.len(), 80);
-        assert_eq!(b.tweets.len(), 20);
-        assert_eq!(a.tweets.len() + b.tweets.len(), d.tweets.len());
     }
 
     #[test]

@@ -68,13 +68,6 @@ pub struct EntityRecord {
     pub topic: Topic,
 }
 
-impl EntityRecord {
-    /// Canonical name as a single string.
-    pub fn name(&self) -> String {
-        self.canonical.join(" ")
-    }
-}
-
 /// Common words the tweet grammar also uses as *non-entities* while an
 /// entity shares the identical surface form — the ambiguity §V-C
 /// resolves by clustering ("US" the country vs "us" the pronoun,
@@ -155,6 +148,7 @@ impl KnowledgeBase {
     }
 
     /// All entities.
+    #[cfg(test)]
     pub fn entities(&self) -> &[EntityRecord] {
         &self.entities
     }
@@ -312,7 +306,7 @@ mod tests {
         for (i, a) in anchors.iter().enumerate() {
             assert_eq!(a.id.0 as usize, i);
             assert!(!a.aliases.is_empty());
-            assert!(a.aliases.contains(&a.canonical), "canonical missing for {}", a.name());
+            assert!(a.aliases.contains(&a.canonical), "canonical missing for {:?}", a.canonical);
         }
     }
 

@@ -99,11 +99,6 @@ impl<'a> SyntheticStream<'a> {
         }
     }
 
-    /// Total tweets produced so far.
-    pub fn produced(&self) -> u64 {
-        self.produced
-    }
-
     /// The phase the next tweet will come from.
     pub fn current_phase(&self) -> usize {
         let mut remaining = self.produced;
@@ -176,7 +171,6 @@ mod tests {
                 assert_eq!(x.tokens, y.tokens);
             }
         }
-        assert_eq!(a.produced(), 250);
     }
 
     #[test]

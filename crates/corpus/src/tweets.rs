@@ -254,7 +254,7 @@ mod tests {
                         || surface.trim_start_matches('#').chars().next()
                             == canon.trim_start_matches('#').chars().next()
                 });
-                assert!(matches_alias, "span {surface:?} vs entity {}", rec.name());
+                assert!(matches_alias, "span {surface:?} vs entity {:?}", rec.canonical);
                 assert_eq!(g.span.ty, rec.ty);
             }
         }

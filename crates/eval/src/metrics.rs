@@ -57,13 +57,6 @@ impl TypeScores {
             2.0 * p * r / (p + r)
         }
     }
-
-    /// Accumulates another score's counts.
-    pub fn add(&mut self, other: &TypeScores) {
-        self.tp += other.tp;
-        self.fp += other.fp;
-        self.fn_ += other.fn_;
-    }
 }
 
 /// Full NER evaluation result.

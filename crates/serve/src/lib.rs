@@ -130,7 +130,6 @@ pub struct Server<T: ContextualTagger> {
     tx: SyncSender<IngestItem>,
     accept_handle: Option<thread::JoinHandle<()>>,
     engine_handle: Option<thread::JoinHandle<()>>,
-    recovery: Arc<ServeRecovery>,
 }
 
 /// Everything a connection handler needs, cloned per connection.
@@ -229,7 +228,6 @@ impl<T: ContextualTagger + Send + Sync + 'static> Server<T> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let (tx, rx) = mpsc::sync_channel(cfg.queue_cap.max(1));
-        let recovery = Arc::new(recovery);
 
         let engine_shared = shared.clone();
         let engine_cfg = cfg.clone();
@@ -240,7 +238,7 @@ impl<T: ContextualTagger + Send + Sync + 'static> Server<T> {
         let ctx = HandlerCtx {
             shared: shared.clone(),
             tx: tx.clone(),
-            recovery: recovery.clone(),
+            recovery: Arc::new(recovery),
             auto_id,
             ack_timeout: Duration::from_millis(cfg.ack_timeout_ms.max(1)),
             pressure_shed_milli: cfg.pressure_shed_milli.max(1),
@@ -269,7 +267,6 @@ impl<T: ContextualTagger + Send + Sync + 'static> Server<T> {
             tx,
             accept_handle: Some(accept_handle),
             engine_handle: Some(engine_handle),
-            recovery,
         })
     }
 
@@ -281,11 +278,6 @@ impl<T: ContextualTagger + Send + Sync + 'static> Server<T> {
     /// Live serving counters.
     pub fn stats(&self) -> &ServeStats {
         &self.shared.stats
-    }
-
-    /// What `open()` replayed before serving started.
-    pub fn recovery(&self) -> &ServeRecovery {
-        &self.recovery
     }
 
     /// Stops accepting, drains the ingest queue, finalizes, and joins

@@ -237,23 +237,17 @@ pub struct ChaosIo {
     inner: Box<dyn StoreIo>,
     plan: IoFaultPlan,
     counters: HashMap<(IoOp, IoPathClass), u64>,
-    injected: u64,
 }
 
 impl ChaosIo {
     /// Wraps `inner`, injecting the faults scheduled by `plan`.
     pub fn new(inner: Box<dyn StoreIo>, plan: IoFaultPlan) -> Self {
-        Self { inner, plan, counters: HashMap::new(), injected: 0 }
+        Self { inner, plan, counters: HashMap::new() }
     }
 
     /// Wraps [`RealIo`] with the faults of `plan`.
     pub fn over_real(plan: IoFaultPlan) -> Self {
         Self::new(Box::new(RealIo::new()), plan)
-    }
-
-    /// How many faults have actually fired so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
     }
 
     /// Advances the (op, class) counter and returns the fault (if any)
@@ -263,11 +257,7 @@ impl ChaosIo {
         let index = self.counters.entry((op, class)).or_insert(0);
         let at = *index;
         *index += 1;
-        let fault = self.plan.fault_at(op, class, at);
-        if fault.is_some() {
-            self.injected += 1;
-        }
-        fault
+        self.plan.fault_at(op, class, at)
     }
 }
 

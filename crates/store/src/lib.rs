@@ -526,6 +526,7 @@ impl Wal {
     ///
     /// The record is **not** durable until [`Self::sync`] succeeds; for
     /// an all-or-nothing durable append use [`Self::commit`].
+    #[cfg(test)]
     pub fn append(&mut self, tag: u8, payload: &[u8]) -> Result<u64, StoreError> {
         self.repair()?;
         if self.active_len >= self.segment_bytes {
@@ -590,6 +591,7 @@ impl Wal {
     }
 
     /// Flushes appended records to stable storage.
+    #[cfg(test)]
     pub fn sync(&mut self) -> Result<(), StoreError> {
         self.io.sync(&segment_path(&self.dir, self.prefix, self.active_seq))
     }
