@@ -315,7 +315,7 @@ fn cmd_tag(flags: &HashMap<String, String>) -> Result<(), String> {
                     health.snapshot_failures
                 );
             }
-            // A resumed store emits spans for every retained tweet;
+            // A resumed store emits spans for every stored tweet;
             // this invocation only prints the ones it just ingested.
             let skip = all.len().saturating_sub(tweets.len());
             let wedged = health.mode() == DegradationMode::ReadOnly;
@@ -418,8 +418,10 @@ fn cmd_recover(flags: &HashMap<String, String>) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
     println!("store:              {dir}");
     print_recovery_section(&report);
+    // The inline encoding of the whole state; a snapshot file holds
+    // the same state with a tweet-log reference in place of the tweets.
     println!(
-        "snapshot bytes:     {} (quantized codec)",
+        "export bytes:       {} (GET /export encoding, quantized codec)",
         durable.inner().export_state_bytes().len()
     );
     let health = durable.degradation();
@@ -456,7 +458,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         queue_cap: parse_num(flags, "queue-cap", 1024)?,
         finalize_every: parse_num(flags, "finalize-every", 8)?,
         ack_timeout_ms: parse_num(flags, "ack-timeout-ms", 10_000)?,
-        pressure_shed_milli: parse_num(flags, "pressure-shed-milli", 2000)?,
     };
     let server = if shards > 1 {
         let (sharded, report) =

@@ -27,13 +27,11 @@ pub struct MentionRecord {
     /// Type Local NER assigned to an overlapping detection, if any
     /// (used by the mention-extraction ablation's majority vote).
     pub local_type: Option<EntityType>,
-    /// The [`ngl_ctrie::CTrie`] version this mention was extracted
-    /// with. Retained mentions are re-stamped on every version bump
-    /// (re-extracted where the bump can change them), but mentions of
-    /// *evicted* tweets are frozen — a frozen mention whose version
-    /// trails the live trie was extracted with boundaries the current
-    /// surface set might not reproduce, and is reported stale by
-    /// `NerGlobalizer::stale_frozen_mentions`.
+    /// The [`ngl_ctrie::CTrie`] version this mention was last
+    /// extracted with: every version bump re-stamps every mention
+    /// (re-extracting where the bump can change it). Redundant with
+    /// the scan version, but part of the pinned state: it is hashed
+    /// into `NerGlobalizer::state_digest` and encoded in the checkpoint.
     pub trie_version: u64,
 }
 
@@ -150,13 +148,11 @@ pub(crate) type CarriedClusters =
 pub(crate) struct Patch<'a> {
     /// Stream index of the first tweet of the range.
     pub(crate) from: usize,
-    /// The new CTrie version when it moved since the last scan: every
-    /// entry is then visited, its mentions in range restamped with it
-    /// and its touch stamp recomputed.
+    /// The new CTrie version when it moved since the last scan: the
+    /// range then starts at the first tweet, every entry is visited,
+    /// its mentions restamped with it, its touch stamp recomputed, and
+    /// the clock restarts at zero instead of continuing.
     pub(crate) bump: Option<u64>,
-    /// Whether the clock restarts at zero (the range starts at the
-    /// first tweet of the stream) instead of continuing.
-    pub(crate) restart: bool,
     /// Per tweet of the range, whether its mentions are dropped: the
     /// scan found other occurrences there, or the store never admitted
     /// them.
@@ -276,11 +272,10 @@ impl CandidateBase {
     /// every other one keeps its clusters and labels. Entries left
     /// without mentions are removed. An entry's touch stamp is the tick
     /// of its last mention when that mention lies in the range (else it
-    /// keeps its stamp, as the frozen mentions of evicted tweets do),
-    /// and the clock ends at the range's last tick.
+    /// keeps its stamp), and the clock ends at the range's last tick.
     pub(crate) fn patch(&mut self, patch: Patch<'_>) {
-        let Patch { from, bump, restart, replaced, mut added, tick, ticks } = patch;
-        let base = if restart { 0 } else { self.clock };
+        let Patch { from, bump, replaced, mut added, tick, ticks } = patch;
+        let base = if bump.is_some() { 0 } else { self.clock };
         let dropped = |m: &MentionRecord| m.tweet >= from && replaced[m.tweet - from];
         let any_dropped = replaced.contains(&true);
         let update = |e: &mut SurfaceEntry, fresh: Vec<MentionRecord>| {
@@ -381,24 +376,6 @@ impl CandidateBase {
             }
         }
     }
-
-    /// Keeps only the mentions belonging to tweets `< from`, dropping
-    /// everything newer (and any surface left without mentions). Used
-    /// by the rebuild path after eviction: mentions of evicted tweets
-    /// are *frozen* (their source records are gone, so they can never
-    /// be re-extracted) while the retained suffix of the stream is
-    /// rescanned and re-appended. Clusters are cleared and entries
-    /// marked dirty because the mention sets are about to change;
-    /// [`Self::restore_clusters`] reinstates those that did not.
-    #[cfg(test)]
-    pub(crate) fn truncate_mentions_from_tweet(&mut self, from: usize) {
-        self.surfaces.retain(|_, e| {
-            e.mentions.retain(|m| m.tweet < from);
-            e.clusters.clear();
-            e.mark_dirty();
-            !e.mentions.is_empty()
-        });
-    }
 }
 
 /// One processed tweet sentence.
@@ -427,24 +404,17 @@ impl TweetRecord {
     }
 }
 
-/// Store of processed tweets, indexed by arrival order.
+/// Store of processed tweets, indexed by arrival order: a tweet's
+/// index is its stream position. The store keeps the whole stream.
 ///
 /// Records are immutable once stored and held behind one [`Arc`] each,
 /// so cloning a store (a pipeline clone: the cross-shard merged view, a
 /// published query snapshot, a shard opened from a shared base) copies
 /// pointers, and shards fed one encode per batch share the records.
-///
-/// Tweet indices are **stable stream positions**: evicting old records
-/// from the front (bounded-state retention) never renumbers survivors.
-/// `len()` keeps counting the whole stream; `retained()` counts what is
-/// physically held; indices below `first_retained()` are evicted and
-/// only reachable through [`TweetBase::try_get`].
 #[derive(Debug, Clone, Default)]
 pub struct TweetBase {
-    records: std::collections::VecDeque<Arc<TweetRecord>>,
-    /// Stream index of `records[0]` (number of evicted tweets).
-    start: usize,
-    /// Running `approx_bytes` total of the retained records.
+    records: Vec<Arc<TweetRecord>>,
+    /// Running `approx_bytes` total of the records.
     bytes: usize,
 }
 
@@ -454,11 +424,11 @@ impl TweetBase {
         Self::default()
     }
 
-    /// Reassembles a store from an eviction offset and the retained
-    /// records (checkpoint restore); the byte account is recomputed.
-    pub(crate) fn from_parts(start: usize, records: Vec<TweetRecord>) -> Self {
+    /// Reassembles a store from its records (checkpoint restore); the
+    /// byte account is recomputed.
+    pub(crate) fn from_records(records: Vec<TweetRecord>) -> Self {
         let bytes = records.iter().map(TweetRecord::approx_bytes).sum();
-        Self { records: records.into_iter().map(Arc::new).collect(), start, bytes }
+        Self { records: records.into_iter().map(Arc::new).collect(), bytes }
     }
 
     /// Appends a record, returning its stream index.
@@ -471,73 +441,37 @@ impl TweetBase {
     /// shard), returning its stream index.
     pub(crate) fn push_shared(&mut self, record: Arc<TweetRecord>) -> usize {
         self.bytes += record.approx_bytes();
-        self.records.push_back(record);
-        self.start + self.records.len() - 1
+        self.records.push(record);
+        self.records.len() - 1
     }
 
-    /// Record lookup. Panics on an out-of-range *or evicted* index —
-    /// internal callers must consult the watermark first; use
-    /// [`Self::try_get`] when eviction is possible.
+    /// Record lookup.
+    ///
+    /// # Panics
+    /// Panics on an index at or beyond [`Self::len`].
     pub fn get(&self, idx: usize) -> &TweetRecord {
-        self.try_get(idx).unwrap_or_else(|| {
-            panic!(
-                "tweet #{idx} unavailable (evicted below {} or beyond {})",
-                self.start,
-                self.len()
-            )
-        })
+        &self.records[idx]
     }
 
-    /// Record lookup returning `None` for evicted or unseen indices.
-    pub fn try_get(&self, idx: usize) -> Option<&TweetRecord> {
-        idx.checked_sub(self.start).and_then(|i| self.records.get(i)).map(|r| &**r)
-    }
-
-    /// Number of tweets ever pushed (evicted ones included) — i.e. the
-    /// stream position, and one past the largest valid index.
+    /// Number of tweets stored — the stream position, and one past the
+    /// largest valid index.
     pub fn len(&self) -> usize {
-        self.start + self.records.len()
+        self.records.len()
     }
 
     /// Whether no tweets were ever pushed.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.records.is_empty()
     }
 
-    /// Number of records physically retained.
-    pub fn retained(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Stream index of the oldest retained record (== number of
-    /// evicted records). Equal to `len()` when nothing is retained.
-    pub fn first_retained(&self) -> usize {
-        self.start
-    }
-
-    /// Approximate heap footprint of the retained records, in bytes.
+    /// Approximate heap footprint of the stored records, in bytes.
     pub fn retained_bytes(&self) -> usize {
         self.bytes
     }
 
-    /// Evicts the oldest retained record, returning its stream index
-    /// (`None` when nothing is retained).
-    pub fn evict_front(&mut self) -> Option<usize> {
-        let record = self.records.pop_front()?;
-        self.bytes -= record.approx_bytes();
-        let idx = self.start;
-        self.start += 1;
-        Some(idx)
-    }
-
-    /// Iterates **retained** records in arrival order.
+    /// Iterates the records in arrival order.
     pub fn iter(&self) -> impl Iterator<Item = &TweetRecord> {
         self.records.iter().map(|r| &**r)
-    }
-
-    /// Iterates retained records with their stream indices.
-    pub fn iter_indexed(&self) -> impl Iterator<Item = (usize, &TweetRecord)> {
-        self.records.iter().enumerate().map(|(i, r)| (self.start + i, &**r))
     }
 }
 
@@ -590,50 +524,17 @@ mod tests {
     }
 
     #[test]
-    fn eviction_keeps_stream_indices_stable() {
-        let mut tb = TweetBase::new();
-        for i in 0..5 {
-            assert_eq!(tb.push(tweet(2 + i)), i);
-        }
-        assert_eq!(tb.evict_front(), Some(0));
-        assert_eq!(tb.evict_front(), Some(1));
-        assert_eq!(tb.len(), 5);
-        assert_eq!(tb.retained(), 3);
-        assert_eq!(tb.first_retained(), 2);
-        assert!(tb.try_get(1).is_none());
-        assert_eq!(tb.try_get(2).unwrap().tokens.len(), 4);
-        assert_eq!(tb.get(4).tokens.len(), 6);
-        // New pushes continue the numbering.
-        assert_eq!(tb.push(tweet(1)), 5);
-        let indices: Vec<usize> = tb.iter_indexed().map(|(i, _)| i).collect();
-        assert_eq!(indices, vec![2, 3, 4, 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "evicted")]
-    fn get_panics_on_evicted_index() {
-        let mut tb = TweetBase::new();
-        tb.push(tweet(1));
-        tb.push(tweet(1));
-        tb.evict_front();
-        let _ = tb.get(0);
-    }
-
-    #[test]
-    fn retained_bytes_tracks_push_and_evict() {
+    fn retained_bytes_tracks_pushes() {
         let mut tb = TweetBase::new();
         assert_eq!(tb.retained_bytes(), 0);
         let a = tweet(3).approx_bytes();
         let b = tweet(7).approx_bytes();
         assert!(b > a);
         tb.push(tweet(3));
+        assert_eq!(tb.retained_bytes(), a);
         tb.push(tweet(7));
         assert_eq!(tb.retained_bytes(), a + b);
-        tb.evict_front();
-        assert_eq!(tb.retained_bytes(), b);
-        tb.evict_front();
-        assert_eq!(tb.retained_bytes(), 0);
-        assert_eq!(tb.evict_front(), None);
+        assert_eq!(TweetBase::from_records(vec![tweet(3), tweet(7)]).retained_bytes(), a + b);
     }
 
     #[test]
@@ -650,28 +551,6 @@ mod tests {
         e.mark_dirty();
         assert!(e.needs_recluster());
         assert!(e.needs_reclassify());
-    }
-
-    #[test]
-    fn truncate_mentions_freezes_old_drops_new() {
-        let mut cb = CandidateBase::new();
-        cb.add_mention("italy", record(0));
-        cb.add_mention("italy", record(3));
-        cb.add_mention("us", record(4));
-        cb.get_mut("italy").expect("entry").clusters.push(CandidateCluster {
-            members: vec![0, 1],
-            global_emb: vec![],
-            label: None,
-        });
-        cb.truncate_mentions_from_tweet(3);
-        let italy = cb.get("italy").expect("entry");
-        assert_eq!(italy.mentions.len(), 1);
-        assert_eq!(italy.mentions[0].tweet, 0);
-        assert!(italy.clusters.is_empty());
-        assert!(italy.needs_recluster());
-        // "us" only had a newer mention — gone entirely.
-        assert!(cb.get("us").is_none());
-        assert_eq!(cb.len(), 1);
     }
 
     #[test]

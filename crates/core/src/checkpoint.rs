@@ -2,7 +2,7 @@
 //!
 //! A [`PipelineCheckpoint`] snapshots everything `NerGlobalizer` has
 //! accumulated from the stream — the CTrie (surfaces + version), the
-//! tweet store (including its eviction offset), the candidate store
+//! tweet store, the candidate store
 //! with per-surface progress counts, the scan watermark, the mention
 //! cache and the consumed tweet ids — so a restarted process resumes
 //! mid-stream instead of losing position and re-finalizing from
@@ -20,6 +20,12 @@
 //! tweet log (`crate::tweet_log`) instead of the records themselves,
 //! since a record never changes once stored.
 //! `NerGlobalizer::export_state_bytes` keeps the records inline.
+//!
+//! Retired words of the layout are always written as 0: the tweet
+//! section's leading offset (the first retained tweet, from when the
+//! store could evict) and the configuration's retention tag and its
+//! argument. Decoding rejects a non-zero offset or tag with a typed
+//! error.
 //!
 //! The CTrie is serialized as its surface list plus its version
 //! counter, relying on the trie invariant that `version() == len()`
@@ -48,7 +54,7 @@ use ngl_text::{EntityType, Span};
 use crate::bases::{
     CandidateBase, CandidateCluster, MentionRecord, SurfaceEntry, TweetBase, TweetRecord,
 };
-use crate::pipeline::{AblationMode, GlobalizerConfig, RetentionPolicy};
+use crate::pipeline::{AblationMode, GlobalizerConfig};
 
 /// A snapshot of the pipeline's stream state (see the module docs).
 /// Produced by `NerGlobalizer::export_state`, consumed by
@@ -59,7 +65,7 @@ pub struct PipelineCheckpoint {
     pub cfg: GlobalizerConfig,
     /// The candidate surface trie.
     pub ctrie: CTrie,
-    /// The tweet store (retained records + eviction offset).
+    /// The tweet store.
     pub tweets: TweetBase,
     /// The candidate store with per-surface progress counts.
     pub candidates: CandidateBase,
@@ -104,14 +110,13 @@ impl PipelineCheckpoint {
 }
 
 /// What a durable snapshot stores in place of its tweet records: the
-/// retained stream range `first_retained..len`, and the frame checksum
-/// of the last record the tweet log held when the snapshot was taken
-/// (0 if it never held one). Log records chain each checksum into the
-/// next, so that one word binds the snapshot to every record it
-/// references.
+/// stream length `len`, and the frame checksum of the last record the
+/// tweet log held when the snapshot was taken (0 if it never held one).
+/// Log records chain each checksum into the next, so that one word
+/// binds the snapshot to every record it references. On disk a retired
+/// offset word, always 0, precedes `len`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct TweetLogRef {
-    pub first_retained: u64,
     pub len: u64,
     pub checksum: u64,
 }
@@ -320,22 +325,33 @@ pub(crate) fn get_tweet(buf: &mut &[u8]) -> Result<TweetRecord, CodecError> {
     Ok(TweetRecord { tokens, embeddings: get_matrix(buf)?, local_spans: get_spans(buf)? })
 }
 
+/// Reads a retired eviction-offset word (it leads the inline tweet
+/// section and the tweet-log reference, and follows the watermark in a
+/// finalize mark): only 0, the offset of a store that never evicted, is
+/// accepted.
+pub(crate) fn get_retired_offset(buf: &mut &[u8]) -> Result<(), CodecError> {
+    match get_u64(buf)? {
+        0 => Ok(()),
+        _ => Err(CodecError::Invalid("tweet eviction offset is retired")),
+    }
+}
+
 fn put_tweets(buf: &mut Vec<u8>, tb: &TweetBase) {
-    put_u64(buf, tb.first_retained() as u64);
-    put_u64(buf, tb.retained() as u64);
-    for (_, record) in tb.iter_indexed() {
+    put_u64(buf, 0); // retired eviction offset
+    put_u64(buf, tb.len() as u64);
+    for record in tb.iter() {
         put_tweet(buf, record);
     }
 }
 
 fn get_tweets(buf: &mut &[u8]) -> Result<TweetBase, CodecError> {
-    let start = get_u64(buf)? as usize;
+    get_retired_offset(buf)?;
     let n = get_count(buf, 32)?;
     let mut records = Vec::with_capacity(n);
     for _ in 0..n {
         records.push(get_tweet(buf)?);
     }
-    Ok(TweetBase::from_parts(start, records))
+    Ok(TweetBase::from_records(records))
 }
 
 fn put_ctrie(buf: &mut Vec<u8>, trie: &CTrie) {
@@ -379,12 +395,9 @@ fn put_config(buf: &mut Vec<u8>, cfg: &GlobalizerConfig) {
             AblationMode::FullGlobal => 3,
         },
     );
-    let (tag, arg) = match cfg.retention {
-        RetentionPolicy::Unbounded => (0u64, 0u64),
-        RetentionPolicy::MaxTweets(n) => (1, n as u64),
-    };
-    put_u64(buf, tag);
-    put_u64(buf, arg);
+    // Retired retention tag and argument: the store keeps every tweet.
+    put_u64(buf, 0);
+    put_u64(buf, 0);
     put_u64(buf, cfg.max_tweet_tokens as u64);
     put_u64(buf, cfg.reject_empty as u64);
 }
@@ -400,13 +413,15 @@ fn get_config(buf: &mut &[u8]) -> Result<GlobalizerConfig, CodecError> {
         3 => AblationMode::FullGlobal,
         _ => return Err(CodecError::Invalid("ablation tag out of range")),
     };
-    let tag = get_u64(buf)?;
-    let arg = get_u64(buf)?;
-    let retention = match tag {
-        0 => RetentionPolicy::Unbounded,
-        1 => RetentionPolicy::MaxTweets(arg as usize),
+    // The retention tag: 0 kept every tweet, 1 capped the tweet count
+    // (retired), and 2 and 3 were byte-budget and cold-spill policies
+    // (retired earlier). Its argument word is read and ignored.
+    match get_u64(buf)? {
+        0 => {}
+        1 => return Err(CodecError::Invalid("bounded tweet retention is retired")),
         _ => return Err(CodecError::Invalid("retention tag out of range")),
-    };
+    }
+    get_u64(buf)?;
     let max_tweet_tokens = get_u64(buf)? as usize;
     let reject_empty = match get_u64(buf)? {
         0 => false,
@@ -418,7 +433,6 @@ fn get_config(buf: &mut &[u8]) -> Result<GlobalizerConfig, CodecError> {
         cluster_threshold,
         min_confidence,
         ablation,
-        retention,
         max_tweet_tokens,
         reject_empty,
         // The pool policy is a process-local construction choice, not
@@ -438,7 +452,7 @@ pub(crate) fn put_checkpoint(buf: &mut Vec<u8>, ck: StateRef<'_>, log: Option<&T
     match log {
         None => put_tweets(buf, ck.tweets),
         Some(r) => {
-            put_u64(buf, r.first_retained);
+            put_u64(buf, 0); // retired eviction offset
             put_u64(buf, r.len);
             put_u64(buf, r.checksum);
         }
@@ -474,11 +488,8 @@ pub(crate) fn get_logged_checkpoint(
     buf: &mut &[u8],
 ) -> Result<(PipelineCheckpoint, TweetLogRef), CodecError> {
     get_checkpoint_with(buf, |buf| {
-        Ok(TweetLogRef {
-            first_retained: get_u64(buf)?,
-            len: get_u64(buf)?,
-            checksum: get_u64(buf)?,
-        })
+        get_retired_offset(buf)?;
+        Ok(TweetLogRef { len: get_u64(buf)?, checksum: get_u64(buf)? })
     })
 }
 
@@ -540,7 +551,6 @@ mod tests {
             embeddings: Matrix::from_vec(3, 3, vec![0.0; 9]),
             local_spans: vec![],
         });
-        tweets.evict_front();
         let mut candidates = CandidateBase::new();
         candidates.add_mention(
             "beshear",
@@ -567,11 +577,7 @@ mod tests {
         seen_ids.insert(7);
         seen_ids.insert(42);
         PipelineCheckpoint {
-            cfg: GlobalizerConfig {
-                retention: RetentionPolicy::MaxTweets(100),
-                reject_empty: true,
-                ..Default::default()
-            },
+            cfg: GlobalizerConfig { reject_empty: true, ..Default::default() },
             ctrie,
             tweets,
             candidates,
@@ -600,10 +606,9 @@ mod tests {
         // sample's raw values were not canonical. Canonical
         // serialization ⇒ byte equality is deep equality.
         assert_eq!(to_bytes(&back), bytes);
-        assert_eq!(back.tweets.first_retained(), 1);
         assert_eq!(back.tweets.len(), 2);
+        assert_eq!(back.tweets.get(1).tokens[2], "york");
         assert_eq!(back.ctrie.version(), 2);
-        assert_eq!(back.cfg.retention, RetentionPolicy::MaxTweets(100));
         assert!(back.cfg.reject_empty);
         assert_eq!(back.seen_ids.len(), 2);
         let entry = back.candidates.get("beshear").expect("entry");
@@ -643,19 +648,47 @@ mod tests {
         );
     }
 
-    /// Tags 2 and 3 (the retired byte-budget and cold-spill policies)
-    /// fail with a typed error, like any other unknown tag.
+    /// Tag 1 (the retired tweet-count cap) and tags 2 and 3 (the
+    /// retired byte-budget and cold-spill policies) fail with a typed
+    /// error, like any other unknown tag; so does a non-zero eviction
+    /// offset in the inline tweet section or a tweet-log reference.
     #[test]
     fn retired_retention_tags_are_rejected() {
         let mut buf = Vec::new();
         put_config(&mut buf, &GlobalizerConfig::default());
         // The retention tag is the fourth-from-last word.
         let at = buf.len() - 32;
-        for tag in [2u64, 3, 4] {
+        for (tag, want) in [
+            (0u64, "Ok(())"),
+            (1, r#"Err(Invalid("bounded tweet retention is retired"))"#),
+            (2, r#"Err(Invalid("retention tag out of range"))"#),
+            (3, r#"Err(Invalid("retention tag out of range"))"#),
+            (4, r#"Err(Invalid("retention tag out of range"))"#),
+        ] {
             buf[at..at + 8].copy_from_slice(&tag.to_le_bytes());
             let got = format!("{:?}", get_config(&mut &buf[..]).map(|_| ()));
-            assert_eq!(got, r#"Err(Invalid("retention tag out of range"))"#, "tag {tag}");
+            assert_eq!(got, want, "tag {tag}");
         }
+
+        let retired = r#"Err(Invalid("tweet eviction offset is retired"))"#;
+        let mut inline = Vec::new();
+        put_tweets(&mut inline, &sample().tweets);
+        assert_eq!(inline[..8], [0; 8], "the offset word is written as 0");
+        inline[0] = 1;
+        assert_eq!(format!("{:?}", get_tweets(&mut &inline[..]).map(|_| ())), retired);
+        let mut logged = Vec::new();
+        let log = TweetLogRef { len: 2, checksum: 9 };
+        put_checkpoint(&mut logged, sample().state_ref(), Some(&log));
+        let (_, back) = get_logged_checkpoint(&mut &logged[..]).expect("parse");
+        assert_eq!(back, log);
+        // The reference follows the config and the trie.
+        let mut prefix = Vec::new();
+        put_config(&mut prefix, &sample().cfg);
+        put_ctrie(&mut prefix, &sample().ctrie);
+        assert_eq!(logged[prefix.len()..][..8], [0; 8], "the offset word is written as 0");
+        logged[prefix.len()] = 1;
+        let got = format!("{:?}", get_logged_checkpoint(&mut &logged[..]).map(|_| ()));
+        assert_eq!(got, retired);
     }
 
     #[test]

@@ -30,9 +30,8 @@
 //! the new one and, as the fallback in case it is found corrupt on
 //! open, the one this lineage opened from or last wrote, never a newer
 //! file the open skipped as corrupt; the WAL still holds every op
-//! after the fallback), and last the log drops the segments that hold
-//! only tweets below the oldest kept snapshot's first retained tweet,
-//! so `MaxTweets` retention still bounds the disk. Snapshots are sequenced
+//! after the fallback). The tweet log is never compacted: every
+//! snapshot references the whole stream. Snapshots are sequenced
 //! by the global **operation counter** (`op_seq`, bumped once per batch
 //! and once per finalize); replay skips WAL records with
 //! `op_seq <= snapshot.seq`, so a crash *between* snapshot write and
@@ -62,7 +61,9 @@ use ngl_nn::codec::{get_u64, put_u64, CodecError};
 use ngl_store::{IoHandle, IoStatsSnapshot, SnapshotStore, StoreError, Wal, DEFAULT_SEGMENT_BYTES};
 
 use crate::bases::TweetBase;
-use crate::checkpoint::{get_logged_checkpoint, get_str, put_str, PipelineCheckpoint, TweetLogRef};
+use crate::checkpoint::{
+    get_logged_checkpoint, get_retired_offset, get_str, put_str, PipelineCheckpoint, TweetLogRef,
+};
 use crate::persist::PersistError;
 use crate::pipeline::{BatchOutput, BatchReport, EncodeMemo, NerGlobalizer, Scan};
 use crate::tweet_log::TweetLog;
@@ -73,30 +74,26 @@ use ngl_text::Span;
 
 const TAG_BATCH: u8 = 1;
 const TAG_FINALIZE: u8 = 2;
+/// The retired eviction record: a store that never evicted has none.
 const TAG_EVICT: u8 = 3;
 const TAG_SNAPSHOT: u8 = 5;
 
-/// A typed WAL record. `Batch` and `Finalize` drive replay; `Evict`
-/// and `Snapshot` are audit records — cheap summaries of derived
-/// transitions that replay re-derives and (for evictions)
-/// cross-checks.
+/// A typed WAL record. `Batch` and `Finalize` drive replay; `Snapshot`
+/// is an audit record that replay skips.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum WalRecord {
     /// The inputs of one ingested batch.
     Batch { op_seq: u64, ids: Option<Vec<u64>>, tweets: Vec<Vec<String>> },
-    /// One finalize ran; carries the post-state summary + digest.
+    /// One finalize ran; carries the post-state summary + digest. On
+    /// disk a retired offset word, always 0, follows the watermark.
     Finalize {
         op_seq: u64,
         watermark: u64,
-        first_retained: u64,
         ctrie_version: u64,
         surfaces: u64,
         mentions: u64,
         digest: u64,
     },
-    /// Retention moved the eviction boundary during the finalize of
-    /// `op_seq`.
-    Evict { op_seq: u64, first_retained: u64 },
     /// A full snapshot sequenced at `op_seq` was durably written.
     Snapshot { op_seq: u64, bytes: u64 },
 }
@@ -131,7 +128,6 @@ impl WalRecord {
         match *self {
             WalRecord::Batch { op_seq, .. }
             | WalRecord::Finalize { op_seq, .. }
-            | WalRecord::Evict { op_seq, .. }
             | WalRecord::Snapshot { op_seq, .. } => op_seq,
         }
     }
@@ -145,23 +141,15 @@ impl WalRecord {
             WalRecord::Finalize {
                 op_seq,
                 watermark,
-                first_retained,
                 ctrie_version,
                 surfaces,
                 mentions,
                 digest,
             } => {
-                for v in
-                    [op_seq, watermark, first_retained, ctrie_version, surfaces, mentions, digest]
-                {
-                    put_u64(&mut buf, *v);
+                for v in [*op_seq, *watermark, 0, *ctrie_version, *surfaces, *mentions, *digest] {
+                    put_u64(&mut buf, v);
                 }
                 TAG_FINALIZE
-            }
-            WalRecord::Evict { op_seq, first_retained } => {
-                put_u64(&mut buf, *op_seq);
-                put_u64(&mut buf, *first_retained);
-                TAG_EVICT
             }
             WalRecord::Snapshot { op_seq, bytes } => {
                 put_u64(&mut buf, *op_seq);
@@ -209,24 +197,17 @@ impl WalRecord {
             TAG_FINALIZE => {
                 let op_seq = get_u64(&mut buf)?;
                 let watermark = get_u64(&mut buf)?;
-                let first_retained = get_u64(&mut buf)?;
-                let ctrie_version = get_u64(&mut buf)?;
-                let surfaces = get_u64(&mut buf)?;
-                let mentions = get_u64(&mut buf)?;
-                let digest = get_u64(&mut buf)?;
+                get_retired_offset(&mut buf)?;
                 WalRecord::Finalize {
                     op_seq,
                     watermark,
-                    first_retained,
-                    ctrie_version,
-                    surfaces,
-                    mentions,
-                    digest,
+                    ctrie_version: get_u64(&mut buf)?,
+                    surfaces: get_u64(&mut buf)?,
+                    mentions: get_u64(&mut buf)?,
+                    digest: get_u64(&mut buf)?,
                 }
             }
-            TAG_EVICT => {
-                WalRecord::Evict { op_seq: get_u64(&mut buf)?, first_retained: get_u64(&mut buf)? }
-            }
+            TAG_EVICT => return Err(CodecError::Invalid("eviction records are retired")),
             TAG_SNAPSHOT => {
                 WalRecord::Snapshot { op_seq: get_u64(&mut buf)?, bytes: get_u64(&mut buf)? }
             }
@@ -241,9 +222,8 @@ impl WalRecord {
 
 // ---- snapshot payload --------------------------------------------------
 
-/// Tweet-log segment roll-over size. Compaction deletes whole
-/// segments, so under `MaxTweets` retention up to one segment of
-/// evicted records stays on disk; recovery reads one segment at a time.
+/// Tweet-log segment roll-over size; recovery reads one segment at a
+/// time.
 const TWEET_LOG_SEGMENT_BYTES: u64 = 1 << 20;
 
 /// First word of a snapshot payload. Snapshots that carry their tweets
@@ -296,8 +276,8 @@ pub enum DurableError {
     /// were acknowledged but are in neither the snapshot nor the log,
     /// so the open fails rather than recover short of them.
     OpGap { after: u64, found: u64 },
-    /// The log's structure is inconsistent (e.g. a finalize mark with
-    /// no preceding state, an eviction record contradicting replay).
+    /// The log's structure is inconsistent (e.g. a tweet log that
+    /// lacks a record its snapshot references).
     Corrupt(&'static str),
 }
 
@@ -423,7 +403,7 @@ pub struct RecoveryReport {
     /// The recovered state digest.
     pub digest: u64,
     /// Tweet records decoded from the tweet log: the snapshot's
-    /// retained tweets.
+    /// tweets.
     pub tweets_from_log: usize,
     /// The tweet-id partition of every replayed id-carrying batch, in
     /// log order. This is the exact batch boundary the pre-crash run
@@ -469,10 +449,9 @@ pub enum DegradationCause {
     /// written; durability rides on the WAL alone and the snapshot is
     /// retried at the next finalize.
     SnapshotWrite,
-    /// WAL rotation/compaction, snapshot pruning or tweet-log
-    /// compaction failed after a successful snapshot. Stale files
-    /// linger — harmless for correctness (replay filters records by
-    /// `op_seq`, recovery cuts the tweet log), costs disk.
+    /// WAL rotation/compaction or snapshot pruning failed after a
+    /// successful snapshot. Stale files linger — harmless for
+    /// correctness (replay filters records by `op_seq`), costs disk.
     Compaction,
 }
 
@@ -613,10 +592,6 @@ pub struct DurableGlobalizer<T: ContextualTagger> {
     /// kept as the fallback when the next snapshot prunes the rest. A
     /// newer file the open skipped as corrupt is no fallback.
     snapshot_seq: Option<u64>,
-    /// First retained tweet of the newest snapshot on disk: the floor
-    /// of tweet-log compaction once a newer snapshot makes it the
-    /// fallback.
-    snapshot_first_retained: Option<u64>,
     /// The first WAL segment holding records after the newest snapshot
     /// on disk (or after the start of the log, without one): the floor
     /// of WAL compaction once a newer snapshot makes that one the
@@ -637,7 +612,9 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
     /// per-finalize digest verification. `inner` must be a freshly
     /// built pipeline with the *same models and config* as the run
     /// that wrote the store — determinism of replay depends on it.
-    /// A snapshot lands every `checkpoint_every` finalizes (min 1).
+    /// A snapshot lands every `checkpoint_every` finalizes (min 1),
+    /// counted across opens: the finalizes replayed from the WAL count
+    /// toward the next one.
     pub fn open<P: AsRef<Path>>(
         inner: NerGlobalizer<T>,
         dir: P,
@@ -690,22 +667,22 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
 
         let mut report = RecoveryReport::default();
         let mut op_seq = 0u64;
-        let (tweet_log, snapshot_first_retained) = match snaps.latest()? {
+        let tweet_log = match snaps.latest()? {
             Some((seq, payload)) => {
                 let (mut ck, log_ref) = decode_snapshot(&payload)?;
                 drop(payload);
                 let (log, records) =
                     TweetLog::open(&dir, io.clone(), &log_ref, TWEET_LOG_SEGMENT_BYTES)?;
                 report.tweets_from_log = records.len();
-                ck.tweets = TweetBase::from_parts(log_ref.first_retained as usize, records);
+                ck.tweets = TweetBase::from_records(records);
                 inner.import_state(ck)?;
                 report.snapshot_seq = Some(seq);
                 op_seq = seq;
-                (log, Some(log_ref.first_retained))
+                log
             }
             None => {
                 let fresh = TweetLogRef::default();
-                (TweetLog::open(&dir, io.clone(), &fresh, TWEET_LOG_SEGMENT_BYTES)?.0, None)
+                TweetLog::open(&dir, io.clone(), &fresh, TWEET_LOG_SEGMENT_BYTES)?.0
             }
         };
 
@@ -757,15 +734,6 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         for record in records {
             let seq = record.op_seq();
             match record {
-                // An eviction is logged with the finalize that made it,
-                // so it is checked right after that finalize replays.
-                WalRecord::Evict { first_retained, .. } if seq == op_seq => {
-                    if inner.tweet_base().first_retained() as u64 != first_retained {
-                        return Err(DurableError::Corrupt(
-                            "eviction record contradicts replayed retention",
-                        ));
-                    }
-                }
                 // Inside the snapshot, or an audit record of an applied
                 // op (snapshot markers were consumed above).
                 _ if seq <= op_seq => {}
@@ -810,12 +778,14 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
                 snaps,
                 tweet_log,
                 snapshot_seq: report.snapshot_seq,
-                snapshot_first_retained,
                 wal_floor,
                 io,
                 checkpoint_every: checkpoint_every.max(1),
                 op_seq,
-                finalizes_since_snapshot: 0,
+                // The replayed finalizes ran since the snapshot, so a
+                // store driven by many short-lived processes (one `ngl
+                // tag` run, one finalize each) still snapshots.
+                finalizes_since_snapshot: report.replayed_finalizes,
                 stats: StoreStats::default(),
                 degradation: DegradationReport::default(),
                 pending_finalize: None,
@@ -939,8 +909,8 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
     }
 
     /// Runs the Global NER stages, then durably marks the finalize
-    /// (with its post-state digest) plus any derived eviction, and
-    /// snapshots + compacts every `checkpoint_every` finalizes.
+    /// (with its post-state digest), and snapshots + compacts every
+    /// `checkpoint_every` finalizes.
     ///
     /// Failure handling, rung by rung:
     /// - **WAL commit fails**: the stages already ran, so the records
@@ -973,27 +943,18 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
                 None => Err(DurableError::Corrupt("pending finalize vanished during retry")),
             };
         }
-        let first_retained_before = self.inner.tweet_base().first_retained();
         self.op_seq += 1;
         let out = self.inner.finalize_scanned(scan, emit);
 
-        let mut records = vec![WalRecord::Finalize {
+        let mark = WalRecord::Finalize {
             op_seq: self.op_seq,
             watermark: self.inner.scan_watermark() as u64,
-            first_retained: self.inner.tweet_base().first_retained() as u64,
             ctrie_version: self.inner.trie_version(),
             surfaces: self.inner.candidate_base().len() as u64,
             mentions: self.inner.candidate_base().total_mentions() as u64,
             digest: self.inner.state_digest(),
-        }];
-        let first_retained_after = self.inner.tweet_base().first_retained();
-        if first_retained_after != first_retained_before {
-            records.push(WalRecord::Evict {
-                op_seq: self.op_seq,
-                first_retained: first_retained_after as u64,
-            });
-        }
-        let encoded: Vec<(u8, Vec<u8>)> = records.iter().map(|r| r.encode()).collect();
+        };
+        let encoded = vec![mark.encode()];
         if let Err(e) = self.commit_encoded(&encoded) {
             // State advanced (op_seq stays bumped) but the records are
             // not durable; stash them for re-commit.
@@ -1019,10 +980,9 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
 
     /// Writes a snapshot at the current `op_seq` — the tweet log takes
     /// the records added since the previous one first — then compacts:
-    /// WAL segments below the previous snapshot are dropped, snapshots
-    /// below the previous one (the one this lineage opened from or last
-    /// wrote) pruned, and tweet-log segments below the previous one's
-    /// first retained tweet deleted.
+    /// WAL segments below the previous snapshot are dropped and
+    /// snapshots below the previous one (the one this lineage opened
+    /// from or last wrote) pruned.
     ///
     /// A stashed finalize is re-committed first (WAL order is apply
     /// order); its spans are dropped here — only a retried
@@ -1080,16 +1040,7 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
         // open skipped as corrupt. A snapshot at an unchanged op keeps
         // the older one.
         let fallback = self.snapshot_seq.replace(self.op_seq).filter(|&seq| seq < self.op_seq);
-        let pruned = fallback.map_or(Ok(0), |seq| self.snaps.prune_below(seq));
-        // The tweet log keeps every record the fallback snapshot
-        // references. After a failed prune an older snapshot may still
-        // be on disk, so the log keeps its segments until a prune
-        // succeeds.
-        let floor = self
-            .snapshot_first_retained
-            .map_or(log_ref.first_retained, |f| f.min(log_ref.first_retained));
-        self.snapshot_first_retained = Some(log_ref.first_retained);
-        if let Err(e) = pruned.and_then(|_| self.tweet_log.compact_below(floor)) {
+        if let Err(e) = fallback.map_or(Ok(0), |seq| self.snaps.prune_below(seq)) {
             self.compaction_failed(e);
         }
         Ok(bytes)
@@ -1199,13 +1150,11 @@ mod tests {
             WalRecord::Finalize {
                 op_seq: 3,
                 watermark: 4,
-                first_retained: 1,
                 ctrie_version: 5,
                 surfaces: 6,
                 mentions: 7,
                 digest: 0xDEAD_BEEF,
             },
-            WalRecord::Evict { op_seq: 3, first_retained: 2 },
             WalRecord::Snapshot { op_seq: 3, bytes: 4096 },
         ];
         for r in &records {
@@ -1218,7 +1167,9 @@ mod tests {
     /// Retired layouts fail with a typed error, never a panic and
     /// never a silent default: bundle versions 1–3 and a future 5, the
     /// 8-word finalize mark whose last word flagged unverifiable
-    /// digests, the retired spill tag 4 and flagged-finalize tag 6.
+    /// digests, a finalize mark with a non-zero eviction offset, the
+    /// eviction tag 3, the retired spill tag 4 and flagged-finalize
+    /// tag 6.
     #[test]
     fn retired_formats_are_rejected_with_typed_errors() {
         use crate::classifier::{ClassifierConfig, EntityClassifier};
@@ -1242,6 +1193,12 @@ mod tests {
         let wal = |tag: u8, words: usize| {
             format!("{:?}", WalRecord::decode(tag, &vec![0; 8 * words]).map(|_| ()))
         };
+        // A finalize mark whose third word, the eviction offset, is 1.
+        let evicted_finalize = {
+            let mut payload = vec![0; 8 * 7];
+            payload[16] = 1;
+            format!("{:?}", WalRecord::decode(TAG_FINALIZE, &payload).map(|_| ()))
+        };
         let unknown_tag = r#"Err(Invalid("unknown WAL record tag"))"#;
         let cases = [
             ("bundle v1", bundle(1), "Err(UnsupportedVersion(1))"),
@@ -1254,6 +1211,16 @@ mod tests {
                 "finalize tag 2, 8 words",
                 wal(TAG_FINALIZE, 8),
                 r#"Err(Invalid("trailing bytes in WAL record"))"#,
+            ),
+            (
+                "finalize tag 2, offset 1",
+                evicted_finalize,
+                r#"Err(Invalid("tweet eviction offset is retired"))"#,
+            ),
+            (
+                "evict tag 3, 2 words",
+                wal(TAG_EVICT, 2),
+                r#"Err(Invalid("eviction records are retired"))"#,
             ),
             ("tag 4, 3 words", wal(4, 3), unknown_tag),
             ("tag 6, 7 words", wal(6, 7), unknown_tag),
@@ -1301,50 +1268,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A store whose snapshot carries its tweets inline (the layout
-    /// before the tweet log) fails to open with a typed error.
-    /// Replay checks each logged eviction against the retention the
-    /// finalize before it reproduced.
-    #[test]
-    fn a_contradicting_eviction_record_fails_replay() {
-        use crate::pipeline::tests::{toks, FakeTagger};
-        use crate::pipeline::{GlobalizerConfig, RetentionPolicy};
-        let bounded = || {
-            let dim = 8;
-            NerGlobalizer::new(
-                FakeTagger { dim },
-                crate::phrase::PhraseEmbedder::new(crate::phrase::PhraseEmbedderConfig {
-                    dim,
-                    ..Default::default()
-                }),
-                crate::classifier::EntityClassifier::new(crate::classifier::ClassifierConfig {
-                    dim,
-                    ..Default::default()
-                }),
-                GlobalizerConfig { retention: RetentionPolicy::MaxTweets(2), ..Default::default() },
-            )
-        };
-        let dir = scratch("evict-check");
-        let (mut durable, _) = DurableGlobalizer::open(bounded(), &dir, 100).expect("open");
-        durable
-            .ingest(vec![toks("Beshear spoke"), toks("Italy won"), toks("a b")], None)
-            .expect("batch");
-        durable.finalize().expect("finalize");
-        let (op, first) = (durable.op_seq(), durable.inner().tweet_base().first_retained());
-        assert_eq!(first, 1, "the finalize evicted one tweet");
-        drop(durable);
-        DurableGlobalizer::open(bounded(), &dir, 100).expect("a consistent log replays");
-        let mut wal = Wal::open(&dir).expect("wal");
-        let (tag, payload) = WalRecord::Evict { op_seq: op, first_retained: 0 }.encode();
-        wal.commit(&[(tag, &payload)]).expect("append");
-        match DurableGlobalizer::open(bounded(), &dir, 100) {
-            Err(DurableError::Corrupt(what)) => assert!(what.contains("eviction"), "{what}"),
-            Err(other) => panic!("unexpected error: {other}"),
-            Ok(_) => panic!("a contradicting eviction record replayed"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// A process that writes one snapshot per open (as `ngl tag
     /// --store-dir` does) still compacts: the floor set at open is the
     /// segment of the first op after the chosen snapshot, so the WAL
@@ -1360,12 +1283,39 @@ mod tests {
             assert_eq!(report.snapshot_seq, (i > 0).then_some(2 * i as u64));
             durable.ingest(vec![toks("Beshear spoke"), toks("Italy won")], None).expect("batch");
             durable.finalize().expect("finalize");
-            let segments = durable.wal.segments().expect("segments");
+            let segments: Vec<String> = std::fs::read_dir(&dir)
+                .expect("dir")
+                .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+                .filter(|name| name.starts_with("wal-"))
+                .collect();
             assert!(segments.len() <= 3, "cycle {i}: WAL segments {segments:?}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A store driven by one finalize per open (as repeated `ngl tag
+    /// --store-dir` runs drive it) snapshots on the cadence all the
+    /// same: the finalizes each open replays count toward the next
+    /// snapshot.
+    #[test]
+    fn one_finalize_per_open_still_snapshots_on_cadence() {
+        use crate::pipeline::tests::{pipeline, toks};
+        use crate::pipeline::AblationMode;
+        let dir = scratch("finalize-per-open");
+        for i in 0..10u64 {
+            let (mut durable, report) =
+                DurableGlobalizer::open(pipeline(AblationMode::FullGlobal), &dir, 3).expect("open");
+            assert_eq!(report.snapshot_seq, (i >= 3).then_some(6 * (i / 3)), "open {i}");
+            assert_eq!(report.replayed_finalizes as u64, i % 3, "open {i}");
+            durable.ingest(vec![toks("Beshear spoke"), toks("Italy won")], None).expect("batch");
+            durable.finalize().expect("finalize");
+            assert_eq!(durable.stats().snapshots, u64::from(i % 3 == 2), "open {i}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store whose snapshot carries its tweets inline (the layout
+    /// before the tweet log) fails to open with a typed error.
     #[test]
     fn snapshots_with_inline_tweets_are_rejected_with_a_typed_error() {
         use crate::pipeline::tests::{pipeline, toks};
@@ -1388,7 +1338,7 @@ mod tests {
     #[test]
     fn wal_record_decode_rejects_junk() {
         assert!(WalRecord::decode(99, &[]).is_err());
-        let (tag, payload) = WalRecord::Evict { op_seq: 1, first_retained: 0 }.encode();
+        let (tag, payload) = WalRecord::Snapshot { op_seq: 1, bytes: 0 }.encode();
         // Truncated payload.
         assert!(WalRecord::decode(tag, &payload[..payload.len() - 1]).is_err());
         // Trailing bytes.

@@ -54,7 +54,7 @@ pub use persist::{GlobalizerBundle, PersistError};
 pub use phrase::{PhraseEmbedder, PhraseEmbedderConfig, PhraseLoss};
 pub use pipeline::{
     AblationMode, BatchOutput, BatchReport, ClusterSummary, GlobalizerConfig, NerGlobalizer,
-    PoolPolicy, QueryTag, RetentionPolicy, StageTimings, SurfaceSummary,
+    PoolPolicy, QueryTag, StageTimings, SurfaceSummary,
 };
 pub use pooling::AttentivePooling;
 pub use shard::{shard_of_surface, ShardedGlobalizer, ShardedRecoveryReport};

@@ -36,20 +36,20 @@
 //! * **version bumped** (a batch seeded a new surface) — new surfaces
 //!   can recover mentions in old tweets and shift the greedy scan's
 //!   boundaries there, but only where a new surface matches. A *scan
-//!   memo* keeps, per retained tweet, the occurrence coordinates of its
+//!   memo* keeps, per stored tweet, the occurrence coordinates of its
 //!   last scan and a fixed-hash fingerprint of each folded token, so the
 //!   scan revisits only the new tweets, the old ones holding the first
 //!   token of a surface registered since `scanned_version`, and those
 //!   whose last scan or admit failed. The candidate store is patched in
 //!   place: a tweet whose occurrences changed has its mentions replaced
 //!   at their `(tweet, start)` position, and only the entries that
-//!   touches turn dirty; every retained mention is restamped with the
+//!   touches turn dirty; every stored mention is restamped with the
 //!   new version, and touch stamps and the clock are recomputed from
 //!   per-tweet occurrence counts. Embeddings of known spans come from
 //!   the cache.
 //! * **no memo** (after open, import, reset or clone, until a scan
-//!   covers every retained tweet) — a version bump runs the same
-//!   routine with every retained tweet counted as affected: each is
+//!   covers every stored tweet) — a version bump runs the same
+//!   routine with every stored tweet counted as affected: each is
 //!   rescanned and re-admitted, and an entry whose mention list comes
 //!   back unchanged keeps its clusters and labels.
 //!
@@ -60,7 +60,7 @@
 //! `reference` test module pins the patch to the full rebuild it
 //! replaced.
 //!
-//! ## Fault tolerance & bounded state
+//! ## Fault tolerance
 //!
 //! The stream-facing entry point [`NerGlobalizer::ingest`] is
 //! *fault-isolated*, built on [`Executor::try_par_map`]: a tweet whose
@@ -70,12 +70,8 @@
 //! record** reported in a [`BatchReport`] instead of tearing down the
 //! pipeline. Rejected tweets are never stored, so the resulting state
 //! is *exactly* the state of a clean run over the surviving inputs.
-//! [`GlobalizerConfig::retention`] bounds the [`TweetBase`] and the
-//! mention cache; eviction only ever removes tweets strictly below the
-//! scan watermark (see
-//! [`NerGlobalizer::scan_watermark`]), so incremental finalize stays
-//! correct — evicted tweets keep their already-extracted mentions
-//! frozen in the candidate store.
+//! The pipeline keeps the whole stream: the global phase re-scans every
+//! stored tweet, so no tweet is ever dropped once accepted.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -110,19 +106,6 @@ pub enum AblationMode {
     FullGlobal,
 }
 
-/// How much stream state the pipeline retains (TweetBase records plus
-/// the derived mention cache). Eviction is **watermark-aware**: only
-/// tweets strictly below the scan watermark are ever evicted, so the
-/// incremental scan never loses unscanned input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RetentionPolicy {
-    /// Keep everything (the default; historical behaviour).
-    #[default]
-    Unbounded,
-    /// Keep at most this many tweet records.
-    MaxTweets(usize),
-}
-
 /// Which [`Executor`] a freshly assembled pipeline runs on. Held
 /// as a policy (not a handle) so [`GlobalizerConfig`] stays `Copy` and
 /// checkpoint-safe; the actual pool is resolved at construction time.
@@ -154,8 +137,6 @@ pub struct GlobalizerConfig {
     pub min_confidence: f32,
     /// Which variant to run.
     pub ablation: AblationMode,
-    /// Bound on retained stream state (tweets + mention cache).
-    pub retention: RetentionPolicy,
     /// Hard cap on tokens ingested per tweet; longer token lists are
     /// truncated at the [`NerGlobalizer::ingest`] boundary (reported in
     /// [`BatchReport::truncated`]) so one adversarial record can't blow
@@ -180,7 +161,6 @@ impl Default for GlobalizerConfig {
             cluster_threshold: 0.7,
             min_confidence: 0.35,
             ablation: AblationMode::FullGlobal,
-            retention: RetentionPolicy::Unbounded,
             max_tweet_tokens: 1024,
             reject_empty: false,
             pool: PoolPolicy::PerPipeline,
@@ -206,7 +186,7 @@ pub struct StageTimings {
     /// finalize's surfaces reused clusters from an earlier one.
     pub surfaces_clustered: u64,
     /// Already-scanned tweets the CTrie scan revisited at version
-    /// bumps; the other retained tweets were vouched for by the scan
+    /// bumps; the other stored tweets were vouched for by the scan
     /// memo.
     pub tweets_rescanned: u64,
 }
@@ -293,10 +273,6 @@ pub struct SurfaceSummary {
     /// Touch stamp: the clock tick of the surface's latest scan match
     /// (0 when untracked).
     pub touched: u64,
-    /// Mentions both frozen (source tweet evicted) and stale (the trie
-    /// grew after extraction) — see
-    /// [`NerGlobalizer::stale_frozen_mentions`].
-    pub stale_frozen: usize,
 }
 
 /// Local NER records of one batch's distinct (truncated) token
@@ -356,7 +332,7 @@ impl Scan {
     }
 }
 
-/// What the last scan found in one retained tweet.
+/// What the last scan found in one stored tweet.
 struct TweetScan {
     /// Fingerprints of the tweet's folded tokens
     /// ([`CTrie::extract_mentions_fingerprinted`]); a tweet holding none
@@ -403,20 +379,18 @@ impl TweetScan {
     }
 }
 
-/// The scan memo: what the last scan found in each tweet from the
-/// first retained one up to the scan watermark, all at the scanned
+/// The scan memo: what the last scan found in each tweet below the
+/// scan watermark, indexed by stream position, all at the scanned
 /// CTrie version. Derived state: never persisted, and a clone (a
 /// published snapshot, the shard merged view) starts without one, as
 /// it starts without `finalize_errors`.
 struct ScanMemo {
-    /// Stream index of `tweets[0]`.
-    first: usize,
-    tweets: std::collections::VecDeque<TweetScan>,
+    tweets: Vec<TweetScan>,
 }
 
 impl ScanMemo {
     fn get(&self, tweet: usize) -> Option<&TweetScan> {
-        tweet.checked_sub(self.first).and_then(|k| self.tweets.get(k))
+        self.tweets.get(tweet)
     }
 
     /// The tweets a scan at a version bump must revisit: those holding
@@ -426,7 +400,7 @@ impl ScanMemo {
     fn affected<'a>(&'a self, fresh: &'a [u32]) -> impl Iterator<Item = usize> + 'a {
         self.tweets.iter().enumerate().filter_map(move |(k, t)| {
             let hit = t.failed || t.tokens.iter().any(|f| fresh.binary_search(f).is_ok());
-            hit.then_some(self.first + k)
+            hit.then_some(k)
         })
     }
 
@@ -436,27 +410,20 @@ impl ScanMemo {
             .iter()
             .enumerate()
             .filter(|(_, t)| t.failed)
-            .all(|(k, _)| tweets.binary_search_by_key(&(self.first + k), |t| t.index).is_ok())
+            .all(|(k, _)| tweets.binary_search_by_key(&k, |t| t.index).is_ok())
     }
 
     /// Records the scan's findings: replaces the entries of rescanned
     /// tweets and appends those of new ones.
     fn update(&mut self, scanned: impl Iterator<Item = (usize, TweetScan)>) {
         for (index, found) in scanned {
-            match index.checked_sub(self.first).and_then(|k| self.tweets.get_mut(k)) {
+            match self.tweets.get_mut(index) {
                 Some(slot) => *slot = found,
                 None => {
-                    debug_assert_eq!(index, self.first + self.tweets.len(), "memo gap");
-                    self.tweets.push_back(found);
+                    debug_assert_eq!(index, self.tweets.len(), "memo gap");
+                    self.tweets.push(found);
                 }
             }
-        }
-    }
-
-    /// Forgets the tweets below `first` (evicted).
-    fn evict_below(&mut self, first: usize) {
-        while self.first < first && self.tweets.pop_front().is_some() {
-            self.first += 1;
         }
     }
 }
@@ -482,9 +449,9 @@ pub struct NerGlobalizer<T: ContextualTagger> {
     /// The [`CTrie::version`] the scan last ran with; a mismatch means
     /// new surfaces were seeded and earlier scan results are stale.
     scanned_version: u64,
-    /// What the last scan found per retained tweet, so a version bump
+    /// What the last scan found per stored tweet, so a version bump
     /// rescans only the tweets a new surface can change; `None` until a
-    /// scan covers every retained tweet (after open, import, reset or
+    /// scan covers every stored tweet (after open, import, reset or
     /// clone).
     scan_memo: Option<ScanMemo>,
     /// Local mention embeddings by `(tweet, start, end)`. Embeddings
@@ -518,8 +485,8 @@ impl<T: ContextualTagger> Clone for NerGlobalizer<T> {
     /// state, and starts without diagnostics or scan memo: the errors
     /// stay with the pipeline that recorded them, so a merged view or a
     /// published snapshot never reports them a second time, and the
-    /// memo is rebuilt by the clone's first scan of every retained
-    /// tweet should it ever finalize.
+    /// memo is rebuilt by the clone's first scan of every stored tweet
+    /// should it ever finalize.
     fn clone(&self) -> Self {
         Self {
             local: Arc::clone(&self.local),
@@ -855,9 +822,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         let t0 = Instant::now();
         let out = match self.cfg.ablation {
             AblationMode::LocalOnly if !emit => Vec::new(),
-            AblationMode::LocalOnly => (0..self.tweets.len())
-                .map(|i| self.tweets.try_get(i).map(|t| t.local_spans.clone()).unwrap_or_default())
-                .collect(),
+            AblationMode::LocalOnly => self.local_outputs(),
             mode => {
                 // ngl-lint: allow(R3, wall-clock stage timing for BatchReport/Timings only; never feeds token processing, ordering, or persisted state)
                 let t = Instant::now();
@@ -894,7 +859,6 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 }
             }
         };
-        self.enforce_retention();
         self.timings.global += t0.elapsed();
         out
     }
@@ -923,38 +887,8 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// [`Self::finalize`] would have emitted from the same state.
     pub(crate) fn emit_finalized(&mut self) -> Vec<Vec<Span>> {
         match self.cfg.ablation {
-            AblationMode::LocalOnly => (0..self.tweets.len())
-                .map(|i| self.tweets.try_get(i).map(|t| t.local_spans.clone()).unwrap_or_default())
-                .collect(),
+            AblationMode::LocalOnly => self.local_outputs(),
             mode => self.emit(mode),
-        }
-    }
-
-    /// Evicts the oldest tweets (and their cache entries) until the
-    /// configured [`RetentionPolicy`] is satisfied. Invariant: eviction
-    /// never crosses the scan watermark — a tweet that the incremental
-    /// mention scan has not covered yet is never dropped, which is what
-    /// keeps bounded-state finalize output identical for all tweets at
-    /// or beyond the watermark.
-    fn enforce_retention(&mut self) {
-        let over = |tweets: &TweetBase| match self.cfg.retention {
-            RetentionPolicy::Unbounded => false,
-            RetentionPolicy::MaxTweets(n) => tweets.retained() > n,
-        };
-        let mut evicted = false;
-        while over(&self.tweets) && self.tweets.first_retained() < self.scanned_tweets {
-            self.tweets.evict_front();
-            evicted = true;
-        }
-        if evicted {
-            // Cache entries of evicted tweets can never be consulted
-            // again (rescans start at `first_retained` at the
-            // earliest), so the cache shrinks with the store.
-            let keep_from = self.tweets.first_retained();
-            self.mention_cache.retain(|&(t, _, _), _| t >= keep_from);
-            if let Some(memo) = &mut self.scan_memo {
-                memo.evict_below(keep_from);
-            }
         }
     }
 
@@ -970,8 +904,8 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     }
 
     /// A cheap order-independent summary of the pipeline's logical
-    /// stream state — watermark, retention boundary, CTrie version,
-    /// and per-surface mention coordinates / progress counters. Two
+    /// stream state — watermark, CTrie version, and per-surface
+    /// mention coordinates / progress counters. Two
     /// runs that agree on this digest after every finalize agree on
     /// state evolution; the durable WAL stores it per finalize mark so
     /// crash recovery can prove it reconverged. Embedding floats are
@@ -984,7 +918,9 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         word(self.scanned_tweets as u64);
         word(self.scanned_version);
         word(self.tweets.len() as u64);
-        word(self.tweets.first_retained() as u64);
+        // Once the first retained tweet; hashed as 0 so digests logged
+        // by earlier stores still verify.
+        word(0);
         word(self.ctrie.version());
         word(self.ctrie.len() as u64);
         word(self.seen_ids.len() as u64);
@@ -1012,31 +948,10 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         acc.finish()
     }
 
-    /// Mentions that are **frozen** (their source tweet was evicted, so
-    /// they can never be re-extracted) *and* **stale** (the CTrie has
-    /// grown since they were extracted, so a from-scratch run over the
-    /// full stream might segment those positions differently). Returned
-    /// as `(surface, tweet, start, end)` so emit consumers can flag the
-    /// affected spans. Retained mentions are never stale: every version
-    /// bump re-stamps them.
-    pub fn stale_frozen_mentions(&self) -> Vec<(String, usize, usize, usize)> {
-        let frozen_below = self.tweets.first_retained();
-        let live = self.ctrie.version();
-        let mut out = Vec::new();
-        for (surface, entry) in self.candidates.iter() {
-            for m in &entry.mentions {
-                if m.tweet < frozen_below && m.trie_version < live {
-                    out.push((surface.clone(), m.tweet, m.start, m.end));
-                }
-            }
-        }
-        out
-    }
-
     /// Stage (i): the CTrie scan, incremental where possible (see the
     /// module docs). With an unchanged CTrie version only tweets beyond
     /// `scanned_tweets` are scanned. A version bump covers every
-    /// retained tweet, because late-discovered surfaces recover early
+    /// stored tweet, because late-discovered surfaces recover early
     /// mentions and can shift greedy scan boundaries; but with a scan
     /// memo it rescans only the new tweets and the old ones the memo
     /// cannot vouch for ([`ScanMemo::affected`]). Each occurrence is
@@ -1100,12 +1015,11 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     }
 
     /// Where the next scan starts: `(CTrie version, rebuild, first
-    /// tweet)`. A version bump covers everything from the oldest
-    /// retained tweet on.
+    /// tweet)`. A version bump covers the whole stream.
     fn scan_origin(&self) -> (u64, bool, usize) {
         let version = self.ctrie.version();
         let rebuild = version != self.scanned_version;
-        (version, rebuild, if rebuild { self.tweets.first_retained() } else { self.scanned_tweets })
+        (version, rebuild, if rebuild { 0 } else { self.scanned_tweets })
     }
 
     /// The shard count of the ownership filter (1 when unfiltered).
@@ -1139,17 +1053,13 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// parallel per tweet.
     ///
     /// The result is the store a sequential rebuild from the scan start
-    /// produces: on a version bump every mention from the scan start on
-    /// is restamped with the new version, and every touch stamp and the
-    /// clock are recomputed from per-tweet occurrence counts as that
-    /// rebuild's ticks would leave them — the clock restarting at zero
-    /// when the range starts at the first tweet, else continuing. A
+    /// produces: on a version bump every mention is restamped with the
+    /// new version, and every touch stamp and the clock are recomputed
+    /// from per-tweet occurrence counts as that rebuild's ticks would
+    /// leave them — the clock restarting at zero on a version bump (the
+    /// range then starts at the first tweet), else continuing. A
     /// non-owned occurrence consumes its tick all the same, so owned
     /// entries carry the unsharded stamps.
-    ///
-    /// Under a bounded [`RetentionPolicy`] only *retained* tweets are in
-    /// range: mentions of evicted tweets stay frozen at the boundaries
-    /// they were extracted with (their source records are gone).
     fn admit(&mut self, scan: &Scan) {
         #[cfg(test)]
         if self.reference_rebuild {
@@ -1292,7 +1202,6 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         self.candidates.patch(crate::bases::Patch {
             from: start,
             bump: scan.rebuild.then_some(scan.version),
-            restart: scan.rebuild && start == 0,
             replaced: &replaced,
             added,
             tick: &tick,
@@ -1305,8 +1214,8 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 memo.update(found);
                 Some(memo)
             }
-            None if scan.full && start == self.tweets.first_retained() => {
-                Some(ScanMemo { first: start, tweets: found.map(|(_, t)| t).collect() })
+            None if scan.full && start == 0 => {
+                Some(ScanMemo { tweets: found.map(|(_, t)| t).collect() })
             }
             None => None,
         };
@@ -1486,7 +1395,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     }
 
     /// Read-only summary of one surface's global state — cluster
-    /// labels, mention counts and staleness — for the serving `surface`
+    /// labels and mention counts — for the serving `surface`
     /// endpoint. The input is folded token-wise exactly like the CTrie
     /// scan, so `"#Coronavirus"` resolves to `"coronavirus"`.
     pub fn surface_summary(&self, surface: &str) -> SurfaceSummary {
@@ -1505,16 +1414,8 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 mentions: 0,
                 clusters: Vec::new(),
                 touched: 0,
-                stale_frozen: 0,
             };
         };
-        let frozen_below = self.tweets.first_retained();
-        let live = self.ctrie.version();
-        let stale_frozen = entry
-            .mentions
-            .iter()
-            .filter(|m| m.tweet < frozen_below && m.trie_version < live)
-            .count();
         SurfaceSummary {
             surface: canonical,
             known,
@@ -1526,16 +1427,13 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 .map(|c| ClusterSummary { label: c.label, members: c.members.len() })
                 .collect(),
             touched: entry.touched,
-            stale_frozen,
         }
     }
 
     /// Local NER outputs of every stored tweet (for ablations and the
-    /// Table IV "Local NER" columns). Evicted tweets yield empty rows.
+    /// Table IV "Local NER" columns).
     pub fn local_outputs(&self) -> Vec<Vec<Span>> {
-        (0..self.tweets.len())
-            .map(|i| self.tweets.try_get(i).map(|t| t.local_spans.clone()).unwrap_or_default())
-            .collect()
+        self.tweets.iter().map(|t| t.local_spans.clone()).collect()
     }
 
     /// Accumulated per-stage wall-clock.
@@ -1565,9 +1463,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// [`Self::finalize`] to rescan and re-embed everything from
     /// scratch. Benchmarking hook for
     /// comparing incremental against full-rebuild finalization; output
-    /// is unaffected (both paths are byte-identical) as long as nothing
-    /// has been evicted — evicted tweets cannot be rescanned, so their
-    /// frozen mentions are lost by this reset.
+    /// is unaffected (both paths are byte-identical).
     pub fn reset_incremental_state(&mut self) {
         self.mention_cache.clear();
         self.scanned_tweets = 0;
@@ -1592,8 +1488,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     }
 
     /// How many stream positions the incremental mention scan has
-    /// covered — the eviction watermark: retention never drops a tweet
-    /// at or beyond this index.
+    /// covered.
     pub fn scan_watermark(&self) -> usize {
         self.scanned_tweets
     }
@@ -1677,9 +1572,6 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     pub fn import_state(&mut self, mut ck: PipelineCheckpoint) -> Result<(), PersistError> {
         if ck.scanned_tweets > ck.tweets.len() {
             return Err(PersistError::Inconsistent("watermark beyond tweet store"));
-        }
-        if ck.tweets.first_retained() > ck.scanned_tweets {
-            return Err(PersistError::Inconsistent("eviction crossed the watermark"));
         }
         if ck.scanned_version > ck.ctrie.version() {
             return Err(PersistError::Inconsistent("scan version beyond trie version"));
@@ -2401,78 +2293,6 @@ pub(crate) mod tests {
         assert_eq!(stored.len(), 1, "ingest keeps one token and tags it");
         let queried: Vec<Span> = p.tag_query(&tweet).iter().map(|t| t.span).collect();
         assert_eq!(queried, stored);
-    }
-
-    #[test]
-    fn eviction_never_crosses_the_watermark() {
-        let dim = 8;
-        let mut p = NerGlobalizer::new(
-            FakeTagger { dim },
-            PhraseEmbedder::new(PhraseEmbedderConfig { dim, ..Default::default() }),
-            EntityClassifier::new(ClassifierConfig { dim, ..Default::default() }),
-            GlobalizerConfig { retention: RetentionPolicy::MaxTweets(2), ..Default::default() },
-        );
-        // Unfinalized tweets are beyond the watermark: nothing may be
-        // evicted no matter how far over budget the store is.
-        for i in 0..5 {
-            p.ingest(vec![toks(&format!("Surface{i} here"))], None);
-        }
-        assert_eq!(p.scan_watermark(), 0);
-        assert_eq!(p.tweet_base().retained(), 5);
-        p.finalize();
-        // Now the scan has covered everything; retention kicks in but
-        // the invariant keeps holding.
-        assert_eq!(p.tweet_base().retained(), 2);
-        assert!(p.tweet_base().first_retained() <= p.scan_watermark());
-        // More stream keeps the invariant.
-        p.ingest(vec![toks("more Surface0 talk"), toks("and Surface1 too")], None);
-        p.finalize();
-        assert!(p.tweet_base().first_retained() <= p.scan_watermark());
-        assert_eq!(p.tweet_base().retained(), 2);
-    }
-
-    /// With a version-stable continuation (no new surfaces after the
-    /// eviction point) the bounded pipeline's finalize output is
-    /// bitwise identical to the unbounded one — for every tweet,
-    /// evicted ones included (their mentions are frozen).
-    #[test]
-    fn max_tweets_eviction_preserves_outputs() {
-        let dim = 8;
-        let mk = |retention| {
-            NerGlobalizer::new(
-                FakeTagger { dim },
-                PhraseEmbedder::new(PhraseEmbedderConfig { dim, ..Default::default() }),
-                EntityClassifier::new(ClassifierConfig { dim, ..Default::default() }),
-                GlobalizerConfig { retention, ..Default::default() },
-            )
-        };
-        let mut bounded = mk(RetentionPolicy::MaxTweets(2));
-        let mut unbounded = mk(RetentionPolicy::Unbounded);
-        // Phase 1 seeds all surfaces.
-        let seed_batch = vec![
-            toks("Beshear spoke today"),
-            toks("Italy won again"),
-            toks("thanks beshear for italy"),
-        ];
-        // Phase 2 (after eviction) only re-uses known surfaces.
-        let stable_batches = vec![
-            vec![toks("more beshear talk"), toks("italy italy italy")],
-            vec![toks("beshear and italy together")],
-        ];
-        bounded.ingest(seed_batch.clone(), None);
-        unbounded.ingest(seed_batch, None);
-        assert_eq!(bounded.finalize(), unbounded.finalize());
-        assert!(bounded.tweet_base().retained() <= 2);
-        for b in &stable_batches {
-            bounded.ingest(b.clone(), None);
-            unbounded.ingest(b.clone(), None);
-            let out_b = bounded.finalize();
-            let out_u = unbounded.finalize();
-            assert_eq!(out_b, out_u, "bounded output diverged");
-            assert_eq!(fingerprint(&bounded), fingerprint(&unbounded));
-            assert!(bounded.tweet_base().retained() <= 2);
-        }
-        assert_eq!(unbounded.tweet_base().retained(), unbounded.tweet_base().len());
     }
 
     #[test]

@@ -27,21 +27,16 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// surface whose rebuilt mention list equals the one they were
     /// computed over, and every owned occurrence is added in tweet
     /// order. It holds no scan memo, so every scan it sees covers every
-    /// retained tweet.
+    /// stored tweet.
     pub(super) fn admit_reference(&mut self, scan: &Scan) {
         assert!(scan.full, "the reference rebuild needs a full scan");
         self.scan_memo = None;
         let start = scan.start;
         let mut carried = None;
         if scan.rebuild {
+            // A version bump rescans from the first tweet.
             carried = Some(self.candidates.take_clean_clusters());
-            if start == 0 {
-                self.candidates = CandidateBase::new();
-            } else {
-                // Freeze the evicted prefix, rebuild the retained
-                // suffix (marks every entry dirty).
-                self.candidates.truncate_mentions_from_tweet(start);
-            }
+            self.candidates = CandidateBase::new();
         }
         let owner = self.shard_filter.map(|(index, _)| index);
         let owns = |shard: u32| match owner {
@@ -143,7 +138,7 @@ mod tests {
     use crate::classifier::{ClassifierConfig, EntityClassifier};
     use crate::phrase::{PhraseEmbedder, PhraseEmbedderConfig};
     use crate::pipeline::tests::toks;
-    use crate::pipeline::{AblationMode, GlobalizerConfig, RetentionPolicy};
+    use crate::pipeline::{AblationMode, GlobalizerConfig};
     use crate::shard::ShardedGlobalizer;
 
     const DIM: usize = 8;
@@ -197,16 +192,12 @@ mod tests {
         }
     }
 
-    fn pipeline(retention: RetentionPolicy, threads: usize) -> NerGlobalizer<SpanTagger> {
+    fn pipeline(threads: usize) -> NerGlobalizer<SpanTagger> {
         NerGlobalizer::new(
             SpanTagger,
             PhraseEmbedder::new(PhraseEmbedderConfig { dim: DIM, ..Default::default() }),
             EntityClassifier::new(ClassifierConfig { dim: DIM, ..Default::default() }),
-            GlobalizerConfig {
-                ablation: AblationMode::FullGlobal,
-                retention,
-                ..Default::default()
-            },
+            GlobalizerConfig { ablation: AblationMode::FullGlobal, ..Default::default() },
         )
         .with_executor(Executor::new(threads))
     }
@@ -325,17 +316,15 @@ mod tests {
     /// round-trips through a checkpoint, which drops its scan memo.
     fn assert_matches_reference(
         batches: &[Vec<Vec<String>>],
-        retention: RetentionPolicy,
         threads: usize,
         shards: u32,
         tag: &str,
     ) {
-        let mut reference = pipeline(retention, threads).with_reference_rebuild();
+        let mut reference = pipeline(threads).with_reference_rebuild();
         let dir = scratch(tag);
-        let mut sharded = (shards > 1).then(|| {
-            ShardedGlobalizer::open(pipeline(retention, threads), &dir, 3, shards).expect("open").0
-        });
-        let mut single = pipeline(retention, threads);
+        let mut sharded = (shards > 1)
+            .then(|| ShardedGlobalizer::open(pipeline(threads), &dir, 3, shards).expect("open").0);
+        let mut single = pipeline(threads);
         for (i, batch) in batches.iter().enumerate() {
             reference.ingest(batch.clone(), None);
             let want = reference.finalize();
@@ -347,7 +336,7 @@ mod tests {
                 }
                 None => {
                     if i % 4 == 3 {
-                        let mut fresh = pipeline(retention, threads);
+                        let mut fresh = pipeline(threads);
                         fresh.import_state_bytes(&single.export_state_bytes()).expect("import");
                         single = fresh;
                     }
@@ -364,18 +353,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    const RETENTIONS: [RetentionPolicy; 2] =
-        [RetentionPolicy::Unbounded, RetentionPolicy::MaxTweets(9)];
-
     #[test]
     fn crafted_boundary_shifts_match_the_reference_rebuild() {
         let batches = crafted_stream();
-        for retention in RETENTIONS {
-            for threads in [1, 4] {
-                for shards in [1, 4] {
-                    let tag = format!("crafted-{retention:?}-{threads}t-{shards}s");
-                    assert_matches_reference(&batches, retention, threads, shards, &tag);
-                }
+        for threads in [1, 4] {
+            for shards in [1, 4] {
+                let tag = format!("crafted-{threads}t-{shards}s");
+                assert_matches_reference(&batches, threads, shards, &tag);
             }
         }
     }
@@ -385,11 +369,10 @@ mod tests {
         let mut case = 0;
         for_each_case(0xAD_0001, 12, |rng| {
             let batches = seeded_stream(rng);
-            let retention = RETENTIONS[case % 2];
-            let threads = [1, 4][(case / 2) % 2];
-            let shards = [1, 4][(case / 4) % 2];
-            let tag = format!("seeded{case}-{retention:?}-{threads}t-{shards}s");
-            assert_matches_reference(&batches, retention, threads, shards, &tag);
+            let threads = [1, 4][case % 2];
+            let shards = [1, 4][(case / 2) % 2];
+            let tag = format!("seeded{case}-{threads}t-{shards}s");
+            assert_matches_reference(&batches, threads, shards, &tag);
             case += 1;
         });
     }
@@ -399,7 +382,7 @@ mod tests {
     /// just that tweet.
     #[test]
     fn a_bump_rescans_only_tweets_holding_a_new_first_token() {
-        let mut p = pipeline(RetentionPolicy::Unbounded, 1);
+        let mut p = pipeline(1);
         p.ingest(
             vec![toks("Andy BESHEAR spoke"), toks("saw italy today"), toks("us open tennis")],
             None,

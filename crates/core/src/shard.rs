@@ -43,8 +43,8 @@
 //! every other shard's candidate entries and mention caches — both
 //! disjoint unions by the ownership rule. Output, `/export` bytes and
 //! the combined `state_digest` come from that merged pipeline, and
-//! under every [`crate::RetentionPolicy`] they are bitwise identical
-//! to the 1-shard run at any `NGL_THREADS` / `NGL_KERNEL`.
+//! they are bitwise identical to the 1-shard run at any
+//! `NGL_THREADS` / `NGL_KERNEL`.
 //!
 //! **Failure containment.** A shard whose WAL rejects a batch that
 //! other shards committed is *wedged*: it receives no further
@@ -266,8 +266,8 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
     /// Replays `Batch`/`Finalize` records from the most-advanced
     /// shard's WAL into every lagging shard, through the lagging
     /// shard's normal durable path (so the caught-up ops are
-    /// re-committed to its own lineage). Audit records (`Evict`,
-    /// `Snapshot`) are skipped — shards re-derive those — and donor
+    /// re-committed to its own lineage). Audit records (`Snapshot`)
+    /// are skipped — shards re-derive those — and donor
     /// *snapshots* are never applied (they hold the donor's ownership,
     /// not the lagging shard's). Errors if the donor has
     /// compacted past a lagging shard's position.

@@ -12,9 +12,8 @@
 //! and `prev` the frame checksum of the record before it in the log.
 //! Frame checksums therefore chain, and the one a snapshot stores binds
 //! every record it references. Segments are numbered by the stream
-//! index of the first record appended to them, so every record of a
-//! segment lies below the next segment's number, and compaction below a
-//! stream index needs no lookup.
+//! index of the first record appended to them. The log is never
+//! compacted: every snapshot references the whole stream.
 
 use std::ops::ControlFlow;
 use std::path::Path;
@@ -57,14 +56,10 @@ impl TweetLog {
         snapshot: &TweetLogRef,
         segment_bytes: u64,
     ) -> Result<(Self, Vec<TweetRecord>), DurableError> {
-        if snapshot.first_retained > snapshot.len {
-            return Err(DurableError::Corrupt("snapshot retains tweets past its stream end"));
-        }
         // Sized up front, as the inline codec sizes its records, with a
         // cap so that a damaged count cannot allocate much before the
         // log disproves it.
-        let referenced = snapshot.len - snapshot.first_retained;
-        let mut records = Vec::with_capacity(referenced.min(PREALLOC_RECORDS) as usize);
+        let mut records = Vec::with_capacity(snapshot.len.min(PREALLOC_RECORDS) as usize);
         // `(index, checksum)` of the last record below the cut.
         let mut last: Option<(u64, u64)> = None;
         // The scan stops at the first record past the snapshot: the
@@ -84,21 +79,19 @@ impl TweetLog {
                     return Err(DurableError::Corrupt("tweet-log records out of order"));
                 }
             }
-            if index >= snapshot.first_retained {
-                if index - snapshot.first_retained != records.len() as u64 {
-                    return Err(DurableError::Corrupt(
-                        "tweet log lacks a record the snapshot references",
-                    ));
-                }
-                records.push(get_tweet(&mut buf)?);
-                if !buf.is_empty() {
-                    return Err(CodecError::Invalid("trailing bytes in tweet record").into());
-                }
+            if index != records.len() as u64 {
+                return Err(DurableError::Corrupt(
+                    "tweet log lacks a record the snapshot references",
+                ));
+            }
+            records.push(get_tweet(&mut buf)?);
+            if !buf.is_empty() {
+                return Err(CodecError::Invalid("trailing bytes in tweet record").into());
             }
             last = Some((index, r.checksum));
             Ok(ControlFlow::Continue(()))
         })?;
-        if records.len() as u64 != referenced {
+        if records.len() as u64 != snapshot.len {
             return Err(DurableError::Corrupt("tweet log ends before the snapshot's last record"));
         }
         if last.is_some_and(|(_, sum)| sum != snapshot.checksum) {
@@ -108,12 +101,12 @@ impl TweetLog {
         Ok((Self { wal, next: snapshot.len, last: snapshot.checksum }, records))
     }
 
-    /// Durably appends (one write, one fsync) every retained record of
-    /// `tweets` the log lacks, and returns the reference a snapshot of
-    /// `tweets` stores plus the bytes written. All or nothing, like
+    /// Durably appends (one write, one fsync) every record of `tweets`
+    /// the log lacks, and returns the reference a snapshot of `tweets`
+    /// stores plus the bytes written. All or nothing, like
     /// [`Wal::commit`]: after an error the log is as it was.
     pub(crate) fn append(&mut self, tweets: &TweetBase) -> Result<(TweetLogRef, u64), StoreError> {
-        let from = self.next.max(tweets.first_retained() as u64);
+        let from = self.next;
         let to = tweets.len() as u64;
         let mut last = self.last;
         let mut payloads = Vec::with_capacity(to.saturating_sub(from) as usize);
@@ -135,18 +128,7 @@ impl TweetLog {
         }
         self.next = self.next.max(to);
         self.last = last;
-        let r =
-            TweetLogRef { first_retained: tweets.first_retained() as u64, len: to, checksum: last };
-        Ok((r, bytes))
-    }
-
-    /// Deletes the segments that hold only records below stream index
-    /// `floor`, the first retained tweet of the oldest snapshot kept.
-    pub(crate) fn compact_below(&mut self, floor: u64) -> Result<usize, StoreError> {
-        match self.wal.segments()?.into_iter().filter(|&s| s <= floor).max() {
-            Some(first_kept) => self.wal.compact_below(first_kept),
-            None => Ok(0),
-        }
+        Ok((TweetLogRef { len: to, checksum: last }, bytes))
     }
 }
 
@@ -177,12 +159,10 @@ mod tests {
         names
     }
 
-    /// Under front eviction the log skips records evicted before any
-    /// snapshot covered them, numbers segments by their first record,
-    /// drops the segments below a compaction floor, and still reopens
-    /// at the newest reference and at the fallback before it.
+    /// The log numbers segments by their first record and reopens at
+    /// the newest reference and at the fallback before it.
     #[test]
-    fn evicting_streams_compact_and_reopen_at_either_kept_snapshot() {
+    fn streams_reopen_at_either_kept_snapshot() {
         let dir = std::env::temp_dir().join(format!("ngl-tweetlog-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("dir");
@@ -196,30 +176,26 @@ mod tests {
             for k in 0..5 {
                 tweets.push(record(round * 5 + k));
             }
-            while tweets.retained() > 3 {
-                tweets.evict_front();
-            }
             refs.push(log.append(&tweets).expect("append").0);
         }
-        assert_eq!(refs[11], TweetLogRef { first_retained: 57, len: 60, checksum: log.last });
-        let before = segments(&dir);
-        assert!(before.len() > 3, "small segments must have rotated: {before:?}");
-        // Keep what the fallback (refs[10]) references.
-        let floor = refs[10].first_retained;
-        assert!(log.compact_below(floor).expect("compact") > 0);
-        let after = segments(&dir);
-        let first: u64 = after[0][TWEET_LOG_PREFIX.len()..][..8].parse().expect("seq");
-        assert!(first <= floor && after.len() < before.len(), "{after:?}");
+        assert_eq!(refs[11], TweetLogRef { len: 60, checksum: log.last });
+        let names = segments(&dir);
+        assert!(names.len() > 3, "small segments must have rotated: {names:?}");
+        for name in &names {
+            let first: usize = name[TWEET_LOG_PREFIX.len()..][..8].parse().expect("seq");
+            assert_eq!(first % 5, 0, "{name} starts mid-append");
+        }
         drop(log);
 
         let (_, newest) = TweetLog::open(&dir, io.clone(), &refs[11], 256).expect("newest");
-        assert_eq!(tokens(&newest), ["t57", "t58", "t59"]);
-        assert_eq!(newest[1].embeddings.as_slice(), record(58).embeddings.as_slice());
+        assert_eq!(newest.len(), 60);
+        assert_eq!(tokens(&newest[57..]), ["t57", "t58", "t59"]);
+        assert_eq!(newest[58].embeddings.as_slice(), record(58).embeddings.as_slice());
         // Falling back cuts the newest snapshot's records; appending
         // them again restores the same reference.
         let (mut log, fallback) =
             TweetLog::open(&dir, io.clone(), &refs[10], 256).expect("fallback");
-        assert_eq!(tokens(&fallback), ["t52", "t53", "t54"]);
+        assert_eq!(tokens(&fallback[52..]), ["t52", "t53", "t54"]);
         assert_eq!(log.append(&tweets).expect("re-append").0, refs[11]);
         drop(log);
 

@@ -15,7 +15,7 @@
 //! always see the last finalized state and never contend with
 //! ingestion beyond one `RwLock` pointer swap.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use ngl_core::IoStatsSnapshot;
 use ngl_core::{
     BatchOutput, BatchReport, DegradationMode, DurableError, DurableGlobalizer, NerGlobalizer,
-    RetentionPolicy, ShardedGlobalizer,
+    ShardedGlobalizer,
 };
 use ngl_encoder::ContextualTagger;
 
@@ -85,21 +85,6 @@ impl<T: ContextualTagger + Send + Sync> EngineStore<T> {
         match self {
             EngineStore::Single(s) => s.degradation().mode(),
             EngineStore::Sharded(s) => s.worst_mode(),
-        }
-    }
-
-    /// Retention pressure: the sharded value is the worst shard's
-    /// (the most advanced one's; replicated ingest gives every current
-    /// shard the same tweet store).
-    pub(crate) fn pressure_milli(&self) -> u64 {
-        match self {
-            EngineStore::Single(s) => retention_pressure_milli(s.inner()),
-            EngineStore::Sharded(s) => s
-                .shards()
-                .iter()
-                .map(|shard| retention_pressure_milli(shard.inner()))
-                .max()
-                .unwrap_or(0),
         }
     }
 
@@ -182,9 +167,6 @@ pub(crate) struct Shared<T: ContextualTagger> {
     pub worst_mode: AtomicU8,
     /// Number of store shards (1 = unsharded).
     pub shard_count: u32,
-    /// Retention fill ratio in permille (1000 = exactly at the
-    /// configured cap); see [`retention_pressure_milli`].
-    pub pressure_milli: AtomicU64,
     /// The query snapshot: the pipeline as of the last finalize.
     pub snapshot: RwLock<Arc<NerGlobalizer<T>>>,
     /// Set once by [`crate::Server::shutdown`]; every loop in the crate
@@ -210,23 +192,6 @@ pub(crate) fn mode_name(encoded: u8) -> &'static str {
     }
 }
 
-/// Retention fill ratio in permille. Above 1000 the pipeline holds more
-/// than its cap between finalizes (eviction runs at finalize time), so
-/// a threshold comfortably above 1000 distinguishes "operating at cap"
-/// from "falling behind".
-pub(crate) fn retention_pressure_milli<T: ContextualTagger>(g: &NerGlobalizer<T>) -> u64 {
-    let ratio_milli = |used: u64, cap: usize| {
-        if cap == 0 {
-            return 0;
-        }
-        used.saturating_mul(1000) / cap as u64
-    };
-    match g.config().retention {
-        RetentionPolicy::Unbounded => 0,
-        RetentionPolicy::MaxTweets(cap) => ratio_milli(g.tweet_base().retained() as u64, cap),
-    }
-}
-
 /// Mirrors store-side health and IO counters into the shared
 /// stats so `/stats` serves them without touching the engine.
 pub(crate) fn refresh_store_view<T: ContextualTagger + Send + Sync>(
@@ -236,7 +201,6 @@ pub(crate) fn refresh_store_view<T: ContextualTagger + Send + Sync>(
     let stats = &shared.stats;
     shared.mode.store(mode_to_u8(store.admission_mode()), Ordering::Relaxed);
     shared.worst_mode.store(mode_to_u8(store.worst_mode()), Ordering::Relaxed);
-    shared.pressure_milli.store(store.pressure_milli(), Ordering::Relaxed);
     let io = store.io_stats();
     stats.io_transient_retries.store(io.transient_retries, Ordering::Relaxed);
     stats.io_retry_exhausted.store(io.retry_exhausted, Ordering::Relaxed);

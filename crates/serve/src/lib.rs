@@ -15,8 +15,8 @@
 //!   [`ngl_core::BatchReport`] rejections travel back to the
 //!   submitting client as typed statuses.
 //! * **Query path** — `/tag` tags one message against the global state
-//!   without mutating it, `/surface` lists a surface's clusters, types
-//!   and staleness. Queries run against the **snapshot rule**: the
+//!   without mutating it, `/surface` lists a surface's clusters and
+//!   types. Queries run against the **snapshot rule**: the
 //!   engine publishes a pipeline clone after every finalize (models
 //!   and tweet records shared by pointer, the rest copied), and
 //!   readers see exactly that last finalized state — one `RwLock`
@@ -24,8 +24,8 @@
 //! * **Admission control** — ingest sheds with typed responses instead
 //!   of queueing unboundedly or hanging: HTTP 503 when the
 //!   [`ngl_core::DegradationMode`] ladder reaches WalOnly/ReadOnly
-//!   (e.g. chaos-injected ENOSPC), HTTP 429 when retention pressure
-//!   crosses the configured threshold or the submission queue is full.
+//!   (e.g. chaos-injected ENOSPC), HTTP 429 when the submission queue
+//!   is full.
 //!
 //! ## Endpoints
 //!
@@ -33,7 +33,7 @@
 //! |---|---|
 //! | `POST /ingest` | Lines of `id<TAB>text` (or bare `text`); one typed ack per line |
 //! | `GET /tag?q=…` | Read-only tagging against the last finalized state |
-//! | `GET /surface?s=…` | Clusters / types / staleness for one surface |
+//! | `GET /surface?s=…` | Clusters / types for one surface |
 //! | `GET /stats` | Counters, batch sizes, p50/p99 ingest-to-ack latency, IO stats |
 //! | `GET /health` | Degradation mode and admission verdict |
 //! | `GET /digest` | State digest of the query snapshot |
@@ -91,11 +91,6 @@ pub struct ServeConfig {
     /// How long an ingest request waits for its acks before answering
     /// with a typed `ack_timeout` status (the tweet may still commit).
     pub ack_timeout_ms: u64,
-    /// Retention pressure, in permille of the configured cap, at which
-    /// ingest sheds (1000 = exactly at cap; eviction runs at finalize
-    /// time, so sustained values well above 1000 mean ingest is
-    /// outrunning eviction).
-    pub pressure_shed_milli: u64,
 }
 
 impl Default for ServeConfig {
@@ -107,7 +102,6 @@ impl Default for ServeConfig {
             queue_cap: 1024,
             finalize_every: 8,
             ack_timeout_ms: 10_000,
-            pressure_shed_milli: 2000,
         }
     }
 }
@@ -139,7 +133,6 @@ struct HandlerCtx<T: ContextualTagger> {
     recovery: Arc<ServeRecovery>,
     auto_id: Arc<AtomicU64>,
     ack_timeout: Duration,
-    pressure_shed_milli: u64,
 }
 
 impl<T: ContextualTagger> Clone for HandlerCtx<T> {
@@ -150,7 +143,6 @@ impl<T: ContextualTagger> Clone for HandlerCtx<T> {
             recovery: self.recovery.clone(),
             auto_id: self.auto_id.clone(),
             ack_timeout: self.ack_timeout,
-            pressure_shed_milli: self.pressure_shed_milli,
         }
     }
 }
@@ -212,7 +204,6 @@ impl<T: ContextualTagger + Send + Sync + 'static> Server<T> {
             mode: AtomicU8::new(0),
             worst_mode: AtomicU8::new(0),
             shard_count: store.shard_count(),
-            pressure_milli: AtomicU64::new(0),
             snapshot: RwLock::new(Arc::new(store.query_view().clone())),
             shutdown: AtomicBool::new(false),
         });
@@ -241,7 +232,6 @@ impl<T: ContextualTagger + Send + Sync + 'static> Server<T> {
             recovery: Arc::new(recovery),
             auto_id,
             ack_timeout: Duration::from_millis(cfg.ack_timeout_ms.max(1)),
-            pressure_shed_milli: cfg.pressure_shed_milli.max(1),
         };
         let accept_shared = shared.clone();
         let accept_handle =
@@ -363,20 +353,11 @@ fn ingest<T: ContextualTagger>(req: &http::Request, ctx: &HandlerCtx<T>) -> (u16
     }
     // Admission ladder, checked before anything is enqueued:
     // WalOnly/ReadOnly → the store cannot take (or cannot safely take)
-    // writes, shed the whole request; retention pressure → the pipeline
-    // is outrunning eviction, shed; queue full → per-line shed below.
+    // writes, shed the whole request; queue full → per-line shed below.
     let mode = ctx.shared.mode.load(Ordering::Relaxed);
     if mode >= engine::mode_to_u8(ngl_core::DegradationMode::WalOnly) {
         add(&stats.shed_degraded, lines.len() as u64);
         return (503, format!("{{\"error\":\"degraded\",\"mode\":\"{}\"}}", mode_name(mode)));
-    }
-    let pressure = ctx.shared.pressure_milli.load(Ordering::Relaxed);
-    if pressure >= ctx.pressure_shed_milli {
-        add(&stats.shed_pressure, lines.len() as u64);
-        return (
-            429,
-            format!("{{\"error\":\"retention_pressure\",\"pressure_milli\":{pressure}}}"),
-        );
     }
 
     enum Slot {
@@ -507,13 +488,12 @@ fn surface<T: ContextualTagger>(req: &http::Request, ctx: &HandlerCtx<T>) -> (u1
 
 fn surface_summary_json(s: &SurfaceSummary) -> String {
     let mut out = format!(
-        "{{\"surface\":\"{}\",\"known\":{},\"resident\":{},\"mentions\":{},\"touched\":{},\"stale_frozen\":{},\"clusters\":[",
+        "{{\"surface\":\"{}\",\"known\":{},\"resident\":{},\"mentions\":{},\"touched\":{},\"clusters\":[",
         json_escape(&s.surface),
         s.known,
         s.resident,
         s.mentions,
-        s.touched,
-        s.stale_frozen
+        s.touched
     );
     for (i, c) in s.clusters.iter().enumerate() {
         if i > 0 {
@@ -539,12 +519,12 @@ fn stats_json<T: ContextualTagger>(ctx: &HandlerCtx<T>) -> String {
     format!(
         concat!(
             "{{\"accepted\":{},\"truncated\":{},\"rejected\":{},\"failed\":{},",
-            "\"shed_queue_full\":{},\"shed_degraded\":{},\"shed_pressure\":{},",
+            "\"shed_queue_full\":{},\"shed_degraded\":{},",
             "\"ack_timeouts\":{},\"batches\":{},\"batch_tweets\":{},\"max_batch\":{},",
             "\"finalizes\":{},\"finalize_failures\":{},",
             "\"queries_tag\":{},\"queries_surface\":{},\"bad_requests\":{},",
             "\"ack_p50_us\":{},\"ack_p99_us\":{},",
-            "\"mode\":\"{}\",\"worst_mode\":\"{}\",\"shard_count\":{},\"pressure_milli\":{},",
+            "\"mode\":\"{}\",\"worst_mode\":\"{}\",\"shard_count\":{},",
             "\"io_transient_retries\":{},\"io_retry_exhausted\":{},",
             "\"wal_bytes_total\":{},\"snapshots\":{},\"tweet_log_bytes\":{}}}"
         ),
@@ -554,7 +534,6 @@ fn stats_json<T: ContextualTagger>(ctx: &HandlerCtx<T>) -> String {
         get(&s.failed),
         get(&s.shed_queue_full),
         get(&s.shed_degraded),
-        get(&s.shed_pressure),
         get(&s.ack_timeouts),
         get(&s.batches),
         get(&s.batch_tweets),
@@ -569,7 +548,6 @@ fn stats_json<T: ContextualTagger>(ctx: &HandlerCtx<T>) -> String {
         mode_name(mode),
         mode_name(ctx.shared.worst_mode.load(Ordering::Relaxed)),
         ctx.shared.shard_count,
-        ctx.shared.pressure_milli.load(Ordering::Relaxed),
         get(&s.io_transient_retries),
         get(&s.io_retry_exhausted),
         get(&s.wal_bytes_total),
@@ -581,20 +559,14 @@ fn stats_json<T: ContextualTagger>(ctx: &HandlerCtx<T>) -> String {
 fn health_json<T: ContextualTagger>(ctx: &HandlerCtx<T>) -> (u16, String) {
     let mode = ctx.shared.mode.load(Ordering::Relaxed);
     let worst = ctx.shared.worst_mode.load(Ordering::Relaxed);
-    let pressure = ctx.shared.pressure_milli.load(Ordering::Relaxed);
-    let admitting = mode < engine::mode_to_u8(ngl_core::DegradationMode::WalOnly)
-        && pressure < ctx.pressure_shed_milli;
+    let admitting = mode < engine::mode_to_u8(ngl_core::DegradationMode::WalOnly);
     (
         200,
         format!(
-            concat!(
-                "{{\"mode\":\"{}\",\"worst_mode\":\"{}\",\"shard_count\":{},",
-                "\"pressure_milli\":{},\"admitting\":{}}}"
-            ),
+            "{{\"mode\":\"{}\",\"worst_mode\":\"{}\",\"shard_count\":{},\"admitting\":{}}}",
             mode_name(mode),
             mode_name(worst),
             ctx.shared.shard_count,
-            pressure,
             admitting
         ),
     )

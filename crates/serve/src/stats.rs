@@ -28,9 +28,6 @@ pub struct ServeStats {
     /// Ingest requests shed because the degradation ladder reached
     /// WalOnly/ReadOnly.
     pub shed_degraded: AtomicU64,
-    /// Ingest requests shed because retention pressure crossed the
-    /// configured threshold.
-    pub shed_pressure: AtomicU64,
     /// Acks that did not arrive within the client's wait deadline (the
     /// tweet may still commit; the client must treat it as unknown).
     pub ack_timeouts: AtomicU64,

@@ -487,6 +487,7 @@ impl Wal {
     }
 
     /// Sequence numbers of every on-disk segment, ascending.
+    #[cfg(test)]
     pub fn segments(&self) -> Result<Vec<u64>, StoreError> {
         Ok(list_segments(&self.io, &self.dir, self.prefix)?.into_keys().collect())
     }

@@ -9,14 +9,13 @@
 //! Usage:
 //!   serve_harness --store-dir DIR [--addr HOST:PORT] [--max-batch N]
 //!                 [--max-delay-ms N] [--queue-cap N] [--finalize-every N]
-//!                 [--ack-timeout-ms N] [--pressure-shed-milli N]
-//!                 [--retention-max-tweets N] [--checkpoint-every N]
+//!                 [--ack-timeout-ms N] [--checkpoint-every N]
 //!
 //! Prints `LISTENING <addr>` on stdout once the socket is bound.
 
 use std::collections::HashMap;
 
-use ner_globalizer::core::{DurableGlobalizer, GlobalizerConfig, PoolPolicy, RetentionPolicy};
+use ner_globalizer::core::{DurableGlobalizer, GlobalizerConfig, PoolPolicy};
 use ner_globalizer::serve::{devstack, ServeConfig, Server};
 
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
@@ -52,11 +51,7 @@ fn run() -> Result<(), String> {
     let flags = parse_flags(&args)?;
     let store_dir = flags.get("store-dir").ok_or("missing --store-dir")?.clone();
 
-    let mut cfg = GlobalizerConfig { pool: PoolPolicy::Shared, ..Default::default() };
-    if let Some(raw) = flags.get("retention-max-tweets") {
-        let cap: usize = raw.parse().map_err(|_| "bad --retention-max-tweets")?;
-        cfg.retention = RetentionPolicy::MaxTweets(cap);
-    }
+    let cfg = GlobalizerConfig { pool: PoolPolicy::Shared, ..Default::default() };
     let checkpoint_every: usize = num(&flags, "checkpoint-every", 4)?;
 
     let serve_cfg = ServeConfig {
@@ -66,7 +61,6 @@ fn run() -> Result<(), String> {
         queue_cap: num(&flags, "queue-cap", 1024)?,
         finalize_every: num(&flags, "finalize-every", 1)?,
         ack_timeout_ms: num(&flags, "ack-timeout-ms", 10_000)?,
-        pressure_shed_milli: num(&flags, "pressure-shed-milli", 2000)?,
     };
 
     let pipeline = devstack::pipeline(cfg);

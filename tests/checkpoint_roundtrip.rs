@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 
 use ner_globalizer::core::{
     ClassifierConfig, EntityClassifier, GlobalizerBundle, GlobalizerConfig, NerGlobalizer,
-    PhraseEmbedder, PhraseEmbedderConfig, RetentionPolicy,
+    PhraseEmbedder, PhraseEmbedderConfig,
 };
 use ner_globalizer::encoder::{
     ContextualTagger, EncoderConfig, SentenceEncoding, SequenceTagger, TokenEncoder,
@@ -174,26 +174,6 @@ fn v2_checkpoint_resume_is_bitwise_identical() {
             assert!(report.errors[0].message.contains("duplicate tweet id"));
         }
     }
-}
-
-#[test]
-fn checkpoint_preserves_eviction_state() {
-    let stream = gen_stream(77, 16);
-    let cfg = GlobalizerConfig { retention: RetentionPolicy::MaxTweets(3), ..Default::default() };
-    let mut reference = pipeline(cfg);
-    let ref_out = drive(&mut reference, &stream);
-
-    let mut first = pipeline(cfg);
-    drive(&mut first, &stream[..2 * BATCH]);
-    assert!(first.tweet_base().first_retained() > 0, "eviction happened before the snapshot");
-    let mut resumed = snapshot_and_restore(&first);
-    drop(first);
-    let out = drive(&mut resumed, &stream[2 * BATCH..]);
-
-    assert_eq!(out, ref_out);
-    assert_eq!(fingerprint(&resumed), fingerprint(&reference));
-    assert_eq!(resumed.tweet_base().first_retained(), reference.tweet_base().first_retained());
-    assert_eq!(resumed.tweet_base().retained(), reference.tweet_base().retained());
 }
 
 #[test]

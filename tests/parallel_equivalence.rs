@@ -8,13 +8,12 @@
 
 use ner_globalizer::core::{
     AblationMode, ClassifierConfig, EntityClassifier, GlobalizerConfig, NerGlobalizer,
-    PhraseEmbedder, PhraseEmbedderConfig, RetentionPolicy, ShardedGlobalizer,
+    PhraseEmbedder, PhraseEmbedderConfig, ShardedGlobalizer,
 };
 use ner_globalizer::encoder::{ContextualTagger, SentenceEncoding, SequenceTagger};
 use ner_globalizer::nn::Matrix;
 use ner_globalizer::runtime::rng::{for_each_case, SplitMix64};
 use ner_globalizer::runtime::Executor;
-use ner_globalizer::store::fnv1a64;
 use ner_globalizer::text::{BioTag, EntityType};
 
 const DIM: usize = 8;
@@ -346,91 +345,6 @@ fn carried_clusters_match_a_from_scratch_finalize() {
     });
 }
 
-/// Under `RetentionPolicy::MaxTweets` a from-scratch reset cannot
-/// rebuild evicted tweets, so the exported state after every finalize
-/// is pinned instead: `fnv1a64` of the export bytes, per ablation mode
-/// (in `ALL_MODES` order), as produced by a pipeline that reclusters
-/// every surface on every rebuild.
-#[test]
-fn carried_clusters_under_max_tweets_retention_match_pinned_exports() {
-    const PINNED: [[u64; 10]; 4] = [
-        [
-            7768078378153461698,
-            13119910558053073134,
-            1421441730608841509,
-            11162090893232152093,
-            6912242129433499972,
-            16951185564867667451,
-            11561781148968486577,
-            10741458346744632882,
-            17446275789861802656,
-            11244960076817356635,
-        ],
-        [
-            11371059962749979019,
-            4954768340640668376,
-            4408497972729482531,
-            15517737950758141140,
-            15993097390896652268,
-            6138532918150916448,
-            11633582640256783717,
-            9673738200284694923,
-            7167463132082434646,
-            17794575784591002702,
-        ],
-        [
-            2041699782258449842,
-            1260035391245607843,
-            18269691681131408416,
-            12094926439374279149,
-            2549994056578289991,
-            5924848174336348755,
-            1825788440365610360,
-            2268651903117590050,
-            5683789813772398277,
-            18091446524378433369,
-        ],
-        [
-            9055308949515927385,
-            696274023264156225,
-            10845605293272763960,
-            10136089939499044250,
-            10129582892910514871,
-            10795550866291266106,
-            9790776907433720233,
-            10097496212584265344,
-            3171959786490987245,
-            8280995950655823554,
-        ],
-    ];
-    let batches = seeding_stream(&mut SplitMix64::new(0x5E9_0004), 10);
-    for (mode, pinned) in ALL_MODES.into_iter().zip(PINNED) {
-        let mut p = NerGlobalizer::new(
-            FakeTagger,
-            PhraseEmbedder::new(PhraseEmbedderConfig { dim: DIM, ..Default::default() }),
-            EntityClassifier::new(ClassifierConfig { dim: DIM, ..Default::default() }),
-            GlobalizerConfig {
-                ablation: mode,
-                retention: RetentionPolicy::MaxTweets(6),
-                ..Default::default()
-            },
-        )
-        .with_executor(Executor::new(2));
-        let exports: Vec<u64> = batches
-            .iter()
-            .map(|batch| {
-                p.ingest(batch.to_vec(), None);
-                p.finalize();
-                fnv1a64(&p.export_state_bytes())
-            })
-            .collect();
-        if mode != AblationMode::LocalOnly {
-            assert!(p.tweet_base().first_retained() > 0, "nothing was evicted in {mode:?}");
-        }
-        assert_eq!(exports, pinned, "export bytes moved in {mode:?}");
-    }
-}
-
 /// Local NER stand-in that seeds multi-token surfaces: a capitalized
 /// token (`#` markers ignored) begins a span and an all-caps one
 /// continues it. A token embeds as its folded hash one-hot plus half
@@ -508,12 +422,12 @@ fn boundary_stream(rng: &mut SplitMix64) -> Vec<Vec<Vec<String>>> {
         .collect()
 }
 
-fn span_pipeline(retention: RetentionPolicy) -> NerGlobalizer<SpanTagger> {
+fn span_pipeline() -> NerGlobalizer<SpanTagger> {
     NerGlobalizer::new(
         SpanTagger,
         PhraseEmbedder::new(PhraseEmbedderConfig { dim: DIM, ..Default::default() }),
         EntityClassifier::new(ClassifierConfig { dim: DIM, ..Default::default() }),
-        GlobalizerConfig { retention, ..Default::default() },
+        GlobalizerConfig::default(),
     )
 }
 
@@ -521,46 +435,38 @@ fn span_pipeline(retention: RetentionPolicy) -> NerGlobalizer<SpanTagger> {
 /// for and patches the candidate store in place. After every finalize
 /// that incremental state equals — in `/export` bytes and state digest —
 /// a pipeline whose memo was dropped first (a checkpoint round trip),
-/// which rescans and re-admits every retained tweet, and a 4-shard
-/// store's merged view; under `Unbounded` and `MaxTweets`, at the
-/// environment's thread count and kernel.
+/// which rescans and re-admits every stored tweet, and a 4-shard
+/// store's merged view; at the environment's thread count and kernel.
 #[test]
 fn memo_rescans_match_full_rescans_at_one_and_four_shards() {
     for_each_case(0x5E9_0005, 6, |rng| {
         let batches = boundary_stream(rng);
-        for retention in [RetentionPolicy::Unbounded, RetentionPolicy::MaxTweets(8)] {
-            let dir = std::env::temp_dir()
-                .join(format!("ngl-par-eq-memo-{}-{retention:?}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let mut memo = span_pipeline(retention);
-            let mut full = span_pipeline(retention);
-            let (mut sharded, _) =
-                ShardedGlobalizer::open(span_pipeline(retention), &dir, 4, 4).expect("open");
-            // Old tweets each side rescanned; `full` is a new pipeline
-            // at every finalize.
-            let mut full_rescanned = 0;
-            for (i, batch) in batches.iter().enumerate() {
-                memo.ingest(batch.clone(), None);
-                sharded.ingest(batch.clone(), None).expect("ingest");
-                full.ingest(batch.clone(), None);
-                let mut again = span_pipeline(retention);
-                again.import_state_bytes(&full.export_state_bytes()).expect("import");
-                full = again;
-                let spans = memo.finalize();
-                assert_eq!(spans, full.finalize(), "{retention:?}, finalize {i}");
-                assert_eq!(spans, sharded.finalize().expect("finalize"));
-                let bytes = memo.export_state_bytes();
-                assert!(bytes == full.export_state_bytes(), "{retention:?}, finalize {i}");
-                assert!(bytes == sharded.merged().export_state_bytes(), "{retention:?}, {i}");
-                assert_eq!(memo.state_digest(), full.state_digest());
-                assert_eq!(memo.state_digest(), sharded.combined_digest());
-                full_rescanned += full.timings().tweets_rescanned;
-            }
-            assert!(
-                memo.timings().tweets_rescanned < full_rescanned,
-                "the memo skipped no tweet under {retention:?}"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
+        let dir = std::env::temp_dir().join(format!("ngl-par-eq-memo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut memo = span_pipeline();
+        let mut full = span_pipeline();
+        let (mut sharded, _) = ShardedGlobalizer::open(span_pipeline(), &dir, 4, 4).expect("open");
+        // Old tweets each side rescanned; `full` is a new pipeline at
+        // every finalize.
+        let mut full_rescanned = 0;
+        for (i, batch) in batches.iter().enumerate() {
+            memo.ingest(batch.clone(), None);
+            sharded.ingest(batch.clone(), None).expect("ingest");
+            full.ingest(batch.clone(), None);
+            let mut again = span_pipeline();
+            again.import_state_bytes(&full.export_state_bytes()).expect("import");
+            full = again;
+            let spans = memo.finalize();
+            assert_eq!(spans, full.finalize(), "finalize {i}");
+            assert_eq!(spans, sharded.finalize().expect("finalize"));
+            let bytes = memo.export_state_bytes();
+            assert!(bytes == full.export_state_bytes(), "finalize {i}");
+            assert!(bytes == sharded.merged().export_state_bytes(), "finalize {i}");
+            assert_eq!(memo.state_digest(), full.state_digest());
+            assert_eq!(memo.state_digest(), sharded.combined_digest());
+            full_rescanned += full.timings().tweets_rescanned;
         }
+        assert!(memo.timings().tweets_rescanned < full_rescanned, "the memo skipped no tweet");
+        let _ = std::fs::remove_dir_all(&dir);
     });
 }

@@ -10,9 +10,9 @@
 //!    is bitwise identical to a clean run over the committed batch
 //!    partition; every acked tweet survives, and nothing that was never
 //!    submitted appears.
-//! 3. **Admission control** — storage faults (chaos ENOSPC), retention
-//!    pressure and queue overflow shed with typed responses, within
-//!    deadlines, without taking the server down.
+//! 3. **Admission control** — storage faults (chaos ENOSPC) and queue
+//!    overflow shed with typed responses, within deadlines, without
+//!    taking the server down.
 //!
 //! The kill tests drive the `serve_harness` binary (deterministic
 //! devstack models, so a restarted process reconstructs the same
@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ner_globalizer::core::{DurableGlobalizer, GlobalizerConfig, PoolPolicy, RetentionPolicy};
+use ner_globalizer::core::{DurableGlobalizer, GlobalizerConfig, PoolPolicy};
 use ner_globalizer::runtime::faults::{IoFault, IoFaultKind, IoFaultPlan, IoOp, IoPathClass};
 use ner_globalizer::serve::client::{percent_encode, Client};
 use ner_globalizer::serve::{devstack, ServeConfig, Server};
@@ -499,77 +499,6 @@ fn queue_overflow_sheds_typed_per_tweet() {
     let (_, stats) = client.get("/stats").expect("stats");
     assert_eq!(json_u64(&stats, "shed_queue_full"), shed as u64);
     assert_eq!(json_u64(&stats, "accepted"), acked as u64);
-
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn retention_pressure_sheds_until_finalize_evicts_to_cap() {
-    const CAP: usize = 8;
-    let dir = scratch("pressure");
-    let cfg = GlobalizerConfig { retention: RetentionPolicy::MaxTweets(CAP), ..shared_cfg() };
-    let (durable, recovery) =
-        DurableGlobalizer::open(devstack::pipeline(cfg), &dir, 8).expect("open");
-    // A request of 2×CAP lines fills one batch at once; the next
-    // finalize is due after 4 batches, or when the queue has been idle
-    // for `max_delay_ms`. Until then the store holds 2×CAP tweets:
-    // pressure 2000‰, above the 1500‰ shed threshold.
-    let server = Server::start(
-        durable,
-        recovery,
-        ServeConfig {
-            max_batch: 2 * CAP,
-            max_delay_ms: 2000,
-            finalize_every: 4,
-            pressure_shed_milli: 1500,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("start");
-    let mut client = Client::new(server.addr().to_string());
-    let request = |first: u64| -> String {
-        (first..first + 2 * CAP as u64).map(|id| format!("{id}\t{}\n", tweet_text(id))).collect()
-    };
-    let wait_admitting = |client: &mut Client, want: bool| {
-        let deadline = Instant::now() + Duration::from_secs(20);
-        loop {
-            let (_, health) = client.get("/health").expect("health");
-            if health.contains(&format!("\"admitting\":{want}")) {
-                return health;
-            }
-            assert!(Instant::now() < deadline, "admitting never became {want}: {health}");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    };
-
-    let (status, body) = client.ingest(&request(0)).expect("ingest 2x cap");
-    assert_eq!(status, 200, "{body}");
-    let results = parse_results(&body);
-    assert_eq!(results.len(), 2 * CAP);
-    assert!(results.iter().all(|(_, s)| s == "acked"), "2x cap must commit: {body}");
-
-    // Over the threshold: health stops admitting and the next request
-    // is shed whole, before anything is enqueued.
-    let health = wait_admitting(&mut client, false);
-    assert!(json_u64(&health, "pressure_milli") >= 1500, "{health}");
-    let (status, body) = client.ingest(&request(100)).expect("ingest under pressure");
-    assert_eq!(status, 429, "pressure sheds: {body}");
-    assert!(body.contains("\"error\":\"retention_pressure\""), "typed shed: {body}");
-    let (_, stats) = client.get("/stats").expect("stats");
-    assert_eq!(json_u64(&stats, "shed_pressure"), 2 * CAP as u64);
-    assert_eq!(json_u64(&stats, "accepted"), 2 * CAP as u64);
-
-    // The idle finalize evicts down to the cap, and ingest is admitted
-    // again.
-    let health = wait_admitting(&mut client, true);
-    assert_eq!(json_u64(&health, "pressure_milli"), 1000, "evicted to exactly the cap: {health}");
-    let (status, body) = client.ingest(&request(200)).expect("ingest after eviction");
-    assert_eq!(status, 200, "{body}");
-    assert!(parse_results(&body).iter().all(|(_, s)| s == "acked"), "{body}");
-    let (_, stats) = client.get("/stats").expect("stats");
-    assert_eq!(json_u64(&stats, "shed_pressure"), 2 * CAP as u64);
-    assert!(json_u64(&stats, "finalizes") >= 1);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

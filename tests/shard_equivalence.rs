@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use ner_globalizer::core::{
     AblationMode, ClassifierConfig, DegradationMode, EntityClassifier, GlobalizerConfig,
-    NerGlobalizer, PhraseEmbedder, PhraseEmbedderConfig, RetentionPolicy, ShardedGlobalizer,
+    NerGlobalizer, PhraseEmbedder, PhraseEmbedderConfig, ShardedGlobalizer,
 };
 use ner_globalizer::encoder::{ContextualTagger, SentenceEncoding, SequenceTagger};
 use ner_globalizer::nn::Matrix;
@@ -90,7 +90,7 @@ fn pipeline(threads: usize, cfg: GlobalizerConfig) -> NerGlobalizer<HashTagger> 
 }
 
 fn cfg(ablation: AblationMode) -> GlobalizerConfig {
-    GlobalizerConfig { ablation, retention: RetentionPolicy::Unbounded, ..Default::default() }
+    GlobalizerConfig { ablation, ..Default::default() }
 }
 
 fn full_cfg() -> GlobalizerConfig {

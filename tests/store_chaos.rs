@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 use ner_globalizer::core::{
     AblationMode, ClassifierConfig, DegradationCause, DegradationMode, DurableError,
     DurableGlobalizer, EntityClassifier, GlobalizerConfig, NerGlobalizer, PhraseEmbedder,
-    PhraseEmbedderConfig, RetentionPolicy,
+    PhraseEmbedderConfig,
 };
 use ner_globalizer::encoder::{ContextualTagger, SentenceEncoding, SequenceTagger};
 use ner_globalizer::nn::Matrix;
@@ -88,8 +88,8 @@ fn pipeline(threads: usize, cfg: GlobalizerConfig) -> NerGlobalizer<HashTagger> 
     .with_executor(Executor::new(threads))
 }
 
-fn full_cfg(retention: RetentionPolicy) -> GlobalizerConfig {
-    GlobalizerConfig { ablation: AblationMode::FullGlobal, retention, ..Default::default() }
+fn full_cfg() -> GlobalizerConfig {
+    GlobalizerConfig { ablation: AblationMode::FullGlobal, ..Default::default() }
 }
 
 fn gen_stream(seed: u64, n: usize) -> Vec<Vec<String>> {
@@ -151,7 +151,7 @@ const SWEEP_CLASSES: &[IoPathClass] = &[IoPathClass::Wal, IoPathClass::Snapshot]
 fn open_retrying(threads: usize, dir: &Path, io: &IoHandle) -> DurableGlobalizer<HashTagger> {
     for _ in 0..100 {
         match DurableGlobalizer::open_with_io(
-            pipeline(threads, full_cfg(RetentionPolicy::Unbounded)),
+            pipeline(threads, full_cfg()),
             dir,
             CKPT,
             None,
@@ -206,9 +206,8 @@ fn run_chaos(threads: usize, dir: &Path, plan: IoFaultPlan) -> ChaosOutcome {
 /// Reopens `dir` with real IO and a fresh pipeline, returning the
 /// recovered digest and full state bytes.
 fn recover(threads: usize, dir: &Path) -> (u64, Vec<u8>) {
-    let (durable, _) =
-        DurableGlobalizer::open(pipeline(threads, full_cfg(RetentionPolicy::Unbounded)), dir, CKPT)
-            .expect("recovery with faults cleared must succeed");
+    let (durable, _) = DurableGlobalizer::open(pipeline(threads, full_cfg()), dir, CKPT)
+        .expect("recovery with faults cleared must succeed");
     (durable.inner().state_digest(), durable.inner().export_state_bytes())
 }
 
@@ -333,14 +332,9 @@ fn enospc_degrades_to_read_only_and_clears_when_space_returns() {
         kind: IoFaultKind::NoSpace { span: 3 },
     });
     let io = IoHandle::chaos(plan, RetryPolicy::default().no_sleep());
-    let (mut durable, _) = DurableGlobalizer::open_with_io(
-        pipeline(1, full_cfg(RetentionPolicy::Unbounded)),
-        &dir,
-        100,
-        None,
-        io,
-    )
-    .expect("open");
+    let (mut durable, _) =
+        DurableGlobalizer::open_with_io(pipeline(1, full_cfg()), &dir, 100, None, io)
+            .expect("open");
     let batch = gen_stream(0xE105, BATCH);
 
     let err = durable.ingest(batch.clone(), None).expect_err("disk is full");
@@ -376,8 +370,7 @@ fn enospc_degrades_to_read_only_and_clears_when_space_returns() {
     durable.finalize().expect("finalize");
     drop(durable);
     let (recovered, report) =
-        DurableGlobalizer::open(pipeline(1, full_cfg(RetentionPolicy::Unbounded)), &dir, 100)
-            .expect("reopen");
+        DurableGlobalizer::open(pipeline(1, full_cfg()), &dir, 100).expect("reopen");
     assert_eq!(report.replayed_batches, 1, "exactly one batch record must be durable");
     assert_eq!(recovered.inner().tweet_base().len(), batch.len());
     let _ = std::fs::remove_dir_all(&dir);
@@ -407,22 +400,16 @@ fn fsync_failure_rolls_back_the_finalize_mark() {
     let dir = scratch("fsync-crash");
     {
         let io = IoHandle::chaos(plan(), RetryPolicy::default().no_sleep());
-        let (mut durable, _) = DurableGlobalizer::open_with_io(
-            pipeline(1, full_cfg(RetentionPolicy::Unbounded)),
-            &dir,
-            100,
-            None,
-            io,
-        )
-        .expect("open");
+        let (mut durable, _) =
+            DurableGlobalizer::open_with_io(pipeline(1, full_cfg()), &dir, 100, None, io)
+                .expect("open");
         durable.ingest(batch.clone(), None).expect("batch commits");
         let err = durable.finalize().expect_err("finalize fsync fails");
         assert!(matches!(err, DurableError::Store(StoreError::Io(_))), "typed error: {err}");
         assert!(durable.has_pending_finalize(), "failed finalize must be stashed, not acked");
     } // dropped mid-degradation: simulated crash
     let (_, report) =
-        DurableGlobalizer::open(pipeline(1, full_cfg(RetentionPolicy::Unbounded)), &dir, 100)
-            .expect("reopen after crash");
+        DurableGlobalizer::open(pipeline(1, full_cfg()), &dir, 100).expect("reopen after crash");
     assert_eq!(report.replayed_batches, 1, "the batch committed before the finalize");
     assert_eq!(
         report.replayed_finalizes, 0,
@@ -436,8 +423,7 @@ fn fsync_failure_rolls_back_the_finalize_mark() {
     let want = {
         let dir = scratch("fsync-ref");
         let (mut clean, _) =
-            DurableGlobalizer::open(pipeline(1, full_cfg(RetentionPolicy::Unbounded)), &dir, 100)
-                .expect("open clean");
+            DurableGlobalizer::open(pipeline(1, full_cfg()), &dir, 100).expect("open clean");
         clean.ingest(batch.clone(), None).expect("batch");
         let out = clean.finalize().expect("finalize");
         let _ = std::fs::remove_dir_all(&dir);
@@ -446,14 +432,9 @@ fn fsync_failure_rolls_back_the_finalize_mark() {
     let dir = scratch("fsync-retry");
     {
         let io = IoHandle::chaos(plan(), RetryPolicy::default().no_sleep());
-        let (mut durable, _) = DurableGlobalizer::open_with_io(
-            pipeline(1, full_cfg(RetentionPolicy::Unbounded)),
-            &dir,
-            100,
-            None,
-            io,
-        )
-        .expect("open");
+        let (mut durable, _) =
+            DurableGlobalizer::open_with_io(pipeline(1, full_cfg()), &dir, 100, None, io)
+                .expect("open");
         durable.ingest(batch.clone(), None).expect("batch commits");
         durable.finalize().expect_err("finalize fsync fails");
         let got = durable.finalize().expect("retry commits the stashed mark");
@@ -461,9 +442,8 @@ fn fsync_failure_rolls_back_the_finalize_mark() {
         assert!(!durable.has_pending_finalize());
         assert!(durable.degradation().wal_commit_failures >= 1, "the failure left a trace");
     }
-    let (_, report) =
-        DurableGlobalizer::open(pipeline(1, full_cfg(RetentionPolicy::Unbounded)), &dir, 100)
-            .expect("reopen after retry — a duplicated mark would digest-mismatch here");
+    let (_, report) = DurableGlobalizer::open(pipeline(1, full_cfg()), &dir, 100)
+        .expect("reopen after retry — a duplicated mark would digest-mismatch here");
     assert_eq!(report.replayed_finalizes, 1, "the retried mark must be durable exactly once");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -585,7 +565,7 @@ fn snapshot_failure_degrades_to_wal_only_and_heals_on_retry() {
     });
     let io = IoHandle::chaos(plan, RetryPolicy::default().no_sleep());
     let (mut durable, _) = DurableGlobalizer::open_with_io(
-        pipeline(1, full_cfg(RetentionPolicy::Unbounded)),
+        pipeline(1, full_cfg()),
         &dir,
         1, // snapshot every finalize
         None,
@@ -605,8 +585,7 @@ fn snapshot_failure_degrades_to_wal_only_and_heals_on_retry() {
 
     // The WAL alone still recovers everything acknowledged so far.
     let (probe, recovery) =
-        DurableGlobalizer::open(pipeline(1, full_cfg(RetentionPolicy::Unbounded)), &dir, 1)
-            .expect("WAL-only store recovers");
+        DurableGlobalizer::open(pipeline(1, full_cfg()), &dir, 1).expect("WAL-only store recovers");
     assert_eq!(recovery.snapshot_seq, None, "no snapshot exists yet");
     assert_eq!(probe.inner().state_digest(), durable.inner().state_digest());
     drop(probe);
@@ -713,15 +692,10 @@ fn snapshot_read_errors_at_open_fail_it_and_cut_nothing() {
             kind: IoFaultKind::Transient,
         });
         let io = IoHandle::chaos(plan, RetryPolicy::none().no_sleep());
-        let err = DurableGlobalizer::open_with_io(
-            pipeline(threads, full_cfg(RetentionPolicy::Unbounded)),
-            &dir,
-            CKPT,
-            None,
-            io,
-        )
-        .err()
-        .expect("an unreadable newest snapshot must fail the open");
+        let err =
+            DurableGlobalizer::open_with_io(pipeline(threads, full_cfg()), &dir, CKPT, None, io)
+                .err()
+                .expect("an unreadable newest snapshot must fail the open");
         assert!(matches!(err, DurableError::Store(StoreError::Io(_))), "{threads}t: {err}");
         assert_eq!(files(&dir), before, "{threads}t: the failed open changed the store");
         assert_eq!(recover(threads, &dir), clean_recovered, "{threads}t: recovery");

@@ -608,9 +608,10 @@ fn an_op_gap_behind_a_corrupt_snapshot_fails_open_typed() {
 /// below the one the open used, not below the second-newest file, so a
 /// corrupt file above it cannot push the verified fallback out. With a
 /// snapshot every 3 finalizes: flip snap-18 after 9 batch+finalize
-/// pairs, reopen (falls back to 12), run 3 more pairs (snap-24), flip
-/// snap-24 as well; the open still recovers op 24 bitwise, at 1 and 4
-/// threads.
+/// pairs, reopen (falls back to 12; the 3 finalizes it replays count
+/// toward the cadence), run 3 more pairs (the first one writes
+/// snap-20), flip snap-20 as well; the open still recovers op 24
+/// bitwise, at 1 and 4 threads.
 #[test]
 fn a_snapshot_after_a_fallback_open_keeps_the_verified_fallback() {
     let root = scratch_root("fallbackprune");
@@ -637,9 +638,11 @@ fn a_snapshot_after_a_fallback_open_keeps_the_verified_fallback() {
         assert_eq!((report.snapshot_seq, durable.op_seq()), (Some(12), 18), "{threads}t");
         run(&mut durable, tail);
         drop(durable);
-        flip_last_byte(&case.join("snap-00000024.ck"));
+        let (newest, snapshot) = newest_snapshot(&case).expect("a snapshot");
+        assert_eq!(newest, 20, "{threads}t: the lineage's own snapshot");
+        flip_last_byte(&snapshot);
         let (durable, report) = DurableGlobalizer::open(pipeline(threads), &case, 3)
-            .unwrap_or_else(|e| panic!("{threads}t: open after flipping snap-24 failed: {e}"));
+            .unwrap_or_else(|e| panic!("{threads}t: open after flipping snap-20 failed: {e}"));
         assert_eq!((report.snapshot_seq, durable.op_seq()), (Some(12), 24), "{threads}t");
         assert!(durable.inner().export_state_bytes() == want, "{threads}t: state differs");
     }
