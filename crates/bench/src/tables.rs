@@ -717,8 +717,8 @@ pub fn parallel_bench() -> ParallelBenchResult {
     // -- giant-surface clustering tail -----------------------------------
     // One skewed surface with hundreds of mentions: inside
     // agglomerative linkage the O(n²·d) pair-distance fill and the
-    // O(n²)-comparison closest-pair scan before each merge make it the
-    // slowest surface of a finalize. Same inputs sequentially and on 4
+    // O(n·d) refresh after each merge make it the slowest surface of a
+    // finalize. Same inputs sequentially and on 4
     // threads; outputs must agree (only the fill is chunked, and it is
     // bitwise-identical by construction).
     const GIANT: usize = 320;

@@ -31,7 +31,7 @@
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
-use std::io::Read;
+use std::io::{ErrorKind, Read, Write};
 use std::process::ExitCode;
 
 use ngl_core::{
@@ -46,24 +46,58 @@ use ngl_text::{tokenize, EntityType, Span};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let out = &mut std::io::stdout().lock();
     let result = match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&parse_flags(&args[1..])),
+        Some("generate") => cmd_generate(&parse_flags(&args[1..]), out),
         Some("train") => cmd_train(&parse_flags(&args[1..])),
-        Some("tag") => cmd_tag(&parse_flags(&args[1..])),
-        Some("recover") => cmd_recover(&parse_flags(&args[1..])),
-        Some("serve") => cmd_serve(&parse_flags(&args[1..])),
-        Some("eval") => cmd_eval(&parse_flags(&args[1..])),
+        Some("tag") => cmd_tag(&parse_flags(&args[1..]), out),
+        Some("recover") => cmd_recover(&parse_flags(&args[1..]), out),
+        Some("serve") => cmd_serve(&parse_flags(&args[1..]), out),
+        Some("eval") => cmd_eval(&parse_flags(&args[1..]), out),
         Some("help") | Some("--help") | Some("-h") | None => {
             eprintln!("{}", USAGE);
             return ExitCode::SUCCESS;
         }
-        Some(other) => Err(format!("unknown command {other:?}\n{USAGE}")),
+        Some(other) => Err(format!("unknown command {other:?}\n{USAGE}").into()),
     };
-    match result {
+    match result.and_then(|()| out.flush().map_err(CliError::from)) {
         Ok(()) => ExitCode::SUCCESS,
+        // A reader that stops early (`ngl tag | head`) ends the run, not
+        // as a failure.
+        Err(CliError::Stdout(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why a command stopped: its own message, or a failed write to stdout.
+#[derive(Debug)]
+enum CliError {
+    Msg(String),
+    Stdout(std::io::Error),
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Msg(msg)
+    }
+}
+
+/// Only writes to stdout propagate a bare `io::Error` with `?`; every
+/// other I/O failure is mapped to a message where it happens.
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::Stdout(e)
+    }
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::Msg(msg) => f.write_str(msg),
+            CliError::Stdout(e) => write!(f, "writing to stdout: {e}"),
         }
     }
 }
@@ -118,7 +152,7 @@ fn parse_num<T: std::str::FromStr>(
     }
 }
 
-fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_generate(flags: &HashMap<String, String>, out: &mut impl Write) -> Result<(), CliError> {
     let profile = required(flags, "profile")?;
     let seed: u64 = parse_num(flags, "seed", 2024)?;
     let spec = match profile {
@@ -130,7 +164,7 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
         "wnut17" => profiles::wnut17_like(seed),
         "btc" => profiles::btc_like(seed),
         "local-train" => profiles::local_train(seed),
-        other => return Err(format!("unknown profile {other:?}")),
+        other => return Err(format!("unknown profile {other:?}").into()),
     };
     // Training profiles draw from the train lexicon universe, evaluation
     // profiles from the eval universe (see DESIGN.md).
@@ -145,7 +179,7 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
     let conll = dataset.to_conll();
     match flags.get("out") {
         Some(path) => std::fs::write(path, conll).map_err(|e| e.to_string())?,
-        None => print!("{conll}"),
+        None => out.write_all(conll.as_bytes())?,
     }
     let s = dataset.stats();
     eprintln!(
@@ -155,7 +189,7 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let train_path = required(flags, "train")?;
     let d5_path = required(flags, "d5")?;
     let out = required(flags, "out")?;
@@ -222,7 +256,7 @@ fn parse_shards(flags: &HashMap<String, String>) -> Result<u32, String> {
     Ok(shards)
 }
 
-fn cmd_tag(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_tag(flags: &HashMap<String, String>, out: &mut impl Write) -> Result<(), CliError> {
     let model = required(flags, "model")?;
     let bundle = GlobalizerBundle::load(model).map_err(|e| e.to_string())?;
     let text = match flags.get("input") {
@@ -239,7 +273,7 @@ fn cmd_tag(flags: &HashMap<String, String>) -> Result<(), String> {
         .map(|l| tokenize(l).into_iter().map(|t| t.text).collect())
         .collect();
     if tweets.is_empty() {
-        return Err("no input tweets".to_string());
+        return Err("no input tweets".to_string().into());
     }
 
     let shards = parse_shards(flags)?;
@@ -255,7 +289,9 @@ fn cmd_tag(flags: &HashMap<String, String>) -> Result<(), String> {
         },
     );
     if shards > 1 && !flags.contains_key("store-dir") {
-        return Err("--shards requires --store-dir (sharding partitions the durable store)".into());
+        return Err("--shards requires --store-dir (sharding partitions the durable store)"
+            .to_string()
+            .into());
     }
     let (spans, n_surfaces, wedged) = match flags.get("store-dir") {
         Some(dir) if shards > 1 => {
@@ -329,47 +365,55 @@ fn cmd_tag(flags: &HashMap<String, String>) -> Result<(), String> {
     };
 
     if flags.contains_key("conll") {
-        print!("{}", ngl_corpus::conll::predictions_to_conll(&tweets, &spans));
+        out.write_all(ngl_corpus::conll::predictions_to_conll(&tweets, &spans).as_bytes())?;
     } else {
         for (tokens, s) in tweets.iter().zip(&spans) {
             let rendered: Vec<String> =
                 s.iter().map(|sp| format!("{} [{}]", sp.surface(tokens), sp.ty)).collect();
-            println!(
+            writeln!(
+                out,
                 "{}\t=> {}",
                 tokens.join(" "),
                 if rendered.is_empty() { "-".to_string() } else { rendered.join(", ") }
-            );
+            )?;
         }
     }
     eprintln!("tagged {} tweets ({} candidate surfaces tracked)", tweets.len(), n_surfaces);
     if wedged {
         // Scripts need a hard signal that the store stopped accepting
         // writes; the tagged output above is still valid read state.
-        return Err("store is read-only: the degradation ladder wedged at ReadOnly".to_string());
+        return Err("store is read-only: the degradation ladder wedged at ReadOnly"
+            .to_string()
+            .into());
     }
     Ok(())
 }
 
 /// One recovery section (the whole store, or one shard of it).
-fn print_recovery_section(report: &RecoveryReport) {
-    println!(
+fn print_recovery_section(out: &mut impl Write, report: &RecoveryReport) -> std::io::Result<()> {
+    writeln!(
+        out,
         "snapshot:           {}",
         match report.snapshot_seq {
             Some(seq) => format!("op {seq}"),
             None => "none".to_string(),
         }
-    );
-    println!("replayed batches:   {}", report.replayed_batches);
-    println!("replayed finalizes: {}", report.replayed_finalizes);
-    println!("torn tail:          {}", report.torn_tail);
-    println!("watermark:          {}", report.watermark);
-    println!("tweets:             {}", report.tweets);
-    println!("tweets from log:    {}", report.tweets_from_log);
-    println!("surfaces:           {} ({} resident)", report.surfaces, report.resident_surfaces);
-    println!("state digest:       {:016x}", report.digest);
+    )?;
+    writeln!(out, "replayed batches:   {}", report.replayed_batches)?;
+    writeln!(out, "replayed finalizes: {}", report.replayed_finalizes)?;
+    writeln!(out, "torn tail:          {}", report.torn_tail)?;
+    writeln!(out, "watermark:          {}", report.watermark)?;
+    writeln!(out, "tweets:             {}", report.tweets)?;
+    writeln!(out, "tweets from log:    {}", report.tweets_from_log)?;
+    writeln!(
+        out,
+        "surfaces:           {} ({} resident)",
+        report.surfaces, report.resident_surfaces
+    )?;
+    writeln!(out, "state digest:       {:016x}", report.digest)
 }
 
-fn cmd_recover(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_recover(flags: &HashMap<String, String>, out: &mut impl Write) -> Result<(), CliError> {
     let model = required(flags, "model")?;
     let dir = required(flags, "store-dir")?;
     let every: usize = parse_num(flags, "checkpoint-every", 8)?;
@@ -389,54 +433,58 @@ fn cmd_recover(flags: &HashMap<String, String>) -> Result<(), String> {
         let (sharded, report) =
             ShardedGlobalizer::open_with_fingerprint(pipeline, dir, every, shards, Some(fp))
                 .map_err(|e| e.to_string())?;
-        println!("store:              {dir} ({shards} shards)");
+        writeln!(out, "store:              {dir} ({shards} shards)")?;
         for (i, shard_report) in report.shards.iter().enumerate() {
-            println!("--- shard {i:02} ---");
-            print_recovery_section(shard_report);
+            writeln!(out, "--- shard {i:02} ---")?;
+            print_recovery_section(out, shard_report)?;
             if report.caught_up_ops[i] > 0 {
-                println!(
+                writeln!(
+                    out,
                     "caught up:          {} ops from the most advanced shard's WAL",
                     report.caught_up_ops[i]
-                );
+                )?;
             }
             let health = sharded.degradations()[i].mode();
-            println!("storage health:     {health}");
+            writeln!(out, "storage health:     {health}")?;
         }
-        println!("--- combined ---");
-        println!("combined digest:    {:016x}", report.combined_digest);
-        println!(
+        writeln!(out, "--- combined ---")?;
+        writeln!(out, "combined digest:    {:016x}", report.combined_digest)?;
+        writeln!(
+            out,
             "merged surfaces:    {} ({} tweets, watermark {})",
             sharded.merged().n_surfaces(),
             sharded.merged().tweet_base().len(),
             sharded.merged().scan_watermark()
-        );
+        )?;
         drop(sharded); // recovery only: nothing new is logged
         return Ok(());
     }
     let (durable, report) =
         DurableGlobalizer::open_with_fingerprint(pipeline, dir, every, Some(fp))
             .map_err(|e| e.to_string())?;
-    println!("store:              {dir}");
-    print_recovery_section(&report);
+    writeln!(out, "store:              {dir}")?;
+    print_recovery_section(out, &report)?;
     // The inline encoding of the whole state; a snapshot file holds
     // the same state with a tweet-log reference in place of the tweets.
-    println!(
+    writeln!(
+        out,
         "export bytes:       {} (GET /export encoding, quantized codec)",
         durable.inner().export_state_bytes().len()
-    );
+    )?;
     let health = durable.degradation();
     let io = durable.io_stats();
-    println!(
+    writeln!(
+        out,
         "storage health:     {} ({} io retries absorbed, {} exhausted)",
         health.mode(),
         io.transient_retries,
         io.retry_exhausted
-    );
+    )?;
     drop(durable); // recovery only: nothing new is logged
     Ok(())
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(flags: &HashMap<String, String>, out: &mut impl Write) -> Result<(), CliError> {
     let model = required(flags, "model")?;
     let dir = required(flags, "store-dir")?;
     let every: usize = parse_num(flags, "checkpoint-every", 8)?;
@@ -483,9 +531,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         }
         ngl_serve::Server::start(durable, report, cfg).map_err(|e| e.to_string())?
     };
-    println!("LISTENING {}", server.addr());
-    use std::io::Write as _;
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
+    writeln!(out, "LISTENING {}", server.addr())?;
+    out.flush()?;
     eprintln!("serving on {} — POST /ingest, GET /tag /surface /stats /health", server.addr());
     // Serve until the process is terminated; all the work happens on
     // the server's accept and engine threads.
@@ -496,7 +543,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 
 type Sentences = Vec<(Vec<String>, Vec<Span>)>;
 
-fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_eval(flags: &HashMap<String, String>, out: &mut impl Write) -> Result<(), CliError> {
     let gold_path = required(flags, "gold")?;
     let pred_path = required(flags, "pred")?;
     let read = |path: &str| -> Result<Sentences, String> {
@@ -513,22 +560,25 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
     let gold = read(gold_path)?;
     let pred = read(pred_path)?;
     if gold.len() != pred.len() {
-        return Err(format!("sentence count mismatch: gold {} vs pred {}", gold.len(), pred.len()));
+        return Err(
+            format!("sentence count mismatch: gold {} vs pred {}", gold.len(), pred.len()).into()
+        );
     }
     for (i, (g, p)) in gold.iter().zip(&pred).enumerate() {
         if g.0 != p.0 {
-            return Err(format!("token mismatch in sentence {i}"));
+            return Err(format!("token mismatch in sentence {i}").into());
         }
     }
     let gold_spans: Vec<Vec<Span>> = gold.into_iter().map(|(_, s)| s).collect();
     let pred_spans: Vec<Vec<Span>> = pred.into_iter().map(|(_, s)| s).collect();
     let scores = evaluate(&gold_spans, &pred_spans);
-    println!("type  precision  recall  f1");
+    writeln!(out, "type  precision  recall  f1")?;
     for ty in EntityType::ALL {
         let s = scores.of(ty);
-        println!("{:<5} {:<10.3} {:<7.3} {:.3}", ty.code(), s.precision(), s.recall(), s.f1());
+        let (p, r, f1) = (s.precision(), s.recall(), s.f1());
+        writeln!(out, "{:<5} {:<10.3} {:<7.3} {:.3}", ty.code(), p, r, f1)?;
     }
-    println!("macro-F1: {:.3}", scores.macro_f1());
+    writeln!(out, "macro-F1: {:.3}", scores.macro_f1())?;
     Ok(())
 }
 
@@ -566,6 +616,6 @@ mod tests {
     #[test]
     fn unknown_profile_is_rejected() {
         let f = flags(&["--profile", "dX"]);
-        assert!(cmd_generate(&f).is_err());
+        assert!(cmd_generate(&f, &mut std::io::sink()).is_err());
     }
 }

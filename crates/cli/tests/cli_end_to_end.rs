@@ -73,6 +73,22 @@ fn full_cli_workflow() {
     // Two sentences → two blank-line-terminated blocks.
     assert_eq!(conll.matches("\n\n").count(), 2, "{conll}");
 
+    // A reader that closed stdout before the first write ends `recover`
+    // and `tag` cleanly: exit 0 and no panic.
+    let store = dir.join("store");
+    let model = model_path.to_str().expect("utf8");
+    for args in [
+        vec!["recover", "--model", model, "--store-dir", store.to_str().expect("utf8")],
+        vec!["tag", "--model", model, "--input", tweets_path.to_str().expect("utf8")],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = ngl().args(&args).stdout(writer).output().expect("run with stdout closed");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?} with stdout closed: {}: {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{args:?} with stdout closed: {stderr}");
+    }
+
     // eval: score the gold file against itself — must be perfect.
     let out = ngl()
         .args([

@@ -17,7 +17,7 @@
 
 #![forbid(unsafe_code)]
 
-use ngl_nn::cosine::l2_normalized;
+use ngl_nn::cosine::{l2_normalize, l2_normalized};
 use ngl_nn::kernels::{self, VecKernel};
 use ngl_runtime::Executor;
 
@@ -41,29 +41,12 @@ impl Clustering {
     }
 }
 
-#[derive(Debug, Clone)]
-struct ClusterAgg {
-    sum: Vec<f32>,
-    count: usize,
-    members: Vec<usize>,
-}
-
-impl ClusterAgg {
-    /// Mean pairwise cosine distance to another cluster, with a
-    /// pre-resolved dot kernel — block scans resolve the `NGL_KERNEL`
-    /// dispatch once instead of per pair.
-    fn distance_with(&self, dotf: VecKernel, other: &ClusterAgg) -> f32 {
-        let sim = dotf(&self.sum, &other.sum) / (self.count * other.count) as f32;
-        1.0 - sim.clamp(-1.0, 1.0)
-    }
-
-    fn merge(&mut self, other: ClusterAgg) {
-        for (a, b) in self.sum.iter_mut().zip(&other.sum) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.members.extend(other.members);
-    }
+/// Mean pairwise cosine distance between two clusters from the dot of
+/// their normalized-member sums.
+#[inline]
+fn distance(dot: f32, count_a: usize, count_b: usize) -> f32 {
+    let sim = dot / (count_a * count_b) as f32;
+    1.0 - sim.clamp(-1.0, 1.0)
 }
 
 /// Bottom-up agglomerative clustering stopped at `threshold`.
@@ -90,14 +73,17 @@ impl ClusterAgg {
 /// `points` is anything slice-like (`&[Vec<f32>]`, `&[&[f32]]`, …), so
 /// batch callers can pass borrowed mention embeddings without copying
 /// each vector. Every point is L2-normalized exactly once, up front,
-/// before the quadratic merge loop.
+/// before the quadratic merge loop. All points must have one length.
 ///
-/// Pair distances are computed once into an n × n matrix; a merge
-/// recomputes only the merged cluster's row (n dot products) and every
-/// closest-pair search scans stored distances. The cost is O(n² · d)
-/// for the fill, O(n · d) per merge and O(n²) comparisons per merge,
-/// with the n² `f32` matrix alive for the call (640 KB at the
-/// pipeline's 400-mention batch cap).
+/// Pair distances are computed once into an n × n matrix, each row
+/// through one [`kernels::dot_rows`] call; a merge recomputes only the
+/// merged cluster's row (one `dot_rows` call over the m live clusters).
+/// The closest pair comes from a lower bound on each row's minimum, so
+/// a merge compares m bounds and rescans only rows whose minimum entry
+/// was merged away or grew. The cost is O(n² · d) for the fill,
+/// O(m · d) dot work plus O(m) comparisons per merge, plus O(m) per
+/// stale row the search meets, with the n² `f32` matrix alive for the
+/// call (640 KB at the pipeline's 400-mention batch cap).
 pub fn agglomerative<P: AsRef<[f32]>>(points: &[P], threshold: f32) -> Clustering {
     agglomerative_exec(points, threshold, &Executor::sequential())
 }
@@ -111,58 +97,59 @@ const PAR_DOT_MIN_ROWS: usize = 96;
 /// [`agglomerative`] with the one-time distance fill parallelized over
 /// chunked rows on `exec` — for the giant surface forms whose quadratic
 /// fill would otherwise occupy one pipeline worker for the whole batch.
-/// The closest-pair scans over stored distances stay sequential: an
-/// entry costs one comparison, and at the pipeline's sizes (at most 400
-/// mentions) a chunked scan measured slower than the sequential one.
+/// The merge loop stays sequential: a merge is one row of dot products
+/// and O(m) comparisons, too little to split across threads.
 ///
 /// The output is **bitwise identical** to recomputing every pair
-/// distance before every merge, at any thread count:
+/// distance before every merge and taking the first pair in `(i, j)`
+/// scan order that attains the minimum under a strict `d < best` test
+/// from `+∞`, at any thread count:
 ///
-/// * each stored distance is the same `distance_with(lower index,
-///   higher index)` call the rescan would make on the same cluster
-///   sums, and the dot kernels are bitwise symmetric (elementwise
-///   products, one fixed accumulation order), so entries moved by a
-///   `swap_remove` still hold the rescan's value; chunking the fill
-///   changes only which thread computes an entry, not its value;
-/// * the scan visits pairs in the same `(i, j)` order with the same
-///   strict `d < best` test from `+∞`, so the winning pair is the first
-///   pair in scan order attaining the minimum. (NaN distances lose
-///   every strict comparison, so degenerate inputs agree too.)
+/// * each stored distance is the value the rescan computes for the same
+///   pair from the same cluster sums: [`kernels::dot_rows`] returns
+///   [`kernels::dot`]'s bits, the dot kernels are bitwise symmetric
+///   (elementwise products, one fixed accumulation order), and merges
+///   and removals mirror `Vec::swap_remove` on the sums, counts and
+///   matrix, so an entry moved with cluster `last` still holds the
+///   rescan's value. Chunking the fill changes only which thread
+///   computes an entry;
+/// * the rescan's winner is the first row whose minimum is the global
+///   minimum, at that row's first argmin. Each row keeps a lower bound
+///   on its minimum over `j > i`, and, while the bound is exact, that
+///   first argmin; every entry change and removal keeps both true (see
+///   [`PairDistances`]). The search takes the first row with the
+///   smallest bound: a stale row is rescanned and the search repeats,
+///   and an exact row wins, since every earlier row's minimum is above
+///   its bound and every later row's is at least it. NaN distances lose
+///   every strict comparison and never set a bound, so degenerate
+///   inputs agree too.
+///
+/// # Panics
+/// Panics when the points differ in length.
 pub fn agglomerative_exec<P: AsRef<[f32]>>(
     points: &[P],
     threshold: f32,
     exec: &Executor,
 ) -> Clustering {
     let n = points.len();
-    if n == 0 {
-        return Clustering { assignments: Vec::new(), n_clusters: 0 };
+    if n <= 1 {
+        return Clustering { assignments: vec![0; n], n_clusters: n };
     }
-    let mut clusters: Vec<ClusterAgg> = points
-        .iter()
-        .enumerate()
-        .map(|(i, p)| ClusterAgg { sum: l2_normalized(p.as_ref()), count: 1, members: vec![i] })
-        .collect();
-    let dotf = kernels::dot_fn();
-    let mut dist = PairDistances::fill(&clusters, dotf, exec);
-
-    while clusters.len() >= 2 {
-        let (i, j, d) = dist.closest_pair(clusters.len());
+    let mut clusters = Clusters::new(points);
+    let mut dist = PairDistances::fill(&clusters, exec);
+    let mut dots = vec![0.0f32; n];
+    let mut m = n;
+    while m >= 2 {
+        let (i, j, d) = dist.closest_pair(m);
         if d >= threshold {
             break;
         }
-        let taken = clusters.swap_remove(j);
-        dist.swap_remove(j, clusters.len());
-        clusters[i].merge(taken);
-        dist.refresh(i, &clusters, dotf);
+        m -= 1;
+        clusters.merge_swap_remove(i, j, m);
+        dist.swap_remove(j, m);
+        dist.refresh(i, &clusters, m, &mut dots);
     }
-
-    let mut assignments = vec![0usize; n];
-    for (c, cl) in clusters.iter().enumerate() {
-        for &m in &cl.members {
-            assignments[m] = c;
-        }
-    }
-    Clustering { assignments, n_clusters: clusters.len() }
+    clusters.into_clustering(m)
 }
 
 /// Rows per chunk when spreading `rows` rows of dot products over
@@ -178,73 +165,231 @@ fn row_chunk(rows: usize, exec: &Executor) -> usize {
     rows.div_ceil(exec.threads() * 4).max(8)
 }
 
-/// Distances between the current clusters of one
-/// [`agglomerative_exec`] call. Entry `(i, j)` with `i < j` sits at
-/// `i * stride + j` and holds `clusters[i].distance_with(clusters[j])`;
-/// only that upper triangle is read or kept current.
+/// Marks a point list's end in [`Clusters::next`].
+const NO_POINT: usize = usize::MAX;
+
+/// The live clusters of one [`agglomerative_exec`] call, in slot order:
+/// slot `c < m` holds the sum of its normalized members (row `c` of the
+/// row-major `n × dim` buffer), its member count and its member list
+/// (`head[c]`, then `next[p]` until [`NO_POINT`], ending at `tail[c]`).
+struct Clusters {
+    dim: usize,
+    sums: Vec<f32>,
+    counts: Vec<usize>,
+    head: Vec<usize>,
+    tail: Vec<usize>,
+    next: Vec<usize>,
+}
+
+impl Clusters {
+    /// One singleton per point.
+    fn new<P: AsRef<[f32]>>(points: &[P]) -> Self {
+        let n = points.len();
+        let dim = points[0].as_ref().len();
+        let mut sums = Vec::with_capacity(n * dim);
+        for p in points {
+            let p = p.as_ref();
+            assert_eq!(p.len(), dim, "agglomerative: points differ in length");
+            let start = sums.len();
+            sums.extend_from_slice(p);
+            l2_normalize(&mut sums[start..]);
+        }
+        Self {
+            dim,
+            sums,
+            counts: vec![1; n],
+            head: (0..n).collect(),
+            tail: (0..n).collect(),
+            next: vec![NO_POINT; n],
+        }
+    }
+
+    fn sum(&self, c: usize) -> &[f32] {
+        &self.sums[c * self.dim..(c + 1) * self.dim]
+    }
+
+    /// Merges cluster `j` into cluster `i < j`, then moves cluster
+    /// `last` into slot `j`: `Vec::swap_remove(j)` followed by the
+    /// merge, as the rescan does it. O(d), allocation-free.
+    fn merge_swap_remove(&mut self, i: usize, j: usize, last: usize) {
+        let dim = self.dim;
+        let (low, high) = self.sums.split_at_mut(j * dim);
+        for (a, b) in low[i * dim..(i + 1) * dim].iter_mut().zip(&high[..dim]) {
+            *a += b;
+        }
+        self.counts[i] += self.counts[j];
+        self.next[self.tail[i]] = self.head[j];
+        self.tail[i] = self.tail[j];
+        self.sums.copy_within(last * dim..(last + 1) * dim, j * dim);
+        self.counts[j] = self.counts[last];
+        self.head[j] = self.head[last];
+        self.tail[j] = self.tail[last];
+    }
+
+    /// The assignment of every point to one of the first `m` slots.
+    fn into_clustering(self, m: usize) -> Clustering {
+        let mut assignments = vec![0usize; self.next.len()];
+        for c in 0..m {
+            let mut p = self.head[c];
+            while p != NO_POINT {
+                assignments[p] = c;
+                p = self.next[p];
+            }
+        }
+        Clustering { assignments, n_clusters: m }
+    }
+}
+
+/// Marks a row of [`PairDistances`] whose bound may sit below its
+/// minimum.
+const STALE: usize = usize::MAX;
+
+/// First minimum of `row[first..]` under a strict `<` from `+∞`, as
+/// `(value, column)`; `(+∞, first)` when no entry is below `+∞`.
+fn first_min(row: &[f32], first: usize) -> (f32, usize) {
+    let mut best = (f32::INFINITY, first);
+    for (j, &d) in row.iter().enumerate().skip(first) {
+        if d < best.0 {
+            best = (d, j);
+        }
+    }
+    best
+}
+
+/// Distances between the live clusters of one [`agglomerative_exec`]
+/// call. Entry `(i, j)` with `i < j` sits at `i * stride + j` and holds
+/// the distance between clusters `i` and `j`; only that upper triangle
+/// is read or kept current.
+///
+/// Row `i` also keeps `bound[i]`, at most every non-NaN entry of the
+/// row, and `argmin[i]`: while that bound is the row's minimum, the
+/// first column attaining it, otherwise [`STALE`]. An entry change at
+/// column `c` to `v` keeps this true in O(1): `v` below the bound makes
+/// `c` the unique minimum; `v` equal to an exact bound moves the argmin
+/// to `c` when `c` comes first; an exact row goes stale only when its
+/// argmin entry grew or left the matrix.
 struct PairDistances {
     stride: usize,
     d: Vec<f32>,
+    bound: Vec<f32>,
+    argmin: Vec<usize>,
 }
 
 impl PairDistances {
-    /// Every pair distance of the initial clusters, row chunks on `exec`.
-    fn fill(clusters: &[ClusterAgg], dotf: VecKernel, exec: &Executor) -> Self {
-        let n = clusters.len();
+    /// Every pair distance of the initial clusters with each row's
+    /// exact minimum, row chunks on `exec`.
+    fn fill(clusters: &Clusters, exec: &Executor) -> Self {
+        let n = clusters.counts.len();
+        let dim = clusters.dim;
         let mut d = vec![0.0f32; n * n];
         let chunk = row_chunk(n, exec);
         let blocks: Vec<&mut [f32]> = d.chunks_mut(chunk * n).collect();
-        exec.par_map(blocks, |b, block| {
+        let minima = exec.par_map(blocks, |b, block| {
+            let mut minima = Vec::with_capacity(chunk);
             for (r, row) in block.chunks_mut(n).enumerate() {
                 let i = b * chunk + r;
-                for j in i + 1..n {
-                    row[j] = clusters[i].distance_with(dotf, &clusters[j]);
+                let rest = &mut row[i + 1..];
+                kernels::dot_rows(clusters.sum(i), &clusters.sums[(i + 1) * dim..], dim, rest);
+                for (j, v) in (i + 1..).zip(rest.iter_mut()) {
+                    *v = distance(*v, clusters.counts[i], clusters.counts[j]);
                 }
+                minima.push(first_min(row, i + 1));
             }
+            minima
         });
-        Self { stride: n, d }
+        let (bound, argmin) = minima.into_iter().flatten().unzip();
+        Self { stride: n, d, bound, argmin }
     }
 
-    fn set(&mut self, i: usize, j: usize, v: f32) {
-        self.d[i * self.stride + j] = v;
+    /// Sets row `i`'s bound and argmin from its entries among the first
+    /// `m` columns.
+    fn rescan(&mut self, i: usize, m: usize) {
+        let row = &self.d[i * self.stride..i * self.stride + m];
+        (self.bound[i], self.argmin[i]) = first_min(row, i + 1);
+    }
+
+    /// Sets entry `(r, c)` to `v`, keeping row `r`'s bound and argmin.
+    fn update(&mut self, r: usize, c: usize, v: f32) {
+        self.d[r * self.stride + c] = v;
+        let arg = self.argmin[r];
+        if v < self.bound[r] {
+            self.bound[r] = v;
+            self.argmin[r] = c;
+        } else if arg != STALE {
+            if v == self.bound[r] {
+                self.argmin[r] = arg.min(c);
+            } else if c == arg {
+                self.argmin[r] = STALE;
+            }
+        }
     }
 
     /// First pair (in `(i, j)` scan order) of the first `m` clusters
     /// attaining the minimum distance — see [`agglomerative_exec`] for
-    /// the equivalence argument.
-    fn closest_pair(&self, m: usize) -> (usize, usize, f32) {
-        let mut best = (0usize, 1usize, f32::INFINITY);
-        for i in 0..m {
-            let row = &self.d[i * self.stride..i * self.stride + m];
-            for (j, &d) in row.iter().enumerate().skip(i + 1) {
-                if d < best.2 {
-                    best = (i, j, d);
+    /// the equivalence argument. `(0, 1, +∞)` when no distance is below
+    /// `+∞`, as the rescan returns it.
+    fn closest_pair(&mut self, m: usize) -> (usize, usize, f32) {
+        loop {
+            let mut best: Option<usize> = None;
+            for i in 0..m - 1 {
+                if best.is_none_or(|b| self.bound[i] < self.bound[b]) {
+                    best = Some(i);
                 }
             }
+            let i = match best {
+                Some(i) if self.bound[i] < f32::INFINITY => i,
+                _ => return (0, 1, f32::INFINITY),
+            };
+            if self.argmin[i] != STALE {
+                return (i, self.argmin[i], self.bound[i]);
+            }
+            self.rescan(i, m);
         }
-        best
     }
 
     /// Mirrors `clusters.swap_remove(j)` on a matrix of `last + 1`
     /// clusters: cluster `last` moves to index `j`, keeping its
-    /// distances to every other cluster.
+    /// distances to every other cluster, and column `last` leaves every
+    /// row. Row `j` is rescanned; rows above it see their column `j`
+    /// take the moved value before column `last` goes, so a row whose
+    /// minimum moved keeps it exactly.
     fn swap_remove(&mut self, j: usize, last: usize) {
-        for k in (0..last).filter(|&k| k != j) {
-            let v = self.d[k * self.stride + last];
-            self.set(k.min(j), k.max(j), v);
+        for k in 0..last {
+            if k != j {
+                let v = self.d[k * self.stride + last];
+                if k < j {
+                    self.update(k, j, v);
+                } else {
+                    self.d[j * self.stride + k] = v;
+                }
+            }
+            if self.argmin[k] == last {
+                self.argmin[k] = STALE;
+            }
+        }
+        if j < last {
+            self.rescan(j, last);
         }
     }
 
-    /// Recomputes every distance of cluster `i` after it absorbed a
-    /// merge, with each call oriented `(lower index, higher index)`
-    /// exactly as a rescan would make it.
-    fn refresh(&mut self, i: usize, clusters: &[ClusterAgg], dotf: VecKernel) {
-        for k in 0..i {
-            self.set(k, i, clusters[k].distance_with(dotf, &clusters[i]));
+    /// Recomputes every distance of cluster `i` among the first `m`
+    /// after it absorbed a merge — one [`kernels::dot_rows`] call on
+    /// each side of row `i`, with `dots` as scratch — and rescans row
+    /// `i`.
+    fn refresh(&mut self, i: usize, clusters: &Clusters, m: usize, dots: &mut [f32]) {
+        let dim = clusters.dim;
+        let sum = clusters.sum(i);
+        kernels::dot_rows(sum, &clusters.sums[..i * dim], dim, &mut dots[..i]);
+        kernels::dot_rows(sum, &clusters.sums[(i + 1) * dim..m * dim], dim, &mut dots[i + 1..m]);
+        let counts = &clusters.counts;
+        for (k, (&dot, &ck)) in dots[..i].iter().zip(counts).enumerate() {
+            self.update(k, i, distance(dot, ck, counts[i]));
         }
-        for k in i + 1..clusters.len() {
-            self.set(i, k, clusters[i].distance_with(dotf, &clusters[k]));
+        let row = &mut self.d[i * self.stride + i + 1..i * self.stride + m];
+        for ((v, &dot), &ck) in row.iter_mut().zip(&dots[i + 1..m]).zip(&counts[i + 1..m]) {
+            *v = distance(dot, counts[i], ck);
         }
+        self.rescan(i, m);
     }
 }
 
@@ -578,6 +723,31 @@ mod proptests {
         });
     }
 
+    /// One cluster of the rescan reference: the sum of its normalized
+    /// members, their count and their indices.
+    #[derive(Debug, Clone)]
+    struct ClusterAgg {
+        sum: Vec<f32>,
+        count: usize,
+        members: Vec<usize>,
+    }
+
+    impl ClusterAgg {
+        /// Mean pairwise cosine distance to another cluster.
+        fn distance_with(&self, dotf: VecKernel, other: &ClusterAgg) -> f32 {
+            let sim = dotf(&self.sum, &other.sum) / (self.count * other.count) as f32;
+            1.0 - sim.clamp(-1.0, 1.0)
+        }
+
+        fn merge(&mut self, other: ClusterAgg) {
+            for (a, b) in self.sum.iter_mut().zip(&other.sum) {
+                *a += b;
+            }
+            self.count += other.count;
+            self.members.extend(other.members);
+        }
+    }
+
     /// Reference linkage that recomputes every pair distance before
     /// every merge; the cached-matrix linkage must reproduce it bit for
     /// bit.
@@ -660,6 +830,31 @@ mod proptests {
             let dim = [2, 3, 8, 32, 33][k];
             let pts = tie_heavy_points(rng, n, dim);
             assert_matches_rescan(&pts, rng.gen_range(0.1f32..1.5), &par);
+        }
+        // Stale-heavy inputs for the lazy row minima. On a slowly wound
+        // arc one growing cluster is many rows' nearest neighbour, so
+        // each merge moves or raises many rows' minimum entries; groups
+        // of exact duplicates tie those entries, so the first-argmin
+        // rule decides every merge. Threshold 2.0 merges down to one
+        // cluster.
+        for (k, n) in [128usize, 200, 400].into_iter().enumerate() {
+            let dim = [3, 8, 32][k];
+            let arc: Vec<Vec<f32>> = (0..n)
+                .map(|i| {
+                    let a = i as f32 * 0.013;
+                    let mut p = vec![0.05; dim];
+                    (p[0], p[1]) = (a.cos(), a.sin());
+                    p
+                })
+                .collect();
+            let rng = &mut SplitMix64::new(0xC1_0005 + k as u64);
+            let groups = tie_heavy_points(rng, n / 8, dim);
+            let duplicates: Vec<Vec<f32>> =
+                (0..n).map(|i| groups[i % groups.len()].clone()).collect();
+            for threshold in [0.7f32, 2.0] {
+                assert_matches_rescan(&arc, threshold, &par);
+                assert_matches_rescan(&duplicates, threshold, &par);
+            }
         }
     }
 

@@ -1695,8 +1695,8 @@ fn cluster_surface_exec(
         return;
     }
     if mode == AblationMode::FullGlobal {
-        // Agglomerative clustering costs O(n²) comparisons per merge
-        // and holds an n² distance matrix; very frequent surfaces
+        // Agglomerative clustering costs an O(n² · d) fill and holds
+        // an n² distance matrix; very frequent surfaces
         // (often Local-NER junk like stopwords) can collect thousands
         // of mentions, so those fall back to the one-pass online
         // approximation.

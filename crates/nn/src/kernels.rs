@@ -34,7 +34,8 @@
 //! `simd`, which falls back to scalar off x86_64);
 //! [`set_kernel_mode`] overrides it at runtime for tests and benches.
 //! Block scans resolve the kernel function once via [`dot_fn`] /
-//! [`cosine_fn`] instead of re-dispatching per row. [`matmul`] under
+//! [`cosine_fn`] instead of re-dispatching per row; [`dot_rows`] takes
+//! a whole one-vs-many block in one call. [`matmul`] under
 //! `simd` runs its blocked body compiled for AVX when the CPU has it,
 //! and the plain blocked loop otherwise.
 //!
@@ -431,6 +432,71 @@ mod x86 {
         }
     }
 
+    /// AVX one-vs-many dot: `out[r]` gets [`dot_avx`]`(a, row r)`'s
+    /// bits. Four rows run per pass with one shared load of `a` per
+    /// chunk; each row keeps its own 8-lane accumulator, fed the same
+    /// multiply and add as `dot_avx`. The four `lo + hi` sums are then
+    /// transposed so lane `r` of `(c0 + c2) + (c1 + c3)` is row `r`'s
+    /// `(s_0 + s_2) + (s_1 + s_3)`. Leftover rows go through `dot_avx`.
+    /// Unsafe to call unless the caller guarantees AVX
+    /// (`avx_available()`); panics when `dim` is zero.
+    #[target_feature(enable = "avx")]
+    pub fn dot_rows_avx(a: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
+        let a = &a[..dim];
+        let chunks = dim / LANES;
+        let a_tail = tail_pad(&a[chunks * LANES..]);
+        let mut quads = out.chunks_exact_mut(4);
+        let mut blocks = rows.chunks_exact(4 * dim);
+        for (o, block) in (&mut quads).zip(&mut blocks) {
+            let mut acc = [_mm256_setzero_ps(); 4];
+            for k in 0..chunks {
+                // SAFETY: k < chunks = dim / LANES and a.len() == dim,
+                // so [k*LANES, k*LANES + 8) is in bounds of `a`.
+                let x = unsafe { _mm256_loadu_ps(a.as_ptr().add(k * LANES)) };
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    // SAFETY: block.len() == 4 * dim and r < 4, so the
+                    // window [r*dim + k*LANES, r*dim + k*LANES + 8)
+                    // ends at most at (r + 1) * dim <= block.len().
+                    let y = unsafe { _mm256_loadu_ps(block.as_ptr().add(r * dim + k * LANES)) };
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(x, y));
+                }
+            }
+            if !dim.is_multiple_of(LANES) {
+                // SAFETY: tail_pad returns an owned [f32; LANES], so one
+                // 8-lane load from its start is in bounds.
+                let x = unsafe { _mm256_loadu_ps(a_tail.as_ptr()) };
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let y = tail_pad(&block[r * dim + chunks * LANES..(r + 1) * dim]);
+                    // SAFETY: as above, `y` is an owned [f32; LANES].
+                    let yv = unsafe { _mm256_loadu_ps(y.as_ptr()) };
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(x, yv));
+                }
+            }
+            // s_j = l_j + l_{j+4}, one 4-lane vector per row.
+            let mut s = [_mm_setzero_ps(); 4];
+            for (s, v) in s.iter_mut().zip(acc) {
+                *s = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+            }
+            // 4×4 transpose: c_j holds s_j of rows 0..4.
+            let t0 = _mm_unpacklo_ps(s[0], s[1]);
+            let t1 = _mm_unpackhi_ps(s[0], s[1]);
+            let t2 = _mm_unpacklo_ps(s[2], s[3]);
+            let t3 = _mm_unpackhi_ps(s[2], s[3]);
+            let c0 = _mm_movelh_ps(t0, t2);
+            let c1 = _mm_movehl_ps(t2, t0);
+            let c2 = _mm_movelh_ps(t1, t3);
+            let c3 = _mm_movehl_ps(t3, t1);
+            let sums = _mm_add_ps(_mm_add_ps(c0, c2), _mm_add_ps(c1, c3));
+            // SAFETY: `o` is a chunks_exact_mut(4) chunk, so a 4-lane
+            // store at its start is in bounds.
+            unsafe { _mm_storeu_ps(o.as_mut_ptr(), sums) };
+        }
+        for (o, row) in quads.into_remainder().iter_mut().zip(blocks.remainder().chunks_exact(dim))
+        {
+            *o = dot_avx(a, row);
+        }
+    }
+
     /// SSE2 versions: two 128-bit accumulators standing in for the
     /// low/high halves of the 8-lane register. `#[target_feature]`
     /// makes these unsafe to call, but the caller's obligation — SSE2
@@ -622,6 +688,45 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
             }
             #[cfg(not(target_arch = "x86_64"))]
             dot_scalar(a, b)
+        }
+    }
+}
+
+/// One-vs-many dot: `out[r] = dot(a, row r)` for the row-major `rows`
+/// (`out.len()` rows of `dim`), with exactly [`dot`]'s bits for every
+/// row on every path. Resolves the kernel once for the whole block; the
+/// AVX path shares each chunk of `a` across four rows per pass.
+///
+/// # Panics
+/// Panics when `a.len() != dim` or `rows.len() != out.len() * dim`.
+pub fn dot_rows(a: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
+    assert_eq!(a.len(), dim, "dot_rows query length");
+    assert_eq!(rows.len(), out.len() * dim, "dot_rows rows length");
+    if dim == 0 {
+        // An empty dot reduces eight zero lanes: +0.0.
+        out.fill(0.0);
+        return;
+    }
+    let each = |f: VecKernel, out: &mut [f32]| {
+        for (o, row) in out.iter_mut().zip(rows.chunks_exact(dim)) {
+            *o = f(a, row);
+        }
+    };
+    match kernel_mode() {
+        KernelMode::Scalar => each(dot_scalar, out),
+        KernelMode::Simd => {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if avx_available() {
+                    // SAFETY: AVX presence was just checked.
+                    unsafe { x86::dot_rows_avx(a, rows, dim, out) }
+                } else {
+                    // SAFETY: SSE2 is part of the x86_64 baseline.
+                    each(|a, b| unsafe { x86::dot_sse2(a, b) }, out)
+                }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            each(dot_scalar, out)
         }
     }
 }
@@ -937,6 +1042,55 @@ mod tests {
         assert_eq!(d1.to_bits(), d2.to_bits());
         assert_eq!(n1.to_bits(), n2.to_bits());
         assert_eq!(c1.to_bits(), c2.to_bits());
+    }
+
+    /// Every `dot_rows` output has `dot`'s bits for its row, on each
+    /// path and under both dispatch modes, for dims around the lane
+    /// width and row counts around the AVX path's four-row pass. The
+    /// inputs hold `±0.0`, `±inf` and NaN; the NaN is the x86 default
+    /// quiet NaN (`inf * 0`'s bits), so no sum depends on which NaN
+    /// operand an add propagates.
+    #[test]
+    fn dot_rows_matches_dot_bitwise() {
+        let nan = f32::from_bits(0xFFC0_0000);
+        let special = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, nan];
+        let mut rng = ngl_runtime::rng::SplitMix64::new(0xD07);
+        let mut draw = |n: usize| -> Vec<f32> {
+            (0..n)
+                .map(|_| match rng.gen_range(0..40u32) {
+                    k @ 0..=4 => special[k as usize],
+                    _ => rng.gen_range(-2.0f32..2.0),
+                })
+                .collect()
+        };
+        let prev = kernel_mode();
+        for dim in [1usize, 7, 8, 9, 31, 32, 33, 100] {
+            for n_rows in [0usize, 1, 3, 4, 5, 9] {
+                let a = draw(dim);
+                let rows = draw(n_rows * dim);
+                for mode in [KernelMode::Scalar, KernelMode::Simd] {
+                    set_kernel_mode(mode);
+                    let want: Vec<u32> =
+                        rows.chunks_exact(dim).map(|r| dot(&a, r).to_bits()).collect();
+                    let mut out = vec![f32::NAN; n_rows];
+                    dot_rows(&a, &rows, dim, &mut out);
+                    assert_eq!(bits(&out), want, "{mode:?} dim {dim} rows {n_rows}");
+                }
+                let want: Vec<u32> =
+                    rows.chunks_exact(dim).map(|r| dot_scalar(&a, r).to_bits()).collect();
+                #[cfg(target_arch = "x86_64")]
+                if avx_available() {
+                    let mut out = vec![f32::NAN; n_rows];
+                    // SAFETY: AVX presence was just checked.
+                    unsafe { x86::dot_rows_avx(&a, &rows, dim, &mut out) };
+                    assert_eq!(bits(&out), want, "avx dim {dim} rows {n_rows}");
+                }
+            }
+        }
+        set_kernel_mode(prev);
+        let mut out = vec![f32::NAN; 3];
+        dot_rows(&[], &[], 0, &mut out);
+        assert_eq!(bits(&out), vec![0; 3], "an empty dot is +0.0");
     }
 
     /// The `ikj` loop `Matrix::matmul` ran before the blocked kernel,
