@@ -622,6 +622,47 @@ mod tests {
         }
     }
 
+    /// Eight clusters' distances: 0.9 everywhere except row 0's
+    /// `(column, value)` entries, with every row's bound exact.
+    fn matrix(row0: &[(usize, f32)]) -> PairDistances {
+        let n = 8;
+        let mut dist = PairDistances {
+            stride: n,
+            d: vec![0.9; n * n],
+            bound: vec![0.0; n],
+            argmin: vec![0; n],
+        };
+        for &(c, v) in row0 {
+            dist.d[c] = v;
+        }
+        for i in 0..n {
+            dist.rescan(i, n);
+        }
+        dist
+    }
+
+    #[test]
+    fn a_stale_row_keeps_its_first_tie() {
+        let mut dist = matrix(&[(2, 0.2), (4, 0.2)]);
+        assert_eq!(dist.closest_pair(8), (0, 2, 0.2));
+        dist.update(0, 2, 0.5);
+        assert_eq!(dist.argmin[0], STALE, "the argmin entry grew");
+        // A later column tying the bound must not make the row exact:
+        // column 4 still comes first.
+        dist.update(0, 6, 0.2);
+        assert_eq!(dist.closest_pair(8), (0, 4, 0.2));
+    }
+
+    #[test]
+    fn a_moved_column_that_ties_takes_the_argmin() {
+        // Row 0's minimum is its entry for the last cluster, which moves
+        // into the slot of cluster 3.
+        let mut dist = matrix(&[(7, 0.2)]);
+        dist.swap_remove(3, 7);
+        assert_eq!((dist.bound[0], dist.argmin[0]), (0.2, 3), "exact without a rescan");
+        assert_eq!(dist.closest_pair(7), (0, 3, 0.2));
+    }
+
     #[test]
     fn online_matches_batch_on_well_separated_data() {
         let mut pts = Vec::new();
