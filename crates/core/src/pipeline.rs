@@ -853,7 +853,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 self.classify_candidates(mode);
                 self.timings.classify += t.elapsed();
                 if emit {
-                    self.emit(mode)
+                    Self::emit_from([&*self], self.tweets.len())
                 } else {
                     Vec::new()
                 }
@@ -877,18 +877,6 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         }
         for (k, v) in &shard.mention_cache {
             self.mention_cache.entry(*k).or_insert_with(|| Arc::clone(v));
-        }
-    }
-
-    /// Re-emits the final NER output from already-finalized state
-    /// without running any stage — the cross-shard merge path. Every
-    /// entry in the (merged) candidate base is already clustered and
-    /// classified by its owner shard, so this reproduces exactly what
-    /// [`Self::finalize`] would have emitted from the same state.
-    pub(crate) fn emit_finalized(&mut self) -> Vec<Vec<Span>> {
-        match self.cfg.ablation {
-            AblationMode::LocalOnly => self.local_outputs(),
-            mode => self.emit(mode),
         }
     }
 
@@ -1284,11 +1272,26 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         });
     }
 
-    /// Produces the final span outputs per tweet.
-    fn emit(&self, mode: AblationMode) -> Vec<Vec<Span>> {
-        let mut out: Vec<Vec<Span>> = vec![Vec::new(); self.tweets.len()];
-        for (_, entry) in self.candidates.iter() {
-            self.emit_entry(entry, mode, &mut out);
+    /// Produces the final span outputs of `tweets` tweets from the
+    /// candidate entries of every pipeline in `parts`, each under its
+    /// own ablation mode (`LocalOnly` emits nothing here). One pipeline
+    /// emits its own output; the shards of a sharded finalize emit
+    /// theirs together, with no merged pipeline: a `(tweet, start,
+    /// end)` span resolves to exactly one surface, hence one owner, so
+    /// the spans of each tweet sorted by `(start, end)` are the
+    /// unsharded output whatever order the entries come in.
+    pub(crate) fn emit_from<'a>(
+        parts: impl IntoIterator<Item = &'a Self>,
+        tweets: usize,
+    ) -> Vec<Vec<Span>>
+    where
+        T: 'a,
+    {
+        let mut out: Vec<Vec<Span>> = vec![Vec::new(); tweets];
+        for part in parts {
+            for (_, entry) in part.candidates.iter() {
+                part.emit_entry(entry, part.cfg.ablation, &mut out);
+            }
         }
         for spans in &mut out {
             spans.sort_by_key(|s| (s.start, s.end));

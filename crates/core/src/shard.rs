@@ -36,15 +36,22 @@
 //! [`DurableError::ShardLayoutMismatch`] instead of silently
 //! replaying a subset of the lineages.
 //!
-//! **Merge.** Finalize runs on every shard, then the merged view is
-//! rebuilt deterministically: clone the most-advanced shard's
+//! **Merge.** Finalize runs on every shard, then emits straight from
+//! the shards: each pushes its owned entries' spans into one list per
+//! tweet of the most-advanced shard, sorted per tweet. A span belongs
+//! to exactly one surface, hence one owner, so no cross-shard state is
+//! needed. The merged view is built only when someone reads it
+//! ([`ShardedGlobalizer::merged`]): clone the most-advanced shard's
 //! pipeline (shared state; models and tweet records by pointer), drop
-//! its ownership filter, and absorb
-//! every other shard's candidate entries and mention caches — both
-//! disjoint unions by the ownership rule. Output, `/export` bytes and
-//! the combined `state_digest` come from that merged pipeline, and
-//! they are bitwise identical to the 1-shard run at any
-//! `NGL_THREADS` / `NGL_KERNEL`.
+//! its ownership filter, and absorb every other shard's candidate
+//! entries and mention caches — both disjoint unions by the ownership
+//! rule. It is cached until the next operation changes a shard, and it
+//! shows the shards' *current* state, as
+//! [`DurableGlobalizer::inner`] does for one lineage: after an ingest
+//! with no finalize, or after a finalize whose WAL commit failed (its
+//! stages are applied), it holds that state. Output, `/export` bytes
+//! and the combined `state_digest` are bitwise identical to the
+//! 1-shard run at any `NGL_THREADS` / `NGL_KERNEL`.
 //!
 //! **Failure containment.** A shard whose WAL rejects a batch that
 //! other shards committed is *wedged*: it receives no further
@@ -58,6 +65,7 @@
 //! the worst-of aggregate is surfaced for monitoring.
 
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use ngl_encoder::ContextualTagger;
 use ngl_runtime::{Executor, TaskError};
@@ -159,10 +167,11 @@ pub struct ShardedGlobalizer<T: ContextualTagger> {
     /// keep its log a strict prefix of the most-advanced shard's.
     wedged: Vec<bool>,
     /// The merged view: shared state from the most-advanced shard
-    /// plus the union of every shard's owned candidate entries.
-    /// Rebuilt after every successful finalize; serves queries,
-    /// exports and the combined digest.
-    merged: NerGlobalizer<T>,
+    /// plus the union of every shard's owned candidate entries. Built
+    /// by the first read after an operation that changed a shard, and
+    /// reset by every such operation; serves queries, exports and the
+    /// combined digest.
+    merged: OnceLock<NerGlobalizer<T>>,
     exec: Executor,
 }
 
@@ -172,8 +181,8 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
     /// own WAL/snapshot lineage under `dir/shard-NN/`. All shards
     /// share `base`'s executor, so N shards never oversubscribe the
     /// pool. Recovery opens the shards concurrently, catches lagging
-    /// shards up from the most-advanced shard's WAL, and rebuilds the
-    /// merged view.
+    /// shards up from the most-advanced shard's WAL, and builds the
+    /// merged view for the report's digest (kept for the first read).
     pub fn open<P: AsRef<Path>>(
         base: NerGlobalizer<T>,
         dir: P,
@@ -260,6 +269,7 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
         let merged = Self::rebuild_merged(&shard_stores);
         report.combined_digest = merged.state_digest();
         let wedged = vec![false; shard_stores.len()];
+        let merged = OnceLock::from(merged);
         Ok((Self { shards: shard_stores, wedged, merged, exec }, report))
     }
 
@@ -280,8 +290,7 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
         if shards.iter().all(|s| s.op_seq() == target) {
             return Ok(caught_up);
         }
-        let donor_ix =
-            shards.iter().enumerate().max_by_key(|(_, s)| s.op_seq()).map(|(i, _)| i).unwrap_or(0);
+        let donor_ix = Self::most_advanced(shards);
         let records = shards[donor_ix].logged_records()?;
         for (i, ops) in caught_up.iter_mut().enumerate() {
             if i == donor_ix || shards[i].op_seq() == target {
@@ -330,13 +339,18 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
         Ok(applied)
     }
 
+    /// The index of the shard with the highest `op_seq` (the last of
+    /// equals): its shared state is a superset of every wedged
+    /// shard's.
+    fn most_advanced(shards: &[DurableGlobalizer<T>]) -> usize {
+        shards.iter().enumerate().max_by_key(|(_, s)| s.op_seq()).map(|(i, _)| i).unwrap_or(0)
+    }
+
     /// Rebuilds the merged view: clone the most-advanced shard's
-    /// pipeline (its shared state is a superset of every wedged
-    /// shard's), drop the ownership filter and absorb every other
+    /// pipeline, drop the ownership filter and absorb every other
     /// shard's owned entries.
     fn rebuild_merged(shards: &[DurableGlobalizer<T>]) -> NerGlobalizer<T> {
-        let base_ix =
-            shards.iter().enumerate().max_by_key(|(_, s)| s.op_seq()).map(|(i, _)| i).unwrap_or(0);
+        let base_ix = Self::most_advanced(shards);
         let mut merged = shards[base_ix].inner().clone();
         merged.clear_shard_ownership();
         for (i, shard) in shards.iter().enumerate() {
@@ -426,6 +440,7 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
         let memo = memo.as_ref();
         let results =
             self.broadcast(|shard| shard.ingest_with_memo(tweets.clone(), ids.clone(), memo));
+        self.merged.take();
         self.settle(results, true)
     }
 
@@ -448,11 +463,13 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
         self.ingest(tweets, Some(ids))
     }
 
-    /// Finalizes every non-wedged shard concurrently, rebuilds the
-    /// merged view, and emits the merged output — bitwise identical
-    /// to the 1-shard finalize. The CTrie scan runs once, on the lead
-    /// shard, and every shard admits its owned share of it; the scan's
-    /// errors are reported once, on the lead shard.
+    /// Finalizes every non-wedged shard concurrently and emits the
+    /// output from the shards' owned entries (wedged shards' included)
+    /// — bitwise identical to the 1-shard finalize. The CTrie scan
+    /// runs once, on the lead shard, and every shard admits its owned
+    /// share of it; the scan's errors are reported once, on the lead
+    /// shard. No merged view is built here: the next read of
+    /// [`Self::merged`] builds it.
     ///
     /// A shard whose finalize errored has still *applied* the stages
     /// (state and `op_seq` advanced; only the WAL records are stashed
@@ -476,6 +493,7 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
             .collect();
         let results =
             self.exec.par_map(items, |_, (ix, shard)| (ix, shard.finalize_scanned(shared, false)));
+        self.merged.take();
         if let (Some(lead), Some(scan)) = (lead, scan) {
             self.shards[lead].push_finalize_errors(scan.into_errors());
         }
@@ -484,22 +502,37 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
                 return Err(clone_error(e));
             }
         }
-        self.merged = Self::rebuild_merged(&self.shards);
-        Ok(self.merged.emit_finalized())
+        let base = self.shards[Self::most_advanced(&self.shards)].inner();
+        if base.config().ablation == AblationMode::LocalOnly {
+            return Ok(base.local_outputs());
+        }
+        let parts = self.shards.iter().map(DurableGlobalizer::inner);
+        Ok(NerGlobalizer::emit_from(parts, base.tweet_base().len()))
     }
 
     /// The merged view: shared state plus the union of every shard's
     /// owned candidate entries. Queries (`tag_query`,
     /// `surface_summary`), `export_state_bytes` and `state_digest`
-    /// on it match the 1-shard pipeline. Refreshed by every
-    /// successful [`Self::finalize`] (and by open).
+    /// on it match the 1-shard pipeline. It shows the shards' current
+    /// state, as [`DurableGlobalizer::inner`] does for one lineage:
+    /// after an ingest with no finalize, or a finalize whose WAL
+    /// commit failed, that is the applied state. The first read after
+    /// an operation that changed a shard builds it; later reads reuse
+    /// it.
     pub fn merged(&self) -> &NerGlobalizer<T> {
-        &self.merged
+        self.merged.get_or_init(|| Self::rebuild_merged(&self.shards))
+    }
+
+    /// [`Self::merged`], moved out: a caller that keeps the view (a
+    /// published query snapshot) takes it without a copy. The next
+    /// read builds a fresh one.
+    pub fn take_merged(&mut self) -> NerGlobalizer<T> {
+        self.merged.take().unwrap_or_else(|| Self::rebuild_merged(&self.shards))
     }
 
     /// `state_digest` of the merged view.
     pub fn combined_digest(&self) -> u64 {
-        self.merged.state_digest()
+        self.merged().state_digest()
     }
 
     /// Per-shard storage-health reports, in shard order.
@@ -583,14 +616,14 @@ impl<T: ContextualTagger + Send + Sync> ShardedGlobalizer<T> {
         self.shards.iter().any(|s| s.has_pending_finalize())
     }
 
-    /// Drains fault diagnostics from every shard and the merged view
-    /// (which starts each rebuild without any).
+    /// Drains fault diagnostics from every shard. The merged view
+    /// holds none: a clone starts without them and the view runs no
+    /// stage.
     pub fn take_finalize_errors(&mut self) -> Vec<TaskError> {
         let mut out = Vec::new();
         for shard in &mut self.shards {
             out.append(&mut shard.take_finalize_errors());
         }
-        out.append(&mut self.merged.take_finalize_errors());
         out
     }
 }
@@ -643,7 +676,7 @@ mod tests {
     }
 
     /// Diagnostics stay with the pipeline that recorded them: the
-    /// merged view rebuilt from a shard must not report that shard's
+    /// merged view built from the shards must not report a shard's
     /// undrained errors a second time.
     #[test]
     fn finalize_errors_come_back_exactly_once() {
@@ -660,10 +693,38 @@ mod tests {
             }]);
         }
         sharded.finalize().expect("finalize");
+        assert_eq!(sharded.merged().tweet_base().len(), 2, "the view is built from the shards");
         let mut messages: Vec<String> =
             sharded.take_finalize_errors().into_iter().map(|e| e.message).collect();
         messages.sort();
         assert_eq!(messages, ["recorded on shard 0", "recorded on shard 1", "recorded on shard 2"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A wedged shard's owned entries stay in the output, stale, as the
+    /// merged view holds them: the finalize emits what the view built
+    /// from the same shards emits, and not what the live shards alone
+    /// emit.
+    #[test]
+    fn a_wedged_shards_entries_stay_in_the_output() {
+        use crate::pipeline::tests::{pipeline, toks};
+        let dir = tmp("wedged-emit");
+        let (mut sharded, _) =
+            ShardedGlobalizer::open(pipeline(AblationMode::MentionExtraction), &dir, 10, 3)
+                .expect("open");
+        let names = ["Beshear", "Italy", "Madrid", "Louisville", "Taylor", "Andy"];
+        let batch = || names.iter().map(|n| toks(&format!("{n} spoke today"))).collect();
+        sharded.ingest(batch(), None).expect("ingest");
+        sharded.finalize().expect("finalize");
+        sharded.wedged[1] = true;
+        sharded.ingest(batch(), None).expect("ingest");
+        let got = sharded.finalize().expect("finalize");
+
+        assert!(!sharded.shards[1].inner().candidate_base().is_empty(), "shard 1 owns a surface");
+        let view = sharded.merged();
+        assert_eq!(got, NerGlobalizer::emit_from([view], view.tweet_base().len()));
+        let live = [0, 2].map(|i| sharded.shards[i].inner());
+        assert_ne!(got, NerGlobalizer::emit_from(live, view.tweet_base().len()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,10 +10,12 @@
 //! and answers every submitter with a typed [`Ack`].
 //!
 //! Every `finalize_every` batches — or as soon as the queue goes idle —
-//! the engine finalizes and publishes a pipeline clone as the **query
-//! snapshot** (models and tweet records shared by pointer): readers
-//! always see the last finalized state and never contend with
-//! ingestion beyond one `RwLock` pointer swap.
+//! the engine finalizes and publishes the post-finalize pipeline as the
+//! **query snapshot**: a clone of the one lineage's pipeline, or the
+//! merged view of a sharded store, built once and moved in (models and
+//! tweet records shared by pointer either way). Readers always see the
+//! last finalized state and never contend with ingestion beyond one
+//! `RwLock` pointer swap.
 
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
@@ -61,12 +63,14 @@ impl<T: ContextualTagger + Send + Sync> EngineStore<T> {
         }
     }
 
-    /// The pipeline queries and snapshots are served from: the inner
-    /// pipeline (single) or the merged cross-shard view (sharded).
-    pub(crate) fn query_view(&self) -> &NerGlobalizer<T> {
+    /// The pipeline to publish as the query snapshot: a clone of the
+    /// inner pipeline (single), or the merged cross-shard view moved
+    /// out of the store (sharded): built once, not built and then
+    /// cloned.
+    pub(crate) fn snapshot_view(&mut self) -> NerGlobalizer<T> {
         match self {
-            EngineStore::Single(s) => s.inner(),
-            EngineStore::Sharded(s) => s.merged(),
+            EngineStore::Single(s) => s.inner().clone(),
+            EngineStore::Sharded(s) => s.take_merged(),
         }
     }
 
@@ -226,9 +230,9 @@ pub(crate) fn finalize_and_publish<T: ContextualTagger + Send + Sync>(
 /// Publishes the current query view as the query snapshot.
 pub(crate) fn publish_snapshot<T: ContextualTagger + Send + Sync>(
     shared: &Shared<T>,
-    store: &EngineStore<T>,
+    store: &mut EngineStore<T>,
 ) {
-    let snap = Arc::new(store.query_view().clone());
+    let snap = Arc::new(store.snapshot_view());
     *shared.snapshot.write().unwrap_or_else(|e| e.into_inner()) = snap;
     refresh_store_view(shared, store);
 }

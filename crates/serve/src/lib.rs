@@ -199,12 +199,14 @@ impl<T: ContextualTagger + Send + Sync + 'static> Server<T> {
         // partition alone*, which is what the kill-under-load oracle
         // compares against. A no-op finalize doesn't change state.
         let startup_finalize_ok = store.finalize().is_ok();
+        let snapshot = Arc::new(store.snapshot_view());
+        let auto_id = Arc::new(AtomicU64::new(AUTO_ID_BASE + snapshot.tweet_base().len() as u64));
         let shared = Arc::new(Shared {
             stats: ServeStats::default(),
             mode: AtomicU8::new(0),
             worst_mode: AtomicU8::new(0),
             shard_count: store.shard_count(),
-            snapshot: RwLock::new(Arc::new(store.query_view().clone())),
+            snapshot: RwLock::new(snapshot),
             shutdown: AtomicBool::new(false),
         });
         if startup_finalize_ok {
@@ -213,8 +215,6 @@ impl<T: ContextualTagger + Send + Sync + 'static> Server<T> {
             add(&shared.stats.finalize_failures, 1);
         }
         engine::refresh_store_view(&shared, &store);
-        let auto_id =
-            Arc::new(AtomicU64::new(AUTO_ID_BASE + store.query_view().tweet_base().len() as u64));
 
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;

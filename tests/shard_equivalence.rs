@@ -1,9 +1,14 @@
 //! End-to-end contracts of the sharded globalizer (`ngl_core::shard`):
 //!
-//! * **sharding is invisible** — the merged finalize output, combined
-//!   `state_digest`, and exported checkpoint bytes of a 2- and 4-shard
-//!   store are bitwise identical to the 1-shard store at 1 and 4
-//!   worker threads (the CI matrix adds `NGL_KERNEL=scalar|simd`);
+//! * **sharding is invisible** — every finalize's output, the combined
+//!   `state_digest`, and the exported checkpoint bytes of a 1-, 2- and
+//!   4-shard store are bitwise identical to a plain pipeline's under
+//!   every ablation mode at 1 and 4 worker threads (the CI matrix adds
+//!   `NGL_KERNEL=scalar|simd`);
+//! * **the merged view is the shards' current state** — read after
+//!   every operation or only at the end, it ends bitwise the same; it
+//!   matches the 1-shard store right after an ingest with no finalize
+//!   and after a finalize whose WAL commit failed;
 //! * **a lagging shard heals on reopen** — kill a store whose faulty
 //!   shard wedged on its first commit while the others kept going,
 //!   reopen it clean, and catch-up replication replays the donor WAL
@@ -23,8 +28,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ner_globalizer::core::{
-    AblationMode, ClassifierConfig, DegradationMode, EntityClassifier, GlobalizerConfig,
-    NerGlobalizer, PhraseEmbedder, PhraseEmbedderConfig, ShardedGlobalizer,
+    AblationMode, ClassifierConfig, DegradationMode, DurableGlobalizer, EntityClassifier,
+    GlobalizerConfig, NerGlobalizer, PhraseEmbedder, PhraseEmbedderConfig, ShardedGlobalizer,
 };
 use ner_globalizer::encoder::{ContextualTagger, SentenceEncoding, SequenceTagger};
 use ner_globalizer::nn::Matrix;
@@ -139,69 +144,210 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Streams `stream` through a fresh sharded store and returns the last
-/// finalize's spans, the combined digest, and the exported checkpoint
-/// bytes of the merged view.
+/// What a stream leaves behind: the spans of every finalize, the
+/// state digest, and the exported checkpoint bytes.
+type Outcome = (Vec<Vec<Vec<Span>>>, u64, Vec<u8>);
+
+/// Streams `stream` through a fresh sharded store, one finalize per
+/// batch, reading the merged view only at the end.
 fn run_sharded(
     dir: &PathBuf,
     threads: usize,
     shards: u32,
     ablation: AblationMode,
     stream: &[Vec<String>],
-) -> (Vec<Vec<Span>>, u64, Vec<u8>) {
+) -> Outcome {
     let (mut sharded, _) =
         ShardedGlobalizer::open(pipeline(threads, cfg(ablation)), dir, 10, shards).expect("open");
     let mut spans = Vec::new();
     for chunk in stream.chunks(BATCH) {
         sharded.ingest(chunk.to_vec(), None).expect("batch");
-        spans = sharded.finalize().expect("finalize");
+        spans.push(sharded.finalize().expect("finalize"));
     }
     let digest = sharded.combined_digest();
     let export = sharded.merged().export_state_bytes();
     (spans, digest, export)
 }
 
+/// [`run_sharded`]'s stream through a plain in-memory pipeline, whose
+/// finalize emits from its own candidate base.
+fn run_plain(ablation: AblationMode, stream: &[Vec<String>]) -> Outcome {
+    let mut plain = pipeline(1, cfg(ablation));
+    let mut spans = Vec::new();
+    for chunk in stream.chunks(BATCH) {
+        plain.ingest(chunk.to_vec(), None);
+        spans.push(plain.finalize());
+    }
+    (spans, plain.state_digest(), plain.export_state_bytes())
+}
+
 #[test]
 fn sharded_output_is_bitwise_identical_to_one_shard() {
     let stream = gen_stream(0x54A8D, 8 * BATCH);
-    // MentionExtraction emits every extracted mention (the untrained
-    // classifier of FullGlobal validates none), so the span comparison
-    // is over non-empty output; FullGlobal additionally runs the
+    // MentionExtraction emits every extracted mention and LocalOnly
+    // every local span, so their span comparisons are over non-empty
+    // output (the untrained classifier of FullGlobal and
+    // LocalClassifier validates none); FullGlobal additionally runs the
     // clustering and classification stages whose caches the digest and
     // export bytes cover.
-    for ablation in [AblationMode::MentionExtraction, AblationMode::FullGlobal] {
-        let mut reference: Option<(Vec<Vec<Span>>, u64, Vec<u8>)> = None;
+    for ablation in [
+        AblationMode::LocalOnly,
+        AblationMode::LocalClassifier,
+        AblationMode::MentionExtraction,
+        AblationMode::FullGlobal,
+    ] {
+        let want = run_plain(ablation, &stream);
+        if matches!(ablation, AblationMode::LocalOnly | AblationMode::MentionExtraction) {
+            assert!(
+                want.0.iter().all(|fin| fin.iter().any(|spans| !spans.is_empty())),
+                "{ablation:?} must produce spans at every finalize for the comparison to bite"
+            );
+        }
         for threads in [1usize, 4] {
             for shards in [1u32, 2, 4] {
                 let dir = scratch(&format!("eq-{ablation:?}-{threads}t-{shards}s"));
                 let got = run_sharded(&dir, threads, shards, ablation, &stream);
-                if ablation == AblationMode::MentionExtraction {
-                    assert!(
-                        got.0.iter().any(|spans| !spans.is_empty()),
-                        "mention extraction must produce spans for the comparison to bite"
+                for (i, (want, got)) in want.0.iter().zip(&got.0).enumerate() {
+                    assert_eq!(
+                        want, got,
+                        "{shards}-shard spans diverge at finalize {i}, {threads} threads \
+                         ({ablation:?})"
                     );
                 }
-                match &reference {
-                    None => reference = Some(got),
-                    Some(want) => {
-                        assert_eq!(
-                            want.0, got.0,
-                            "{shards}-shard spans diverge at {threads} threads ({ablation:?})"
-                        );
-                        assert_eq!(
-                            want.1, got.1,
-                            "{shards}-shard combined digest diverges at {threads} threads \
-                             ({ablation:?})"
-                        );
-                        assert_eq!(
-                            want.2, got.2,
-                            "{shards}-shard export bytes diverge at {threads} threads \
-                             ({ablation:?})"
-                        );
-                    }
-                }
+                assert_eq!(want.0.len(), got.0.len());
+                assert_eq!(
+                    want.1, got.1,
+                    "{shards}-shard combined digest diverges at {threads} threads ({ablation:?})"
+                );
+                assert_eq!(
+                    want.2, got.2,
+                    "{shards}-shard export bytes diverge at {threads} threads ({ablation:?})"
+                );
                 let _ = std::fs::remove_dir_all(&dir);
             }
+        }
+    }
+}
+
+/// A 4-shard store and a 1-shard store take the same calls, a finalize
+/// after every second batch. One copy of the sharded run reads the
+/// merged view after every call and compares it with the 1-shard
+/// store's pipeline, ingests without a finalize included; another
+/// reads it only at the end. Both must end where the 1-shard store
+/// does, so a read never changes what the store computes.
+#[test]
+fn merged_view_tracks_the_shards_whenever_it_is_read() {
+    const SHARDS: u32 = 4;
+    let stream = gen_stream(0x1A27, 6 * BATCH);
+    for threads in [1usize, 4] {
+        let single_dir = scratch(&format!("lazy-single-{threads}t"));
+        let (mut single, _) =
+            DurableGlobalizer::open(pipeline(threads, full_cfg()), &single_dir, 10)
+                .expect("open single");
+        let eager_dir = scratch(&format!("lazy-eager-{threads}t"));
+        let (mut eager, _) =
+            ShardedGlobalizer::open(pipeline(threads, full_cfg()), &eager_dir, 10, SHARDS)
+                .expect("open eager");
+        let lazy_dir = scratch(&format!("lazy-lazy-{threads}t"));
+        let (mut lazy, _) =
+            ShardedGlobalizer::open(pipeline(threads, full_cfg()), &lazy_dir, 10, SHARDS)
+                .expect("open lazy");
+        let check = |eager: &ShardedGlobalizer<HashTagger>,
+                     single: &DurableGlobalizer<HashTagger>,
+                     what: &str| {
+            assert!(
+                eager.merged().export_state_bytes() == single.inner().export_state_bytes(),
+                "merged view differs from the 1-shard pipeline after {what} ({threads} threads)"
+            );
+            assert_eq!(eager.combined_digest(), single.inner().state_digest(), "{what}");
+        };
+        for (b, chunk) in stream.chunks(BATCH).enumerate() {
+            single.ingest(chunk.to_vec(), None).expect("single batch");
+            eager.ingest(chunk.to_vec(), None).expect("eager batch");
+            lazy.ingest(chunk.to_vec(), None).expect("lazy batch");
+            check(&eager, &single, &format!("ingest {b}"));
+            if b % 2 == 1 {
+                let want = single.finalize().expect("single finalize");
+                assert_eq!(eager.finalize().expect("eager finalize"), want, "finalize {b}");
+                assert_eq!(lazy.finalize().expect("lazy finalize"), want, "finalize {b}");
+                check(&eager, &single, &format!("finalize {b}"));
+            }
+        }
+        assert!(lazy.merged().export_state_bytes() == eager.merged().export_state_bytes());
+        assert_eq!(lazy.combined_digest(), eager.combined_digest());
+        for dir in [single_dir, eager_dir, lazy_dir] {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// A finalize whose WAL commit fails on one shard has still applied its
+/// stages there (see `ShardedGlobalizer::finalize`), so the merged view
+/// holds that applied state — as the 1-shard store's pipeline does
+/// under the same fault, and as sharded serve publishes it.
+#[test]
+fn merged_view_holds_the_applied_state_after_a_failed_finalize() {
+    const SHARDS: u32 = 4;
+    const FAULTY: usize = 2;
+    let stream = gen_stream(0xFA17, 3 * BATCH);
+    // WAL sync indices on a fresh store: each batch and each finalize
+    // commit syncs once, so #5 is the third finalize's.
+    let faulty_io = || {
+        let plan = IoFaultPlan::new().with_fault(IoFault {
+            op: IoOp::Sync,
+            class: IoPathClass::Wal,
+            index: 5,
+            kind: IoFaultKind::SyncFail,
+        });
+        IoHandle::chaos(plan, RetryPolicy::default().no_sleep())
+    };
+    for threads in [1usize, 4] {
+        let single_dir = scratch(&format!("failfin-single-{threads}t"));
+        let (mut single, _) = DurableGlobalizer::open_with_io(
+            pipeline(threads, full_cfg()),
+            &single_dir,
+            100,
+            None,
+            faulty_io(),
+        )
+        .expect("open single");
+        let sharded_dir = scratch(&format!("failfin-sharded-{threads}t"));
+        let ios = (0..SHARDS as usize)
+            .map(|i| if i == FAULTY { faulty_io() } else { IoHandle::real() })
+            .collect();
+        let (mut sharded, _) = ShardedGlobalizer::open_with_ios(
+            pipeline(threads, full_cfg()),
+            &sharded_dir,
+            100,
+            SHARDS,
+            None,
+            ios,
+        )
+        .expect("open sharded");
+        let mut chunks = stream.chunks(BATCH).peekable();
+        while let Some(chunk) = chunks.next() {
+            single.ingest(chunk.to_vec(), None).expect("single batch");
+            sharded.ingest(chunk.to_vec(), None).expect("sharded batch");
+            if chunks.peek().is_some() {
+                single.finalize().expect("single finalize");
+                sharded.finalize().expect("sharded finalize");
+            }
+        }
+        single.finalize().expect_err("the 1-shard finalize fails its WAL commit");
+        sharded.finalize().expect_err("the faulty shard fails its WAL commit");
+        assert!(sharded.has_pending_finalize() && !sharded.is_wedged(FAULTY));
+        assert!(
+            sharded.merged().export_state_bytes() == single.inner().export_state_bytes(),
+            "the merged view must hold the applied state ({threads} threads)"
+        );
+        assert_eq!(sharded.combined_digest(), single.inner().state_digest());
+        assert_eq!(
+            sharded.finalize().expect("the retry commits"),
+            single.finalize().expect("the retry commits"),
+            "a retried finalize emits the applied state's spans"
+        );
+        for dir in [single_dir, sharded_dir] {
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
