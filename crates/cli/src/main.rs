@@ -405,6 +405,7 @@ fn print_recovery_section(out: &mut impl Write, report: &RecoveryReport) -> std:
     writeln!(out, "watermark:          {}", report.watermark)?;
     writeln!(out, "tweets:             {}", report.tweets)?;
     writeln!(out, "tweets from log:    {}", report.tweets_from_log)?;
+    writeln!(out, "mentions from log:  {}", report.mentions_from_log)?;
     writeln!(
         out,
         "surfaces:           {} ({} resident)",

@@ -378,6 +378,120 @@ impl CandidateBase {
     }
 }
 
+/// The span a cached mention embedding belongs to: `(tweet, start,
+/// end)`.
+pub(crate) type SpanKey = (usize, usize, usize);
+
+/// Local mention embeddings by span. An embedding depends only on its
+/// immutable tweet record and span, so an entry never changes or leaves
+/// once admitted (only a reset drops them all). A durable lineage logs
+/// each entry once, at the first snapshot that covers it, in admission
+/// order: once a log takes them ([`Self::track`]), the cache lists the
+/// spans admitted since the log last took them, so a snapshot finds its
+/// new entries in O(new entries). The list is emptied at every logged
+/// snapshot, so it stays short and a clone (every serving publish
+/// clones the pipeline) copies little besides the map; a pipeline
+/// outside a durable store keeps no list at all.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MentionCache {
+    by_span: HashMap<SpanKey, Arc<[f32]>>,
+    /// Spans admitted since the log last took them, in admission order;
+    /// `None` while no log takes them.
+    unlogged: Option<Vec<SpanKey>>,
+}
+
+impl MentionCache {
+    /// The cache a durable open reads from its log: `entries` in
+    /// admission order, all of them logged. `None` when a span occurs
+    /// twice.
+    pub(crate) fn from_logged(entries: Vec<(SpanKey, Arc<[f32]>)>) -> Option<Self> {
+        let mut by_span = HashMap::with_capacity(entries.len());
+        for (key, emb) in entries {
+            if by_span.insert(key, emb).is_some() {
+                return None;
+            }
+        }
+        Some(Self { by_span, unlogged: Some(Vec::new()) })
+    }
+
+    /// A cache of `by_span` that no log takes yet.
+    pub(crate) fn from_map(by_span: HashMap<SpanKey, Arc<[f32]>>) -> Self {
+        Self { by_span, unlogged: None }
+    }
+
+    /// The embedding cached for `key`.
+    pub(crate) fn get(&self, key: &SpanKey) -> Option<&Arc<[f32]>> {
+        self.by_span.get(key)
+    }
+
+    /// Whether `key` is cached.
+    pub(crate) fn contains(&self, key: &SpanKey) -> bool {
+        self.by_span.contains_key(key)
+    }
+
+    /// Caches `emb` for `key` unless an entry exists; a new entry is
+    /// listed as unlogged when a log takes the entries.
+    pub(crate) fn admit(&mut self, key: SpanKey, emb: &Arc<[f32]>) {
+        if let std::collections::hash_map::Entry::Vacant(slot) = self.by_span.entry(key) {
+            slot.insert(Arc::clone(emb));
+            if let Some(unlogged) = &mut self.unlogged {
+                unlogged.push(key);
+            }
+        }
+    }
+
+    /// Adds the entries of `other` this cache lacks, without listing
+    /// them as unlogged: for a view that no log takes (the cross-shard
+    /// merge).
+    pub(crate) fn absorb(&mut self, other: &Self) {
+        for (key, emb) in &other.by_span {
+            self.by_span.entry(*key).or_insert_with(|| Arc::clone(emb));
+        }
+    }
+
+    /// Number of cached spans.
+    pub(crate) fn len(&self) -> usize {
+        self.by_span.len()
+    }
+
+    /// Drops every entry; a log that takes them keeps taking them.
+    pub(crate) fn clear(&mut self) {
+        self.by_span.clear();
+        if let Some(unlogged) = &mut self.unlogged {
+            unlogged.clear();
+        }
+    }
+
+    /// The entries by span, in no particular order.
+    pub(crate) fn map(&self) -> &HashMap<SpanKey, Arc<[f32]>> {
+        &self.by_span
+    }
+
+    /// Starts listing admissions for a log. Entries cached before are
+    /// listed as unlogged too, in span order, unless a log already
+    /// takes them.
+    pub(crate) fn track(&mut self) {
+        if self.unlogged.is_none() {
+            let mut keys: Vec<SpanKey> = self.by_span.keys().copied().collect();
+            keys.sort_unstable();
+            self.unlogged = Some(keys);
+        }
+    }
+
+    /// The entries admitted since the log last took them, in admission
+    /// order (none while no log takes them).
+    pub(crate) fn unlogged(&self) -> impl ExactSizeIterator<Item = (SpanKey, &Arc<[f32]>)> {
+        self.unlogged.as_deref().unwrap_or_default().iter().map(|key| (*key, &self.by_span[key]))
+    }
+
+    /// Records that the log took every entry [`Self::unlogged`] listed.
+    pub(crate) fn mark_logged(&mut self) {
+        if let Some(unlogged) = &mut self.unlogged {
+            unlogged.clear();
+        }
+    }
+}
+
 /// One processed tweet sentence.
 #[derive(Debug, Clone)]
 pub struct TweetRecord {
@@ -628,6 +742,40 @@ mod tests {
         let italy = cb.get("italy").expect("entry").approx_bytes();
         let us = cb.get("us").expect("entry").approx_bytes();
         assert_eq!(three, italy + us);
+    }
+
+    /// A cache lists nothing until a log takes its entries; then it
+    /// lists the earlier entries in span order and later admissions in
+    /// admission order, each once, until they are marked logged.
+    #[test]
+    fn mention_cache_lists_unlogged_entries_in_admission_order() {
+        let emb = |v: f32| -> Arc<[f32]> { vec![v, -v].into() };
+        let keys = |cache: &MentionCache| cache.unlogged().map(|(k, _)| k).collect::<Vec<_>>();
+        let mut cache = MentionCache::default();
+        for t in [5, 2] {
+            cache.admit((t, 0, 1), &emb(t as f32));
+        }
+        assert!(keys(&cache).is_empty(), "no log takes the entries yet");
+        cache.track();
+        for t in [9, 1, 9, 2] {
+            cache.admit((t, 0, 1), &emb(-1.0));
+        }
+        assert_eq!(keys(&cache), [(2, 0, 1), (5, 0, 1), (9, 0, 1), (1, 0, 1)]);
+        let (_, first) = cache.unlogged().nth(2).expect("an entry");
+        assert_eq!(first[..], emb(-1.0)[..], "a re-admitted span keeps its first entry");
+        assert_eq!(cache.len(), 4);
+        cache.mark_logged();
+        cache.track();
+        assert!(keys(&cache).is_empty(), "tracking again lists nothing anew");
+        cache.admit((0, 3, 4), &emb(0.5));
+        assert_eq!(keys(&cache), [(0, 3, 4)]);
+        let mut view =
+            MentionCache::from_logged(vec![((7, 0, 1), emb(7.0))]).expect("distinct spans");
+        view.absorb(&cache);
+        assert_eq!((view.len(), view.unlogged().len()), (6, 0));
+        assert!(
+            MentionCache::from_logged(vec![((1, 0, 1), emb(1.0)), ((1, 0, 1), emb(2.0))]).is_none()
+        );
     }
 
     #[test]

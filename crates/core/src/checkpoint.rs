@@ -15,11 +15,15 @@
 //! written in sorted key order, so serialization is canonical — equal
 //! states produce equal bytes.
 //!
-//! A durable snapshot writes the same layout with one difference: its
-//! tweet section is a [`TweetLogRef`] into the lineage's append-only
-//! tweet log (`crate::tweet_log`) instead of the records themselves,
-//! since a record never changes once stored.
-//! `NerGlobalizer::export_state_bytes` keeps the records inline.
+//! A durable snapshot writes the same layout with three differences,
+//! all because a tweet record and a mention embedding never change once
+//! stored: its tweet section is a [`TweetLogRef`] into the lineage's
+//! append-only tweet log (`crate::tweet_log`) instead of the records
+//! themselves; each mention is written without its embedding; and the
+//! mention-cache section is left out, its entries being in the log (the
+//! reference counts them). So each embedding is encoded once per
+//! lineage, in the log, rather than twice per snapshot.
+//! `NerGlobalizer::export_state_bytes` keeps everything inline.
 //!
 //! Retired words of the layout are always written as 0: the tweet
 //! section's leading offset (the first retained tweet, from when the
@@ -109,15 +113,18 @@ impl PipelineCheckpoint {
     }
 }
 
-/// What a durable snapshot stores in place of its tweet records: the
-/// stream length `len`, and the frame checksum of the last record the
-/// tweet log held when the snapshot was taken (0 if it never held one).
-/// Log records chain each checksum into the next, so that one word
-/// binds the snapshot to every record it references. On disk a retired
-/// offset word, always 0, precedes `len`.
+/// What a durable snapshot stores in place of its tweet records and
+/// mention cache: the stream length `len`, the number of mention-cache
+/// entries the tweet log holds for it (`mentions`, the first that many
+/// in admission order), and the frame checksum of the last record the
+/// log held when the snapshot was taken (0 if it never held one). Log
+/// records chain each checksum into the next, so that one word binds
+/// the snapshot to every record it references. On disk a retired offset
+/// word, always 0, precedes `len`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct TweetLogRef {
     pub len: u64,
+    pub mentions: u64,
     pub checksum: u64,
 }
 
@@ -212,21 +219,29 @@ fn get_spans(buf: &mut &[u8]) -> Result<Vec<Span>, CodecError> {
     Ok(spans)
 }
 
-fn put_mention(buf: &mut Vec<u8>, m: &MentionRecord) {
+/// Writes a mention, with its embedding only when `inline` (a durable
+/// snapshot's mentions take theirs from the tweet log).
+fn put_mention(buf: &mut Vec<u8>, m: &MentionRecord, inline: bool) {
     put_u64(buf, m.tweet as u64);
     put_u64(buf, m.start as u64);
     put_u64(buf, m.end as u64);
-    put_quantized_f32_slice(buf, &m.local_emb);
+    if inline {
+        put_quantized_f32_slice(buf, &m.local_emb);
+    }
     put_opt_type(buf, m.local_type);
     put_u64(buf, m.trie_version);
 }
 
-fn get_mention(buf: &mut &[u8]) -> Result<MentionRecord, CodecError> {
+/// How a mention's embedding is read: the inline layout decodes it, a
+/// durable snapshot's layout has none to read.
+type GetEmb<'a> = &'a dyn Fn(&mut &[u8]) -> Result<Arc<[f32]>, CodecError>;
+
+fn get_mention(buf: &mut &[u8], get_emb: GetEmb<'_>) -> Result<MentionRecord, CodecError> {
     Ok(MentionRecord {
         tweet: get_u64(buf)? as usize,
         start: get_u64(buf)? as usize,
         end: get_u64(buf)? as usize,
-        local_emb: get_quantized_f32_vec(buf)?,
+        local_emb: get_emb(buf)?,
         local_type: get_opt_type(buf)?,
         trie_version: get_u64(buf)?,
     })
@@ -254,10 +269,10 @@ fn get_cluster(buf: &mut &[u8]) -> Result<CandidateCluster, CodecError> {
     })
 }
 
-fn put_entry(buf: &mut Vec<u8>, e: &SurfaceEntry) {
+fn put_entry(buf: &mut Vec<u8>, e: &SurfaceEntry, inline: bool) {
     put_u64(buf, e.mentions.len() as u64);
     for m in &e.mentions {
-        put_mention(buf, m);
+        put_mention(buf, m, inline);
     }
     put_u64(buf, e.clusters.len() as u64);
     for c in &e.clusters {
@@ -268,11 +283,11 @@ fn put_entry(buf: &mut Vec<u8>, e: &SurfaceEntry) {
     put_u64(buf, e.touched);
 }
 
-fn get_entry(buf: &mut &[u8]) -> Result<SurfaceEntry, CodecError> {
+fn get_entry(buf: &mut &[u8], get_emb: GetEmb<'_>) -> Result<SurfaceEntry, CodecError> {
     let n = get_count(buf, 40)?;
     let mut mentions = Vec::with_capacity(n);
     for _ in 0..n {
-        mentions.push(get_mention(buf)?);
+        mentions.push(get_mention(buf, get_emb)?);
     }
     let n = get_count(buf, 24)?;
     let mut clusters = Vec::with_capacity(n);
@@ -288,20 +303,20 @@ fn get_entry(buf: &mut &[u8]) -> Result<SurfaceEntry, CodecError> {
     })
 }
 
-fn put_candidates(buf: &mut Vec<u8>, cb: &CandidateBase) {
+fn put_candidates(buf: &mut Vec<u8>, cb: &CandidateBase, inline: bool) {
     put_u64(buf, cb.len() as u64);
     for (surface, entry) in cb.iter() {
         put_str(buf, surface);
-        put_entry(buf, entry);
+        put_entry(buf, entry, inline);
     }
 }
 
-fn get_candidates(buf: &mut &[u8]) -> Result<CandidateBase, CodecError> {
+fn get_candidates(buf: &mut &[u8], get_emb: GetEmb<'_>) -> Result<CandidateBase, CodecError> {
     let n = get_count(buf, 24)?;
     let mut cb = CandidateBase::new();
     for _ in 0..n {
         let surface = get_str(buf)?;
-        let entry = get_entry(buf)?;
+        let entry = get_entry(buf, get_emb)?;
         cb.insert_entry(surface, entry);
     }
     Ok(cb)
@@ -445,7 +460,10 @@ fn get_config(buf: &mut &[u8]) -> Result<GlobalizerConfig, CodecError> {
 // ---- checkpoint codec -------------------------------------------------
 
 /// Appends the checkpoint to `buf` in its canonical layout, with the
-/// tweet records inline or, for a durable snapshot, as `log`.
+/// tweet records and mention embeddings inline or, for a durable
+/// snapshot, as `log`: the tweet section is then the log reference,
+/// each mention is written without its embedding, and the mention-cache
+/// section is left out.
 pub(crate) fn put_checkpoint(buf: &mut Vec<u8>, ck: StateRef<'_>, log: Option<&TweetLogRef>) {
     put_config(buf, ck.cfg);
     put_ctrie(buf, ck.ctrie);
@@ -454,20 +472,23 @@ pub(crate) fn put_checkpoint(buf: &mut Vec<u8>, ck: StateRef<'_>, log: Option<&T
         Some(r) => {
             put_u64(buf, 0); // retired eviction offset
             put_u64(buf, r.len);
+            put_u64(buf, r.mentions);
             put_u64(buf, r.checksum);
         }
     }
-    put_candidates(buf, ck.candidates);
+    put_candidates(buf, ck.candidates, log.is_none());
     put_u64(buf, ck.scanned_tweets as u64);
     put_u64(buf, ck.scanned_version);
-    let mut keys: Vec<&(usize, usize, usize)> = ck.mention_cache.keys().collect();
-    keys.sort();
-    put_u64(buf, keys.len() as u64);
-    for k in keys {
-        put_u64(buf, k.0 as u64);
-        put_u64(buf, k.1 as u64);
-        put_u64(buf, k.2 as u64);
-        put_quantized_f32_slice(buf, &ck.mention_cache[k]);
+    if log.is_none() {
+        let mut keys: Vec<&(usize, usize, usize)> = ck.mention_cache.keys().collect();
+        keys.sort();
+        put_u64(buf, keys.len() as u64);
+        for k in keys {
+            put_u64(buf, k.0 as u64);
+            put_u64(buf, k.1 as u64);
+            put_u64(buf, k.2 as u64);
+            put_quantized_f32_slice(buf, &ck.mention_cache[k]);
+        }
     }
     put_u64(buf, ck.seen_ids.len() as u64);
     for &id in ck.seen_ids {
@@ -477,32 +498,10 @@ pub(crate) fn put_checkpoint(buf: &mut Vec<u8>, ck: StateRef<'_>, log: Option<&T
 
 /// Parses a checkpoint written by [`put_checkpoint`] with inline tweets.
 pub(crate) fn get_checkpoint(buf: &mut &[u8]) -> Result<PipelineCheckpoint, CodecError> {
-    let (mut ck, tweets) = get_checkpoint_with(buf, get_tweets)?;
-    ck.tweets = tweets;
-    Ok(ck)
-}
-
-/// Parses a durable snapshot's checkpoint: the tweet store comes back
-/// empty, to be filled from the tweet log the returned reference names.
-pub(crate) fn get_logged_checkpoint(
-    buf: &mut &[u8],
-) -> Result<(PipelineCheckpoint, TweetLogRef), CodecError> {
-    get_checkpoint_with(buf, |buf| {
-        get_retired_offset(buf)?;
-        Ok(TweetLogRef { len: get_u64(buf)?, checksum: get_u64(buf)? })
-    })
-}
-
-/// Parses a checkpoint whose tweet section `get_tweets` reads; the
-/// returned checkpoint's tweet store is empty.
-fn get_checkpoint_with<S>(
-    buf: &mut &[u8],
-    get_tweets: impl FnOnce(&mut &[u8]) -> Result<S, CodecError>,
-) -> Result<(PipelineCheckpoint, S), CodecError> {
     let cfg = get_config(buf)?;
     let ctrie = get_ctrie(buf)?;
     let tweets = get_tweets(buf)?;
-    let candidates = get_candidates(buf)?;
+    let candidates = get_candidates(buf, &|buf| get_quantized_f32_vec(buf))?;
     let scanned_tweets = get_u64(buf)? as usize;
     let scanned_version = get_u64(buf)?;
     let n = get_count(buf, 32)?;
@@ -513,22 +512,52 @@ fn get_checkpoint_with<S>(
         let e = get_u64(buf)? as usize;
         mention_cache.insert((t, s, e), get_quantized_f32_vec(buf)?);
     }
-    let n = get_count(buf, 8)?;
-    let mut seen_ids = BTreeSet::new();
-    for _ in 0..n {
-        seen_ids.insert(get_u64(buf)?);
-    }
+    Ok(PipelineCheckpoint {
+        cfg,
+        ctrie,
+        tweets,
+        candidates,
+        scanned_tweets,
+        scanned_version,
+        mention_cache,
+        seen_ids: get_seen_ids(buf)?,
+    })
+}
+
+/// Parses a durable snapshot's checkpoint. The tweet store and the
+/// mention cache come back empty, to be filled from the tweet log the
+/// returned reference names, and every mention holds an empty
+/// embedding until it is linked to the logged entry of its span
+/// (`NerGlobalizer::import_logged_state`).
+pub(crate) fn get_logged_checkpoint(
+    buf: &mut &[u8],
+) -> Result<(PipelineCheckpoint, TweetLogRef), CodecError> {
+    let cfg = get_config(buf)?;
+    let ctrie = get_ctrie(buf)?;
+    get_retired_offset(buf)?;
+    let log = TweetLogRef { len: get_u64(buf)?, mentions: get_u64(buf)?, checksum: get_u64(buf)? };
+    let unlinked: Arc<[f32]> = Arc::new([]);
+    let candidates = get_candidates(buf, &|_| Ok(Arc::clone(&unlinked)))?;
     let ck = PipelineCheckpoint {
         cfg,
         ctrie,
         tweets: TweetBase::new(),
         candidates,
-        scanned_tweets,
-        scanned_version,
-        mention_cache,
-        seen_ids,
+        scanned_tweets: get_u64(buf)? as usize,
+        scanned_version: get_u64(buf)?,
+        mention_cache: HashMap::new(),
+        seen_ids: get_seen_ids(buf)?,
     };
-    Ok((ck, tweets))
+    Ok((ck, log))
+}
+
+fn get_seen_ids(buf: &mut &[u8]) -> Result<BTreeSet<u64>, CodecError> {
+    let n = get_count(buf, 8)?;
+    let mut seen_ids = BTreeSet::new();
+    for _ in 0..n {
+        seen_ids.insert(get_u64(buf)?);
+    }
+    Ok(seen_ids)
 }
 
 #[cfg(test)]
@@ -677,7 +706,7 @@ mod tests {
         inline[0] = 1;
         assert_eq!(format!("{:?}", get_tweets(&mut &inline[..]).map(|_| ())), retired);
         let mut logged = Vec::new();
-        let log = TweetLogRef { len: 2, checksum: 9 };
+        let log = TweetLogRef { len: 2, mentions: 1, checksum: 9 };
         put_checkpoint(&mut logged, sample().state_ref(), Some(&log));
         let (_, back) = get_logged_checkpoint(&mut &logged[..]).expect("parse");
         assert_eq!(back, log);
@@ -702,6 +731,33 @@ mod tests {
                 bytes.len()
             );
         }
+        let mut logged = Vec::new();
+        let log = TweetLogRef { len: 2, mentions: 1, checksum: 9 };
+        put_checkpoint(&mut logged, sample().state_ref(), Some(&log));
+        for cut in 0..logged.len() {
+            assert!(get_logged_checkpoint(&mut &logged[..cut]).is_err(), "logged cut at {cut}");
+        }
+    }
+
+    /// The durable layout writes no embedding of a mention and no cache
+    /// section: its mentions come back unlinked, its cache empty, and
+    /// re-encoding the decoded state gives the same bytes.
+    #[test]
+    fn the_logged_layout_carries_no_mention_embedding() {
+        let ck = sample();
+        let log = TweetLogRef { len: 2, mentions: 1, checksum: 9 };
+        let mut logged = Vec::new();
+        put_checkpoint(&mut logged, ck.state_ref(), Some(&log));
+        let (back, got) = get_logged_checkpoint(&mut &logged[..]).expect("parse");
+        assert_eq!(got, log);
+        assert!(back.mention_cache.is_empty() && back.tweets.is_empty());
+        let entry = back.candidates.get("beshear").expect("entry");
+        assert!(entry.mentions[0].local_emb.is_empty(), "unlinked until the open");
+        assert_eq!(entry.clusters[0].global_emb, [0.5, 0.5, 0.5]);
+        let mut again = Vec::new();
+        put_checkpoint(&mut again, back.state_ref(), Some(&log));
+        assert_eq!(again, logged);
+        assert!(logged.len() < to_bytes(&ck).len());
     }
 
     #[test]

@@ -17,13 +17,16 @@
 //! state — which is what makes delta checkpointing sublinear per batch.
 //!
 //! Every `checkpoint_every` finalizes, [`DurableGlobalizer`] writes a
-//! snapshot and compacts. The tweet records go to the lineage's
-//! append-only tweet log (`tweets-NNNNNNNN.log`, see
-//! `crate::tweet_log`), each once, at the first snapshot that covers
-//! it; the snapshot holds the canonical checkpoint bytes of
+//! snapshot and compacts. The tweet records and the mention-cache
+//! entries (span embeddings) go to the lineage's append-only tweet log
+//! (`tweets-NNNNNNNN.log`, see `crate::tweet_log`), each once, at the
+//! first snapshot that covers it; the snapshot (format word
+//! `NGLSNAP3`) holds the canonical checkpoint bytes of
 //! [`NerGlobalizer::export_state_bytes`] with the tweet section
-//! replaced by a reference into that log, so its size no longer grows
-//! with the stored tweets. Commit order: the new log records are
+//! replaced by a reference into that log, the mentions written without
+//! their embeddings and no mention-cache section, so its size no longer
+//! grows with the stored tweets and it encodes no embedding of a
+//! mention. Commit order: the new log records are
 //! written and fsynced, then the snapshot is published (tmp file,
 //! fsync, rename), then the WAL rotates and drops the segments wholly
 //! below the *older* kept snapshot, older snapshots are pruned (kept:
@@ -40,10 +43,13 @@
 //! ## Recovery
 //!
 //! [`DurableGlobalizer::open`] = newest valid snapshot + the tweet-log
-//! records it references + WAL replay. Log records past the snapshot
-//! (a crash between the log's fsync and the snapshot's rename) are cut;
-//! a referenced record that is missing or fails its checksum fails the
-//! open with a typed error.
+//! records it references + WAL replay. Every mention of the snapshot is
+//! linked to the logged embedding of its span, which its cache entry
+//! shares. Log records past the snapshot (a crash between the log's
+//! fsync and the snapshot's rename) are cut; a referenced record that
+//! is missing or fails its checksum, a mention with no logged
+//! embedding, and a snapshot of an older layout fail the open with a
+//! typed error.
 //! Torn or bit-flipped bytes at the very tail of the final WAL segment
 //! are tolerated (the write that was in flight when the process died);
 //! the replay stops at the last checksum-valid record, yielding exactly
@@ -60,7 +66,7 @@ use ngl_encoder::ContextualTagger;
 use ngl_nn::codec::{get_u64, put_u64, CodecError};
 use ngl_store::{IoHandle, IoStatsSnapshot, SnapshotStore, StoreError, Wal, DEFAULT_SEGMENT_BYTES};
 
-use crate::bases::TweetBase;
+use crate::bases::{MentionCache, TweetBase};
 use crate::checkpoint::{
     get_logged_checkpoint, get_retired_offset, get_str, put_str, PipelineCheckpoint, TweetLogRef,
 };
@@ -226,19 +232,31 @@ impl WalRecord {
 /// time.
 const TWEET_LOG_SEGMENT_BYTES: u64 = 1 << 20;
 
-/// First word of a snapshot payload. Snapshots that carry their tweets
-/// inline (written before the tweet log existed) begin with the
-/// configuration's `max_mention_len` instead, and fail to open.
-const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"NGLSNAP2");
+/// First word of a snapshot payload. Both older layouts fail to open:
+/// `NGLSNAP2` snapshots encode every mention embedding themselves, twice
+/// (in the candidates and in a mention-cache section), and snapshots
+/// that carry their tweets inline (written before the tweet log
+/// existed) begin with the configuration's `max_mention_len`.
+const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"NGLSNAP3");
+const SNAPSHOT_MAGIC_V2: u64 = u64::from_le_bytes(*b"NGLSNAP2");
 
-/// Decodes a snapshot payload: the checkpoint, whose tweet store is
-/// still to be read from the tweet log, and the reference into it.
+/// Decodes a snapshot payload: the checkpoint, whose tweet store and
+/// mention embeddings are still to be read from the tweet log, and the
+/// reference into it.
 fn decode_snapshot(payload: &[u8]) -> Result<(PipelineCheckpoint, TweetLogRef), DurableError> {
     let mut buf = payload;
-    if get_u64(&mut buf)? != SNAPSHOT_MAGIC {
-        return Err(DurableError::Corrupt(
-            "snapshot has no tweet-log reference (written by an older format)",
-        ));
+    match get_u64(&mut buf)? {
+        SNAPSHOT_MAGIC => {}
+        SNAPSHOT_MAGIC_V2 => {
+            return Err(DurableError::Corrupt(
+                "snapshot holds its mention embeddings inline (written by an older format)",
+            ));
+        }
+        _ => {
+            return Err(DurableError::Corrupt(
+                "snapshot has no tweet-log reference (written by an older format)",
+            ));
+        }
     }
     let decoded = get_logged_checkpoint(&mut buf)?;
     if !buf.is_empty() {
@@ -405,6 +423,10 @@ pub struct RecoveryReport {
     /// Tweet records decoded from the tweet log: the snapshot's
     /// tweets.
     pub tweets_from_log: usize,
+    /// Mention-cache entries decoded from the tweet log: the
+    /// snapshot's span embeddings, each shared by the mentions of its
+    /// span.
+    pub mentions_from_log: usize,
     /// The tweet-id partition of every replayed id-carrying batch, in
     /// log order. This is the exact batch boundary the pre-crash run
     /// committed, so a verifier can re-run the same partition cleanly
@@ -424,7 +446,8 @@ pub struct StoreStats {
     /// Size of the most recent snapshot file.
     pub snapshot_bytes_last: u64,
     /// Total tweet-log bytes appended over the process lifetime (each
-    /// tweet record once, at the first snapshot that covers it).
+    /// tweet record and mention embedding once, at the first snapshot
+    /// that covers it).
     pub tweet_log_bytes: u64,
     /// Snapshots written.
     pub snapshots: u64,
@@ -671,11 +694,14 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
             Some((seq, payload)) => {
                 let (mut ck, log_ref) = decode_snapshot(&payload)?;
                 drop(payload);
-                let (log, records) =
+                let (log, logged) =
                     TweetLog::open(&dir, io.clone(), &log_ref, TWEET_LOG_SEGMENT_BYTES)?;
-                report.tweets_from_log = records.len();
-                ck.tweets = TweetBase::from_records(records);
-                inner.import_state(ck)?;
+                report.tweets_from_log = logged.tweets.len();
+                report.mentions_from_log = logged.mentions.len();
+                ck.tweets = TweetBase::from_records(logged.tweets);
+                let cache = MentionCache::from_logged(logged.mentions)
+                    .ok_or(DurableError::Corrupt("tweet log holds a mention embedding twice"))?;
+                inner.import_logged_state(ck, cache)?;
                 report.snapshot_seq = Some(seq);
                 op_seq = seq;
                 log
@@ -685,6 +711,9 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
                 TweetLog::open(&dir, io.clone(), &fresh, TWEET_LOG_SEGMENT_BYTES)?.0
             }
         };
+        // From here on the pipeline lists the cache entries it admits,
+        // so each snapshot logs the ones its predecessor did not.
+        inner.track_mention_log();
 
         let replay = wal.replay()?;
         // `Wal::open` repairs (cuts) a torn active-segment tail before
@@ -979,7 +1008,8 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
     }
 
     /// Writes a snapshot at the current `op_seq` — the tweet log takes
-    /// the records added since the previous one first — then compacts:
+    /// the tweet records and mention embeddings added since the
+    /// previous one first — then compacts:
     /// WAL segments below the previous snapshot are dropped and
     /// snapshots below the previous one (the one this lineage opened
     /// from or last wrote) pruned.
@@ -993,12 +1023,14 @@ impl<T: ContextualTagger + Sync> DurableGlobalizer<T> {
     }
 
     fn snapshot_now(&mut self) -> Result<u64, DurableError> {
-        // The tweet records the snapshot will reference are durable in
-        // the log before the snapshot is published.
-        let (log_ref, appended) = match self.tweet_log.append(self.inner.tweet_base()) {
+        // The tweet records and mention embeddings the snapshot will
+        // reference are durable in the log before it is published.
+        let appended = self.tweet_log.append(self.inner.tweet_base(), self.inner.mention_cache());
+        let (log_ref, appended) = match appended {
             Ok(done) => done,
             Err(e) => return Err(self.snapshot_failed(e)),
         };
+        self.inner.mark_mentions_logged();
         self.stats.tweet_log_bytes += appended;
         // The last snapshot's size is the next one's estimate: the state
         // mostly grows between snapshots, so the file image is usually
@@ -1330,6 +1362,133 @@ mod tests {
             .expect("an inline-tweet snapshot must not open");
         assert!(
             matches!(err, DurableError::Corrupt(what) if what.contains("older format")),
+            "got: {err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The mention records of the tweet log in `dir`, as `(index, span)`
+    /// in log order.
+    fn logged_mentions(dir: &Path) -> Vec<(u64, (usize, usize, usize))> {
+        use std::ops::ControlFlow;
+        let mut out = Vec::new();
+        let io = IoHandle::real();
+        ngl_store::read_log(&io, dir, ngl_store::TWEET_LOG_PREFIX, |r| {
+            if r.tag == 2 {
+                let mut buf = r.payload;
+                let index = get_u64(&mut buf)?;
+                get_u64(&mut buf)?;
+                let words = [get_u64(&mut buf)?, get_u64(&mut buf)?, get_u64(&mut buf)?];
+                out.push((index, (words[0] as usize, words[1] as usize, words[2] as usize)));
+            }
+            Ok::<_, DurableError>(ControlFlow::Continue(()))
+        })
+        .expect("read the tweet log");
+        out
+    }
+
+    /// A FullGlobal run that snapshots logs exactly `cached_mentions()`
+    /// entries, each once, in admission order, including the spans a
+    /// CTrie version bump admits from old tweets.
+    #[test]
+    fn snapshots_log_each_cached_mention_once() {
+        use crate::pipeline::tests::{pipeline, toks};
+        use crate::pipeline::AblationMode;
+        let dir = scratch("mention-log");
+        let (mut durable, _) =
+            DurableGlobalizer::open(pipeline(AblationMode::FullGlobal), &dir, 2).expect("open");
+        // "wolves" in tweet 1 becomes a surface only when tweet 5
+        // seeds it: the rescan at that version bump admits the old span.
+        let tweets = [
+            "Beshear spoke today",
+            "thanks beshear and wolves",
+            "Italy won it",
+            "Madrid and italy tonight",
+            "beshear in madrid",
+            "Wolves beat Madrid",
+        ];
+        for i in 0..12 {
+            let batch = (0..2).map(|k| toks(tweets[(2 * i + k) % tweets.len()])).collect();
+            durable.ingest(batch, None).expect("batch");
+            durable.finalize().expect("finalize");
+            if durable.finalizes_since_snapshot > 0 {
+                continue;
+            }
+            let logged = logged_mentions(&dir);
+            let cache = durable.inner().mention_cache();
+            assert_eq!(logged.len(), cache.len(), "round {i}");
+            assert!(logged.iter().map(|&(index, _)| index).eq(0..logged.len() as u64));
+            let spans: std::collections::HashSet<_> = logged.iter().map(|&(_, key)| key).collect();
+            assert_eq!(spans.len(), logged.len(), "round {i}: a span logged twice");
+            assert!(cache.map().keys().all(|key| spans.contains(key)), "round {i}");
+            assert_eq!(cache.unlogged().len(), 0, "round {i}");
+        }
+        let logged = logged_mentions(&dir);
+        let at = |key| logged.iter().position(|&(_, k)| k == key).expect("logged");
+        assert!(at((1, 3, 4)) > at((3, 0, 1)), "the old span is admitted at the bump");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Runs a few snapshotted finalizes in `dir` and returns the newest
+    /// snapshot's `(seq, payload)`.
+    fn snapshotted_store(dir: &Path) -> (u64, Vec<u8>) {
+        use crate::pipeline::tests::{pipeline, toks};
+        use crate::pipeline::AblationMode;
+        let (mut durable, _) =
+            DurableGlobalizer::open(pipeline(AblationMode::FullGlobal), dir, 2).expect("open");
+        for batch in [["Beshear spoke today", "Italy won it"], ["thanks beshear", "italy again"]] {
+            durable.ingest(batch.iter().map(|t| toks(t)).collect(), None).expect("batch");
+            durable.finalize().expect("finalize");
+        }
+        assert_eq!(durable.stats().snapshots, 1);
+        SnapshotStore::open(dir).expect("snaps").latest().expect("read").expect("a snapshot")
+    }
+
+    /// A snapshot in the previous layout (`NGLSNAP2`, every mention
+    /// embedding encoded twice in the snapshot itself) fails to open with
+    /// a typed error.
+    #[test]
+    fn snapshots_with_inline_mention_embeddings_are_rejected_with_a_typed_error() {
+        use crate::pipeline::tests::pipeline;
+        use crate::pipeline::AblationMode;
+        let dir = scratch("snap2");
+        let (seq, mut payload) = snapshotted_store(&dir);
+        payload[..8].copy_from_slice(b"NGLSNAP2");
+        SnapshotStore::open(&dir).expect("snaps").write(seq, &payload).expect("write");
+        let err = DurableGlobalizer::open(pipeline(AblationMode::FullGlobal), &dir, 2)
+            .err()
+            .expect("an NGLSNAP2 snapshot must not open");
+        assert!(
+            matches!(err, DurableError::Corrupt(what) if what.contains("older format")),
+            "got: {err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A snapshot that names a mention whose span has no embedding in
+    /// the tweet log fails to open with a typed error.
+    #[test]
+    fn a_mention_without_a_logged_embedding_fails_open_typed() {
+        use crate::pipeline::tests::pipeline;
+        use crate::pipeline::AblationMode;
+        let dir = scratch("unlogged-mention");
+        let (seq, payload) = snapshotted_store(&dir);
+        let (mut ck, log) = get_logged_checkpoint(&mut &payload[8..]).expect("decode");
+        let (_, entry) = ck.candidates.iter_mut().next().expect("an entry");
+        entry.mentions[0].end += 40;
+        let mut forged = Vec::new();
+        put_u64(&mut forged, SNAPSHOT_MAGIC);
+        crate::checkpoint::put_checkpoint(&mut forged, ck.state_ref(), Some(&log));
+        SnapshotStore::open(&dir).expect("snaps").write(seq, &forged).expect("write");
+        let err = DurableGlobalizer::open(pipeline(AblationMode::FullGlobal), &dir, 2)
+            .err()
+            .expect("a mention without a logged embedding must not open");
+        assert!(
+            matches!(
+                err,
+                DurableError::Persist(PersistError::Inconsistent(what))
+                    if what.contains("no logged embedding")
+            ),
             "got: {err}"
         );
         let _ = std::fs::remove_dir_all(&dir);

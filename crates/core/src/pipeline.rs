@@ -84,7 +84,8 @@ use ngl_runtime::{Executor, TaskError};
 use ngl_text::{decode_bio, EntityType, Span};
 
 use crate::bases::{
-    CandidateBase, CandidateCluster, MentionRecord, SurfaceEntry, TweetBase, TweetRecord,
+    CandidateBase, CandidateCluster, MentionCache, MentionRecord, SurfaceEntry, TweetBase,
+    TweetRecord,
 };
 use crate::checkpoint::PipelineCheckpoint;
 use crate::classifier::EntityClassifier;
@@ -454,11 +455,11 @@ pub struct NerGlobalizer<T: ContextualTagger> {
     /// scan covers every stored tweet (after open, import, reset or
     /// clone).
     scan_memo: Option<ScanMemo>,
-    /// Local mention embeddings by `(tweet, start, end)`. Embeddings
-    /// depend only on the (immutable) tweet record and the span, so
-    /// entries stay valid across CTrie version bumps.
+    /// Local mention embeddings by `(tweet, start, end)`, in admission
+    /// order. Embeddings depend only on the (immutable) tweet record and
+    /// the span, so entries stay valid across CTrie version bumps.
     /// The records admitted from an entry share its vector.
-    mention_cache: HashMap<(usize, usize, usize), Arc<[f32]>>,
+    mention_cache: MentionCache,
     /// Tweet ids already consumed by [`Self::ingest`]
     /// (ids are claimed on first sight, even if that record is later
     /// rejected, so replays are deterministic).
@@ -541,7 +542,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
             scanned_tweets: 0,
             scanned_version: 0,
             scan_memo: None,
-            mention_cache: HashMap::new(),
+            mention_cache: MentionCache::default(),
             seen_ids: BTreeSet::new(),
             finalize_errors: Vec::new(),
             shard_filter: None,
@@ -875,9 +876,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         for (surface, entry) in shard.candidates.iter() {
             self.candidates.insert_entry(surface.clone(), entry.clone());
         }
-        for (k, v) in &shard.mention_cache {
-            self.mention_cache.entry(*k).or_insert_with(|| Arc::clone(v));
-        }
+        self.mention_cache.absorb(&shard.mention_cache);
     }
 
     /// Appends externally collected diagnostics to the fault log
@@ -1100,7 +1099,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 .collect();
             let misses: Vec<Span> = owned
                 .iter()
-                .filter(|occ| !cache.contains_key(&(ti, occ.start, occ.end)))
+                .filter(|occ| !cache.contains(&(ti, occ.start, occ.end)))
                 .map(|occ| Span::new(occ.start, occ.end, EntityType::Person))
                 .collect();
             let mut fresh = phrase.embed_spans(&record.embeddings, &misses).into_iter();
@@ -1156,8 +1155,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
             let owned = t.occurrences.iter().filter(|&&(shard, _)| owns(shard));
             for ((_, occ), record) in owned.zip(records) {
                 self.mention_cache
-                    .entry((record.tweet, record.start, record.end))
-                    .or_insert_with(|| Arc::clone(&record.local_emb));
+                    .admit((record.tweet, record.start, record.end), &record.local_emb);
                 added.entry(&occ.surface).or_default().push(record);
             }
         }
@@ -1514,7 +1512,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
             candidates: self.candidates.clone(),
             scanned_tweets: self.scanned_tweets,
             scanned_version: self.scanned_version,
-            mention_cache: self.mention_cache.clone(),
+            mention_cache: self.mention_cache.map().clone(),
             seen_ids: self.seen_ids.clone(),
         }
     }
@@ -1547,7 +1545,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 candidates: &self.candidates,
                 scanned_tweets: self.scanned_tweets,
                 scanned_version: self.scanned_version,
-                mention_cache: &self.mention_cache,
+                mention_cache: self.mention_cache.map(),
                 seen_ids: &self.seen_ids,
             },
             log,
@@ -1573,12 +1571,6 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
     /// snapshot left off: feeding it the remaining input yields
     /// bitwise-identical finalize output to a never-interrupted run.
     pub fn import_state(&mut self, mut ck: PipelineCheckpoint) -> Result<(), PersistError> {
-        if ck.scanned_tweets > ck.tweets.len() {
-            return Err(PersistError::Inconsistent("watermark beyond tweet store"));
-        }
-        if ck.scanned_version > ck.ctrie.version() {
-            return Err(PersistError::Inconsistent("scan version beyond trie version"));
-        }
         let dim = self.phrase.dim();
         if ck.mention_cache.values().any(|v| v.len() != dim) {
             return Err(PersistError::Inconsistent("cached embedding dim mismatch"));
@@ -1600,6 +1592,50 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                     }
                 }
             }
+        }
+        let cache = MentionCache::from_map(std::mem::take(&mut ck.mention_cache));
+        self.install_state(ck, cache)
+    }
+
+    /// [`Self::import_state`] of a durable snapshot's checkpoint, whose
+    /// mentions carry no embedding of their own: each is linked to the
+    /// entry of its span in `cache`, the mention embeddings the
+    /// lineage's tweet log holds. A mention whose span has no entry
+    /// fails the import. The logged embeddings are decoded from the
+    /// quantized codec, so they are canonical already.
+    pub(crate) fn import_logged_state(
+        &mut self,
+        mut ck: PipelineCheckpoint,
+        cache: MentionCache,
+    ) -> Result<(), PersistError> {
+        let dim = self.phrase.dim();
+        if cache.map().values().any(|v| v.len() != dim) {
+            return Err(PersistError::Inconsistent("cached embedding dim mismatch"));
+        }
+        for (_, entry) in ck.candidates.iter_mut() {
+            for m in &mut entry.mentions {
+                m.local_emb = cache.get(&(m.tweet, m.start, m.end)).cloned().ok_or(
+                    PersistError::Inconsistent("snapshot names a mention with no logged embedding"),
+                )?;
+            }
+        }
+        self.install_state(ck, cache)
+    }
+
+    /// Validates the stream positions of `ck` and installs it with
+    /// `cache` as the mention cache.
+    fn install_state(
+        &mut self,
+        mut ck: PipelineCheckpoint,
+        cache: MentionCache,
+    ) -> Result<(), PersistError> {
+        if ck.scanned_tweets > ck.tweets.len() {
+            return Err(PersistError::Inconsistent("watermark beyond tweet store"));
+        }
+        if ck.scanned_version > ck.ctrie.version() {
+            return Err(PersistError::Inconsistent("scan version beyond trie version"));
+        }
+        for (_, entry) in ck.candidates.iter_mut() {
             for c in &mut entry.clusters {
                 ngl_nn::kernels::canonicalize(&mut c.global_emb);
             }
@@ -1611,10 +1647,27 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
         self.scanned_tweets = ck.scanned_tweets;
         self.scanned_version = ck.scanned_version;
         self.scan_memo = None;
-        self.mention_cache = ck.mention_cache;
+        self.mention_cache = cache;
         self.seen_ids = ck.seen_ids;
         self.finalize_errors.clear();
         Ok(())
+    }
+
+    /// The mention cache, for the durable tweet log, which appends the
+    /// entries a snapshot adds.
+    pub(crate) fn mention_cache(&self) -> &MentionCache {
+        &self.mention_cache
+    }
+
+    /// Starts listing mention-cache admissions for a durable tweet log
+    /// (see [`MentionCache::track`]).
+    pub(crate) fn track_mention_log(&mut self) {
+        self.mention_cache.track();
+    }
+
+    /// Records that the tweet log took every unlogged cache entry.
+    pub(crate) fn mark_mentions_logged(&mut self) {
+        self.mention_cache.mark_logged();
     }
 }
 
@@ -2092,7 +2145,7 @@ pub(crate) mod tests {
             let mut n = 0;
             for (surface, e) in p.candidate_base().iter() {
                 for m in &e.mentions {
-                    let cached = &p.mention_cache[&(m.tweet, m.start, m.end)];
+                    let cached = p.mention_cache.get(&(m.tweet, m.start, m.end)).expect("cached");
                     assert!(Arc::ptr_eq(cached, &m.local_emb), "{surface} @ {}", m.tweet);
                     n += 1;
                 }

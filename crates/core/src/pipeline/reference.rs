@@ -60,7 +60,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 .collect();
             let misses: Vec<Span> = owned
                 .iter()
-                .filter(|occ| !cache.contains_key(&(ti, occ.start, occ.end)))
+                .filter(|occ| !cache.contains(&(ti, occ.start, occ.end)))
                 .map(|occ| Span::new(occ.start, occ.end, EntityType::Person))
                 .collect();
             let mut fresh = phrase.embed_spans(&record.embeddings, &misses).into_iter();
@@ -112,8 +112,7 @@ impl<T: ContextualTagger> NerGlobalizer<T> {
                 }
                 let record = records.next().expect("one record per owned occurrence");
                 self.mention_cache
-                    .entry((record.tweet, record.start, record.end))
-                    .or_insert_with(|| Arc::clone(&record.local_emb));
+                    .admit((record.tweet, record.start, record.end), &record.local_emb);
                 self.candidates.add_mention(&occ.surface, record);
             }
         }

@@ -116,15 +116,18 @@ pub fn get_f32_vec(buf: &mut &[u8]) -> Result<Vec<f32>, CodecError> {
 /// length, `f32` power-of-two scale, then one `i8` per element (~4×
 /// smaller at rest than [`put_f32_slice`]).
 ///
-/// Quantization happens here via [`crate::kernels::QuantizedVec`]; on
-/// *canonicalized* vectors (see [`crate::kernels::canonicalize`]) the
-/// encode→decode round-trip is bitwise lossless and re-encoding is
-/// byte-identical, which durable checkpoints rely on.
+/// The elements are quantized straight into `buf`, by the rule of
+/// [`crate::kernels::QuantizedVec::quantize`], and the scale is written
+/// in front of them once known. On *canonicalized* vectors (see
+/// [`crate::kernels::canonicalize`]) the encode→decode round-trip is
+/// bitwise lossless and re-encoding is byte-identical, which durable
+/// checkpoints rely on.
 pub fn put_quantized_f32_slice(buf: &mut Vec<u8>, v: &[f32]) {
-    let q = crate::kernels::QuantizedVec::quantize(v);
-    put_u64(buf, q.data.len() as u64);
-    put_f32(buf, q.scale);
-    buf.extend(q.data.iter().map(|x| x.to_le_bytes()[0]));
+    put_u64(buf, v.len() as u64);
+    let at = buf.len();
+    put_f32(buf, 0.0);
+    let scale = crate::kernels::quantize_into(v, buf);
+    buf[at..][..4].copy_from_slice(&scale.to_le_bytes());
 }
 
 /// Reads a quantized `f32` record written by [`put_quantized_f32_slice`],
@@ -300,6 +303,41 @@ mod tests {
             assert!((x - y).abs() <= scale * 0.5, "{x} vs {y}");
         }
         assert_eq!(got[2], 0.0, "exact zero preserved");
+    }
+
+    /// The in-place encoder writes exactly the bytes of encoding a
+    /// [`crate::kernels::QuantizedVec`] first: on signed zeros,
+    /// subnormals, all-zero, max-magnitude, non-finite and ordinary
+    /// vectors.
+    #[test]
+    fn quantized_slice_bytes_match_the_quantized_vec_encoding() {
+        fn via_quantized_vec(buf: &mut Vec<u8>, v: &[f32]) {
+            let q = crate::kernels::QuantizedVec::quantize(v);
+            put_u64(buf, q.data.len() as u64);
+            put_f32(buf, q.scale);
+            buf.extend(q.data.iter().map(|x| x.to_le_bytes()[0]));
+        }
+        let sub = f32::from_bits(1);
+        let cases: Vec<Vec<f32>> = vec![
+            vec![],
+            vec![0.0, -0.0, 0.0],
+            vec![-0.0; 5],
+            vec![0.0; 7],
+            vec![sub, -sub, 0.0],
+            vec![f32::MIN_POSITIVE / 3.0, -f32::MIN_POSITIVE / 7.0],
+            vec![f32::MIN_POSITIVE, -f32::MIN_POSITIVE * 200.0, sub],
+            vec![f32::MAX, -f32::MAX, 1.0, -0.0],
+            vec![f32::MAX; 3],
+            vec![f32::INFINITY, 1.0, f32::NAN, -2.0],
+            vec![0.83, -1.2, 0.0, 0.004, 2.7, -0.3311],
+            vec![1e-30, 127.0, -126.5, 0.5],
+        ];
+        for v in &cases {
+            let (mut want, mut got) = (vec![0xAA], vec![0xAA]);
+            via_quantized_vec(&mut want, v);
+            put_quantized_f32_slice(&mut got, v);
+            assert_eq!(got, want, "{v:?}");
+        }
     }
 
     #[test]

@@ -619,7 +619,8 @@ fn recovery_report_json(r: &RecoveryReport) -> String {
         concat!(
             "{{\"snapshot_seq\":{},\"replayed_batches\":{},\"replayed_finalizes\":{},",
             "\"torn_tail\":{},\"watermark\":{},\"surfaces\":{},\"resident_surfaces\":{},",
-            "\"tweets\":{},\"tweets_from_log\":{},\"digest\":\"{}\",\"batch_ids\":["
+            "\"tweets\":{},\"tweets_from_log\":{},\"mentions_from_log\":{},",
+            "\"digest\":\"{}\",\"batch_ids\":["
         ),
         r.snapshot_seq.map_or("null".to_string(), |s| s.to_string()),
         r.replayed_batches,
@@ -630,6 +631,7 @@ fn recovery_report_json(r: &RecoveryReport) -> String {
         r.resident_surfaces,
         r.tweets,
         r.tweets_from_log,
+        r.mentions_from_log,
         r.digest,
     );
     for (i, ids) in r.batch_ids.iter().enumerate() {

@@ -336,6 +336,57 @@ pub fn read_log<E: From<StoreError>>(
     Ok(scan)
 }
 
+/// A group of records framed into one write buffer, for
+/// [`Wal::commit_frames`]. Each payload is encoded straight into the
+/// buffer and hashed once, and [`Self::push_with`] hands back the frame
+/// checksum, so a log that chains each record's checksum into the next
+/// record needs no second pass over the payload.
+#[derive(Debug, Default)]
+pub struct Frames {
+    buf: Vec<u8>,
+}
+
+impl Frames {
+    /// Frames one record whose payload `encode` appends to the buffer it
+    /// is given, and returns its frame checksum. An oversized payload is
+    /// a typed error, not a panic (an ingestion caller sheds the one
+    /// record and keeps going), and leaves the group as it was.
+    pub fn push_with(
+        &mut self,
+        tag: u8,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<u64, StoreError> {
+        let start = self.buf.len();
+        let body = start.saturating_add(FRAME_HEADER);
+        self.buf.resize(body, 0);
+        encode(&mut self.buf);
+        let payload = &self.buf[body..];
+        let size = match u32::try_from(payload.len()) {
+            Ok(size) if payload.len() <= MAX_PAYLOAD => size,
+            _ => {
+                self.buf.truncate(start);
+                return Err(StoreError::Corrupt("record payload over MAX_PAYLOAD"));
+            }
+        };
+        let checksum = record_checksum(tag, payload);
+        let header = &mut self.buf[start..body];
+        header[..4].copy_from_slice(&size.to_le_bytes());
+        header[4] = tag;
+        header[5..].copy_from_slice(&checksum.to_le_bytes());
+        Ok(checksum)
+    }
+
+    /// [`Self::push_with`] of a payload encoded beforehand.
+    pub fn push(&mut self, tag: u8, payload: &[u8]) -> Result<u64, StoreError> {
+        self.push_with(tag, |buf| buf.extend_from_slice(payload))
+    }
+
+    /// Whether no record was framed.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+}
+
 /// A segment-based append-only write-ahead log (see the module docs).
 pub struct Wal {
     io: IoHandle,
@@ -505,23 +556,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Encodes one record frame. Oversized payloads are a typed error,
-    /// not a panic — an ingestion caller sheds the one record and keeps
-    /// going (PR 7 degradation ladder).
-    fn frame(tag: u8, payload: &[u8]) -> Result<Vec<u8>, StoreError> {
-        if payload.len() > MAX_PAYLOAD {
-            return Err(StoreError::Corrupt("record payload over MAX_PAYLOAD"));
-        }
-        let len = u32::try_from(payload.len())
-            .map_err(|_| StoreError::Corrupt("record payload over MAX_PAYLOAD"))?;
-        let mut frame = Vec::with_capacity(FRAME_HEADER.saturating_add(payload.len()));
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.push(tag);
-        frame.extend_from_slice(&record_checksum(tag, payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        Ok(frame)
-    }
-
     /// Appends one record, rolling to a new segment first if the active
     /// one is full. Returns the number of bytes written (frame included).
     ///
@@ -529,11 +563,13 @@ impl Wal {
     /// an all-or-nothing durable append use [`Self::commit`].
     #[cfg(test)]
     pub fn append(&mut self, tag: u8, payload: &[u8]) -> Result<u64, StoreError> {
+        let mut frames = Frames::default();
+        frames.push(tag, payload)?;
+        let frame = frames.buf;
         self.repair()?;
         if self.active_len >= self.segment_bytes {
             self.rotate()?;
         }
-        let frame = Self::frame(tag, payload)?;
         let path = segment_path(&self.dir, self.prefix, self.active_seq);
         if let Err(e) = self.io.write_at(&path, self.active_len, &frame) {
             self.rollback(self.active_len);
@@ -552,17 +588,27 @@ impl Wal {
     /// *later* record (e.g. a finalize digest) could become durable
     /// while an *earlier* one (its batch) is not.
     pub fn commit(&mut self, records: &[(u8, &[u8])]) -> Result<u64, StoreError> {
+        let size = records
+            .iter()
+            .fold(0usize, |n, (_, p)| n.saturating_add(FRAME_HEADER).saturating_add(p.len()));
+        let mut frames = Frames { buf: Vec::with_capacity(size) };
+        for &(tag, payload) in records {
+            frames.push(tag, payload)?;
+        }
+        self.commit_frames(&frames)
+    }
+
+    /// [`Self::commit`] of records already framed into one buffer: the
+    /// buffer is written as is, in one write and one fsync.
+    pub fn commit_frames(&mut self, frames: &Frames) -> Result<u64, StoreError> {
         self.repair()?;
         if self.active_len >= self.segment_bytes {
             self.rotate()?;
         }
-        let mut buf = Vec::new();
-        for &(tag, payload) in records {
-            buf.extend_from_slice(&Self::frame(tag, payload)?);
-        }
+        let buf = &frames.buf;
         let pre_len = self.active_len;
         let path = segment_path(&self.dir, self.prefix, self.active_seq);
-        let result = self.io.write_at(&path, pre_len, &buf).and_then(|()| self.io.sync(&path));
+        let result = self.io.write_at(&path, pre_len, buf).and_then(|()| self.io.sync(&path));
         match result {
             Ok(()) => {
                 self.active_len = pre_len.saturating_add(buf.len() as u64);
@@ -859,6 +905,35 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Frames encoded in place carry the documented layout and the
+    /// checksum `push_with` returns, and `commit` and `commit_frames`
+    /// write the same segment bytes.
+    #[test]
+    fn frames_encoded_in_place_keep_the_frame_layout() {
+        let records: [(u8, &[u8]); 3] = [(7, b"abc"), (2, b""), (1, &[0xAB; 300])];
+        let mut want = Vec::new();
+        for (tag, payload) in records {
+            want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            want.push(tag);
+            want.extend_from_slice(&fnv1a64(&[&[tag][..], payload].concat()).to_le_bytes());
+            want.extend_from_slice(payload);
+        }
+        let mut frames = Frames::default();
+        assert!(frames.is_empty());
+        for (tag, payload) in records {
+            let sum = frames.push_with(tag, |buf| buf.extend_from_slice(payload)).unwrap();
+            assert_eq!(sum, record_checksum(tag, payload));
+        }
+        assert_eq!(frames.buf, want);
+        let (a, b) = (tmpdir("frames-commit"), tmpdir("frames-in-place"));
+        Wal::open(&a).unwrap().commit(&records).unwrap();
+        Wal::open(&b).unwrap().commit_frames(&frames).unwrap();
+        for dir in [&a, &b] {
+            assert_eq!(std::fs::read(segment_path(dir, WAL_PREFIX, 0)).unwrap(), want);
+            std::fs::remove_dir_all(dir).ok();
+        }
     }
 
     #[test]

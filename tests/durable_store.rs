@@ -6,7 +6,10 @@
 //!   tweets the delta is a small fraction of a snapshot rewrite;
 //! * **resume equals one continuous run** — stopping a durable stream
 //!   and reopening the store (fresh pipeline, same models) continues
-//!   bitwise identically, at 1 and 4 worker threads.
+//!   bitwise identically, at 1 and 4 worker threads;
+//! * **an open rebuilds the live state** — from the newest snapshot and
+//!   from the fallback, with the tweets and mention embeddings read from
+//!   the tweet log.
 
 use std::path::PathBuf;
 
@@ -208,4 +211,66 @@ fn reopening_a_store_continues_bitwise_identically() {
         let _ = std::fs::remove_dir_all(&dir_a);
         let _ = std::fs::remove_dir_all(&dir_b);
     }
+}
+
+/// A store's open reproduces the live pipeline's inline state bytes
+/// exactly, at 1 and 4 threads: from the newest snapshot (every tweet
+/// and mention embedding read from the tweet log, nothing replayed),
+/// and, with that snapshot damaged, from the fallback plus the WAL. The
+/// lineage that fell back logs the cut entries again at its next
+/// snapshot, and an open from that one reads every cached embedding.
+#[test]
+fn an_open_reproduces_the_live_state_from_the_newest_or_the_fallback_snapshot() {
+    const BATCH: usize = 10;
+    let stream = gen_stream(0x10660, 10 * BATCH);
+    let (head, tail) = stream.split_at(9 * BATCH);
+    let mut states = Vec::new();
+    for threads in [1usize, 4] {
+        let open = |dir: &PathBuf| {
+            DurableGlobalizer::open(pipeline(threads, full_cfg()), dir, 3).expect("open")
+        };
+        let dir = scratch(&format!("logged-open-{threads}t"));
+        let (mut live, _) = open(&dir);
+        for chunk in head.chunks(BATCH) {
+            live.ingest(chunk.to_vec(), None).expect("batch");
+            live.finalize().expect("finalize");
+        }
+        // Nine finalizes at a cadence of 3: snapshots at ops 6, 12, 18.
+        let want = live.inner().export_state_bytes();
+        let cached = live.inner().cached_mentions();
+        drop(live);
+
+        let (newest, report) = open(&dir);
+        assert_eq!((report.snapshot_seq, report.replayed_finalizes), (Some(18), 0));
+        assert_eq!(report.tweets_from_log, head.len(), "{threads}t");
+        assert_eq!(report.mentions_from_log, cached, "{threads}t");
+        assert!(newest.inner().export_state_bytes() == want, "{threads}t: newest differs");
+        drop(newest);
+
+        let snapshot = dir.join("snap-00000018.ck");
+        let mut bytes = std::fs::read(&snapshot).expect("snapshot");
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        std::fs::write(&snapshot, &bytes).expect("damage the newest snapshot");
+        let (mut fallback, report) = open(&dir);
+        assert_eq!((report.snapshot_seq, report.replayed_finalizes), (Some(12), 3));
+        assert!(report.mentions_from_log < cached, "{threads}t: the fallback logged fewer");
+        assert!(fallback.inner().export_state_bytes() == want, "{threads}t: fallback differs");
+
+        // The replayed finalizes count toward the cadence: the next
+        // finalize snapshots, logging the entries the fallback cut.
+        fallback.ingest(tail.to_vec(), None).expect("batch");
+        fallback.finalize().expect("finalize");
+        assert_eq!(fallback.stats().snapshots, 1, "{threads}t");
+        let (want, cached) =
+            (fallback.inner().export_state_bytes(), fallback.inner().cached_mentions());
+        drop(fallback);
+        let (again, report) = open(&dir);
+        assert_eq!((report.snapshot_seq, report.replayed_finalizes), (Some(20), 0));
+        assert_eq!(report.mentions_from_log, cached, "{threads}t");
+        assert!(again.inner().export_state_bytes() == want, "{threads}t: re-logged differs");
+        states.push(want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(states[0] == states[1], "the state bytes depend on the thread count");
 }

@@ -408,6 +408,33 @@ fn copy_store(src: &Path, dst: &Path) {
     }
 }
 
+/// The tag of a mention-cache record in the tweet log.
+const TAG_MENTION: u8 = 2;
+
+/// `(start, end, tag)` of every frame of a log segment, in order. A
+/// frame is `len u32 LE | tag u8 | fnv1a64 u64 LE | payload`.
+fn frames(bytes: &[u8]) -> Vec<(usize, usize, u8)> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    while at + 13 <= bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("len")) as usize;
+        out.push((at, at + 13 + len, bytes[at + 4]));
+        at += 13 + len;
+    }
+    assert_eq!(at, bytes.len(), "the log must parse to its end");
+    out
+}
+
+/// The byte ranges of the mention records of a log segment that start
+/// at or after `from`.
+fn mention_records(bytes: &[u8], from: usize) -> Vec<(usize, usize)> {
+    frames(bytes)
+        .into_iter()
+        .filter(|&(start, _, tag)| tag == TAG_MENTION && start >= from)
+        .map(|(start, end, _)| (start, end))
+        .collect()
+}
+
 /// The single tweet-log segment of a store that never rotated it.
 fn tweet_log(dir: &Path) -> PathBuf {
     let log = dir.join("tweets-00000000.log");
@@ -419,8 +446,9 @@ fn tweet_log(dir: &Path) -> PathBuf {
 /// rename: the second snapshot's publish fails, which leaves the store
 /// exactly as such a crash would (its records logged and synced, no new
 /// snapshot, the WAL uncompacted). Cutting the log at every byte of
-/// that last append must recover bitwise to the clean run, each cut at
-/// 1 and at 4 threads, and the open must cut the unreferenced records.
+/// that last append, its tweet records and its mention records alike,
+/// must recover bitwise to the clean run, each cut at 1 and at 4
+/// threads, and the open must cut the unreferenced records.
 #[test]
 fn kill_between_tweet_log_sync_and_snapshot_rename_recovers_at_every_log_byte() {
     // Small batches keep the sweep short: one case per byte.
@@ -446,15 +474,17 @@ fn kill_between_tweet_log_sync_and_snapshot_rename_recovers_at_every_log_byte() 
     let io = IoHandle::chaos(plan, RetryPolicy::none());
     let (mut durable, _) =
         DurableGlobalizer::open_with_io(pipeline(1), &dir, 3, None, io).expect("open");
-    let mut logged_by_first_snapshot = 0;
+    let (mut logged_by_first_snapshot, mut mentions_by_first_snapshot) = (0, 0);
     for (i, chunk) in stream.chunks(LOG_BATCH).enumerate() {
         durable.ingest(chunk.to_vec(), None).expect("batch");
         durable.finalize().expect("a failed snapshot must not fail the finalize");
         if i == 2 {
             assert_eq!(durable.stats().snapshots, 1);
             logged_by_first_snapshot = std::fs::metadata(tweet_log(&dir)).expect("log").len();
+            mentions_by_first_snapshot = durable.inner().cached_mentions();
         }
     }
+    assert!(mentions_by_first_snapshot > 0, "the first snapshot must log mention embeddings");
     assert_eq!(durable.stats().snapshots, 1, "the second snapshot was never published");
     assert!(durable.degradation().snapshot_lagging);
     assert_eq!(durable.op_seq(), final_op);
@@ -463,6 +493,10 @@ fn kill_between_tweet_log_sync_and_snapshot_rename_recovers_at_every_log_byte() 
     let full = std::fs::read(tweet_log(&dir)).expect("log bytes");
     let pre = logged_by_first_snapshot as usize;
     assert!(full.len() > pre, "the failed snapshot's records must be in the log");
+    let mentions = mention_records(&full, pre);
+    let inside_a_mention =
+        (pre..=full.len()).filter(|&cut| mentions.iter().any(|&(s, e)| s < cut && cut < e));
+    assert!(inside_a_mention.count() > 0, "the sweep must cut inside a mention record");
     let case = root.join("case");
     for cut in pre..=full.len() {
         for threads in [1, 4] {
@@ -475,6 +509,10 @@ fn kill_between_tweet_log_sync_and_snapshot_rename_recovers_at_every_log_byte() 
                 });
             assert_eq!(report.snapshot_seq, Some(6), "{what}: recovers from the first snapshot");
             assert_eq!(report.tweets_from_log, 3 * LOG_BATCH, "{what}: the snapshot's tweets");
+            assert_eq!(
+                report.mentions_from_log, mentions_by_first_snapshot,
+                "{what}: the snapshot's mention embeddings"
+            );
             assert_eq!(durable.op_seq(), final_op, "{what}: the WAL holds every op");
             assert_eq!(
                 durable.inner().export_state_bytes(),
@@ -489,9 +527,9 @@ fn kill_between_tweet_log_sync_and_snapshot_rename_recovers_at_every_log_byte() 
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A bit flip anywhere in a tweet record that the live snapshot
-/// references fails `open` with a typed error and leaves the log as it
-/// was — never a panic, never a silent fallback to replay.
+/// A bit flip anywhere in a tweet or mention record that the live
+/// snapshot references fails `open` with a typed error and leaves the
+/// log as it was — never a panic, never a silent fallback to replay.
 #[test]
 fn bit_flips_in_referenced_tweet_records_fail_open_with_a_typed_error() {
     let root = scratch_root("logflip");
@@ -501,6 +539,10 @@ fn bit_flips_in_referenced_tweet_records_fail_open_with_a_typed_error() {
     assert!(reference.contains_key(&6), "a snapshot lands at op 6");
     let full = std::fs::read(tweet_log(&clean)).expect("log bytes");
     assert!(!full.is_empty());
+    let mentions = mention_records(&full, 0);
+    let flipped_in_a_mention =
+        (0..full.len()).filter(|&b| mentions.iter().any(|&(s, e)| s <= b && b < e));
+    assert!(flipped_in_a_mention.count() > 0, "the sweep must flip a mention-record byte");
     let case = root.join("case");
     for byte in 0..full.len() {
         copy_store(&clean, &case);
