@@ -498,30 +498,7 @@ pub(crate) fn put_checkpoint(buf: &mut Vec<u8>, ck: StateRef<'_>, log: Option<&T
 
 /// Parses a checkpoint written by [`put_checkpoint`] with inline tweets.
 pub(crate) fn get_checkpoint(buf: &mut &[u8]) -> Result<PipelineCheckpoint, CodecError> {
-    let cfg = get_config(buf)?;
-    let ctrie = get_ctrie(buf)?;
-    let tweets = get_tweets(buf)?;
-    let candidates = get_candidates(buf, &|buf| get_quantized_f32_vec(buf))?;
-    let scanned_tweets = get_u64(buf)? as usize;
-    let scanned_version = get_u64(buf)?;
-    let n = get_count(buf, 32)?;
-    let mut mention_cache = HashMap::with_capacity(n);
-    for _ in 0..n {
-        let t = get_u64(buf)? as usize;
-        let s = get_u64(buf)? as usize;
-        let e = get_u64(buf)? as usize;
-        mention_cache.insert((t, s, e), get_quantized_f32_vec(buf)?);
-    }
-    Ok(PipelineCheckpoint {
-        cfg,
-        ctrie,
-        tweets,
-        candidates,
-        scanned_tweets,
-        scanned_version,
-        mention_cache,
-        seen_ids: get_seen_ids(buf)?,
-    })
+    get_checkpoint_with(buf, None)
 }
 
 /// Parses a durable snapshot's checkpoint. The tweet store and the
@@ -532,32 +509,67 @@ pub(crate) fn get_checkpoint(buf: &mut &[u8]) -> Result<PipelineCheckpoint, Code
 pub(crate) fn get_logged_checkpoint(
     buf: &mut &[u8],
 ) -> Result<(PipelineCheckpoint, TweetLogRef), CodecError> {
-    let cfg = get_config(buf)?;
-    let ctrie = get_ctrie(buf)?;
-    get_retired_offset(buf)?;
-    let log = TweetLogRef { len: get_u64(buf)?, mentions: get_u64(buf)?, checksum: get_u64(buf)? };
-    let unlinked: Arc<[f32]> = Arc::new([]);
-    let candidates = get_candidates(buf, &|_| Ok(Arc::clone(&unlinked)))?;
-    let ck = PipelineCheckpoint {
-        cfg,
-        ctrie,
-        tweets: TweetBase::new(),
-        candidates,
-        scanned_tweets: get_u64(buf)? as usize,
-        scanned_version: get_u64(buf)?,
-        mention_cache: HashMap::new(),
-        seen_ids: get_seen_ids(buf)?,
-    };
+    let mut log = TweetLogRef::default();
+    let ck = get_checkpoint_with(buf, Some(&mut log))?;
     Ok((ck, log))
 }
 
-fn get_seen_ids(buf: &mut &[u8]) -> Result<BTreeSet<u64>, CodecError> {
+/// Parses the layout [`put_checkpoint`] writes for its `log` argument:
+/// inline when `log` is `None`, else a durable snapshot's, whose log
+/// reference is read into `log`.
+fn get_checkpoint_with(
+    buf: &mut &[u8],
+    log: Option<&mut TweetLogRef>,
+) -> Result<PipelineCheckpoint, CodecError> {
+    let cfg = get_config(buf)?;
+    let ctrie = get_ctrie(buf)?;
+    let inline = log.is_none();
+    let tweets = match log {
+        None => get_tweets(buf)?,
+        Some(r) => {
+            get_retired_offset(buf)?;
+            *r = TweetLogRef {
+                len: get_u64(buf)?,
+                mentions: get_u64(buf)?,
+                checksum: get_u64(buf)?,
+            };
+            TweetBase::new()
+        }
+    };
+    let unlinked: Arc<[f32]> = Arc::new([]);
+    let candidates = if inline {
+        get_candidates(buf, &|buf| get_quantized_f32_vec(buf))?
+    } else {
+        get_candidates(buf, &|_| Ok(Arc::clone(&unlinked)))?
+    };
+    let scanned_tweets = get_u64(buf)? as usize;
+    let scanned_version = get_u64(buf)?;
+    let mut mention_cache = HashMap::new();
+    if inline {
+        let n = get_count(buf, 32)?;
+        mention_cache.reserve(n);
+        for _ in 0..n {
+            let t = get_u64(buf)? as usize;
+            let s = get_u64(buf)? as usize;
+            let e = get_u64(buf)? as usize;
+            mention_cache.insert((t, s, e), get_quantized_f32_vec(buf)?);
+        }
+    }
     let n = get_count(buf, 8)?;
     let mut seen_ids = BTreeSet::new();
     for _ in 0..n {
         seen_ids.insert(get_u64(buf)?);
     }
-    Ok(seen_ids)
+    Ok(PipelineCheckpoint {
+        cfg,
+        ctrie,
+        tweets,
+        candidates,
+        scanned_tweets,
+        scanned_version,
+        mention_cache,
+        seen_ids,
+    })
 }
 
 #[cfg(test)]

@@ -881,19 +881,10 @@ impl QuantizedVec {
     /// quantizing the dequantized vector (`data[i] * scale`) reproduces
     /// the same `(scale, data)` bit for bit.
     pub fn quantize(xs: &[f32]) -> Self {
-        let scale = quant_scale(max_abs(xs));
-        if scale == 0.0 {
-            return Self { scale, data: vec![0; xs.len()] };
-        }
-        let inv = 1.0 / scale; // power of two: exact
-        let data: Vec<i8> = xs.iter().map(|&x| quantize_one(x, inv)).collect();
-        // Sub-normal magnitudes can hit the 2^-126 scale clamp and
-        // quantize to all zeros; collapse to the canonical zero
-        // encoding so re-quantizing the round-trip stays stable.
-        if data.iter().all(|&q| q == 0) {
-            return Self { scale: 0.0, data };
-        }
-        Self { scale, data }
+        let mut bytes = Vec::with_capacity(xs.len());
+        let scale = quantize_into(xs, &mut bytes);
+        // In-place collect: reuses `bytes`' allocation.
+        Self { scale, data: bytes.into_iter().map(|b| b as i8).collect() }
     }
 
     /// Reconstructs the `f32` vector (`data[i] * scale`, exact for a
@@ -920,25 +911,13 @@ impl QuantizedVec {
     }
 }
 
-/// The largest magnitude in `xs` (0.0 for an empty slice; NaNs are
-/// skipped).
-fn max_abs(xs: &[f32]) -> f32 {
-    xs.iter().fold(0.0f32, |m, x| m.max(x.abs()))
-}
-
-/// One element at the step whose inverse is `inv`.
-#[inline]
-fn quantize_one(x: f32, inv: f32) -> i8 {
-    (x * inv).round().clamp(-(Q_MAX as f32), Q_MAX as f32) as i8
-}
-
-/// [`QuantizedVec::quantize`] written straight into a byte buffer: one
-/// byte per element (the `i8`'s two's-complement bits) is appended to
-/// `out`, and the scale is returned, so an encoder needs no
-/// intermediate vector. Same bytes and scale as `quantize`, including
-/// the collapse to scale 0.0 when every element rounds to zero.
+/// The quantization rule of [`QuantizedVec::quantize`], written straight
+/// into a byte buffer: one byte per element (the `i8`'s two's-complement
+/// bits) is appended to `out`, and the scale is returned, so an encoder
+/// needs no intermediate vector.
 pub(crate) fn quantize_into(xs: &[f32], out: &mut Vec<u8>) -> f32 {
-    let scale = quant_scale(max_abs(xs));
+    let max_abs = xs.iter().fold(0.0f32, |m, x| m.max(x.abs()));
+    let scale = quant_scale(max_abs);
     if scale == 0.0 {
         out.resize(out.len() + xs.len(), 0);
         return 0.0;
@@ -946,10 +925,13 @@ pub(crate) fn quantize_into(xs: &[f32], out: &mut Vec<u8>) -> f32 {
     let inv = 1.0 / scale; // power of two: exact
     let mut nonzero = false;
     out.extend(xs.iter().map(|&x| {
-        let q = quantize_one(x, inv);
+        let q = (x * inv).round().clamp(-(Q_MAX as f32), Q_MAX as f32) as i8;
         nonzero |= q != 0;
         q as u8
     }));
+    // Sub-normal magnitudes can hit the 2^-126 scale clamp and
+    // quantize to all zeros; collapse to the canonical zero
+    // encoding so re-quantizing the round-trip stays stable.
     if nonzero {
         scale
     } else {
